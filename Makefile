@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet shadow lint lint-baseline staticcheck govulncheck race fuzz check bench microbench chaos
+.PHONY: build test vet shadow lint lint-baseline staticcheck govulncheck race fuzz check bench benchtest microbench chaos
 
 # Accepted-findings baseline for qpiplint. When the file exists, `make
 # lint` fails only on findings not recorded in it; `make lint-baseline`
@@ -72,6 +72,13 @@ govulncheck:
 race:
 	$(GO) test -race ./...
 
+# The benchmark (benchmark/, BENCHMARK.json) is a nested module the root
+# `go test ./...` cannot see. Its own tests (~5 s: every workload at scale
+# 0.01, determinism, the compare tables) also prove on every gate run that
+# the public APIs it compiles against are still source-compatible.
+benchtest:
+	cd benchmark && $(GO) test ./...
+
 # Short smoke run of every fuzz target (header parsers); the committed
 # seed corpora also run as part of plain `go test`. The fuzz cache dir is
 # created up front: a fresh GOCACHE otherwise fails the first -fuzz run.
@@ -96,8 +103,9 @@ fuzz:
 # speedup floor for however many cores this host actually has), and the
 # connection-density guard (SRQ pooling must beat private receive queues
 # on per-connection memory at high QP counts without a CPU regression,
-# and churn must leave no residual connection state).
-check: vet shadow lint staticcheck govulncheck race test chaos
+# and churn must leave no residual connection state). benchtest runs the
+# nested benchmark module's own suite.
+check: vet shadow lint staticcheck govulncheck race test benchtest chaos
 	$(GO) run ./cmd/qpipbench -exp perf -bytes 1048576 -perf-repeats 1 >/dev/null
 	$(GO) run ./cmd/qpipbench -exp perfguard -bytes 4194304
 	$(GO) test -race -count=1 -run 'TestParallel|TestRunPingPong|TestRunUntilLimit|TestFreeRun|TestShardPanic' ./qpip/ ./internal/sim/par/

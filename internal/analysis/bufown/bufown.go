@@ -1,8 +1,9 @@
 // Package bufown tracks ownership of pooled datapath objects across
 // function and package boundaries. The pooled types — wire.Packet
-// (wire.Get / Retain / Release), tcp.Segment (tcp.NewSegment / Release)
-// and fabric.Frame (fabric.NewFrame, consumed by the fabric at Send) —
-// are recycled through free lists, so a reference that is neither
+// (wire.Get / Retain / Release), tcp.Segment (tcp.NewSegment / Release),
+// fabric.Frame (fabric.NewFrame, consumed by the fabric at Send) and the
+// collective firmware's ring message (qpipnic (*NIC).getCollMsg / Retain /
+// Release) — are recycled through free lists, so a reference that is neither
 // released nor handed to a new owner is a leak that starves the pool,
 // and the per-package bufref analyzer can only see the half of the
 // story that happens inside one function.
@@ -67,7 +68,7 @@ const name = "bufown"
 // Analyzer is the whole-program pooled-ownership check.
 var Analyzer = &interproc.Analyzer{
 	Name: name,
-	Doc:  "track pooled buffer ownership (wire.Packet, tcp.Segment, fabric.Frame) across calls: every acquired reference must be released or handed to a consuming owner",
+	Doc:  "track pooled buffer ownership (wire.Packet, tcp.Segment, fabric.Frame, qpipnic.collMsg) across calls: every acquired reference must be released or handed to a consuming owner",
 	Run:  run,
 }
 
@@ -111,7 +112,12 @@ var intrinsics = []intrinsic{
 	{pkgSuffix: "internal/wire", recv: "Packet", fn: "Retain", borrow: true},
 	{pkgSuffix: "internal/tcp", recv: "", fn: "NewSegment", sum: summary{owned: []bool{true}}},
 	{pkgSuffix: "internal/tcp", recv: "Segment", fn: "Release", sum: summary{consumes: []bool{true}}},
-	{pkgSuffix: "internal/fabric", recv: "", fn: "NewFrame", sum: summary{owned: []bool{true}}},
+	// The frame carries its payload's reference to whoever consumes the
+	// delivery (or releases it on a drop), so NewFrame consumes argument 3.
+	{pkgSuffix: "internal/fabric", recv: "", fn: "NewFrame", sum: summary{consumes: []bool{false, false, false, true}, owned: []bool{true}}},
+	{pkgSuffix: "internal/qpipnic", recv: "NIC", fn: "getCollMsg", sum: summary{consumes: []bool{false}, owned: []bool{true}}},
+	{pkgSuffix: "internal/qpipnic", recv: "collMsg", fn: "Release", sum: summary{consumes: []bool{true}}},
+	{pkgSuffix: "internal/qpipnic", recv: "collMsg", fn: "Retain", borrow: true},
 }
 
 // pooledNames lists the tracked types per package suffix; parameters of
@@ -120,6 +126,7 @@ var pooledNames = map[string]string{
 	"Packet":  "internal/wire",
 	"Segment": "internal/tcp",
 	"Frame":   "internal/fabric",
+	"collMsg": "internal/qpipnic",
 }
 
 func lookupIntrinsic(fn *types.Func) (*intrinsic, bool) {

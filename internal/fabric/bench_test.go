@@ -66,7 +66,7 @@ func TestFrameTransitAllocFree(t *testing.T) {
 	if !pool.Enabled() {
 		t.Skip("pooling disabled")
 	}
-	if raceEnabled {
+	if pool.RaceEnabled {
 		t.Skip("race-mode sync.Pool drops recycles by design")
 	}
 	eng := sim.NewEngine()

@@ -35,7 +35,6 @@ package fabric
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/sim"
 )
@@ -108,6 +107,8 @@ func (f *Fabric) initTopo() {
 // the fault decision; duplication is realized here as an independent
 // trailing copy (each copy owns one delivery), since the copies may be
 // arbitrated apart at any hop.
+//
+//qpip:hotpath
 func (f *Fabric) sendTopo(frame *Frame, src *port) {
 	//lint:qpip-allow hotprop lazy one-time topology construction; every send after the first takes the initialized fast path
 	f.initTopo()
@@ -176,6 +177,8 @@ func (f *Fabric) topoLaunch(fr *Frame, extra sim.Time) {
 // fr.hops[fr.hop]: the frame joins its egress port's pending queue and a
 // same-tick resolve decides the grant after all of this tick's arrivals
 // are queued.
+//
+//qpip:hotpath
 func (f *Fabric) topoArrive(fr *Frame) {
 	h := fr.hops[fr.hop]
 	op := f.sws[h.Sw].ports[h.Out]
@@ -183,8 +186,33 @@ func (f *Fabric) topoArrive(fr *Frame) {
 	op.eng.After(0, "fabric.arb", op.resolveFn)
 }
 
+// takeGrant removes and returns the pending entry the arbiter grants
+// next: FIFO per port, same-tick ties to the lowest ingress port. It is
+// the first (at, ingress)-minimum in queue order, so identical keys —
+// back-to-back frames through one upstream link — keep their queue order,
+// which is itself mode-invariant (they were scheduled through one upstream
+// serialization queue, in time order). Removal preserves the order of the
+// rest and later arrivals append, so the grant sequence is exactly that of
+// stable-sorting the queue on every grant, at the cost of one pass.
+func (op *egress) takeGrant() pendTransit {
+	best := 0
+	for i := 1; i < len(op.pending); i++ {
+		p, b := &op.pending[i], &op.pending[best]
+		if p.at < b.at || (p.at == b.at && p.ingress < b.ingress) {
+			best = i
+		}
+	}
+	head := op.pending[best]
+	rest := best + copy(op.pending[best:], op.pending[best+1:])
+	op.pending[rest] = pendTransit{}
+	op.pending = op.pending[:rest]
+	return head
+}
+
 // topoResolve is the egress arbiter: grant the oldest pending frame if
 // the port is free, else arm one kick for when it frees.
+//
+//qpip:hotpath
 func (f *Fabric) topoResolve(op *egress) {
 	now := op.eng.Now()
 	if op.busyUntil > now {
@@ -197,22 +225,7 @@ func (f *Fabric) topoResolve(op *egress) {
 	if len(op.pending) == 0 {
 		return
 	}
-	// FIFO per port; same-tick ties go to the lowest ingress port. The
-	// sort is stable so identical (at, ingress) keys — back-to-back
-	// frames through one upstream link — keep their queue order, which
-	// is itself mode-invariant (they were scheduled through one
-	// upstream serialization queue, in time order).
-	sort.SliceStable(op.pending, func(i, j int) bool {
-		a, b := op.pending[i], op.pending[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		return a.ingress < b.ingress
-	})
-	head := op.pending[0]
-	rest := copy(op.pending, op.pending[1:])
-	op.pending[rest] = pendTransit{}
-	op.pending = op.pending[:rest]
+	head := op.takeGrant()
 	op.busyUntil = now + head.fr.ser
 	if len(op.pending) > 0 {
 		op.kickArmed = true
@@ -224,6 +237,8 @@ func (f *Fabric) topoResolve(op *egress) {
 // topoDepart forwards a granted frame out its egress: on to the next
 // switch one HopLatency away, or down the destination link after
 // PropDelay (cut-through streamed the body during the grant's hold).
+//
+//qpip:hotpath
 func (f *Fabric) topoDepart(op *egress, fr *Frame) {
 	now := op.eng.Now()
 	if fr.hop == len(fr.hops)-1 {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/hostos"
 	"repro/internal/hw"
 	"repro/internal/params"
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -33,8 +34,54 @@ type Device struct {
 	att int
 	rx  *hostos.RxCoalescer
 
+	// DMA event names, built once; jobFree recycles the per-DMA jobs.
+	txName, rxName string
+	jobFree        []*dmaJob
+
 	txPkts, rxPkts uint64
 	txBytes        uint64
+}
+
+// dmaJob carries one packet across the PCI bus, in either direction. Its
+// completion is bound once and jobs recycle through the device's free
+// list, so a packet in flight costs no closure.
+type dmaJob struct {
+	d   *Device
+	pkt *wire.Packet
+	tx  bool
+	dst int // tx: destination attachment
+	fn  func()
+}
+
+//qpip:hotpath
+func (d *Device) dma(pkt *wire.Packet, tx bool, dst int) {
+	j := pool.Take(&d.jobFree)
+	if j == nil {
+		j = &dmaJob{d: d}
+		j.fn = j.done
+	}
+	j.pkt, j.tx, j.dst = pkt, tx, dst
+	name := d.rxName
+	if tx {
+		name = d.txName
+	}
+	d.bus.DMA(pkt.Len(), name, j.fn)
+}
+
+// done runs when the transfer completes: a transmitted packet goes onto
+// the wire, a received one into the host ring (the unified rx coalescer
+// raises the paced interrupt and reaps in its ISR).
+//
+//qpip:hotpath
+func (j *dmaJob) done() {
+	d, pkt, tx, dst := j.d, j.pkt, j.tx, j.dst
+	j.pkt = nil
+	d.jobFree = append(d.jobFree, j)
+	if tx {
+		d.fab.Send(fabric.NewFrame(d.att, dst, pkt.Len()+params.EthernetOverhead, pkt), nil)
+		return
+	}
+	d.rx.Enqueue(pkt)
 }
 
 // New attaches an adapter to fab and binds it to kernel k.
@@ -48,7 +95,8 @@ func New(eng *sim.Engine, k *hostos.Kernel, fab *fabric.Fabric, cfg Config) *Dev
 	if cfg.CoalesceDelay == 0 {
 		cfg.CoalesceDelay = params.GigEIntCoalesceDelay
 	}
-	d := &Device{cfg: cfg, eng: eng, k: k, bus: k.Bus(), fab: fab}
+	d := &Device{cfg: cfg, eng: eng, k: k, bus: k.Bus(), fab: fab,
+		txName: cfg.Name + ".txdma", rxName: cfg.Name + ".rxdma"}
 	d.att = fab.AttachOn(eng, d.receive)
 	d.rx = hostos.NewRxCoalescer(k, cfg.Name, cfg.CoalescePkts, cfg.CoalesceDelay)
 	return d
@@ -72,24 +120,23 @@ func (d *Device) Stats() (tx, rx, txBytes uint64) { return d.txPkts, d.rxPkts, d
 
 // Transmit implements hostos.NetDevice: DMA the frame from host memory,
 // then serialize onto the wire.
+//
+//qpip:hotpath
 func (d *Device) Transmit(pkt *wire.Packet, dstAtt int) {
 	d.txPkts++
 	d.txBytes += uint64(pkt.Len())
-	d.bus.DMA(pkt.Len(), d.cfg.Name+".txdma", func() {
-		d.fab.Send(fabric.NewFrame(d.att, dstAtt, pkt.Len()+params.EthernetOverhead, pkt), nil)
-	})
+	d.dma(pkt, true, dstAtt)
 }
 
 // receive is the fabric delivery handler: DMA into the host ring, then
-// enqueue on the unified rx coalescer (which raises the paced interrupt
-// and reaps in its ISR).
+// enqueue on the unified rx coalescer.
+//
+//qpip:hotpath
 func (d *Device) receive(f *fabric.Frame) {
 	pkt, ok := f.Payload.(*wire.Packet)
 	if !ok {
 		return
 	}
 	d.rxPkts++
-	d.bus.DMA(pkt.Len(), d.cfg.Name+".rxdma", func() {
-		d.rx.Enqueue(pkt)
-	})
+	d.dma(pkt, false, 0)
 }

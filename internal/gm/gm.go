@@ -13,6 +13,7 @@ import (
 	"repro/internal/hostos"
 	"repro/internal/hw"
 	"repro/internal/params"
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -46,9 +47,19 @@ type Device struct {
 
 	// txQ serializes outbound packets through the firmware loop: one
 	// packet stages through SRAM and onto the wire before the next
-	// starts, as in GM's event loop.
+	// starts, as in GM's event loop. It drains through txHead; txCur is
+	// the packet in the loop, and the loop's three continuations are bound
+	// once in New.
 	txQ    []txItem
+	txHead int
 	txBusy bool
+	txCur  txItem
+
+	fwTxFn, txDMAFn, txDoneFn func()
+
+	// Event names, built once; rxFree recycles the receive-side jobs.
+	fwTxName, fwRxName, txDMAName, rxDMAName string
+	rxFree                                   []*rxJob
 
 	txPkts, rxPkts uint64
 }
@@ -56,6 +67,28 @@ type Device struct {
 type txItem struct {
 	pkt *wire.Packet
 	dst int
+}
+
+// rxJob stages one arriving packet through adapter SRAM. Several can be
+// in flight, so each carries its packet; the continuations are bound once
+// and jobs recycle through the device's free list.
+type rxJob struct {
+	d           *Device
+	pkt         *wire.Packet
+	fwFn, dmaFn func()
+}
+
+//qpip:hotpath
+func (j *rxJob) fwDone() {
+	j.d.bus.BurstAt(j.pkt.Len(), params.GMDMABandwidth, j.d.rxDMAName, j.dmaFn)
+}
+
+//qpip:hotpath
+func (j *rxJob) dmaDone() {
+	d, pkt := j.d, j.pkt
+	j.pkt = nil
+	d.rxFree = append(d.rxFree, j)
+	d.rx.Enqueue(pkt)
 }
 
 // New attaches a GM adapter to the Myrinet fabric.
@@ -76,6 +109,23 @@ func New(eng *sim.Engine, k *hostos.Kernel, fab *fabric.Fabric, cfg Config) *Dev
 		bus:   k.Bus(),
 		fab:   fab,
 		lanai: sim.NewCPU(eng, cfg.Name+".lanai", params.NICClockHz),
+
+		fwTxName:  cfg.Name + ".fw.tx",
+		fwRxName:  cfg.Name + ".fw.rx",
+		txDMAName: cfg.Name + ".txdma",
+		rxDMAName: cfg.Name + ".rxdma",
+	}
+	d.fwTxFn = func() {
+		d.bus.BurstAt(d.txCur.pkt.Len(), params.GMDMABandwidth, d.txDMAName, d.txDMAFn)
+	}
+	d.txDMAFn = func() {
+		it := d.txCur
+		d.txCur = txItem{}
+		d.fab.Send(fabric.NewFrame(d.att, it.dst, it.pkt.Len()+params.MyrinetHeaderBytes, it.pkt), d.txDoneFn)
+	}
+	d.txDoneFn = func() {
+		d.txBusy = false
+		d.kickTx()
 	}
 	d.att = fab.AttachOn(eng, d.receive)
 	d.rx = hostos.NewRxCoalescer(k, cfg.Name, cfg.CoalescePkts, cfg.CoalesceDelay)
@@ -101,40 +151,44 @@ func (d *Device) Stats() (tx, rx uint64) { return d.txPkts, d.rxPkts }
 // Transmit implements hostos.NetDevice: firmware stages the packet
 // through SRAM (DMA at the GM IP-mode rate), then injects it. The loop
 // handles one outbound packet at a time.
+//
+//qpip:hotpath
 func (d *Device) Transmit(pkt *wire.Packet, dstAtt int) {
 	d.txPkts++
 	d.txQ = append(d.txQ, txItem{pkt: pkt, dst: dstAtt})
 	d.kickTx()
 }
 
+//qpip:hotpath
 func (d *Device) kickTx() {
-	if d.txBusy || len(d.txQ) == 0 {
+	if d.txBusy || d.txHead == len(d.txQ) {
 		return
 	}
 	d.txBusy = true
-	it := d.txQ[0]
-	d.txQ = d.txQ[1:]
-	d.lanai.Do(params.US(FwPerPacketUS), d.cfg.Name+".fw.tx", func() {
-		d.bus.BurstAt(it.pkt.Len(), params.GMDMABandwidth, d.cfg.Name+".txdma", func() {
-			d.fab.Send(fabric.NewFrame(d.att, it.dst, it.pkt.Len()+params.MyrinetHeaderBytes, it.pkt), func() {
-				d.txBusy = false
-				d.kickTx()
-			})
-		})
-	})
+	d.txCur = d.txQ[d.txHead]
+	d.txQ[d.txHead] = txItem{}
+	d.txHead++
+	if d.txHead == len(d.txQ) {
+		d.txQ, d.txHead = d.txQ[:0], 0
+	}
+	d.lanai.Do(params.US(FwPerPacketUS), d.fwTxName, d.fwTxFn)
 }
 
 // receive stages an arriving packet through SRAM, then hands it to the
 // unified rx coalescer, which paces the host interrupt and reaps.
+//
+//qpip:hotpath
 func (d *Device) receive(f *fabric.Frame) {
 	pkt, ok := f.Payload.(*wire.Packet)
 	if !ok {
 		return
 	}
 	d.rxPkts++
-	d.lanai.Do(params.US(FwPerPacketUS), d.cfg.Name+".fw.rx", func() {
-		d.bus.BurstAt(pkt.Len(), params.GMDMABandwidth, d.cfg.Name+".rxdma", func() {
-			d.rx.Enqueue(pkt)
-		})
-	})
+	j := pool.Take(&d.rxFree)
+	if j == nil {
+		j = &rxJob{d: d}
+		j.fwFn, j.dmaFn = j.fwDone, j.dmaDone
+	}
+	j.pkt = pkt
+	d.lanai.Do(params.US(FwPerPacketUS), d.fwRxName, j.fwFn)
 }

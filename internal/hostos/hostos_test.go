@@ -13,6 +13,7 @@ import (
 	"repro/internal/inet"
 	"repro/internal/params"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // hostCluster is a two-node host-stack testbed over a chosen link type.
@@ -95,9 +96,12 @@ func TestTCPConnectOverGigE(t *testing.T) {
 	}
 }
 
-func transferTest(t *testing.T, c *hostCluster, total, chunk int) {
+// transferTest sends pieces over one connection, one Send each, and checks
+// that a single RecvFull returns their concatenation.
+func transferTest(t *testing.T, c *hostCluster, pieces []buf.Buf) {
 	t.Helper()
-	want := buf.Pattern(total, 3)
+	want := buf.Concat(pieces...)
+	total := want.Len()
 	var got buf.Buf
 	c.eng.Spawn("server", func(p *sim.Proc) {
 		lst := c.kernels[1].NewSocket(hostos.TCPSock)
@@ -119,12 +123,8 @@ func transferTest(t *testing.T, c *hostCluster, total, chunk int) {
 			t.Errorf("Connect: %v", err)
 			return
 		}
-		for off := 0; off < total; off += chunk {
-			end := off + chunk
-			if end > total {
-				end = total
-			}
-			if err := s.Send(p, want.Slice(off, end)); err != nil {
+		for _, piece := range pieces {
+			if err := s.Send(p, piece); err != nil {
 				t.Errorf("Send: %v", err)
 				return
 			}
@@ -139,12 +139,32 @@ func transferTest(t *testing.T, c *hostCluster, total, chunk int) {
 	}
 }
 
+// patternPieces cuts a seeded pattern of total bytes into chunk-sized sends.
+func patternPieces(total, chunk int) []buf.Buf {
+	want := buf.Pattern(total, 3)
+	var pieces []buf.Buf
+	for off := 0; off < total; off += chunk {
+		pieces = append(pieces, want.Slice(off, min(off+chunk, total)))
+	}
+	return pieces
+}
+
 func TestBulkTransferIntegrityGigE(t *testing.T) {
-	transferTest(t, newGigECluster(t, params.MTUEthernet), 200_000, 16*1024)
+	transferTest(t, newGigECluster(t, params.MTUEthernet), patternPieces(200_000, 16*1024))
 }
 
 func TestBulkTransferIntegrityGM(t *testing.T) {
-	transferTest(t, newGMCluster(t), 200_000, 16*1024)
+	transferTest(t, newGMCluster(t), patternPieces(200_000, 16*1024))
+}
+
+// RecvFull folds runs of virtual buffers into one as they arrive; real
+// bytes between them must come out where they went in, and the virtual
+// runs as zeros.
+func TestRecvFullMixesVirtualAndRealData(t *testing.T) {
+	transferTest(t, newGigECluster(t, params.MTUEthernet), []buf.Buf{
+		buf.Virtual(5000), buf.Virtual(3000), buf.Pattern(4000, 7),
+		buf.Virtual(20_000), buf.Pattern(10, 9), buf.Virtual(1),
+	})
 }
 
 func TestSendBlocksOnFullBuffer(t *testing.T) {
@@ -448,5 +468,44 @@ func TestRetransmissionRecoversOnLossyFabric(t *testing.T) {
 	}
 	if kernels[0].Stats().Retransmits == 0 {
 		t.Error("no retransmissions despite forced loss")
+	}
+}
+
+// A second interrupt can be charged before the first batch's completion
+// runs. Each ISR completion must then reap exactly the packets its own
+// interrupt charged — in ring order — not whatever the ring holds by the
+// time it runs.
+func TestRxCoalescerReapsPerInterruptBatches(t *testing.T) {
+	eng := sim.NewEngine()
+	bus := hw.NewPCIBus(eng, "pci", params.PCIBandwidth, params.PCIDMASetup, params.PCIWriteLatency)
+	k := hostos.NewKernel(eng, "host", inet.NodeAddr4(0), nil, bus)
+	rx := hostos.NewRxCoalescer(k, "eth0", 2, sim.Millisecond)
+	pkt := func(id uint16) *wire.Packet {
+		return &wire.Packet{IsV4: true, IPHdr: inet.Marshal4(&inet.Header4{
+			TotalLen: inet.IPv4HeaderLen, ID: id, TTL: 64, Protocol: 0xfd,
+			Src: inet.NodeAddr4(1), Dst: inet.NodeAddr4(0),
+		})}
+	}
+	// Five packets in one tick with a two-packet threshold: interrupts of
+	// two and two are charged back to back, the fifth waits for the timer.
+	for id := uint16(0); id < 5; id++ {
+		rx.Enqueue(pkt(id))
+	}
+	if got := rx.Line().Fired(); got != 2 {
+		t.Fatalf("%d interrupts for five same-tick packets at threshold 2, want 2", got)
+	}
+	isr := params.US(params.HostIRQUS + 2*params.HostDriverRxReapUS)
+	for i, want := range []uint64{2, 4} {
+		eng.RunUntil(sim.Time(i+1) * isr)
+		if got := k.Stats().SoftIRQs; got != want {
+			t.Fatalf("after ISR completion %d the kernel saw %d packets, want %d", i+1, got, want)
+		}
+	}
+	eng.Run()
+	if got := k.Stats().SoftIRQs; got != 5 {
+		t.Fatalf("kernel saw %d packets in all, want 5", got)
+	}
+	if got := rx.Line().Fired(); got != 3 {
+		t.Errorf("%d interrupts in all, want 3 (the straggler's throttle timer)", got)
 	}
 }

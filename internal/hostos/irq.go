@@ -7,6 +7,19 @@ import (
 	"repro/internal/wire"
 )
 
+// compact prepares a head-indexed FIFO for an append: once the drained
+// prefix passes half the slice the live tail slides to the front, so a
+// queue that never quite empties reuses its backing array instead of
+// growing it without bound.
+func compact[T any](q []T, head int) ([]T, int) {
+	if head <= len(q)/2 {
+		return q, head
+	}
+	n := copy(q, q[head:])
+	clear(q[n:])
+	return q[:n], 0
+}
+
 // RxCoalescer is the unified receive-interrupt model of the host side:
 // arriving packets queue in the host rx ring, an hw.IRQLine paces their
 // delivery, and the ISR charges one interrupt entry plus the per-packet
@@ -15,16 +28,30 @@ import (
 // event path runs on the same hw.IRQLine model — one coalescing
 // abstraction across all three stacks.
 type RxCoalescer struct {
-	k    *Kernel
-	name string
-	line *hw.IRQLine
-	rxQ  []*wire.Packet
+	k       *Kernel
+	isrName string
+	line    *hw.IRQLine
+
+	// rxQ is the host rx ring, drained through rxHead so steady traffic
+	// reuses one backing array. An interrupt charges the packets queued
+	// since the previous one and records their count in batches; the CPU
+	// completes ISR charges in order, so the one pre-bound reapFn pops the
+	// oldest count and reaps that many packets from the ring's head. A
+	// count per interrupt (not one swapped buffer) because a second
+	// interrupt can be charged before the first batch's completion runs.
+	rxQ       []*wire.Packet
+	rxHead    int
+	charged   int // packets in rxQ[rxHead:] already counted into batches
+	batches   []int
+	batchHead int
+	reapFn    func()
 }
 
 // NewRxCoalescer builds a coalescer delivering to k; the ISR charge is
 // the "<name>.isr" event on the kernel's CPU.
 func NewRxCoalescer(k *Kernel, name string, pkts int, delay sim.Time) *RxCoalescer {
-	c := &RxCoalescer{k: k, name: name}
+	c := &RxCoalescer{k: k, isrName: name + ".isr"}
+	c.reapFn = c.reap
 	c.line = hw.NewIRQLine(k.Engine(), c.isr)
 	c.line.SetCoalesce(pkts, delay)
 	return c
@@ -32,7 +59,10 @@ func NewRxCoalescer(k *Kernel, name string, pkts int, delay sim.Time) *RxCoalesc
 
 // Enqueue queues one received packet (already DMA'd into host memory)
 // and raises the interrupt line.
+//
+//qpip:hotpath
 func (c *RxCoalescer) Enqueue(pkt *wire.Packet) {
+	c.rxQ, c.rxHead = compact(c.rxQ, c.rxHead)
 	c.rxQ = append(c.rxQ, pkt)
 	c.line.Raise()
 }
@@ -41,15 +71,38 @@ func (c *RxCoalescer) Enqueue(pkt *wire.Packet) {
 // Fired/Events coalescing-factor counters.
 func (c *RxCoalescer) Line() *hw.IRQLine { return c.line }
 
-// isr reaps the rx ring: interrupt entry/exit once, descriptor reap per
-// packet, then protocol processing via DeliverPacket.
+// isr charges one interrupt: entry/exit once plus the descriptor reap per
+// packet queued since the last interrupt; reap runs when the charge
+// completes.
+//
+//qpip:hotpath
 func (c *RxCoalescer) isr(events int) {
-	q := c.rxQ
-	c.rxQ = nil
-	cost := params.US(params.HostIRQUS + params.HostDriverRxReapUS*float64(len(q)))
-	c.k.CPU().Do(cost, c.name+".isr", func() {
-		for _, pkt := range q {
-			c.k.DeliverPacket(pkt)
-		}
-	})
+	n := len(c.rxQ) - c.rxHead - c.charged
+	c.charged += n
+	c.batches, c.batchHead = compact(c.batches, c.batchHead)
+	c.batches = append(c.batches, n)
+	cost := params.US(params.HostIRQUS + params.HostDriverRxReapUS*float64(n))
+	c.k.CPU().Do(cost, c.isrName, c.reapFn)
+}
+
+// reap hands the oldest charged batch to protocol processing via
+// DeliverPacket.
+//
+//qpip:hotpath
+func (c *RxCoalescer) reap() {
+	n := c.batches[c.batchHead]
+	c.batchHead++
+	if c.batchHead == len(c.batches) {
+		c.batches, c.batchHead = c.batches[:0], 0
+	}
+	c.charged -= n
+	for ; n > 0; n-- {
+		pkt := c.rxQ[c.rxHead]
+		c.rxQ[c.rxHead] = nil
+		c.rxHead++
+		c.k.DeliverPacket(pkt)
+	}
+	if c.rxHead == len(c.rxQ) {
+		c.rxQ, c.rxHead = c.rxQ[:0], 0
+	}
 }

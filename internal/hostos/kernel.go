@@ -76,6 +76,11 @@ type Kernel struct {
 	nextPort   uint16
 	issCount   uint32
 	ipID       uint16
+	lo         loopback
+
+	// Recycled per-packet jobs (see txJob, rxJob).
+	txFree []*txJob
+	rxFree []*rxJob
 
 	// Net counts fault-visible events (rx.corrupt, tx.retransmit,
 	// conn.retry-exceeded, ...) with the same names the QPIP NIC uses,
@@ -96,7 +101,7 @@ func NewKernel(eng *sim.Engine, name string, addr inet.Addr4, cpu *sim.CPU, bus 
 	if cpu == nil {
 		cpu = sim.NewCPU(eng, name+".cpu0", params.HostClockHz)
 	}
-	return &Kernel{
+	k := &Kernel{
 		eng:        eng,
 		name:       name,
 		cpu:        cpu,
@@ -110,6 +115,9 @@ func NewKernel(eng *sim.Engine, name string, addr inet.Addr4, cpu *sim.CPU, bus 
 		nextPort:   32768,
 		Net:        trace.NewCounters(),
 	}
+	k.lo = loopback{k: k}
+	k.lo.deliverFn = k.lo.deliver
+	return k
 }
 
 // CPU exposes the host processor (utilization measurements and app work).
@@ -136,7 +144,7 @@ func (k *Kernel) AddRoute(dst inet.Addr4, dev NetDevice, attachment int) {
 // lookupRoute resolves a destination.
 func (k *Kernel) lookupRoute(dst inet.Addr4) (route, error) {
 	if dst == k.addr {
-		return route{dev: &loopback{k: k}, att: 0}, nil
+		return route{dev: &k.lo, att: 0}, nil
 	}
 	r, ok := k.routes[dst]
 	if !ok {
@@ -219,6 +227,65 @@ func perByte(cyclesPerByte float64, n int) sim.Time {
 
 // ---- Transmit path. ----
 
+// txJob carries one outgoing segment or datagram across its tcp_output /
+// udp_output charge. The continuation is bound once and jobs recycle
+// through the kernel's free list, so emitting costs no closure.
+type txJob struct {
+	k  *Kernel
+	s  *Socket
+	fn func()
+
+	seg *tcp.Segment // TCP; nil for a datagram
+
+	// UDP operands.
+	payload buf.Buf
+	dst     inet.Addr4
+	dstPort uint16
+	r       route
+}
+
+func (k *Kernel) getTx(s *Socket) *txJob {
+	j := pool.Take(&k.txFree)
+	if j == nil {
+		j = &txJob{k: k}
+		j.fn = j.run
+	}
+	j.s = s
+	return j
+}
+
+// run builds the packet once the protocol cost is paid and hands it to
+// the device.
+//
+//qpip:hotpath
+func (j *txJob) run() {
+	k, s := j.k, j.s
+	pkt := wire.Get()
+	pkt.IsV4 = true
+	r := s.route
+	hdr := inet.Header4{TTL: 64, Src: k.addr}
+	if seg := j.seg; seg != nil {
+		l4 := seg.MarshalHeaderInto(pkt.L4Scratch())
+		tcp.SetChecksum(l4, inet.TransportChecksum4(k.addr, s.raddr, inet.ProtoTCP, l4, seg.Payload))
+		hdr.DontFrag, hdr.Protocol, hdr.Dst = true, inet.ProtoTCP, s.raddr
+		pkt.L4Hdr = l4
+		pkt.Payload = seg.Payload
+		seg.Release()
+	} else {
+		r = j.r
+		pkt.L4Hdr = udp.Marshal4Into(k.addr, j.dst, s.localPort, j.dstPort, j.payload, pkt.L4Scratch())
+		hdr.Protocol, hdr.Dst = inet.ProtoUDP, j.dst
+		pkt.Payload = j.payload
+	}
+	k.ipID++
+	hdr.ID = k.ipID
+	hdr.TotalLen = uint16(inet.IPv4HeaderLen + len(pkt.L4Hdr) + pkt.Payload.Len())
+	pkt.IPHdr = inet.Marshal4Into(&hdr, pkt.IPScratch())
+	j.s, j.seg, j.payload, j.r = nil, nil, buf.Empty, route{}
+	k.txFree = append(k.txFree, j)
+	r.dev.Transmit(pkt, r.att)
+}
+
 // emitSegments runs tcp_output for each segment: protocol cost, software
 // checksum over the payload, driver enqueue, then the device.
 func (k *Kernel) emitSegments(s *Socket, segs []*tcp.Segment) {
@@ -227,30 +294,14 @@ func (k *Kernel) emitSegments(s *Socket, segs []*tcp.Segment) {
 	}
 }
 
+//qpip:hotpath
 func (k *Kernel) emitSegment(s *Socket, seg *tcp.Segment) {
 	k.stats.SegsOut++
 	cost := params.US(params.HostTCPOutputUS+params.HostSkbUS+params.HostDriverTxUS) +
 		perByte(params.HostChecksumCyclesPerByte, seg.Payload.Len())
-	k.charge(cost, "tcp_output", func() {
-		pkt := wire.Get()
-		pkt.IsV4 = true
-		l4 := seg.MarshalHeaderInto(pkt.L4Scratch())
-		tcp.SetChecksum(l4, inet.TransportChecksum4(k.addr, s.raddr, inet.ProtoTCP, l4, seg.Payload))
-		k.ipID++
-		pkt.IPHdr = inet.Marshal4Into(&inet.Header4{
-			TotalLen: uint16(inet.IPv4HeaderLen + len(l4) + seg.Payload.Len()),
-			ID:       k.ipID,
-			DontFrag: true,
-			TTL:      64,
-			Protocol: inet.ProtoTCP,
-			Src:      k.addr,
-			Dst:      s.raddr,
-		}, pkt.IPScratch())
-		pkt.L4Hdr = l4
-		pkt.Payload = seg.Payload
-		seg.Release()
-		s.route.dev.Transmit(pkt, s.route.att)
-	})
+	j := k.getTx(s)
+	j.seg = seg
+	k.charge(cost, "tcp_output", j.fn)
 }
 
 // emitUDP transmits one datagram.
@@ -264,126 +315,164 @@ func (k *Kernel) emitUDP(s *Socket, payload buf.Buf, dst inet.Addr4, dstPort uin
 	}
 	cost := params.US(params.HostUDPOutputUS+params.HostSkbUS+params.HostDriverTxUS) +
 		perByte(params.HostChecksumCyclesPerByte, payload.Len())
-	k.charge(cost, "udp_output", func() {
-		pkt := wire.Get()
-		pkt.IsV4 = true
-		l4 := udp.Marshal4Into(k.addr, dst, s.localPort, dstPort, payload, pkt.L4Scratch())
-		k.ipID++
-		pkt.IPHdr = inet.Marshal4Into(&inet.Header4{
-			TotalLen: uint16(inet.IPv4HeaderLen + len(l4) + payload.Len()),
-			ID:       k.ipID,
-			TTL:      64,
-			Protocol: inet.ProtoUDP,
-			Src:      k.addr,
-			Dst:      dst,
-		}, pkt.IPScratch())
-		pkt.L4Hdr = l4
-		pkt.Payload = payload
-		r.dev.Transmit(pkt, r.att)
-	})
+	j := k.getTx(s)
+	j.payload, j.dst, j.dstPort, j.r = payload, dst, dstPort, r
+	k.charge(cost, "udp_output", j.fn)
 	return nil
 }
 
 // ---- Receive path. ----
 
+// rxJob carries one received packet through softirq and transport input.
+// The parsed headers live here rather than in closure environments, both
+// continuations are bound once, and jobs recycle through the kernel's free
+// list. Whoever ends the packet's processing calls finish exactly once.
+type rxJob struct {
+	k   *Kernel
+	pkt *wire.Packet
+	ip4 inet.Header4
+	seg tcp.Segment
+	udp udp.Header
+
+	softirqFn func() // after the softirq charge: parse and demultiplex
+	inputFn   func() // after the tcp_input / udp_input charge
+}
+
+// finish releases the packet (delivered data holds its own Buf values;
+// headers and scratch die here) and recycles the job.
+func (j *rxJob) finish() {
+	k := j.k
+	j.pkt.Release()
+	j.pkt, j.seg = nil, tcp.Segment{}
+	k.rxFree = append(k.rxFree, j)
+}
+
 // DeliverPacket is the device->kernel handoff: the device has charged its
 // interrupt-side costs; the kernel charges softirq protocol processing.
+//
+//qpip:hotpath
 func (k *Kernel) DeliverPacket(pkt *wire.Packet) {
 	k.stats.SoftIRQs++
-	k.chargeUS(params.HostSoftirqPerPktUS, "softirq", func() {
-		k.inputPacket(pkt)
-	})
+	j := pool.Take(&k.rxFree)
+	if j == nil {
+		j = &rxJob{k: k}
+		j.softirqFn, j.inputFn = j.softirq, j.input
+	}
+	j.pkt = pkt
+	k.chargeUS(params.HostSoftirqPerPktUS, "softirq", j.softirqFn)
 }
 
-func (k *Kernel) inputPacket(pkt *wire.Packet) {
-	ip4, err := inet.Parse4(pkt.IPHdr)
+//qpip:hotpath
+func (j *rxJob) softirq() { j.k.inputPacket(j) }
+
+// rxCorrupt counts a packet that failed parsing or verification.
+func (k *Kernel) rxCorrupt() {
+	k.stats.ChecksumErrors++
+	k.Net.Add("rx.corrupt", 1)
+}
+
+//qpip:hotpath
+func (k *Kernel) inputPacket(j *rxJob) {
+	ip4, err := inet.Parse4(j.pkt.IPHdr)
 	if err != nil {
-		k.stats.ChecksumErrors++
-		k.Net.Add("rx.corrupt", 1)
-		pkt.Release()
+		k.rxCorrupt()
+		j.finish()
 		return
 	}
+	j.ip4 = ip4
 	switch ip4.Protocol {
 	case inet.ProtoTCP:
-		k.inputTCP(&ip4, pkt)
+		k.inputTCP(j)
 	case inet.ProtoUDP:
-		k.inputUDP(&ip4, pkt)
+		k.inputUDP(j)
 	default:
 		k.stats.DroppedNoPort++
-		pkt.Release()
+		j.finish()
 	}
 }
 
-func (k *Kernel) inputTCP(ip4 *inet.Header4, pkt *wire.Packet) {
+//qpip:hotpath
+func (k *Kernel) inputTCP(j *rxJob) {
+	pkt := j.pkt
 	seg, _, err := tcp.ParseHeader(pkt.L4Hdr)
 	if err != nil {
-		k.stats.ChecksumErrors++
-		k.Net.Add("rx.corrupt", 1)
-		pkt.Release()
+		k.rxCorrupt()
+		j.finish()
 		return
 	}
 	seg.Payload = pkt.Payload
+	j.seg = seg
 	// Software checksum verification over the segment.
 	verify := perByte(params.HostChecksumCyclesPerByte, len(pkt.L4Hdr)+pkt.Payload.Len())
-	isData := pkt.Payload.Len() > 0
 	procCost := params.US(params.HostTCPAckProcUS + params.HostSkbUS)
-	if isData {
+	if pkt.Payload.Len() > 0 {
 		procCost = params.US(params.HostTCPInputUS + params.HostSkbUS)
 		k.stats.SegsIn++
 	} else {
 		k.stats.AcksProcessed++
 	}
-	k.charge(verify+procCost, "tcp_input", func() {
-		// Delivered data holds its own Buf values; the packet (headers +
-		// scratch) dies when this closure returns.
-		defer pkt.Release()
-		sum := inet.PseudoSum4(ip4.Src, ip4.Dst, inet.ProtoTCP, len(pkt.L4Hdr)+pkt.Payload.Len())
-		sum = inet.Sum(sum, pkt.L4Hdr)
-		sum = inet.SumBuf(sum, pkt.Payload)
-		if inet.Fold(sum) != 0xffff {
-			k.stats.ChecksumErrors++
-			k.Net.Add("rx.corrupt", 1)
-			return
-		}
-		key := tcpKey{seg.DstPort, ip4.Src, seg.SrcPort}
-		s := k.tcpConns[key]
-		if s == nil {
-			if seg.Flags.Has(tcp.SYN) && !seg.Flags.Has(tcp.ACK) {
-				k.acceptSYN(&seg, ip4)
-				return
-			}
-			k.stats.DroppedNoPort++
-			return
-		}
-		now := int64(k.eng.Now())
-		acts := s.conn.Input(&seg, now)
-		k.applyActions(s, acts)
-	})
+	k.charge(verify+procCost, "tcp_input", j.inputFn)
 }
 
-func (k *Kernel) inputUDP(ip4 *inet.Header4, pkt *wire.Packet) {
+func (k *Kernel) inputUDP(j *rxJob) {
+	pkt := j.pkt
 	h, plen, err := udp.Parse(pkt.L4Hdr)
 	if err != nil || plen != pkt.Payload.Len() {
-		k.stats.ChecksumErrors++
-		k.Net.Add("rx.corrupt", 1)
-		pkt.Release()
+		k.rxCorrupt()
+		j.finish()
 		return
 	}
+	j.udp = h
 	verify := perByte(params.HostChecksumCyclesPerByte, len(pkt.L4Hdr)+pkt.Payload.Len())
-	k.charge(verify+params.US(params.HostUDPInputUS+params.HostSkbUS), "udp_input", func() {
-		defer pkt.Release()
-		if udp.Verify4(ip4.Src, ip4.Dst, pkt.L4Hdr, pkt.Payload) != nil {
-			k.stats.ChecksumErrors++
-			k.Net.Add("rx.corrupt", 1)
+	k.charge(verify+params.US(params.HostUDPInputUS+params.HostSkbUS), "udp_input", j.inputFn)
+}
+
+// input runs transport input once its charge completes.
+//
+//qpip:hotpath
+func (j *rxJob) input() {
+	if j.ip4.Protocol == inet.ProtoTCP {
+		j.k.tcpInput(j)
+	} else {
+		j.k.udpInput(j)
+	}
+	j.finish()
+}
+
+func (k *Kernel) tcpInput(j *rxJob) {
+	pkt, ip4, seg := j.pkt, &j.ip4, &j.seg
+	sum := inet.PseudoSum4(ip4.Src, ip4.Dst, inet.ProtoTCP, len(pkt.L4Hdr)+pkt.Payload.Len())
+	sum = inet.Sum(sum, pkt.L4Hdr)
+	sum = inet.SumBuf(sum, pkt.Payload)
+	if inet.Fold(sum) != 0xffff {
+		k.rxCorrupt()
+		return
+	}
+	s := k.tcpConns[tcpKey{seg.DstPort, ip4.Src, seg.SrcPort}]
+	if s == nil {
+		if seg.Flags.Has(tcp.SYN) && !seg.Flags.Has(tcp.ACK) {
+			//lint:qpip-allow hotprop passive open builds a socket and a TCB once per connection, never per segment
+			k.acceptSYN(seg, ip4)
 			return
 		}
-		s, ok := k.udpPorts.Lookup(h.DstPort)
-		if !ok {
-			k.stats.DroppedNoPort++
-			return
-		}
-		s.enqueueDatagram(pkt.Payload, ip4.Src, h.SrcPort)
-	})
+		k.stats.DroppedNoPort++
+		return
+	}
+	k.applyActions(s, s.conn.Input(seg, int64(k.eng.Now())))
+}
+
+func (k *Kernel) udpInput(j *rxJob) {
+	pkt, ip4 := j.pkt, &j.ip4
+	if udp.Verify4(ip4.Src, ip4.Dst, pkt.L4Hdr, pkt.Payload) != nil {
+		k.rxCorrupt()
+		return
+	}
+	s, ok := k.udpPorts.Lookup(j.udp.DstPort)
+	if !ok {
+		k.stats.DroppedNoPort++
+		return
+	}
+	s.enqueueDatagram(pkt.Payload, ip4.Src, j.udp.SrcPort)
 }
 
 // acceptSYN creates a child socket on a listening port.
@@ -471,7 +560,10 @@ func (k *Kernel) applyActions(s *Socket, acts tcp.Actions) {
 	k.syncTimer(s)
 }
 
-// syncTimer aligns the socket's kernel timer with the TCB.
+// syncTimer aligns the socket's kernel timer with the TCB. The timer event
+// and its softirq-context body are bound once per socket (newSocket).
+//
+//qpip:hotpath
 func (k *Kernel) syncTimer(s *Socket) {
 	if s.timer != nil {
 		s.timer.Cancel()
@@ -488,17 +580,15 @@ func (k *Kernel) syncTimer(s *Socket) {
 	if at < k.eng.Now() {
 		at = k.eng.Now()
 	}
-	s.timer = k.eng.At(at, "hostos.tcp.timer", func() {
-		s.timer = nil
-		// Timer processing runs in softirq context.
-		k.chargeUS(2.0, "tcp_timer", func() {
-			now := int64(k.eng.Now())
-			acts := s.conn.OnTimer(now)
-			if len(acts.Segments) > 0 {
-				k.stats.Retransmits += uint64(len(acts.Segments))
-				k.Net.Add("tx.retransmit", uint64(len(acts.Segments)))
-			}
-			k.applyActions(s, acts)
-		})
-	})
+	s.timer = k.eng.At(at, "hostos.tcp.timer", s.timerFn)
+}
+
+// onTimer is the TCB timer body, run in softirq context.
+func (k *Kernel) onTimer(s *Socket) {
+	acts := s.conn.OnTimer(int64(k.eng.Now()))
+	if len(acts.Segments) > 0 {
+		k.stats.Retransmits += uint64(len(acts.Segments))
+		k.Net.Add("tx.retransmit", uint64(len(acts.Segments)))
+	}
+	k.applyActions(s, acts)
 }

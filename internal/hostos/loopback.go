@@ -10,6 +10,12 @@ import "repro/internal/wire"
 // through the loopback interface on an individual host" (§4.2.2).
 type loopback struct {
 	k *Kernel
+	// pending holds packets between Transmit and their same-tick delivery
+	// event. Same-tick events fire in schedule order, so the one pre-bound
+	// deliverFn pops the head; no closure per packet.
+	pending   []*wire.Packet
+	head      int
+	deliverFn func()
 }
 
 // LoopbackMTU matches the Linux lo default of the era.
@@ -24,8 +30,18 @@ func (l *loopback) MTU() int { return LoopbackMTU }
 // Transmit implements NetDevice: immediate software delivery back into
 // the local stack.
 func (l *loopback) Transmit(pkt *wire.Packet, _ int) {
+	l.pending, l.head = compact(l.pending, l.head)
+	l.pending = append(l.pending, pkt)
 	//lint:qpip-allow shardsafe the loopback device shares its owning kernel's engine; delivery never leaves the shard
-	l.k.eng.After(0, "lo.deliver", func() {
-		l.k.DeliverPacket(pkt)
-	})
+	l.k.eng.After(0, "lo.deliver", l.deliverFn)
+}
+
+func (l *loopback) deliver() {
+	pkt := l.pending[l.head]
+	l.pending[l.head] = nil
+	l.head++
+	if l.head == len(l.pending) {
+		l.pending, l.head = l.pending[:0], 0
+	}
+	l.k.DeliverPacket(pkt)
 }

@@ -58,9 +58,13 @@ type Socket struct {
 	noDelay   bool
 	sndBufCap int
 
-	// Receive side: in-order data the app has not read yet.
+	// Receive side: in-order data the app has not read yet, drained
+	// through recvHead so steady traffic reuses one backing array;
+	// recvParts is Recv's gather scratch.
 	recvQ      []buf.Buf
+	recvHead   int
 	recvQBytes int
+	recvParts  []buf.Buf
 	dgramQ     []datagram
 	recvWaiter *sim.Proc
 
@@ -75,6 +79,9 @@ type Socket struct {
 
 	estWaiter *sim.Proc
 	timer     *sim.Event
+	// timerFn fires the TCB timer and charges timerBodyFn, its softirq
+	// body; both are bound once so re-arming allocates nothing.
+	timerFn, timerBodyFn func()
 
 	established bool
 	peerClosed  bool
@@ -93,7 +100,13 @@ func (s *Socket) connErr() error {
 }
 
 func newSocket(k *Kernel, proto SockProto) *Socket {
-	return &Socket{k: k, proto: proto, sndBufCap: defaultSndBuf}
+	s := &Socket{k: k, proto: proto, sndBufCap: defaultSndBuf}
+	s.timerBodyFn = func() { k.onTimer(s) }
+	s.timerFn = func() {
+		s.timer = nil
+		k.chargeUS(2.0, "tcp_timer", s.timerBodyFn)
+	}
+	return s
 }
 
 // NewSocket creates a socket of the given protocol (the socket(2) call).
@@ -234,20 +247,24 @@ func (s *Socket) Recv(p *sim.Proc, max int) (buf.Buf, error) {
 		s.recvWaiter = p
 		p.Suspend()
 	}
-	var parts []buf.Buf
+	parts := s.recvParts[:0]
 	got := 0
-	for got < max && len(s.recvQ) > 0 {
-		head := s.recvQ[0]
+	for got < max && s.recvHead < len(s.recvQ) {
+		head := s.recvQ[s.recvHead]
 		take := max - got
 		if take >= head.Len() {
 			parts = append(parts, head)
 			got += head.Len()
-			s.recvQ = s.recvQ[1:]
+			s.recvQ[s.recvHead] = buf.Empty
+			s.recvHead++
 		} else {
 			parts = append(parts, head.Slice(0, take))
-			s.recvQ[0] = head.Slice(take, head.Len())
+			s.recvQ[s.recvHead] = head.Slice(take, head.Len())
 			got += take
 		}
+	}
+	if s.recvHead == len(s.recvQ) {
+		s.recvQ, s.recvHead = s.recvQ[:0], 0
 	}
 	s.recvQBytes -= got
 	p.Use(s.k.cpu.Server, perByte(params.HostCopyCyclesPerByte, got))
@@ -256,10 +273,15 @@ func (s *Socket) Recv(p *sim.Proc, max int) (buf.Buf, error) {
 	now := int64(s.k.eng.Now())
 	acts := s.conn.AppRead(got, now)
 	s.k.applyActions(s, acts)
+	var out buf.Buf
 	if len(parts) == 1 {
-		return parts[0], nil
+		out = parts[0]
+	} else {
+		out = buf.Concat(parts...)
 	}
-	return buf.Concat(parts...), nil
+	clear(parts) // the scratch must not pin delivered payloads
+	s.recvParts = parts[:0]
+	return out, nil
 }
 
 // RecvFull reads exactly n bytes unless the connection ends first.
@@ -271,8 +293,15 @@ func (s *Socket) RecvFull(p *sim.Proc, n int) (buf.Buf, error) {
 		if err != nil {
 			return buf.Concat(parts...), err
 		}
-		parts = append(parts, b)
 		got += b.Len()
+		// A run of virtual buffers is one longer virtual buffer, so a bulk
+		// sink reading gigabytes in one call holds one part, not one per
+		// Recv.
+		if k := len(parts) - 1; k >= 0 && parts[k].IsVirtual() && b.IsVirtual() {
+			parts[k] = buf.Virtual(parts[k].Len() + b.Len())
+			continue
+		}
+		parts = append(parts, b)
 	}
 	return buf.Concat(parts...), nil
 }
@@ -355,6 +384,7 @@ func (s *Socket) RecvFrom(p *sim.Proc) (buf.Buf, inet.Addr4, uint16, error) {
 // ---- Kernel-side event hooks. ----
 
 func (s *Socket) enqueueData(b buf.Buf) {
+	s.recvQ, s.recvHead = compact(s.recvQ, s.recvHead)
 	s.recvQ = append(s.recvQ, b)
 	s.recvQBytes += b.Len()
 	s.wakeRecv()
@@ -372,7 +402,7 @@ func (s *Socket) wakeRecv() {
 	}
 	w := s.recvWaiter
 	s.recvWaiter = nil
-	s.k.chargeUS(params.HostWakeupUS, "wakeup", func() { w.Wake() })
+	s.k.chargeUS(params.HostWakeupUS, "wakeup", w.WakeFn())
 }
 
 func (s *Socket) onAcked() {
@@ -381,7 +411,7 @@ func (s *Socket) onAcked() {
 	}
 	w := s.sndWaiter
 	s.sndWaiter = nil
-	s.k.chargeUS(params.HostWakeupUS, "wakeup", func() { w.Wake() })
+	s.k.chargeUS(params.HostWakeupUS, "wakeup", w.WakeFn())
 }
 
 func (s *Socket) onEstablished() {
@@ -393,7 +423,7 @@ func (s *Socket) onEstablished() {
 		if lst.acceptWaiter != nil {
 			w := lst.acceptWaiter
 			lst.acceptWaiter = nil
-			s.k.chargeUS(params.HostWakeupUS, "wakeup", func() { w.Wake() })
+			s.k.chargeUS(params.HostWakeupUS, "wakeup", w.WakeFn())
 		}
 	}
 	if s.estWaiter != nil {

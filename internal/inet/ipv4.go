@@ -3,7 +3,6 @@ package inet
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"repro/internal/buf"
 )
@@ -60,21 +59,26 @@ func Marshal4Into(h *Header4, b []byte) []byte {
 // ErrBadChecksum reports a header or transport checksum failure.
 var ErrBadChecksum = errors.New("inet: bad checksum")
 
-// Parse4 decodes and validates an IPv4 header from b.
+// ErrOptions reports an IPv4 header carrying options, which no stack here
+// emits or accepts.
+var ErrOptions = errors.New("inet: ipv4 options unsupported")
+
+// Parse4 decodes and validates an IPv4 header from b. It sits on the host
+// stack's per-packet path, so failures are the fixed sentinels, not
+// formatted per packet.
 func Parse4(b []byte) (Header4, error) {
 	var h Header4
 	if len(b) < IPv4HeaderLen {
-		return h, fmt.Errorf("%w: ipv4 header needs %d bytes, have %d", ErrTruncated, IPv4HeaderLen, len(b))
+		return h, ErrTruncated
 	}
 	if b[0]>>4 != 4 {
-		return h, fmt.Errorf("%w: got %d, want 4", ErrBadVersion, b[0]>>4)
+		return h, ErrBadVersion
 	}
-	ihl := int(b[0]&0x0f) * 4
-	if ihl != IPv4HeaderLen {
-		return h, fmt.Errorf("inet: ipv4 options unsupported (ihl=%d)", ihl)
+	if int(b[0]&0x0f)*4 != IPv4HeaderLen {
+		return h, ErrOptions
 	}
 	if !Valid(b[:IPv4HeaderLen]) {
-		return h, fmt.Errorf("%w: ipv4 header", ErrBadChecksum)
+		return h, ErrBadChecksum
 	}
 	h.TOS = b[1]
 	h.TotalLen = binary.BigEndian.Uint16(b[2:])

@@ -1,4 +1,5 @@
-// Package pool holds the process-wide switch for datapath object pooling.
+// Package pool holds the process-wide switch for datapath object pooling,
+// plus the free-list pop shared by the per-owner recyclers (Take).
 //
 // The hot-path packages (tcp, wire, fabric) draw their per-packet objects —
 // segments, packets, frames — from sync.Pools when pooling is enabled, and
@@ -21,3 +22,21 @@ func Enabled() bool { return enabled }
 // SetEnabled switches datapath pooling on or off for subsequently created
 // objects. Call only between simulation runs; see the package comment.
 func SetEnabled(v bool) { enabled = v }
+
+// Take pops the most recently freed object off a per-owner free list, or
+// returns nil when the list is empty and the caller must construct one.
+// The lists it serves (NIC stage runners, collective messages, host-stack
+// and device jobs) belong to one adapter or kernel, hence one engine, so
+// they need no locking; their objects carry continuations bound once at
+// construction, which is what makes recycling them worth more than the
+// allocation alone.
+func Take[T any](free *[]*T) *T {
+	k := len(*free) - 1
+	if k < 0 {
+		return nil
+	}
+	x := (*free)[k]
+	(*free)[k] = nil
+	*free = (*free)[:k]
+	return x
+}

@@ -34,9 +34,17 @@ package qpipnic
 // data/release are first-wins, stale ring steps are dropped. Drops are
 // NOT tolerated — there is no collective retransmit layer — so chaos
 // plans over collectives are restricted to delay and duplication.
-// Op state is keyed by sequence and never iterated (maporder), and never
-// deleted: a late duplicate of a finished op must find the done flag, not
-// a fresh zero-state op.
+// Op state is keyed by sequence, iterated only to hand buffers back when
+// the group dies (maporder), and never deleted: a late duplicate of a
+// finished op must find the done flag, not a fresh zero-state op. Only the
+// fence stays, though — a finished op's buffers go back to its group's
+// free lists.
+//
+// Like the rest of the firmware the steady state allocates nothing per
+// message (DESIGN §10.2): ring messages and the receive-stage runners
+// recycle through per-adapter free lists, the working vector and step
+// stash through per-group ones. An adapter lives on one engine, so the
+// lists need no locking in sharded runs.
 
 import (
 	"errors"
@@ -46,7 +54,9 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/inet"
 	"repro/internal/params"
+	"repro/internal/pool"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/verbs"
 )
 
@@ -68,6 +78,101 @@ type collMsg struct {
 	step  int // ring step index (collRing)
 	from  int // sender rank
 	vec   []uint64
+
+	// Ring messages are recycled (getCollMsg). refs counts the holders —
+	// fabric deliveries still to come, plus the stash slot a parked step
+	// occupies — and the last Release parks the message, vec's backing
+	// array included, on the free list of nic: the adapter holding it, i.e.
+	// the sender until delivery and the receiver from then on, which is
+	// always the adapter whose engine Release runs on. refs < 0 marks a
+	// message sitting on a free list. Tree messages are plain literals;
+	// their refs == 0 makes Retain and Release no-ops.
+	refs int32
+	nic  *NIC
+}
+
+// getCollMsg hands out a recycled message holding one reference, with its
+// word store emptied but kept.
+//
+//qpip:hotpath
+func (n *NIC) getCollMsg() *collMsg {
+	m := pool.Take(&n.collFree)
+	if m == nil {
+		m = new(collMsg)
+	}
+	m.refs, m.nic = 1, n
+	n.collLive++
+	return m
+}
+
+// Retain adds a holder. The fabric calls it when fault injection fans one
+// frame out into two deliveries.
+func (m *collMsg) Retain() {
+	if m.refs > 0 {
+		m.refs++
+	}
+}
+
+// Release drops one holder; the last one recycles the message. Every
+// delivered message is released exactly once by whatever consumes the
+// delivery — the FSM step that applied or rejected it, the drain that
+// combined a parked step, the crash path — and by the fabric itself for
+// a frame it swallows.
+//
+//qpip:hotpath
+func (m *collMsg) Release() {
+	if m.refs == 0 {
+		return
+	}
+	if m.refs < 0 {
+		panic("qpipnic: collective message released after its last reference")
+	}
+	m.refs--
+	if m.refs > 0 {
+		return
+	}
+	n := m.nic
+	m.refs, m.nic, m.vec = -1, nil, m.vec[:0]
+	n.collLive--
+	n.collFree = append(n.collFree, m)
+}
+
+// collRx carries one delivered message across its firmware FSM stage. A
+// duplicated frame delivers one message twice, so the per-delivery state
+// (the group as it was on arrival) lives here, not on the message; fn is
+// bound once and runners recycle through the adapter's free list.
+type collRx struct {
+	n  *NIC
+	g  *collGroup
+	m  *collMsg
+	fn func()
+}
+
+//qpip:hotpath
+func (n *NIC) getCollRx(g *collGroup, m *collMsg) *collRx {
+	rx := pool.Take(&n.collRxFree)
+	if rx == nil {
+		rx = &collRx{n: n}
+		rx.fn = rx.run
+	}
+	rx.g, rx.m = g, m
+	return rx
+}
+
+// run is the stage completion: recycle the runner, then step the FSM —
+// unless the adapter crashed or the group was re-joined while the stage
+// was queued, in which case the message dies here.
+//
+//qpip:hotpath
+func (rx *collRx) run() {
+	n, g, m := rx.n, rx.g, rx.m
+	rx.g, rx.m = nil, nil
+	n.collRxFree = append(n.collRxFree, rx)
+	if n.down || n.collGroups[m.group] != g {
+		m.Release()
+		return
+	}
+	n.collDispatch(g, g.op(m.seq), m)
 }
 
 // collWireBytes is the on-wire size of a collective message: a 16-byte
@@ -84,14 +189,20 @@ type collGroup struct {
 	cq      *verbs.CQ
 	atts    []int // fabric attachment per rank
 	nextSeq uint32
-	ops     map[uint32]*collOp // keyed access only, never iterated
+	ops     map[uint32]*collOp // keyed access only on the datapath
+
+	// Buffers of finished ring operations, reused by the next ones: the
+	// group holds O(outstanding operations) of buffer, however many it has
+	// run.
+	vecFree   [][]uint64
+	stashFree [][]*collMsg
 }
 
 func (g *collGroup) size() int { return len(g.atts) }
 
 // collOp is one collective operation's FSM state. Created on first touch
 // (local post or first message), retained forever so duplicate frames of
-// a finished op hit the done flag.
+// a finished op hit the done flag; its buffers are not (collRetire).
 type collOp struct {
 	seq    uint32
 	posted bool
@@ -111,31 +222,92 @@ type collOp struct {
 	vlen     int      // original vector length
 	clen     int      // chunk length in words
 	nextStep int
-	stash    map[int][]uint64 // step -> parked chunk; keyed access only
+	// stash parks steps that arrived ahead of their turn, indexed by step
+	// (steps are consumed strictly in order, so a slot is written once and
+	// read once). Each parked message holds a reference.
+	stash []*collMsg
 }
 
 func (g *collGroup) op(seq uint32) *collOp {
 	o := g.ops[seq]
 	if o == nil {
-		o = &collOp{seq: seq, stash: make(map[int][]uint64)}
+		o = &collOp{seq: seq}
 		g.ops[seq] = o
 	}
 	return o
 }
 
+// ringVec returns a zeroed working vector of n words. A recycled vector
+// too short for this operation is dropped, not kept, so the list stays as
+// long as the number of operations outstanding at once.
+func (g *collGroup) ringVec(n int) []uint64 {
+	if k := len(g.vecFree); k > 0 {
+		v := g.vecFree[k-1]
+		g.vecFree[k-1] = nil
+		g.vecFree = g.vecFree[:k-1]
+		if cap(v) >= n {
+			v = v[:n]
+			clear(v)
+			return v
+		}
+	}
+	return make([]uint64, n)
+}
+
+// ringStash returns an empty step stash sized for the longest schedule.
+func (g *collGroup) ringStash() []*collMsg {
+	if k := len(g.stashFree); k > 0 {
+		st := g.stashFree[k-1]
+		g.stashFree[k-1] = nil
+		g.stashFree = g.stashFree[:k-1]
+		return st
+	}
+	return make([]*collMsg, collRingSteps(verbs.OpAllreduce, g.size()))
+}
+
+// collRetire strips a finished (or flushed) op down to its duplicate
+// fence: parked steps are released, the buffers go back to the group, and
+// the host's vector is let go.
+func (g *collGroup) collRetire(op *collOp) {
+	if op.stash != nil {
+		for i, m := range op.stash {
+			if m != nil {
+				m.Release()
+				op.stash[i] = nil
+			}
+		}
+		g.stashFree = append(g.stashFree, op.stash)
+		op.stash = nil
+	}
+	if op.vec != nil {
+		g.vecFree = append(g.vecFree, op.vec)
+		op.vec = nil
+	}
+	op.data, op.wr.Vec = nil, nil
+}
+
+// retireAll retires every operation of a group that is about to vanish
+// (crash, or a re-join replacing it). Steps can be parked on operations
+// the host never posted, at sequences past nextSeq, so this walks the
+// table itself.
+func (g *collGroup) retireAll() {
+	for _, op := range g.ops { //lint:qpip-allow maporder release order only permutes free-list positions, which never reach event order
+		g.collRetire(op)
+	}
+}
+
 func collMod(a, n int) int { return ((a % n) + n) % n }
 
 // collChildren reports rank r's children in the tree rotated so root is
-// rank 0 (virtual rank vr = (r-root) mod size, children 2vr+1, 2vr+2).
-func collChildren(r, root, size int) []int {
+// rank 0 (virtual rank vr = (r-root) mod size, children 2vr+1, 2vr+2): the
+// first k entries of the result.
+func collChildren(r, root, size int) (out [2]int, k int) {
 	vr := collMod(r-root, size)
-	var out []int
-	for _, vc := range []int{2*vr + 1, 2*vr + 2} {
-		if vc < size {
-			out = append(out, collMod(vc+root, size))
-		}
+	for vc := 2*vr + 1; vc <= 2*vr+2 && vc < size; vc++ {
+		out[k] = collMod(vc+root, size)
+		k++
 	}
-	return out
+	return out, k
 }
 
 // collParent reports rank r's parent in the rotated tree; r == root has
@@ -150,8 +322,9 @@ func collParent(r, root, size int) int {
 
 // collChildIndex maps a child rank back to its 0/1 slot under parent r.
 func collChildIndex(r, child, root, size int) int {
-	for i, c := range collChildren(r, root, size) {
-		if c == child {
+	cs, k := collChildren(r, root, size)
+	for i := 0; i < k; i++ {
+		if cs[i] == child {
 			return i
 		}
 	}
@@ -176,6 +349,9 @@ func (n *NIC) JoinColl(group uint16, rank int, members []inet.Addr6, cq *verbs.C
 			return fmt.Errorf("%w: collective member %d (%v)", verbs.ErrNoRoute, i, addr)
 		}
 		atts[i] = att
+	}
+	if old := n.collGroups[group]; old != nil {
+		old.retireAll()
 	}
 	n.collGroups[group] = &collGroup{
 		id:   group,
@@ -210,7 +386,7 @@ func (n *NIC) PostColl(group uint16, wr verbs.CollWR) error {
 		if n.down || n.collGroups[group] != g {
 			return // crashed (or re-joined) while the write was in flight
 		}
-		n.collStage("coll.post", params.US(params.CollPostUS), func() {
+		n.collStage("coll.post", n.collPostCtr, params.US(params.CollPostUS), func() {
 			n.collPost(g, seq, wr)
 		})
 	})
@@ -219,8 +395,8 @@ func (n *NIC) PostColl(group uint16, wr verbs.CollWR) error {
 
 // collStage charges the firmware processor one collective FSM stage and
 // records it in the Coll occupancy table.
-func (n *NIC) collStage(name string, d sim.Time, fn func()) {
-	n.Coll.Add(name, d)
+func (n *NIC) collStage(name string, ctr *trace.Stage, d sim.Time, fn func()) {
+	ctr.Observe(d)
 	n.cpu.Do(d, name, fn)
 }
 
@@ -243,7 +419,8 @@ func (n *NIC) collPost(g *collGroup, seq uint32, wr verbs.CollWR) {
 	case verbs.OpBcast:
 		if size == 1 || g.rank == wr.Root {
 			op.hasData, op.data = true, wr.Vec
-			for _, c := range collChildren(g.rank, wr.Root, size) {
+			cs, k := collChildren(g.rank, wr.Root, size)
+			for _, c := range cs[:k] {
 				n.collSend(g, c, &collMsg{group: g.id, seq: seq, kind: collData,
 					root: wr.Root, from: g.rank, vec: wr.Vec})
 			}
@@ -265,7 +442,7 @@ func (n *NIC) collPost(g *collGroup, seq uint32, wr verbs.CollWR) {
 		if op.clen == 0 {
 			op.clen = 1
 		}
-		op.vec = make([]uint64, size*op.clen)
+		op.vec = g.ringVec(size * op.clen)
 		copy(op.vec, wr.Vec)
 		n.collRingSend(g, op, 0)
 		n.collRingDrain(g, op)
@@ -276,31 +453,36 @@ func (n *NIC) collPost(g *collGroup, seq uint32, wr verbs.CollWR) {
 
 // receiveColl handles a collective frame (called from receiveFrame; the
 // adapter is known to be up). One FSM step is charged per message; ring
-// combines add the per-word reduce cost.
+// combines add the per-word reduce cost. The delivery's reference passes
+// to the stage runner.
+//
+//qpip:hotpath
 func (n *NIC) receiveColl(m *collMsg) {
 	g := n.collGroups[m.group]
 	if g == nil {
 		n.Net.Add("coll.unknown-group", 1)
+		m.Release()
 		return
 	}
 	d := params.US(params.CollStepUS)
 	if m.kind == collRing {
 		d += params.NICCycles(params.CollReduceCyclesPerWord * float64(len(m.vec)))
 	}
-	n.collStage("coll.step", d, func() {
-		if n.down || n.collGroups[m.group] != g {
-			return
-		}
-		n.collDispatch(g, g.op(m.seq), m)
-	})
+	n.collStage("coll.step", n.collStepCtr, d, n.getCollRx(g, m).fn)
 }
 
+// collDispatch steps the FSM on one delivered message. A ring message's
+// reference is released here or parked in the stash with it; tree messages
+// are not recycled (collData's vector is aliased into op.data and the
+// forwarded copies), so there is nothing to release.
+//
+//qpip:hotpath
 func (n *NIC) collDispatch(g *collGroup, op *collOp, m *collMsg) {
 	switch m.kind {
 	case collArrive:
 		i := collChildIndex(g.rank, m.from, 0, g.size())
 		if i < 0 || op.arrived[i] {
-			n.Net.Add("coll.dup-drop", 1)
+			*n.collDupDrop++
 			return
 		}
 		op.arrived[i] = true
@@ -309,13 +491,14 @@ func (n *NIC) collDispatch(g *collGroup, op *collOp, m *collMsg) {
 		n.collBarrierRelease(g, op)
 	case collData:
 		if op.hasData {
-			n.Net.Add("coll.dup-drop", 1)
+			*n.collDupDrop++
 			return
 		}
 		op.hasData, op.data = true, m.vec
 		// Forward down the tree immediately — offload means the data
 		// keeps moving whether or not this rank's host posted yet.
-		for _, c := range collChildren(g.rank, m.root, g.size()) {
+		cs, k := collChildren(g.rank, m.root, g.size())
+		for _, c := range cs[:k] {
 			n.collSend(g, c, &collMsg{group: g.id, seq: m.seq, kind: collData,
 				root: m.root, from: g.rank, vec: m.vec})
 		}
@@ -323,15 +506,15 @@ func (n *NIC) collDispatch(g *collGroup, op *collOp, m *collMsg) {
 			n.collComplete(g, op, op.data)
 		}
 	case collRing:
-		if op.done || m.step < op.nextStep {
-			n.Net.Add("coll.dup-drop", 1)
+		if op.done || m.step < op.nextStep || (op.stash != nil && op.stash[m.step] != nil) {
+			*n.collDupDrop++
+			m.Release()
 			return
 		}
-		if _, dup := op.stash[m.step]; dup {
-			n.Net.Add("coll.dup-drop", 1)
-			return
+		if op.stash == nil {
+			op.stash = g.ringStash()
 		}
-		op.stash[m.step] = m.vec
+		op.stash[m.step] = m
 		if op.posted {
 			n.collRingDrain(g, op)
 		}
@@ -347,7 +530,8 @@ func (n *NIC) collBarrierCheck(g *collGroup, op *collOp) {
 	if op.upSent || !op.posted {
 		return
 	}
-	for i := range collChildren(g.rank, 0, g.size()) {
+	_, k := collChildren(g.rank, 0, g.size())
+	for i := 0; i < k; i++ {
 		if !op.arrived[i] {
 			return
 		}
@@ -364,10 +548,11 @@ func (n *NIC) collBarrierCheck(g *collGroup, op *collOp) {
 // barrier; first-wins via the done flag.
 func (n *NIC) collBarrierRelease(g *collGroup, op *collOp) {
 	if op.done {
-		n.Net.Add("coll.dup-drop", 1)
+		*n.collDupDrop++
 		return
 	}
-	for _, c := range collChildren(g.rank, 0, g.size()) {
+	cs, k := collChildren(g.rank, 0, g.size())
+	for _, c := range cs[:k] {
 		n.collSend(g, c, &collMsg{group: g.id, seq: op.seq, kind: collRelease, from: g.rank})
 	}
 	n.collComplete(g, op, nil)
@@ -392,37 +577,47 @@ func collRingChunkOut(r, s, size int) int {
 	return collMod(r+1-(s-(size-1)), size) // allgather phase
 }
 
-// collRingSend emits rank r's step-s message to its ring successor.
+// collRingSend emits rank r's step-s message to its ring successor: the
+// outgoing chunk is copied into a recycled message's own word store.
+//
+//qpip:hotpath
 func (n *NIC) collRingSend(g *collGroup, op *collOp, s int) {
 	ci := collRingChunkOut(g.rank, s, g.size())
-	chunk := append([]uint64(nil), op.vec[ci*op.clen:(ci+1)*op.clen]...)
-	n.collSend(g, collMod(g.rank+1, g.size()),
-		&collMsg{group: g.id, seq: op.seq, kind: collRing, step: s, from: g.rank, vec: chunk})
+	m := n.getCollMsg()
+	m.group, m.seq, m.kind, m.step, m.from = g.id, op.seq, collRing, s, g.rank
+	m.vec = append(m.vec, op.vec[ci*op.clen:(ci+1)*op.clen]...)
+	n.collSend(g, collMod(g.rank+1, g.size()), m)
 }
 
 // collRingDrain consumes parked steps strictly in order: combine (or
 // store) the arriving chunk, emit the next step's message, repeat until
 // the stash runs dry or the schedule completes.
+//
+//qpip:hotpath
 func (n *NIC) collRingDrain(g *collGroup, op *collOp) {
+	if op.stash == nil {
+		return // nothing has arrived yet
+	}
 	size := g.size()
 	total := collRingSteps(op.wr.Op, size)
 	for {
-		chunk, ok := op.stash[op.nextStep]
-		if !ok {
+		s := op.nextStep
+		m := op.stash[s]
+		if m == nil {
 			return
 		}
-		delete(op.stash, op.nextStep)
-		s := op.nextStep
+		op.stash[s] = nil
 		if s < size-1 {
 			ci := collMod(g.rank-s-1, size)
 			dst := op.vec[ci*op.clen : (ci+1)*op.clen]
-			for i, w := range chunk {
+			for i, w := range m.vec {
 				dst[i] += w
 			}
 		} else {
 			ci := collMod(g.rank-(s-(size-1)), size)
-			copy(op.vec[ci*op.clen:(ci+1)*op.clen], chunk)
+			copy(op.vec[ci*op.clen:(ci+1)*op.clen], m.vec)
 		}
+		m.Release()
 		op.nextStep++
 		if op.nextStep < total {
 			n.collRingSend(g, op, op.nextStep)
@@ -458,22 +653,29 @@ func (n *NIC) collComplete(g *collGroup, op *collOp, result []uint64) {
 		ByteLen: 8 * len(result),
 		Payload: verbs.MarshalVec(result),
 	}
+	// MarshalVec copied the result, which may alias the working vector.
+	g.collRetire(op)
 	cq := g.cq
+	//lint:qpip-allow hotprop one completion notification per operation, not per message
 	n.notifyHost(func() { cq.Push(comp) })
 }
 
 // collSend injects one collective message into the fabric. The firmware
 // already charged the stage that built it; the frame serializes on the
 // adapter's link like any other transmit.
+//
+//qpip:hotpath
 func (n *NIC) collSend(g *collGroup, to int, m *collMsg) {
-	n.Net.Add("coll.msgs", 1)
+	*n.collMsgs++
 	n.fab.Send(fabric.NewFrame(n.att, g.atts[to], collWireBytes(len(m.vec)), m), nil)
 }
 
 // crashColl wipes the collective engine's SRAM state on adapter crash:
 // undone posted operations flush to their CQs (group ids ascending,
-// sequences ascending — deterministic like the QP flush order), then the
-// group table empties. Hosts re-join groups after Restart.
+// sequences ascending — deterministic like the QP flush order), parked
+// ring steps give up their references (copies still in flight die in
+// receiveFrame while the adapter is down), then the group table empties.
+// Hosts re-join groups after Restart.
 func (n *NIC) crashColl() {
 	gids := make([]int, 0, len(n.collGroups))
 	for gid := range n.collGroups {
@@ -497,6 +699,7 @@ func (n *NIC) crashColl() {
 			cq := g.cq
 			n.notifyHost(func() { cq.Push(comp) })
 		}
+		g.retireAll()
 	}
 	n.collGroups = make(map[uint16]*collGroup)
 }

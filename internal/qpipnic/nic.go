@@ -239,8 +239,8 @@ type NIC struct {
 	// grew past hundreds.
 	qps *qpTable
 	// srqs is the adapter-side state of host SRQs, in attach order.
-	srqs     []*srqState
-	tcpConns map[tcpKey]*qpState
+	srqs      []*srqState
+	tcpConns  map[tcpKey]*qpState
 	listeners map[uint16]*verbs.Listener
 	udpPorts  *udp.PortSpace[*qpState]
 	tcpPorts  map[uint16]bool // allocated TCP local ports
@@ -280,6 +280,20 @@ type NIC struct {
 	// conn.retry-exceeded, ...) for the chaos benches.
 	Net   *trace.Counters
 	stats Stats
+
+	// The collective engine's recyclers (coll.go): collFree and collRxFree
+	// hold ring messages and receive-stage runners; collLive counts
+	// messages handed out here minus messages recycled here, so the sum
+	// over a cluster's adapters is the number outstanding. The counter and
+	// stage cells are resolved once so the per-message path skips the name
+	// maps.
+	collFree    []*collMsg
+	collRxFree  []*collRx
+	collLive    int
+	collMsgs    *uint64
+	collDupDrop *uint64
+	collPostCtr *trace.Stage
+	collStepCtr *trace.Stage
 }
 
 // New builds an adapter and attaches it to fab.
@@ -308,6 +322,10 @@ func New(eng *sim.Engine, fab *fabric.Fabric, cfg Config) *NIC {
 		Coll:       trace.NewStages(),
 		Net:        trace.NewCounters(),
 	}
+	n.collMsgs = n.Net.Handle("coll.msgs")
+	n.collDupDrop = n.Net.Handle("coll.dup-drop")
+	n.collPostCtr = n.Coll.Counter("coll.post")
+	n.collStepCtr = n.Coll.Counter("coll.step")
 	n.initTemplates()
 	n.txDoneFn = func() {
 		n.txBusy = false

@@ -25,6 +25,34 @@ type srqState struct {
 	drainFn func()
 }
 
+// parked reports how many connections wait on the pool.
+func (ss *srqState) parked() int { return len(ss.waiters) - ss.waitHead }
+
+// park appends a waiter. A starved pool rarely drains to empty, so the
+// drained prefix is reclaimed here instead: once it passes half the slice
+// the live tail slides down, and the backing array stops growing at a
+// small multiple of the live entries (which qpState.srqWait bounds by the
+// QP count).
+func (ss *srqState) park(qs *qpState) {
+	if ss.waitHead > len(ss.waiters)/2 {
+		k := copy(ss.waiters, ss.waiters[ss.waitHead:])
+		clear(ss.waiters[k:])
+		ss.waiters, ss.waitHead = ss.waiters[:k], 0
+	}
+	ss.waiters = append(ss.waiters, qs)
+}
+
+// unpark removes the oldest waiter; the caller checked parked() > 0.
+func (ss *srqState) unpark() *qpState {
+	qs := ss.waiters[ss.waitHead]
+	ss.waiters[ss.waitHead] = nil
+	ss.waitHead++
+	if ss.waitHead == len(ss.waiters) {
+		ss.waiters, ss.waitHead = ss.waiters[:0], 0
+	}
+	return qs
+}
+
 // srqFor resolves (or registers) the adapter-side state of an SRQ.
 // Adapters hold a handful of SRQs; the attach-order scan keeps
 // registration deterministic without a map.
@@ -60,7 +88,7 @@ func (n *NIC) enqueueSRQWaiter(qs *qpState) {
 		return
 	}
 	qs.srqWait = true
-	qs.srqs.waiters = append(qs.srqs.waiters, qs)
+	qs.srqs.park(qs)
 }
 
 // drainSRQ wakes the connections parked on a pool, in park order. Only
@@ -73,19 +101,13 @@ func (n *NIC) enqueueSRQWaiter(qs *qpState) {
 //
 //qpip:hotpath
 func (n *NIC) drainSRQ(ss *srqState) {
-	end := len(ss.waiters)
-	for ss.waitHead < end {
-		qs := ss.waiters[ss.waitHead]
-		ss.waiters[ss.waitHead] = nil
-		ss.waitHead++
+	for k := ss.parked(); k > 0; k-- {
+		qs := ss.unpark()
 		qs.srqWait = false
 		if n.qps.get(qs.qp.QPN) != qs {
 			continue // destroyed or crashed while parked
 		}
 		n.drainStashAndUpdate(qs)
-	}
-	if ss.waitHead == len(ss.waiters) {
-		ss.waiters, ss.waitHead = ss.waiters[:0], 0
 	}
 }
 

@@ -334,3 +334,51 @@ func TestGracefulCloseReapsConnState(t *testing.T) {
 		t.Errorf("client LiveQPs = %d after churn", got)
 	}
 }
+
+// A steadily starved pool parks and drains forever without once emptying
+// its waiter FIFO. The FIFO must reuse its backing array — bounded by a
+// small multiple of the QP count, which the srqWait flag makes the bound
+// on live entries — and hand waiters back in exactly park order.
+func TestSRQWaiterFIFOBoundedUnderPartialDrain(t *testing.T) {
+	const qps = 64
+	pool := make([]*qpState, qps)
+	for i := range pool {
+		pool[i] = &qpState{}
+	}
+	ss := &srqState{}
+	var model []*qpState // reference FIFO: plain append / reslice
+	parkNext, rnd := 0, uint64(1)
+	for cycle := 0; cycle < 100_000; cycle++ {
+		rnd = rnd*6364136223846793005 + 1442695040888963407
+		// Park a few idle connections (a parked one is held off by its
+		// srqWait flag, as in enqueueSRQWaiter), always leaving room.
+		for k := int(rnd>>60) + 1; k > 0 && len(model) < qps; k-- {
+			qs := pool[parkNext%qps]
+			parkNext++
+			if qs.srqWait {
+				continue
+			}
+			qs.srqWait = true
+			ss.park(qs)
+			model = append(model, qs)
+		}
+		// Drain some, never all.
+		for k := int(rnd>>56&7) + 1; k > 0 && len(model) > 1; k-- {
+			got := ss.unpark()
+			if got != model[0] {
+				t.Fatalf("cycle %d: drain order diverged from park order", cycle)
+			}
+			got.srqWait = false
+			model = model[1:]
+		}
+		if ss.parked() != len(model) {
+			t.Fatalf("cycle %d: parked() = %d, want %d", cycle, ss.parked(), len(model))
+		}
+		if ss.parked() == 0 {
+			t.Fatalf("cycle %d: FIFO drained fully; the test must keep it starved", cycle)
+		}
+	}
+	if c := cap(ss.waiters); c > 4*qps {
+		t.Errorf("waiter FIFO backing array grew to %d entries for %d QPs, want <= %d", c, qps, 4*qps)
+	}
+}

@@ -76,6 +76,11 @@ func (p *Proc) Wake() {
 	<-p.baton
 }
 
+// WakeFn returns Wake as a func value bound once at spawn, so a waker can
+// hand it to Server.Do or Engine.After without allocating a closure per
+// wakeup. The same calling rule as Wake applies.
+func (p *Proc) WakeFn() func() { return p.wakeFn }
+
 // Suspend parks until some event calls Wake.
 func (p *Proc) Suspend() { p.park() }
 

@@ -111,46 +111,74 @@ func (s *Stages) String() string {
 // Counters is a set of named monotonic event counters — the per-stack
 // drop/corrupt/retransmit accounting the fault-injection layer and the
 // chaos benches read. Names are dotted paths ("rx.corrupt",
-// "tx.retransmit") so related counters sort together.
+// "tx.retransmit") so related counters sort together. A counter that reads
+// zero is indistinguishable from one that was never touched.
 type Counters struct {
-	m map[string]uint64
+	m map[string]*uint64
 }
 
 // NewCounters returns an empty counter set.
-func NewCounters() *Counters { return &Counters{m: make(map[string]uint64)} }
+func NewCounters() *Counters { return &Counters{m: make(map[string]*uint64)} }
+
+// Handle returns the named counter's cell, creating it if needed. The
+// pointer stays valid across Reset (which zeroes cells in place), so
+// per-message paths resolve it once and increment with no map lookup.
+func (c *Counters) Handle(name string) *uint64 {
+	v := c.m[name]
+	if v == nil {
+		v = new(uint64)
+		c.m[name] = v
+	}
+	return v
+}
 
 // Add increments the named counter by delta.
-func (c *Counters) Add(name string, delta uint64) { c.m[name] += delta }
+func (c *Counters) Add(name string, delta uint64) { *c.Handle(name) += delta }
 
 // Get reports the named counter (0 if never incremented).
-func (c *Counters) Get(name string) uint64 { return c.m[name] }
+func (c *Counters) Get(name string) uint64 {
+	if v := c.m[name]; v != nil {
+		return *v
+	}
+	return 0
+}
 
 // AddAll merges every counter from src into c — the chaos report uses it
 // to sum per-node adapter counters into one cluster-wide view.
 func (c *Counters) AddAll(src *Counters) {
 	for k, v := range src.m {
-		c.m[k] += v
+		if *v != 0 {
+			*c.Handle(k) += *v
+		}
 	}
 }
 
-// Names reports all incremented counter names, sorted.
+// Names reports all incremented counter names, sorted. Cells resolved
+// through Handle but still zero stay invisible.
 func (c *Counters) Names() []string {
 	out := make([]string, 0, len(c.m))
-	for k := range c.m {
-		out = append(out, k)
+	for k, v := range c.m {
+		if *v != 0 {
+			out = append(out, k)
+		}
 	}
 	sort.Strings(out)
 	return out
 }
 
-// Reset clears all counters.
-func (c *Counters) Reset() { c.m = make(map[string]uint64) }
+// Reset zeroes all counters in place, preserving pointers handed out by
+// Handle.
+func (c *Counters) Reset() {
+	for _, v := range c.m {
+		*v = 0
+	}
+}
 
 // String renders the counter table.
 func (c *Counters) String() string {
 	var b strings.Builder
 	for _, n := range c.Names() {
-		fmt.Fprintf(&b, "%-24s %10d\n", n, c.m[n])
+		fmt.Fprintf(&b, "%-24s %10d\n", n, c.Get(n))
 	}
 	return b.String()
 }

@@ -67,3 +67,35 @@ func TestMeanMicrosZeroCount(t *testing.T) {
 		t.Error("empty stage mean nonzero")
 	}
 }
+
+func TestCountersHandle(t *testing.T) {
+	c := NewCounters()
+	h := c.Handle("coll.msgs")
+	if len(c.Names()) != 0 || c.String() != "" {
+		t.Errorf("a resolved but zero cell is visible: %v", c.Names())
+	}
+	*h += 3
+	c.Add("coll.msgs", 2)
+	if got := c.Get("coll.msgs"); got != 5 {
+		t.Errorf("Get = %d, want 5 (Handle and Add share one cell)", got)
+	}
+	sum := NewCounters()
+	sum.Handle("untouched")
+	sum.AddAll(c)
+	sum.AddAll(c)
+	if got := sum.Get("coll.msgs"); got != 10 {
+		t.Errorf("AddAll sum = %d, want 10", got)
+	}
+	if names := sum.Names(); len(names) != 1 || names[0] != "coll.msgs" {
+		t.Errorf("Names = %v, want only the nonzero counter", names)
+	}
+	c.Reset()
+	if c.Get("coll.msgs") != 0 || len(c.Names()) != 0 {
+		t.Error("Reset did not clear")
+	}
+	// Handles survive Reset so per-message paths can cache them.
+	*h++
+	if got := c.Get("coll.msgs"); got != 1 {
+		t.Errorf("Get after Reset + increment through the old handle = %d, want 1", got)
+	}
+}

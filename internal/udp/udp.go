@@ -118,7 +118,7 @@ func Verify6(src, dst inet.Addr6, hdr []byte, payload buf.Buf) error {
 // An all-zero checksum field means "not computed" under IPv4 and passes.
 func Verify4(src, dst inet.Addr4, hdr []byte, payload buf.Buf) error {
 	if len(hdr) < HeaderLen {
-		return fmt.Errorf("%w: %d bytes", ErrTruncated, len(hdr))
+		return ErrTruncated
 	}
 	if binary.BigEndian.Uint16(hdr[6:]) == 0 {
 		return nil
