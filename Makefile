@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet shadow lint lint-baseline staticcheck govulncheck race fuzz check bench benchtest microbench chaos
+.PHONY: build test fmt vet shadow lint lint-baseline staticcheck govulncheck race fuzz check bench benchtest microbench chaos
 
 # Accepted-findings baseline for qpiplint. When the file exists, `make
 # lint` fails only on findings not recorded in it; `make lint-baseline`
@@ -16,6 +16,11 @@ build:
 
 test: build
 	$(GO) test ./...
+
+# fmt fails when any file (the nested benchmark module included) is not
+# gofmt-clean, and names the offenders.
+fmt:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -90,7 +95,7 @@ fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzParse -fuzztime=5s ./internal/udp
 	$(GO) test -run=Fuzz -fuzz=FuzzVerify4 -fuzztime=5s ./internal/udp
 
-# The verification gate: go vet, the optional shadow pass, the repo's own
+# The verification gate: gofmt, go vet, the optional shadow pass, the repo's own
 # qpiplint suite (mandatory — proves the determinism and datapath
 # invariants, DESIGN §12), optional staticcheck and govulncheck, the full
 # suite under the race detector, the plain suite (also exercises the fuzz
@@ -105,7 +110,7 @@ fuzz:
 # on per-connection memory at high QP counts without a CPU regression,
 # and churn must leave no residual connection state). benchtest runs the
 # nested benchmark module's own suite.
-check: vet shadow lint staticcheck govulncheck race test benchtest chaos
+check: fmt vet shadow lint staticcheck govulncheck race test benchtest chaos
 	$(GO) run ./cmd/qpipbench -exp perf -bytes 1048576 -perf-repeats 1 >/dev/null
 	$(GO) run ./cmd/qpipbench -exp perfguard -bytes 4194304
 	$(GO) test -race -count=1 -run 'TestParallel|TestRunPingPong|TestRunUntilLimit|TestFreeRun|TestShardPanic' ./qpip/ ./internal/sim/par/

@@ -254,6 +254,8 @@ func SimulatedPackage(path string) bool {
 // to drive shard engines on worker goroutines and park them at epoch
 // barriers; every other simulated package must still model concurrency
 // with sim.Proc/sim.Server, so nogoroutine exempts exactly this path.
+// internal/sim is not exempt and needs no allow: sim.Proc hands off
+// through iter.Pull coroutines, not a goroutine of its own.
 func ShardRunnerPackage(path string) bool {
 	const suf = "internal/sim/par"
 	return path == suf || strings.HasSuffix(path, "/"+suf)

@@ -4,7 +4,9 @@
 // The simulation engine is single-threaded by contract: events fire in
 // (timestamp, sequence) order, and "concurrency" inside the model is
 // expressed as sim.Proc coroutines or sim.Server occupancy — both of
-// which hand control back to the engine at deterministic points. A raw
+// which hand control back to the engine at deterministic points. sim.Proc
+// itself runs on runtime coroutines (iter.Pull), so internal/sim needs no
+// go statement and carries no allow for one. A raw
 // `go` statement introduces true scheduler nondeterminism that no replay
 // can pin down, and sync primitives (mutexes, wait groups, atomics) are
 // the smell that someone is about to need one.

@@ -3,22 +3,10 @@ package hostos
 import (
 	"repro/internal/hw"
 	"repro/internal/params"
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
-
-// compact prepares a head-indexed FIFO for an append: once the drained
-// prefix passes half the slice the live tail slides to the front, so a
-// queue that never quite empties reuses its backing array instead of
-// growing it without bound.
-func compact[T any](q []T, head int) ([]T, int) {
-	if head <= len(q)/2 {
-		return q, head
-	}
-	n := copy(q, q[head:])
-	clear(q[n:])
-	return q[:n], 0
-}
 
 // RxCoalescer is the unified receive-interrupt model of the host side:
 // arriving packets queue in the host rx ring, an hw.IRQLine paces their
@@ -62,7 +50,7 @@ func NewRxCoalescer(k *Kernel, name string, pkts int, delay sim.Time) *RxCoalesc
 //
 //qpip:hotpath
 func (c *RxCoalescer) Enqueue(pkt *wire.Packet) {
-	c.rxQ, c.rxHead = compact(c.rxQ, c.rxHead)
+	c.rxQ, c.rxHead = pool.Compact(c.rxQ, c.rxHead)
 	c.rxQ = append(c.rxQ, pkt)
 	c.line.Raise()
 }
@@ -79,7 +67,7 @@ func (c *RxCoalescer) Line() *hw.IRQLine { return c.line }
 func (c *RxCoalescer) isr(events int) {
 	n := len(c.rxQ) - c.rxHead - c.charged
 	c.charged += n
-	c.batches, c.batchHead = compact(c.batches, c.batchHead)
+	c.batches, c.batchHead = pool.Compact(c.batches, c.batchHead)
 	c.batches = append(c.batches, n)
 	cost := params.US(params.HostIRQUS + params.HostDriverRxReapUS*float64(n))
 	c.k.CPU().Do(cost, c.isrName, c.reapFn)

@@ -1,6 +1,9 @@
 package hostos
 
-import "repro/internal/wire"
+import (
+	"repro/internal/pool"
+	"repro/internal/wire"
+)
 
 // loopback is the kernel's internal device: packets re-enter the receive
 // path on the same host with no wire, no DMA and no interrupt — only
@@ -30,7 +33,7 @@ func (l *loopback) MTU() int { return LoopbackMTU }
 // Transmit implements NetDevice: immediate software delivery back into
 // the local stack.
 func (l *loopback) Transmit(pkt *wire.Packet, _ int) {
-	l.pending, l.head = compact(l.pending, l.head)
+	l.pending, l.head = pool.Compact(l.pending, l.head)
 	l.pending = append(l.pending, pkt)
 	//lint:qpip-allow shardsafe the loopback device shares its owning kernel's engine; delivery never leaves the shard
 	l.k.eng.After(0, "lo.deliver", l.deliverFn)

@@ -384,7 +384,7 @@ func (s *Socket) RecvFrom(p *sim.Proc) (buf.Buf, inet.Addr4, uint16, error) {
 // ---- Kernel-side event hooks. ----
 
 func (s *Socket) enqueueData(b buf.Buf) {
-	s.recvQ, s.recvHead = compact(s.recvQ, s.recvHead)
+	s.recvQ, s.recvHead = pool.Compact(s.recvQ, s.recvHead)
 	s.recvQ = append(s.recvQ, b)
 	s.recvQBytes += b.Len()
 	s.wakeRecv()

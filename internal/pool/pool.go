@@ -1,5 +1,7 @@
 // Package pool holds the process-wide switch for datapath object pooling,
-// plus the free-list pop shared by the per-owner recyclers (Take).
+// plus the free-list pop shared by the per-owner recyclers (Take) and the
+// head-indexed FIFO compaction shared by the queues that never drain
+// (Compact).
 //
 // The hot-path packages (tcp, wire, fabric) draw their per-packet objects —
 // segments, packets, frames — from sync.Pools when pooling is enabled, and
@@ -39,4 +41,18 @@ func Take[T any](free *[]*T) *T {
 	(*free)[k] = nil
 	*free = (*free)[:k]
 	return x
+}
+
+// Compact prepares a head-indexed FIFO for an append: once the drained
+// prefix passes half the slice the live tail slides to the front, so a
+// queue that never quite empties reuses its backing array instead of
+// growing it without bound. Each slide copies fewer entries than were
+// popped since the previous one, so the FIFO stays amortised O(1).
+func Compact[T any](q []T, head int) ([]T, int) {
+	if head <= len(q)/2 {
+		return q, head
+	}
+	n := copy(q, q[head:])
+	clear(q[n:])
+	return q[:n], 0
 }

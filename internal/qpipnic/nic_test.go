@@ -1,6 +1,7 @@
 package qpipnic
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/buf"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/inet"
 	"repro/internal/params"
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/verbs"
 )
@@ -476,4 +478,79 @@ func TestBulkThroughputAndHostUtilization(t *testing.T) {
 	}
 	t.Logf("bulk: %.1f MB/s, host util %.2f%%, nic util %.1f%%",
 		mbps, util*100, c.nics[0].CPU().Utilization()*100)
+}
+
+// Windowed traffic keeps every head-indexed FIFO on the path non-empty:
+// the client holds 64 sends outstanding and the server reposts a receive
+// per completion, so neither WR queue nor the transmit scheduler queue
+// ever drains to reset its head. Each append site compacts the drained
+// prefix, so the backing arrays stay a small multiple of the window
+// instead of growing with every post for the whole run.
+func TestQPQueuesBoundedUnderWindowedTraffic(t *testing.T) {
+	const (
+		window = 64
+		size   = 64
+		bound  = 256
+	)
+	msgs := 100_000
+	if pool.RaceEnabled {
+		msgs = 10_000 // still ~40x the bound on an uncompacted queue
+	}
+	c := newCluster(t, nil)
+	cli, srv, scq, rcq := c.rcPair(t, 7000, 2*window)
+	c.eng.Spawn("server", func(p *sim.Proc) {
+		for i := 0; i < window; i++ {
+			if err := srv.PostRecv(p, verbs.RecvWR{ID: uint64(i), Capacity: size}); err != nil {
+				t.Errorf("PostRecv: %v", err)
+				return
+			}
+		}
+		for got := 0; got < msgs; got++ {
+			rcq[1].Wait(p)
+			if err := srv.PostRecv(p, verbs.RecvWR{ID: uint64(window + got), Capacity: size}); err != nil {
+				t.Errorf("PostRecv: %v", err)
+				return
+			}
+		}
+	})
+	c.eng.Spawn("client", func(p *sim.Proc) {
+		if err := cli.Connect(p, inet.NodeAddr6(1), 7000); err != nil {
+			t.Errorf("Connect: %v", err)
+			return
+		}
+		inFlight := 0
+		for sent := 0; sent < msgs; {
+			for inFlight < window && sent < msgs {
+				if err := cli.PostSend(p, verbs.SendWR{ID: uint64(sent), Payload: buf.Virtual(size)}); err != nil {
+					t.Errorf("PostSend: %v", err)
+					return
+				}
+				sent++
+				inFlight++
+			}
+			scq[0].Wait(p)
+			inFlight--
+		}
+	})
+	c.eng.Run()
+	if n := rcq[1].Len(); n != 0 || srv.OutstandingRecv() != window {
+		t.Fatalf("server left %d completions unreaped, %d receives outstanding", n, srv.OutstandingRecv())
+	}
+	// sendQ/recvQ are verbs-private; reflect reads their capacity only.
+	capOf := func(qp *verbs.QP, field string) int {
+		return reflect.ValueOf(qp).Elem().FieldByName(field).Cap()
+	}
+	for _, q := range []struct {
+		name string
+		cap  int
+	}{
+		{"client sendQ", capOf(cli, "sendQ")},
+		{"server recvQ", capOf(srv, "recvQ")},
+		{"client NIC txQ", cap(c.nics[0].txQ)},
+		{"server NIC txQ", cap(c.nics[1].txQ)},
+	} {
+		if q.cap > bound {
+			t.Errorf("%s backing array grew to %d entries under a %d-deep window, want <= %d", q.name, q.cap, window, bound)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package qpipnic
 
 import (
+	"repro/internal/pool"
 	"repro/internal/verbs"
 )
 
@@ -28,17 +29,12 @@ type srqState struct {
 // parked reports how many connections wait on the pool.
 func (ss *srqState) parked() int { return len(ss.waiters) - ss.waitHead }
 
-// park appends a waiter. A starved pool rarely drains to empty, so the
-// drained prefix is reclaimed here instead: once it passes half the slice
-// the live tail slides down, and the backing array stops growing at a
-// small multiple of the live entries (which qpState.srqWait bounds by the
-// QP count).
+// park appends a waiter. A starved pool rarely drains to empty, so
+// pool.Compact reclaims the drained prefix here instead, and the backing
+// array stops growing at a small multiple of the live entries (which
+// qpState.srqWait bounds by the QP count).
 func (ss *srqState) park(qs *qpState) {
-	if ss.waitHead > len(ss.waiters)/2 {
-		k := copy(ss.waiters, ss.waiters[ss.waitHead:])
-		clear(ss.waiters[k:])
-		ss.waiters, ss.waitHead = ss.waiters[:k], 0
-	}
+	ss.waiters, ss.waitHead = pool.Compact(ss.waiters, ss.waitHead)
 	ss.waiters = append(ss.waiters, qs)
 }
 

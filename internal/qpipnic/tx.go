@@ -4,6 +4,7 @@ import (
 	"repro/internal/buf"
 	"repro/internal/hw"
 	"repro/internal/inet"
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/tcp"
 	"repro/internal/udp"
@@ -35,13 +36,15 @@ type txWork struct {
 //
 //qpip:hotpath
 func (n *NIC) enqueueTx(w txWork) {
+	n.txQ, n.txQHead = pool.Compact(n.txQ, n.txQHead)
 	n.txQ = append(n.txQ, w)
 	n.kickTx()
 }
 
 // kickTx runs the scheduler if idle. The queue drains through a head index
 // so steady-state traffic reuses one backing array instead of re-slicing
-// (and re-growing) per work item.
+// (and re-growing) per work item; windowed traffic rarely drains it to
+// empty, so enqueueTx compacts the drained prefix too.
 //
 //qpip:hotpath
 func (n *NIC) kickTx() {

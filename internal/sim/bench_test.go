@@ -100,7 +100,8 @@ func TestScheduleFireAllocFree(t *testing.T) {
 }
 
 // TestParkWakeAllocFree locks in the park/wake handshake cost: waking a
-// parked process must not allocate.
+// parked process must not allocate, and neither must one round of each
+// timed park (schedule the wake, switch out, fire, switch back in).
 func TestParkWakeAllocFree(t *testing.T) {
 	e := NewEngine()
 	p := e.Spawn("proc", func(p *Proc) {
@@ -111,5 +112,31 @@ func TestParkWakeAllocFree(t *testing.T) {
 	e.Run()
 	if n := testing.AllocsPerRun(1000, func() { p.Wake() }); n != 0 {
 		t.Fatalf("park/wake allocates %v/op, want 0", n)
+	}
+
+	srv := NewServer(e, "srv")
+	cpu := NewCPU(e, "cpu", 1e9)
+	for _, tc := range []struct {
+		name string
+		park func(p *Proc)
+	}{
+		{"Sleep", func(p *Proc) { p.Sleep(10) }},
+		{"Use", func(p *Proc) { p.Use(srv, 10) }},
+		{"UseCycles", func(p *Proc) { p.UseCycles(cpu, 10) }},
+	} {
+		e.Spawn(tc.name, func(p *Proc) {
+			for {
+				tc.park(p)
+			}
+		})
+		e.step() // spawn: the proc runs to its first park
+		if n := testing.AllocsPerRun(1000, func() { e.step() }); n != 0 {
+			t.Fatalf("%s round allocates %v/op, want 0", tc.name, n)
+		}
+		// The proc stays parked forever; drop its pending wake so the next
+		// case steps only its own proc.
+		if ev, ok := e.peek(); ok {
+			ev.Cancel()
+		}
 	}
 }

@@ -126,6 +126,24 @@ func TestShardPanicPropagates(t *testing.T) {
 	par.Run(par.Config{Engines: engines, Lookahead: 1, Exchange: func() int { return 0 }})
 }
 
+// TestShardPanicInProcPropagates: a panic inside a sim.Proc surfaces from
+// the Wake that resumed it, on the shard's worker, so it re-raises on the
+// coordinator like any other model panic.
+func TestShardPanicInProcPropagates(t *testing.T) {
+	engines := []*sim.Engine{sim.NewEngine(), sim.NewEngine()}
+	engines[1].Spawn("faulty", func(p *sim.Proc) {
+		p.Sleep(3)
+		panic("proc bug on shard 1")
+	})
+	defer func() {
+		r, _ := recover().(string)
+		if want := "par: shard panicked: proc bug on shard 1"; r != want {
+			t.Fatalf("recovered %q, want %q", r, want)
+		}
+	}()
+	par.Run(par.Config{Engines: engines, Lookahead: 1, Exchange: func() int { return 0 }})
+}
+
 // TestEmptyConfig: no engines is a no-op, and engines with no events
 // terminate immediately.
 func TestEmptyConfig(t *testing.T) {

@@ -1,22 +1,37 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // Proc is a simulated process: application code written in blocking style
 // (post a work request, wait for a completion) that interleaves
-// deterministically with the event engine. Exactly one goroutine — the
-// engine's or one process's — runs at a time; control transfers are
-// synchronous handshakes, so simulations stay reproducible.
+// deterministically with the event engine. Exactly one side — the engine
+// or one process — runs at a time; control transfers are synchronous
+// handshakes, so simulations stay reproducible.
 //
-// A single unbuffered baton channel carries both directions of the
-// handshake: the side yielding control sends, the side waiting to run
-// receives, in strict alternation. One channel halves the channel traffic
-// of the old resume/parked pair on the hot park/wake path.
+// Each process runs on a runtime coroutine (iter.Pull): Wake switches
+// straight into the process and a park switches straight back, with no
+// pass through the Go scheduler's run queue (DESIGN §10.1). The runtime
+// resumes the coroutine's stack only through that hand-off, so the engine
+// stays logically single-threaded and this package has no go statement.
+// A panic inside the process surfaces, with its value unchanged, from the
+// Wake (or spawn event) that resumed it, i.e. from Engine.Run; its
+// traceback then shows the engine's frames, not the process's.
+//
+// iter.Pull is go1.23; the build line lets a go1.22 module use it.
 type Proc struct {
-	eng   *Engine
-	name  string
-	baton chan struct{}
-	dead  bool
+	eng  *Engine
+	name string
+	dead bool
+
+	// yield parks the coroutine (returning control to whoever resumed
+	// it); resume switches into it until it parks again or finishes.
+	yield  func(struct{}) bool
+	resume func() (struct{}, bool)
 
 	// Precomputed event names, so Sleep/Use in a poll loop don't
 	// concatenate strings per call.
@@ -33,22 +48,19 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 	p := &Proc{
 		eng:       e,
 		name:      name,
-		baton:     make(chan struct{}),
 		sleepName: name + ".sleep",
 		useName:   name + ".use",
 	}
 	p.wakeFn = func() { p.Wake() }
 	e.After(0, "spawn:"+name, func() {
-		// The goroutine IS the coroutine mechanism: exactly one runs at a
-		// time, handing off through the baton channel, so the engine stays
-		// logically single-threaded (DESIGN §4).
-		//lint:qpip-allow nogoroutine coroutine carrier with strict baton handoff
-		go func() {
+		p.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
+			// Deferred so a panicking fn also leaves the process dead: a
+			// later Wake then reports it instead of resuming nothing.
+			defer func() { p.dead = true }()
+			p.yield = yield
 			fn(p)
-			p.dead = true
-			p.baton <- struct{}{}
-		}()
-		<-p.baton
+		})
+		p.resume()
 	})
 	return p
 }
@@ -60,10 +72,7 @@ func (p *Proc) Name() string { return p.name }
 func (p *Proc) Done() bool { return p.dead }
 
 // park transfers control back to the engine until Wake.
-func (p *Proc) park() {
-	p.baton <- struct{}{}
-	<-p.baton
-}
+func (p *Proc) park() { p.yield(struct{}{}) }
 
 // Wake resumes a parked process and blocks (the engine) until it parks
 // again or finishes. It must be called from engine context (an event
@@ -72,8 +81,7 @@ func (p *Proc) Wake() {
 	if p.dead {
 		panic(fmt.Sprintf("sim: Wake on finished process %q", p.name))
 	}
-	p.baton <- struct{}{}
-	<-p.baton
+	p.resume()
 }
 
 // WakeFn returns Wake as a func value bound once at spawn, so a waker can

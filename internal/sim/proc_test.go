@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestProcRunsAndFinishes(t *testing.T) {
 	e := NewEngine()
@@ -149,4 +152,91 @@ func TestWakeDeadProcPanics(t *testing.T) {
 		}
 	}()
 	p.Wake()
+}
+
+// TestProcPanicSurfacesFromRun: a panic inside a process reaches the
+// caller of Engine.Run as an ordinary, recoverable panic — whether it
+// fires in the spawn slice or after a park — and leaves the process
+// finished, so a later Wake reports it instead of resuming nothing.
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	for _, parkFirst := range []bool{false, true} {
+		e := NewEngine()
+		p := e.Spawn("faulty", func(p *Proc) {
+			if parkFirst {
+				p.Sleep(10)
+			}
+			panic("proc bug")
+		})
+		r := func() (r any) {
+			defer func() { r = recover() }()
+			e.Run()
+			return nil
+		}()
+		if r != "proc bug" {
+			t.Fatalf("parkFirst=%v: Run recovered %v, want the proc's panic value", parkFirst, r)
+		}
+		if !p.Done() {
+			t.Fatalf("parkFirst=%v: panicked proc not marked done", parkFirst)
+		}
+		r = func() (r any) {
+			defer func() { r = recover() }()
+			p.Wake()
+			return nil
+		}()
+		if msg, _ := r.(string); !strings.Contains(msg, `finished process "faulty"`) {
+			t.Fatalf("parkFirst=%v: Wake after panic recovered %v, want the finished-process panic", parkFirst, r)
+		}
+	}
+}
+
+// TestProcHandoffOrderClosedForm drives 100k producer→consumer hand-offs
+// through engine events, round-robin over three consumers. Item i is
+// produced after gaps 1 + j%5 for j <= i, so it must reach consumer i%3
+// at T(i) = (i+1) + sum_{j<=i} j%5, and consumers must wake in exactly
+// item order.
+func TestProcHandoffOrderClosedForm(t *testing.T) {
+	const items, nc = 100_000, 3
+	type wake struct {
+		consumer, item int
+		at             Time
+	}
+	e := NewEngine()
+	var (
+		slot      [nc]int
+		consumers [nc]*Proc
+		log       = make([]wake, 0, items)
+	)
+	for c := 0; c < nc; c++ {
+		c := c
+		consumers[c] = e.Spawn("consumer", func(p *Proc) {
+			for k := c; k < items; k += nc {
+				p.Suspend()
+				log = append(log, wake{c, slot[c], p.Now()})
+			}
+		})
+	}
+	e.Spawn("producer", func(p *Proc) {
+		for i := 0; i < items; i++ {
+			p.Sleep(Time(1 + i%5))
+			c := i % nc
+			slot[c] = i
+			p.Engine().After(0, "deliver", consumers[c].WakeFn())
+		}
+	})
+	e.Run()
+	if len(log) != items {
+		t.Fatalf("%d wakes, want %d", len(log), items)
+	}
+	for i, w := range log {
+		full, rem := i/5, i%5 // sum_{j<=i} j%5 = 10*full + rem*(rem+1)/2
+		want := wake{i % nc, i, Time(i + 1 + 10*full + rem*(rem+1)/2)}
+		if w != want {
+			t.Fatalf("wake %d = %+v, want %+v", i, w, want)
+		}
+	}
+	for c, p := range consumers {
+		if !p.Done() {
+			t.Errorf("consumer %d still parked", c)
+		}
+	}
 }

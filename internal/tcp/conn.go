@@ -239,9 +239,9 @@ type Conn struct {
 	// concatParts is takePending's scratch for takes spanning queue
 	// entries; reused so steady-state segmentation does not allocate.
 	concatParts []buf.Buf
-	finQueued      bool
-	finSent        bool
-	finSeq         Seq
+	finQueued   bool
+	finSent     bool
+	finSeq      Seq
 
 	flight     []*flightSeg
 	flightHead int

@@ -6,6 +6,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/inet"
 	"repro/internal/params"
+	"repro/internal/pool"
 	"repro/internal/sim"
 )
 
@@ -24,7 +25,8 @@ type QP struct {
 	err   error
 	// Both WR queues drain through head indices so steady-state post/take
 	// traffic reuses one backing array; taken slots are cleared so consumed
-	// WRs don't pin their payload buffers.
+	// WRs don't pin their payload buffers. Windowed traffic keeps them from
+	// ever draining, so every post compacts the taken prefix first.
 	sendQ      []SendWR
 	sendHead   int
 	recvQ      []RecvWR
@@ -36,10 +38,10 @@ type QP struct {
 	postedRecv int // bytes of receive capacity not yet consumed
 	// srq, when set, replaces the private recvQ: receives are posted to
 	// the shared pool and claimed from it in device-wide FIFO order.
-	srq *SRQ
-	estWaiter  *sim.Proc
-	sqdWaiter  *sim.Proc // parked in WaitSQDrained
-	parked     *Listener // listener this QP is idling on, if any
+	srq       *SRQ
+	estWaiter *sim.Proc
+	sqdWaiter *sim.Proc // parked in WaitSQDrained
+	parked    *Listener // listener this QP is idling on, if any
 
 	// Connection identity, filled during connect/accept/bind.
 	LocalPort  uint16
@@ -133,6 +135,7 @@ func (q *QP) PostSend(p *sim.Proc, wr SendWR) error {
 	p.Use(q.dev.HostCPU().Server, params.US(params.VerbsPostSendUS))
 	q.outSend++
 	q.posts++
+	q.sendQ, q.sendHead = pool.Compact(q.sendQ, q.sendHead)
 	q.sendQ = append(q.sendQ, wr)
 	q.dev.SendDoorbell(q)
 	return nil
@@ -187,6 +190,7 @@ func (q *QP) PostSendN(p *sim.Proc, wrs []SendWR) (int, error) {
 	}
 	p.Use(q.dev.HostCPU().Server,
 		params.US(params.VerbsPostSendUS+float64(n-1)*params.VerbsPostSendBatchUS))
+	q.sendQ, q.sendHead = pool.Compact(q.sendQ, q.sendHead)
 	for _, wr := range wrs[:n] {
 		q.outSend++
 		q.posts++
@@ -222,6 +226,7 @@ func (q *QP) PostRecv(p *sim.Proc, wr RecvWR) error {
 	q.outRecv++
 	q.recvPosts++
 	q.postedRecv += wr.Capacity
+	q.recvQ, q.recvHead = pool.Compact(q.recvQ, q.recvHead)
 	q.recvQ = append(q.recvQ, wr)
 	q.dev.RecvPosted(q)
 	return nil
@@ -276,6 +281,7 @@ func (q *QP) PostRecvN(p *sim.Proc, wrs []RecvWR) (int, error) {
 	}
 	p.Use(q.dev.HostCPU().Server,
 		params.US(params.VerbsPostRecvUS+float64(n-1)*params.VerbsPostRecvBatchUS))
+	q.recvQ, q.recvHead = pool.Compact(q.recvQ, q.recvHead)
 	for _, wr := range wrs[:n] {
 		q.outRecv++
 		q.recvPosts++
