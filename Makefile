@@ -84,13 +84,15 @@ race:
 benchtest:
 	cd benchmark && $(GO) test ./...
 
-# Short smoke run of every fuzz target (header parsers); the committed
-# seed corpora also run as part of plain `go test`. The fuzz cache dir is
-# created up front: a fresh GOCACHE otherwise fails the first -fuzz run.
+# Short smoke run of every fuzz target (header parsers, the checksum); the
+# committed seed corpora also run as part of plain `go test`. The fuzz cache
+# dir is created up front: a fresh GOCACHE otherwise fails the first -fuzz
+# run.
 fuzz:
 	@mkdir -p "$$($(GO) env GOCACHE)/fuzz"
 	$(GO) test -run=Fuzz -fuzz=FuzzParse4 -fuzztime=5s ./internal/inet
 	$(GO) test -run=Fuzz -fuzz=FuzzParse6 -fuzztime=5s ./internal/inet
+	$(GO) test -run=Fuzz -fuzz=FuzzSum -fuzztime=5s ./internal/inet
 	$(GO) test -run=Fuzz -fuzz=FuzzParseHeader -fuzztime=5s ./internal/tcp
 	$(GO) test -run=Fuzz -fuzz=FuzzParse -fuzztime=5s ./internal/udp
 	$(GO) test -run=Fuzz -fuzz=FuzzVerify4 -fuzztime=5s ./internal/udp
@@ -140,7 +142,7 @@ bench: microbench
 	$(GO) run ./cmd/qpipbench -exp connscale -json BENCH_PR9.json
 
 microbench:
-	$(GO) test -bench=. -benchmem ./internal/sim/ ./internal/tcp/ ./internal/fabric/
+	$(GO) test -bench=. -benchmem ./internal/sim/ ./internal/tcp/ ./internal/fabric/ ./internal/inet/
 
 # The fixed-seed failure matrix: link-level chaos (drops, corruption,
 # duplication, flaps) through the frame-chaos experiment, then the

@@ -441,10 +441,7 @@ func (j *rxJob) input() {
 
 func (k *Kernel) tcpInput(j *rxJob) {
 	pkt, ip4, seg := j.pkt, &j.ip4, &j.seg
-	sum := inet.PseudoSum4(ip4.Src, ip4.Dst, inet.ProtoTCP, len(pkt.L4Hdr)+pkt.Payload.Len())
-	sum = inet.Sum(sum, pkt.L4Hdr)
-	sum = inet.SumBuf(sum, pkt.Payload)
-	if inet.Fold(sum) != 0xffff {
+	if !inet.TransportValid4(ip4.Src, ip4.Dst, inet.ProtoTCP, pkt.L4Hdr, pkt.Payload) {
 		k.rxCorrupt()
 		return
 	}

@@ -5,22 +5,63 @@
 // switch routes").
 package inet
 
-import "repro/internal/buf"
+import (
+	"encoding/binary"
+	"math/bits"
 
-// Sum computes the one's-complement running sum over data, folded to 16
-// bits, starting from an initial partial sum. Byte slices of odd length are
-// padded with a zero byte, per RFC 1071.
+	"repro/internal/buf"
+)
+
+// Sum adds data to a one's-complement running sum that starts from an
+// initial partial sum. Byte slices of odd length are padded with a zero
+// byte, per RFC 1071.
+//
+// It uses RFC 1071 §2's deferred carries on 64-bit words: big-endian
+// 8-byte loads, four to a 32-byte block, chained through bits.Add64. Each
+// block's carry-out is a 2^64 that stands for an end-around +1; it is
+// counted once per block, off the sum's dependency chain, and added back
+// at the end. Then come 8-, 4-, 2- and 1-byte tail steps. Because 2^16 ≡ 1
+// (mod 0xffff), a 64-bit word sums to the same residue as its four 16-bit
+// words, so any 16-bit-aligned placement of the tail is correct. The
+// 64-bit total is folded to 32 bits with end-around carry.
+//
+// The result is congruent mod 0xffff to the 16-bit word sum, and only
+// Fold of it is meaningful: Fold(Sum(init, data)) is the RFC 1071 value,
+// while the raw uint32 depends on how the carries happened to fold. The
+// accumulator never wraps, so this holds at any length and for any
+// initial value.
 func Sum(initial uint32, data []byte) uint32 {
-	sum := initial
-	n := len(data)
-	i := 0
-	for ; i+1 < n; i += 2 {
-		sum += uint32(data[i])<<8 | uint32(data[i+1])
+	s, carries := uint64(initial), uint64(0)
+	for ; len(data) >= 32; data = data[32:] {
+		var c uint64
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(data), 0)
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(data[8:]), c)
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(data[16:]), c)
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(data[24:]), c)
+		carries += c
 	}
-	if i < n {
-		sum += uint32(data[i]) << 8
+	// The tail is at most 31 bytes: one carry chain across it.
+	var c uint64
+	for ; len(data) >= 8; data = data[8:] {
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(data), c)
 	}
-	return sum
+	if len(data) >= 4 {
+		s, c = bits.Add64(s, uint64(binary.BigEndian.Uint32(data)), c)
+		data = data[4:]
+	}
+	if len(data) >= 2 {
+		s, c = bits.Add64(s, uint64(binary.BigEndian.Uint16(data)), c)
+		data = data[2:]
+	}
+	if len(data) == 1 {
+		s, c = bits.Add64(s, uint64(data[0])<<8, c)
+	}
+	// carries counts blocks, so it is far below 2^64: when this add
+	// carries out, s is left smaller than carries and s+c cannot wrap.
+	s, c = bits.Add64(s, carries, c)
+	s += c
+	lo, c32 := bits.Add32(uint32(s), uint32(s>>32), 0)
+	return lo + c32
 }
 
 // SumBuf adds a payload buffer to a running sum. Virtual buffers (implicit

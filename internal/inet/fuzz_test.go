@@ -36,6 +36,20 @@ func FuzzParse4(f *testing.F) {
 	})
 }
 
+// FuzzSum holds the word-at-a-time Sum to the two-byte reference loop on
+// arbitrary bytes and initial sums, at every load alignment 0-7.
+func FuzzSum(f *testing.F) {
+	f.Add(uint32(0), []byte{0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7})
+	f.Add(uint32(0xffffffff), []byte{0, 1})
+	f.Add(uint32(0x5ffff), bytes.Repeat([]byte{0xff}, 77))
+	f.Add(uint32(0xffff), []byte{})
+	f.Fuzz(func(t *testing.T, initial uint32, data []byte) {
+		for off := 0; off <= 7 && off <= len(data); off++ {
+			checkSum(t, initial, data[off:], "fuzz")
+		}
+	})
+}
+
 // FuzzParse6 does the same for the IPv6 fixed header.
 func FuzzParse6(f *testing.F) {
 	valid := Marshal6(&Header6{

@@ -246,6 +246,14 @@ func TestTransportChecksumValidatesEndToEnd(t *testing.T) {
 	if Fold(Sum(sum, full)) != 0xffff {
 		t.Error("transport checksum does not validate end to end")
 	}
+	copy(hdr, full)
+	if !TransportValid6(src, dst, ProtoUDP, hdr, payload) {
+		t.Error("TransportValid6 rejects its twin's checksum")
+	}
+	hdr[1] ^= 0x04
+	if TransportValid6(src, dst, ProtoUDP, hdr, payload) {
+		t.Error("TransportValid6 accepts a flipped header bit")
+	}
 }
 
 func TestTransportChecksum4ValidatesEndToEnd(t *testing.T) {
@@ -258,6 +266,14 @@ func TestTransportChecksum4ValidatesEndToEnd(t *testing.T) {
 	sum := PseudoSum4(src, dst, ProtoTCP, len(full))
 	if Fold(Sum(sum, full)) != 0xffff {
 		t.Error("ipv4 transport checksum does not validate end to end")
+	}
+	copy(hdr, full)
+	if !TransportValid4(src, dst, ProtoTCP, hdr, payload) {
+		t.Error("TransportValid4 rejects its twin's checksum")
+	}
+	full[len(full)-1] ^= 0x80
+	if TransportValid4(src, dst, ProtoTCP, hdr, buf.Bytes(full[len(hdr):])) {
+		t.Error("TransportValid4 accepts a flipped payload bit")
 	}
 }
 

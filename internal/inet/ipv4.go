@@ -109,8 +109,17 @@ func PseudoSum4(src, dst Addr4, proto byte, upperLen int) uint32 {
 // TransportChecksum4 computes the transport checksum field value for an
 // upper-layer header+payload under IPv4.
 func TransportChecksum4(src, dst Addr4, proto byte, hdr []byte, payload buf.Buf) uint16 {
+	return Finish(transportSum4(src, dst, proto, hdr, payload))
+}
+
+// TransportValid4 is the verifying twin of TransportChecksum4: it reports
+// whether a received upper-layer header+payload, hdr carrying its checksum
+// field as received, sums with the IPv4 pseudo-header to all ones.
+func TransportValid4(src, dst Addr4, proto byte, hdr []byte, payload buf.Buf) bool {
+	return Fold(transportSum4(src, dst, proto, hdr, payload)) == 0xffff
+}
+
+func transportSum4(src, dst Addr4, proto byte, hdr []byte, payload buf.Buf) uint32 {
 	sum := PseudoSum4(src, dst, proto, len(hdr)+payload.Len())
-	sum = Sum(sum, hdr)
-	sum = SumBuf(sum, payload)
-	return Finish(sum)
+	return SumBuf(Sum(sum, hdr), payload)
 }

@@ -90,8 +90,17 @@ func PseudoSum6(src, dst Addr6, proto byte, upperLen int) uint32 {
 // upper-layer header+payload under IPv6, where hdr carries the transport
 // header bytes with its checksum field zeroed and payload may be virtual.
 func TransportChecksum6(src, dst Addr6, proto byte, hdr []byte, payload buf.Buf) uint16 {
+	return Finish(transportSum6(src, dst, proto, hdr, payload))
+}
+
+// TransportValid6 is the verifying twin of TransportChecksum6: it reports
+// whether a received upper-layer header+payload, hdr carrying its checksum
+// field as received, sums with the IPv6 pseudo-header to all ones.
+func TransportValid6(src, dst Addr6, proto byte, hdr []byte, payload buf.Buf) bool {
+	return Fold(transportSum6(src, dst, proto, hdr, payload)) == 0xffff
+}
+
+func transportSum6(src, dst Addr6, proto byte, hdr []byte, payload buf.Buf) uint32 {
 	sum := PseudoSum6(src, dst, proto, len(hdr)+payload.Len())
-	sum = Sum(sum, hdr)
-	sum = SumBuf(sum, payload)
-	return Finish(sum)
+	return SumBuf(Sum(sum, hdr), payload)
 }

@@ -65,16 +65,6 @@ func (n *NIC) receiveFrame(f *fabric.Frame) {
 	cr.run()
 }
 
-// verifyTransport checks the real end-to-end checksum. The verification
-// itself is hardware-assisted or already charged by the checksum stage;
-// here only correctness is at stake.
-func (n *NIC) verifyTransport(ip6 *inet.Header6, pkt *wire.Packet) bool {
-	sum := inet.PseudoSum6(ip6.Src, ip6.Dst, ip6.NextHeader, len(pkt.L4Hdr)+pkt.Payload.Len())
-	sum = inet.Sum(sum, pkt.L4Hdr)
-	sum = inet.SumBuf(sum, pkt.Payload)
-	return inet.Fold(sum) == 0xffff
-}
-
 // acceptSYN mates an incoming connection to an idle QP on the listener.
 // epoch is the client adapter's boot generation carried by the SYN; the
 // new connection is fenced to it.

@@ -105,10 +105,7 @@ func Parse(b []byte) (Header, int, error) {
 
 // Verify6 checks the transport checksum of a datagram received over IPv6.
 func Verify6(src, dst inet.Addr6, hdr []byte, payload buf.Buf) error {
-	sum := inet.PseudoSum6(src, dst, inet.ProtoUDP, len(hdr)+payload.Len())
-	sum = inet.Sum(sum, hdr)
-	sum = inet.SumBuf(sum, payload)
-	if inet.Fold(sum) != 0xffff {
+	if !inet.TransportValid6(src, dst, inet.ProtoUDP, hdr, payload) {
 		return ErrBadChecksum
 	}
 	return nil
@@ -123,10 +120,7 @@ func Verify4(src, dst inet.Addr4, hdr []byte, payload buf.Buf) error {
 	if binary.BigEndian.Uint16(hdr[6:]) == 0 {
 		return nil
 	}
-	sum := inet.PseudoSum4(src, dst, inet.ProtoUDP, len(hdr)+payload.Len())
-	sum = inet.Sum(sum, hdr)
-	sum = inet.SumBuf(sum, payload)
-	if inet.Fold(sum) != 0xffff {
+	if !inet.TransportValid4(src, dst, inet.ProtoUDP, hdr, payload) {
 		return ErrBadChecksum
 	}
 	return nil
