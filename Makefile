@@ -7,8 +7,7 @@ GO ?= go
 # re-records the current findings (review the diff before committing).
 LINT_BASELINE := internal/analysis/baseline.json
 
-# Official performance measurement size and repetitions.
-BENCH_BYTES ?= 33554432
+# Official performance measurement repetitions.
 BENCH_REPEATS ?= 5
 
 build:
@@ -101,9 +100,7 @@ fuzz:
 # qpiplint suite (mandatory — proves the determinism and datapath
 # invariants, DESIGN §12), optional staticcheck and govulncheck, the full
 # suite under the race detector, the plain suite (also exercises the fuzz
-# seed corpora), a one-shot perf smoke so a broken harness fails the gate,
-# not the bench run, the perf guard (the batched boundary must be no
-# slower in wall clock than the per-token datapath), the shard-barrier
+# seed corpora and the golden files under testdata/golden), the shard-barrier
 # race run (the parallel runner and the sequential/sharded equivalence
 # matrix under -race, beyond the all-package race target above), and the
 # scale guard (sharded runs fire the identical event count and hit the
@@ -113,18 +110,14 @@ fuzz:
 # and churn must leave no residual connection state). benchtest runs the
 # nested benchmark module's own suite.
 check: fmt vet shadow lint staticcheck govulncheck race test benchtest chaos
-	$(GO) run ./cmd/qpipbench -exp perf -bytes 1048576 -perf-repeats 1 >/dev/null
-	$(GO) run ./cmd/qpipbench -exp perfguard -bytes 4194304
 	$(GO) test -race -count=1 -run 'TestParallel|TestRunPingPong|TestRunUntilLimit|TestFreeRun|TestShardPanic' ./qpip/ ./internal/sim/par/
 	$(GO) run ./cmd/qpipbench -exp scaleguard -bytes 4194304
 	$(GO) run ./cmd/qpipbench -exp collective -coll-nodes 2,8 -coll-iters 2 >/dev/null
 	$(GO) run ./cmd/qpipbench -exp collguard -coll-iters 2
 	$(GO) run ./cmd/qpipbench -exp connguard
 
-# Regenerate BENCH_PR4.json: microbenchmarks, the seed-commit baseline
-# (built from a throwaway worktree of the pre-PR tree), and the in-binary
-# A/B comparison with the seed measurement folded in. Then BENCH_PR7.json:
-# the parallel-scaling table (sequential baseline vs sharded placements,
+# Run the microbenchmarks, then regenerate BENCH_PR7.json: the
+# parallel-scaling table (sequential baseline vs sharded placements,
 # events cross-checked identical, gomaxprocs recorded per row). Then
 # BENCH_PR8.json: the collectives sweep (host-based vs NIC-offloaded
 # barrier and ring allreduce across ring/mesh/fat-tree topologies).
@@ -132,10 +125,6 @@ check: fmt vet shadow lint staticcheck govulncheck race test benchtest chaos
 # many-client NBD at 64->8192 connections, SRQ vs private receive
 # queues vs the host stacks).
 bench: microbench
-	scripts/bench_seed.sh $(BENCH_BYTES) $(BENCH_REPEATS) > /tmp/seed_baseline.json
-	$(GO) run ./cmd/qpipbench -exp perf -bytes $(BENCH_BYTES) \
-		-perf-repeats $(BENCH_REPEATS) \
-		-seed-json /tmp/seed_baseline.json -json BENCH_PR4.json
 	$(GO) run ./cmd/qpipbench -exp perfscale -bytes 8388608 \
 		-perf-repeats $(BENCH_REPEATS) -json BENCH_PR7.json
 	$(GO) run ./cmd/qpipbench -exp collective -json BENCH_PR8.json

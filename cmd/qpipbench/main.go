@@ -3,25 +3,21 @@
 //
 // Usage:
 //
-//	qpipbench [-exp all|fig3|fig4|table1|table2|table3|fig7|chaos|recovery|ablations|irq|perf|perfguard|perfscale|scaleguard|collective|collguard|connscale|connguard]
+//	qpipbench [-exp all|fig3|fig4|table1|table2|table3|fig7|chaos|recovery|ablations|irq|perfscale|scaleguard|collective|collguard|connscale|connguard]
 //	          [-bytes N] [-nbd-bytes N] [-iters N] [-full]
 //	          [-parallel N] [-shards N] [-pairs N]
 //	          [-coll-nodes LIST] [-coll-iters N] [-vec-words N]
 //	          [-conn-counts LIST] [-conn-msgs N]
 //	          [-cpuprofile FILE] [-memprofile FILE]
-//	          [-json FILE] [-seed-json FILE] [-perf-repeats N]
+//	          [-json FILE] [-perf-repeats N]
 //
 // -full runs the paper's exact workload sizes (10 MB ttcp, 409 MB NBD);
 // the default sizes are reduced for quick runs.
 //
 // -parallel N runs independent sweep points (each with its own engine and
 // cluster) across up to N goroutines; 0 means GOMAXPROCS. Reports are
-// byte-identical to a sequential run. -exp perf compares the optimized
-// engine against the seed's mechanisms and, with -json, writes the
-// machine-readable report (BENCH_PR4.json). -exp irq sweeps the CQ
-// interrupt-coalescing delay (latency vs host CPU). -exp perfguard checks
-// the batched boundary is no slower than the per-token datapath and exits
-// nonzero on regression (CI smoke).
+// byte-identical to a sequential run. -exp irq sweeps the CQ
+// interrupt-coalescing delay (latency vs host CPU).
 //
 // -exp perfscale measures the conservative parallel simulation core
 // (internal/sim/par): a many-pair workload run sequentially and sharded up
@@ -63,7 +59,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, fig3, fig4, table1, table2, table3, fig7, chaos, recovery, ablations, irq, perf, perfguard, perfscale, scaleguard, collective, collguard, connscale, connguard")
+	exp := flag.String("exp", "all", "experiment: all, fig3, fig4, table1, table2, table3, fig7, chaos, recovery, ablations, irq, perfscale, scaleguard, collective, collguard, connscale, connguard")
 	bytes := flag.Int("bytes", 4<<20, "ttcp transfer size in bytes")
 	nbdBytes := flag.Int("nbd-bytes", 64<<20, "NBD benchmark size in bytes")
 	iters := flag.Int("iters", 50, "ping-pong iterations for latency experiments")
@@ -71,9 +67,8 @@ func main() {
 	parallel := flag.Int("parallel", 1, "concurrent sweep points (0 = GOMAXPROCS)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	jsonPath := flag.String("json", "", "write the -exp perf report as JSON to this file")
-	seedJSON := flag.String("seed-json", "", "seed-commit baseline JSON (from scripts/bench_seed.sh) to fold into the perf report")
-	perfRepeats := flag.Int("perf-repeats", 3, "ttcp repetitions per config in -exp perf (best-of)")
+	jsonPath := flag.String("json", "", "write the report of -exp recovery, perfscale, collective or connscale as JSON to this file")
+	perfRepeats := flag.Int("perf-repeats", 3, "repetitions per configuration in -exp perfscale (best-of)")
 	shards := flag.Int("shards", 4, "max shard engines in -exp perfscale/scaleguard")
 	pairs := flag.Int("pairs", 4, "communicating node pairs in -exp perfscale/scaleguard")
 	collNodes := flag.String("coll-nodes", "2,8,32,128", "comma-separated group sizes for -exp collective")
@@ -169,32 +164,8 @@ func main() {
 		fmt.Println()
 		fmt.Print(bench.RenderMTUSweep(bench.AblationMTU(*bytes)))
 	}))
-	// perf runs last: its baseline phase flips the process-wide legacy
-	// knobs, which must not overlap the experiments above.
-	run("perf", mark(func() {
-		rep := bench.Perf(*bytes, *perfRepeats)
-		if *seedJSON != "" {
-			data, err := os.ReadFile(*seedJSON)
-			if err == nil {
-				err = bench.AttachSeedBaseline(&rep, data)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "seed baseline: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		fmt.Print(bench.RenderPerf(rep))
-		if *jsonPath != "" {
-			if err := bench.WritePerfJSON(*jsonPath, rep); err != nil {
-				fmt.Fprintf(os.Stderr, "write %s: %v\n", *jsonPath, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *jsonPath)
-		}
-	}))
-
-	// perfscale is excluded from -exp all like perf: its sharded clusters
-	// spawn worker threads, which must not overlap -parallel sweeps.
+	// perfscale is excluded from -exp all: its sharded clusters spawn
+	// worker threads, which must not overlap -parallel sweeps.
 	if *exp == "perfscale" {
 		ran = true
 		rep := bench.Perfscale(*pairs, *shards, *bytes, *perfRepeats)
@@ -208,16 +179,7 @@ func main() {
 		}
 	}
 
-	// perfguard/scaleguard are CI-only: never part of -exp all, exit 1 on
-	// regression.
-	if *exp == "perfguard" {
-		ran = true
-		report, ok := bench.PerfGuard(*bytes)
-		fmt.Print(report)
-		if !ok {
-			os.Exit(1)
-		}
-	}
+	// scaleguard is CI-only: never part of -exp all, exits 1 on regression.
 	if *exp == "scaleguard" {
 		ran = true
 		report, ok := bench.PerfscaleGuard(*pairs, *shards, *bytes)

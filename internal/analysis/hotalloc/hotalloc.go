@@ -31,8 +31,7 @@
 //
 // Arguments of panic(...) are exempt everywhere: a hot path may format
 // its dying words. Known-cold branches inside a hot function carry
-// "//lint:qpip-allow hotalloc <reason>" (e.g. verbs error returns, the
-// legacy heap queue).
+// "//lint:qpip-allow hotalloc <reason>" (e.g. verbs error returns).
 //
 // The companion whole-program analyzer hotprop (internal/analysis/
 // hotprop) reuses CheckFunc to apply these same patterns to every

@@ -3,38 +3,46 @@ package bench
 import (
 	"testing"
 
-	"repro/internal/hw"
+	"repro/internal/core"
+	"repro/internal/params"
+	"repro/internal/qpipnic"
 )
 
+// ttcpEvents runs one QPIP ttcp transfer of totalBytes and reports the
+// number of events the engine fired.
+func ttcpEvents(totalBytes int) uint64 {
+	var cl *core.Cluster
+	qpipTtcp(params.MTUQPIP, qpipnic.ChecksumEmulatedHW, totalBytes, nil,
+		func(c *core.Cluster) { cl = c })
+	return cl.Eng.Fired()
+}
+
 // TestTtcpEventCountInvariant pins the exact number of events a ttcp
-// transfer fires, per host↔NIC boundary mode. Every optimization in this
-// simulator is supposed to be pure mechanism — pooling, free lists, and
-// pre-bound continuations change how events are allocated and dispatched,
-// never which events fire or in what order. A drift in these counts means
-// an "optimization" changed simulated behavior, which is a correctness
-// bug regardless of how much faster it runs.
-//
-// The batched boundary legitimately fires fewer events than per-token
-// (vectored doorbells collapse FSM activations, completion trains
-// collapse CQ DMA bursts); each mode's count is pinned separately so
-// neither path can drift silently.
+// transfer fires. Every optimization in this simulator is supposed to be
+// pure mechanism — pooling, free lists, and pre-bound continuations change
+// how events are allocated and dispatched, never which events fire or in
+// what order. A drift in these counts means an "optimization" changed
+// simulated behavior, which is a correctness bug regardless of how much
+// faster it runs.
 func TestTtcpEventCountInvariant(t *testing.T) {
-	defer hw.SetBatchedBoundary(hw.BatchedBoundary())
 	for _, tc := range []struct {
-		batched bool
-		bytes   int
-		want    uint64
+		bytes int
+		want  uint64
 	}{
-		{true, 4 << 20, 9300},
-		{true, 32 << 20, 75000},
-		{false, 4 << 20, 10649},
-		{false, 32 << 20, 79949},
+		{4 << 20, 9300},
+		{32 << 20, 75000},
 	} {
-		hw.SetBatchedBoundary(tc.batched)
-		v := measureTtcpOnce("current", tc.bytes)
-		if v.Events != tc.want {
-			t.Errorf("batched=%v bytes=%d: events fired = %d, want %d",
-				tc.batched, tc.bytes, v.Events, tc.want)
+		if got := ttcpEvents(tc.bytes); got != tc.want {
+			t.Errorf("bytes=%d: events fired = %d, want %d", tc.bytes, got, tc.want)
 		}
+	}
+}
+
+// BenchmarkTtcp runs the full QPIP ttcp transfer — the profiling entry
+// point for simulator-speed work
+// (go test -bench Ttcp -cpuprofile cpu.out ./internal/bench).
+func BenchmarkTtcp(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		ttcpEvents(8 << 20)
 	}
 }

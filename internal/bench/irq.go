@@ -27,7 +27,7 @@ type IRQRow struct {
 }
 
 // irqDelaysUS is the swept coalescing delay; 0 is the immediate-wake
-// baseline (timing-identical to the per-token boundary).
+// baseline.
 var irqDelaysUS = []float64{0, 30, 70, 150, 300, 600}
 
 // irqCoalescePkts is deliberately high so the delay knob, not the packet
@@ -251,7 +251,7 @@ func RenderIRQ(rows []IRQRow) string {
 		fmt.Fprintf(&b, "%10.0f %14.1f %12.1f %11.1f%% %12.3f\n",
 			r.DelayUS, r.PingPongUS, r.StreamMBps, 100*r.StreamRecvCPU, r.WakesPerMsg)
 	}
-	b.WriteString("delay 0 = immediate wakes (identical timing to the per-token boundary);\n")
+	b.WriteString("delay 0 = immediate wakes;\n")
 	b.WriteString("larger delays pace CQ event interrupts: RTT rises, receiver wakeups and\n")
 	b.WriteString("host CPU fall as one interrupt reaps a train of completions.\n")
 	return b.String()

@@ -14,10 +14,6 @@ var sweepWorkers = 1
 // nothing but the process — results are written into per-point slots and
 // row order is independent of goroutine scheduling, keeping the reports
 // byte-identical to a sequential run. n <= 0 selects GOMAXPROCS.
-//
-// Do not combine parallel sweeps with toggling the process-wide knobs
-// (sim.SetLegacyQueue, pool.SetEnabled) mid-sweep; those are documented as
-// between-runs-only switches.
 func SetParallelism(n int) {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)

@@ -77,9 +77,6 @@ func TestArbiterScanMatchesStableSort(t *testing.T) {
 // pending-set path (kick, scan, order-preserving removal) a thousand
 // times over.
 func TestTopoGrantsAllocFree(t *testing.T) {
-	if !pool.Enabled() {
-		t.Skip("pooling disabled")
-	}
 	if pool.RaceEnabled {
 		t.Skip("race-mode sync.Pool drops recycles by design")
 	}

@@ -41,31 +41,11 @@ func BenchmarkFrameTransit(b *testing.B) {
 	}
 }
 
-// BenchmarkFrameTransitLegacyEngine is the same trip on the pre-PR binary
-// heap with per-schedule event allocation — the A/B baseline for
-// EXPERIMENTS.md.
-func BenchmarkFrameTransitLegacyEngine(b *testing.B) {
-	sim.SetLegacyQueue(true)
-	defer sim.SetLegacyQueue(false)
-	eng := sim.NewEngine()
-	delivered := 0
-	fab, src, dst := benchFabric(eng, &delivered)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fab.Send(NewFrame(src, dst, 1500, nil), nil)
-		eng.Run()
-	}
-}
-
 // TestFrameTransitAllocFree pins the steady-state fabric allocation budget
 // at zero: frames and events recycle, and the transit continuations are
 // bound to the pooled frame once, so a fault-free trip allocates nothing.
 // The guard fails if anything returns to allocating per-packet state.
 func TestFrameTransitAllocFree(t *testing.T) {
-	if !pool.Enabled() {
-		t.Skip("pooling disabled")
-	}
 	if pool.RaceEnabled {
 		t.Skip("race-mode sync.Pool drops recycles by design")
 	}

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -153,13 +152,10 @@ func retainPayload(p any) {
 //lint:qpip-allow nogoroutine free list only; no synchronization semantics leak into the model
 var framePool = sync.Pool{New: func() any { return new(Frame) }}
 
-// NewFrame builds a frame, drawn from a pool when datapath pooling is
-// enabled. Ownership passes to the fabric at Send; the fabric recycles the
-// frame after its final delivery, so handlers must not retain it.
+// NewFrame builds a frame drawn from a pool. Ownership passes to the fabric
+// at Send; the fabric recycles the frame after its final delivery, so
+// handlers must not retain it.
 func NewFrame(src, dst, wireSize int, payload any) *Frame {
-	if !pool.Enabled() {
-		return &Frame{Src: src, Dst: dst, WireSize: wireSize, Payload: payload}
-	}
 	fr := framePool.Get().(*Frame)
 	*fr = Frame{
 		Src: src, Dst: dst, WireSize: wireSize, Payload: payload, pooled: true,

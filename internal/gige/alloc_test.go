@@ -17,9 +17,6 @@ import (
 // per-packet jobs carry continuations bound once, and every queue on the
 // way reuses its backing array.
 func TestHostStackSegmentAllocBudget(t *testing.T) {
-	if !pool.Enabled() {
-		t.Skip("pooling disabled")
-	}
 	if pool.RaceEnabled {
 		t.Skip("race-mode sync.Pool drops recycles by design")
 	}

@@ -494,7 +494,7 @@ func (k *Kernel) acceptSYN(seg *tcp.Segment, ip4 *inet.Header4) {
 	child.conn = tcp.NewConn(k.connConfig(seg.DstPort, seg.SrcPort, r.dev.MTU(), lst.noDelay))
 	// The kernel consumes every Actions before re-entering the TCB, so the
 	// action slices can live in per-conn reusable buffers.
-	child.conn.ReuseActionBuffers(pool.Enabled())
+	child.conn.ReuseActionBuffers(true)
 	k.registerConn(tcpKey{seg.DstPort, ip4.Src, seg.SrcPort}, child)
 	now := int64(k.eng.Now())
 	acts, err := child.conn.AcceptSYN(seg, now)

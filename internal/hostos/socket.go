@@ -153,7 +153,7 @@ func (s *Socket) Connect(p *sim.Proc, raddr inet.Addr4, rport uint16) error {
 	s.raddr, s.rport = raddr, rport
 	s.localPort = s.k.allocPort()
 	s.conn = tcp.NewConn(s.k.connConfig(s.localPort, rport, r.dev.MTU(), s.noDelay))
-	s.conn.ReuseActionBuffers(pool.Enabled())
+	s.conn.ReuseActionBuffers(true)
 	s.k.registerConn(tcpKey{s.localPort, raddr, rport}, s)
 	now := int64(s.k.eng.Now())
 	acts, err := s.conn.Connect(now)

@@ -11,21 +11,6 @@ import (
 	"repro/internal/sim"
 )
 
-// batched selects the host↔NIC boundary mode. In batched mode (the
-// default) the host posts vectored doorbells, the firmware drains whole
-// FIFOs per activation, and completion wakes route through IRQLine
-// coalescing. Per-token mode preserves the original one-token/one-wake
-// boundary for equivalence testing and perf comparison. With a coalescing
-// delay of 0 the two modes are timing-identical by construction.
-var batched = true
-
-// SetBatchedBoundary switches the boundary mode process-wide. Call it
-// before building a cluster; flipping it mid-simulation is undefined.
-func SetBatchedBoundary(on bool) { batched = on }
-
-// BatchedBoundary reports the current boundary mode.
-func BatchedBoundary() bool { return batched }
-
 // PCIBus is the shared I/O bus. Every DMA transfer and programmed-I/O
 // write serializes through it, so concurrent DMA engines contend here —
 // the physical reality that bounded the prototype's large-MTU throughput.
@@ -144,22 +129,8 @@ func (d *Doorbell) Ring(token uint64) bool {
 	return true
 }
 
-// Pop dequeues the oldest token.
-func (d *Doorbell) Pop() (uint64, bool) {
-	if d.head >= len(d.fifo) {
-		return 0, false
-	}
-	t := d.fifo[d.head]
-	d.head++
-	if d.head == len(d.fifo) {
-		d.fifo, d.head = d.fifo[:0], 0
-	}
-	return t, true
-}
-
 // PopN drains up to len(dst) tokens into dst in FIFO order and reports
-// how many it moved — the firmware's vectored ring-drain. One PopN per
-// FSM activation replaces a loop of Pops without changing ordering.
+// how many it moved — the firmware's vectored ring-drain.
 func (d *Doorbell) PopN(dst []uint64) int {
 	n := copy(dst, d.fifo[d.head:])
 	d.head += n

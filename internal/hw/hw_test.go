@@ -81,13 +81,13 @@ func TestDoorbellFIFOOrder(t *testing.T) {
 			t.Fatalf("ring %d rejected", i)
 		}
 	}
+	var v [1]uint64
 	for i := uint64(0); i < 5; i++ {
-		v, ok := d.Pop()
-		if !ok || v != i {
-			t.Fatalf("pop %d = %d, %v", i, v, ok)
+		if n := d.PopN(v[:]); n != 1 || v[0] != i {
+			t.Fatalf("pop %d = %d, %d", i, v[0], n)
 		}
 	}
-	if _, ok := d.Pop(); ok {
+	if d.PopN(v[:]) != 0 {
 		t.Error("pop from empty FIFO succeeded")
 	}
 }
@@ -116,8 +116,7 @@ func TestDoorbellOnRingEdgeTriggered(t *testing.T) {
 	if wakeups != 1 {
 		t.Fatalf("wakeups = %d after two rings, want 1", wakeups)
 	}
-	d.Pop()
-	d.Pop()
+	d.PopN(make([]uint64, 2))
 	d.Ring(3)
 	if wakeups != 2 {
 		t.Fatalf("wakeups = %d after drain and re-ring, want 2", wakeups)
@@ -142,11 +141,10 @@ func TestDoorbellPopNDrainsInOrder(t *testing.T) {
 	if n := d.PopN(dst[:]); n != 0 {
 		t.Fatalf("PopN on empty FIFO = %d", n)
 	}
-	// Drained FIFO reuses its backing array, same as Pop.
+	// Drained FIFO reuses its backing array.
 	d.Ring(9)
-	v, ok := d.Pop()
-	if !ok || v != 9 {
-		t.Fatalf("Pop after PopN drain = %d, %v", v, ok)
+	if n := d.PopN(dst[:]); n != 1 || dst[0] != 9 {
+		t.Fatalf("PopN after drain = %d, dst = %v", n, dst)
 	}
 }
 

@@ -1,29 +1,12 @@
-// Package pool holds the process-wide switch for datapath object pooling,
-// plus the free-list pop shared by the per-owner recyclers (Take) and the
-// head-indexed FIFO compaction shared by the queues that never drain
-// (Compact).
+// Package pool holds the datapath recycling helpers: the free-list pop
+// shared by the per-owner recyclers (Take) and the head-indexed FIFO
+// compaction shared by the queues that never drain (Compact).
 //
 // The hot-path packages (tcp, wire, fabric) draw their per-packet objects —
-// segments, packets, frames — from sync.Pools when pooling is enabled, and
-// fall back to plain allocation when it is disabled. The switch exists so
-// benchmarks and the chaos determinism tests can run the exact pre-pooling
-// allocation behaviour ("old path") and the pooled behaviour in the same
-// binary and compare traces and costs.
-//
-// SetEnabled must only be called while no simulation is running: the flag is
-// read without synchronization on hot paths, so toggling it concurrently
-// with engine execution is a data race. The benchmark harness toggles it
-// between phases, before any worker goroutines start.
+// segments, packets, frames — from sync.Pools; the per-owner runners and
+// jobs (NIC stage chains, collective messages, host-stack and device jobs)
+// use Take on a free list that belongs to one engine.
 package pool
-
-var enabled = true
-
-// Enabled reports whether datapath pooling is on (the default).
-func Enabled() bool { return enabled }
-
-// SetEnabled switches datapath pooling on or off for subsequently created
-// objects. Call only between simulation runs; see the package comment.
-func SetEnabled(v bool) { enabled = v }
 
 // Take pops the most recently freed object off a per-owner free list, or
 // returns nil when the list is empty and the caller must construct one.

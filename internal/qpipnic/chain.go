@@ -63,8 +63,7 @@ type stage struct {
 // chainRun executes a stage sequence. The continuation funcs are bound to
 // the runner once; per-packet state lives in plain fields instead of
 // closure environments. Runners recycle through a per-NIC free list (the
-// engine is single-threaded, so no locking), gated by pool.Enabled like
-// the rest of the datapath pools.
+// engine is single-threaded, so no locking).
 type chainRun struct {
 	n       *NIC
 	stages  [8]stage
@@ -155,12 +154,8 @@ func newChainRun(n *NIC) *chainRun {
 //
 //qpip:hotpath
 func (n *NIC) getChain(done func()) *chainRun {
-	var cr *chainRun
-	if k := len(n.chainFree); k > 0 && pool.Enabled() {
-		cr = n.chainFree[k-1]
-		n.chainFree[k-1] = nil
-		n.chainFree = n.chainFree[:k-1]
-	} else {
+	cr := pool.Take(&n.chainFree)
+	if cr == nil {
 		//lint:qpip-allow hotprop pool-miss construction only; runners are recycled through chainFree, so the closures newChainRun binds amortize to zero per packet
 		cr = newChainRun(n)
 	}
@@ -186,9 +181,7 @@ func (n *NIC) putChain(cr *chainRun) {
 	cr.rec = buf.Empty
 	cr.completions = 0
 	cr.train = 0
-	if pool.Enabled() {
-		n.chainFree = append(n.chainFree, cr)
-	}
+	n.chainFree = append(n.chainFree, cr)
 }
 
 // push appends one stage.

@@ -58,9 +58,6 @@ func checkCollPools(t *testing.T, nics []*NIC, wantLive int) {
 // does allocate is per operation (the op entry, the post and completion
 // closures, the result payload), amortized here over 126 steps a rank.
 func TestCollRingStepAllocFree(t *testing.T) {
-	if !pool.Enabled() {
-		t.Skip("pooling disabled")
-	}
 	if pool.RaceEnabled {
 		t.Skip("race-mode sync.Pool drops recycles by design")
 	}

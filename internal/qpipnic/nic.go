@@ -30,7 +30,6 @@ import (
 	"repro/internal/hw"
 	"repro/internal/inet"
 	"repro/internal/params"
-	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/tcp"
 	"repro/internal/trace"
@@ -688,7 +687,7 @@ func (n *NIC) Connect(qp *verbs.QP, raddr inet.Addr6, rport uint16) error {
 	qs.localPort = n.allocTCPPort()
 	qs.remoteAddr, qs.remotePort, qs.remoteAtt = raddr, rport, att
 	qs.conn = tcp.NewConn(n.connConfig(qs.localPort, rport))
-	qs.conn.ReuseActionBuffers(pool.Enabled())
+	qs.conn.ReuseActionBuffers(true)
 	n.tcpConns[tcpKey{qs.localPort, raddr, rport}] = qs
 	now := int64(n.eng.Now())
 	acts, err := qs.conn.Connect(now)
@@ -741,8 +740,8 @@ func (n *NIC) RecvPosted(qp *verbs.QP) {
 }
 
 // dbToken encodes a vectored doorbell token: the QPN in the low 32 bits,
-// the WR count in the high 32. A count of 0 means 1 — the per-token
-// ringFn writes a bare QPN, so legacy tokens decode unchanged.
+// the WR count in the high 32. A count of 0 means 1: the single-WR
+// ringFn writes a bare QPN.
 func dbToken(qpn uint32, count int) uint64 {
 	return uint64(qpn) | uint64(uint32(count))<<32
 }
@@ -766,10 +765,9 @@ func (n *NIC) RecvPostedN(qp *verbs.QP, count int) {
 }
 
 // AttachCQ implements verbs.Device: bind the CQ's completion wakeups to
-// a coalescible event line, replacing the old ad-hoc per-token wake. The
-// ISR only wakes the armed waiter — the lightweight-ISR CPU cost stays
-// charged in CQ.Wait (VerbsWakeupUS), so with zero coalescing delay this
-// path is timing-identical to the direct wake.
+// a coalescible event line. The ISR only wakes the armed waiter — the
+// lightweight-ISR CPU cost stays charged in CQ.Wait (VerbsWakeupUS), so
+// with zero coalescing delay a wake lands at the instant of the Push.
 func (n *NIC) AttachCQ(cq *verbs.CQ) {
 	line := hw.NewIRQLine(n.eng, func(int) { cq.EventWake() })
 	line.SetCoalesce(n.cfg.CQCoalescePkts, n.cfg.CQCoalesceDelay)

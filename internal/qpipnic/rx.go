@@ -3,7 +3,6 @@ package qpipnic
 import (
 	"repro/internal/fabric"
 	"repro/internal/inet"
-	"repro/internal/pool"
 	"repro/internal/tcp"
 	"repro/internal/wire"
 )
@@ -100,7 +99,7 @@ func (n *NIC) acceptSYN(seg *tcp.Segment, ip6 *inet.Header6, epoch uint32) {
 	qs.conn = tcp.NewConn(n.connConfig(seg.DstPort, seg.SrcPort))
 	// The firmware consumes every Actions before re-entering the TCB, so
 	// the action slices can live in per-conn reusable buffers.
-	qs.conn.ReuseActionBuffers(pool.Enabled())
+	qs.conn.ReuseActionBuffers(true)
 	// Receive WRs may already be posted on the parked QP.
 	qs.conn.SetRecvWindow(qp.PostedRecvBytes(), int64(n.eng.Now()))
 	n.tcpConns[tcpKey{seg.DstPort, ip6.Src, seg.SrcPort}] = qs

@@ -2,7 +2,6 @@ package qpipnic
 
 import (
 	"repro/internal/buf"
-	"repro/internal/hw"
 	"repro/internal/inet"
 	"repro/internal/pool"
 	"repro/internal/sim"
@@ -62,10 +61,8 @@ func (n *NIC) kickTx() {
 }
 
 // onDoorbell is the doorbell FSM wakeup: drain the whole FIFO in one
-// activation and mark QPs. In batched mode the drain is vectored (PopN
-// into the scratch buffer, tokens may carry a WR count); per-token mode
-// keeps the original one-Pop loop. For count-1 tokens the two paths
-// enqueue identical work in identical order.
+// activation and mark QPs. The drain is vectored (PopN into the scratch
+// buffer); a token may carry a WR count, and a bare QPN counts as one.
 //
 //qpip:hotpath
 func (n *NIC) onDoorbell() {
@@ -75,20 +72,6 @@ func (n *NIC) onDoorbell() {
 			if k := n.db.PopN(n.dbScratch[:]); k == 0 {
 				return
 			}
-		}
-	}
-	if !hw.BatchedBoundary() {
-		for {
-			tok, ok := n.db.Pop()
-			if !ok {
-				return
-			}
-			qs := n.qps.get(uint32(tok))
-			if qs == nil {
-				continue
-			}
-			qs.pendingWRs++
-			n.enqueueTx(txWork{qs: qs})
 		}
 	}
 	for {

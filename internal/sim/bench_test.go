@@ -2,15 +2,8 @@ package sim
 
 import "testing"
 
-// benchEngine builds an engine in the requested queue mode.
-func benchEngine(legacy bool) *Engine {
-	SetLegacyQueue(legacy)
-	defer SetLegacyQueue(false)
-	return NewEngine()
-}
-
-func benchScheduleFire(b *testing.B, legacy bool) {
-	e := benchEngine(legacy)
+func BenchmarkScheduleFire(b *testing.B) {
+	e := NewEngine()
 	nop := func() {}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -20,11 +13,8 @@ func benchScheduleFire(b *testing.B, legacy bool) {
 	}
 }
 
-func BenchmarkScheduleFire(b *testing.B)       { benchScheduleFire(b, false) }
-func BenchmarkScheduleFireLegacy(b *testing.B) { benchScheduleFire(b, true) }
-
-func benchScheduleCancel(b *testing.B, legacy bool) {
-	e := benchEngine(legacy)
+func BenchmarkScheduleCancel(b *testing.B) {
+	e := NewEngine()
 	nop := func() {}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -34,13 +24,10 @@ func benchScheduleCancel(b *testing.B, legacy bool) {
 	}
 }
 
-func BenchmarkScheduleCancel(b *testing.B)       { benchScheduleCancel(b, false) }
-func BenchmarkScheduleCancelLegacy(b *testing.B) { benchScheduleCancel(b, true) }
-
 // BenchmarkTimerChurn models the tcp timer pattern: a standing far deadline
 // that is repeatedly cancelled and re-armed while near events fire.
-func benchTimerChurn(b *testing.B, legacy bool) {
-	e := benchEngine(legacy)
+func BenchmarkTimerChurn(b *testing.B) {
+	e := NewEngine()
 	nop := func() {}
 	var timer *Event
 	b.ReportAllocs()
@@ -55,9 +42,6 @@ func benchTimerChurn(b *testing.B, legacy bool) {
 		e.step()
 	}
 }
-
-func BenchmarkTimerChurn(b *testing.B)       { benchTimerChurn(b, false) }
-func BenchmarkTimerChurnLegacy(b *testing.B) { benchTimerChurn(b, true) }
 
 func BenchmarkParkWake(b *testing.B) {
 	e := NewEngine()

@@ -6,18 +6,13 @@
 // deterministic: events fire in non-decreasing timestamp order, with ties
 // broken by scheduling order.
 //
-// Two queue implementations live behind the same API. The default is a
-// four-level hierarchical timer wheel (wheel.go) with a per-engine Event
-// free list, so steady-state scheduling, cancellation, and firing allocate
-// nothing. The original container/heap queue is kept as a baseline, selected
-// with SetLegacyQueue, for A/B determinism tests and benchmark comparisons.
-// Both orderings are identical by construction: (at, seq) is a total order.
+// The queue is a four-level hierarchical timer wheel (wheel.go) with a
+// per-engine Event free list, so steady-state scheduling, cancellation, and
+// firing allocate nothing. Events fire in (at, seq) order, a total order;
+// wheel_test.go checks the wheel against a plain (at, seq) priority queue.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is a simulated timestamp in nanoseconds since the start of the run.
 type Time int64
@@ -55,22 +50,9 @@ func (t Time) String() string {
 // Micros converts a floating-point number of microseconds to a Time.
 func Micros(us float64) Time { return Time(us * 1e3) }
 
-// legacyQueue selects the container/heap queue (and disables event pooling)
-// for engines created after the call. It exists so benchmarks and the chaos
-// determinism tests can compare the optimized engine against the original.
-var legacyQueue bool
-
-// SetLegacyQueue selects the pre-wheel heap queue for subsequently created
-// engines. Call only between simulation runs.
-func SetLegacyQueue(v bool) { legacyQueue = v }
-
-// LegacyQueue reports whether new engines will use the heap queue.
-func LegacyQueue() bool { return legacyQueue }
-
 // Event lifecycle states.
 const (
 	evFree     uint8 = iota // on the engine free list (or never scheduled)
-	evHeap                  // queued in the legacy binary heap
 	evWheel                 // linked into a timer-wheel slot
 	evDue                   // in the due buffer, about to fire
 	evOverflow              // parked beyond the wheel horizon
@@ -101,8 +83,6 @@ type Event struct {
 	// allocation-free.
 	srv *Server
 
-	index int // heap position (legacy engines), -1 once popped or removed
-
 	// Timer-wheel intrusive list links. next doubles as the free-list link.
 	next, prev *Event
 	level      int8
@@ -120,10 +100,6 @@ func (ev *Event) Canceled() bool { return ev.state == evCanceled }
 // a no-op.
 func (ev *Event) Cancel() {
 	switch ev.state {
-	case evHeap:
-		ev.state = evCanceled
-		ev.eng.live--
-		heap.Remove(&ev.eng.queue, ev.index)
 	case evWheel:
 		ev.state = evCanceled
 		ev.eng.live--
@@ -136,35 +112,6 @@ func (ev *Event) Cancel() {
 	}
 }
 
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
-}
-
 // Engine is a discrete-event simulation kernel.
 //
 // The zero value is not usable; create engines with NewEngine.
@@ -175,13 +122,10 @@ type Engine struct {
 	fired   uint64
 	live    int // scheduled, not yet fired or cancelled
 	stopped bool
-	legacy  bool
 
-	queue eventHeap // legacy mode
-
-	// Wheel mode: the wheel proper plus the "due" buffer — the already
-	// drained, (at, seq)-ordered run of events about to fire. dueHead
-	// indexes the next event to pop so draining never shifts the slice.
+	// The wheel proper plus the "due" buffer — the already drained,
+	// (at, seq)-ordered run of events about to fire. dueHead indexes the
+	// next event to pop so draining never shifts the slice.
 	wheel   wheel
 	due     []*Event
 	dueHead int
@@ -190,7 +134,7 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at zero and an empty queue.
 func NewEngine() *Engine {
-	return &Engine{legacy: legacyQueue}
+	return &Engine{}
 }
 
 // Now reports the current simulated time.
@@ -222,7 +166,7 @@ func (e *Engine) NextAt() (Time, bool) {
 	return ev.at, true
 }
 
-// alloc hands out an event, reusing the free list in wheel mode.
+// alloc hands out an event, reusing the free list.
 //
 //qpip:hotpath
 func (e *Engine) alloc(t Time, name string, fn func()) *Event {
@@ -244,9 +188,6 @@ func (e *Engine) alloc(t Time, name string, fn func()) *Event {
 //
 //qpip:hotpath
 func (e *Engine) recycle(ev *Event) {
-	if e.legacy {
-		return // legacy engines model the original allocate-per-event path
-	}
 	ev.fn = nil
 	ev.name = ""
 	ev.srv = nil
@@ -265,11 +206,6 @@ func (e *Engine) At(t Time, name string, fn func()) *Event {
 	}
 	ev := e.alloc(t, name, fn)
 	e.live++
-	if e.legacy {
-		ev.state = evHeap
-		heap.Push(&e.queue, ev)
-		return ev
-	}
 	// An active due buffer covers timestamps up to its last entry; events
 	// landing inside that span must join it (sorted; equal timestamps go
 	// after existing ones since the new seq is highest). Everything later
@@ -325,15 +261,6 @@ func (e *Engine) Stop() { e.stopped = true }
 //
 //qpip:hotpath
 func (e *Engine) peek() (*Event, bool) {
-	if e.legacy {
-		for len(e.queue) > 0 {
-			if ev := e.queue[0]; ev.state != evCanceled {
-				return ev, true
-			}
-			heap.Pop(&e.queue) // stale entry; cancelled events are removed eagerly
-		}
-		return nil, false
-	}
 	for {
 		for e.dueHead < len(e.due) {
 			ev := e.due[e.dueHead]
@@ -360,12 +287,8 @@ func (e *Engine) step() bool {
 	if !ok {
 		return false
 	}
-	if e.legacy {
-		heap.Pop(&e.queue)
-	} else {
-		e.due[e.dueHead] = nil
-		e.dueHead++
-	}
+	e.due[e.dueHead] = nil
+	e.dueHead++
 	ev.state = evFired
 	e.now = ev.at
 	e.lastAt = ev.at

@@ -1,10 +1,100 @@
 package sim
 
 import (
+	"container/heap"
 	"fmt"
 	"math/rand"
 	"testing"
 )
+
+// refQueue is the reference the wheel is checked against: a binary heap in
+// (at, seq) order, the order the engine promises, with eager cancellation.
+type refQueue struct {
+	h          refHeap
+	now        Time
+	seq, fired uint64
+}
+
+type refEvent struct {
+	at    Time
+	seq   uint64
+	fn    func()
+	index int // heap position, -1 once fired or cancelled
+	q     *refQueue
+}
+
+func (ev *refEvent) Cancel() {
+	if ev.index >= 0 {
+		heap.Remove(&ev.q.h, ev.index)
+	}
+}
+
+type refHeap []*refEvent
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	return h[i].at < h[j].at || h[i].at == h[j].at && h[i].seq < h[j].seq
+}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i]; h[i].index, h[j].index = i, j }
+func (h *refHeap) Push(x any)   { ev := x.(*refEvent); ev.index = len(*h); *h = append(*h, ev) }
+func (h *refHeap) Pop() any {
+	old := *h
+	ev := old[len(old)-1]
+	ev.index = -1
+	*h = old[:len(old)-1]
+	return ev
+}
+
+func (q *refQueue) After(d Time, _ string, fn func()) canceler {
+	q.seq++
+	ev := &refEvent{at: q.now + d, seq: q.seq, fn: fn, q: q}
+	heap.Push(&q.h, ev)
+	return ev
+}
+
+func (q *refQueue) step() {
+	ev := heap.Pop(&q.h).(*refEvent)
+	q.now = ev.at
+	q.fired++
+	ev.fn()
+}
+
+func (q *refQueue) RunFor(d Time) {
+	t := q.now + d
+	for len(q.h) > 0 && q.h[0].at <= t {
+		q.step()
+	}
+	q.now = max(q.now, t)
+}
+
+func (q *refQueue) Run() {
+	for len(q.h) > 0 {
+		q.step()
+	}
+}
+
+func (q *refQueue) Now() Time     { return q.now }
+func (q *refQueue) Fired() uint64 { return q.fired }
+func (q *refQueue) Pending() int  { return len(q.h) }
+
+type canceler interface{ Cancel() }
+
+// scriptQueue is what runQueueScript needs from a queue implementation.
+type scriptQueue interface {
+	After(d Time, name string, fn func()) canceler
+	RunFor(d Time)
+	Run()
+	Now() Time
+	Fired() uint64
+	Pending() int
+}
+
+// wheelQueue adapts *Engine to scriptQueue.
+type wheelQueue struct{ *Engine }
+
+func (q wheelQueue) After(d Time, name string, fn func()) canceler {
+	return q.Engine.After(d, name, fn)
+}
 
 // traceEntry records one fired event for cross-queue comparison.
 type traceEntry struct {
@@ -18,10 +108,9 @@ type traceEntry struct {
 // far-future timers that land in the wheel's overflow. The rng is consulted
 // in callback execution order, so any ordering difference between queue
 // implementations snowballs into an obviously different trace.
-func runQueueScript(seed int64) (trace []traceEntry, fired uint64, pending int) {
-	e := NewEngine()
+func runQueueScript(e scriptQueue, seed int64) (trace []traceEntry, fired uint64, pending int) {
 	rng := rand.New(rand.NewSource(seed))
-	var handles []*Event
+	var handles []canceler
 	nameN := 0
 
 	randomDelay := func() Time {
@@ -85,15 +174,12 @@ func runQueueScript(seed int64) (trace []traceEntry, fired uint64, pending int) 
 }
 
 // TestWheelMatchesLegacyHeap is the queue-equivalence property: the timer
-// wheel must produce bit-for-bit the event order of the original
-// container/heap queue on randomized workloads.
+// wheel must produce bit-for-bit the event order of a plain (at, seq) heap,
+// the engine's original queue, on randomized workloads.
 func TestWheelMatchesLegacyHeap(t *testing.T) {
-	defer SetLegacyQueue(false)
 	for seed := int64(1); seed <= 12; seed++ {
-		SetLegacyQueue(true)
-		wantTrace, wantFired, wantPending := runQueueScript(seed)
-		SetLegacyQueue(false)
-		gotTrace, gotFired, gotPending := runQueueScript(seed)
+		wantTrace, wantFired, wantPending := runQueueScript(&refQueue{}, seed)
+		gotTrace, gotFired, gotPending := runQueueScript(wheelQueue{NewEngine()}, seed)
 
 		if gotFired != wantFired || gotPending != wantPending {
 			t.Fatalf("seed %d: fired/pending = %d/%d (wheel) vs %d/%d (heap)",
@@ -116,38 +202,28 @@ func TestWheelMatchesLegacyHeap(t *testing.T) {
 
 // TestCancelledTimersDoNotGrowQueue is the cancelled-event-leak regression:
 // schedule and immediately cancel 1M timers (the tcp rexmt/delack churn
-// pattern) and require that neither queue implementation accumulates them.
+// pattern) and require that the queue does not accumulate them.
 func TestCancelledTimersDoNotGrowQueue(t *testing.T) {
-	defer SetLegacyQueue(false)
-	for _, legacy := range []bool{false, true} {
-		SetLegacyQueue(legacy)
-		e := NewEngine()
-		anchor := false
-		e.After(2*Second, "anchor", func() { anchor = true })
-		const total = 1 << 20
-		for i := 0; i < total; i++ {
-			ev := e.After(Time(1000+i%777), "churn", func() { t.Error("cancelled timer fired") })
-			ev.Cancel()
-			if !ev.Canceled() {
-				t.Fatalf("legacy=%v: Canceled() false after Cancel", legacy)
-			}
-			if p := e.Pending(); p != 1 {
-				t.Fatalf("legacy=%v: Pending = %d after %d cancels, want 1", legacy, p, i+1)
-			}
+	e := NewEngine()
+	anchor := false
+	e.After(2*Second, "anchor", func() { anchor = true })
+	const total = 1 << 20
+	for i := 0; i < total; i++ {
+		ev := e.After(Time(1000+i%777), "churn", func() { t.Error("cancelled timer fired") })
+		ev.Cancel()
+		if !ev.Canceled() {
+			t.Fatal("Canceled() false after Cancel")
 		}
-		if legacy {
-			if n := len(e.queue); n != 1 {
-				t.Fatalf("legacy heap holds %d entries after cancels, want 1", n)
-			}
-		} else {
-			if n := len(e.due); n != e.dueHead {
-				t.Fatalf("due buffer holds %d entries after cancels", n-e.dueHead)
-			}
+		if p := e.Pending(); p != 1 {
+			t.Fatalf("Pending = %d after %d cancels, want 1", p, i+1)
 		}
-		e.Run()
-		if e.Fired() != 1 || !anchor {
-			t.Fatalf("legacy=%v: fired %d events, want 1 (anchor ran: %v)", legacy, e.Fired(), anchor)
-		}
+	}
+	if n := len(e.due); n != e.dueHead {
+		t.Fatalf("due buffer holds %d entries after cancels", n-e.dueHead)
+	}
+	e.Run()
+	if e.Fired() != 1 || !anchor {
+		t.Fatalf("fired %d events, want 1 (anchor ran: %v)", e.Fired(), anchor)
 	}
 }
 

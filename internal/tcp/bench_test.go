@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/buf"
-	"repro/internal/pool"
 )
 
 // This file measures the PR-2 datapath claims at the protocol-engine level:
@@ -16,7 +15,7 @@ import (
 
 // benchPair builds an established record-mode pair by exchanging the
 // handshake segments directly, the way the firmware drives the TCB.
-func benchPair(tb testing.TB, reuse bool) (client, server *Conn) {
+func benchPair(tb testing.TB) (client, server *Conn) {
 	tb.Helper()
 	mk := func(lp, rp uint16, iss Seq) *Conn {
 		c := NewConn(Config{
@@ -26,7 +25,7 @@ func benchPair(tb testing.TB, reuse bool) (client, server *Conn) {
 			WindowScale: true, Timestamps: true,
 			ISS: iss,
 		})
-		c.ReuseActionBuffers(reuse)
+		c.ReuseActionBuffers(true)
 		return c
 	}
 	client = mk(1000, 2000, 100)
@@ -115,10 +114,10 @@ func BenchmarkSegmentParse(b *testing.B) {
 	}
 }
 
-func benchRoundtrip(b *testing.B, pooled bool) {
-	defer pool.SetEnabled(pool.Enabled())
-	pool.SetEnabled(pooled)
-	client, server := benchPair(b, pooled)
+// BenchmarkRecordRoundtrip is the pooled send path: recycled segments,
+// reused Actions backing, free-listed flight entries, head-indexed queues.
+func BenchmarkRecordRoundtrip(b *testing.B) {
+	client, server := benchPair(b)
 	payload := buf.Pattern(4096, 0x5A)
 	now := int64(2_000_000_000)
 	b.ReportAllocs()
@@ -129,24 +128,13 @@ func benchRoundtrip(b *testing.B, pooled bool) {
 	}
 }
 
-// BenchmarkRecordRoundtrip is the pooled send path: recycled segments,
-// reused Actions backing, free-listed flight entries, head-indexed queues.
-func BenchmarkRecordRoundtrip(b *testing.B) { benchRoundtrip(b, true) }
-
-// BenchmarkRecordRoundtripNoPool is the pre-PR allocation behavior, kept as
-// the A/B baseline for EXPERIMENTS.md.
-func BenchmarkRecordRoundtripNoPool(b *testing.B) { benchRoundtrip(b, false) }
-
 // TestSendPathAllocFree is the allocation regression gate for the record
 // send path: once warm, a full send→deliver→ack round trip must not
 // allocate. (testing.AllocsPerRun can observe a stray allocation if a GC
 // cycle empties the segment pool mid-measurement, so the bound allows a
 // small fraction rather than demanding exactly zero.)
 func TestSendPathAllocFree(t *testing.T) {
-	if !pool.Enabled() {
-		t.Skip("pooling disabled")
-	}
-	client, server := benchPair(t, true)
+	client, server := benchPair(t)
 	payload := buf.Pattern(4096, 0x5A)
 	now := int64(2_000_000_000)
 	step := func() {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/buf"
-	"repro/internal/pool"
 )
 
 // Mode selects how application data maps onto segments.
@@ -643,12 +642,8 @@ func (c *Conn) newFlightSeg() *flightSeg {
 }
 
 // freeFlightSeg recycles a retired flight entry, dropping its payload
-// reference so acknowledged data is not pinned. With pooling disabled
-// entries fall to the collector, matching the pre-pool baseline.
+// reference so acknowledged data is not pinned.
 func (c *Conn) freeFlightSeg(f *flightSeg) {
-	if !pool.Enabled() {
-		return
-	}
 	*f = flightSeg{}
 	c.flightFree = append(c.flightFree, f)
 }

@@ -1,10 +1,6 @@
 package tcp
 
-import (
-	"sync"
-
-	"repro/internal/pool"
-)
+import "sync"
 
 // Outbound segments are built, marshaled, and dropped at a rate of one per
 // MSS of goodput; pooling them (like the Event free list in sim) removes
@@ -22,12 +18,8 @@ import (
 //lint:qpip-allow nogoroutine free list only; no synchronization semantics leak into the model
 var segPool = sync.Pool{New: func() any { return new(Segment) }}
 
-// NewSegment returns a zeroed segment (WScale -1 = absent), pooled when
-// datapath pooling is enabled.
+// NewSegment returns a zeroed pooled segment (WScale -1 = absent).
 func NewSegment() *Segment {
-	if !pool.Enabled() {
-		return &Segment{WScale: -1}
-	}
 	s := segPool.Get().(*Segment)
 	*s = Segment{WScale: -1, pooled: true}
 	return s

@@ -20,11 +20,11 @@ type CQ struct {
 	head     int
 	waiter   *sim.Proc
 	overflow uint64
-	// irq, when bound, is the CQ's event line: with the batched boundary
-	// on, a Push that finds an armed waiter raises the line instead of
-	// waking the waiter directly, and the device's ISR performs the wake.
-	// With a coalescing delay of 0 the Raise→fire→wake path is
-	// synchronous, so it is timing-identical to the direct wake.
+	// irq, when bound, is the CQ's event line: a Push that finds an armed
+	// waiter raises the line instead of waking the waiter directly, and
+	// the device's ISR performs the wake. With a coalescing delay of 0 the
+	// Raise→fire→wake path is synchronous, so it is timing-identical to
+	// the direct wake.
 	irq *hw.IRQLine
 	// overflowPending arms the synthetic StatusCQOverflow completion the
 	// application reaps after draining what survived — overflow is an
@@ -107,7 +107,7 @@ func (c *CQ) Push(comp Completion) {
 		c.maxLen = c.Len()
 	}
 	if c.waiter != nil {
-		if c.irq != nil && hw.BatchedBoundary() {
+		if c.irq != nil {
 			// Armed-waiter semantics (as in Infiniband's req_notify_cq):
 			// the event line is raised only when someone is waiting, so
 			// pure polling workloads never pay interrupt costs.
@@ -150,26 +150,13 @@ func (c *CQ) Poll(p *sim.Proc) (Completion, bool) {
 // CPU charge: the first completion pays the full poll cost, each further
 // one only the marginal reap cost. Semantics match a loop of single
 // Polls exactly — same ordering, and the synthetic StatusCQOverflow
-// completion surfaces only once the queue has drained. With the batched
-// boundary off it degrades to that loop (per-token charges). Returns the
-// number of completions written to out.
+// completion surfaces only once the queue has drained. Returns the number
+// of completions written to out.
 //
 //qpip:hotpath
 func (c *CQ) PollN(p *sim.Proc, out []Completion) int {
 	if len(out) == 0 {
 		return 0
-	}
-	if !hw.BatchedBoundary() {
-		n := 0
-		for n < len(out) {
-			comp, ok := c.Poll(p)
-			if !ok {
-				break
-			}
-			out[n] = comp
-			n++
-		}
-		return n
 	}
 	c.polls++
 	n := 0

@@ -135,47 +135,45 @@ func TestFlushedRecvTrainThroughPollN(t *testing.T) {
 		}
 		qp.SetFailed(errors.New("test: peer vanished"), StatusFlushed)
 	}
-	withBoundary(t, true, func() {
-		eng := sim.NewEngine()
-		d := newFake(eng)
-		ref, refS, refR := mkQP(t, eng, d, Reliable, 8)
-		got, gotS, gotR := mkQP(t, eng, d, Reliable, 8)
-		eng.Spawn("app", func(p *sim.Proc) {
-			load(ref, p)
-			load(got, p)
-			drain := func(cq *CQ) []Completion {
-				var out []Completion
-				for {
-					comp, ok := cq.Poll(p)
-					if !ok {
-						return out
-					}
-					out = append(out, comp)
+	eng := sim.NewEngine()
+	d := newFake(eng)
+	ref, refS, refR := mkQP(t, eng, d, Reliable, 8)
+	got, gotS, gotR := mkQP(t, eng, d, Reliable, 8)
+	eng.Spawn("app", func(p *sim.Proc) {
+		load(ref, p)
+		load(got, p)
+		drain := func(cq *CQ) []Completion {
+			var out []Completion
+			for {
+				comp, ok := cq.Poll(p)
+				if !ok {
+					return out
+				}
+				out = append(out, comp)
+			}
+		}
+		check := func(kind string, want []Completion, cq *CQ) {
+			out := make([]Completion, 16)
+			n := cq.PollN(p, out)
+			if n != len(want) {
+				t.Fatalf("%s: PollN = %d completions, single Polls = %d", kind, n, len(want))
+			}
+			for i := range want {
+				if out[i].WRID != want[i].WRID || out[i].Status != want[i].Status {
+					t.Errorf("%s completion %d: PollN %+v, single Poll %+v", kind, i, out[i], want[i])
+				}
+				if out[i].Status != StatusFlushed {
+					t.Errorf("%s completion %d: status %v, want StatusFlushed", kind, i, out[i].Status)
 				}
 			}
-			check := func(kind string, want []Completion, cq *CQ) {
-				out := make([]Completion, 16)
-				n := cq.PollN(p, out)
-				if n != len(want) {
-					t.Fatalf("%s: PollN = %d completions, single Polls = %d", kind, n, len(want))
-				}
-				for i := range want {
-					if out[i].WRID != want[i].WRID || out[i].Status != want[i].Status {
-						t.Errorf("%s completion %d: PollN %+v, single Poll %+v", kind, i, out[i], want[i])
-					}
-					if out[i].Status != StatusFlushed {
-						t.Errorf("%s completion %d: status %v, want StatusFlushed", kind, i, out[i].Status)
-					}
-				}
-			}
-			check("send", drain(refS), gotS)
-			check("recv", drain(refR), gotR)
-			if len(drain(gotR)) != 0 {
-				t.Error("recv CQ still has completions after the PollN train")
-			}
-		})
-		eng.Run()
+		}
+		check("send", drain(refS), gotS)
+		check("recv", drain(refR), gotR)
+		if len(drain(gotR)) != 0 {
+			t.Error("recv CQ still has completions after the PollN train")
+		}
 	})
+	eng.Run()
 }
 
 // TestModifyQPResetClearsAddressing verifies the recycle edge wipes the

@@ -3,7 +3,6 @@ package verbs
 import (
 	"fmt"
 
-	"repro/internal/hw"
 	"repro/internal/inet"
 	"repro/internal/params"
 	"repro/internal/pool"
@@ -146,21 +145,12 @@ func (q *QP) PostSend(p *sim.Proc, wr SendWR) error {
 // and a single vectored doorbell. It returns how many WRs were posted;
 // on a partial post (queue full or oversized WR mid-batch) the prefix
 // that fits is posted and the error reported, with nothing charged when
-// the count is zero. With the batched boundary off it degrades to a loop
-// of single PostSends — per-WR charges and doorbells.
+// the count is zero.
 //
 //qpip:hotpath
 func (q *QP) PostSendN(p *sim.Proc, wrs []SendWR) (int, error) {
 	if len(wrs) == 0 {
 		return 0, nil
-	}
-	if !hw.BatchedBoundary() {
-		for i, wr := range wrs {
-			if err := q.PostSend(p, wr); err != nil {
-				return i, err
-			}
-		}
-		return len(wrs), nil
 	}
 	if q.state != QPEstablished && !(q.Transport == Unreliable && q.state != QPError && q.state != QPClosed && q.state != QPSQD) {
 		if q.state == QPError {
@@ -233,8 +223,8 @@ func (q *QP) PostRecv(p *sim.Proc, wr RecvWR) error {
 }
 
 // PostRecvN posts up to len(wrs) receive work requests with one batched
-// CPU charge and a single notification write. Partial-post and fallback
-// semantics mirror PostSendN: the accepted prefix is validated first, and
+// CPU charge and a single notification write. Partial-post semantics
+// mirror PostSendN: the accepted prefix is validated first, and
 // the CPU charge covers exactly that prefix — a batch cut short when the
 // recv FIFO fills mid-batch (or by an invalid WR) must not bill the host
 // for descriptors it never built. qp_test pins the exact charges.
@@ -246,14 +236,6 @@ func (q *QP) PostRecvN(p *sim.Proc, wrs []RecvWR) (int, error) {
 	}
 	if q.srq != nil {
 		return 0, ErrSRQAttached
-	}
-	if !hw.BatchedBoundary() {
-		for i, wr := range wrs {
-			if err := q.PostRecv(p, wr); err != nil {
-				return i, err
-			}
-		}
-		return len(wrs), nil
 	}
 	if q.state == QPError {
 		return 0, q.err

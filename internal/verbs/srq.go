@@ -3,7 +3,6 @@ package verbs
 import (
 	"fmt"
 
-	"repro/internal/hw"
 	"repro/internal/params"
 	"repro/internal/sim"
 )
@@ -95,21 +94,12 @@ func (s *SRQ) PostRecv(p *sim.Proc, wr RecvWR) error {
 // and a single notification write. On a partial post (pool fills or an
 // invalid WR mid-batch) the prefix that fits is posted and only that
 // prefix is charged, with nothing charged when the count is zero; the
-// error reports why the batch stopped. With the batched boundary off it
-// degrades to a loop of single PostRecvs.
+// error reports why the batch stopped.
 //
 //qpip:hotpath
 func (s *SRQ) PostRecvN(p *sim.Proc, wrs []RecvWR) (int, error) {
 	if len(wrs) == 0 {
 		return 0, nil
-	}
-	if !hw.BatchedBoundary() {
-		for i, wr := range wrs {
-			if err := s.PostRecv(p, wr); err != nil {
-				return i, err
-			}
-		}
-		return len(wrs), nil
 	}
 	n := 0
 	var err error

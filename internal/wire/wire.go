@@ -21,7 +21,6 @@ import (
 	"sync"
 
 	"repro/internal/buf"
-	"repro/internal/pool"
 )
 
 // Scratch sizes: a full IPv6 header (IPv4 needs less) and the largest
@@ -66,9 +65,6 @@ var pktPool = sync.Pool{New: func() any { return new(Packet) }}
 // Get returns an empty packet with one reference. Marshal headers into
 // IPScratch/L4Scratch and point IPHdr/L4Hdr at the results.
 func Get() *Packet {
-	if !pool.Enabled() {
-		return &Packet{refs: 1}
-	}
 	p := pktPool.Get().(*Packet)
 	p.refs = 1
 	p.pooled = true

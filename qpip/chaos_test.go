@@ -25,7 +25,13 @@ type chaosResult struct {
 // posted WR completes exactly once, and the simulation drains.
 func runChaosTransfer(t *testing.T, seed uint64, msgs, msgLen int) chaosResult {
 	t.Helper()
-	c := qpip.NewQPIPCluster(2)
+	return runChaosTransferOn(t, qpip.NewQPIPCluster(2), seed, msgs, msgLen)
+}
+
+// runChaosTransferOn is runChaosTransfer on a caller-built two-node
+// cluster, for runs that vary the node configuration.
+func runChaosTransferOn(t *testing.T, c *qpip.Cluster, seed uint64, msgs, msgLen int) chaosResult {
+	t.Helper()
 	inj := qpip.InjectFaults(c, qpip.FaultPlan{
 		Seed:          seed,
 		DropProb:      0.03,

@@ -22,8 +22,8 @@ import (
 //	2-shard:    two engines, every flow crossing the shard boundary,
 //	            frames exchanged at lookahead epoch barriers
 //
-// It extends qpip/boundary_test.go's equivalence pattern from a mode knob
-// to the execution substrate itself.
+// Where qpip/golden_test.go pins one execution mode's world to a file, this
+// checks that the execution substrate itself cannot change that world.
 
 // matrixResult is everything one matrix run produces that must be
 // identical across modes. Every field is written by exactly one process

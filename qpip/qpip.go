@@ -44,7 +44,6 @@ import (
 	"repro/internal/buf"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/hw"
 	"repro/internal/inet"
 	"repro/internal/qpipnic"
 	"repro/internal/sim"
@@ -289,17 +288,6 @@ const (
 	ChecksumEmulatedHW = qpipnic.ChecksumEmulatedHW
 	ChecksumFirmware   = qpipnic.ChecksumFirmware
 )
-
-// SetBatchedBoundary switches the host↔NIC boundary mode process-wide:
-// batched (the default — vectored doorbells via PostSendN/PostRecvN,
-// whole-FIFO firmware drains, IRQ-coalesced CQ wakes) or per-token (the
-// original one-doorbell/one-wake path, kept for equivalence testing and
-// perf comparison). Call before building a cluster. With a CQ coalescing
-// delay of 0 the two modes produce identical simulated timing.
-func SetBatchedBoundary(on bool) { hw.SetBatchedBoundary(on) }
-
-// BatchedBoundary reports the current boundary mode.
-func BatchedBoundary() bool { return hw.BatchedBoundary() }
 
 // NewCluster builds n nodes with the given adapter configuration.
 func NewCluster(n int, cfg NodeConfig) *Cluster { return core.NewCluster(n, cfg) }
