@@ -83,10 +83,10 @@ race:
 benchtest:
 	cd benchmark && $(GO) test ./...
 
-# Short smoke run of every fuzz target (header parsers, the checksum); the
-# committed seed corpora also run as part of plain `go test`. The fuzz cache
-# dir is created up front: a fresh GOCACHE otherwise fails the first -fuzz
-# run.
+# Short smoke run of every fuzz target (header parsers, the checksum, the
+# datapath FIFO against its reference queue); the committed seed corpora
+# also run as part of plain `go test`. The fuzz cache dir is created up
+# front: a fresh GOCACHE otherwise fails the first -fuzz run.
 fuzz:
 	@mkdir -p "$$($(GO) env GOCACHE)/fuzz"
 	$(GO) test -run=Fuzz -fuzz=FuzzParse4 -fuzztime=5s ./internal/inet
@@ -95,6 +95,7 @@ fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzParseHeader -fuzztime=5s ./internal/tcp
 	$(GO) test -run=Fuzz -fuzz=FuzzParse -fuzztime=5s ./internal/udp
 	$(GO) test -run=Fuzz -fuzz=FuzzVerify4 -fuzztime=5s ./internal/udp
+	$(GO) test -run=Fuzz -fuzz=FuzzRing -fuzztime=5s ./internal/pool
 
 # The verification gate: gofmt, go vet, the optional shadow pass, the repo's own
 # qpiplint suite (mandatory — proves the determinism and datapath
@@ -131,7 +132,7 @@ bench: microbench
 	$(GO) run ./cmd/qpipbench -exp connscale -json BENCH_PR9.json
 
 microbench:
-	$(GO) test -bench=. -benchmem ./internal/sim/ ./internal/tcp/ ./internal/fabric/ ./internal/inet/
+	$(GO) test -bench=. -benchmem ./internal/sim/ ./internal/tcp/ ./internal/fabric/ ./internal/inet/ ./internal/pool/
 
 # The fixed-seed failure matrix: link-level chaos (drops, corruption,
 # duplication, flaps) through the frame-chaos experiment, then the

@@ -167,7 +167,9 @@ func pooledPointer(t types.Type) bool {
 }
 
 // trackable reports whether a parameter of type t can carry a pooled
-// reference worth summarizing: a pooled pointer or any interface.
+// reference worth summarizing: a pooled pointer or any interface. A type
+// parameter counts as an interface (its underlying type is its
+// constraint), which is how pool.Ring's Push(x T) is seen to consume x.
 func trackable(t types.Type) bool {
 	return pooledPointer(t) || types.IsInterface(t)
 }

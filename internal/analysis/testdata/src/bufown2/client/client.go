@@ -2,7 +2,10 @@
 // against the pooled stub in bufown2/internal/wire.
 package client
 
-import "bufown2/internal/wire"
+import (
+	"bufown2/internal/pool"
+	"bufown2/internal/wire"
+)
 
 // nic models a struct that takes ownership by storing.
 type nic struct {
@@ -91,6 +94,20 @@ func stored(n *nic) {
 	n.slot = p
 	q := wire.Get()
 	n.inflight = append(n.inflight, q)
+}
+
+// queued is clean: pushing onto a generic ring stores the packet. The
+// parameter's type is a type parameter, tracked like an interface.
+func queued(q *pool.Ring[*wire.Packet]) {
+	p := wire.Get()
+	q.Push(p)
+}
+
+// peekedOnly leaks: a generic method that never stores its argument only
+// borrows it.
+func peekedOnly(q *pool.Ring[*wire.Packet]) int {
+	p := wire.Get() // want `\*wire.Packet acquired from wire.Get is never released or handed off.*pool.Peek borrows it without taking ownership`
+	return q.Peek(p)
 }
 
 // continuation is clean: the closure captures the packet and owns it.

@@ -47,11 +47,9 @@ type Device struct {
 
 	// txQ serializes outbound packets through the firmware loop: one
 	// packet stages through SRAM and onto the wire before the next
-	// starts, as in GM's event loop. It drains through txHead; txCur is
-	// the packet in the loop, and the loop's three continuations are bound
-	// once in New.
-	txQ    []txItem
-	txHead int
+	// starts, as in GM's event loop. txCur is the packet in the loop, and
+	// the loop's three continuations are bound once in New.
+	txQ    pool.Ring[txItem]
 	txBusy bool
 	txCur  txItem
 
@@ -155,22 +153,17 @@ func (d *Device) Stats() (tx, rx uint64) { return d.txPkts, d.rxPkts }
 //qpip:hotpath
 func (d *Device) Transmit(pkt *wire.Packet, dstAtt int) {
 	d.txPkts++
-	d.txQ = append(d.txQ, txItem{pkt: pkt, dst: dstAtt})
+	d.txQ.Push(txItem{pkt: pkt, dst: dstAtt})
 	d.kickTx()
 }
 
 //qpip:hotpath
 func (d *Device) kickTx() {
-	if d.txBusy || d.txHead == len(d.txQ) {
+	if d.txBusy || d.txQ.Len() == 0 {
 		return
 	}
 	d.txBusy = true
-	d.txCur = d.txQ[d.txHead]
-	d.txQ[d.txHead] = txItem{}
-	d.txHead++
-	if d.txHead == len(d.txQ) {
-		d.txQ, d.txHead = d.txQ[:0], 0
-	}
+	d.txCur, _ = d.txQ.Pop()
 	d.lanai.Do(params.US(FwPerPacketUS), d.fwTxName, d.fwTxFn)
 }
 

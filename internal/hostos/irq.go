@@ -20,19 +20,16 @@ type RxCoalescer struct {
 	isrName string
 	line    *hw.IRQLine
 
-	// rxQ is the host rx ring, drained through rxHead so steady traffic
-	// reuses one backing array. An interrupt charges the packets queued
+	// rxQ is the host rx ring. An interrupt charges the packets queued
 	// since the previous one and records their count in batches; the CPU
 	// completes ISR charges in order, so the one pre-bound reapFn pops the
 	// oldest count and reaps that many packets from the ring's head. A
 	// count per interrupt (not one swapped buffer) because a second
 	// interrupt can be charged before the first batch's completion runs.
-	rxQ       []*wire.Packet
-	rxHead    int
-	charged   int // packets in rxQ[rxHead:] already counted into batches
-	batches   []int
-	batchHead int
-	reapFn    func()
+	rxQ     pool.Ring[*wire.Packet]
+	charged int // packets in rxQ already counted into batches
+	batches pool.Ring[int]
+	reapFn  func()
 }
 
 // NewRxCoalescer builds a coalescer delivering to k; the ISR charge is
@@ -50,8 +47,7 @@ func NewRxCoalescer(k *Kernel, name string, pkts int, delay sim.Time) *RxCoalesc
 //
 //qpip:hotpath
 func (c *RxCoalescer) Enqueue(pkt *wire.Packet) {
-	c.rxQ, c.rxHead = pool.Compact(c.rxQ, c.rxHead)
-	c.rxQ = append(c.rxQ, pkt)
+	c.rxQ.Push(pkt)
 	c.line.Raise()
 }
 
@@ -65,10 +61,9 @@ func (c *RxCoalescer) Line() *hw.IRQLine { return c.line }
 //
 //qpip:hotpath
 func (c *RxCoalescer) isr(events int) {
-	n := len(c.rxQ) - c.rxHead - c.charged
+	n := c.rxQ.Len() - c.charged
 	c.charged += n
-	c.batches, c.batchHead = pool.Compact(c.batches, c.batchHead)
-	c.batches = append(c.batches, n)
+	c.batches.Push(n)
 	cost := params.US(params.HostIRQUS + params.HostDriverRxReapUS*float64(n))
 	c.k.CPU().Do(cost, c.isrName, c.reapFn)
 }
@@ -78,19 +73,10 @@ func (c *RxCoalescer) isr(events int) {
 //
 //qpip:hotpath
 func (c *RxCoalescer) reap() {
-	n := c.batches[c.batchHead]
-	c.batchHead++
-	if c.batchHead == len(c.batches) {
-		c.batches, c.batchHead = c.batches[:0], 0
-	}
+	n, _ := c.batches.Pop()
 	c.charged -= n
 	for ; n > 0; n-- {
-		pkt := c.rxQ[c.rxHead]
-		c.rxQ[c.rxHead] = nil
-		c.rxHead++
+		pkt, _ := c.rxQ.Pop()
 		c.k.DeliverPacket(pkt)
-	}
-	if c.rxHead == len(c.rxQ) {
-		c.rxQ, c.rxHead = c.rxQ[:0], 0
 	}
 }

@@ -484,7 +484,7 @@ func (k *Kernel) acceptSYN(seg *tcp.Segment, ip4 *inet.Header4) {
 		k.stats.DroppedNoPort++
 		return
 	}
-	if len(lst.acceptQ) >= lst.backlog {
+	if lst.acceptQ.Len() >= lst.backlog {
 		return // full backlog: drop, client retries
 	}
 	child := newSocket(k, TCPSock)

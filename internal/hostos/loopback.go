@@ -16,8 +16,7 @@ type loopback struct {
 	// pending holds packets between Transmit and their same-tick delivery
 	// event. Same-tick events fire in schedule order, so the one pre-bound
 	// deliverFn pops the head; no closure per packet.
-	pending   []*wire.Packet
-	head      int
+	pending   pool.Ring[*wire.Packet]
 	deliverFn func()
 }
 
@@ -33,18 +32,12 @@ func (l *loopback) MTU() int { return LoopbackMTU }
 // Transmit implements NetDevice: immediate software delivery back into
 // the local stack.
 func (l *loopback) Transmit(pkt *wire.Packet, _ int) {
-	l.pending, l.head = pool.Compact(l.pending, l.head)
-	l.pending = append(l.pending, pkt)
+	l.pending.Push(pkt)
 	//lint:qpip-allow shardsafe the loopback device shares its owning kernel's engine; delivery never leaves the shard
 	l.k.eng.After(0, "lo.deliver", l.deliverFn)
 }
 
 func (l *loopback) deliver() {
-	pkt := l.pending[l.head]
-	l.pending[l.head] = nil
-	l.head++
-	if l.head == len(l.pending) {
-		l.pending, l.head = l.pending[:0], 0
-	}
+	pkt, _ := l.pending.Pop()
 	l.k.DeliverPacket(pkt)
 }

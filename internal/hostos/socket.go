@@ -58,14 +58,12 @@ type Socket struct {
 	noDelay   bool
 	sndBufCap int
 
-	// Receive side: in-order data the app has not read yet, drained
-	// through recvHead so steady traffic reuses one backing array;
-	// recvParts is Recv's gather scratch.
-	recvQ      []buf.Buf
-	recvHead   int
+	// Receive side: in-order data the app has not read yet (a short read
+	// trims the head entry in place); recvParts is Recv's gather scratch.
+	recvQ      pool.Ring[buf.Buf]
 	recvQBytes int
 	recvParts  []buf.Buf
-	dgramQ     []datagram
+	dgramQ     pool.Ring[datagram]
 	recvWaiter *sim.Proc
 
 	// Send side: writers block when the send buffer fills.
@@ -73,7 +71,7 @@ type Socket struct {
 
 	// Listener state.
 	backlog       int
-	acceptQ       []*Socket
+	acceptQ       pool.Ring[*Socket]
 	acceptWaiter  *sim.Proc
 	pendingAccept *Socket // set on children until established
 
@@ -191,12 +189,11 @@ func (s *Socket) Listen(port uint16, backlog int) error {
 // Accept blocks until an established child connection is available.
 func (s *Socket) Accept(p *sim.Proc) *Socket {
 	s.syscall(p)
-	for len(s.acceptQ) == 0 {
+	for s.acceptQ.Len() == 0 {
 		s.acceptWaiter = p
 		p.Suspend()
 	}
-	child := s.acceptQ[0]
-	s.acceptQ = s.acceptQ[1:]
+	child, _ := s.acceptQ.Pop()
 	return child
 }
 
@@ -249,22 +246,18 @@ func (s *Socket) Recv(p *sim.Proc, max int) (buf.Buf, error) {
 	}
 	parts := s.recvParts[:0]
 	got := 0
-	for got < max && s.recvHead < len(s.recvQ) {
-		head := s.recvQ[s.recvHead]
+	for got < max && s.recvQ.Len() > 0 {
+		head := s.recvQ.Front()
 		take := max - got
 		if take >= head.Len() {
-			parts = append(parts, head)
+			parts = append(parts, *head)
 			got += head.Len()
-			s.recvQ[s.recvHead] = buf.Empty
-			s.recvHead++
+			s.recvQ.Pop()
 		} else {
 			parts = append(parts, head.Slice(0, take))
-			s.recvQ[s.recvHead] = head.Slice(take, head.Len())
+			*head = head.Slice(take, head.Len())
 			got += take
 		}
-	}
-	if s.recvHead == len(s.recvQ) {
-		s.recvQ, s.recvHead = s.recvQ[:0], 0
 	}
 	s.recvQBytes -= got
 	p.Use(s.k.cpu.Server, perByte(params.HostCopyCyclesPerByte, got))
@@ -367,15 +360,14 @@ func (s *Socket) RecvFrom(p *sim.Proc) (buf.Buf, inet.Addr4, uint16, error) {
 		return buf.Empty, inet.Addr4{}, 0, fmt.Errorf("hostos: RecvFrom on non-UDP socket")
 	}
 	s.syscall(p)
-	for len(s.dgramQ) == 0 {
+	for s.dgramQ.Len() == 0 {
 		if s.closed {
 			return buf.Empty, inet.Addr4{}, 0, ErrConnClosed
 		}
 		s.recvWaiter = p
 		p.Suspend()
 	}
-	d := s.dgramQ[0]
-	s.dgramQ = s.dgramQ[1:]
+	d, _ := s.dgramQ.Pop()
 	p.Use(s.k.cpu.Server, perByte(params.HostCopyCyclesPerByte, d.payload.Len()))
 	s.k.stats.BytesCopiedOut += uint64(d.payload.Len())
 	return d.payload, d.addr, d.port, nil
@@ -384,14 +376,13 @@ func (s *Socket) RecvFrom(p *sim.Proc) (buf.Buf, inet.Addr4, uint16, error) {
 // ---- Kernel-side event hooks. ----
 
 func (s *Socket) enqueueData(b buf.Buf) {
-	s.recvQ, s.recvHead = pool.Compact(s.recvQ, s.recvHead)
-	s.recvQ = append(s.recvQ, b)
+	s.recvQ.Push(b)
 	s.recvQBytes += b.Len()
 	s.wakeRecv()
 }
 
 func (s *Socket) enqueueDatagram(b buf.Buf, addr inet.Addr4, port uint16) {
-	s.dgramQ = append(s.dgramQ, datagram{payload: b, addr: addr, port: port})
+	s.dgramQ.Push(datagram{payload: b, addr: addr, port: port})
 	s.wakeRecv()
 }
 
@@ -419,7 +410,7 @@ func (s *Socket) onEstablished() {
 	if s.pendingAccept != nil {
 		lst := s.pendingAccept
 		s.pendingAccept = nil
-		lst.acceptQ = append(lst.acceptQ, s)
+		lst.acceptQ.Push(s)
 		if lst.acceptWaiter != nil {
 			w := lst.acceptWaiter
 			lst.acceptWaiter = nil

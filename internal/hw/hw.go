@@ -8,6 +8,7 @@ package hw
 import (
 	"fmt"
 
+	"repro/internal/pool"
 	"repro/internal/sim"
 )
 
@@ -87,10 +88,7 @@ func (p *PCIBus) Stats() (transfers, bytes uint64) { return p.transfers, p.bytes
 // drops the ring — the driver layer must size queues to prevent that, and
 // the counter makes such bugs visible.
 type Doorbell struct {
-	// fifo drains through head so the steady-state ring/pop cycle reuses
-	// one backing array.
-	fifo     []uint64
-	head     int
+	fifo     pool.Ring[uint64] // bounded by capacity
 	capacity int
 	// OnRing, when set, is invoked (in simulation context) whenever a
 	// token lands in an empty FIFO — the firmware's wakeup edge.
@@ -122,7 +120,7 @@ func (d *Doorbell) Ring(token uint64) bool {
 	}
 	d.rings++
 	wasEmpty := d.Len() == 0
-	d.fifo = append(d.fifo, token)
+	d.fifo.Push(token)
 	if wasEmpty && d.OnRing != nil {
 		d.OnRing()
 	}
@@ -131,17 +129,10 @@ func (d *Doorbell) Ring(token uint64) bool {
 
 // PopN drains up to len(dst) tokens into dst in FIFO order and reports
 // how many it moved — the firmware's vectored ring-drain.
-func (d *Doorbell) PopN(dst []uint64) int {
-	n := copy(dst, d.fifo[d.head:])
-	d.head += n
-	if d.head == len(d.fifo) {
-		d.fifo, d.head = d.fifo[:0], 0
-	}
-	return n
-}
+func (d *Doorbell) PopN(dst []uint64) int { return d.fifo.PopN(dst) }
 
 // Len reports queued tokens.
-func (d *Doorbell) Len() int { return len(d.fifo) - d.head }
+func (d *Doorbell) Len() int { return d.fifo.Len() }
 
 // Drops reports rings lost to a full FIFO.
 func (d *Doorbell) Drops() uint64 { return d.drops }

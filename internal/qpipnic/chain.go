@@ -123,7 +123,7 @@ func newChainRun(n *NIC) *chainRun {
 	cr.completeBurstFn = func() {
 		qs := cr.qs
 		for ; cr.train > 0; cr.train-- {
-			if id, ok := qs.popSendID(); ok {
+			if id, ok := qs.sendIDs.Pop(); ok {
 				qs.qp.CompleteSend(id, verbs.StatusSuccess, 0)
 			}
 		}
@@ -275,20 +275,18 @@ func (cr *chainRun) run() {
 			return
 		case stStash:
 			qs := cr.qs
-			rec, ok := qs.peekStash()
-			if !ok {
+			if qs.stash.Len() == 0 {
 				continue
 			}
 			wr, ok := qs.qp.TakeRecvWR()
 			if !ok {
 				continue
 			}
-			qs.popStash()
 			cr.i-- // stay: drain the next record after this one places
-			cr.n.placeRecord(qs, wr, rec, qs.remoteAddr, qs.remotePort, cr.advanceFn)
+			cr.n.placeRecord(qs, wr, qs.popStash(), qs.remoteAddr, qs.remotePort, cr.advanceFn)
 			return
 		case stStashTally:
-			if cr.qs.stashLen() > 0 {
+			if cr.qs.stash.Len() > 0 {
 				// Receiver not ready: records wait in SRAM until the host
 				// posts receive WRs (the QPIP analog of an RNR NAK — the
 				// closed TCP window is the backoff). An SRQ-attached

@@ -47,14 +47,11 @@ func (n *NIC) Crash() {
 			qs.timer = nil
 		}
 		qs.conn = nil // the TCB is gone; stale timers/chains find no work
-		ids := qs.sendIDs[qs.sendHead:]
-		qs.sendIDs, qs.sendHead = nil, 0
-		qs.stash, qs.stashHead = nil, 0
-		qs.stashBytes = 0
+		ids := qs.clearSendState()
 		qs.pendingWRs = 0
 		qp := qs.qp
 		n.notifyHost(func() {
-			for _, id := range ids {
+			for id, ok := ids.Pop(); ok; id, ok = ids.Pop() {
 				qp.CompleteSend(id, verbs.StatusFlushed, 0)
 			}
 			qp.SetFailed(verbs.ErrNICDown, verbs.StatusFlushed)
@@ -80,13 +77,11 @@ func (n *NIC) Crash() {
 
 	// Drop the transmit scheduler queue (segments return to their pool)
 	// and drain the doorbell FIFO.
-	for i := n.txQHead; i < len(n.txQ); i++ {
-		if seg := n.txQ[i].seg; seg != nil {
-			seg.Release()
+	for w, ok := n.txQ.Pop(); ok; w, ok = n.txQ.Pop() {
+		if w.seg != nil {
+			w.seg.Release()
 		}
-		n.txQ[i] = txWork{}
 	}
-	n.txQ, n.txQHead = n.txQ[:0], 0
 	for {
 		if k := n.db.PopN(n.dbScratch[:]); k == 0 {
 			break

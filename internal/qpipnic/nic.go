@@ -30,6 +30,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/inet"
 	"repro/internal/params"
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/tcp"
 	"repro/internal/trace"
@@ -96,12 +97,6 @@ type tcpKey struct {
 	remotePort uint16
 }
 
-// stashedRec is an in-order record that arrived before its receive WR was
-// posted; it waits in adapter SRAM.
-type stashedRec struct {
-	payload buf.Buf
-}
-
 // qpState is the adapter-resident state of one QP: the inter-network
 // protocol state (the TCB) plus WR bookkeeping. "A common data structure
 // is used to maintain the state of the individual QPs and includes the
@@ -118,15 +113,13 @@ type qpState struct {
 
 	// sendIDs holds WR IDs of messages accepted by the TCB, in order;
 	// TCP completions pop from the front as records are acknowledged.
-	// Both sendIDs and stash drain through head indices so steady-state
-	// traffic reuses one backing array instead of re-slicing per record.
-	sendIDs  []uint64
-	sendHead int
+	sendIDs pool.Ring[uint64]
 	// pendingWRs counts doorbell tokens not yet consumed by the
 	// transmit FSM.
 	pendingWRs int
-	stash      []stashedRec
-	stashHead  int
+	// stash holds in-order records that arrived before their receive WR
+	// was posted; they wait in adapter SRAM.
+	stash      pool.Ring[buf.Buf]
 	timer      *sim.Event
 	peerClosed bool
 	// peerEpoch is the sender boot generation this connection is fenced
@@ -157,44 +150,25 @@ type qpState struct {
 	recvFn  func()
 }
 
-func (qs *qpState) pushSendID(id uint64) { qs.sendIDs = append(qs.sendIDs, id) }
-
-// popLastSendID undoes the most recent push (TCB refused the message).
-func (qs *qpState) popLastSendID() { qs.sendIDs = qs.sendIDs[:len(qs.sendIDs)-1] }
-
-func (qs *qpState) popSendID() (uint64, bool) {
-	if qs.sendHead >= len(qs.sendIDs) {
-		return 0, false
-	}
-	id := qs.sendIDs[qs.sendHead]
-	qs.sendHead++
-	if qs.sendHead == len(qs.sendIDs) {
-		qs.sendIDs, qs.sendHead = qs.sendIDs[:0], 0
-	}
-	return id, true
-}
-
-func (qs *qpState) stashLen() int { return len(qs.stash) - qs.stashHead }
-
 func (qs *qpState) pushStash(rec buf.Buf) {
 	qs.stashBytes += rec.Len()
-	qs.stash = append(qs.stash, stashedRec{payload: rec})
+	qs.stash.Push(rec)
 }
 
-func (qs *qpState) peekStash() (buf.Buf, bool) {
-	if qs.stashHead >= len(qs.stash) {
-		return buf.Empty, false
-	}
-	return qs.stash[qs.stashHead].payload, true
+func (qs *qpState) popStash() buf.Buf {
+	rec, _ := qs.stash.Pop()
+	qs.stashBytes -= rec.Len()
+	return rec
 }
 
-func (qs *qpState) popStash() {
-	qs.stashBytes -= qs.stash[qs.stashHead].payload.Len()
-	qs.stash[qs.stashHead] = stashedRec{}
-	qs.stashHead++
-	if qs.stashHead == len(qs.stash) {
-		qs.stash, qs.stashHead = qs.stash[:0], 0
-	}
+// clearSendState drops the send-ID and stash queues with the SRAM they
+// account for, returning the send IDs still owed a completion.
+func (qs *qpState) clearSendState() pool.Ring[uint64] {
+	ids := qs.sendIDs
+	qs.sendIDs.Reset()
+	qs.stash.Reset()
+	qs.stashBytes = 0
+	return ids
 }
 
 // Stats counts adapter-level events.
@@ -221,11 +195,9 @@ type NIC struct {
 
 	// dbTokens queues vectored doorbell tokens between the PIO write call
 	// and its arrival at the adapter; the bus server is FIFO, so tokens
-	// pop in write order. The head-drain reuse keeps the steady state
-	// allocation-free, and ringTokFn is bound once here so SendDoorbellN
+	// pop in write order. ringTokFn is bound once here so SendDoorbellN
 	// needs no per-call closure.
-	dbTokens  []uint64
-	dbTokHead int
+	dbTokens  pool.Ring[uint64]
 	ringTokFn func()
 
 	qpnNext uint32
@@ -258,10 +230,9 @@ type NIC struct {
 	// receivers can fence pre-crash stragglers (crash.go).
 	bootEpoch uint32
 
-	// Transmit FSM scheduler. txQ drains through txQHead (see kickTx);
-	// txDoneFn is the one per-adapter work-completion callback.
-	txQ      []txWork
-	txQHead  int
+	// Transmit FSM scheduler (see kickTx); txDoneFn is the one
+	// per-adapter work-completion callback.
+	txQ      pool.Ring[txWork]
 	txBusy   bool
 	txDoneFn func()
 
@@ -331,12 +302,7 @@ func New(eng *sim.Engine, fab *fabric.Fabric, cfg Config) *NIC {
 		n.kickTx()
 	}
 	n.ringTokFn = func() {
-		tok := n.dbTokens[n.dbTokHead]
-		n.dbTokHead++
-		if n.dbTokHead == len(n.dbTokens) {
-			n.dbTokens = n.dbTokens[:0]
-			n.dbTokHead = 0
-		}
+		tok, _ := n.dbTokens.Pop()
 		n.db.Ring(tok)
 	}
 	n.att = fab.AttachOn(eng, n.receiveFrame)
@@ -572,13 +538,10 @@ func (n *NIC) ResetQP(qp *verbs.QP) error {
 		qs.timer.Cancel()
 		qs.timer = nil
 	}
-	ids := qs.sendIDs[qs.sendHead:]
-	for _, id := range ids {
+	ids := qs.clearSendState()
+	for id, ok := ids.Pop(); ok; id, ok = ids.Pop() {
 		qp.CompleteSend(id, verbs.StatusFlushed, 0)
 	}
-	qs.sendIDs, qs.sendHead = nil, 0
-	qs.stash, qs.stashHead = nil, 0
-	qs.stashBytes = 0
 	qs.pendingWRs = 0
 	qs.peerClosed = false
 	qs.peerEpoch = 0
@@ -749,11 +712,7 @@ func dbToken(qpn uint32, count int) uint64 {
 // SendDoorbellN implements verbs.Device: one vectored doorbell announcing
 // n posted send WRs — a single PIO write regardless of batch size.
 func (n *NIC) SendDoorbellN(qp *verbs.QP, count int) {
-	if n.dbTokHead > 0 && n.dbTokHead == len(n.dbTokens) {
-		n.dbTokens = n.dbTokens[:0]
-		n.dbTokHead = 0
-	}
-	n.dbTokens = append(n.dbTokens, dbToken(qp.QPN, count))
+	n.dbTokens.Push(dbToken(qp.QPN, count))
 	n.cfg.Bus.PIOWrite("doorbell", n.ringTokFn)
 }
 
@@ -839,13 +798,10 @@ func (n *NIC) failQP(qs *qpState, err error, status verbs.Status) {
 		qs.timer.Cancel()
 		qs.timer = nil
 	}
-	ids := qs.sendIDs[qs.sendHead:]
-	qs.sendIDs, qs.sendHead = nil, 0
-	qs.stash, qs.stashHead = nil, 0
-	qs.stashBytes = 0
+	ids := qs.clearSendState()
 	//lint:qpip-allow hotprop terminal failure teardown runs once per connection death, never on the steady-state path
 	n.notifyHost(func() {
-		for _, id := range ids {
+		for id, ok := ids.Pop(); ok; id, ok = ids.Pop() {
 			qs.qp.CompleteSend(id, status, 0)
 		}
 		qs.qp.SetFailed(err, status)

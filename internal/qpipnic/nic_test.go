@@ -480,12 +480,13 @@ func TestBulkThroughputAndHostUtilization(t *testing.T) {
 		mbps, util*100, c.nics[0].CPU().Utilization()*100)
 }
 
-// Windowed traffic keeps every head-indexed FIFO on the path non-empty:
-// the client holds 64 sends outstanding and the server reposts a receive
-// per completion, so neither WR queue nor the transmit scheduler queue
-// ever drains to reset its head. Each append site compacts the drained
-// prefix, so the backing arrays stay a small multiple of the window
-// instead of growing with every post for the whole run.
+// Windowed traffic keeps every FIFO on the path non-empty: the client
+// holds 64 sends outstanding and the server reposts a receive per
+// completion, so neither WR queue, the TCB's send-ID list and
+// retransmission queue, nor the transmit scheduler queue ever drains. A
+// queue that only reset when empty grew with every post for the whole run
+// (the send-ID list and the flight queue reached over 100k entries); each
+// pool.Ring must stay at the window's high-water mark.
 func TestQPQueuesBoundedUnderWindowedTraffic(t *testing.T) {
 	const (
 		window = 64
@@ -494,7 +495,7 @@ func TestQPQueuesBoundedUnderWindowedTraffic(t *testing.T) {
 	)
 	msgs := 100_000
 	if pool.RaceEnabled {
-		msgs = 10_000 // still ~40x the bound on an uncompacted queue
+		msgs = 10_000 // still ~40x the bound on a queue that never resets
 	}
 	c := newCluster(t, nil)
 	cli, srv, scq, rcq := c.rcPair(t, 7000, 2*window)
@@ -536,21 +537,117 @@ func TestQPQueuesBoundedUnderWindowedTraffic(t *testing.T) {
 	if n := rcq[1].Len(); n != 0 || srv.OutstandingRecv() != window {
 		t.Fatalf("server left %d completions unreaped, %d receives outstanding", n, srv.OutstandingRecv())
 	}
-	// sendQ/recvQ are verbs-private; reflect reads their capacity only.
-	capOf := func(qp *verbs.QP, field string) int {
-		return reflect.ValueOf(qp).Elem().FieldByName(field).Cap()
-	}
+	cs, ss := c.nics[0].qps.get(cli.QPN), c.nics[1].qps.get(srv.QPN)
 	for _, q := range []struct {
 		name string
 		cap  int
 	}{
-		{"client sendQ", capOf(cli, "sendQ")},
-		{"server recvQ", capOf(srv, "recvQ")},
-		{"client NIC txQ", cap(c.nics[0].txQ)},
-		{"server NIC txQ", cap(c.nics[1].txQ)},
+		{"client sendQ", ringCap(t, cli, "sendQ")},
+		{"server recvQ", ringCap(t, srv, "recvQ")},
+		{"client send CQ", ringCap(t, scq[0], "entries")},
+		{"server recv CQ", ringCap(t, rcq[1], "entries")},
+		{"client doorbell FIFO", ringCap(t, c.nics[0].db, "fifo")},
+		{"server doorbell FIFO", ringCap(t, c.nics[1].db, "fifo")},
+		{"client NIC txQ", c.nics[0].txQ.Cap()},
+		{"server NIC txQ", c.nics[1].txQ.Cap()},
+		{"client sendIDs", cs.sendIDs.Cap()},
+		{"server sendIDs", ss.sendIDs.Cap()},
+		{"client stash", cs.stash.Cap()},
+		{"server stash", ss.stash.Cap()},
+		{"client TCB flight", ringCap(t, cs.conn, "flight")},
+		{"server TCB flight", ringCap(t, ss.conn, "flight")},
 	} {
 		if q.cap > bound {
-			t.Errorf("%s backing array grew to %d entries under a %d-deep window, want <= %d", q.name, q.cap, window, bound)
+			t.Errorf("%s buffer grew to %d entries under a %d-deep window, want <= %d", q.name, q.cap, window, bound)
 		}
 	}
+}
+
+// TestSRQPoolBoundedUnderWindowedTraffic is the shared-pool variant: two
+// windowed clients feed one SRQ and the server reposts one WR per
+// completion, so the pool never drains. Its buffer must stay within a
+// small multiple of the pool depth, not grow with every claim.
+func TestSRQPoolBoundedUnderWindowedTraffic(t *testing.T) {
+	const (
+		depth  = 64
+		posted = 32
+		window = 8 // per client: both windows together stay under posted
+		size   = 64
+	)
+	msgs := 10_000 // per client
+	if pool.RaceEnabled {
+		msgs = 1_000
+	}
+	c := newCluster(t, nil)
+	srq, err := verbs.NewSRQ(c.nics[1], verbs.SRQConfig{Depth: depth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clis, _, _, srvR := srqPair(t, c, srq, 7000, 2)
+	c.eng.Spawn("server", func(p *sim.Proc) {
+		for i := 0; i < posted; i++ {
+			if err := srq.PostRecv(p, verbs.RecvWR{ID: uint64(i), Capacity: size}); err != nil {
+				t.Errorf("SRQ PostRecv: %v", err)
+				return
+			}
+		}
+		for got := 0; got < 2*msgs; got++ {
+			if comp := srvR.Wait(p); comp.Status != verbs.StatusSuccess {
+				t.Errorf("recv %d: %v", got, comp.Status)
+			}
+			if err := srq.PostRecv(p, verbs.RecvWR{ID: uint64(posted + got), Capacity: size}); err != nil {
+				t.Errorf("SRQ PostRecv: %v", err)
+				return
+			}
+		}
+	})
+	// One process drives both clients: they share a send CQ, which takes
+	// one waiter at a time.
+	c.eng.Spawn("clients", func(p *sim.Proc) {
+		for _, cli := range clis {
+			if err := cliConnect(p, cli); err != nil {
+				t.Errorf("connect: %v", err)
+				return
+			}
+		}
+		sent := map[uint32]int{}
+		inFlight := map[uint32]int{}
+		for done := 0; done < 2*msgs; done++ {
+			for _, cli := range clis {
+				for inFlight[cli.QPN] < window && sent[cli.QPN] < msgs {
+					if err := cli.PostSend(p, verbs.SendWR{ID: uint64(sent[cli.QPN]), Payload: buf.Virtual(size)}); err != nil {
+						t.Errorf("PostSend: %v", err)
+						return
+					}
+					sent[cli.QPN]++
+					inFlight[cli.QPN]++
+				}
+			}
+			inFlight[clis[0].SendCQ.Wait(p).QPN]--
+		}
+	})
+	c.eng.Run()
+	if got := srq.Claims(); got != uint64(2*msgs) {
+		t.Fatalf("SRQ claims = %d, want %d", got, 2*msgs)
+	}
+	if got := ringCap(t, srq, "q"); got > 2*depth {
+		t.Errorf("SRQ pool buffer grew to %d entries at depth %d, want <= %d", got, depth, 2*depth)
+	}
+}
+
+// ringCap reports Cap of the pool.Ring field named field in the struct x
+// points to. The verbs, hw and tcp queues are private to their packages,
+// so the test reaches the field by reflection and calls the ring's own
+// method on it.
+func ringCap(t *testing.T, x any, field string) int {
+	t.Helper()
+	f := reflect.ValueOf(x).Elem().FieldByName(field)
+	if !f.IsValid() {
+		t.Fatalf("%T has no field %s", x, field)
+	}
+	capFn := reflect.NewAt(f.Type(), f.Addr().UnsafePointer()).MethodByName("Cap")
+	if !capFn.IsValid() {
+		t.Fatalf("%T.%s is a %v, not a pool.Ring", x, field, f.Type())
+	}
+	return int(capFn.Call(nil)[0].Int())
 }

@@ -19,34 +19,11 @@ import (
 // re-park and wait for the next repost, so a starved pool converges
 // instead of spinning.
 type srqState struct {
-	srq      *verbs.SRQ
-	waiters  []*qpState
-	waitHead int
+	srq *verbs.SRQ
+	// waiters holds at most one entry per attached QP (qpState.srqWait).
+	waiters pool.Ring[*qpState]
 	// drainFn is pre-bound so the notification PIO path never allocates.
 	drainFn func()
-}
-
-// parked reports how many connections wait on the pool.
-func (ss *srqState) parked() int { return len(ss.waiters) - ss.waitHead }
-
-// park appends a waiter. A starved pool rarely drains to empty, so
-// pool.Compact reclaims the drained prefix here instead, and the backing
-// array stops growing at a small multiple of the live entries (which
-// qpState.srqWait bounds by the QP count).
-func (ss *srqState) park(qs *qpState) {
-	ss.waiters, ss.waitHead = pool.Compact(ss.waiters, ss.waitHead)
-	ss.waiters = append(ss.waiters, qs)
-}
-
-// unpark removes the oldest waiter; the caller checked parked() > 0.
-func (ss *srqState) unpark() *qpState {
-	qs := ss.waiters[ss.waitHead]
-	ss.waiters[ss.waitHead] = nil
-	ss.waitHead++
-	if ss.waitHead == len(ss.waiters) {
-		ss.waiters, ss.waitHead = ss.waiters[:0], 0
-	}
-	return qs
 }
 
 // srqFor resolves (or registers) the adapter-side state of an SRQ.
@@ -84,7 +61,7 @@ func (n *NIC) enqueueSRQWaiter(qs *qpState) {
 		return
 	}
 	qs.srqWait = true
-	qs.srqs.park(qs)
+	qs.srqs.waiters.Push(qs)
 }
 
 // drainSRQ wakes the connections parked on a pool, in park order. Only
@@ -97,8 +74,8 @@ func (n *NIC) enqueueSRQWaiter(qs *qpState) {
 //
 //qpip:hotpath
 func (n *NIC) drainSRQ(ss *srqState) {
-	for k := ss.parked(); k > 0; k-- {
-		qs := ss.unpark()
+	for k := ss.waiters.Len(); k > 0; k-- {
+		qs, _ := ss.waiters.Pop()
 		qs.srqWait = false
 		if n.qps.get(qs.qp.QPN) != qs {
 			continue // destroyed or crashed while parked
@@ -113,10 +90,7 @@ func (n *NIC) drainSRQ(ss *srqState) {
 // claim from the same pool.
 func (n *NIC) crashSRQs() {
 	for _, ss := range n.srqs {
-		for i := range ss.waiters {
-			ss.waiters[i] = nil
-		}
-		ss.waiters, ss.waitHead = nil, 0
+		ss.waiters.Reset()
 	}
 	n.srqs = nil
 }

@@ -359,26 +359,26 @@ func TestSRQWaiterFIFOBoundedUnderPartialDrain(t *testing.T) {
 				continue
 			}
 			qs.srqWait = true
-			ss.park(qs)
+			ss.waiters.Push(qs)
 			model = append(model, qs)
 		}
 		// Drain some, never all.
 		for k := int(rnd>>56&7) + 1; k > 0 && len(model) > 1; k-- {
-			got := ss.unpark()
+			got, _ := ss.waiters.Pop()
 			if got != model[0] {
 				t.Fatalf("cycle %d: drain order diverged from park order", cycle)
 			}
 			got.srqWait = false
 			model = model[1:]
 		}
-		if ss.parked() != len(model) {
-			t.Fatalf("cycle %d: parked() = %d, want %d", cycle, ss.parked(), len(model))
+		if ss.waiters.Len() != len(model) {
+			t.Fatalf("cycle %d: %d parked, want %d", cycle, ss.waiters.Len(), len(model))
 		}
-		if ss.parked() == 0 {
+		if ss.waiters.Len() == 0 {
 			t.Fatalf("cycle %d: FIFO drained fully; the test must keep it starved", cycle)
 		}
 	}
-	if c := cap(ss.waiters); c > 4*qps {
+	if c := ss.waiters.Cap(); c > 4*qps {
 		t.Errorf("waiter FIFO backing array grew to %d entries for %d QPs, want <= %d", c, qps, 4*qps)
 	}
 }

@@ -3,7 +3,6 @@ package qpipnic
 import (
 	"repro/internal/buf"
 	"repro/internal/inet"
-	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/tcp"
 	"repro/internal/udp"
@@ -35,28 +34,22 @@ type txWork struct {
 //
 //qpip:hotpath
 func (n *NIC) enqueueTx(w txWork) {
-	n.txQ, n.txQHead = pool.Compact(n.txQ, n.txQHead)
-	n.txQ = append(n.txQ, w)
+	n.txQ.Push(w)
 	n.kickTx()
 }
 
-// kickTx runs the scheduler if idle. The queue drains through a head index
-// so steady-state traffic reuses one backing array instead of re-slicing
-// (and re-growing) per work item; windowed traffic rarely drains it to
-// empty, so enqueueTx compacts the drained prefix too.
+// kickTx runs the scheduler on the oldest queued work item if idle.
 //
 //qpip:hotpath
 func (n *NIC) kickTx() {
-	if n.txBusy || n.txQHead >= len(n.txQ) {
+	if n.txBusy {
+		return
+	}
+	w, ok := n.txQ.Pop()
+	if !ok {
 		return
 	}
 	n.txBusy = true
-	w := n.txQ[n.txQHead]
-	n.txQ[n.txQHead] = txWork{}
-	n.txQHead++
-	if n.txQHead == len(n.txQ) {
-		n.txQ, n.txQHead = n.txQ[:0], 0
-	}
 	n.runTxWork(w, n.txDoneFn)
 }
 
@@ -137,10 +130,10 @@ func (n *NIC) consumeSendWR(qs *qpState, amortized bool, done func()) {
 //qpip:hotpath
 func (n *NIC) sendTCPMessage(qs *qpState, wr verbs.SendWR, done func()) {
 	now := int64(n.eng.Now())
-	qs.pushSendID(wr.ID)
+	qs.sendIDs.Push(wr.ID)
 	acts, err := qs.conn.Send(wr.Payload, now)
 	if err != nil {
-		qs.popLastSendID()
+		qs.sendIDs.PopBack() // the TCB refused the message
 		qs.qp.CompleteSend(wr.ID, verbs.StatusRemoteError, 0)
 		done()
 		return

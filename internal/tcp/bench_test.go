@@ -115,7 +115,7 @@ func BenchmarkSegmentParse(b *testing.B) {
 }
 
 // BenchmarkRecordRoundtrip is the pooled send path: recycled segments,
-// reused Actions backing, free-listed flight entries, head-indexed queues.
+// reused Actions backing, free-listed flight entries, pool.Ring queues.
 func BenchmarkRecordRoundtrip(b *testing.B) {
 	client, server := benchPair(b)
 	payload := buf.Pattern(4096, 0x5A)

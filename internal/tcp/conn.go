@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/buf"
+	"repro/internal/pool"
 )
 
 // Mode selects how application data maps onto segments.
@@ -226,14 +227,10 @@ type Conn struct {
 
 	sndScale, rcvScale uint8
 
-	// Pending application data not yet segmentized. The queues are
-	// head-indexed rings-on-a-slice: consumers advance the head and the
-	// slice resets to [:0] when drained, so steady-state traffic reuses
-	// one backing array instead of reallocating behind a [1:] reslice.
-	pendingRecords []buf.Buf // record mode
-	pendingRecHead int
-	pendingBytes   []buf.Buf // stream mode
-	pendingBytHead int
+	// Pending application data not yet segmentized; a stream-mode take
+	// trims the head entry in place.
+	pendingRecords pool.Ring[buf.Buf] // record mode
+	pendingBytes   pool.Ring[buf.Buf] // stream mode
 	pendingLen     int
 	// concatParts is takePending's scratch for takes spanning queue
 	// entries; reused so steady-state segmentation does not allocate.
@@ -242,8 +239,8 @@ type Conn struct {
 	finSent     bool
 	finSeq      Seq
 
-	flight     []*flightSeg
-	flightHead int
+	// flight is the retransmission queue, oldest segment first.
+	flight pool.Ring[*flightSeg]
 	// flightFree recycles retired flight entries (see newFlightSeg); the
 	// list is per-connection so reuse stays deterministic.
 	flightFree []*flightSeg
@@ -460,9 +457,9 @@ func (c *Conn) Send(p buf.Buf, now int64) (Actions, error) {
 		if c.sndMSS > 0 && p.Len() > c.sndMSS {
 			return a, ErrRecordTooBig
 		}
-		c.pendingRecords = append(c.pendingRecords, p)
+		c.pendingRecords.Push(p)
 	} else {
-		c.pendingBytes = append(c.pendingBytes, p)
+		c.pendingBytes.Push(p)
 	}
 	c.pendingLen += p.Len()
 	c.output(now, &a)
@@ -565,9 +562,9 @@ func (c *Conn) toClosed(a *Actions) {
 		a.Closed = true
 	}
 	c.cancelTimers()
-	c.flight, c.flightHead = nil, 0
-	c.pendingRecords, c.pendingRecHead = nil, 0
-	c.pendingBytes, c.pendingBytHead = nil, 0
+	c.flight.Reset()
+	c.pendingRecords.Reset()
+	c.pendingBytes.Reset()
 	c.pendingLen = 0
 }
 
@@ -609,26 +606,6 @@ func (c *Conn) finishActions(a *Actions) {
 	}
 	c.actSegs = a.Segments[:0]
 	c.actBufs = a.Delivered[:0]
-}
-
-// flightLen reports outstanding (unacknowledged) flight entries.
-func (c *Conn) flightLen() int { return len(c.flight) - c.flightHead }
-
-// flightFront returns the oldest unacknowledged flight entry.
-func (c *Conn) flightFront() *flightSeg { return c.flight[c.flightHead] }
-
-// popFlight retires the head flight entry, resetting the queue to its
-// backing array's start once drained so steady-state traffic never
-// reallocates it.
-func (c *Conn) popFlight() *flightSeg {
-	f := c.flight[c.flightHead]
-	c.flight[c.flightHead] = nil
-	c.flightHead++
-	if c.flightHead == len(c.flight) {
-		c.flight = c.flight[:0]
-		c.flightHead = 0
-	}
-	return f
 }
 
 // newFlightSeg pops the per-conn free list, falling back to the heap.

@@ -232,14 +232,14 @@ func (c *Conn) processAck(seg *Segment, now int64, a *Actions) {
 		c.sampleRTT(seg, now)
 		partial := c.congAvoidOnAck(acked, ack)
 		c.dropAckedFlight(ack, now, a)
-		if partial && c.flightLen() > 0 {
+		if partial && c.flight.Len() > 0 {
 			// NewReno: a partial ack during fast recovery means the next
 			// hole; retransmit it immediately. Vital here because the
 			// receiver keeps no out-of-order data (paper §4.1), so every
 			// segment behind a loss must be resent.
 			c.retransmitHead(now, a)
 		}
-		if c.flightLen() == 0 {
+		if c.flight.Len() == 0 {
 			c.rexmtDeadline = 0
 		} else {
 			c.armRexmt(now)
@@ -274,8 +274,8 @@ func (c *Conn) sampleRTT(seg *Segment, now int64) {
 		}
 		return
 	}
-	if c.flightLen() > 0 {
-		head := c.flightFront()
+	if c.flight.Len() > 0 {
+		head := *c.flight.Front()
 		if !head.rexmitted && head.seq.Add(head.segLen()).Leq(seg.Ack) {
 			c.rtt.Sample(now - head.sentAt)
 			c.stats.RTTSamples++
@@ -314,15 +314,15 @@ func (c *Conn) congAvoidOnAck(acked int, ack Seq) bool {
 // dropAckedFlight removes fully acknowledged segments from the
 // retransmission queue, trimming a partially acked head (stream mode).
 func (c *Conn) dropAckedFlight(ack Seq, now int64, a *Actions) {
-	for c.flightLen() > 0 {
-		f := c.flightFront()
+	for c.flight.Len() > 0 {
+		f := *c.flight.Front()
 		end := f.seq.Add(f.segLen())
 		if end.Leq(ack) {
 			a.AckedBytes += f.payload.Len()
 			if f.isRecord {
 				a.AckedRecords++
 			}
-			c.popFlight()
+			c.flight.Pop()
 			c.freeFlightSeg(f)
 			continue
 		}
@@ -342,7 +342,7 @@ func (c *Conn) dropAckedFlight(ack Seq, now int64, a *Actions) {
 // fastRetransmit performs Reno fast retransmit/recovery on the third
 // duplicate ACK.
 func (c *Conn) fastRetransmit(now int64, a *Actions) {
-	if c.flightLen() == 0 {
+	if c.flight.Len() == 0 {
 		return
 	}
 	c.stats.FastRetransmits++
@@ -360,7 +360,7 @@ func (c *Conn) fastRetransmit(now int64, a *Actions) {
 
 // retransmitHead re-sends the first unacknowledged segment.
 func (c *Conn) retransmitHead(now int64, a *Actions) {
-	f := c.flightFront()
+	f := *c.flight.Front()
 	f.rexmitted = true
 	f.sentAt = now
 	c.stats.Retransmits++

@@ -30,7 +30,7 @@ func (c *Conn) pushFlight(seg *Segment, now int64, isRecord bool) {
 	f.flags = seg.Flags & (SYN | FIN)
 	f.sentAt = now
 	f.isRecord = isRecord
-	c.flight = append(c.flight, f)
+	c.flight.Push(f)
 	c.sndNxt = c.sndNxt.Add(f.segLen())
 }
 
@@ -54,7 +54,7 @@ func (c *Conn) output(now int64, a *Actions) {
 		}
 	}
 	c.managePersist(now)
-	if c.flightLen() > 0 && c.rexmtDeadline == 0 {
+	if c.flight.Len() > 0 && c.rexmtDeadline == 0 {
 		c.armRexmt(now)
 	}
 }
@@ -64,8 +64,8 @@ func (c *Conn) output(now int64, a *Actions) {
 // arbitrary-size segments the window must admit at least one message or
 // the connection would deadlock (mirrors TCP's always-send-one-MSS rule).
 func (c *Conn) outputRecords(now int64, a *Actions) {
-	for c.pendingRecHead < len(c.pendingRecords) {
-		rec := c.pendingRecords[c.pendingRecHead]
+	for c.pendingRecords.Len() > 0 {
+		rec := *c.pendingRecords.Front()
 		usable := c.usableWindow()
 		if rec.Len() > usable {
 			if c.sndNxt != c.sndUna {
@@ -82,7 +82,7 @@ func (c *Conn) outputRecords(now int64, a *Actions) {
 				return
 			}
 		}
-		c.popPendingRecord()
+		c.pendingRecords.Pop()
 		c.pendingLen -= rec.Len()
 		seg := c.makeSeg(ACK|PSH, rec)
 		seg.Seq = c.sndNxt
@@ -133,29 +133,30 @@ func (c *Conn) outputStream(now int64, a *Actions) {
 // spare — complete without allocating; only a take that spans queue entries
 // builds a parts slice for buf.Concat.
 func (c *Conn) takePending(n int) buf.Buf {
-	head := c.pendingBytes[c.pendingBytHead]
+	head := c.pendingBytes.Front()
 	if n < head.Len() {
-		c.pendingBytes[c.pendingBytHead] = head.Slice(n, head.Len())
+		out := head.Slice(0, n)
+		*head = head.Slice(n, head.Len())
 		c.pendingLen -= n
-		return head.Slice(0, n)
+		return out
 	}
 	if n == head.Len() {
-		c.popPendingByte()
+		b, _ := c.pendingBytes.Pop()
 		c.pendingLen -= n
-		return head
+		return b
 	}
 	parts := c.concatParts[:0]
 	got := 0
 	for got < n {
-		head := c.pendingBytes[c.pendingBytHead]
+		head := c.pendingBytes.Front()
 		take := n - got
 		if take >= head.Len() {
-			parts = append(parts, head)
+			parts = append(parts, *head)
 			got += head.Len()
-			c.popPendingByte()
+			c.pendingBytes.Pop()
 		} else {
 			parts = append(parts, head.Slice(0, take))
-			c.pendingBytes[c.pendingBytHead] = head.Slice(take, head.Len())
+			*head = head.Slice(take, head.Len())
 			got += take
 		}
 	}
@@ -166,28 +167,6 @@ func (c *Conn) takePending(n int) buf.Buf {
 	}
 	c.concatParts = parts[:0]
 	return out
-}
-
-// popPendingRecord retires the head record, clearing the slot so the drained
-// backing array does not pin delivered buffers, and resets the queue to its
-// start once empty.
-func (c *Conn) popPendingRecord() {
-	c.pendingRecords[c.pendingRecHead] = buf.Empty
-	c.pendingRecHead++
-	if c.pendingRecHead == len(c.pendingRecords) {
-		c.pendingRecords = c.pendingRecords[:0]
-		c.pendingRecHead = 0
-	}
-}
-
-// popPendingByte is popPendingRecord for the stream-mode queue.
-func (c *Conn) popPendingByte() {
-	c.pendingBytes[c.pendingBytHead] = buf.Empty
-	c.pendingBytHead++
-	if c.pendingBytHead == len(c.pendingBytes) {
-		c.pendingBytes = c.pendingBytes[:0]
-		c.pendingBytHead = 0
-	}
 }
 
 // outputFin transmits the queued FIN once all data is out.
@@ -214,8 +193,8 @@ func (c *Conn) windowBlocked() bool {
 	if c.cfg.Mode == Record {
 		// Mirror outputRecords' nothing-in-flight escape, including the
 		// window-scale truncation credit.
-		return c.pendingRecHead < len(c.pendingRecords) &&
-			c.pendingRecords[c.pendingRecHead].Len() > c.sndWnd+(1<<c.sndScale-1)
+		rec := c.pendingRecords.Front()
+		return rec != nil && rec.Len() > c.sndWnd+(1<<c.sndScale-1)
 	}
 	return c.sndWnd == 0
 }

@@ -54,7 +54,7 @@ func (c *Conn) armRexmt(now int64) {
 // onRexmtTimeout retransmits the oldest outstanding segment with
 // exponential backoff and collapses the congestion window (RFC 2581).
 func (c *Conn) onRexmtTimeout(now int64, a *Actions) {
-	if c.flightLen() == 0 {
+	if c.flight.Len() == 0 {
 		return
 	}
 	c.stats.Timeouts++

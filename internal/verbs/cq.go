@@ -3,6 +3,7 @@ package verbs
 import (
 	"repro/internal/hw"
 	"repro/internal/params"
+	"repro/internal/pool"
 	"repro/internal/sim"
 )
 
@@ -11,13 +12,9 @@ import (
 // (paper §2.1). Polling spins in the processor cache (paper §5.1), so an
 // empty poll is nearly free while a successful poll pays the reap cost.
 type CQ struct {
-	dev   Device
-	depth int
-	// entries drains through head so the steady-state push/poll cycle
-	// reuses one backing array. Popped slots are cleared so reaped
-	// completions don't pin their payload buffers.
-	entries  []Completion
-	head     int
+	dev      Device
+	depth    int
+	entries  pool.Ring[Completion] // bounded by depth
 	waiter   *sim.Proc
 	overflow uint64
 	// irq, when bound, is the CQ's event line: a Push that finds an armed
@@ -78,7 +75,7 @@ func (c *CQ) EventWake() {
 func (c *CQ) Depth() int { return c.depth }
 
 // Len reports queued completions.
-func (c *CQ) Len() int { return len(c.entries) - c.head }
+func (c *CQ) Len() int { return c.entries.Len() }
 
 // Overflows reports completions dropped because the CQ was full — always a
 // sizing bug in the application, never silent.
@@ -102,7 +99,7 @@ func (c *CQ) Push(comp Completion) {
 		c.overflowPending = true
 		return
 	}
-	c.entries = append(c.entries, comp)
+	c.entries.Push(comp)
 	if c.Len() > c.maxLen {
 		c.maxLen = c.Len()
 	}
@@ -137,13 +134,7 @@ func (c *CQ) Poll(p *sim.Proc) (Completion, bool) {
 		return Completion{}, false
 	}
 	p.Use(c.dev.HostCPU().Server, params.US(params.VerbsPollUS))
-	comp := c.entries[c.head]
-	c.entries[c.head] = Completion{}
-	c.head++
-	if c.head == len(c.entries) {
-		c.entries, c.head = c.entries[:0], 0
-	}
-	return comp, true
+	return c.entries.Pop()
 }
 
 // PollN reaps up to len(out) completions in order with a single batched
@@ -159,17 +150,8 @@ func (c *CQ) PollN(p *sim.Proc, out []Completion) int {
 		return 0
 	}
 	c.polls++
-	n := 0
-	for n < len(out) && c.Len() > 0 {
-		out[n] = c.entries[c.head]
-		c.entries[c.head] = Completion{}
-		c.head++
-		if c.head == len(c.entries) {
-			c.entries, c.head = c.entries[:0], 0
-		}
-		n++
-	}
-	if n < len(out) && c.Len() == 0 && c.overflowPending {
+	n := c.entries.PopN(out)
+	if n < len(out) && c.overflowPending {
 		c.overflowPending = false
 		out[n] = Completion{Status: StatusCQOverflow}
 		n++

@@ -22,14 +22,9 @@ type QP struct {
 	dev   Device
 	state QPState
 	err   error
-	// Both WR queues drain through head indices so steady-state post/take
-	// traffic reuses one backing array; taken slots are cleared so consumed
-	// WRs don't pin their payload buffers. Windowed traffic keeps them from
-	// ever draining, so every post compacts the taken prefix first.
-	sendQ      []SendWR
-	sendHead   int
-	recvQ      []RecvWR
-	recvHead   int
+	// The WR queues; sendDepth and recvDepth bound them.
+	sendQ      pool.Ring[SendWR]
+	recvQ      pool.Ring[RecvWR]
 	sendDepth  int
 	recvDepth  int
 	outSend    int // posted send WRs not yet completed
@@ -134,8 +129,7 @@ func (q *QP) PostSend(p *sim.Proc, wr SendWR) error {
 	p.Use(q.dev.HostCPU().Server, params.US(params.VerbsPostSendUS))
 	q.outSend++
 	q.posts++
-	q.sendQ, q.sendHead = pool.Compact(q.sendQ, q.sendHead)
-	q.sendQ = append(q.sendQ, wr)
+	q.sendQ.Push(wr)
 	q.dev.SendDoorbell(q)
 	return nil
 }
@@ -180,11 +174,10 @@ func (q *QP) PostSendN(p *sim.Proc, wrs []SendWR) (int, error) {
 	}
 	p.Use(q.dev.HostCPU().Server,
 		params.US(params.VerbsPostSendUS+float64(n-1)*params.VerbsPostSendBatchUS))
-	q.sendQ, q.sendHead = pool.Compact(q.sendQ, q.sendHead)
 	for _, wr := range wrs[:n] {
 		q.outSend++
 		q.posts++
-		q.sendQ = append(q.sendQ, wr)
+		q.sendQ.Push(wr)
 	}
 	q.dev.SendDoorbellN(q, n)
 	return n, err
@@ -216,8 +209,7 @@ func (q *QP) PostRecv(p *sim.Proc, wr RecvWR) error {
 	q.outRecv++
 	q.recvPosts++
 	q.postedRecv += wr.Capacity
-	q.recvQ, q.recvHead = pool.Compact(q.recvQ, q.recvHead)
-	q.recvQ = append(q.recvQ, wr)
+	q.recvQ.Push(wr)
 	q.dev.RecvPosted(q)
 	return nil
 }
@@ -263,12 +255,11 @@ func (q *QP) PostRecvN(p *sim.Proc, wrs []RecvWR) (int, error) {
 	}
 	p.Use(q.dev.HostCPU().Server,
 		params.US(params.VerbsPostRecvUS+float64(n-1)*params.VerbsPostRecvBatchUS))
-	q.recvQ, q.recvHead = pool.Compact(q.recvQ, q.recvHead)
 	for _, wr := range wrs[:n] {
 		q.outRecv++
 		q.recvPosts++
 		q.postedRecv += wr.Capacity
-		q.recvQ = append(q.recvQ, wr)
+		q.recvQ.Push(wr)
 	}
 	q.dev.RecvPostedN(q, n)
 	return n, err
@@ -352,18 +343,7 @@ func (q *QP) unpark() {
 // stage has been charged by the caller).
 //
 //qpip:hotpath
-func (q *QP) TakeSendWR() (SendWR, bool) {
-	if q.sendHead >= len(q.sendQ) {
-		return SendWR{}, false
-	}
-	wr := q.sendQ[q.sendHead]
-	q.sendQ[q.sendHead] = SendWR{}
-	q.sendHead++
-	if q.sendHead == len(q.sendQ) {
-		q.sendQ, q.sendHead = q.sendQ[:0], 0
-	}
-	return wr, true
-}
+func (q *QP) TakeSendWR() (SendWR, bool) { return q.sendQ.Pop() }
 
 // TakeRecvWR consumes the oldest posted receive WR. For an SRQ-attached
 // QP the claim resolves through the shared pool in device-wide FIFO
@@ -380,21 +360,13 @@ func (q *QP) TakeRecvWR() (RecvWR, bool) {
 		}
 		return wr, ok
 	}
-	if q.recvHead >= len(q.recvQ) {
-		return RecvWR{}, false
-	}
-	wr := q.recvQ[q.recvHead]
-	q.recvQ[q.recvHead] = RecvWR{}
-	q.recvHead++
-	if q.recvHead == len(q.recvQ) {
-		q.recvQ, q.recvHead = q.recvQ[:0], 0
-	}
+	wr, ok := q.recvQ.Pop()
 	q.postedRecv -= wr.Capacity
-	return wr, true
+	return wr, ok
 }
 
 // PendingSendWRs reports posted-but-unconsumed send WRs.
-func (q *QP) PendingSendWRs() int { return len(q.sendQ) - q.sendHead }
+func (q *QP) PendingSendWRs() int { return q.sendQ.Len() }
 
 // PostedRecvBytes reports unconsumed receive capacity; the firmware
 // advertises it as the TCP receive window. An SRQ-attached QP advertises
@@ -466,21 +438,21 @@ func (q *QP) Flush() { q.FlushWith(StatusFlushed) }
 // ordering; two runs of the same seed must reap identical completion
 // sequences through Poll and PollN alike.
 func (q *QP) FlushWith(status Status) {
-	for _, wr := range q.sendQ[q.sendHead:] {
+	for wr, ok := q.sendQ.Pop(); ok; wr, ok = q.sendQ.Pop() {
 		q.outSend--
 		q.SendCQ.Push(Completion{QPN: q.QPN, WRID: wr.ID, Op: OpSend, Status: status})
 	}
-	q.sendQ, q.sendHead = nil, 0
+	q.sendQ.Reset()
 	// An SRQ-attached QP owns no posted-but-unclaimed receive buffers:
 	// unclaimed WRs stay in the shared pool for other attached QPs, so
 	// there is nothing to error per-QP here and recvQ is empty by
 	// construction. Claimed-but-uncompleted WRs are flushed by the device
 	// like consumed sends.
-	for _, wr := range q.recvQ[q.recvHead:] {
+	for wr, ok := q.recvQ.Pop(); ok; wr, ok = q.recvQ.Pop() {
 		q.outRecv--
 		q.RecvCQ.Push(Completion{QPN: q.QPN, WRID: wr.ID, Op: OpRecv, Status: status})
 	}
-	q.recvQ, q.recvHead = nil, 0
+	q.recvQ.Reset()
 	q.postedRecv = 0
 	if q.sqdWaiter != nil && q.outSend == 0 {
 		q.wakeSQD()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/params"
+	"repro/internal/pool"
 	"repro/internal/sim"
 )
 
@@ -21,12 +22,8 @@ import (
 // of dropping — the same RNR backpressure path private queues use — and
 // the IB-style limit event tells the application to repost.
 type SRQ struct {
-	dev Device
-
-	// The pool drains through a head index like the QP-private queues so
-	// steady-state post/claim traffic reuses one backing array.
-	q     []RecvWR
-	head  int
+	dev   Device
+	q     pool.Ring[RecvWR] // bounded by depth
 	depth int
 
 	postedBytes int
@@ -75,7 +72,7 @@ func NewSRQ(dev Device, cfg SRQConfig) (*SRQ, error) {
 //
 //qpip:hotpath
 func (s *SRQ) PostRecv(p *sim.Proc, wr RecvWR) error {
-	if len(s.q)-s.head >= s.depth {
+	if s.q.Len() >= s.depth {
 		return ErrQueueFull
 	}
 	if wr.Capacity <= 0 {
@@ -85,7 +82,7 @@ func (s *SRQ) PostRecv(p *sim.Proc, wr RecvWR) error {
 	p.Use(s.dev.HostCPU().Server, params.US(params.VerbsPostRecvUS))
 	s.posts++
 	s.postedBytes += wr.Capacity
-	s.q = append(s.q, wr)
+	s.q.Push(wr)
 	s.dev.SRQPosted(s, 1)
 	return nil
 }
@@ -104,7 +101,7 @@ func (s *SRQ) PostRecvN(p *sim.Proc, wrs []RecvWR) (int, error) {
 	n := 0
 	var err error
 	for _, wr := range wrs {
-		if len(s.q)-s.head+n >= s.depth {
+		if s.q.Len()+n >= s.depth {
 			err = ErrQueueFull
 			break
 		}
@@ -123,7 +120,7 @@ func (s *SRQ) PostRecvN(p *sim.Proc, wrs []RecvWR) (int, error) {
 	for _, wr := range wrs[:n] {
 		s.posts++
 		s.postedBytes += wr.Capacity
-		s.q = append(s.q, wr)
+		s.q.Push(wr)
 	}
 	s.dev.SRQPosted(s, n)
 	return n, err
@@ -171,25 +168,20 @@ func (s *SRQ) fireLimit() {
 //
 //qpip:hotpath
 func (s *SRQ) take() (RecvWR, bool) {
-	if s.head >= len(s.q) {
-		return RecvWR{}, false
-	}
-	wr := s.q[s.head]
-	s.q[s.head] = RecvWR{}
-	s.head++
-	if s.head == len(s.q) {
-		s.q, s.head = s.q[:0], 0
+	wr, ok := s.q.Pop()
+	if !ok {
+		return wr, false
 	}
 	s.postedBytes -= wr.Capacity
 	s.claims++
-	if s.limitArmed && len(s.q)-s.head < s.limit {
+	if s.limitArmed && s.q.Len() < s.limit {
 		s.fireLimit()
 	}
 	return wr, true
 }
 
 // Posted reports posted-but-unclaimed WRs in the pool.
-func (s *SRQ) Posted() int { return len(s.q) - s.head }
+func (s *SRQ) Posted() int { return s.q.Len() }
 
 // PostedBytes reports unclaimed receive capacity in bytes; the firmware
 // advertises it as the TCP receive window of every attached connection.
@@ -212,5 +204,5 @@ func (s *SRQ) LimitEvents() uint64 { return s.limitEvents }
 // experiment divides this across attached QPs for the per-connection
 // figure.
 func (s *SRQ) HostMemBytes() int {
-	return (len(s.q)-s.head)*params.HostWRBytes + s.postedBytes
+	return s.q.Len()*params.HostWRBytes + s.postedBytes
 }
