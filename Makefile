@@ -1,11 +1,6 @@
 GO ?= go
 
-.PHONY: build test fmt vet shadow lint lint-baseline staticcheck govulncheck race fuzz check bench benchtest microbench chaos
-
-# Accepted-findings baseline for qpiplint. When the file exists, `make
-# lint` fails only on findings not recorded in it; `make lint-baseline`
-# re-records the current findings (review the diff before committing).
-LINT_BASELINE := internal/analysis/baseline.json
+.PHONY: build test fmt vet shadow lint staticcheck govulncheck race fuzz check bench benchtest microbench chaos
 
 # Official performance measurement repetitions.
 BENCH_REPEATS ?= 5
@@ -34,27 +29,15 @@ shadow:
 	fi
 
 # qpiplint is the repo's own determinism / datapath analyzer suite
-# (cmd/qpiplint, DESIGN §12). It is built from this tree, so it is never
+# (cmd/qpiplint, DESIGN §12, §17): six analyzers over the whole program,
+# plus stale-allow reports. It is built from this tree, so it is never
 # "not installed" — a build failure fails the gate loudly rather than
-# skipping the lint.
+# skipping the lint. Tier-1 runs the same check (cmd/qpiplint's
+# TestTreeIsLintClean); this target prints the findings directly.
 lint:
 	@$(GO) build -o bin/qpiplint ./cmd/qpiplint || \
 		{ echo "lint: FAILED to build cmd/qpiplint — the lint gate cannot run" >&2; exit 1; }
-	@if [ -f $(LINT_BASELINE) ]; then \
-		echo "bin/qpiplint -baseline $(LINT_BASELINE) ./..."; \
-		bin/qpiplint -baseline $(LINT_BASELINE) ./...; \
-	else \
-		bin/qpiplint ./...; \
-	fi
-
-# Re-record the accepted-findings baseline. A finding in the baseline is
-# grandfathered (make lint reports only new ones); shrink it over time,
-# don't grow it casually.
-lint-baseline:
-	@$(GO) build -o bin/qpiplint ./cmd/qpiplint || \
-		{ echo "lint-baseline: FAILED to build cmd/qpiplint" >&2; exit 1; }
-	bin/qpiplint -write-baseline $(LINT_BASELINE) ./...
-	@echo "wrote $(LINT_BASELINE); review the diff before committing"
+	bin/qpiplint ./...
 
 # staticcheck is optional tooling: run it when installed, note the skip
 # when not (CI images without it still pass the gate on vet + tests).

@@ -1,40 +1,24 @@
 // Command qpiplint is the repo's domain multichecker: the static
 // analyzers that prove the simulator's determinism and datapath
-// invariants over the whole tree on every `make check` (DESIGN §12, §17).
-//
-// Per-package analyzers (each package checked in isolation):
+// invariants over the whole tree on every `make lint` and in tier-1
+// (DESIGN §12, §17). Every analyzer sees the whole program: the loaded
+// packages plus the cross-package call graph.
 //
 //	simclock     no wall-clock reads in simulated packages
 //	nogoroutine  no raw goroutines or sync primitives in simulated packages
 //	maporder     no order-sensitive range-over-map loops
-//	bufref       pooled packet/segment/frame lifecycles balance per path
-//	hotalloc     //qpip:hotpath functions stay allocation-free
-//
-// Whole-program analyzers (cross-package call graph, DESIGN §17):
-//
-//	hotprop      //qpip:hotpath propagates through calls: reachable
-//	             callees are allocation-checked, diagnostics carry the
+//	hotprop      //qpip:hotpath functions and every callee they reach
+//	             stay allocation-free; diagnostics in callees carry the
 //	             hot call chain from the annotated root
-//	bufown       pooled buffer ownership balances across functions via
-//	             per-function consume/own summaries
+//	bufown       pooled buffer ownership balances within and across
+//	             functions via per-function consume/own summaries, and
+//	             nothing is used after its straight-line Release
 //	shardsafe    //qpip:barrier confinement, shard-runner call
 //	             discipline, no scheduling on foreign engines
 //
 // Usage:
 //
-//	qpiplint [-run name,name] [-baseline file] [packages...]   # default ./...
-//	qpiplint -write-baseline file [packages...]
-//	go vet -vettool=$(command -v qpiplint) ./...
-//
-// The vettool form speaks the go command's unit-checking protocol and
-// gets per-package caching, but a package unit has no whole-program
-// view, so only the per-package analyzers run there; the first form is
-// what `make check` uses and runs everything.
-//
-// -write-baseline serializes current findings (analyzer, file, message —
-// no line numbers, so pure movement doesn't churn) to a JSON file;
-// -baseline suppresses findings present in such a file, making `make
-// check` fail only on NEW findings while the recorded debt is paid down.
+//	qpiplint [-run name,name] [packages...]   # default ./...
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load failure. Findings
 // are suppressed line-by-line with
@@ -42,25 +26,19 @@
 //	//lint:qpip-allow <analyzer> <reason>
 //
 // on the flagged line or the line above it; the reason is mandatory, and
-// for hotprop an allow on a call site severs that propagation edge.
+// for hotprop an allow on a call site severs that propagation edge. An
+// allow that names no analyzer is a finding, and so is an allow for a
+// selected analyzer that suppressed nothing — in a full run, every stale
+// allow.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/importer"
-	"go/token"
-	"io"
 	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/analysis/bufown"
-	"repro/internal/analysis/bufref"
-	"repro/internal/analysis/framework"
-	"repro/internal/analysis/hotalloc"
 	"repro/internal/analysis/hotprop"
 	"repro/internal/analysis/interproc"
 	"repro/internal/analysis/load"
@@ -70,281 +48,68 @@ import (
 	"repro/internal/analysis/simclock"
 )
 
-var all = []*framework.Analyzer{
+var all = []*interproc.Analyzer{
 	simclock.Analyzer,
 	nogoroutine.Analyzer,
 	maporder.Analyzer,
-	bufref.Analyzer,
-	hotalloc.Analyzer,
-}
-
-var program = []*interproc.Analyzer{
 	hotprop.Analyzer,
 	bufown.Analyzer,
 	shardsafe.Analyzer,
 }
 
 func main() {
-	// go vet's vettool handshake: version for the build cache key, flag
-	// inventory, then one .cfg file per package unit.
-	if len(os.Args) == 2 {
-		switch {
-		case strings.HasPrefix(os.Args[1], "-V"):
-			fmt.Println("qpiplint version qpip-2")
-			return
-		case os.Args[1] == "-flags":
-			fmt.Println("[]")
-			return
-		case strings.HasSuffix(os.Args[1], ".cfg"):
-			unitCheck(os.Args[1])
-			return
-		}
-	}
-
 	run := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
-	baseline := flag.String("baseline", "", "suppress findings recorded in this JSON baseline file")
-	writeBaseline := flag.String("write-baseline", "", "write current findings to this JSON baseline file and exit 0")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: qpiplint [-run name,name] [-baseline file | -write-baseline file] [packages...]\n\nper-package analyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: qpiplint [-run name,name] [packages...]\n\nanalyzers:\n")
 		for _, a := range all {
-			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
-		}
-		fmt.Fprintf(os.Stderr, "\nwhole-program analyzers:\n")
-		for _, a := range program {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
 	}
 	flag.Parse()
 
-	unitAs, progAs, err := selectAnalyzers(*run)
+	analyzers, err := selectAnalyzers(*run)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qpiplint:", err)
 		os.Exit(2)
 	}
-
-	pkgs, err := load.Load(flag.Args()...)
+	findings, err := lint(analyzers, flag.Args()...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qpiplint:", err)
 		os.Exit(2)
 	}
-
-	var findings []framework.Finding
-	for _, pkg := range pkgs {
-		fs, err := framework.Run(pkg.Fset, pkg.Files, pkg.Types, pkg.Info, unitAs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "qpiplint:", err)
-			os.Exit(2)
-		}
-		findings = append(findings, fs...)
-	}
-
-	// The loader shares one FileSet across packages, so the whole tree
-	// assembles into a single Program for the interprocedural analyzers.
-	if len(progAs) > 0 && len(pkgs) > 0 {
-		units := make([]*interproc.Unit, 0, len(pkgs))
-		for _, pkg := range pkgs {
-			units = append(units, &interproc.Unit{
-				Path: pkg.Path, Files: pkg.Files, Types: pkg.Types, Info: pkg.Info,
-			})
-		}
-		prog := interproc.NewProgram(pkgs[0].Fset, units)
-		fs, err := interproc.Run(prog, progAs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "qpiplint:", err)
-			os.Exit(2)
-		}
-		findings = append(findings, fs...)
-	}
-
-	if *writeBaseline != "" {
-		if err := saveBaseline(*writeBaseline, findings); err != nil {
-			fmt.Fprintln(os.Stderr, "qpiplint:", err)
-			os.Exit(2)
-		}
-		fmt.Printf("qpiplint: wrote %d finding(s) to %s\n", len(findings), *writeBaseline)
-		return
-	}
-	if *baseline != "" {
-		known, err := loadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "qpiplint:", err)
-			os.Exit(2)
-		}
-		findings = filterBaseline(findings, known)
-	}
-
-	exit := 0
 	for _, f := range findings {
 		fmt.Println(f)
-		exit = 1
-	}
-	os.Exit(exit)
-}
-
-func selectAnalyzers(names string) ([]*framework.Analyzer, []*interproc.Analyzer, error) {
-	if names == "" {
-		return all, program, nil
-	}
-	unitBy := map[string]*framework.Analyzer{}
-	for _, a := range all {
-		unitBy[a.Name] = a
-	}
-	progBy := map[string]*interproc.Analyzer{}
-	for _, a := range program {
-		progBy[a.Name] = a
-	}
-	var units []*framework.Analyzer
-	var progs []*interproc.Analyzer
-	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		switch {
-		case unitBy[n] != nil:
-			units = append(units, unitBy[n])
-		case progBy[n] != nil:
-			progs = append(progs, progBy[n])
-		default:
-			return nil, nil, fmt.Errorf("unknown analyzer %q", n)
-		}
-	}
-	return units, progs, nil
-}
-
-// baselineEntry identifies one accepted finding. Line numbers are
-// deliberately absent: moving code around must not churn the baseline,
-// only genuinely new findings should.
-type baselineEntry struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Message  string `json:"message"`
-}
-
-func (e baselineEntry) key() string {
-	return e.Analyzer + "\x00" + e.File + "\x00" + e.Message
-}
-
-// relFile normalizes a finding's filename to a cwd-relative slash path
-// so baselines are stable across checkouts.
-func relFile(name string) string {
-	if wd, err := os.Getwd(); err == nil {
-		if rel, err := filepath.Rel(wd, name); err == nil && !strings.HasPrefix(rel, "..") {
-			return filepath.ToSlash(rel)
-		}
-	}
-	return filepath.ToSlash(name)
-}
-
-func saveBaseline(path string, findings []framework.Finding) error {
-	entries := make([]baselineEntry, 0, len(findings))
-	for _, f := range findings {
-		entries = append(entries, baselineEntry{
-			Analyzer: f.Analyzer, File: relFile(f.Pos.Filename), Message: f.Message,
-		})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].key() < entries[j].key() })
-	data, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o666)
-}
-
-func loadBaseline(path string) (map[string]bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var entries []baselineEntry
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return nil, fmt.Errorf("parsing baseline %s: %v", path, err)
-	}
-	known := make(map[string]bool, len(entries))
-	for _, e := range entries {
-		known[e.key()] = true
-	}
-	return known, nil
-}
-
-func filterBaseline(findings []framework.Finding, known map[string]bool) []framework.Finding {
-	var out []framework.Finding
-	for _, f := range findings {
-		e := baselineEntry{Analyzer: f.Analyzer, File: relFile(f.Pos.Filename), Message: f.Message}
-		if !known[e.key()] {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// vetConfig is the JSON the go command hands a vettool for one package
-// (the same schema x/tools' unitchecker reads).
-type vetConfig struct {
-	ID                        string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	NonGoFiles                []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// unitCheck analyzes one package unit under `go vet -vettool=qpiplint`.
-// Whole-program analyzers don't run here: a vet unit sees one package
-// against export data, never the full source program.
-func unitCheck(cfgFile string) {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "qpiplint:", err)
-		os.Exit(2)
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "qpiplint: parsing %s: %v\n", cfgFile, err)
-		os.Exit(2)
-	}
-
-	// The go command requires the facts output file to exist afterwards;
-	// qpiplint keeps no cross-package facts, so it is empty.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "qpiplint:", err)
-			os.Exit(2)
-		}
-	}
-	if cfg.VetxOnly {
-		return
-	}
-
-	// Imports resolve through the export files the go command already
-	// compiled, after mapping through ImportMap (vendoring, test variants).
-	exportFor := load.ExportLookup(cfg.PackageFile)
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		return exportFor(path)
-	})
-	pkg, err := load.CheckFiles(fset, cfg.ImportPath, cfg.GoFiles, imp)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return
-		}
-		fmt.Fprintln(os.Stderr, "qpiplint:", err)
-		os.Exit(2)
-	}
-	findings, err := framework.Run(pkg.Fset, pkg.Files, pkg.Types, pkg.Info, all)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "qpiplint:", err)
-		os.Exit(2)
 	}
 	if len(findings) > 0 {
-		for _, f := range findings {
-			fmt.Fprintln(os.Stderr, f)
-		}
-		os.Exit(2)
+		os.Exit(1)
 	}
+}
+
+// lint loads patterns as one program and runs analyzers over it.
+func lint(analyzers []*interproc.Analyzer, patterns ...string) ([]interproc.Finding, error) {
+	pkgs, err := load.Load(patterns...)
+	if err != nil || len(pkgs) == 0 {
+		return nil, err
+	}
+	// The loader shares one FileSet across packages.
+	return interproc.Run(interproc.NewProgram(pkgs[0].Fset, pkgs), analyzers, all)
+}
+
+func selectAnalyzers(names string) ([]*interproc.Analyzer, error) {
+	if names == "" {
+		return all, nil
+	}
+	by := map[string]*interproc.Analyzer{}
+	for _, a := range all {
+		by[a.Name] = a
+	}
+	var out []*interproc.Analyzer
+	for _, n := range strings.Split(names, ",") {
+		a := by[strings.TrimSpace(n)]
+		if a == nil {
+			return nil, fmt.Errorf("unknown analyzer %q", n)
+		}
+		out = append(out, a)
+	}
+	return out, nil
 }

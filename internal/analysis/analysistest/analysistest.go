@@ -1,7 +1,8 @@
 // Package analysistest runs one qpiplint analyzer over a golden fixture
 // tree and checks its findings against inline expectations, mirroring
 // golang.org/x/tools/go/analysis/analysistest on the standard library
-// only.
+// only. The fixture is loaded as one whole program, exactly like the
+// real tree under qpiplint.
 //
 // A fixture lives under internal/analysis/testdata/src/<name>/...; every
 // directory holding .go files is one package whose import path is its
@@ -18,7 +19,8 @@
 //
 // Each finding must match one want on its line, and each want must be
 // matched by a finding; //lint:qpip-allow suppression runs before
-// matching, so an allowed line simply carries no want.
+// matching, so an allowed line simply carries no want. An allow that
+// names another analyzer, or suppresses nothing, is itself a finding.
 package analysistest
 
 import (
@@ -36,7 +38,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/analysis/framework"
 	"repro/internal/analysis/interproc"
 	"repro/internal/analysis/load"
 )
@@ -48,9 +49,11 @@ type fixturePkg struct {
 	imports []string
 }
 
-// Run loads every fixture package under root/fixture, applies a to each,
-// and compares the surviving findings with the // want expectations.
-func Run(t *testing.T, a *framework.Analyzer, root, fixture string) {
+// Run loads the whole fixture tree under root/fixture into one
+// interproc.Program, applies a, and compares the findings with the
+// // want expectations. All fixture packages are checked first and then
+// analyzed together, since call chains may cross package boundaries.
+func Run(t *testing.T, a *interproc.Analyzer, root, fixture string) {
 	t.Helper()
 
 	fset := token.NewFileSet()
@@ -67,59 +70,18 @@ func Run(t *testing.T, a *framework.Analyzer, root, fixture string) {
 		t.Fatalf("resolving fixture imports: %v", err)
 	}
 
-	var findings []framework.Finding
+	var units []*load.Package
 	for _, fp := range sortTopo(pkgs) {
 		checked, err := load.CheckParsed(fset, fp.path, fp.files, imp)
 		if err != nil {
 			t.Fatalf("type-checking fixture package %s: %v", fp.path, err)
 		}
 		imp.checked[fp.path] = checked.Types
-		fs, err := framework.Run(checked.Fset, checked.Files, checked.Types, checked.Info, []*framework.Analyzer{a})
-		if err != nil {
-			t.Fatalf("running %s on %s: %v", a.Name, fp.path, err)
-		}
-		findings = append(findings, fs...)
+		units = append(units, checked)
 	}
 
-	match(t, fset, pkgs, findings)
-}
-
-// RunProgram loads the whole fixture tree under root/fixture into one
-// interproc.Program, applies the whole-program analyzer a, and compares
-// findings with // want expectations — the program-analyzer twin of Run.
-// Unlike Run, all fixture packages are checked first and then analyzed
-// together, since call chains are expected to cross package boundaries.
-func RunProgram(t *testing.T, a *interproc.Analyzer, root, fixture string) {
-	t.Helper()
-
-	fset := token.NewFileSet()
-	pkgs, err := parseFixture(fset, root, fixture)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", fixture, err)
-	}
-	if len(pkgs) == 0 {
-		t.Fatalf("fixture %s has no packages under %s", fixture, root)
-	}
-
-	imp, err := buildImporter(fset, pkgs)
-	if err != nil {
-		t.Fatalf("resolving fixture imports: %v", err)
-	}
-
-	var units []*interproc.Unit
-	for _, fp := range sortTopo(pkgs) {
-		checked, err := load.CheckParsed(fset, fp.path, fp.files, imp)
-		if err != nil {
-			t.Fatalf("type-checking fixture package %s: %v", fp.path, err)
-		}
-		imp.checked[fp.path] = checked.Types
-		units = append(units, &interproc.Unit{
-			Path: fp.path, Files: checked.Files, Types: checked.Types, Info: checked.Info,
-		})
-	}
-
-	prog := interproc.NewProgram(fset, units)
-	findings, err := interproc.Run(prog, []*interproc.Analyzer{a})
+	only := []*interproc.Analyzer{a}
+	findings, err := interproc.Run(interproc.NewProgram(fset, units), only, only)
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
 	}
@@ -280,7 +242,7 @@ func parseWants(t *testing.T, fset *token.FileSet, pkgs map[string]*fixturePkg) 
 
 // match pairs findings with expectations one-to-one and reports both
 // unexpected findings and unmet expectations.
-func match(t *testing.T, fset *token.FileSet, pkgs map[string]*fixturePkg, findings []framework.Finding) {
+func match(t *testing.T, fset *token.FileSet, pkgs map[string]*fixturePkg, findings []interproc.Finding) {
 	t.Helper()
 	wants := parseWants(t, fset, pkgs)
 	for _, f := range findings {

@@ -1,12 +1,11 @@
-// Package bufown tracks ownership of pooled datapath objects across
-// function and package boundaries. The pooled types — wire.Packet
+// Package bufown tracks ownership of pooled datapath objects within and
+// across function and package boundaries. The pooled types — wire.Packet
 // (wire.Get / Retain / Release), tcp.Segment (tcp.NewSegment / Release),
 // fabric.Frame (fabric.NewFrame, consumed by the fabric at Send) and the
 // collective firmware's ring message (qpipnic (*NIC).getCollMsg / Retain /
 // Release) — are recycled through free lists, so a reference that is neither
-// released nor handed to a new owner is a leak that starves the pool,
-// and the per-package bufref analyzer can only see the half of the
-// story that happens inside one function.
+// released nor handed to a new owner is a leak that starves the pool, and
+// a use after Release is a recycling race that corrupts a later packet.
 //
 // bufown computes one ownership summary per function and iterates them
 // to a fixed point over the whole-program call graph:
@@ -33,11 +32,10 @@
 // to take ownership — optimistic, keeps external calls quiet); storing
 // into a field, map, slice, global or channel; returning it; capturing
 // it in a function literal (the repo's continuation style hands
-// ownership to the bound closure). The check is flow-insensitive: one
-// consuming event anywhere in the function discharges the obligation,
-// so bufref's per-path release check remains the sharper intra-
-// procedural tool and bufown adds the cross-function view. Two findings
-// come out:
+// ownership to the bound closure — a reference acquired inside the
+// literal is tracked there like any other). The ownership check is
+// flow-insensitive: one consuming event anywhere in the function
+// discharges the obligation. Three findings come out:
 //
 //   - a local acquires an owned object (from wire.Get, tcp.NewSegment,
 //     fabric.NewFrame, or any function whose summary returns owned) and
@@ -46,17 +44,22 @@
 //     ownership;
 //   - an owned result is discarded outright: the call is a bare
 //     statement, assigned to _, or passed to a callee that is known not
-//     to take ownership.
+//     to take ownership;
+//   - a pooled object is used in straight-line code after a
+//     statement-level v.Release() in the same block, before any
+//     reassignment of v. Deferred releases run at exit and are exempt.
 //
-// Suppress with //lint:qpip-allow bufown <reason> on the acquisition
-// line. DESIGN §17 documents the summary format; the analysistest
-// fixture under testdata/src/bufown2 is the executable specification.
+// Suppress with //lint:qpip-allow bufown <reason> on the flagged line.
+// DESIGN §17 documents the summary format; the analysistest fixtures
+// under testdata/src/bufown2 and testdata/src/bufownlocal are the
+// executable specification.
 package bufown
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 
 	"repro/internal/analysis/framework"
@@ -223,7 +226,97 @@ func run(pass *interproc.Pass) error {
 			analyze(n, g, summaries, candidates, pass)
 		}
 	}
+	for _, u := range prog.Units {
+		for _, f := range u.Files {
+			useAfterRelease(u.Info, f, pass.Reportf)
+		}
+	}
 	return nil
+}
+
+// useAfterRelease flags straight-line uses of a pooled object after a
+// statement-level v.Release() in the same statement list. Each list is
+// checked on its own: a nested block, loop or branch starts afresh, and
+// a deferred release runs at exit, so neither marks anything.
+func useAfterRelease(info *types.Info, root ast.Node, report func(pos token.Pos, format string, args ...any)) {
+	ast.Inspect(root, func(x ast.Node) bool {
+		switch x := x.(type) {
+		case *ast.BlockStmt:
+			straightLine(info, x.List, report)
+		case *ast.CaseClause:
+			straightLine(info, x.Body, report)
+		case *ast.CommClause:
+			straightLine(info, x.Body, report)
+		}
+		return true
+	})
+}
+
+func straightLine(info *types.Info, stmts []ast.Stmt, report func(pos token.Pos, format string, args ...any)) {
+	var released []types.Object
+	for _, st := range stmts {
+		switch st.(type) {
+		case *ast.BlockStmt, *ast.IfStmt, *ast.ForStmt, *ast.RangeStmt,
+			*ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt, *ast.DeferStmt:
+			continue
+		}
+		// An assignment reads its right-hand side before the plain
+		// identifiers on its left are rebound; a rebound name is live again.
+		var scan []ast.Node
+		var rebound []types.Object
+		if asg, ok := st.(*ast.AssignStmt); ok {
+			for _, rhs := range asg.Rhs {
+				scan = append(scan, rhs)
+			}
+			for _, lhs := range asg.Lhs {
+				if id, isID := lhs.(*ast.Ident); isID {
+					rebound = append(rebound, info.Uses[id])
+				} else {
+					scan = append(scan, lhs)
+				}
+			}
+		} else {
+			scan = []ast.Node{st}
+		}
+		kept := released[:0]
+		for _, obj := range released {
+			if use := findUse(info, scan, obj); use != nil {
+				report(use.Pos(),
+					"use of pooled %q after %s.Release(): the object may already be recycled into another in-flight packet",
+					obj.Name(), obj.Name())
+				continue // one report per release
+			}
+			if !slices.Contains(rebound, obj) {
+				kept = append(kept, obj)
+			}
+		}
+		released = kept
+		if es, ok := st.(*ast.ExprStmt); ok {
+			if call, ok := es.X.(*ast.CallExpr); ok {
+				if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Release" {
+					if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
+						if obj := info.Uses[id]; obj != nil && pooledPointer(obj.Type()) {
+							released = append(released, obj)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// findUse returns the first identifier under nodes that refers to obj.
+func findUse(info *types.Info, nodes []ast.Node, obj types.Object) ast.Node {
+	var found ast.Node
+	for _, n := range nodes {
+		ast.Inspect(n, func(x ast.Node) bool {
+			if id, ok := x.(*ast.Ident); ok && found == nil && info.Uses[id] == obj {
+				found = id
+			}
+			return found == nil
+		})
+	}
+	return found
 }
 
 // newSummary sizes a node's empty summary from its signature.
@@ -602,9 +695,10 @@ func (w *useWalker) borrow(obj types.Object, by string) { w.borrows[obj] = appen
 // this use consumes the reference, borrows it, or merely reads it.
 func (w *useWalker) classify(id *ast.Ident, obj types.Object) {
 	// Capture by a function literal hands the reference to the bound
-	// continuation, whatever happens inside: consumed.
+	// continuation, whatever happens inside: consumed. A reference
+	// declared inside the literal is not captured by it.
 	for i := len(w.stack) - 2; i >= 0; i-- {
-		if _, ok := w.stack[i].(*ast.FuncLit); ok {
+		if lit, ok := w.stack[i].(*ast.FuncLit); ok && (obj.Pos() < lit.Pos() || obj.Pos() >= lit.End()) {
 			w.consume(obj)
 			return
 		}

@@ -7,6 +7,12 @@ import (
 	"repro/internal/analysis/bufown"
 )
 
+// TestFixtures runs the cross-function ownership fixture and the
+// single-function one (balance within a body, use after release).
 func TestFixtures(t *testing.T) {
-	analysistest.RunProgram(t, bufown.Analyzer, "../testdata/src", "bufown2")
+	for _, fixture := range []string{"bufown2", "bufownlocal"} {
+		t.Run(fixture, func(t *testing.T) {
+			analysistest.Run(t, bufown.Analyzer, "../testdata/src", fixture)
+		})
+	}
 }

@@ -1,15 +1,11 @@
-// Package hotalloc keeps //qpip:hotpath functions allocation-free at
-// compile time.
+// Package hotalloc is the allocation-pattern library behind hotprop's
+// //qpip:hotpath discipline (DESIGN §12, §17).
 //
-// PR 2 made the steady-state datapath allocate nothing (DESIGN §10); the
-// guarantee is pinned by runtime testing.AllocsPerRun regressions, which
-// only cover the benchmarked paths. This analyzer makes the property
-// local and total: a function whose doc comment contains the line
-//
-//	//qpip:hotpath
-//
-// is checked for the allocation patterns that have actually bitten this
-// codebase:
+// The steady-state datapath allocates nothing (DESIGN §10); the guarantee is
+// pinned by runtime testing.AllocsPerRun regressions, which only cover
+// the benchmarked paths. Check makes the property local and total: it
+// inspects one function body for the allocation patterns that have
+// actually bitten this codebase:
 //
 //   - function literals (a closure capturing variables allocates its
 //     environment per call — bind continuations once at construction
@@ -30,76 +26,25 @@
 //     matter how it is spelled.
 //
 // Arguments of panic(...) are exempt everywhere: a hot path may format
-// its dying words. Known-cold branches inside a hot function carry
-// "//lint:qpip-allow hotalloc <reason>" (e.g. verbs error returns).
-//
-// The companion whole-program analyzer hotprop (internal/analysis/
-// hotprop) reuses CheckFunc to apply these same patterns to every
-// function reachable from an annotated root through the call graph.
+// its dying words. The hotprop analyzer (internal/analysis/hotprop)
+// applies Check to every annotated root and every function the call
+// graph proves reachable from one; known-cold branches carry
+// "//lint:qpip-allow hotprop <reason>" (e.g. verbs error returns). The
+// fixture under testdata/src/hotalloc pins each pattern.
 package hotalloc
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"repro/internal/analysis/framework"
 )
 
-// Annotation marks a function as hot-path; it must appear as its own
-// line inside the function's doc comment.
-const Annotation = "qpip:hotpath"
-
-// Analyzer is the hotalloc check.
-var Analyzer = &framework.Analyzer{
-	Name: "hotalloc",
-	Doc:  "flag allocating constructs (closures, fmt, boxing, string concat, growing append) in //qpip:hotpath functions",
-	Run:  run,
-}
-
-func run(pass *framework.Pass) error {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !Annotated(fd) {
-				continue
-			}
-			CheckFunc(pass.TypesInfo, fd, pass.Reportf)
-		}
-	}
-	return nil
-}
-
-// Annotated reports whether the declaration carries //qpip:hotpath.
-func Annotated(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if strings.TrimSpace(strings.TrimPrefix(c.Text, "//")) == Annotation {
-			return true
-		}
-	}
-	return false
-}
-
-// CheckFunc applies every allocation pattern to one function body,
-// reporting through report. It is shared between this analyzer (which
-// checks annotated functions) and hotprop (which checks functions the
-// call graph proves reachable from an annotated root).
-func CheckFunc(info *types.Info, fd *ast.FuncDecl, report func(pos token.Pos, format string, args ...any)) {
-	checkFunc(info, fd, "//"+Annotation+" function", report)
-}
-
-// CheckReachable is CheckFunc with diagnostics worded for functions that
-// are not themselves annotated but are reachable from an annotated root
-// (hotprop's case): "hot-reachable function" instead of the directive.
-func CheckReachable(info *types.Info, fd *ast.FuncDecl, report func(pos token.Pos, format string, args ...any)) {
-	checkFunc(info, fd, "hot-reachable function", report)
-}
-
-func checkFunc(info *types.Info, fd *ast.FuncDecl, desc string, report func(pos token.Pos, format string, args ...any)) {
+// Check applies every allocation pattern to one function body, reporting
+// through report. desc names the kind of function in each diagnostic
+// ("//qpip:hotpath function", "hot-reachable function").
+func Check(info *types.Info, fd *ast.FuncDecl, desc string, report func(pos token.Pos, format string, args ...any)) {
 	// Spans of panic(...) argument lists; anything inside is exempt.
 	var panicSpans []span
 	ast.Inspect(fd.Body, func(n ast.Node) bool {

@@ -1,20 +1,24 @@
-// Package hotprop extends the //qpip:hotpath allocation discipline
-// through the call graph. hotalloc checks annotated functions in
-// isolation; a hot loop that calls an innocent-looking helper in another
-// package still pays for every allocation that helper makes. hotprop
-// walks the whole-program call graph (internal/analysis/interproc) from
-// every annotated root — following static calls and conservatively
-// resolved interface dispatches — and applies the same allocation
-// patterns to every reachable function that is not itself annotated
-// (those are hotalloc's, and reporting them twice would be noise).
+// Package hotprop enforces the //qpip:hotpath allocation discipline
+// through the call graph. A function whose doc comment contains the line
 //
-// Every diagnostic carries the shortest call chain from an annotated
-// root, so a finding deep in the fabric reads as evidence, not
-// assertion:
+//	//qpip:hotpath
 //
-//	frame.go:88: fmt.Sprintf in hot-reachable function fabric.format
-//	allocates ... (hot call chain: qpipnic.(*Engine).TxDoorbell ->
-//	fabric.(*Port).Deliver -> fabric.format)
+// is a hot root; a hot loop that calls an innocent-looking helper in
+// another package still pays for every allocation that helper makes.
+// hotprop walks the whole-program call graph (internal/analysis/interproc)
+// from every annotated root — following static calls and conservatively
+// resolved interface dispatches — and applies the hotalloc pattern
+// library to each root and to every function it reaches, once each.
+//
+// A finding in a root names the annotation; a finding in a reached
+// function carries the shortest call chain from an annotated root, so a
+// finding deep in the fabric reads as evidence, not assertion. Without
+// the allow on the frame.bindFns() call in fabric.(*Fabric).Send, the
+// first report would be:
+//
+//	fabric.go:66: closure in hot-reachable function bindFns allocates
+//	its environment per call: ... (hot call chain: gige.(*dmaJob).done
+//	-> fabric.(*Fabric).Send -> fabric.(*Frame).bindFns)
 //
 // Suppression is per-EDGE, not just per-finding: a
 // "//lint:qpip-allow hotprop <reason>" comment on a call site severs
@@ -33,15 +37,16 @@ import (
 	"repro/internal/analysis/interproc"
 )
 
-// HotAnnotation is the root marker, shared with hotalloc.
-const HotAnnotation = hotalloc.Annotation
+// Annotation marks a hot root; it must appear as its own line inside the
+// function's doc comment.
+const Annotation = "qpip:hotpath"
 
 const name = "hotprop"
 
-// Analyzer is the whole-program hot-path propagation check.
+// Analyzer is the whole-program hot-path allocation check.
 var Analyzer = &interproc.Analyzer{
 	Name: name,
-	Doc:  "propagate //qpip:hotpath through the call graph and flag allocations in reachable callees, with the hot call chain in each diagnostic",
+	Doc:  "flag allocating constructs (closures, fmt, boxing, string concat, growing append) in //qpip:hotpath functions and every callee they reach, with the hot call chain in each diagnostic",
 	Run:  run,
 }
 
@@ -51,7 +56,7 @@ func run(pass *interproc.Pass) error {
 
 	var roots []*interproc.Node
 	for _, n := range g.All() {
-		if n.Annotations[HotAnnotation] {
+		if n.Annotations[Annotation] {
 			roots = append(roots, n)
 		}
 	}
@@ -66,14 +71,15 @@ func run(pass *interproc.Pass) error {
 	parent := g.ReachableFrom(roots, follow)
 
 	for _, n := range g.All() {
-		e := parent[n]
-		if e == nil || n.Annotations[HotAnnotation] {
-			continue // not reached, or a root: hotalloc's territory
+		switch {
+		case n.Annotations[Annotation]:
+			hotalloc.Check(n.Unit.Info, n.Decl, "//"+Annotation+" function", pass.Reportf)
+		case parent[n] != nil:
+			chain := interproc.Chain(parent, n)
+			hotalloc.Check(n.Unit.Info, n.Decl, "hot-reachable function", func(pos token.Pos, format string, args ...any) {
+				pass.Reportf(pos, format+" (hot call chain: %s)", append(args, chain)...)
+			})
 		}
-		chain := interproc.Chain(parent, n)
-		hotalloc.CheckReachable(n.Unit.Info, n.Decl, func(pos token.Pos, format string, args ...any) {
-			pass.Reportf(pos, format+" (hot call chain: %s)", append(args, chain)...)
-		})
 	}
 	return nil
 }

@@ -5,6 +5,9 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
+
+	"repro/internal/analysis/framework"
+	"repro/internal/analysis/load"
 )
 
 // EdgeKind distinguishes how a call site was resolved.
@@ -48,7 +51,7 @@ type Node struct {
 	// Decl is the declaration; Decl.Body is non-nil.
 	Decl *ast.FuncDecl
 	// Unit is the package the function is declared in.
-	Unit *Unit
+	Unit *load.Package
 	// Out and In are the resolved call edges.
 	Out, In []*Edge
 	// Annotations holds the function's //qpip:* doc-comment directives
@@ -222,7 +225,7 @@ func buildGraph(prog *Program) *Graph {
 			if !ok {
 				return true
 			}
-			fn := calleeFunc(info, call)
+			fn := framework.CalleeName(info, call)
 			if fn == nil {
 				return true // builtin, conversion, or call through a func value
 			}
@@ -248,22 +251,6 @@ func buildGraph(prog *Program) *Graph {
 		})
 	}
 	return g
-}
-
-// calleeFunc resolves the called function object of call, or nil for
-// builtins, conversions, and calls through function-typed values.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := info.Uses[id].(*types.Func)
-	return fn
 }
 
 // interfaceReceiver returns the receiver interface type when fn is an

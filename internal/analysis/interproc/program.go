@@ -1,19 +1,18 @@
-// Package interproc is qpiplint's interprocedural layer: a cross-package
-// call-graph builder plus a small summary-based dataflow framework, built
-// on the standard library's go/ast + go/types only (like the rest of
-// internal/analysis — the build image carries no x/tools).
+// Package interproc is qpiplint's analysis layer: the one Analyzer type,
+// its runner, a cross-package call-graph builder and a small
+// summary-based dataflow framework, built on the standard library's
+// go/ast + go/types only (like the rest of internal/analysis — the build
+// image carries no x/tools).
 //
-// # Why a second analyzer kind
+// # One program, every analyzer
 //
-// The per-package framework (internal/analysis/framework) checks each
-// package in isolation, which is exactly right for syntactic invariants
-// (no wall clocks, no goroutines, no order-sensitive map ranges). The
-// bugs that grew in with the switched topologies, collectives firmware
-// and SRQ pools span functions and packages: a callee reached from a
-// //qpip:hotpath root that allocates, a pooled fabric.Frame acquired in
-// one package and never released in another, shard-runner code touching
-// a foreign engine outside the mailbox protocol. Those need the whole
-// program.
+// Every analyzer sees the whole loaded program. The syntactic checks
+// (no wall clocks, no goroutines, no order-sensitive map ranges) simply
+// loop over Program.Units; the checks that span functions and packages
+// use the call graph: a callee reached from a //qpip:hotpath root that
+// allocates, a pooled fabric.Frame acquired in one package and never
+// released in another, shard-runner code touching a foreign engine
+// outside the mailbox protocol.
 //
 // # The universe problem
 //
@@ -41,45 +40,34 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
-	"strings"
 
 	"repro/internal/analysis/framework"
+	"repro/internal/analysis/load"
 )
 
-// Unit is one source-checked package handed to the whole-program layer
-// (mirrors load.Package; redeclared here so interproc depends only on
-// framework).
-type Unit struct {
-	Path  string
-	Files []*ast.File
-	Types *types.Package
-	Info  *types.Info
-}
-
-// Program is the whole-program view: every loaded unit, the repo-wide
+// Program is the whole-program view: every loaded package, the repo-wide
 // suppression set, and the call graph over all of it.
 type Program struct {
 	Fset   *token.FileSet
-	Units  []*Unit
-	Allows framework.AllowSet
+	Units  []*load.Package
+	Allows *framework.AllowSet
 	Graph  *Graph
 }
 
 // NewProgram assembles a Program: collects //lint:qpip-allow suppressions
-// across every file and builds the call graph.
-func NewProgram(fset *token.FileSet, units []*Unit) *Program {
-	allows := framework.AllowSet{}
+// across every file and builds the call graph. The units must share fset.
+func NewProgram(fset *token.FileSet, units []*load.Package) *Program {
+	var files []*ast.File
 	for _, u := range units {
-		allows.Merge(framework.CollectAllows(fset, u.Files))
+		files = append(files, u.Files...)
 	}
-	p := &Program{Fset: fset, Units: units, Allows: allows}
+	p := &Program{Fset: fset, Units: units, Allows: framework.CollectAllows(fset, files)}
 	p.Graph = buildGraph(p)
 	return p
 }
 
-// Analyzer is one named whole-program check.
+// Analyzer is one named check over the whole program.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //lint:qpip-allow suppression comments.
@@ -87,6 +75,8 @@ type Analyzer struct {
 	// Doc is the one-paragraph description shown by qpiplint -help.
 	Doc string
 	// Run inspects the program and reports findings through pass.Reportf.
+	// A non-nil error aborts the whole lint run (reserved for internal
+	// failures, not findings).
 	Run func(pass *Pass) error
 }
 
@@ -95,34 +85,61 @@ type Pass struct {
 	Analyzer *Analyzer
 	Prog     *Program
 
-	diags []framework.Diagnostic
+	findings []Finding
 }
 
-// Reportf records a finding.
+// Reportf records a finding unless a //lint:qpip-allow for this analyzer
+// covers its line.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.diags = append(p.diags, framework.Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
+	at := p.Prog.Fset.Position(pos)
+	if p.Prog.Allows.Allows(p.Analyzer.Name, at) {
+		return
+	}
+	p.findings = append(p.findings, Finding{Analyzer: p.Analyzer.Name, Pos: at, Message: fmt.Sprintf(format, args...)})
 }
 
-// Run applies whole-program analyzers and returns the findings that
-// survive //lint:qpip-allow suppression, sorted by position. Test files
-// never reach this layer (the loader lists non-test GoFiles only), but
-// the suffix filter is kept for symmetry with the per-package runner.
-func Run(prog *Program, analyzers []*Analyzer) ([]framework.Finding, error) {
-	var out []framework.Finding
+// Finding is one unsuppressed diagnostic, ready to print.
+type Finding struct {
+	Analyzer string
+	Pos      token.Position
+	Message  string
+}
+
+func (f Finding) String() string {
+	return fmt.Sprintf("%s: %s (%s)", f.Pos, f.Message, f.Analyzer)
+}
+
+// staleAllow labels the findings Run reports against allows themselves.
+const staleAllow = "allow"
+
+// Run applies analyzers to prog and returns the findings that survive
+// //lint:qpip-allow suppression, sorted by position. all is the full
+// analyzer registry: an allow naming none of its analyzers is reported,
+// and so is an allow for one of the analyzers run here that suppressed
+// no finding and severed no hotprop edge.
+func Run(prog *Program, analyzers, all []*Analyzer) ([]Finding, error) {
+	var out []Finding
+	ran := map[string]bool{}
 	for _, a := range analyzers {
 		pass := &Pass{Analyzer: a, Prog: prog}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %w", a.Name, err)
 		}
-		for _, d := range pass.diags {
-			pos := prog.Fset.Position(d.Pos)
-			if strings.HasSuffix(pos.Filename, "_test.go") {
-				continue
-			}
-			if prog.Allows.Allows(a.Name, pos) {
-				continue
-			}
-			out = append(out, framework.Finding{Analyzer: a.Name, Pos: pos, Message: d.Message})
+		out = append(out, pass.findings...)
+		ran[a.Name] = true
+	}
+	known := map[string]bool{}
+	for _, a := range all {
+		known[a.Name] = true
+	}
+	for _, al := range prog.Allows.All() {
+		switch {
+		case !known[al.Analyzer]:
+			out = append(out, Finding{Analyzer: staleAllow, Pos: al.Pos,
+				Message: fmt.Sprintf("//%s names no analyzer %q", framework.AllowPrefix, al.Analyzer)})
+		case ran[al.Analyzer] && !al.Used:
+			out = append(out, Finding{Analyzer: staleAllow, Pos: al.Pos,
+				Message: fmt.Sprintf("//%s %s suppresses no finding: delete it", framework.AllowPrefix, al.Analyzer)})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -55,50 +55,28 @@ func Load(patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := append([]string{"list", "-deps", "-export", "-json"}, patterns...)
-	cmd := exec.Command("go", args...)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
+	targets, exports, err := goList(patterns)
 	if err != nil {
-		return nil, fmt.Errorf("go list failed: %v\n%s", err, stderr.String())
+		return nil, err
 	}
-
-	var targets []*listPackage
-	exports := map[string]string{}
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p listPackage
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("parsing go list output: %v", err)
-		}
-		if p.Error != nil {
-			return nil, fmt.Errorf("package %s: %s", p.ImportPath, p.Error.Err)
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		if !p.DepOnly && !p.Standard {
-			q := p
-			targets = append(targets, &q)
-		}
-	}
-
 	fset := token.NewFileSet()
-	lookup := ExportLookup(exports)
-	imp := importer.ForCompiler(fset, "gc", lookup)
+	imp := importer.ForCompiler(fset, "gc", ExportLookup(exports))
 	var pkgs []*Package
 	for _, t := range targets {
 		if len(t.GoFiles) == 0 {
 			continue
 		}
-		files := make([]string, len(t.GoFiles))
-		for i, f := range t.GoFiles {
-			files[i] = filepath.Join(t.Dir, f)
+		var files []*ast.File
+		for _, name := range t.GoFiles {
+			// Comments are retained: the suppression scanner and the
+			// //qpip:* annotations both need them.
+			f, err := parser.ParseFile(fset, filepath.Join(t.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, f)
 		}
-		pkg, err := CheckFiles(fset, t.ImportPath, files, imp)
+		pkg, err := CheckParsed(fset, t.ImportPath, files, imp)
 		if err != nil {
 			return nil, err
 		}
@@ -107,19 +85,27 @@ func Load(patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// Exports lists patterns with `go list -deps -export -json` and returns
-// the import-path -> compiled-export-data-file map for the whole listed
-// graph, without parsing anything. The analysistest fixture loader uses it
-// to resolve the handful of stdlib imports fixtures make (time, sync, fmt).
+// Exports returns the import-path -> compiled-export-data-file map for
+// the whole graph listed by patterns, without parsing anything. The
+// analysistest fixture loader uses it to resolve the handful of stdlib
+// imports fixtures make (time, sync, fmt).
 func Exports(patterns ...string) (map[string]string, error) {
+	_, exports, err := goList(patterns)
+	return exports, err
+}
+
+// goList runs `go list -deps -export -json` and returns the matched
+// non-standard packages plus the export-data map for the whole graph.
+func goList(patterns []string) ([]*listPackage, map[string]string, error) {
 	args := append([]string{"list", "-deps", "-export", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("go list failed: %v\n%s", err, stderr.String())
+		return nil, nil, fmt.Errorf("go list failed: %v\n%s", err, stderr.String())
 	}
+	var targets []*listPackage
 	exports := map[string]string{}
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
@@ -127,16 +113,19 @@ func Exports(patterns ...string) (map[string]string, error) {
 		if err := dec.Decode(&p); err == io.EOF {
 			break
 		} else if err != nil {
-			return nil, fmt.Errorf("parsing go list output: %v", err)
+			return nil, nil, fmt.Errorf("parsing go list output: %v", err)
 		}
 		if p.Error != nil {
-			return nil, fmt.Errorf("package %s: %s", p.ImportPath, p.Error.Err)
+			return nil, nil, fmt.Errorf("package %s: %s", p.ImportPath, p.Error.Err)
 		}
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
+		if !p.DepOnly && !p.Standard {
+			targets = append(targets, &p)
+		}
 	}
-	return exports, nil
+	return targets, exports, nil
 }
 
 // ExportLookup builds the go/importer lookup function over a map from
@@ -149,21 +138,6 @@ func ExportLookup(exports map[string]string) func(path string) (io.ReadCloser, e
 		}
 		return os.Open(file)
 	}
-}
-
-// CheckFiles parses the named files as one package and type-checks them,
-// resolving imports through imp. Comments are retained (the suppression
-// scanner and the //qpip:hotpath annotation both need them).
-func CheckFiles(fset *token.FileSet, importPath string, filenames []string, imp types.Importer) (*Package, error) {
-	var files []*ast.File
-	for _, name := range filenames {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	return CheckParsed(fset, importPath, files, imp)
 }
 
 // CheckParsed type-checks already-parsed files as one package.

@@ -35,10 +35,12 @@ import (
 	"strings"
 
 	"repro/internal/analysis/framework"
+	"repro/internal/analysis/interproc"
+	"repro/internal/analysis/load"
 )
 
 // Analyzer is the maporder check.
-var Analyzer = &framework.Analyzer{
+var Analyzer = &interproc.Analyzer{
 	Name: "maporder",
 	Doc:  "flag nondeterministic range-over-map loops with order-sensitive bodies in simulated packages",
 	Run:  run,
@@ -55,48 +57,49 @@ var orderSensitiveCallees = map[string]bool{
 	"CompleteRecv": true, "Schedule": true,
 }
 
-func run(pass *framework.Pass) error {
-	if !framework.SimulatedPackage(pass.Pkg.Path()) {
-		return nil
-	}
-	for _, f := range pass.Files {
-		// Walk function by function so the sorted-after-loop escape can see
-		// the whole enclosing body.
-		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				body = n.Body
-			case *ast.FuncLit:
-				body = n.Body
-			}
-			if body == nil {
+func run(pass *interproc.Pass) error {
+	for _, u := range pass.Prog.Units {
+		if !framework.SimulatedPackage(u.Path) {
+			continue
+		}
+		for _, f := range u.Files {
+			// Walk function by function so the sorted-after-loop escape can
+			// see the whole enclosing body.
+			ast.Inspect(f, func(n ast.Node) bool {
+				var body *ast.BlockStmt
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					body = n.Body
+				case *ast.FuncLit:
+					body = n.Body
+				}
+				if body != nil {
+					checkBody(pass, u, body)
+				}
 				return true
-			}
-			checkBody(pass, body)
-			return true
-		})
+			})
+		}
 	}
 	return nil
 }
 
-func checkBody(pass *framework.Pass, body *ast.BlockStmt) {
+func checkBody(pass *interproc.Pass, u *load.Package, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		rng, ok := n.(*ast.RangeStmt)
 		if !ok {
 			return true
 		}
-		tv, ok := pass.TypesInfo.Types[rng.X]
+		tv, ok := u.Info.Types[rng.X]
 		if !ok {
 			return true
 		}
 		if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
 			return true
 		}
-		if name, node, bad := orderSensitiveEffect(pass, body, rng); bad {
+		if name, node, bad := orderSensitiveEffect(u.Info, body, rng); bad {
 			pass.Reportf(node.Pos(),
 				"range over map in simulated package %s %s in its body: iteration order is random per run — collect the keys, sort them, and iterate the sorted slice",
-				pass.Pkg.Path(), name)
+				u.Path, name)
 		}
 		return true
 	})
@@ -104,7 +107,7 @@ func checkBody(pass *framework.Pass, body *ast.BlockStmt) {
 
 // orderSensitiveEffect scans one map-range body for order-sensitive
 // effects, returning a description and position of the first one found.
-func orderSensitiveEffect(pass *framework.Pass, fnBody *ast.BlockStmt, rng *ast.RangeStmt) (string, ast.Node, bool) {
+func orderSensitiveEffect(info *types.Info, fnBody *ast.BlockStmt, rng *ast.RangeStmt) (string, ast.Node, bool) {
 	var desc string
 	var at ast.Node
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
@@ -121,14 +124,14 @@ func orderSensitiveEffect(pass *framework.Pass, fnBody *ast.BlockStmt, rng *ast.
 			// x = append(x, ...) with x declared outside the loop.
 			for i, rhs := range n.Rhs {
 				call, ok := rhs.(*ast.CallExpr)
-				if !ok || !isBuiltinAppend(pass, call) || len(call.Args) == 0 {
+				if !ok || !isBuiltinAppend(info, call) || len(call.Args) == 0 {
 					continue
 				}
 				dst, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
 				if !ok || i >= len(n.Lhs) {
 					continue
 				}
-				obj := pass.TypesInfo.Uses[dst]
+				obj := info.Uses[dst]
 				if obj == nil {
 					continue
 				}
@@ -137,7 +140,7 @@ func orderSensitiveEffect(pass *framework.Pass, fnBody *ast.BlockStmt, rng *ast.
 				if rng.Body.Pos() <= obj.Pos() && obj.Pos() <= rng.Body.End() {
 					continue
 				}
-				if sortedAfterLoop(pass, fnBody, rng, obj) {
+				if sortedAfterLoop(info, fnBody, rng, obj) {
 					continue
 				}
 				desc, at = "appends to "+dst.Name+" (declared outside the loop, never sorted)", n
@@ -160,7 +163,7 @@ func orDefault(n ast.Node, d ast.Node) ast.Node {
 // enclosing function body, a sorting routine is applied to obj — e.g.
 // sort.Strings(keys), sort.Slice(keys, ...), slices.Sort(keys), or a
 // local helper like sortInt64s(keys).
-func sortedAfterLoop(pass *framework.Pass, fnBody *ast.BlockStmt, rng *ast.RangeStmt, obj types.Object) bool {
+func sortedAfterLoop(info *types.Info, fnBody *ast.BlockStmt, rng *ast.RangeStmt, obj types.Object) bool {
 	found := false
 	ast.Inspect(fnBody, func(n ast.Node) bool {
 		if found {
@@ -174,7 +177,7 @@ func sortedAfterLoop(pass *framework.Pass, fnBody *ast.BlockStmt, rng *ast.Range
 			return true
 		}
 		for _, arg := range call.Args {
-			if id, ok := ast.Unparen(arg).(*ast.Ident); ok && pass.TypesInfo.Uses[id] == obj {
+			if id, ok := ast.Unparen(arg).(*ast.Ident); ok && info.Uses[id] == obj {
 				found = true
 				return false
 			}
@@ -215,11 +218,11 @@ func calleeIdent(call *ast.CallExpr) (string, bool) {
 	return "", false
 }
 
-func isBuiltinAppend(pass *framework.Pass, call *ast.CallExpr) bool {
+func isBuiltinAppend(info *types.Info, call *ast.CallExpr) bool {
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 	if !ok {
 		return false
 	}
-	b, ok := pass.TypesInfo.Uses[id].(*types.Builtin)
+	b, ok := info.Uses[id].(*types.Builtin)
 	return ok && b.Name() == "append"
 }

@@ -36,6 +36,7 @@ import (
 	"go/types"
 
 	"repro/internal/analysis/framework"
+	"repro/internal/analysis/interproc"
 )
 
 // receiverIsPool reports whether fn is a method of sync.Pool.
@@ -53,52 +54,51 @@ func receiverIsPool(fn *types.Func) bool {
 }
 
 // Analyzer is the nogoroutine check.
-var Analyzer = &framework.Analyzer{
+var Analyzer = &interproc.Analyzer{
 	Name: "nogoroutine",
 	Doc:  "forbid go statements and sync / sync-atomic primitives in simulated packages",
 	Run:  run,
 }
 
-func run(pass *framework.Pass) error {
-	if !framework.SimulatedPackage(pass.Pkg.Path()) {
-		return nil
-	}
-	if framework.ShardRunnerPackage(pass.Pkg.Path()) {
+func run(pass *interproc.Pass) error {
+	for _, u := range pass.Prog.Units {
 		// The shard-runner allowlist: worker goroutines and barrier
-		// synchronization are this package's whole job. The other simulated
-		// invariants (simclock, maporder, ...) still apply to it.
-		return nil
-	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.GoStmt:
-				pass.Reportf(n.Pos(),
-					"go statement in simulated package %s: the engine is single-threaded; model concurrency with sim.Proc/sim.Server",
-					pass.Pkg.Path())
-			case *ast.SelectorExpr:
-				// A qualified reference sync.X / atomic.X: resolve the
-				// selected object and test its package of origin.
-				obj := pass.TypesInfo.Uses[n.Sel]
-				if obj == nil || obj.Pkg() == nil {
-					return true
-				}
-				switch obj.Pkg().Path() {
-				case "sync", "sync/atomic":
-					// Methods of sync.Pool (Get/Put) are not re-reported:
-					// the pool's declaration is the single site that carries
-					// (or is denied) the //lint:qpip-allow.
-					if fn, isFn := obj.(*types.Func); isFn && receiverIsPool(fn) {
+		// synchronization are internal/sim/par's whole job. The other
+		// simulated invariants (simclock, maporder, ...) still apply to it.
+		if !framework.SimulatedPackage(u.Path) || framework.ShardRunnerPackage(u.Path) {
+			continue
+		}
+		for _, f := range u.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.GoStmt:
+					pass.Reportf(n.Pos(),
+						"go statement in simulated package %s: the engine is single-threaded; model concurrency with sim.Proc/sim.Server",
+						u.Path)
+				case *ast.SelectorExpr:
+					// A qualified reference sync.X / atomic.X: resolve the
+					// selected object and test its package of origin.
+					obj := u.Info.Uses[n.Sel]
+					if obj == nil || obj.Pkg() == nil {
 						return true
 					}
-					pass.Reportf(n.Pos(),
-						"%s.%s in simulated package %s: simulated code must not synchronize; use sim.Proc/sim.Server (pooled free lists need an explicit //lint:qpip-allow)",
-						obj.Pkg().Name(), obj.Name(), pass.Pkg.Path())
-					return false // one report per reference, not per nested selector
+					switch obj.Pkg().Path() {
+					case "sync", "sync/atomic":
+						// Methods of sync.Pool (Get/Put) are not re-reported:
+						// the pool's declaration is the single site that
+						// carries (or is denied) the //lint:qpip-allow.
+						if fn, isFn := obj.(*types.Func); isFn && receiverIsPool(fn) {
+							return true
+						}
+						pass.Reportf(n.Pos(),
+							"%s.%s in simulated package %s: simulated code must not synchronize; use sim.Proc/sim.Server (pooled free lists need an explicit //lint:qpip-allow)",
+							obj.Pkg().Name(), obj.Name(), u.Path)
+						return false // one report per reference, not per nested selector
+					}
 				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
 	return nil
 }

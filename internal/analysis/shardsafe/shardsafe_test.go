@@ -8,5 +8,5 @@ import (
 )
 
 func TestFixtures(t *testing.T) {
-	analysistest.RunProgram(t, shardsafe.Analyzer, "../testdata/src", "shardsafe")
+	analysistest.Run(t, shardsafe.Analyzer, "../testdata/src", "shardsafe")
 }

@@ -26,10 +26,11 @@ import (
 	"go/ast"
 
 	"repro/internal/analysis/framework"
+	"repro/internal/analysis/interproc"
 )
 
 // Analyzer is the simclock check.
-var Analyzer = &framework.Analyzer{
+var Analyzer = &interproc.Analyzer{
 	Name: "simclock",
 	Doc:  "forbid wall-clock reads (time.Now, time.Sleep, ...) and math/rand in simulated packages",
 	Run:  run,
@@ -50,35 +51,37 @@ var wallClockFuncs = map[string]bool{
 	"Until":     true,
 }
 
-func run(pass *framework.Pass) error {
-	if !framework.SimulatedPackage(pass.Pkg.Path()) {
-		return nil
-	}
-	for _, f := range pass.Files {
-		for _, imp := range f.Imports {
-			switch path := imp.Path.Value; path {
-			case `"math/rand"`, `"math/rand/v2"`:
-				pass.Reportf(imp.Pos(),
-					"import of %s in simulated package %s: use a seeded deterministic PRNG (see internal/fault) so runs replay bit-identically",
-					path, pass.Pkg.Path())
-			}
+func run(pass *interproc.Pass) error {
+	for _, u := range pass.Prog.Units {
+		if !framework.SimulatedPackage(u.Path) {
+			continue
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
+		for _, f := range u.Files {
+			for _, imp := range f.Imports {
+				switch path := imp.Path.Value; path {
+				case `"math/rand"`, `"math/rand/v2"`:
+					pass.Reportf(imp.Pos(),
+						"import of %s in simulated package %s: use a seeded deterministic PRNG (see internal/fault) so runs replay bit-identically",
+						path, u.Path)
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				fn := framework.CalleeName(u.Info, call)
+				if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "time" {
+					return true
+				}
+				if wallClockFuncs[fn.Name()] {
+					pass.Reportf(call.Pos(),
+						"time.%s in simulated package %s: simulated code must take time from sim.Engine (Now/At/After), never the wall clock",
+						fn.Name(), u.Path)
+				}
 				return true
-			}
-			fn := framework.CalleeName(pass.TypesInfo, call)
-			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "time" {
-				return true
-			}
-			if wallClockFuncs[fn.Name()] {
-				pass.Reportf(call.Pos(),
-					"time.%s in simulated package %s: simulated code must take time from sim.Engine (Now/At/After), never the wall clock",
-					fn.Name(), pass.Pkg.Path())
-			}
-			return true
-		})
+			})
+		}
 	}
 	return nil
 }

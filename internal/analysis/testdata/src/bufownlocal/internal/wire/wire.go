@@ -1,6 +1,6 @@
 // Package wire stands in for the pooled packet package: its import path
 // ends in internal/wire and exports Get/Release with the same shape, so
-// bufref treats its Packet exactly like the real one.
+// bufown treats its Packet exactly like the real one.
 package wire
 
 // Packet is a pooled, reference-counted network packet.

@@ -1,5 +1,6 @@
-// Package hot exercises the //qpip:hotpath allocation checks. The package
-// path does not matter: hotalloc keys on the annotation, not the tree.
+// Package hot exercises each hotalloc allocation pattern through hotprop:
+// every annotated function here is a hot root. The package path does not
+// matter: hotprop keys on the annotation, not the tree.
 package hot
 
 import "fmt"
@@ -72,7 +73,7 @@ func preallocated(xs []int) []int {
 //qpip:hotpath
 func coldBranch(n, limit int) error {
 	if n > limit {
-		//lint:qpip-allow hotalloc rejected-input error path, cold by construction
+		//lint:qpip-allow hotprop rejected-input error path, cold by construction
 		return fmt.Errorf("count %d over limit %d", n, limit)
 	}
 	return nil
@@ -133,7 +134,8 @@ func reslicedInPlace(buf, xs []int) []int {
 	return buf
 }
 
-// unannotated allocates freely: without the annotation nothing is checked.
+// unannotated allocates freely: without the annotation, and unreached by
+// any root, nothing is checked.
 func unannotated(n int) string {
 	use(func() { n++ })
 	f := fmt.Sprintf

@@ -10,8 +10,8 @@ type State struct {
 	buf   []int
 }
 
-// Push is the hot root: its own body is hotalloc's problem; hotprop owns
-// what it calls.
+// Push is the hot root: its own body is checked, and so is everything it
+// calls.
 //
 //qpip:hotpath
 func Push(s *State, n int) string {
@@ -26,10 +26,13 @@ func Push(s *State, n int) string {
 	return helper.Format(n)
 }
 
-// localAlloc is annotated, so its own allocation belongs to hotalloc and
-// hotprop must NOT report it a second time.
+// localAlloc is an annotated root with no hot caller: its own body is
+// checked under the annotation's name, with no call chain. An allow that
+// names hotalloc (the pattern library, not an analyzer) suppresses nothing
+// and is reported.
 //
 //qpip:hotpath
 func localAlloc(xs []int) []int {
-	return append([]int(nil), xs...)
+	//lint:qpip-allow hotalloc clone is fine here // want `//lint:qpip-allow names no analyzer "hotalloc"`
+	return append([]int(nil), xs...) // want `^spread append to a freshly created empty slice in //qpip:hotpath function localAlloc allocates a new backing array per call: reuse a field-backed buffer$`
 }

@@ -261,10 +261,6 @@ type Fabric struct {
 	// general fault-injection hook (see internal/fault for the seeded
 	// deterministic implementation).
 	Fault FaultHook
-	// Drop, when non-nil, discards frames for which it returns true.
-	// It predates Fault and survives as a thin adapter: a true return is
-	// folded into the FaultDecision as a plain drop.
-	Drop func(f *Frame, n uint64) bool
 
 	// severCross, when set, declares that no frame may cross between
 	// engines: cross-shard sends panic, and CrossShardLookahead reports no
@@ -439,9 +435,6 @@ func (f *Fabric) Send(frame *Frame, onTxDone func()) {
 	var fd FaultDecision
 	if f.Fault != nil {
 		fd = f.Fault(frame, n, src.eng.Now())
-	}
-	if f.Drop != nil && f.Drop(frame, n) {
-		fd.Drop = true
 	}
 	if fd.Drop {
 		// The wire still carries the frame to the point of loss; charge

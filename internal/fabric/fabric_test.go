@@ -141,15 +141,15 @@ func TestMyrinetUnlimitedMTU(t *testing.T) {
 	}
 }
 
-// TestDropInjection covers the legacy Drop adapter; the seeded fault layer
-// is exercised in fault_integration_test.go.
+// TestDropInjection covers a plain drop decision from the Fault hook; the
+// seeded fault layer is exercised in fault_integration_test.go.
 func TestDropInjection(t *testing.T) {
 	eng := sim.NewEngine()
 	f := myrinet(eng)
 	a := f.Attach(nil)
 	count := 0
 	b := f.Attach(func(fr *Frame) { count++ })
-	f.Drop = func(fr *Frame, n uint64) bool { return n == 1 }
+	f.Fault = func(fr *Frame, n uint64, now sim.Time) FaultDecision { return FaultDecision{Drop: n == 1} }
 	txDones := 0
 	for i := 0; i < 3; i++ {
 		f.Send(&Frame{Src: a, Dst: b, WireSize: 100}, func() { txDones++ })

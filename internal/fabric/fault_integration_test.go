@@ -160,8 +160,9 @@ func TestInjectorFlapWindow(t *testing.T) {
 	}
 }
 
-// TestLegacyDropAdapterComposes: a legacy Drop hook and the fault hook can
-// coexist; either one dropping loses the frame.
+// TestLegacyDropAdapterComposes: a Fault hook that wraps the seeded
+// injector and adds its own drop composes with it; either one dropping
+// loses the frame.
 func TestLegacyDropAdapterComposes(t *testing.T) {
 	eng := sim.NewEngine()
 	f := myrinet(eng)
@@ -169,7 +170,14 @@ func TestLegacyDropAdapterComposes(t *testing.T) {
 	count := 0
 	b := f.Attach(func(fr *fabric.Frame) { count++ })
 	fault.NewInjector(fault.Plan{DropFrames: []uint64{0}}).Attach(f)
-	f.Drop = func(fr *fabric.Frame, n uint64) bool { return n == 2 }
+	seeded := f.Fault
+	f.Fault = func(fr *fabric.Frame, n uint64, now sim.Time) fabric.FaultDecision {
+		d := seeded(fr, n, now)
+		if n == 2 {
+			d.Drop = true
+		}
+		return d
+	}
 	for i := 0; i < 4; i++ {
 		f.Send(&fabric.Frame{Src: a, Dst: b, WireSize: 64}, nil)
 	}

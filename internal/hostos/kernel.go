@@ -204,7 +204,7 @@ func (k *Kernel) LiveConns() int { return len(k.tcpConns) }
 // benches' per-connection memory axis.
 func (k *Kernel) ConnMemBytes() int {
 	total := 0
-	for _, s := range k.tcpConns { //lint:qpip-allow maporder order-independent sum
+	for _, s := range k.tcpConns {
 		total += params.HostTCBBytes + params.HostSockBytes + s.sndBufCap + defaultRcvBuf
 	}
 	return total

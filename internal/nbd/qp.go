@@ -197,7 +197,6 @@ func (c *QPClient) session(p *sim.Proc) error {
 	for {
 		comp := c.ep.recvCQ.Wait(p)
 		if comp.Status != verbs.StatusSuccess {
-			//lint:qpip-allow hotalloc session-terminal error path
 			return fmt.Errorf("nbd: recv completion %v", comp.Status)
 		}
 		rep, err := ParseReply(comp.Payload)
@@ -214,7 +213,6 @@ func (c *QPClient) session(p *sim.Proc) error {
 			for i := 0; i < need; i++ {
 				dc := c.ep.recvCQ.Wait(p)
 				if dc.Status != verbs.StatusSuccess {
-					//lint:qpip-allow hotalloc session-terminal error path
 					return fmt.Errorf("nbd: data completion %v", dc.Status)
 				}
 				parts = append(parts, dc.Payload)

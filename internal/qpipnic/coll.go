@@ -291,7 +291,7 @@ func (g *collGroup) collRetire(op *collOp) {
 // the host never posted, at sequences past nextSeq, so this walks the
 // table itself.
 func (g *collGroup) retireAll() {
-	for _, op := range g.ops { //lint:qpip-allow maporder release order only permutes free-list positions, which never reach event order
+	for _, op := range g.ops {
 		g.collRetire(op)
 	}
 }

@@ -120,7 +120,7 @@ func (q *QP) PostSend(p *sim.Proc, wr SendWR) error {
 		return ErrQueueFull
 	}
 	if wr.Payload.Len() > q.dev.MaxMessage() {
-		//lint:qpip-allow hotalloc rejected-WR error path, cold by construction
+		//lint:qpip-allow hotprop rejected-WR error path, cold by construction
 		return fmt.Errorf("%w: %d > %d", ErrTooBig, wr.Payload.Len(), q.dev.MaxMessage())
 	}
 	// Build the WR in the host-resident queue, then one uncached doorbell
@@ -163,7 +163,7 @@ func (q *QP) PostSendN(p *sim.Proc, wrs []SendWR) (int, error) {
 			break
 		}
 		if wr.Payload.Len() > q.dev.MaxMessage() {
-			//lint:qpip-allow hotalloc rejected-WR error path, cold by construction
+			//lint:qpip-allow hotprop rejected-WR error path, cold by construction
 			err = fmt.Errorf("%w: %d > %d", ErrTooBig, wr.Payload.Len(), q.dev.MaxMessage())
 			break
 		}
@@ -202,7 +202,7 @@ func (q *QP) PostRecv(p *sim.Proc, wr RecvWR) error {
 		return ErrQueueFull
 	}
 	if wr.Capacity <= 0 {
-		//lint:qpip-allow hotalloc rejected-WR error path, cold by construction
+		//lint:qpip-allow hotprop rejected-WR error path, cold by construction
 		return fmt.Errorf("verbs: receive WR needs positive capacity")
 	}
 	p.Use(q.dev.HostCPU().Server, params.US(params.VerbsPostRecvUS))
@@ -244,7 +244,7 @@ func (q *QP) PostRecvN(p *sim.Proc, wrs []RecvWR) (int, error) {
 			break
 		}
 		if wr.Capacity <= 0 {
-			//lint:qpip-allow hotalloc rejected-WR error path, cold by construction
+			//lint:qpip-allow hotprop rejected-WR error path, cold by construction
 			err = fmt.Errorf("verbs: receive WR needs positive capacity")
 			break
 		}

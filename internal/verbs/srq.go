@@ -76,7 +76,7 @@ func (s *SRQ) PostRecv(p *sim.Proc, wr RecvWR) error {
 		return ErrQueueFull
 	}
 	if wr.Capacity <= 0 {
-		//lint:qpip-allow hotalloc rejected-WR error path, cold by construction
+		//lint:qpip-allow hotprop rejected-WR error path, cold by construction
 		return fmt.Errorf("verbs: receive WR needs positive capacity")
 	}
 	p.Use(s.dev.HostCPU().Server, params.US(params.VerbsPostRecvUS))
@@ -106,7 +106,7 @@ func (s *SRQ) PostRecvN(p *sim.Proc, wrs []RecvWR) (int, error) {
 			break
 		}
 		if wr.Capacity <= 0 {
-			//lint:qpip-allow hotalloc rejected-WR error path, cold by construction
+			//lint:qpip-allow hotprop rejected-WR error path, cold by construction
 			err = fmt.Errorf("verbs: receive WR needs positive capacity")
 			break
 		}
