@@ -76,8 +76,9 @@ type Node struct {
 // conservative parallel execution (internal/sim/par). The zero value (or a
 // Shards of 0/1 via NewCluster) is the plain sequential cluster.
 type ShardPlan struct {
-	// Shards is the number of shard engines (one worker goroutine each;
-	// the Go scheduler spreads them across GOMAXPROCS cores).
+	// Shards is the number of shard engines (shard 0 runs on the goroutine
+	// calling Run, the others on one worker goroutine each; the Go
+	// scheduler spreads them across GOMAXPROCS cores).
 	Shards int
 	// NodeShard maps a node index to its shard. Nil means round-robin
 	// (node i on shard i%Shards).

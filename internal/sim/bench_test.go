@@ -58,13 +58,38 @@ func BenchmarkParkWake(b *testing.B) {
 	}
 }
 
+// BenchmarkRunUntilEpochs models the sharded shape: a standing 200 ms
+// timer that is cancelled and re-armed while near events fire, driven by
+// RunUntil(now+L) epoch steps that stop short of the far timer, with the
+// runner's NextAt peek before every epoch.
+func BenchmarkRunUntilEpochs(b *testing.B) {
+	const lookahead = 400
+	e := NewEngine()
+	nop := func() {}
+	var timer *Event
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if timer != nil {
+			timer.Cancel()
+			timer = nil
+		}
+		timer = e.After(200*Millisecond, "rexmt", nop)
+		e.After(Time(1+i%lookahead), "work", nop)
+		if next, ok := e.NextAt(); ok {
+			e.RunUntil(next + lookahead - 1)
+		}
+	}
+}
+
 // TestScheduleFireAllocFree locks in the event free list: steady-state
 // schedule/fire and schedule/cancel cycles on a warm wheel engine must not
-// allocate at all.
+// allocate at all, and neither must an epoch that stops short of a far
+// timer, peeks it, and schedules behind it.
 func TestScheduleFireAllocFree(t *testing.T) {
 	e := NewEngine()
 	nop := func() {}
-	// Warm up the free list and due buffer.
+	// Warm up the free list.
 	for i := 0; i < 64; i++ {
 		e.After(Time(i), "warm", nop)
 	}
@@ -80,6 +105,16 @@ func TestScheduleFireAllocFree(t *testing.T) {
 		ev.Cancel()
 	}); n != 0 {
 		t.Fatalf("schedule+cancel allocates %v/op, want 0", n)
+	}
+	far := e.After(Second, "far", nop)
+	if n := testing.AllocsPerRun(1000, func() {
+		e.RunFor(500)
+		if at, ok := e.NextAt(); !ok || at != far.At() {
+			t.Fatalf("NextAt = %v, %v; want the far timer at %v", at, ok, far.At())
+		}
+		e.After(100, "behind", nop)
+	}); n != 0 {
+		t.Fatalf("RunUntil+NextAt+At behind a far timer allocates %v/op, want 0", n)
 	}
 }
 
@@ -98,29 +133,26 @@ func TestParkWakeAllocFree(t *testing.T) {
 		t.Fatalf("park/wake allocates %v/op, want 0", n)
 	}
 
-	srv := NewServer(e, "srv")
-	cpu := NewCPU(e, "cpu", 1e9)
 	for _, tc := range []struct {
 		name string
-		park func(p *Proc)
+		park func(p *Proc, srv *Server, cpu *CPU)
 	}{
-		{"Sleep", func(p *Proc) { p.Sleep(10) }},
-		{"Use", func(p *Proc) { p.Use(srv, 10) }},
-		{"UseCycles", func(p *Proc) { p.UseCycles(cpu, 10) }},
+		{"Sleep", func(p *Proc, _ *Server, _ *CPU) { p.Sleep(10) }},
+		{"Use", func(p *Proc, srv *Server, _ *CPU) { p.Use(srv, 10) }},
+		{"UseCycles", func(p *Proc, _ *Server, cpu *CPU) { p.UseCycles(cpu, 10) }},
 	} {
+		// A fresh engine per case: each proc stays parked on its pending
+		// wake, which must not step into the next case.
+		e := NewEngine()
+		srv, cpu := NewServer(e, "srv"), NewCPU(e, "cpu", 1e9)
 		e.Spawn(tc.name, func(p *Proc) {
 			for {
-				tc.park(p)
+				tc.park(p, srv, cpu)
 			}
 		})
 		e.step() // spawn: the proc runs to its first park
 		if n := testing.AllocsPerRun(1000, func() { e.step() }); n != 0 {
 			t.Fatalf("%s round allocates %v/op, want 0", tc.name, n)
-		}
-		// The proc stays parked forever; drop its pending wake so the next
-		// case steps only its own proc.
-		if ev, ok := e.peek(); ok {
-			ev.Cancel()
 		}
 	}
 }

@@ -10,6 +10,10 @@
 // per-engine Event free list, so steady-state scheduling, cancellation, and
 // firing allocate nothing. Events fire in (at, seq) order, a total order;
 // wheel_test.go checks the wheel against a plain (at, seq) priority queue.
+// The wheel's cursor never runs ahead of the clock — RunUntil advances it
+// only up to its horizon — so every schedule is a wheel insert and every
+// cancel inside the wheel's 4.3 s horizon an O(1) unlink, however the run is
+// sliced into RunUntil calls.
 package sim
 
 import "fmt"
@@ -54,7 +58,6 @@ func Micros(us float64) Time { return Time(us * 1e3) }
 const (
 	evFree     uint8 = iota // on the engine free list (or never scheduled)
 	evWheel                 // linked into a timer-wheel slot
-	evDue                   // in the due buffer, about to fire
 	evOverflow              // parked beyond the wheel horizon
 	evFired                 // callback ran
 	evCanceled              // cancelled before firing
@@ -105,8 +108,8 @@ func (ev *Event) Cancel() {
 		ev.eng.live--
 		ev.eng.wheel.unlink(ev)
 		ev.eng.recycle(ev)
-	case evDue, evOverflow:
-		// Sliced storage; reaped (and recycled) when its batch is visited.
+	case evOverflow:
+		// Sliced storage; reaped (and recycled) at the next overflow refill.
 		ev.state = evCanceled
 		ev.eng.live--
 	}
@@ -123,13 +126,8 @@ type Engine struct {
 	live    int // scheduled, not yet fired or cancelled
 	stopped bool
 
-	// The wheel proper plus the "due" buffer — the already drained,
-	// (at, seq)-ordered run of events about to fire. dueHead indexes the
-	// next event to pop so draining never shifts the slice.
-	wheel   wheel
-	due     []*Event
-	dueHead int
-	free    *Event // event free list, linked through next
+	wheel wheel
+	free  *Event // event free list, linked through next
 }
 
 // NewEngine returns an engine with the clock at zero and an empty queue.
@@ -156,14 +154,12 @@ func (e *Engine) Pending() int { return e.live }
 func (e *Engine) LastEventAt() Time { return e.lastAt }
 
 // NextAt reports the timestamp of the next live event without firing it.
-// It reports false when the queue is empty. Used by the conservative
-// parallel runner to compute the epoch horizon.
+// It reports false when the queue is empty, and it never moves the wheel
+// cursor. Used by the conservative parallel runner to compute the epoch
+// horizon.
 func (e *Engine) NextAt() (Time, bool) {
-	ev, ok := e.peek()
-	if !ok {
-		return 0, false
-	}
-	return ev.at, true
+	t, ok := e.wheel.next()
+	return Time(t), ok
 }
 
 // alloc hands out an event, reusing the free list.
@@ -206,38 +202,7 @@ func (e *Engine) At(t Time, name string, fn func()) *Event {
 	}
 	ev := e.alloc(t, name, fn)
 	e.live++
-	// An active due buffer covers timestamps up to its last entry; events
-	// landing inside that span must join it (sorted; equal timestamps go
-	// after existing ones since the new seq is highest). Everything later
-	// goes to the wheel, which only holds times beyond the due horizon.
-	//
-	// The wheel cursor can sit ahead of the clock with an empty due buffer:
-	// peek pulls the next event (advancing the cursor to it) and RunUntil
-	// then breaks with the clock forced to an earlier horizon; if that
-	// parked event is cancelled and reaped, nothing due remains. The wheel
-	// never rescans slots behind its cursor, so any timestamp at or below
-	// the cursor must join the due buffer too.
-	n := len(e.due)
-	inDue := n > e.dueHead && t <= e.due[n-1].at
-	if !inDue && uint64(t) < e.wheel.cur {
-		inDue = true
-		if e.dueHead == n {
-			e.due = e.due[:0]
-			e.dueHead = 0
-			n = 0
-		}
-	}
-	if inDue {
-		ev.state = evDue
-		i := len(e.due)
-		for i > e.dueHead && e.due[i-1].at > t {
-			i--
-		}
-		e.due = append(e.due, nil)
-		copy(e.due[i+1:], e.due[i:])
-		e.due[i] = ev
-		return ev
-	}
+	// t >= now >= cursor: the wheel takes every schedule.
 	e.wheel.insert(ev)
 	return ev
 }
@@ -256,39 +221,19 @@ func (e *Engine) After(d Time, name string, fn func()) *Event {
 // currently-executing event completes. Pending events stay queued.
 func (e *Engine) Stop() { e.stopped = true }
 
-// peek exposes the next live event without firing it, refilling the due
-// buffer from the wheel as needed. It reports false when the queue is empty.
-//
-//qpip:hotpath
-func (e *Engine) peek() (*Event, bool) {
-	for {
-		for e.dueHead < len(e.due) {
-			ev := e.due[e.dueHead]
-			if ev.state != evCanceled {
-				return ev, true
-			}
-			e.due[e.dueHead] = nil
-			e.dueHead++
-			e.recycle(ev)
-		}
-		e.due = e.due[:0]
-		e.dueHead = 0
-		if !e.wheel.pullNext(e) {
-			return nil, false
-		}
-	}
-}
+// step fires the next event. It reports false when the queue is empty.
+func (e *Engine) step() bool { return e.stepUntil(^uint64(0)) }
 
-// step pops and runs the next event. It reports false when the queue is empty.
+// stepUntil fires the next event if it is due at or before limit, and
+// reports whether it did. The cursor stops at or before limit either way.
 //
 //qpip:hotpath
-func (e *Engine) step() bool {
-	ev, ok := e.peek()
-	if !ok {
+func (e *Engine) stepUntil(limit uint64) bool {
+	if !e.wheel.advance(e, limit) {
 		return false
 	}
-	e.due[e.dueHead] = nil
-	e.dueHead++
+	ev := e.wheel.slots[0][uint8(e.wheel.cur)].head
+	e.wheel.unlink(ev)
 	ev.state = evFired
 	e.now = ev.at
 	e.lastAt = ev.at
@@ -317,12 +262,8 @@ func (e *Engine) Run() {
 // (if it is not already past t).
 func (e *Engine) RunUntil(t Time) {
 	e.stopped = false
-	for !e.stopped {
-		next, ok := e.peek()
-		if !ok || next.at > t {
-			break
-		}
-		e.step()
+	// No event is scheduled before time zero, so a negative t fires nothing.
+	for !e.stopped && t >= 0 && e.stepUntil(uint64(t)) {
 	}
 	if e.now < t {
 		e.now = t

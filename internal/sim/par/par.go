@@ -48,7 +48,8 @@ type Config struct {
 
 // worker owns one engine for the duration of a run. Commands carry the
 // epoch horizon (or runFree); each command is answered on done, which also
-// publishes the worker's memory writes back to the coordinator.
+// publishes the worker's memory writes back to the coordinator. Closing cmd
+// ends the worker, which then closes done.
 type worker struct {
 	eng  *sim.Engine
 	cmd  chan sim.Time
@@ -58,34 +59,41 @@ type worker struct {
 
 func (w *worker) loop() {
 	for horizon := range w.cmd {
-		func() {
-			defer func() { w.err = recover() }()
-			if horizon == runFree {
-				w.eng.Run()
-			} else {
-				w.eng.RunUntil(horizon)
-			}
-		}()
+		w.err = runEpoch(w.eng, horizon)
 		w.done <- struct{}{}
 	}
+	close(w.done)
+}
+
+// runEpoch runs one engine to the horizon (or to quiescence for runFree)
+// and returns the panic it raised, if any.
+func runEpoch(eng *sim.Engine, horizon sim.Time) (err any) {
+	defer func() { err = recover() }()
+	if horizon == runFree {
+		eng.Run()
+	} else {
+		eng.RunUntil(horizon)
+	}
+	return nil
 }
 
 // Run advances all engines to global quiescence using lockstep epochs.
 // A model panic on any shard is re-raised on the caller's goroutine with
 // the shard identified.
-func Run(cfg Config) {
-	if len(cfg.Engines) == 0 {
-		return
-	}
-	RunUntil(cfg, -1)
-}
+func Run(cfg Config) { RunUntil(cfg, -1) }
 
 // RunUntil is Run with an inclusive time limit: events with timestamps
 // <= limit execute, then every shard clock is forced to limit (mirroring
 // sim.Engine.RunUntil). A negative limit means no limit.
+//
+// The calling goroutine coordinates and runs shard 0's epochs itself;
+// shards 1..n-1 each get a worker goroutine for the duration of the call.
 func RunUntil(cfg Config, limit sim.Time) {
-	workers := make([]*worker, len(cfg.Engines))
-	for i, eng := range cfg.Engines {
+	if len(cfg.Engines) == 0 {
+		return
+	}
+	workers := make([]*worker, len(cfg.Engines)-1)
+	for i, eng := range cfg.Engines[1:] {
 		w := &worker{eng: eng, cmd: make(chan sim.Time), done: make(chan struct{})}
 		workers[i] = w
 		go w.loop() // legal: internal/sim/par is nogoroutine's shard-runner allowlist
@@ -94,17 +102,26 @@ func RunUntil(cfg Config, limit sim.Time) {
 		for _, w := range workers {
 			close(w.cmd)
 		}
+		for _, w := range workers {
+			<-w.done
+		}
 	}()
 
+	// A panic is re-raised only once every worker has answered, so every
+	// worker is idle on cmd when the deferred shutdown runs.
 	epoch := func(horizon sim.Time) {
 		for _, w := range workers {
 			w.cmd <- horizon
 		}
+		err := runEpoch(cfg.Engines[0], horizon)
 		for _, w := range workers {
 			<-w.done
-			if w.err != nil {
-				panic(fmt.Sprintf("par: shard panicked: %v", w.err))
+			if err == nil {
+				err = w.err
 			}
+		}
+		if err != nil {
+			panic(fmt.Sprintf("par: shard panicked: %v", err))
 		}
 	}
 

@@ -1,8 +1,10 @@
 package par_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 	"repro/internal/sim/par"
@@ -124,6 +126,56 @@ func TestShardPanicPropagates(t *testing.T) {
 		}
 	}()
 	par.Run(par.Config{Engines: engines, Lookahead: 1, Exchange: func() int { return 0 }})
+}
+
+// TestCoordinatorShardPanicPropagates: shard 0 runs on the coordinating
+// goroutine itself, and its panic surfaces in the same form as a worker's.
+func TestCoordinatorShardPanicPropagates(t *testing.T) {
+	engines := []*sim.Engine{sim.NewEngine(), sim.NewEngine()}
+	engines[0].At(3, "boom", func() { panic("model bug on shard 0") })
+	engines[1].At(3, "tick", func() {})
+	defer func() {
+		r, _ := recover().(string)
+		if want := "par: shard panicked: model bug on shard 0"; r != want {
+			t.Fatalf("recovered %q, want %q", r, want)
+		}
+	}()
+	par.Run(par.Config{Engines: engines, Lookahead: 1, Exchange: func() int { return 0 }})
+}
+
+// TestPanicsLeakNoWorkers: a shard 0 panic mid-epoch is re-raised only after
+// every worker has finished that epoch, so the workers all exit. After 100
+// runs, half of them panicking, the goroutine count is no higher than it
+// began.
+func TestPanicsLeakNoWorkers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		engines := []*sim.Engine{sim.NewEngine(), sim.NewEngine(), sim.NewEngine()}
+		for _, e := range engines[1:] {
+			for k := 0; k < 50; k++ {
+				e.At(sim.Time(k), "tick", func() {})
+			}
+		}
+		if i%2 == 0 {
+			engines[0].At(0, "boom", func() { panic("shard 0") })
+		}
+		func() {
+			defer func() {
+				if r := recover(); (r != nil) != (i%2 == 0) {
+					t.Fatalf("run %d: recovered %v", i, r)
+				}
+			}()
+			par.Run(par.Config{Engines: engines, Lookahead: 10, Exchange: func() int { return 0 }})
+		}()
+	}
+	// Run waits for its workers to close done; their last instructions
+	// after that may still be running.
+	for wait := 0; runtime.NumGoroutine() > before && wait < 100; wait++ {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines %d after 100 runs, %d before", after, before)
+	}
 }
 
 // TestShardPanicInProcPropagates: a panic inside a sim.Proc surfaces from

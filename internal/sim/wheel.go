@@ -2,7 +2,7 @@ package sim
 
 import "math/bits"
 
-// Four-level hierarchical timer wheel, the engine's default queue.
+// Four-level hierarchical timer wheel, the engine's event queue.
 //
 // Ticks are one nanosecond — the engine's native resolution — so a level-0
 // slot holds events for exactly one timestamp and a FIFO slot list is
@@ -19,6 +19,11 @@ import "math/bits"
 // re-files that window's events first), so a slot is always fully populated
 // before the level-0 scan can reach it. Occupancy bitmaps make the scans a
 // handful of word tests.
+//
+// The cursor never passes the engine clock: advance moves it only as far as
+// a caller's limit, so outside a firing cur <= now. Any At(t >= now) then
+// satisfies t >= cur and is a plain insert, whatever horizon the last
+// RunUntil stopped at.
 type wheel struct {
 	cur      uint64
 	slots    [4][256]wslot
@@ -31,7 +36,7 @@ type wslot struct{ head, tail *Event }
 
 // insert files an event at the lowest level whose window contains both the
 // event and the cursor, or into overflow past the horizon. Callers ensure
-// ev.at >= cur (the engine's due buffer absorbs anything earlier).
+// ev.at >= cur.
 func (w *wheel) insert(ev *Event) {
 	t := uint64(ev.at)
 	switch {
@@ -63,7 +68,7 @@ func (w *wheel) link(level int8, slot uint8, ev *Event) {
 	s.tail = ev
 }
 
-// unlink removes a (cancelled) event from its slot in O(1).
+// unlink removes an event from its slot in O(1).
 func (w *wheel) unlink(ev *Event) {
 	s := &w.slots[ev.level][ev.slot]
 	if ev.prev != nil {
@@ -111,44 +116,76 @@ func (w *wheel) takeSlot(level int8, slot uint8) *Event {
 	return head
 }
 
-// pullNext advances the cursor to the next occupied timestamp and drains
-// that slot — all events sharing one timestamp, in scheduling order — into
-// the engine's due buffer. It reports false when the wheel is empty.
-func (w *wheel) pullNext(e *Engine) bool {
+// window returns the first occupied slot past the cursor's own at a level
+// above 0, and the timestamp its window starts at; slot is -1 when the rest
+// of the level is empty. The cursor's own slot at that level is always
+// empty by the placement invariant.
+func (w *wheel) window(level int) (slot int, base uint64) {
+	shift := 8 * uint(level)
+	slot = w.firstFrom(level, int(w.cur>>shift&255)+1)
+	if slot < 0 {
+		return -1, 0
+	}
+	return slot, w.cur>>(shift+8)<<(shift+8) | uint64(slot)<<shift
+}
+
+// advance moves the cursor toward the earliest event, never past limit: it
+// enters (and cascades) a higher-level window only if the window starts at
+// or before limit. It reports whether the level-0 slot at cur now holds the
+// earliest event, due at cur <= limit.
+//
+//qpip:hotpath
+func (w *wheel) advance(e *Engine, limit uint64) bool {
 	for {
 		if s := w.firstFrom(0, int(w.cur&255)); s >= 0 {
-			w.cur = w.cur&^255 | uint64(s)
-			for ev := w.takeSlot(0, uint8(s)); ev != nil; {
-				next := ev.next
-				ev.next, ev.prev = nil, nil
-				ev.state = evDue
-				e.due = append(e.due, ev)
-				ev = next
+			t := w.cur&^255 | uint64(s)
+			if t > limit {
+				return false
 			}
+			w.cur = t
 			return true
 		}
-		// Level 0 exhausted: enter the next occupied higher-level window
-		// (current higher-level slots are empty by the placement invariant)
-		// and cascade it down, then rescan.
-		if s := w.firstFrom(1, int(w.cur>>8&255)+1); s >= 0 {
-			w.cur = w.cur>>16<<16 | uint64(s)<<8
-			w.cascade(1, uint8(s))
-			continue
+		level := 1
+		for ; level < 4; level++ {
+			if s, base := w.window(level); s >= 0 {
+				if base > limit {
+					return false
+				}
+				w.cur = base
+				w.cascade(int8(level), uint8(s))
+				break
+			}
 		}
-		if s := w.firstFrom(2, int(w.cur>>16&255)+1); s >= 0 {
-			w.cur = w.cur>>24<<24 | uint64(s)<<16
-			w.cascade(2, uint8(s))
-			continue
-		}
-		if s := w.firstFrom(3, int(w.cur>>24&255)+1); s >= 0 {
-			w.cur = w.cur>>32<<32 | uint64(s)<<24
-			w.cascade(3, uint8(s))
-			continue
-		}
-		if !w.refillFromOverflow(e) {
+		if level == 4 && !w.refillFromOverflow(e, limit) {
 			return false
 		}
 	}
+}
+
+// next reports the earliest live timestamp without moving the cursor: the
+// level-0 bitmap hit, else the minimum over the first occupied higher-level
+// slot (its list is in scheduling order, not time order), else the minimum
+// over live overflow events. It reports false when nothing is live.
+func (w *wheel) next() (uint64, bool) {
+	if s := w.firstFrom(0, int(w.cur&255)); s >= 0 {
+		return w.cur&^255 | uint64(s), true
+	}
+	for level := 1; level < 4; level++ {
+		if s, _ := w.window(level); s >= 0 {
+			earliest := ^uint64(0)
+			for ev := w.slots[level][s].head; ev != nil; ev = ev.next {
+				earliest = min(earliest, uint64(ev.at))
+			}
+			return earliest, true
+		}
+	}
+	earliest, found := ^uint64(0), false
+	for _, ev := range w.overflow {
+		if ev.state != evCanceled {
+			earliest, found = min(earliest, uint64(ev.at)), true
+		}
+	}
+	return earliest, found
 }
 
 // cascade re-files a higher-level slot's events after the cursor entered the
@@ -163,34 +200,31 @@ func (w *wheel) cascade(level int8, slot uint8) {
 	}
 }
 
-// refillFromOverflow jumps the cursor to the earliest overflow timestamp and
-// moves every overflow event inside the cursor's new top-level window into
-// the wheel. Setting the cursor to the minimum timestamp itself (rather
-// than a window base) keeps all re-filed events at scannable slot indexes.
-// Cancelled stragglers are reaped here; slice order (= scheduling order) is
-// preserved for the rest.
-func (w *wheel) refillFromOverflow(e *Engine) bool {
+// refillFromOverflow reaps cancelled overflow events and, if the earliest
+// live one is due by limit, jumps the cursor to its timestamp and moves every
+// overflow event inside the cursor's new top-level window into the wheel.
+// Setting the cursor to the minimum timestamp itself (rather than a window
+// base) keeps all re-filed events at scannable slot indexes. Slice order
+// (= scheduling order) is preserved for the rest.
+func (w *wheel) refillFromOverflow(e *Engine, limit uint64) bool {
 	live := w.overflow[:0]
-	var min uint64
-	found := false
+	earliest := ^uint64(0)
 	for _, ev := range w.overflow {
 		if ev.state == evCanceled {
 			e.recycle(ev)
 			continue
 		}
 		live = append(live, ev)
-		if t := uint64(ev.at); !found || t < min {
-			min, found = t, true
-		}
+		earliest = min(earliest, uint64(ev.at))
 	}
 	for i := len(live); i < len(w.overflow); i++ {
 		w.overflow[i] = nil
 	}
 	w.overflow = live
-	if !found {
+	if len(live) == 0 || earliest > limit {
 		return false
 	}
-	w.cur = min
+	w.cur = earliest
 	keep := w.overflow[:0]
 	for _, ev := range w.overflow {
 		if uint64(ev.at)>>32 == w.cur>>32 {

@@ -73,6 +73,13 @@ func (q *refQueue) Run() {
 	}
 }
 
+func (q *refQueue) NextAt() (Time, bool) {
+	if len(q.h) == 0 {
+		return 0, false
+	}
+	return q.h[0].at, true
+}
+
 func (q *refQueue) Now() Time     { return q.now }
 func (q *refQueue) Fired() uint64 { return q.fired }
 func (q *refQueue) Pending() int  { return len(q.h) }
@@ -84,16 +91,35 @@ type scriptQueue interface {
 	After(d Time, name string, fn func()) canceler
 	RunFor(d Time)
 	Run()
+	NextAt() (Time, bool)
 	Now() Time
 	Fired() uint64
 	Pending() int
 }
 
-// wheelQueue adapts *Engine to scriptQueue.
-type wheelQueue struct{ *Engine }
+// wheelQueue adapts *Engine to scriptQueue, checking after every RunFor
+// that the wheel cursor has not run ahead of the clock.
+type wheelQueue struct {
+	*Engine
+	t *testing.T
+}
 
 func (q wheelQueue) After(d Time, name string, fn func()) canceler {
 	return q.Engine.After(d, name, fn)
+}
+
+func (q wheelQueue) RunFor(d Time) {
+	q.Engine.RunFor(d)
+	checkCursor(q.t, q.Engine)
+}
+
+// checkCursor fails the test unless the wheel cursor is at or behind the
+// clock, the invariant that lets every At land in the wheel.
+func checkCursor(t *testing.T, e *Engine) {
+	t.Helper()
+	if e.wheel.cur > uint64(e.now) {
+		t.Fatalf("wheel cursor %d ahead of clock %v", e.wheel.cur, e.now)
+	}
 }
 
 // traceEntry records one fired event for cross-queue comparison.
@@ -104,14 +130,20 @@ type traceEntry struct {
 
 // runQueueScript drives an engine through a randomized but fully
 // deterministic workload: nested scheduling from callbacks, cancellations,
-// timestamp ties, RunUntil clock jumps with scheduling in between, and
-// far-future timers that land in the wheel's overflow. The rng is consulted
-// in callback execution order, so any ordering difference between queue
-// implementations snowballs into an obviously different trace.
+// timestamp ties, RunUntil clock jumps with scheduling in between,
+// far-future timers that land in the wheel's overflow, and NextAt peeks
+// (recorded in the trace as "next") from callbacks and between jumps. The
+// rng is consulted in callback execution order, so any ordering difference
+// between queue implementations snowballs into an obviously different trace.
 func runQueueScript(e scriptQueue, seed int64) (trace []traceEntry, fired uint64, pending int) {
 	rng := rand.New(rand.NewSource(seed))
 	var handles []canceler
 	nameN := 0
+	peek := func() {
+		if at, ok := e.NextAt(); ok {
+			trace = append(trace, traceEntry{"next", at})
+		}
+	}
 
 	randomDelay := func() Time {
 		switch r := rng.Intn(100); {
@@ -139,6 +171,9 @@ func runQueueScript(e scriptQueue, seed int64) (trace []traceEntry, fired uint64
 		handles[slot] = e.After(d, name, func() {
 			handles[slot] = nil // holder discipline: drop before anything else
 			trace = append(trace, traceEntry{name, e.Now()})
+			if rng.Intn(8) == 0 {
+				peek()
+			}
 			if depth < 3 {
 				for i, k := 0, rng.Intn(3); i < k; i++ {
 					newEv(randomDelay(), depth+1)
@@ -165,9 +200,11 @@ func runQueueScript(e scriptQueue, seed int64) (trace []traceEntry, fired uint64
 	// and after whatever the engine has already peeked at.
 	for i := 0; i < 30; i++ {
 		e.RunFor(Time(rng.Int63n(200_000)))
+		peek()
 		for j, k := 0, rng.Intn(4); j < k; j++ {
 			newEv(randomDelay(), 0)
 		}
+		peek()
 	}
 	e.Run()
 	return trace, e.Fired(), e.Pending()
@@ -179,7 +216,7 @@ func runQueueScript(e scriptQueue, seed int64) (trace []traceEntry, fired uint64
 func TestWheelMatchesLegacyHeap(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		wantTrace, wantFired, wantPending := runQueueScript(&refQueue{}, seed)
-		gotTrace, gotFired, gotPending := runQueueScript(wheelQueue{NewEngine()}, seed)
+		gotTrace, gotFired, gotPending := runQueueScript(wheelQueue{NewEngine(), t}, seed)
 
 		if gotFired != wantFired || gotPending != wantPending {
 			t.Fatalf("seed %d: fired/pending = %d/%d (wheel) vs %d/%d (heap)",
@@ -218,8 +255,8 @@ func TestCancelledTimersDoNotGrowQueue(t *testing.T) {
 			t.Fatalf("Pending = %d after %d cancels, want 1", p, i+1)
 		}
 	}
-	if n := len(e.due); n != e.dueHead {
-		t.Fatalf("due buffer holds %d entries after cancels", n-e.dueHead)
+	if n := residentEvents(t, &e.wheel); n != 1 {
+		t.Fatalf("wheel holds %d events after the cancels, want 1 (the anchor)", n)
 	}
 	e.Run()
 	if e.Fired() != 1 || !anchor {
@@ -258,18 +295,61 @@ func TestWheelOverflowOrdering(t *testing.T) {
 	}
 }
 
-// TestDueFrontInsert pins the peek-then-schedule-earlier corner: RunUntil
-// materializes the next slot into the due buffer; a subsequent schedule with
-// an earlier timestamp must still fire first.
-func TestDueFrontInsert(t *testing.T) {
-	e := NewEngine()
-	var got []string
-	e.At(1000, "late", func() { got = append(got, "late") })
-	e.RunUntil(500) // peeks (and buffers) the event at 1000
-	e.At(600, "early", func() { got = append(got, "early") })
-	e.At(1000, "tie", func() { got = append(got, "tie") })
-	e.Run()
-	if len(got) != 3 || got[0] != "early" || got[1] != "late" || got[2] != "tie" {
-		t.Fatalf("fired %v, want [early late tie]", got)
+// residentEvents counts the events linked into the wheel's slots plus those
+// parked in overflow, failing the test if an occupancy bit disagrees with
+// its slot's list.
+func residentEvents(t *testing.T, w *wheel) int {
+	t.Helper()
+	n := len(w.overflow)
+	for level := range w.slots {
+		for slot := range w.slots[level] {
+			head := w.slots[level][slot].head
+			if bit := w.occupied[level][slot>>6]&(1<<(slot&63)) != 0; bit != (head != nil) {
+				t.Fatalf("level %d slot %d: occupancy bit %v, list empty %v", level, slot, bit, head == nil)
+			}
+			for ev := head; ev != nil; ev = ev.next {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestScheduleBehindParkedEvent is the wheel-cursor regression: a
+// RunUntil horizon that stops short of the next event must leave the cursor
+// at or behind the clock, so a later schedule before that event still fires
+// first — with the parked event live, and after it was cancelled. The
+// parked event sits in the cursor's level-0 window (100) or beyond it (1000).
+func TestScheduleBehindParkedEvent(t *testing.T) {
+	for _, late := range []Time{100, 1000} {
+		horizon, early := late/2, late*6/10
+		e := NewEngine()
+		var got []string
+		e.At(late, "late", func() { got = append(got, "late") })
+		e.RunUntil(horizon)
+		checkCursor(t, e)
+		e.At(early, "early", func() { got = append(got, "early") })
+		e.At(late, "tie", func() { got = append(got, "tie") })
+		e.Run()
+		if len(got) != 3 || got[0] != "early" || got[1] != "late" || got[2] != "tie" {
+			t.Fatalf("late=%v: fired %v, want [early late tie]", late, got)
+		}
+
+		e = NewEngine()
+		got = got[:0]
+		parked := e.At(late, "parked", func() { got = append(got, "parked") })
+		e.RunUntil(horizon)
+		checkCursor(t, e)
+		parked.Cancel()
+		e.At(early, "early", func() { got = append(got, "early") })
+		e.RunUntil(late - 1)
+		checkCursor(t, e)
+		if len(got) != 1 || got[0] != "early" {
+			t.Fatalf("late=%v: fired %v by %v, want [early]", late, got, late-1)
+		}
+		e.Run()
+		if len(got) != 1 || e.Pending() != 0 {
+			t.Fatalf("late=%v: fired %v with %d pending after Run, want [early] and 0", late, got, e.Pending())
+		}
 	}
 }
