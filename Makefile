@@ -1,9 +1,6 @@
 GO ?= go
 
-.PHONY: build test fmt vet shadow lint staticcheck govulncheck race fuzz check bench benchtest microbench chaos
-
-# Official performance measurement repetitions.
-BENCH_REPEATS ?= 5
+.PHONY: build test fmt vet shadow lint staticcheck govulncheck race fuzz check benchtest microbench chaos
 
 build:
 	$(GO) build ./...
@@ -84,46 +81,22 @@ fuzz:
 # qpiplint suite (mandatory — proves the determinism and datapath
 # invariants, DESIGN §12), optional staticcheck and govulncheck, the full
 # suite under the race detector, the plain suite (also exercises the fuzz
-# seed corpora and the golden files under testdata/golden), the shard-barrier
-# race run (the parallel runner and the sequential/sharded equivalence
-# matrix under -race, beyond the all-package race target above), and the
-# scale guard (sharded runs fire the identical event count and hit the
-# speedup floor for however many cores this host actually has), and the
-# connection-density guard (SRQ pooling must beat private receive queues
-# on per-connection memory at high QP counts without a CPU regression,
-# and churn must leave no residual connection state). benchtest runs the
-# nested benchmark module's own suite.
+# seed corpora and the golden files under testdata/golden, which pin every
+# qpipbench report), and the shard-barrier race run (the parallel runner
+# and the sequential/sharded equivalence matrix under -race, beyond the
+# all-package race target above). benchtest runs the nested benchmark
+# module's own suite; wall clock belongs to the benchmark, not this gate.
 check: fmt vet shadow lint staticcheck govulncheck race test benchtest chaos
 	$(GO) test -race -count=1 -run 'TestParallel|TestRunPingPong|TestRunUntilLimit|TestFreeRun|TestShardPanic' ./qpip/ ./internal/sim/par/
-	$(GO) run ./cmd/qpipbench -exp scaleguard -bytes 4194304
-	$(GO) run ./cmd/qpipbench -exp collective -coll-nodes 2,8 -coll-iters 2 >/dev/null
-	$(GO) run ./cmd/qpipbench -exp collguard -coll-iters 2
-	$(GO) run ./cmd/qpipbench -exp connguard
 
-# Run the microbenchmarks, then regenerate BENCH_PR7.json: the
-# parallel-scaling table (sequential baseline vs sharded placements,
-# events cross-checked identical, gomaxprocs recorded per row). Then
-# BENCH_PR8.json: the collectives sweep (host-based vs NIC-offloaded
-# barrier and ring allreduce across ring/mesh/fat-tree topologies).
-# Then BENCH_PR9.json: the connection-density sweep (incast / churn /
-# many-client NBD at 64->8192 connections, SRQ vs private receive
-# queues vs the host stacks).
-bench: microbench
-	$(GO) run ./cmd/qpipbench -exp perfscale -bytes 8388608 \
-		-perf-repeats $(BENCH_REPEATS) -json BENCH_PR7.json
-	$(GO) run ./cmd/qpipbench -exp collective -json BENCH_PR8.json
-	$(GO) run ./cmd/qpipbench -exp connscale -json BENCH_PR9.json
-
+# The microbenchmarks of the simulator's hot paths.
 microbench:
 	$(GO) test -bench=. -benchmem ./internal/sim/ ./internal/tcp/ ./internal/fabric/ ./internal/inet/ ./internal/pool/
 
-# The fixed-seed failure matrix: link-level chaos (drops, corruption,
-# duplication, flaps) through the frame-chaos experiment, then the
-# node-level crash/flap/partition matrix — adapter crash/restart, both
+# The fixed-seed node-level failure matrix: adapter crash/restart, both
 # ends crashing, sustained flaps, asymmetric partitions — each verified
-# bytes-exactly-once and trace-identical across reruns, and the recovery
-# sweep end to end (exits nonzero if any point is not byte-exact).
+# bytes-exactly-once and trace-identical across reruns. The link-level
+# chaos sweep and the recovery sweep are pinned by tier-1 golden files
+# (internal/bench/testdata/golden).
 chaos:
 	$(GO) test -run 'TestRecoveryChaos|TestRecoveryFaultFree' -count=1 ./internal/nbd/
-	$(GO) run ./cmd/qpipbench -exp chaos
-	$(GO) run ./cmd/qpipbench -exp recovery -bytes 1048576 >/dev/null

@@ -207,3 +207,53 @@ func TestAblations(t *testing.T) {
 	}
 	t.Logf("\n%s", out)
 }
+
+// TestSRQPoolsReceiveMemory is the shared-receive-queue claim on the
+// incast A/B, the cheapest workload that isolates receive-buffer
+// provisioning: pooling must at least halve per-connection memory at 1024
+// connections, the claim path must cost no more than 15% host CPU per
+// request over a private dequeue at 64, and every connection stays live.
+func TestSRQPoolsReceiveMemory(t *testing.T) {
+	const msgs = 4
+	lowSRQ, lowPriv := incastQPIP(64, msgs, true), incastQPIP(64, msgs, false)
+	hiSRQ, hiPriv := incastQPIP(1024, msgs, true), incastQPIP(1024, msgs, false)
+	if hiSRQ.PerConnMemBytes*2 > hiPriv.PerConnMemBytes {
+		t.Errorf("1024 conns: srq %.0f B/conn vs priv %.0f B/conn, want >= 2x reduction",
+			hiSRQ.PerConnMemBytes, hiPriv.PerConnMemBytes)
+	}
+	if lowSRQ.HostCPUPerReqUS > lowPriv.HostCPUPerReqUS*1.15 {
+		t.Errorf("64 conns: srq %.2f us/req vs priv %.2f us/req, want <= 1.15x",
+			lowSRQ.HostCPUPerReqUS, lowPriv.HostCPUPerReqUS)
+	}
+	if lowSRQ.LiveEnd != 64 || hiSRQ.LiveEnd != 1024 {
+		t.Errorf("incast live connections at end: %d of 64, %d of 1024", lowSRQ.LiveEnd, hiSRQ.LiveEnd)
+	}
+}
+
+// TestChurnLeavesNoConnectionState cycles 512 short-lived connections: the
+// adapter must end with empty connection tables and must have reused QPNs.
+func TestChurnLeavesNoConnectionState(t *testing.T) {
+	churn := churnQPIP(512, true)
+	if churn.LiveEnd != 0 {
+		t.Errorf("churn 512 conns: %d residual demux entries, want 0", churn.LiveEnd)
+	}
+	if churn.RecycledQPNs == 0 {
+		t.Error("churn 512 conns: no QPN recycled")
+	}
+}
+
+// TestNICBarrierBeatsHostBarrier is the offload claim at 8 nodes on every
+// swept topology: the firmware barrier is no slower in simulated latency
+// than the host-driven tree over plain QPs. Host CPU is not compared: the
+// offload engine takes a full ISR per completion while the QPIP datapath
+// coalesces interrupts, so per-op CPU only separates on multi-step
+// collectives.
+func TestNICBarrierBeatsHostBarrier(t *testing.T) {
+	for _, topoName := range CollTopologies {
+		hostLat, _ := collHostRun(topoName, 8, 2, 64, "barrier")
+		nicLat, _ := collNICRun(topoName, 8, 2, 64, "barrier")
+		if nicLat > hostLat {
+			t.Errorf("%s: nic barrier %.1f us slower than host %.1f us", topoName, nicLat, hostLat)
+		}
+	}
+}

@@ -1,10 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"strings"
 
 	"repro/internal/buf"
@@ -37,28 +34,22 @@ import (
 
 // CollRow is one (topology, size, op, mode) measurement.
 type CollRow struct {
-	Topology string `json:"topology"`
-	Nodes    int    `json:"nodes"`
-	Op       string `json:"op"`   // barrier | allreduce
-	Mode     string `json:"mode"` // host | nic
+	Topology string
+	Nodes    int
+	Op       string // barrier | allreduce
+	Mode     string // host | nic
 	// LatencyUS is simulated latency per collective, steady state.
-	LatencyUS float64 `json:"latency_us"`
+	LatencyUS float64
 	// HostCPUUS is host CPU consumed per collective, summed over all
 	// ranks' host processors.
-	HostCPUUS float64 `json:"host_cpu_us_per_op"`
+	HostCPUUS float64
 }
 
 // CollReport is the whole collectives comparison.
 type CollReport struct {
-	GeneratedBy string    `json:"generated_by"`
-	GoVersion   string    `json:"go_version"`
-	GOOS        string    `json:"goos"`
-	GOARCH      string    `json:"goarch"`
-	GOMAXPROCS  int       `json:"gomaxprocs"`
-	Iters       int       `json:"iters"`
-	VecWords    int       `json:"vec_words"`
-	Nodes       []int     `json:"nodes"`
-	Rows        []CollRow `json:"rows"`
+	Iters    int
+	VecWords int
+	Rows     []CollRow
 }
 
 // collSpec maps a topology name to its auto-sized Spec.
@@ -309,7 +300,7 @@ func collHostAllreduceSetup(p *sim.Proc, c *core.Cluster, i, n, total, vecWords 
 	}
 }
 
-// ---- sweep, render, guard. ----
+// ---- sweep and render. ----
 
 // CollTopologies is the swept topology set.
 var CollTopologies = []string{"ring", "mesh", "fattree"}
@@ -326,16 +317,7 @@ func Collective(nodes []int, iters, vecWords int) CollReport {
 	if vecWords <= 0 {
 		vecWords = 64
 	}
-	rep := CollReport{
-		GeneratedBy: "qpipbench -exp collective",
-		GoVersion:   runtime.Version(),
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Iters:       iters,
-		VecWords:    vecWords,
-		Nodes:       nodes,
-	}
+	rep := CollReport{Iters: iters, VecWords: vecWords}
 	for _, topoName := range CollTopologies {
 		for _, n := range nodes {
 			for _, op := range []string{"barrier", "allreduce"} {
@@ -365,44 +347,4 @@ func RenderCollective(r CollReport) string {
 			h.LatencyUS/nn.LatencyUS, h.HostCPUUS, nn.HostCPUUS)
 	}
 	return b.String()
-}
-
-// WriteCollJSON writes the report as indented JSON.
-func WriteCollJSON(path string, r CollReport) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	return os.WriteFile(path, data, 0o644)
-}
-
-// CollectiveGuard is the CI collectives gate: on every swept topology,
-// at group size 8 the NIC-offloaded barrier must be no slower than the
-// host-based reference in simulated latency (host core count cannot
-// perturb simulated time, so this holds on any CI machine). Host CPU is
-// reported for context but not gated: the offload engine charges a full
-// ISR per completion while the QPIP datapath coalesces interrupts, so
-// per-op CPU only separates on multi-step collectives.
-func CollectiveGuard(iters int) (string, bool) {
-	const n = 8
-	if iters <= 0 {
-		iters = 4
-	}
-	ok := true
-	var b strings.Builder
-	fmt.Fprintf(&b, "collective guard: NIC-offloaded barrier vs host-based at %d nodes\n", n)
-	for _, topoName := range CollTopologies {
-		hostLat, hostCPU := collHostRun(topoName, n, iters, 64, "barrier")
-		nicLat, nicCPU := collNICRun(topoName, n, iters, 64, "barrier")
-		verdict := "PASS"
-		if nicLat > hostLat {
-			ok = false
-			verdict = "FAIL"
-		}
-		fmt.Fprintf(&b, "%s %s: nic %.1f us / %.1f us-cpu, host %.1f us / %.1f us-cpu\n",
-			verdict, topoName, nicLat, nicCPU, hostLat, hostCPU)
-	}
-	fmt.Fprintf(&b, "%s\n", map[bool]string{true: "PASS", false: "FAIL"}[ok])
-	return b.String(), ok
 }

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 
 	"repro/internal/buf"
@@ -65,31 +63,27 @@ func connPoolWRs(conns, perConn int) int {
 
 // ConnRow is one (workload, variant, connection-count) measurement.
 type ConnRow struct {
-	Workload string `json:"workload"`
-	Variant  string `json:"variant"`
-	Conns    int    `json:"conns"`
-	Requests int    `json:"requests"`
+	Workload string
+	Variant  string
+	Conns    int
+	Requests int
 	// PerConnMemBytes = (adapter SRAM + host receive provisioning) / conns.
-	PerConnMemBytes float64 `json:"per_conn_mem_bytes"`
-	SRAMBytes       int     `json:"adapter_sram_bytes"`
-	HostMemBytes    int     `json:"host_mem_bytes"`
-	HostCPUPerReqUS float64 `json:"host_cpu_per_req_us"`
-	ElapsedMS       float64 `json:"elapsed_ms"`
+	PerConnMemBytes float64
+	SRAMBytes       int
+	HostMemBytes    int
+	HostCPUPerReqUS float64
+	ElapsedMS       float64
 	// LiveEnd is the connection-table residency when the run ends: the
 	// connection count for the steady workloads, ~0 after churn.
-	LiveEnd int `json:"live_conns_end"`
+	LiveEnd int
 	// RecycledQPNs counts adapter QPN reuse during churn (QPIP only).
-	RecycledQPNs uint64 `json:"recycled_qpns,omitempty"`
+	RecycledQPNs uint64
 }
 
 // ConnReport is the whole connection-density sweep.
 type ConnReport struct {
-	GeneratedBy    string    `json:"generated_by"`
-	ConnCounts     []int     `json:"conn_counts"`
-	MsgsPerConn    int       `json:"msgs_per_conn"`
-	IncastMsgBytes int       `json:"incast_msg_bytes"`
-	NBDReadBytes   int       `json:"nbd_read_bytes"`
-	Rows           []ConnRow `json:"rows"`
+	MsgsPerConn int
+	Rows        []ConnRow
 }
 
 // ---- QPIP incast. ----
@@ -705,7 +699,7 @@ func nbdConnSock(kind StackKind, conns, msgs int) ConnRow {
 	return row
 }
 
-// ---- Sweep, report, guard. ----
+// ---- Sweep and report. ----
 
 // connPoint dispatches one sweep point.
 func connPoint(workload, variant string, conns, msgs int) ConnRow {
@@ -762,14 +756,7 @@ func Connscale(counts []int, msgs int) ConnReport {
 			}
 		}
 	}
-	rep := ConnReport{
-		GeneratedBy:    "qpipbench -exp connscale",
-		ConnCounts:     counts,
-		MsgsPerConn:    msgs,
-		IncastMsgBytes: connMsgBytes,
-		NBDReadBytes:   connNBDRead,
-		Rows:           make([]ConnRow, len(pts)),
-	}
+	rep := ConnReport{MsgsPerConn: msgs, Rows: make([]ConnRow, len(pts))}
 	sweep(len(pts), func(i int) {
 		rep.Rows[i] = connPoint(pts[i].w, pts[i].v, pts[i].conns, msgs)
 	})
@@ -781,7 +768,7 @@ func RenderConnscale(r ConnReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Connection density: per-connection memory and host CPU per request\n")
 	fmt.Fprintf(&b, "(%d msgs/conn; incast %d B messages, nbd %d B reads; churn is 1 rpc/conn)\n",
-		r.MsgsPerConn, r.IncastMsgBytes, r.NBDReadBytes)
+		r.MsgsPerConn, connMsgBytes, connNBDRead)
 	for _, w := range []string{"incast", "churn", "nbd"} {
 		fmt.Fprintf(&b, "\n-- %s --\n", w)
 		fmt.Fprintf(&b, "%-11s %6s %9s %12s %12s %12s %11s %8s %9s\n",
@@ -801,75 +788,4 @@ func RenderConnscale(r ConnReport) string {
 		}
 	}
 	return b.String()
-}
-
-// WriteConnJSON writes the report as indented JSON.
-func WriteConnJSON(path string, r ConnReport) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	return os.WriteFile(path, data, 0o644)
-}
-
-// ConnGuard is the CI connection-density gate, on the incast A/B only
-// (the cheapest workload that isolates receive-buffer provisioning):
-//
-//   - at 1024 connections, SRQ per-connection memory must undercut the
-//     private-queue variant by at least 2x — pooling must actually pool;
-//   - at 64 connections, SRQ host CPU per request must not regress more
-//     than 15% over private queues — the claim path must stay as cheap
-//     as a private dequeue at low density;
-//   - churn at 512 connections must end with empty connection tables on
-//     the adapter — state recycling must not leak.
-func ConnGuard(msgs int) (string, bool) {
-	if msgs <= 0 {
-		msgs = 4
-	}
-	ok := true
-	var b strings.Builder
-	fmt.Fprintf(&b, "connguard: incast SRQ-vs-private A/B, churn leak check\n")
-
-	rows := make([]ConnRow, 5)
-	sweep(len(rows), func(i int) {
-		switch i {
-		case 0:
-			rows[i] = incastQPIP(64, msgs, true)
-		case 1:
-			rows[i] = incastQPIP(64, msgs, false)
-		case 2:
-			rows[i] = incastQPIP(1024, msgs, true)
-		case 3:
-			rows[i] = incastQPIP(1024, msgs, false)
-		case 4:
-			rows[i] = churnQPIP(512, true)
-		}
-	})
-	lowSRQ, lowPriv, hiSRQ, hiPriv, churn := rows[0], rows[1], rows[2], rows[3], rows[4]
-
-	check := func(pass bool, format string, args ...interface{}) {
-		verdict := "PASS"
-		if !pass {
-			verdict = "FAIL"
-			ok = false
-		}
-		fmt.Fprintf(&b, "%s %s\n", verdict, fmt.Sprintf(format, args...))
-	}
-	check(hiSRQ.PerConnMemBytes*2 <= hiPriv.PerConnMemBytes,
-		"1024 conns: srq %.0f B/conn vs priv %.0f B/conn (need >= 2x reduction)",
-		hiSRQ.PerConnMemBytes, hiPriv.PerConnMemBytes)
-	check(lowSRQ.HostCPUPerReqUS <= lowPriv.HostCPUPerReqUS*1.15,
-		"64 conns: srq %.2f us/req vs priv %.2f us/req (allowed <= 1.15x)",
-		lowSRQ.HostCPUPerReqUS, lowPriv.HostCPUPerReqUS)
-	check(hiSRQ.LiveEnd == 1024 && lowSRQ.LiveEnd == 64,
-		"incast connections all live at end (64: %d, 1024: %d)",
-		lowSRQ.LiveEnd, hiSRQ.LiveEnd)
-	check(churn.LiveEnd == 0,
-		"churn 512 conns: %d residual demux entries (need 0)", churn.LiveEnd)
-	check(churn.RecycledQPNs > 0,
-		"churn 512 conns: %d QPNs recycled (need > 0)", churn.RecycledQPNs)
-
-	fmt.Fprintf(&b, "%s\n", map[bool]string{true: "PASS", false: "FAIL"}[ok])
-	return b.String(), ok
 }

@@ -61,6 +61,7 @@ func Figure3(iters int) []RTTRow {
 type TtcpRow struct {
 	Stack   string
 	MTU     int
+	Bytes   int // transfer size the row was measured at
 	MBps    float64
 	HostCPU float64 // fraction of one processor (the busier host)
 	NICCPU  float64 // QPIP adapter occupancy (0 for host stacks)
@@ -116,6 +117,7 @@ func Figure4(totalBytes int) []TtcpRow {
 				PaperMBps: 26.4,
 			}
 		}
+		rows[i].Bytes = totalBytes
 	})
 	return rows
 }

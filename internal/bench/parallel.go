@@ -21,9 +21,6 @@ func SetParallelism(n int) {
 	sweepWorkers = n
 }
 
-// Parallelism reports the configured sweep concurrency.
-func Parallelism() int { return sweepWorkers }
-
 // sweep runs job(0..n-1), each exactly once, using at most sweepWorkers
 // goroutines. With sweepWorkers == 1 it degrades to a plain loop.
 func sweep(n int, job func(i int)) {

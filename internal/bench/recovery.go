@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -28,35 +27,35 @@ const RecoverySeed = 0xFA117
 // workload on the QPIP stack with one failure scenario injected, verified
 // byte-exact, with the latency and goodput cost of recovering.
 type RecoveryRow struct {
-	Scenario string `json:"scenario"` // baseline, crash-server, crash-client, flap, partition
-	Backoff  string `json:"backoff"`  // policy name ("-" for baseline)
+	Scenario string // baseline, crash-server, crash-client, flap, partition
+	Backoff  string // policy name ("-" for baseline)
 	// FaultAtMS / FaultForMS locate the injected outage (crash instant and
 	// down window; flap-train start and total span; partition window).
-	FaultAtMS  float64 `json:"fault_at_ms"`
-	FaultForMS float64 `json:"fault_for_ms"`
+	FaultAtMS  float64
+	FaultForMS float64
 	// StallMS is the longest gap between successive write completions —
 	// the application-visible outage (detection + reconnect + replay).
-	StallMS float64 `json:"stall_ms"`
+	StallMS float64
 	// RecoveryMS is how long after the fault cleared (adapter back up,
 	// flaps over, partition healed) the write pipeline was moving again.
-	RecoveryMS float64 `json:"recovery_ms"`
+	RecoveryMS float64
 	// GoodputMBps is write-phase goodput; DipPct its loss vs the
 	// fault-free baseline point.
-	GoodputMBps  float64 `json:"goodput_mbps"`
-	BaselineMBps float64 `json:"baseline_mbps"`
-	DipPct       float64 `json:"goodput_dip_pct"`
+	GoodputMBps  float64
+	BaselineMBps float64
+	DipPct       float64
 	// Sessions/Replays are the client transport's recovery work; the
 	// counters below are summed across both adapters.
-	Sessions    uint64 `json:"sessions"`
-	Replays     uint64 `json:"replays"`
-	Retransmits uint64 `json:"retransmits"`
-	StaleEpoch  uint64 `json:"stale_epoch_drops"`
-	PeerReboots uint64 `json:"peer_reboot_fences"`
-	Crashes     uint64 `json:"crashes"`
+	Sessions    uint64
+	Replays     uint64
+	Retransmits uint64
+	StaleEpoch  uint64
+	PeerReboots uint64
+	Crashes     uint64
 	// Verified is the bytes-exactly-once check: every chunk read back
 	// equals the pattern written, despite replays and duplicates.
-	Verified bool `json:"verified"`
-	Failed   bool `json:"failed"` // client declared the remote down
+	Verified bool
+	Failed   bool // client declared the remote down
 }
 
 // recoveryBackoffs are the swept reconnect policies. Budgets are sized so
@@ -273,9 +272,9 @@ func Recovery(totalBytes int) []RecoveryRow {
 func RenderRecovery(rows []RecoveryRow) string {
 	var b strings.Builder
 	header(&b, fmt.Sprintf("Recovery sweep: NBD write/flush/readback under crash chaos (seed 0x%X)", RecoverySeed))
-	fmt.Fprintf(&b, "%-14s %-7s %8s %8s %9s %9s %8s %7s %5s %8s %6s %6s %8s\n",
+	fmt.Fprintf(&b, "%-14s %-7s %8s %8s %9s %9s %8s %7s %5s %8s %6s %6s %6s %7s %8s\n",
 		"scenario", "backoff", "at(ms)", "for(ms)", "stall(ms)", "recov(ms)",
-		"MB/s", "dip", "sess", "replays", "fence", "stale", "verified")
+		"MB/s", "dip", "sess", "replays", "fence", "stale", "retx", "crashes", "verified")
 	for _, r := range rows {
 		ok := "YES"
 		if !r.Verified {
@@ -284,18 +283,10 @@ func RenderRecovery(rows []RecoveryRow) string {
 		if r.Failed {
 			ok = "FAILED"
 		}
-		fmt.Fprintf(&b, "%-14s %-7s %8.1f %8.1f %9.2f %9.2f %8.1f %6.1f%% %5d %8d %6d %6d %8s\n",
+		fmt.Fprintf(&b, "%-14s %-7s %8.1f %8.1f %9.2f %9.2f %8.1f %6.1f%% %5d %8d %6d %6d %6d %7d %8s\n",
 			r.Scenario, r.Backoff, r.FaultAtMS, r.FaultForMS, r.StallMS, r.RecoveryMS,
-			r.GoodputMBps, r.DipPct, r.Sessions, r.Replays, r.PeerReboots, r.StaleEpoch, ok)
+			r.GoodputMBps, r.DipPct, r.Sessions, r.Replays, r.PeerReboots, r.StaleEpoch,
+			r.Retransmits, r.Crashes, ok)
 	}
 	return b.String()
-}
-
-// RecoveryJSON renders the sweep as the machine-readable report.
-func RecoveryJSON(rows []RecoveryRow) (string, error) {
-	data, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(data) + "\n", nil
 }

@@ -29,10 +29,12 @@ func RenderFigure3(rows []RTTRow) string {
 	return b.String()
 }
 
-// RenderFigure4 renders the throughput/utilization matrix.
+// RenderFigure4 renders the throughput/utilization matrix; the header
+// names the transfer size the rows were measured at (the paper's is 10 MB).
 func RenderFigure4(rows []TtcpRow) string {
 	var b strings.Builder
-	header(&b, "Figure 4: ttcp throughput and CPU utilization (10 MB, 16 KB writes, TCP_NODELAY)")
+	header(&b, fmt.Sprintf("Figure 4: ttcp throughput and CPU utilization (%g MB, 16 KB writes, TCP_NODELAY)",
+		float64(rows[0].Bytes)/(1<<20)))
 	fmt.Fprintf(&b, "%-18s %7s %10s %10s %9s %11s\n", "stack", "MTU", "MB/s", "host CPU", "NIC CPU", "paper MB/s")
 	for _, r := range rows {
 		nic := "-"
