@@ -64,7 +64,8 @@ benchtest:
 	cd benchmark && $(GO) test ./...
 
 # Short smoke run of every fuzz target (header parsers, the checksum, the
-# datapath FIFO against its reference queue); the committed seed corpora
+# datapath FIFO against its reference queue, the TCP endpoint table
+# against its reference model); the committed seed corpora
 # also run as part of plain `go test`. The fuzz cache dir is created up
 # front: a fresh GOCACHE otherwise fails the first -fuzz run.
 fuzz:
@@ -76,6 +77,7 @@ fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzParse -fuzztime=5s ./internal/udp
 	$(GO) test -run=Fuzz -fuzz=FuzzVerify4 -fuzztime=5s ./internal/udp
 	$(GO) test -run=Fuzz -fuzz=FuzzRing -fuzztime=5s ./internal/pool
+	$(GO) test -run=Fuzz -fuzz=FuzzEndpoints -fuzztime=5s ./internal/tcp
 
 # The verification gate: gofmt, go vet, the optional shadow pass, the repo's own
 # qpiplint suite (mandatory — proves the determinism and datapath

@@ -394,7 +394,7 @@ func churnQPIP(conns int, useSRQ bool) ConnRow {
 		})
 	}
 	c.Run()
-	row.LiveEnd = nicS.LiveTCPConns()
+	row.LiveEnd = nicS.LiveConns()
 	row.SRAMBytes = nicS.SRAMFootprint()
 	if useSRQ {
 		row.HostMemBytes = srq.HostMemBytes()

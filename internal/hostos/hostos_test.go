@@ -20,9 +20,16 @@ import (
 type hostCluster struct {
 	eng     *sim.Engine
 	kernels [2]*hostos.Kernel
+	atts    [2]int // fabric attachments, for fault plans
 }
 
 func newGigECluster(t *testing.T, mtu int) *hostCluster {
+	return newFaultyGigECluster(t, mtu, nil)
+}
+
+// newFaultyGigECluster is newGigECluster with inj (if non-nil) attached to
+// the fabric.
+func newFaultyGigECluster(t *testing.T, mtu int, inj *fault.Injector) *hostCluster {
 	t.Helper()
 	eng := sim.NewEngine()
 	fab := fabric.New(eng, fabric.Config{
@@ -33,12 +40,16 @@ func newGigECluster(t *testing.T, mtu int) *hostCluster {
 		HopLatency:   params.GigESwitchLatency,
 		PropDelay:    params.CableLatency,
 	})
+	if inj != nil {
+		inj.Attach(fab)
+	}
 	c := &hostCluster{eng: eng}
 	var devs [2]*gige.Device
 	for i := 0; i < 2; i++ {
 		bus := hw.NewPCIBus(eng, "pci", params.PCIBandwidth, params.PCIDMASetup, params.PCIWriteLatency)
 		c.kernels[i] = hostos.NewKernel(eng, "host", inet.NodeAddr4(i), nil, bus)
 		devs[i] = gige.New(eng, c.kernels[i], fab, gige.Config{Name: "eth0", MTU: mtu})
+		c.atts[i] = devs[i].Attachment()
 	}
 	c.kernels[0].AddRoute(inet.NodeAddr4(1), devs[0], devs[1].Attachment())
 	c.kernels[1].AddRoute(inet.NodeAddr4(0), devs[1], devs[0].Attachment())
@@ -405,31 +416,9 @@ func TestTtcpGMShape(t *testing.T) {
 }
 
 func TestRetransmissionRecoversOnLossyFabric(t *testing.T) {
-	c := newGigECluster(t, params.MTUEthernet)
-	// Install loss at the fabric level: drop every 50th frame.
-	// (Reach into the route's device fabric via a fresh cluster setup is
-	// complex; instead run enough data through a lossy fabric variant.)
-	eng := sim.NewEngine()
-	fab := fabric.New(eng, fabric.Config{
-		Name:         "eth",
-		Bandwidth:    params.GigEBandwidth,
-		MTU:          params.MTUEthernet,
-		LinkOverhead: params.EthernetOverhead,
-		HopLatency:   params.GigESwitchLatency,
-		PropDelay:    params.CableLatency,
-	})
-	inj := fault.NewInjector(fault.Plan{DropEvery: 50})
-	inj.Attach(fab)
-	var kernels [2]*hostos.Kernel
-	var devs [2]*gige.Device
-	for i := 0; i < 2; i++ {
-		bus := hw.NewPCIBus(eng, "pci", params.PCIBandwidth, params.PCIDMASetup, params.PCIWriteLatency)
-		kernels[i] = hostos.NewKernel(eng, "host", inet.NodeAddr4(i), nil, bus)
-		devs[i] = gige.New(eng, kernels[i], fab, gige.Config{Name: "eth0", MTU: params.MTUEthernet})
-	}
-	kernels[0].AddRoute(inet.NodeAddr4(1), devs[0], devs[1].Attachment())
-	kernels[1].AddRoute(inet.NodeAddr4(0), devs[1], devs[0].Attachment())
-	_ = c
+	// Drop every 50th frame.
+	c := newFaultyGigECluster(t, params.MTUEthernet, fault.NewInjector(fault.Plan{DropEvery: 50}))
+	eng, kernels := c.eng, c.kernels
 
 	total := 300_000
 	want := buf.Pattern(total, 5)

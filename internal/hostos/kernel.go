@@ -66,17 +66,12 @@ type Kernel struct {
 	addr   inet.Addr4
 	routes map[inet.Addr4]route
 
-	tcpConns map[tcpKey]*Socket
-	// tcpPortUse counts live connections per local port so ephemeral
-	// allocation is O(1) per probe instead of O(live connections) — at
-	// thousands of churning connections the old scan dominated connect().
-	tcpPortUse map[uint16]int
-	listeners  map[uint16]*Socket
-	udpPorts   *udp.PortSpace[*Socket]
-	nextPort   uint16
-	issCount   uint32
-	ipID       uint16
-	lo         loopback
+	// tcp is the TCP endpoint table (demux, listeners, ports, ISS), shared
+	// in kind with the QPIP firmware; a listener is a Socket too.
+	tcp      *tcp.Endpoints[inet.Addr4, *Socket, *Socket]
+	udpPorts *udp.PortSpace[*Socket]
+	ipID     uint16
+	lo       loopback
 
 	// Recycled per-packet jobs (see txJob, rxJob).
 	txFree []*txJob
@@ -89,12 +84,6 @@ type Kernel struct {
 	stats Stats
 }
 
-type tcpKey struct {
-	localPort  uint16
-	remoteAddr inet.Addr4
-	remotePort uint16
-}
-
 // NewKernel builds a host kernel running on cpu. Pass nil to create a
 // dedicated 550 MHz processor.
 func NewKernel(eng *sim.Engine, name string, addr inet.Addr4, cpu *sim.CPU, bus *hw.PCIBus) *Kernel {
@@ -102,19 +91,16 @@ func NewKernel(eng *sim.Engine, name string, addr inet.Addr4, cpu *sim.CPU, bus 
 		cpu = sim.NewCPU(eng, name+".cpu0", params.HostClockHz)
 	}
 	k := &Kernel{
-		eng:        eng,
-		name:       name,
-		cpu:        cpu,
-		bus:        bus,
-		addr:       addr,
-		routes:     make(map[inet.Addr4]route),
-		tcpConns:   make(map[tcpKey]*Socket),
-		tcpPortUse: make(map[uint16]int),
-		listeners:  make(map[uint16]*Socket),
-		udpPorts:   udp.NewPortSpace[*Socket](),
-		nextPort:   32768,
-		Net:        trace.NewCounters(),
+		eng:      eng,
+		name:     name,
+		cpu:      cpu,
+		bus:      bus,
+		addr:     addr,
+		routes:   make(map[inet.Addr4]route),
+		udpPorts: udp.NewPortSpace[*Socket](),
+		Net:      trace.NewCounters(),
 	}
+	k.tcp = tcp.NewEndpoints[inet.Addr4, *Socket, *Socket](k.Net.Handle)
 	k.lo = loopback{k: k}
 	k.lo.deliverFn = k.lo.deliver
 	return k
@@ -132,8 +118,13 @@ func (k *Kernel) Engine() *sim.Engine { return k.eng }
 // Addr reports the host's IPv4 address.
 func (k *Kernel) Addr() inet.Addr4 { return k.addr }
 
-// Stats returns kernel counters.
-func (k *Kernel) Stats() Stats { return k.stats }
+// Stats returns kernel counters. Retransmits is the endpoint table's RTO
+// retransmission count ("tx.retransmit").
+func (k *Kernel) Stats() Stats {
+	st := k.stats
+	st.Retransmits = k.Net.Get("tx.retransmit")
+	return st
+}
 
 // AddRoute binds a destination address to a device and attachment — the
 // quiescent-LAN ARP table of the testbed.
@@ -142,60 +133,18 @@ func (k *Kernel) AddRoute(dst inet.Addr4, dev NetDevice, attachment int) {
 }
 
 // lookupRoute resolves a destination.
-func (k *Kernel) lookupRoute(dst inet.Addr4) (route, error) {
+func (k *Kernel) lookupRoute(dst inet.Addr4) (route, bool) {
 	if dst == k.addr {
-		return route{dev: &k.lo, att: 0}, nil
+		return route{dev: &k.lo, att: 0}, true
 	}
 	r, ok := k.routes[dst]
-	if !ok {
-		return route{}, fmt.Errorf("hostos: no route to %v", dst)
-	}
-	return r, nil
+	return r, ok
 }
 
-// allocPort grabs an ephemeral TCP port. Each probe is a map lookup, not
-// a scan of the connection table, so connection churn at 8k sockets does
-// not turn connect() into an O(n) walk.
-func (k *Kernel) allocPort() uint16 {
-	for {
-		p := k.nextPort
-		k.nextPort++
-		if k.nextPort == 0 {
-			k.nextPort = 32768
-		}
-		if k.listeners[p] == nil && k.tcpPortUse[p] == 0 {
-			return p
-		}
-	}
-}
-
-// registerConn installs a TCB in the demux table and reserves its local
-// port.
-func (k *Kernel) registerConn(key tcpKey, s *Socket) {
-	k.tcpConns[key] = s
-	k.tcpPortUse[key.localPort]++
-}
-
-// reapConn removes a dead connection from the demux table, releasing its
-// port reservation. The kernel reaps eagerly on close/reset/timeout
-// rather than modelling TIME_WAIT: a late retransmit for a reaped
-// connection is dropped (DroppedNoPort) and the peer's own retry budget
-// reaps its end, so churn benchmarks see steady-state table sizes.
-func (k *Kernel) reapConn(s *Socket) {
-	key := tcpKey{s.localPort, s.raddr, s.rport}
-	if k.tcpConns[key] != s {
-		return // already reaped, or the key was never registered
-	}
-	delete(k.tcpConns, key)
-	if k.tcpPortUse[key.localPort] <= 1 {
-		delete(k.tcpPortUse, key.localPort)
-	} else {
-		k.tcpPortUse[key.localPort]--
-	}
-}
-
-// LiveConns reports the number of TCBs resident in the demux table.
-func (k *Kernel) LiveConns() int { return len(k.tcpConns) }
+// LiveConns reports the number of TCBs resident in the demux table. The
+// kernel reaps eagerly on close/reset/timeout rather than modelling
+// TIME_WAIT, so churn benchmarks see steady-state table sizes.
+func (k *Kernel) LiveConns() int { return k.tcp.Len() }
 
 // ConnMemBytes estimates committed host kernel memory for the live TCP
 // connections: TCB and socket structs plus the per-socket send/receive
@@ -204,7 +153,7 @@ func (k *Kernel) LiveConns() int { return len(k.tcpConns) }
 // benches' per-connection memory axis.
 func (k *Kernel) ConnMemBytes() int {
 	total := 0
-	for _, s := range k.tcpConns {
+	for _, s := range k.tcp.Conns() {
 		total += params.HostTCBBytes + params.HostSockBytes + s.sndBufCap + defaultRcvBuf
 	}
 	return total
@@ -232,25 +181,25 @@ func perByte(cyclesPerByte float64, n int) sim.Time {
 // through the kernel's free list, so emitting costs no closure.
 type txJob struct {
 	k  *Kernel
-	s  *Socket
 	fn func()
+
+	dst inet.Addr4
+	r   route
 
 	seg *tcp.Segment // TCP; nil for a datagram
 
 	// UDP operands.
-	payload buf.Buf
-	dst     inet.Addr4
-	dstPort uint16
-	r       route
+	payload          buf.Buf
+	srcPort, dstPort uint16
 }
 
-func (k *Kernel) getTx(s *Socket) *txJob {
+func (k *Kernel) getTx(r route, dst inet.Addr4) *txJob {
 	j := pool.Take(&k.txFree)
 	if j == nil {
 		j = &txJob{k: k}
 		j.fn = j.run
 	}
-	j.s = s
+	j.r, j.dst = r, dst
 	return j
 }
 
@@ -259,64 +208,58 @@ func (k *Kernel) getTx(s *Socket) *txJob {
 //
 //qpip:hotpath
 func (j *txJob) run() {
-	k, s := j.k, j.s
+	k, r := j.k, j.r
 	pkt := wire.Get()
 	pkt.IsV4 = true
-	r := s.route
-	hdr := inet.Header4{TTL: 64, Src: k.addr}
+	hdr := inet.Header4{TTL: 64, Src: k.addr, Dst: j.dst}
 	if seg := j.seg; seg != nil {
 		l4 := seg.MarshalHeaderInto(pkt.L4Scratch())
-		tcp.SetChecksum(l4, inet.TransportChecksum4(k.addr, s.raddr, inet.ProtoTCP, l4, seg.Payload))
-		hdr.DontFrag, hdr.Protocol, hdr.Dst = true, inet.ProtoTCP, s.raddr
+		tcp.SetChecksum(l4, inet.TransportChecksum4(k.addr, j.dst, inet.ProtoTCP, l4, seg.Payload))
+		hdr.DontFrag, hdr.Protocol = true, inet.ProtoTCP
 		pkt.L4Hdr = l4
 		pkt.Payload = seg.Payload
 		seg.Release()
 	} else {
-		r = j.r
-		pkt.L4Hdr = udp.Marshal4Into(k.addr, j.dst, s.localPort, j.dstPort, j.payload, pkt.L4Scratch())
-		hdr.Protocol, hdr.Dst = inet.ProtoUDP, j.dst
+		pkt.L4Hdr = udp.Marshal4Into(k.addr, j.dst, j.srcPort, j.dstPort, j.payload, pkt.L4Scratch())
+		hdr.Protocol = inet.ProtoUDP
 		pkt.Payload = j.payload
 	}
 	k.ipID++
 	hdr.ID = k.ipID
 	hdr.TotalLen = uint16(inet.IPv4HeaderLen + len(pkt.L4Hdr) + pkt.Payload.Len())
 	pkt.IPHdr = inet.Marshal4Into(&hdr, pkt.IPScratch())
-	j.s, j.seg, j.payload, j.r = nil, nil, buf.Empty, route{}
+	j.seg, j.payload, j.r = nil, buf.Empty, route{}
 	k.txFree = append(k.txFree, j)
 	r.dev.Transmit(pkt, r.att)
 }
 
-// emitSegments runs tcp_output for each segment: protocol cost, software
-// checksum over the payload, driver enqueue, then the device.
-func (k *Kernel) emitSegments(s *Socket, segs []*tcp.Segment) {
-	for _, seg := range segs {
-		k.emitSegment(s, seg)
-	}
-}
-
+// emitSegment runs tcp_output for one segment to dst over r: protocol
+// cost, software checksum over the payload, driver enqueue, then the
+// device.
+//
 //qpip:hotpath
-func (k *Kernel) emitSegment(s *Socket, seg *tcp.Segment) {
+func (k *Kernel) emitSegment(r route, dst inet.Addr4, seg *tcp.Segment) {
 	k.stats.SegsOut++
 	cost := params.US(params.HostTCPOutputUS+params.HostSkbUS+params.HostDriverTxUS) +
 		perByte(params.HostChecksumCyclesPerByte, seg.Payload.Len())
-	j := k.getTx(s)
+	j := k.getTx(r, dst)
 	j.seg = seg
 	k.charge(cost, "tcp_output", j.fn)
 }
 
 // emitUDP transmits one datagram.
 func (k *Kernel) emitUDP(s *Socket, payload buf.Buf, dst inet.Addr4, dstPort uint16) error {
-	r, err := k.lookupRoute(dst)
-	if err != nil {
-		return err
+	r, ok := k.lookupRoute(dst)
+	if !ok {
+		return fmt.Errorf("hostos: no route to %v", dst)
 	}
 	if udp.HeaderLen+payload.Len() > r.dev.MTU()-inet.IPv4HeaderLen {
 		return fmt.Errorf("hostos: datagram exceeds device MTU %d", r.dev.MTU())
 	}
 	cost := params.US(params.HostUDPOutputUS+params.HostSkbUS+params.HostDriverTxUS) +
 		perByte(params.HostChecksumCyclesPerByte, payload.Len())
-	j := k.getTx(s)
-	j.payload, j.dst, j.dstPort, j.r = payload, dst, dstPort, r
+	j := k.getTx(r, dst)
+	j.payload, j.srcPort, j.dstPort = payload, s.localPort, dstPort
 	k.charge(cost, "udp_output", j.fn)
 	return nil
 }
@@ -445,17 +388,18 @@ func (k *Kernel) tcpInput(j *rxJob) {
 		k.rxCorrupt()
 		return
 	}
-	s := k.tcpConns[tcpKey{seg.DstPort, ip4.Src, seg.SrcPort}]
-	if s == nil {
-		if seg.Flags.Has(tcp.SYN) && !seg.Flags.Has(tcp.ACK) {
-			//lint:qpip-allow hotprop passive open builds a socket and a TCB once per connection, never per segment
-			k.acceptSYN(seg, ip4)
-			return
+	s, lst, v := k.tcp.Demux(seg, ip4.Src)
+	switch v {
+	case tcp.Deliver:
+		k.applyActions(s, s.conn.Input(seg, int64(k.eng.Now())))
+	case tcp.Accept:
+		//lint:qpip-allow hotprop passive open builds a socket and a TCB once per connection, never per segment
+		k.acceptSYN(lst, seg, ip4)
+	case tcp.Refuse:
+		if r, ok := k.lookupRoute(ip4.Src); ok {
+			k.emitSegment(r, ip4.Src, tcp.Refusal(seg))
 		}
-		k.stats.DroppedNoPort++
-		return
 	}
-	k.applyActions(s, s.conn.Input(seg, int64(k.eng.Now())))
 }
 
 func (k *Kernel) udpInput(j *rxJob) {
@@ -472,15 +416,10 @@ func (k *Kernel) udpInput(j *rxJob) {
 	s.enqueueDatagram(pkt.Payload, ip4.Src, j.udp.SrcPort)
 }
 
-// acceptSYN creates a child socket on a listening port.
-func (k *Kernel) acceptSYN(seg *tcp.Segment, ip4 *inet.Header4) {
-	lst := k.listeners[seg.DstPort]
-	if lst == nil {
-		k.stats.DroppedNoPort++
-		return
-	}
-	r, err := k.lookupRoute(ip4.Src)
-	if err != nil {
+// acceptSYN creates a child socket on lst's port.
+func (k *Kernel) acceptSYN(lst *Socket, seg *tcp.Segment, ip4 *inet.Header4) {
+	r, ok := k.lookupRoute(ip4.Src)
+	if !ok {
 		k.stats.DroppedNoPort++
 		return
 	}
@@ -491,11 +430,7 @@ func (k *Kernel) acceptSYN(seg *tcp.Segment, ip4 *inet.Header4) {
 	child.localPort = seg.DstPort
 	child.raddr, child.rport = ip4.Src, seg.SrcPort
 	child.route = r
-	child.conn = tcp.NewConn(k.connConfig(seg.DstPort, seg.SrcPort, r.dev.MTU(), lst.noDelay))
-	// The kernel consumes every Actions before re-entering the TCB, so the
-	// action slices can live in per-conn reusable buffers.
-	child.conn.ReuseActionBuffers(true)
-	k.registerConn(tcpKey{seg.DstPort, ip4.Src, seg.SrcPort}, child)
+	child.conn = k.tcp.Open(child.key(), child, k.connConfig(r.dev.MTU(), lst.noDelay))
 	now := int64(k.eng.Now())
 	acts, err := child.conn.AcceptSYN(seg, now)
 	if err != nil {
@@ -505,12 +440,10 @@ func (k *Kernel) acceptSYN(seg *tcp.Segment, ip4 *inet.Header4) {
 	k.applyActions(child, acts)
 }
 
-// connConfig builds a stream-mode TCB config.
-func (k *Kernel) connConfig(local, remote uint16, mtu int, noDelay bool) tcp.Config {
-	k.issCount += 64000
+// connConfig builds the stream-mode TCB config template (the endpoint
+// table fills in ports and ISS).
+func (k *Kernel) connConfig(mtu int, noDelay bool) tcp.Config {
 	return tcp.Config{
-		LocalPort:     local,
-		RemotePort:    remote,
 		Mode:          tcp.Stream,
 		MSS:           mtu - inet.IPv4HeaderLen - tcp.BaseHeaderLen - tcp.TimestampOptLen,
 		RecvWindow:    defaultRcvBuf,
@@ -518,16 +451,16 @@ func (k *Kernel) connConfig(local, remote uint16, mtu int, noDelay bool) tcp.Con
 		Timestamps:    true,
 		DelayedAck:    true,
 		NoDelay:       noDelay,
-		ISS:           tcp.Seq(k.issCount),
 		MaxRetries:    params.TCPMaxRetries,
 		SynMaxRetries: params.TCPSynMaxRetries,
 	}
 }
 
-// applyActions executes TCB outputs in kernel context.
+// applyActions executes TCB outputs in kernel context, then re-arms the
+// socket's TCB timer.
 func (k *Kernel) applyActions(s *Socket, acts tcp.Actions) {
-	if len(acts.Segments) > 0 {
-		k.emitSegments(s, acts.Segments)
+	for _, seg := range acts.Segments {
+		k.emitSegment(s.route, s.raddr, seg)
 	}
 	for _, d := range acts.Delivered {
 		s.enqueueData(d)
@@ -548,44 +481,9 @@ func (k *Kernel) applyActions(s *Socket, acts tcp.Actions) {
 		k.Net.Add("conn.retry-exceeded", 1)
 		s.onRetryExceeded()
 	}
-	if acts.Closed {
+	if acts.Closed { // as do Reset and RetryExceeded
 		s.onClosed()
+		k.tcp.Reap(s.key(), s)
 	}
-	if acts.Closed || acts.Reset || acts.RetryExceeded {
-		k.reapConn(s)
-	}
-	k.syncTimer(s)
-}
-
-// syncTimer aligns the socket's kernel timer with the TCB. The timer event
-// and its softirq-context body are bound once per socket (newSocket).
-//
-//qpip:hotpath
-func (k *Kernel) syncTimer(s *Socket) {
-	if s.timer != nil {
-		s.timer.Cancel()
-		s.timer = nil
-	}
-	if s.conn == nil {
-		return
-	}
-	deadline, ok := s.conn.NextTimeout()
-	if !ok {
-		return
-	}
-	at := sim.Time(deadline)
-	if at < k.eng.Now() {
-		at = k.eng.Now()
-	}
-	s.timer = k.eng.At(at, "hostos.tcp.timer", s.timerFn)
-}
-
-// onTimer is the TCB timer body, run in softirq context.
-func (k *Kernel) onTimer(s *Socket) {
-	acts := s.conn.OnTimer(int64(k.eng.Now()))
-	if len(acts.Segments) > 0 {
-		k.stats.Retransmits += uint64(len(acts.Segments))
-		k.Net.Add("tx.retransmit", uint64(len(acts.Segments)))
-	}
-	k.applyActions(s, acts)
+	k.eng.Rearm(&s.timer, s.conn, "hostos.tcp.timer", s.timerFn)
 }

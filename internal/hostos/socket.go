@@ -34,6 +34,7 @@ var (
 	ErrTimedOut     = errors.New("hostos: connection timed out")
 	ErrNotConnected = errors.New("hostos: socket not connected")
 	ErrInUse        = errors.New("hostos: address in use")
+	ErrConnRefused  = errors.New("hostos: connection refused")
 )
 
 // datagram is one queued UDP receive.
@@ -89,17 +90,26 @@ type Socket struct {
 }
 
 // connErr distinguishes a retry-budget timeout (ETIMEDOUT) from a peer
-// reset (ECONNRESET) when a dead connection is touched.
+// reset (ECONNRESET) when a dead connection is touched. A reset that
+// arrives before the handshake completes is a refusal (ECONNREFUSED).
 func (s *Socket) connErr() error {
-	if s.timedOut {
+	switch {
+	case s.timedOut:
 		return ErrTimedOut
+	case !s.established:
+		return ErrConnRefused
 	}
 	return ErrConnReset
 }
 
+// key is the socket's connection key in the kernel's endpoint table.
+func (s *Socket) key() tcp.Key[inet.Addr4] {
+	return tcp.Key[inet.Addr4]{LocalPort: s.localPort, RemoteAddr: s.raddr, RemotePort: s.rport}
+}
+
 func newSocket(k *Kernel, proto SockProto) *Socket {
 	s := &Socket{k: k, proto: proto, sndBufCap: defaultSndBuf}
-	s.timerBodyFn = func() { k.onTimer(s) }
+	s.timerBodyFn = func() { k.applyActions(s, k.tcp.OnTimer(s.conn, int64(k.eng.Now()))) }
 	s.timerFn = func() {
 		s.timer = nil
 		k.chargeUS(2.0, "tcp_timer", s.timerBodyFn)
@@ -143,16 +153,17 @@ func (s *Socket) Connect(p *sim.Proc, raddr inet.Addr4, rport uint16) error {
 		return ErrInUse
 	}
 	s.syscall(p)
-	r, err := s.k.lookupRoute(raddr)
+	r, ok := s.k.lookupRoute(raddr)
+	if !ok {
+		return fmt.Errorf("hostos: no route to %v", raddr)
+	}
+	conn, port, err := s.k.tcp.Connect(raddr, rport, s, s.k.connConfig(r.dev.MTU(), s.noDelay))
 	if err != nil {
 		return err
 	}
 	s.route = r
 	s.raddr, s.rport = raddr, rport
-	s.localPort = s.k.allocPort()
-	s.conn = tcp.NewConn(s.k.connConfig(s.localPort, rport, r.dev.MTU(), s.noDelay))
-	s.conn.ReuseActionBuffers(true)
-	s.k.registerConn(tcpKey{s.localPort, raddr, rport}, s)
+	s.localPort, s.conn = port, conn
 	now := int64(s.k.eng.Now())
 	acts, err := s.conn.Connect(now)
 	if err != nil {
@@ -174,7 +185,7 @@ func (s *Socket) Listen(port uint16, backlog int) error {
 	if s.proto != TCPSock {
 		return fmt.Errorf("hostos: Listen on non-TCP socket")
 	}
-	if s.k.listeners[port] != nil {
+	if s.k.tcp.Listen(port, s) != nil {
 		return ErrInUse
 	}
 	if backlog <= 0 {
@@ -182,7 +193,6 @@ func (s *Socket) Listen(port uint16, backlog int) error {
 	}
 	s.localPort = port
 	s.backlog = backlog
-	s.k.listeners[port] = s
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package inet
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -66,3 +67,9 @@ func (a Addr6) IsZero() bool { return a == Addr6{} }
 
 // IsZero reports whether the address is 0.0.0.0.
 func (a Addr4) IsZero() bool { return a == Addr4{} }
+
+// Compare orders addresses bytewise: -1, 0 or +1.
+func (a Addr4) Compare(b Addr4) int { return bytes.Compare(a[:], b[:]) }
+
+// Compare orders addresses bytewise: -1, 0 or +1.
+func (a Addr6) Compare(b Addr6) int { return bytes.Compare(a[:], b[:]) }

@@ -389,36 +389,13 @@ func (cr *chainRun) rxTCPBody() {
 		n.Net.Add("rx.corrupt", 1)
 		return
 	}
-	key := tcpKey{seg.DstPort, cr.ip6.Src, seg.SrcPort}
-	qs := n.tcpConns[key]
-	if qs == nil {
-		// New connection? "the client ... initiates a connection to the
-		// server that mates the connection to an idle QP in the server
-		// application" (paper §3).
-		if seg.Flags.Has(tcp.SYN) && !seg.Flags.Has(tcp.ACK) {
-			ip6 := cr.ip6
-			n.acceptSYN(&seg, &ip6, cr.epoch)
-			return
-		}
-		if !seg.Flags.Has(tcp.RST) {
-			// No TCB for an established-looking segment: the peer is
-			// talking to a connection this adapter no longer knows (we
-			// rebooted, or the QP was recycled). Refuse with an RST so the
-			// peer fails fast instead of burning its retransmit budget.
-			ip6 := cr.ip6
-			n.Net.Add("rx.unknown-rst", 1)
-			n.sendRST(&seg, ip6.Src)
-			return
-		}
-		n.stats.NoPortDrops++
-		n.Net.Add("rx.drop.no-port", 1)
-		return
-	}
+	ip6 := cr.ip6
+	qs, l, v := n.tcp.Demux(&seg, ip6.Src)
 	// Epoch fence (DESIGN §13): the connection is pinned to the sender
 	// boot generation it was established under. Older frames are
 	// pre-crash stragglers; a newer epoch proves the peer rebooted, so
 	// the fenced TCB is dead.
-	if cr.epoch != 0 {
+	if v == tcp.Deliver && cr.epoch != 0 {
 		if qs.peerEpoch == 0 {
 			qs.peerEpoch = cr.epoch
 		} else if cr.epoch < qs.peerEpoch {
@@ -428,19 +405,33 @@ func (cr *chainRun) rxTCPBody() {
 		} else if cr.epoch > qs.peerEpoch {
 			n.Net.Add("rx.peer-reboot", 1)
 			n.failQP(qs, verbs.ErrPeerRestarted, verbs.StatusRemoteError)
-			if seg.Flags.Has(tcp.SYN) && !seg.Flags.Has(tcp.ACK) {
-				// The rebooted peer is opening a fresh connection that
-				// happens to reuse the old 4-tuple: mate it anew.
-				ip6 := cr.ip6
-				n.acceptSYN(&seg, &ip6, cr.epoch)
+			if !seg.Flags.Has(tcp.SYN) || seg.Flags.Has(tcp.ACK) {
+				return
 			}
-			return
+			// The rebooted peer is opening a fresh connection that
+			// happens to reuse the old 4-tuple: demux it anew.
+			qs, l, v = n.tcp.Demux(&seg, ip6.Src)
 		}
 	}
-	now := int64(n.eng.Now())
-	acts := qs.conn.Input(&seg, now)
-	n.syncTimer(qs)
-	n.handleActionsChain(qs, acts, nil)
+	switch v {
+	case tcp.Accept:
+		// "the client ... initiates a connection to the server that mates
+		// the connection to an idle QP in the server application"
+		// (paper §3).
+		n.acceptSYN(l, &seg, &ip6, cr.epoch)
+	case tcp.Refuse:
+		// Nothing listens here, or the peer is talking to a connection
+		// this adapter no longer knows (we rebooted, or the QP was
+		// recycled): refuse so the peer fails fast (ErrConnRefused)
+		// instead of burning its retry budget against a silent drop.
+		if att, err := n.cfg.Routes.Lookup(ip6.Src); err == nil {
+			n.sendBare(tcp.Refusal(&seg), ip6.Src, att)
+		}
+	case tcp.Deliver:
+		acts := qs.conn.Input(&seg, int64(n.eng.Now()))
+		n.eng.Rearm(&qs.timer, qs.conn, tcpTimer, qs.timerFn)
+		n.handleActions(qs, acts, nil)
+	}
 }
 
 // rxUDPBody verifies and delivers one datagram into a posted receive WR.

@@ -1,6 +1,7 @@
 package qpipnic
 
 import (
+	"repro/internal/sim"
 	"repro/internal/verbs"
 )
 
@@ -42,10 +43,7 @@ func (n *NIC) Crash() {
 	qpns := n.qps.liveQPNs(make([]uint32, 0, n.qps.len()))
 	for _, qpn := range qpns {
 		qs := n.qps.get(qpn)
-		if qs.timer != nil {
-			qs.timer.Cancel()
-			qs.timer = nil
-		}
+		sim.Disarm(&qs.timer)
 		qs.conn = nil // the TCB is gone; stale timers/chains find no work
 		ids := qs.clearSendState()
 		qs.pendingWRs = 0
@@ -70,9 +68,7 @@ func (n *NIC) Crash() {
 	n.qps.reset()
 	n.qpnFree = n.qpnFree[:0]
 	n.crashSRQs()
-	n.tcpConns = make(map[tcpKey]*qpState)
-	n.listeners = make(map[uint16]*verbs.Listener)
-	n.tcpPorts = make(map[uint16]bool)
+	n.tcp.Reset()
 	n.udpPorts.Reset()
 
 	// Drop the transmit scheduler queue (segments return to their pool)
@@ -91,16 +87,15 @@ func (n *NIC) Crash() {
 
 // Restart reboots a crashed adapter with a fresh boot epoch. The state
 // table is empty — hosts re-admit QPs via ModifyQP(QPReset) and re-run
-// Listen/Connect. Ephemeral port and ISS generators restart from their
-// power-on values, so a restarted node is indistinguishable from a fresh
-// one except for the epoch stamped on its frames.
+// Listen/Connect. Ephemeral port and ISS generators restarted from their
+// power-on values at the crash (tcp.Endpoints.Reset), so a restarted node
+// is indistinguishable from a fresh one except for the epoch stamped on
+// its frames.
 func (n *NIC) Restart() {
 	if !n.down {
 		return
 	}
 	n.down = false
 	n.bootEpoch++
-	n.nextEphem = 49152
-	n.issCount = 0
 	n.Net.Add("nic.restart", 1)
 }

@@ -20,10 +20,8 @@
 package qpipnic
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/buf"
 	"repro/internal/fabric"
@@ -90,13 +88,6 @@ type Config struct {
 	CQCoalesceDelay sim.Time
 }
 
-// tcpKey demultiplexes established connections.
-type tcpKey struct {
-	localPort  uint16
-	remoteAddr inet.Addr6
-	remotePort uint16
-}
-
 // qpState is the adapter-resident state of one QP: the inter-network
 // protocol state (the TCB) plus WR bookkeeping. "A common data structure
 // is used to maintain the state of the individual QPs and includes the
@@ -150,6 +141,14 @@ type qpState struct {
 	recvFn  func()
 }
 
+// key is the QP's connection key in the adapter's endpoint table.
+func (qs *qpState) key() tcp.Key[inet.Addr6] {
+	return tcp.Key[inet.Addr6]{LocalPort: qs.localPort, RemoteAddr: qs.remoteAddr, RemotePort: qs.remotePort}
+}
+
+// tcpTimer names the per-QP TCB timer event.
+const tcpTimer = "qpip.tcp.timer"
+
 func (qs *qpState) pushStash(rec buf.Buf) {
 	qs.stashBytes += rec.Len()
 	qs.stash.Push(rec)
@@ -181,7 +180,6 @@ type Stats struct {
 	NoPortDrops         uint64
 	NoWRDrops           uint64
 	StashedRecords      uint64
-	Retransmissions     uint64
 }
 
 // NIC is one QPIP adapter.
@@ -210,13 +208,11 @@ type NIC struct {
 	// grew past hundreds.
 	qps *qpTable
 	// srqs is the adapter-side state of host SRQs, in attach order.
-	srqs      []*srqState
-	tcpConns  map[tcpKey]*qpState
-	listeners map[uint16]*verbs.Listener
-	udpPorts  *udp.PortSpace[*qpState]
-	tcpPorts  map[uint16]bool // allocated TCP local ports
-	nextEphem uint16
-	issCount  uint32
+	srqs []*srqState
+	// tcp is the TCP endpoint table (demux, listeners, ports, ISS), shared
+	// in kind with the host kernel.
+	tcp      *tcp.Endpoints[inet.Addr6, *qpState, *verbs.Listener]
+	udpPorts *udp.PortSpace[*qpState]
 
 	// collGroups is the collective engine's group table (coll.go): one
 	// entry per joined group, keyed access only.
@@ -278,11 +274,7 @@ func New(eng *sim.Engine, fab *fabric.Fabric, cfg Config) *NIC {
 		db:         hw.NewDoorbell(1024),
 		fab:        fab,
 		qps:        newQPTable(),
-		tcpConns:   make(map[tcpKey]*qpState),
-		listeners:  make(map[uint16]*verbs.Listener),
 		udpPorts:   udp.NewPortSpace[*qpState](),
-		tcpPorts:   make(map[uint16]bool),
-		nextEphem:  49152,
 		bootEpoch:  1,
 		collGroups: make(map[uint16]*collGroup),
 		TxData:     trace.NewStages(),
@@ -292,6 +284,7 @@ func New(eng *sim.Engine, fab *fabric.Fabric, cfg Config) *NIC {
 		Coll:       trace.NewStages(),
 		Net:        trace.NewCounters(),
 	}
+	n.tcp = tcp.NewEndpoints[inet.Addr6, *qpState, *verbs.Listener](n.Net.Handle)
 	n.collMsgs = n.Net.Handle("coll.msgs")
 	n.collDupDrop = n.Net.Handle("coll.dup-drop")
 	n.collPostCtr = n.Coll.Counter("coll.post")
@@ -342,37 +335,16 @@ type ConnStats struct {
 	SRAMBytes int
 }
 
-// sortedConns returns the live connections in connection-key order so
-// diffing two runs' diagnostics is meaningful.
-func (n *NIC) sortedConns() []tcpKey {
-	keys := make([]tcpKey, 0, len(n.tcpConns))
-	for k := range n.tcpConns {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.localPort != b.localPort {
-			return a.localPort < b.localPort
-		}
-		if c := bytes.Compare(a.remoteAddr[:], b.remoteAddr[:]); c != 0 {
-			return c < 0
-		}
-		return a.remotePort < b.remotePort
-	})
-	return keys
-}
-
 // DebugConnStats exposes per-connection diagnostics with stable sorted
 // emission (connection-key order).
 func (n *NIC) DebugConnStats() []ConnStats {
-	keys := n.sortedConns()
-	out := make([]ConnStats, 0, len(keys))
-	for _, k := range keys {
-		qs := n.tcpConns[k]
+	conns := n.tcp.Conns()
+	out := make([]ConnStats, 0, len(conns))
+	for _, qs := range conns {
 		out = append(out, ConnStats{
-			LocalPort:  k.localPort,
-			RemoteAddr: k.remoteAddr,
-			RemotePort: k.remotePort,
+			LocalPort:  qs.localPort,
+			RemoteAddr: qs.remoteAddr,
+			RemotePort: qs.remotePort,
 			TCP:        qs.conn.Stats(),
 			RNR:        qs.rnr,
 			StaleEpoch: qs.staleEpoch,
@@ -389,14 +361,12 @@ func (n *NIC) DebugConnStats() []ConnStats {
 // across nodes).
 func (n *NIC) AddConnCounters(dst *trace.Counters) {
 	dst.AddAll(n.Net)
-	for _, k := range n.sortedConns() {
-		qs := n.tcpConns[k]
-		st := qs.conn.Stats()
-		dst.Add("conn.retransmits", st.Retransmits)
-		dst.Add("conn.timeouts", st.Timeouts)
-		dst.Add("conn.rnr", qs.rnr)
-		dst.Add("conn.stale-epoch", qs.staleEpoch)
-		dst.Add("conn.sram-bytes", uint64(params.SRAMConnBytes+params.SRAMQPSlotBytes+qs.stashBytes))
+	for _, cs := range n.DebugConnStats() {
+		dst.Add("conn.retransmits", cs.TCP.Retransmits)
+		dst.Add("conn.timeouts", cs.TCP.Timeouts)
+		dst.Add("conn.rnr", cs.RNR)
+		dst.Add("conn.stale-epoch", cs.StaleEpoch)
+		dst.Add("conn.sram-bytes", uint64(cs.SRAMBytes))
 	}
 }
 
@@ -459,7 +429,13 @@ func (n *NIC) admitQP(qp *verbs.QP) error {
 	if srq := qp.SRQ(); srq != nil {
 		qs.srqs = n.srqFor(srq)
 	}
-	qs.timerFn = func() { n.onQPTimer(qs) }
+	// The TCB timer: the transmit FSM "monitors for timeout/retransmit
+	// events pending on a QP" (paper §3.1).
+	qs.timerFn = func() {
+		qs.timer = nil
+		n.handleActions(qs, n.tcp.OnTimer(qs.conn, int64(n.eng.Now())), nil)
+		n.eng.Rearm(&qs.timer, qs.conn, tcpTimer, qs.timerFn)
+	}
 	qs.ringFn = func() { n.db.Ring(uint64(qp.QPN)) }
 	qs.recvFn = func() {
 		// The QP may have been destroyed while the PIO write was in
@@ -519,25 +495,16 @@ func (n *NIC) ResetQP(qp *verbs.QP) error {
 		return n.admitQP(qp)
 	}
 	if qs.conn != nil {
-		n.reapConn(qs)
-		acts := qs.conn.Abort(int64(n.eng.Now()))
-		if len(acts.Segments) > 0 {
-			// The RST needs routing state that outlives the reset; hand it
-			// a transient endpoint record like sendRST does.
-			tmp := &qpState{localPort: qs.localPort, remoteAddr: qs.remoteAddr,
-				remotePort: qs.remotePort, remoteAtt: qs.remoteAtt}
-			for _, seg := range acts.Segments {
-				n.enqueueTx(txWork{qs: tmp, seg: seg})
-			}
+		n.tcp.Reap(qs.key(), qs)
+		// The RST outlives the reset's wipe of qs.
+		for _, seg := range qs.conn.Abort(int64(n.eng.Now())).Segments {
+			n.sendBare(seg, qs.remoteAddr, qs.remoteAtt)
 		}
 		qs.conn = nil
 	} else if qs.localPort != 0 {
 		n.udpPorts.Unbind(qs.localPort)
 	}
-	if qs.timer != nil {
-		qs.timer.Cancel()
-		qs.timer = nil
-	}
+	sim.Disarm(&qs.timer)
 	ids := qs.clearSendState()
 	for id, ok := ids.Pop(); ok; id, ok = ids.Pop() {
 		qp.CompleteSend(id, verbs.StatusFlushed, 0)
@@ -566,7 +533,7 @@ func (n *NIC) DestroyQP(qp *verbs.QP) {
 		if err == nil {
 			n.handleActions(qs, acts, nil)
 		}
-		n.syncTimer(qs)
+		n.eng.Rearm(&qs.timer, qs.conn, tcpTimer, qs.timerFn)
 	}
 	if qs.localPort != 0 && qs.conn == nil {
 		n.udpPorts.Unbind(qs.localPort)
@@ -594,27 +561,10 @@ func (n *NIC) BindUDP(qp *verbs.QP, port uint16) (uint16, error) {
 	return got, nil
 }
 
-// allocTCPPort grabs a free local TCP port.
-func (n *NIC) allocTCPPort() uint16 {
-	for {
-		p := n.nextEphem
-		n.nextEphem++
-		if n.nextEphem == 0 {
-			n.nextEphem = 49152
-		}
-		if !n.tcpPorts[p] {
-			n.tcpPorts[p] = true
-			return p
-		}
-	}
-}
-
-// connConfig builds the record-mode TCB configuration for a QP.
-func (n *NIC) connConfig(local, remote uint16) tcp.Config {
-	n.issCount += 64000
+// connConfig builds the record-mode TCB configuration template for a QP
+// (the endpoint table fills in ports and ISS).
+func (n *NIC) connConfig() tcp.Config {
 	return tcp.Config{
-		LocalPort:  local,
-		RemotePort: remote,
 		Mode:       tcp.Record,
 		MSS:        n.MaxMessage(),
 		RecvWindow: -1, // window derives from posted receive WRs
@@ -626,7 +576,6 @@ func (n *NIC) connConfig(local, remote uint16) tcp.Config {
 		Timestamps:    true,
 		DelayedAck:    !n.cfg.NoDelAck,
 		NoDelay:       true,
-		ISS:           tcp.Seq(n.issCount),
 		MaxRetries:    params.TCPMaxRetries,
 		SynMaxRetries: params.TCPSynMaxRetries,
 	}
@@ -647,18 +596,19 @@ func (n *NIC) Connect(qp *verbs.QP, raddr inet.Addr6, rport uint16) error {
 		return fmt.Errorf("%w: %v", verbs.ErrNoRoute, raddr)
 	}
 	n.mgmtCost()
-	qs.localPort = n.allocTCPPort()
+	conn, port, err := n.tcp.Connect(raddr, rport, qs, n.connConfig())
+	if err != nil {
+		return err
+	}
+	qs.localPort, qs.conn = port, conn
 	qs.remoteAddr, qs.remotePort, qs.remoteAtt = raddr, rport, att
-	qs.conn = tcp.NewConn(n.connConfig(qs.localPort, rport))
-	qs.conn.ReuseActionBuffers(true)
-	n.tcpConns[tcpKey{qs.localPort, raddr, rport}] = qs
 	now := int64(n.eng.Now())
 	acts, err := qs.conn.Connect(now)
 	if err != nil {
 		return err
 	}
 	n.handleActions(qs, acts, nil)
-	n.syncTimer(qs)
+	n.eng.Rearm(&qs.timer, qs.conn, tcpTimer, qs.timerFn)
 	return nil
 }
 
@@ -668,13 +618,11 @@ func (n *NIC) Listen(port uint16) (*verbs.Listener, error) {
 	if n.down {
 		return nil, verbs.ErrNICDown
 	}
-	if n.listeners[port] != nil || n.tcpPorts[port] {
+	l := verbs.NewListener(port, n)
+	if n.tcp.Listen(port, l) != nil {
 		return nil, verbs.ErrPortBusy
 	}
 	n.mgmtCost()
-	n.tcpPorts[port] = true
-	l := verbs.NewListener(port, n)
-	n.listeners[port] = l
 	return l, nil
 }
 
@@ -743,7 +691,7 @@ func (n *NIC) updateWindow(qs *qpState) {
 	posted := qs.qp.PostedRecvBytes()
 	acts := qs.conn.SetRecvWindow(posted, int64(n.eng.Now()))
 	n.handleActions(qs, acts, nil)
-	n.syncTimer(qs)
+	n.eng.Rearm(&qs.timer, qs.conn, tcpTimer, qs.timerFn)
 	// An SRQ-attached connection that just advertised off an empty pool
 	// parks on the pool: only a repost can reopen its window, and the
 	// peer's probes would otherwise see zero forever.
@@ -752,23 +700,9 @@ func (n *NIC) updateWindow(qs *qpState) {
 	}
 }
 
-// reapConn unlinks a dead TCB from the demux and port tables. Every
-// connection-death path (graceful close, RST, retry exhaustion, host
-// reset) funnels through here so churn cannot grow either table: before
-// this, tcpConns and the ephemeral reservation in tcpPorts leaked on
-// graceful close, and 16k churned connections exhausted the port space.
-// A listener's port reservation is owned by the listener, not by the
-// accepted children that share it, so it stays.
-func (n *NIC) reapConn(qs *qpState) {
-	delete(n.tcpConns, tcpKey{qs.localPort, qs.remoteAddr, qs.remotePort})
-	if n.listeners[qs.localPort] == nil {
-		delete(n.tcpPorts, qs.localPort)
-	}
-}
-
-// LiveTCPConns reports the number of TCBs resident in the adapter's demux
+// LiveConns reports the number of TCBs resident in the adapter's demux
 // table — the churn benches assert it returns to baseline.
-func (n *NIC) LiveTCPConns() int { return len(n.tcpConns) }
+func (n *NIC) LiveConns() int { return n.tcp.Len() }
 
 // mgmtCost charges the management FSM for one privileged command.
 func (n *NIC) mgmtCost() {
@@ -791,13 +725,8 @@ func (n *NIC) notifyHost(fn func()) {
 // (qs.sendIDs, in flight or queued in the TCB) which a plain Flush would
 // leak, violating the DESIGN §8 completion invariant.
 func (n *NIC) failQP(qs *qpState, err error, status verbs.Status) {
-	if qs.conn != nil {
-		n.reapConn(qs)
-	}
-	if qs.timer != nil {
-		qs.timer.Cancel()
-		qs.timer = nil
-	}
+	n.tcp.Reap(qs.key(), qs)
+	sim.Disarm(&qs.timer)
 	ids := qs.clearSendState()
 	//lint:qpip-allow hotprop terminal failure teardown runs once per connection death, never on the steady-state path
 	n.notifyHost(func() {

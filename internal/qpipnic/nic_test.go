@@ -370,8 +370,8 @@ func TestTCPRTTInPaperRange(t *testing.T) {
 	if rtt < 60*sim.Microsecond || rtt > 160*sim.Microsecond {
 		t.Errorf("TCP 1-byte RTT = %v, expected ~90-120 us", rtt)
 	}
-	if c.nics[0].Stats().Retransmissions != 0 {
-		t.Errorf("retransmissions on a lossless fabric: %d", c.nics[0].Stats().Retransmissions)
+	if got := c.nics[0].Net.Get("tx.retransmit"); got != 0 {
+		t.Errorf("retransmissions on a lossless fabric: %d", got)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/inet"
 	"repro/internal/tcp"
+	"repro/internal/verbs"
 	"repro/internal/wire"
 )
 
@@ -64,20 +65,10 @@ func (n *NIC) receiveFrame(f *fabric.Frame) {
 	cr.run()
 }
 
-// acceptSYN mates an incoming connection to an idle QP on the listener.
+// acceptSYN mates an incoming connection to an idle QP on listener l.
 // epoch is the client adapter's boot generation carried by the SYN; the
 // new connection is fenced to it.
-func (n *NIC) acceptSYN(seg *tcp.Segment, ip6 *inet.Header6, epoch uint32) {
-	l := n.listeners[seg.DstPort]
-	if l == nil {
-		// Nothing listens here: refuse explicitly with an RST so the
-		// client fails fast (ErrConnRefused) instead of burning its SYN
-		// retry budget against a silent drop.
-		n.stats.NoPortDrops++
-		n.Net.Add("conn.refused", 1)
-		n.sendRST(seg, ip6.Src)
-		return
-	}
+func (n *NIC) acceptSYN(l *verbs.Listener, seg *tcp.Segment, ip6 *inet.Header6, epoch uint32) {
 	att, err := n.cfg.Routes.Lookup(ip6.Src)
 	if err != nil {
 		n.stats.NoRouteDrops++
@@ -96,37 +87,21 @@ func (n *NIC) acceptSYN(seg *tcp.Segment, ip6 *inet.Header6, epoch uint32) {
 	qs.localPort = seg.DstPort
 	qs.remoteAddr, qs.remotePort, qs.remoteAtt = ip6.Src, seg.SrcPort, att
 	qs.peerEpoch = epoch
-	qs.conn = tcp.NewConn(n.connConfig(seg.DstPort, seg.SrcPort))
-	// The firmware consumes every Actions before re-entering the TCB, so
-	// the action slices can live in per-conn reusable buffers.
-	qs.conn.ReuseActionBuffers(true)
+	qs.conn = n.tcp.Open(qs.key(), qs, n.connConfig())
 	// Receive WRs may already be posted on the parked QP.
 	qs.conn.SetRecvWindow(qp.PostedRecvBytes(), int64(n.eng.Now()))
-	n.tcpConns[tcpKey{seg.DstPort, ip6.Src, seg.SrcPort}] = qs
 	now := int64(n.eng.Now())
 	acts, err := qs.conn.AcceptSYN(seg, now)
 	if err != nil {
 		return
 	}
-	n.syncTimer(qs)
-	n.handleActionsChain(qs, acts, nil)
+	n.eng.Rearm(&qs.timer, qs.conn, tcpTimer, qs.timerFn)
+	n.handleActions(qs, acts, nil)
 }
 
-// sendRST emits a connection-refusal RST in response to seg from src.
-// There is no TCB for this exchange; a transient endpoint record carries
-// the routing fields the transmit path needs.
-func (n *NIC) sendRST(seg *tcp.Segment, src inet.Addr6) {
-	att, err := n.cfg.Routes.Lookup(src)
-	if err != nil {
-		return
-	}
-	rst := &tcp.Segment{
-		SrcPort: seg.DstPort,
-		DstPort: seg.SrcPort,
-		Flags:   tcp.RST | tcp.ACK,
-		Ack:     seg.Seq.Add(1),
-		WScale:  -1,
-	}
-	tmp := &qpState{localPort: seg.DstPort, remoteAddr: src, remotePort: seg.SrcPort, remoteAtt: att}
-	n.enqueueTx(txWork{qs: tmp, seg: rst})
+// sendBare transmits seg to dst at fabric attachment att outside any live
+// TCB (an RST); a transient endpoint record carries the routing fields
+// the transmit path needs.
+func (n *NIC) sendBare(seg *tcp.Segment, dst inet.Addr6, att int) {
+	n.enqueueTx(txWork{qs: &qpState{remoteAddr: dst, remoteAtt: att}, seg: seg})
 }

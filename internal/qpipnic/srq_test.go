@@ -274,7 +274,7 @@ func cliConnect(p *sim.Proc, qp *verbs.QP) error {
 
 // TestGracefulCloseReapsConnState churns established connections through
 // graceful close and checks the demux and port tables return to baseline
-// on both adapters — before the reap path, tcpConns and the client's
+// on both adapters — before the reap path, the demux table and the client's
 // ephemeral-port reservations grew forever.
 func TestGracefulCloseReapsConnState(t *testing.T) {
 	c := newCluster(t, nil)
@@ -317,18 +317,18 @@ func TestGracefulCloseReapsConnState(t *testing.T) {
 		})
 		c.eng.Run()
 	}
-	if got := c.nics[0].LiveTCPConns(); got != 0 {
-		t.Errorf("client tcpConns = %d after churn, want 0", got)
+	if got := c.nics[0].LiveConns(); got != 0 {
+		t.Errorf("client live conns = %d after churn, want 0", got)
 	}
-	if got := c.nics[1].LiveTCPConns(); got != 0 {
-		t.Errorf("server tcpConns = %d after churn, want 0", got)
+	if got := c.nics[1].LiveConns(); got != 0 {
+		t.Errorf("server live conns = %d after churn, want 0", got)
 	}
-	if got := len(c.nics[0].tcpPorts); got != 0 {
-		t.Errorf("client tcpPorts = %d after churn, want 0 (ephemeral reservations leaked)", got)
+	if got := c.nics[0].tcp.Ports(); got != 0 {
+		t.Errorf("client reserved ports = %d after churn, want 0 (ephemeral reservations leaked)", got)
 	}
 	// The listener's own reservation must survive its children.
-	if got := len(c.nics[1].tcpPorts); got != 1 {
-		t.Errorf("server tcpPorts = %d after churn, want 1 (the listener)", got)
+	if got := c.nics[1].tcp.Ports(); got != 1 {
+		t.Errorf("server reserved ports = %d after churn, want 1 (the listener)", got)
 	}
 	if got := c.nics[0].LiveQPs(); got != 0 {
 		t.Errorf("client LiveQPs = %d after churn", got)

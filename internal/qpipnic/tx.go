@@ -138,8 +138,8 @@ func (n *NIC) sendTCPMessage(qs *qpState, wr verbs.SendWR, done func()) {
 		done()
 		return
 	}
-	n.syncTimer(qs)
-	n.handleActionsChain(qs, acts, done)
+	n.eng.Rearm(&qs.timer, qs.conn, tcpTimer, qs.timerFn)
+	n.handleActions(qs, acts, done)
 }
 
 // sendUDPMessage transmits one unreliable datagram. "As soon as a UDP
@@ -224,16 +224,10 @@ func (n *NIC) sendSegment(qs *qpState, seg *tcp.Segment, done func()) {
 
 // ---- TCB action plumbing. ----
 
-// handleActions processes TCB outputs in engine context without a
-// surrounding chain (timers, management).
-func (n *NIC) handleActions(qs *qpState, acts tcp.Actions, done func()) {
-	n.handleActionsChain(qs, acts, done)
-}
-
-// handleActionsChain processes TCB outputs: data/ack segments go to the
+// handleActions processes TCB outputs: data/ack segments go to the
 // transmit scheduler; completions and deliveries charge the receive-side
-// stages inline, then done runs.
-func (n *NIC) handleActionsChain(qs *qpState, acts tcp.Actions, done func()) {
+// stages inline, then done (which may be nil) runs.
+func (n *NIC) handleActions(qs *qpState, acts tcp.Actions, done func()) {
 	// Segments to the scheduler.
 	for _, seg := range acts.Segments {
 		n.enqueueTx(txWork{qs: qs, seg: seg})
@@ -243,12 +237,9 @@ func (n *NIC) handleActionsChain(qs *qpState, acts tcp.Actions, done func()) {
 		// unlink the demux/port table entries immediately — connection
 		// churn must not grow SRAM-resident tables. Any final segment was
 		// enqueued above with its routing fields captured in the txWork.
-		if qs.timer != nil {
-			qs.timer.Cancel()
-			qs.timer = nil
-		}
+		sim.Disarm(&qs.timer)
 		qs.conn = nil
-		n.reapConn(qs)
+		n.tcp.Reap(qs.key(), qs)
 	}
 	if acts.AckedRecords == 0 && len(acts.Delivered) == 0 &&
 		!acts.Established && !acts.Reset && !acts.RetryExceeded && !acts.PeerClosed {
@@ -345,48 +336,4 @@ func (n *NIC) drainStashAndUpdate(qs *qpState) {
 	cr.push(stage{kind: stStash})
 	cr.push(stage{kind: stUpdateWindow})
 	cr.run()
-}
-
-// syncTimer keeps one engine timer aligned with the TCB's earliest
-// deadline — the transmit FSM "monitors for timeout/retransmit events
-// pending on a QP" (paper §3.1).
-//
-//qpip:hotpath
-func (n *NIC) syncTimer(qs *qpState) {
-	if qs.timer != nil {
-		qs.timer.Cancel()
-		qs.timer = nil
-	}
-	if qs.conn == nil {
-		return
-	}
-	deadline, ok := qs.conn.NextTimeout()
-	if !ok {
-		return
-	}
-	at := sim.Time(deadline)
-	if at < n.eng.Now() {
-		at = n.eng.Now()
-	}
-	qs.timer = n.eng.At(at, "qpip.tcp.timer", qs.timerFn)
-}
-
-// onQPTimer is the timer callback body; qs.timerFn binds it once at QP
-// creation so re-arming the timer never allocates.
-//
-//qpip:hotpath
-func (n *NIC) onQPTimer(qs *qpState) {
-	qs.timer = nil
-	now := int64(n.eng.Now())
-	acts := qs.conn.OnTimer(now)
-	for _, seg := range acts.Segments {
-		// Count only real retransmissions, not timer-driven pure acks
-		// (delayed acks, window probes).
-		if seg.Payload.Len() > 0 || seg.Flags.Has(tcp.SYN) || seg.Flags.Has(tcp.FIN) {
-			n.stats.Retransmissions++
-			n.Net.Add("tx.retransmit", 1)
-		}
-	}
-	n.handleActions(qs, acts, nil)
-	n.syncTimer(qs)
 }

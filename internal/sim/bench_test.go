@@ -85,7 +85,8 @@ func BenchmarkRunUntilEpochs(b *testing.B) {
 // TestScheduleFireAllocFree locks in the event free list: steady-state
 // schedule/fire and schedule/cancel cycles on a warm wheel engine must not
 // allocate at all, and neither must an epoch that stops short of a far
-// timer, peeks it, and schedules behind it.
+// timer, peeks it, and schedules behind it. Re-arming a timer in place
+// (Rearm) must not allocate either.
 func TestScheduleFireAllocFree(t *testing.T) {
 	e := NewEngine()
 	nop := func() {}
@@ -106,6 +107,16 @@ func TestScheduleFireAllocFree(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("schedule+cancel allocates %v/op, want 0", n)
 	}
+	// A TCB timer re-armed after every segment, as both TCP hosts do.
+	var ev *Event
+	d := &deadline{ok: true}
+	if n := testing.AllocsPerRun(1000, func() {
+		d.at = int64(e.Now()) + 1000
+		e.Rearm(&ev, d, "rearm", nop)
+	}); n != 0 {
+		t.Fatalf("Rearm allocates %v/op, want 0", n)
+	}
+	Disarm(&ev)
 	far := e.After(Second, "far", nop)
 	if n := testing.AllocsPerRun(1000, func() {
 		e.RunFor(500)

@@ -115,6 +115,32 @@ func (ev *Event) Cancel() {
 	}
 }
 
+// Disarm cancels the event *ev holds, if any, and clears the holder.
+func Disarm(ev **Event) {
+	if *ev != nil {
+		(*ev).Cancel()
+		*ev = nil
+	}
+}
+
+// Deadline is a source of timeouts, such as a TCP connection's timers: its
+// earliest pending deadline in nanoseconds, ok false when none is pending.
+type Deadline interface {
+	NextTimeout() (deadline int64, ok bool)
+}
+
+// Rearm moves the one event *ev to d's earliest deadline, clamped to now,
+// or cancels it when d has none. fn must clear *ev when it fires, because
+// a fired event is recycled.
+//
+//qpip:hotpath
+func (e *Engine) Rearm(ev **Event, d Deadline, name string, fn func()) {
+	Disarm(ev)
+	if deadline, ok := d.NextTimeout(); ok {
+		*ev = e.At(max(Time(deadline), e.now), name, fn)
+	}
+}
+
 // Engine is a discrete-event simulation kernel.
 //
 // The zero value is not usable; create engines with NewEngine.

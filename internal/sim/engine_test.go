@@ -89,6 +89,50 @@ func TestEngineCancelFromEarlierEvent(t *testing.T) {
 	}
 }
 
+// deadline is a settable Deadline.
+type deadline struct {
+	at int64
+	ok bool
+}
+
+func (d *deadline) NextTimeout() (int64, bool) { return d.at, d.ok }
+
+// TestEngineRearm checks the one-timer discipline: re-arming replaces the
+// pending event, a deadline already past fires now, and no deadline leaves
+// nothing armed.
+func TestEngineRearm(t *testing.T) {
+	e := NewEngine()
+	var ev *Event
+	var fired []Time
+	var fn func()
+	fn = func() {
+		ev = nil
+		fired = append(fired, e.Now())
+	}
+	d := &deadline{at: 50, ok: true}
+	e.Rearm(&ev, d, "t", fn)
+	d.at = 30
+	e.Rearm(&ev, d, "t", fn) // replaces the event at 50
+	e.RunFor(40)
+	if len(fired) != 1 || fired[0] != 30 || ev != nil {
+		t.Fatalf("fired %v, pending %v; want one firing at 30", fired, ev)
+	}
+	d.at = 10 // already past: clamped to now
+	e.Rearm(&ev, d, "t", fn)
+	if ev == nil || ev.At() != e.Now() {
+		t.Fatalf("past deadline armed at %v, want now %v", ev, e.Now())
+	}
+	d.ok = false
+	e.Rearm(&ev, d, "t", fn)
+	if ev != nil || e.Pending() != 0 {
+		t.Fatalf("no deadline left %v armed, %d pending", ev, e.Pending())
+	}
+	e.Run()
+	if len(fired) != 1 {
+		t.Fatalf("fired %v after disarm", fired)
+	}
+}
+
 func TestEngineSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
 	e.After(10, "advance", func() {})

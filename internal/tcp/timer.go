@@ -9,8 +9,12 @@ import "repro/internal/buf"
 // timeout/retransmit events pending on a QP" (§3.1).
 
 // NextTimeout reports the earliest pending timer deadline in nanoseconds.
-// ok is false when no timer is armed.
+// ok is false when no timer is armed, and a nil Conn (a reaped TCB) has
+// none.
 func (c *Conn) NextTimeout() (deadline int64, ok bool) {
+	if c == nil {
+		return 0, false
+	}
 	min := int64(0)
 	for _, d := range [...]int64{c.rexmtDeadline, c.persistDeadline, c.delackDeadline, c.timewaitDeadline} {
 		if d != 0 && (min == 0 || d < min) {
