@@ -289,9 +289,9 @@ func (cr *chainRun) run() {
 			if cr.qs.stash.Len() > 0 {
 				// Receiver not ready: records wait in SRAM until the host
 				// posts receive WRs (the QPIP analog of an RNR NAK — the
-				// closed TCP window is the backoff). An SRQ-attached
-				// connection additionally parks on the shared pool so the
-				// next repost drains it.
+				// closed TCP window is the backoff). A connection on a
+				// shared pool additionally parks on it so the next repost
+				// drains it.
 				cr.n.stats.StashedRecords++
 				cr.qs.rnr++
 				cr.n.Net.Add("rx.rnr", 1)

@@ -67,6 +67,9 @@ func (c *collCluster) join(t *testing.T) (qs []*verbs.CollQ, cqs []*verbs.CQ) {
 		if err != nil {
 			t.Fatalf("rank %d NewCollQ: %v", i, err)
 		}
+		if q.Rank() != i || q.Size() != len(c.addrs) {
+			t.Fatalf("rank %d joined as rank %d of %d", i, q.Rank(), q.Size())
+		}
 		qs = append(qs, q)
 		cqs = append(cqs, cq)
 	}

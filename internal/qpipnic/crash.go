@@ -64,10 +64,11 @@ func (n *NIC) Crash() {
 	// in-flight chain runners but are unlinked from every table. The QPN
 	// free list is SRAM too: wiping it keeps pre-crash QPNs retired
 	// forever, which the epoch fencing relies on. Host-resident SRQ pools
-	// survive; only the adapter-side waiter lists vanish.
+	// survive; every adapter-side waiter list vanishes with the pool
+	// table, so a repost after restart finds no pre-crash waiter.
 	n.qps.reset()
 	n.qpnFree = n.qpnFree[:0]
-	n.crashSRQs()
+	clear(n.srqs)
 	n.tcp.Reset()
 	n.udpPorts.Reset()
 

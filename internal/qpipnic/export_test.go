@@ -3,3 +3,7 @@ package qpipnic
 // CollMsgsLive exposes the recycled ring-message balance (handed out here
 // minus recycled here) to the external cluster tests.
 func (n *NIC) CollMsgsLive() int { return n.collLive }
+
+// SRQStates reports how many receive pools hold adapter-side waiter
+// state (shared pools with a parked connection since the last crash).
+func (n *NIC) SRQStates() int { return len(n.srqs) }

@@ -120,10 +120,8 @@ type qpState struct {
 	// stashBytes tracks the SRAM bytes pinned by stashed records (part of
 	// the connection's accounted SRAM footprint).
 	stashBytes int
-	// srqs links an SRQ-attached QP to the adapter-side pool state;
-	// srqWait marks it parked on the pool's waiter FIFO (dup-idempotent
-	// enqueue).
-	srqs    *srqState
+	// srqWait marks a QP of a shared pool parked on the pool's waiter
+	// FIFO (dup-idempotent enqueue).
 	srqWait bool
 	// rnr counts receiver-not-ready events on this connection: in-order
 	// records that arrived with no posted receive WR and had to wait in
@@ -134,11 +132,9 @@ type qpState struct {
 	// stragglers.
 	staleEpoch uint64
 
-	// Pre-bound callbacks (set at QP creation) so the hot doorbell,
-	// receive-posted, and timer paths never allocate a closure.
+	// timerFn is pre-bound at QP creation so the timer path never
+	// allocates a closure.
 	timerFn func()
-	ringFn  func()
-	recvFn  func()
 }
 
 // key is the QP's connection key in the adapter's endpoint table.
@@ -191,12 +187,14 @@ type NIC struct {
 	fab *fabric.Fabric
 	att int
 
-	// dbTokens queues vectored doorbell tokens between the PIO write call
-	// and its arrival at the adapter; the bus server is FIFO, so tokens
-	// pop in write order. ringTokFn is bound once here so SendDoorbellN
-	// needs no per-call closure.
-	dbTokens  pool.Ring[uint64]
-	ringTokFn func()
+	// dbTokens and recvPosts queue doorbell tokens and posted-to pools
+	// between the PIO write call and its arrival at the adapter; the bus
+	// server is FIFO, so entries pop in write order. ringTokFn and
+	// recvPostFn are bound once here so posting needs no per-call closure.
+	dbTokens   pool.Ring[uint64]
+	ringTokFn  func()
+	recvPosts  pool.Ring[*verbs.SRQ]
+	recvPostFn func()
 
 	qpnNext uint32
 	// qpnFree recycles destroyed QPNs LIFO (deterministic). It is wiped
@@ -207,8 +205,9 @@ type NIC struct {
 	// map became a fixed-layout SRAM structure once connection counts
 	// grew past hundreds.
 	qps *qpTable
-	// srqs is the adapter-side state of host SRQs, in attach order.
-	srqs []*srqState
+	// srqs is the adapter-side state of shared pools with a parked
+	// connection, resolved in O(1); owned pools never appear here.
+	srqs map[*verbs.SRQ]*srqState
 	// tcp is the TCP endpoint table (demux, listeners, ports, ISS), shared
 	// in kind with the host kernel.
 	tcp      *tcp.Endpoints[inet.Addr6, *qpState, *verbs.Listener]
@@ -274,6 +273,7 @@ func New(eng *sim.Engine, fab *fabric.Fabric, cfg Config) *NIC {
 		db:         hw.NewDoorbell(1024),
 		fab:        fab,
 		qps:        newQPTable(),
+		srqs:       make(map[*verbs.SRQ]*srqState),
 		udpPorts:   udp.NewPortSpace[*qpState](),
 		bootEpoch:  1,
 		collGroups: make(map[uint16]*collGroup),
@@ -297,6 +297,10 @@ func New(eng *sim.Engine, fab *fabric.Fabric, cfg Config) *NIC {
 	n.ringTokFn = func() {
 		tok, _ := n.dbTokens.Pop()
 		n.db.Ring(tok)
+	}
+	n.recvPostFn = func() {
+		pool, _ := n.recvPosts.Pop()
+		n.onRecvPosted(pool)
 	}
 	n.att = fab.AttachOn(eng, n.receiveFrame)
 	n.db.OnRing = n.onDoorbell
@@ -426,24 +430,12 @@ func (n *NIC) admitQP(qp *verbs.QP) error {
 		return &verbs.QPExhaustedError{Current: n.qps.len(), Capacity: n.maxQPs()}
 	}
 	qs := &qpState{qp: qp}
-	if srq := qp.SRQ(); srq != nil {
-		qs.srqs = n.srqFor(srq)
-	}
 	// The TCB timer: the transmit FSM "monitors for timeout/retransmit
 	// events pending on a QP" (paper §3.1).
 	qs.timerFn = func() {
 		qs.timer = nil
 		n.handleActions(qs, n.tcp.OnTimer(qs.conn, int64(n.eng.Now())), nil)
 		n.eng.Rearm(&qs.timer, qs.conn, tcpTimer, qs.timerFn)
-	}
-	qs.ringFn = func() { n.db.Ring(uint64(qp.QPN)) }
-	qs.recvFn = func() {
-		// The QP may have been destroyed while the PIO write was in
-		// flight; the state entry is only live while it's still mapped.
-		if n.qps.get(qp.QPN) != qs {
-			return
-		}
-		n.drainStashAndUpdate(qs)
 	}
 	n.qps.put(qp.QPN, qs)
 	return nil
@@ -626,49 +618,28 @@ func (n *NIC) Listen(port uint16) (*verbs.Listener, error) {
 	return l, nil
 }
 
-// SendDoorbell implements verbs.Device: the host's posting method rings
-// the hardware doorbell; the write crosses the PCI bus into the FIFO.
-func (n *NIC) SendDoorbell(qp *verbs.QP) {
-	if qs := n.qps.get(qp.QPN); qs != nil {
-		n.cfg.Bus.PIOWrite("doorbell", qs.ringFn)
-		return
-	}
-	//lint:qpip-allow hotprop unknown-QPN fallback for rings that race QP teardown; live QPs take the pre-bound ringFn path above
-	n.cfg.Bus.PIOWrite("doorbell", func() {
-		n.db.Ring(uint64(qp.QPN))
-	})
-}
-
-// RecvPosted implements verbs.Device: new receive buffer space arrived.
-// The notification crosses the bus like a doorbell; the firmware grows
-// the TCP receive window accordingly and drains any stashed records.
-func (n *NIC) RecvPosted(qp *verbs.QP) {
-	if qs := n.qps.get(qp.QPN); qs != nil {
-		n.cfg.Bus.PIOWrite("recv-doorbell", qs.recvFn)
-		return
-	}
-	n.cfg.Bus.PIOWrite("recv-doorbell", nil)
-}
-
-// dbToken encodes a vectored doorbell token: the QPN in the low 32 bits,
-// the WR count in the high 32. A count of 0 means 1: the single-WR
-// ringFn writes a bare QPN.
+// dbToken encodes a doorbell token: the QPN in the low 32 bits, the WR
+// count in the high 32.
 func dbToken(qpn uint32, count int) uint64 {
 	return uint64(qpn) | uint64(uint32(count))<<32
 }
 
-// SendDoorbellN implements verbs.Device: one vectored doorbell announcing
-// n posted send WRs — a single PIO write regardless of batch size.
-func (n *NIC) SendDoorbellN(qp *verbs.QP, count int) {
+// SendDoorbell implements verbs.Device: the host's posting method rings
+// the hardware doorbell with one token announcing count posted send WRs —
+// a single PIO write across the bus into the FIFO, whatever the batch
+// size.
+func (n *NIC) SendDoorbell(qp *verbs.QP, count int) {
 	n.dbTokens.Push(dbToken(qp.QPN, count))
 	n.cfg.Bus.PIOWrite("doorbell", n.ringTokFn)
 }
 
-// RecvPostedN implements verbs.Device: one notification write covering a
-// batch of receive WRs. The window grows from PostedRecvBytes, which the
-// host already updated for the whole batch, so a single write suffices.
-func (n *NIC) RecvPostedN(qp *verbs.QP, count int) {
-	n.RecvPosted(qp)
+// RecvPosted implements verbs.Device: new receive buffer space arrived in
+// pool. One notification write crosses the bus like a doorbell, whatever
+// the batch size; on arrival the firmware grows the TCP receive window
+// (onRecvPosted).
+func (n *NIC) RecvPosted(pool *verbs.SRQ, count int) {
+	n.recvPosts.Push(pool)
+	n.cfg.Bus.PIOWrite("recv-doorbell", n.recvPostFn)
 }
 
 // AttachCQ implements verbs.Device: bind the CQ's completion wakeups to
@@ -692,8 +663,8 @@ func (n *NIC) updateWindow(qs *qpState) {
 	acts := qs.conn.SetRecvWindow(posted, int64(n.eng.Now()))
 	n.handleActions(qs, acts, nil)
 	n.eng.Rearm(&qs.timer, qs.conn, tcpTimer, qs.timerFn)
-	// An SRQ-attached connection that just advertised off an empty pool
-	// parks on the pool: only a repost can reopen its window, and the
+	// A connection on a shared pool that just advertised off an empty
+	// pool parks on it: only a repost can reopen its window, and the
 	// peer's probes would otherwise see zero forever.
 	if posted == 0 {
 		n.enqueueSRQWaiter(qs)

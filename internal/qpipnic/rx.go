@@ -88,8 +88,14 @@ func (n *NIC) acceptSYN(l *verbs.Listener, seg *tcp.Segment, ip6 *inet.Header6, 
 	qs.remoteAddr, qs.remotePort, qs.remoteAtt = ip6.Src, seg.SrcPort, att
 	qs.peerEpoch = epoch
 	qs.conn = n.tcp.Open(qs.key(), qs, n.connConfig())
-	// Receive WRs may already be posted on the parked QP.
-	qs.conn.SetRecvWindow(qp.PostedRecvBytes(), int64(n.eng.Now()))
+	// Receive WRs may already be posted on the parked QP. A connection
+	// opened off an empty shared pool parks on it at once, like any other
+	// zero-window advertisement: only a repost can open its window.
+	posted := qp.PostedRecvBytes()
+	qs.conn.SetRecvWindow(posted, int64(n.eng.Now()))
+	if posted == 0 {
+		n.enqueueSRQWaiter(qs)
+	}
 	now := int64(n.eng.Now())
 	acts, err := qs.conn.AcceptSYN(seg, now)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/buf"
 	"repro/internal/inet"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/verbs"
 )
 
@@ -380,5 +381,163 @@ func TestSRQWaiterFIFOBoundedUnderPartialDrain(t *testing.T) {
 	}
 	if c := ss.waiters.Cap(); c > 4*qps {
 		t.Errorf("waiter FIFO backing array grew to %d entries for %d QPs, want <= %d", c, qps, 4*qps)
+	}
+}
+
+// TestRNR drives one receiver-not-ready scenario through both receive
+// models on one path: a QP's own pool and a shared SRQ.
+//   - The client posts before any receive exists: the closed window holds
+//     every record at the sender, so nothing arrives or stashes.
+//   - One large receive opens a window wider than the WRs behind it: the
+//     first record places, the rest stall in adapter SRAM (rx.rnr and
+//     conn.rnr count it).
+//   - A repost drains the stalled records in order.
+//   - The adapter crashes with a record parked, restarts, and re-admits
+//     the QP: a repost then reaches only the re-admitted state, never a
+//     pre-crash waiter.
+func TestRNR(t *testing.T) {
+	// A large record then two small ones: the small ones reach the
+	// receiver while the first is still being placed, before its
+	// completion re-derives the window from the emptied pool.
+	sizes := [...]int{12 << 10, 64, 64}
+	for _, tc := range []struct {
+		name   string
+		shared bool
+	}{{"owned", false}, {"shared", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCluster(t, nil)
+			nic := c.nics[1]
+			var srq *verbs.SRQ
+			if tc.shared {
+				var err error
+				if srq, err = verbs.NewSRQ(nic, verbs.SRQConfig{Depth: 16}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			clis, srvs, _, srvR := srqPair(t, c, srq, 7000, 1)
+			cli, srv := clis[0], srvs[0]
+			pool := srv.SRQ()
+			if pool.Owner() == nil != tc.shared {
+				t.Fatalf("pool owner %v for the %s case", pool.Owner(), tc.name)
+			}
+			post := func(p *sim.Proc, id uint64, capacity int) {
+				t.Helper()
+				if err := pool.PostRecv(p, verbs.RecvWR{ID: id, Capacity: capacity}); err != nil {
+					t.Errorf("post WR %d: %v", id, err)
+				}
+			}
+			expect := func(p *sim.Proc, id uint64, seed byte) {
+				t.Helper()
+				comp := srvR.Wait(p)
+				if comp.Status != verbs.StatusSuccess || comp.WRID != id || !buf.Equal(comp.Payload, buf.Pattern(sizes[seed-1], seed)) {
+					t.Errorf("completion %+v, want WR %d carrying record %d", comp, id, seed)
+				}
+			}
+			var stale *qpState
+			c.eng.Spawn("client", func(p *sim.Proc) {
+				if err := cliConnect(p, cli); err != nil {
+					t.Errorf("connect: %v", err)
+					return
+				}
+				for i := byte(1); i <= 3; i++ {
+					if err := cli.PostSend(p, verbs.SendWR{ID: uint64(i), Payload: buf.Pattern(sizes[i-1], i)}); err != nil {
+						t.Errorf("send %d: %v", i, err)
+					}
+				}
+			})
+			c.eng.Spawn("server", func(p *sim.Proc) {
+				if err := srv.WaitEstablished(p); err != nil {
+					t.Errorf("establish: %v", err)
+					return
+				}
+				p.Sleep(2 * sim.Millisecond)
+				if nic.Stats().StashedRecords != 0 || srvR.Len() != 0 {
+					t.Errorf("records reached the receiver (%d stashed, %d completed) with no WR posted",
+						nic.Stats().StashedRecords, srvR.Len())
+				}
+				post(p, 1, sizes[0]+sizes[1]+sizes[2])
+				expect(p, 1, 1)
+				p.Sleep(sim.Millisecond)
+				conns := trace.NewCounters()
+				nic.AddConnCounters(conns)
+				if nic.Net.Get("rx.rnr") == 0 || conns.Get("conn.rnr") == 0 {
+					t.Errorf("rx.rnr = %d, conn.rnr = %d, want both > 0",
+						nic.Net.Get("rx.rnr"), conns.Get("conn.rnr"))
+				}
+				post(p, 2, sizes[1])
+				expect(p, 2, 2)
+				p.Sleep(sim.Millisecond)
+				stale = nic.qps.get(srv.QPN)
+				if stale.stash.Len() != 1 {
+					t.Errorf("%d records parked before the crash, want 1", stale.stash.Len())
+				}
+				if stale.srqWait != tc.shared || nic.SRQStates() != len(nic.srqs) || (nic.SRQStates() == 1) != tc.shared {
+					t.Errorf("parked on a waiter list: %v (%d pool states), want %v", stale.srqWait, nic.SRQStates(), tc.shared)
+				}
+				nic.Crash()
+			})
+			// Bounded: a connection whose window never opens would keep
+			// the peer probing forever.
+			c.eng.RunFor(sim.Second)
+			if stale == nil || srv.State() != verbs.QPError || !nic.Down() {
+				t.Fatalf("server QP %v after the crash (adapter down: %v)", srv.State(), nic.Down())
+			}
+			if nic.SRQStates() != 0 {
+				t.Errorf("%d pool states survived the crash", nic.SRQStates())
+			}
+			// Give the pre-crash state a record a stray drain would place.
+			stale.pushStash(buf.Pattern(sizes[2], 9))
+			nic.Restart()
+			if nic.Down() || nic.BootEpoch() != 2 {
+				t.Fatalf("restart left the adapter down=%v at epoch %d", nic.Down(), nic.BootEpoch())
+			}
+			c.eng.Spawn("recover", func(p *sim.Proc) {
+				if err := srv.ModifyQP(p, verbs.QPReset); err != nil {
+					t.Errorf("re-admit: %v", err)
+				}
+				post(p, 3, sizes[2])
+			})
+			c.eng.Run()
+			if qs := nic.qps.get(srv.QPN); qs == nil || qs == stale {
+				t.Fatalf("QP not re-admitted with fresh state")
+			}
+			if stale.stash.Len() != 1 || stale.srqWait != tc.shared {
+				t.Errorf("the repost touched the pre-crash state (stash %d, parked %v)", stale.stash.Len(), stale.srqWait)
+			}
+			if pool.Posted() != 1 || srvR.Len() != 0 {
+				t.Errorf("repost claimed: %d WRs posted, %d completions, want 1, 0", pool.Posted(), srvR.Len())
+			}
+		})
+	}
+}
+
+// TestPrivateQPsRegisterNoPoolState: incast-scale private QPs on one
+// adapter, each with a posted receive, leave the firmware's pool table
+// empty — an owned pool resolves through its QP, so setup stays linear.
+func TestPrivateQPsRegisterNoPoolState(t *testing.T) {
+	const qps = 8192
+	c := newCluster(t, func(_ int, cfg *Config) { cfg.MaxQPs = qps })
+	cq := verbs.NewCQ(c.nics[0], 16)
+	all := make([]*verbs.QP, qps)
+	for i := range all {
+		qp, err := verbs.NewQP(c.nics[0], verbs.QPConfig{Transport: verbs.Reliable, SendCQ: cq, RecvCQ: cq, RecvDepth: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		all[i] = qp
+	}
+	c.eng.Spawn("post", func(p *sim.Proc) {
+		for _, qp := range all {
+			if err := qp.PostRecv(p, verbs.RecvWR{Capacity: 64}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	c.eng.Run()
+	if n := c.nics[0].LiveQPs(); n != qps {
+		t.Fatalf("LiveQPs = %d, want %d", n, qps)
+	}
+	if n := c.nics[0].SRQStates(); n != 0 {
+		t.Errorf("%d private QPs registered %d adapter-wide pool states, want 0", qps, n)
 	}
 }

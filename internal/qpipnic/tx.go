@@ -55,7 +55,7 @@ func (n *NIC) kickTx() {
 
 // onDoorbell is the doorbell FSM wakeup: drain the whole FIFO in one
 // activation and mark QPs. The drain is vectored (PopN into the scratch
-// buffer); a token may carry a WR count, and a bare QPN counts as one.
+// buffer); each token carries its QPN and WR count (dbToken).
 //
 //qpip:hotpath
 func (n *NIC) onDoorbell() {
@@ -78,9 +78,6 @@ func (n *NIC) onDoorbell() {
 				continue
 			}
 			cnt := int(tok >> 32)
-			if cnt == 0 {
-				cnt = 1
-			}
 			qs.pendingWRs += cnt
 			// First WR of the token pays the full Doorbell Process stage;
 			// the rest of the train amortizes it.
@@ -327,7 +324,7 @@ func (n *NIC) placeRecord(qs *qpState, wr verbs.RecvWR, rec buf.Buf, raddr inet.
 }
 
 // drainStashAndUpdate delivers SRAM-stashed records into newly posted WRs,
-// then re-advertises the receive window (the RecvPosted path).
+// then re-advertises the receive window (an owned pool's RecvPosted path).
 //
 //qpip:hotpath
 func (n *NIC) drainStashAndUpdate(qs *qpState) {

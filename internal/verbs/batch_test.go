@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/buf"
 	"repro/internal/inet"
+	"repro/internal/pool"
 	"repro/internal/sim"
 )
 
@@ -168,6 +169,67 @@ func TestPollNPartialBufferLeavesOverflowPending(t *testing.T) {
 		n := cq.PollN(p, big)
 		if n != 3 || big[2].Status != StatusCQOverflow {
 			t.Fatalf("second PollN = %d (%+v), want 2 data + overflow tail", n, big[:n])
+		}
+	})
+	eng.Run()
+}
+
+// TestPostAllocFree guards every post path against per-WR heap
+// allocation. A single post is its batch form over a one-element slice,
+// which must stay on the stack; the device's notification must not
+// allocate either. Each cycle posts, plays the adapter (claim and
+// complete every WR), and reaps the completions.
+func TestPostAllocFree(t *testing.T) {
+	if pool.RaceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	eng := sim.NewEngine()
+	d := newFake(eng)
+	qp, scq, rcq := mkQP(t, eng, d, Unreliable, 8)
+	srq, err := NewSRQ(d, SRQConfig{Depth: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sqp, _, srcq := mkSRQQP(t, d, srq)
+	sends := []SendWR{{ID: 1, Payload: buf.Virtual(64)}, {ID: 2, Payload: buf.Virtual(64)}}
+	recvs := []RecvWR{{ID: 1, Capacity: 64}, {ID: 2, Capacity: 64}}
+	out := make([]Completion, 4)
+	adapter := func(p *sim.Proc) {
+		for wr, ok := qp.TakeSendWR(); ok; wr, ok = qp.TakeSendWR() {
+			qp.CompleteSend(wr.ID, StatusSuccess, wr.Payload.Len())
+		}
+		for _, q := range []*QP{qp, sqp} {
+			for wr, ok := q.TakeRecvWR(); ok; wr, ok = q.TakeRecvWR() {
+				q.CompleteRecv(Completion{WRID: wr.ID})
+			}
+		}
+		scq.PollN(p, out)
+		rcq.PollN(p, out)
+		srcq.PollN(p, out)
+	}
+	cases := []struct {
+		name string
+		post func(p *sim.Proc) error
+	}{
+		{"QP.PostSend", func(p *sim.Proc) error { return qp.PostSend(p, sends[0]) }},
+		{"QP.PostSendN", func(p *sim.Proc) error { _, err := qp.PostSendN(p, sends); return err }},
+		{"QP.PostRecv", func(p *sim.Proc) error { return qp.PostRecv(p, recvs[0]) }},
+		{"QP.PostRecvN", func(p *sim.Proc) error { _, err := qp.PostRecvN(p, recvs); return err }},
+		{"SRQ.PostRecv", func(p *sim.Proc) error { return srq.PostRecv(p, recvs[0]) }},
+		{"SRQ.PostRecvN", func(p *sim.Proc) error { _, err := srq.PostRecvN(p, recvs); return err }},
+	}
+	eng.Spawn("app", func(p *sim.Proc) {
+		for _, tc := range cases {
+			cycle := func() {
+				if err := tc.post(p); err != nil {
+					t.Errorf("%s: %v", tc.name, err)
+				}
+				adapter(p)
+			}
+			cycle() // warm the rings
+			if n := testing.AllocsPerRun(100, cycle); n != 0 {
+				t.Errorf("%s allocates %v objects per post, want 0", tc.name, n)
+			}
 		}
 	})
 	eng.Run()

@@ -29,8 +29,6 @@ type CQ struct {
 	// silently losing completions.
 	overflowPending bool
 	maxLen          int
-
-	polls, emptyPolls, waits uint64
 }
 
 // NewCQ creates a completion queue of the given depth on dev.
@@ -52,14 +50,6 @@ func (c *CQ) BindEvent(line *hw.IRQLine) { c.irq = line }
 // EventLine reports the bound event line (nil if none) — benchmarks read
 // its Fired/Events counters to measure the achieved coalescing factor.
 func (c *CQ) EventLine() *hw.IRQLine { return c.irq }
-
-// SetCoalesce adjusts the bound event line's pacing knobs; a no-op for
-// an unbound CQ.
-func (c *CQ) SetCoalesce(pkts int, delay sim.Time) {
-	if c.irq != nil {
-		c.irq.SetCoalesce(pkts, delay)
-	}
-}
 
 // EventWake wakes a blocked waiter, if armed. Called from the device's
 // event-line ISR in simulation context.
@@ -122,14 +112,12 @@ func (c *CQ) Push(comp Completion) {
 //
 //qpip:hotpath
 func (c *CQ) Poll(p *sim.Proc) (Completion, bool) {
-	c.polls++
 	if c.Len() == 0 {
 		if c.overflowPending {
 			c.overflowPending = false
 			p.Use(c.dev.HostCPU().Server, params.US(params.VerbsPollUS))
 			return Completion{Status: StatusCQOverflow}, true
 		}
-		c.emptyPolls++
 		p.Use(c.dev.HostCPU().Server, params.US(params.VerbsPollEmptyUS))
 		return Completion{}, false
 	}
@@ -149,7 +137,6 @@ func (c *CQ) PollN(p *sim.Proc, out []Completion) int {
 	if len(out) == 0 {
 		return 0
 	}
-	c.polls++
 	n := c.entries.PopN(out)
 	if n < len(out) && c.overflowPending {
 		c.overflowPending = false
@@ -157,7 +144,6 @@ func (c *CQ) PollN(p *sim.Proc, out []Completion) int {
 		n++
 	}
 	if n == 0 {
-		c.emptyPolls++
 		p.Use(c.dev.HostCPU().Server, params.US(params.VerbsPollEmptyUS))
 		return 0
 	}
@@ -175,16 +161,10 @@ func (c *CQ) Wait(p *sim.Proc) Completion {
 		if comp, ok := c.Poll(p); ok {
 			return comp
 		}
-		c.waits++
 		c.waiter = p
 		p.Suspend()
 		// Interrupt-driven wakeup: the lightweight ISR runs before the
 		// process reaps.
 		p.Use(c.dev.HostCPU().Server, params.US(params.VerbsWakeupUS))
 	}
-}
-
-// PollStats reports (total polls, empty polls, blocking waits).
-func (c *CQ) PollStats() (polls, empty, waits uint64) {
-	return c.polls, c.emptyPolls, c.waits
 }

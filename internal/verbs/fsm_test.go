@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/inet"
 	"repro/internal/sim"
 )
 
@@ -205,4 +206,66 @@ func TestModifyQPResetClearsAddressing(t *testing.T) {
 		}
 	})
 	eng.Run()
+}
+
+// TestWaitSQDrained pins the three ways a send-queue drain ends: the last
+// send the adapter consumed completes (nil, and SQDrained turns true),
+// the QP fails mid-drain (the QP's error), or ModifyQP(RESET) recycles it
+// mid-drain (ErrBadState). In each case the waiter blocks until the event.
+func TestWaitSQDrained(t *testing.T) {
+	boom := errors.New("test: peer vanished")
+	const at = 100 * sim.Microsecond
+	for _, tc := range []struct {
+		name  string
+		event func(p *sim.Proc, qp *QP)
+		want  error
+	}{
+		{"drained", func(_ *sim.Proc, qp *QP) { qp.CompleteSend(1, StatusSuccess, 1) }, nil},
+		{"failed", func(_ *sim.Proc, qp *QP) { qp.SetFailed(boom, StatusFlushed) }, boom},
+		{"reset", func(p *sim.Proc, qp *QP) {
+			if err := qp.ModifyQP(p, QPReset); err != nil {
+				t.Errorf("ModifyQP(RESET): %v", err)
+			}
+		}, ErrBadState},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			d := newFake(eng)
+			qp, _, _ := mkQP(t, eng, d, Reliable, 8)
+			qp.SetEstablished(1, 2, inet.NodeAddr6(1))
+			var got error
+			var returned sim.Time
+			eng.Spawn("drainer", func(p *sim.Proc) {
+				if err := qp.PostSend(p, SendWR{ID: 1}); err != nil {
+					t.Fatal(err)
+				}
+				qp.TakeSendWR() // consumed by the adapter, not yet acknowledged
+				if err := qp.ModifyQP(p, QPSQD); err != nil {
+					t.Fatal(err)
+				}
+				if err := qp.PostSend(p, SendWR{ID: 2}); !errors.Is(err, ErrSQDraining) {
+					t.Errorf("PostSend in SQD = %v, want ErrSQDraining", err)
+				}
+				if qp.SQDrained() {
+					t.Error("SQDrained with a consumed send outstanding")
+				}
+				got = qp.WaitSQDrained(p)
+				returned = p.Now()
+			})
+			eng.Spawn("device", func(p *sim.Proc) {
+				p.Sleep(at)
+				tc.event(p, qp)
+			})
+			eng.Run()
+			if !errors.Is(got, tc.want) || (tc.want == nil && got != nil) {
+				t.Errorf("WaitSQDrained = %v, want %v", got, tc.want)
+			}
+			if returned < at {
+				t.Errorf("WaitSQDrained returned at %v, before the event at %v", returned, at)
+			}
+			if drained := qp.SQDrained(); drained != (tc.want == nil) {
+				t.Errorf("SQDrained = %v after the event", drained)
+			}
+		})
+	}
 }

@@ -12,7 +12,8 @@ import (
 // QP is a queue pair: "the logical endpoint of a communication link ...
 // a send and a receive queue of work requests" (paper §2.1). The queues
 // live in host memory; the adapter consumes WRs via DMA after doorbell
-// notifications and posts completions to the bound CQs.
+// notifications and posts completions to the bound CQs. The receive queue
+// is a pool (SRQ): the QP's own one-member pool, or a shared one.
 type QP struct {
 	QPN       uint32
 	Transport TransportType
@@ -22,17 +23,16 @@ type QP struct {
 	dev   Device
 	state QPState
 	err   error
-	// The WR queues; sendDepth and recvDepth bound them.
-	sendQ      pool.Ring[SendWR]
-	recvQ      pool.Ring[RecvWR]
-	sendDepth  int
-	recvDepth  int
-	outSend    int // posted send WRs not yet completed
-	outRecv    int
-	postedRecv int // bytes of receive capacity not yet consumed
-	// srq, when set, replaces the private recvQ: receives are posted to
-	// the shared pool and claimed from it in device-wide FIFO order.
-	srq       *SRQ
+	// The send WR queue, bounded by sendDepth.
+	sendQ     pool.Ring[SendWR]
+	sendDepth int
+	outSend   int // posted send WRs not yet completed
+	outRecv   int // receive WRs claimed by the adapter, not yet completed
+	// rq is the pool arriving messages claim from: &own, or the shared
+	// SRQ named by QPConfig.SRQ. own is embedded so the private receive
+	// queue costs no allocation of its own.
+	rq        *SRQ
+	own       SRQ
 	estWaiter *sim.Proc
 	sqdWaiter *sim.Proc // parked in WaitSQDrained
 	parked    *Listener // listener this QP is idling on, if any
@@ -41,8 +41,6 @@ type QP struct {
 	LocalPort  uint16
 	RemoteAddr inet.Addr6
 	RemotePort uint16
-
-	posts, recvPosts uint64
 }
 
 // QPConfig sizes a queue pair.
@@ -52,10 +50,11 @@ type QPConfig struct {
 	RecvCQ    *CQ
 	// SendDepth / RecvDepth bound outstanding WRs (default 128).
 	SendDepth, RecvDepth int
-	// SRQ attaches the QP to a shared receive queue at create time: the
-	// QP has no private recvQ, per-QP receive posting is refused
+	// SRQ attaches the QP to a shared receive queue at create time in
+	// place of its own pool: per-QP receive posting is refused
 	// (ErrSRQAttached), and arriving messages claim from the shared pool
-	// in device-wide FIFO order. RecvDepth is ignored.
+	// in device-wide FIFO order. RecvDepth is ignored. The SRQ must be a
+	// shared pool created on the QP's device (ErrForeignSRQ otherwise).
 	SRQ *SRQ
 }
 
@@ -66,6 +65,9 @@ type QPConfig struct {
 func NewQP(dev Device, cfg QPConfig) (*QP, error) {
 	if cfg.SendCQ == nil || cfg.RecvCQ == nil {
 		return nil, fmt.Errorf("verbs: QP requires send and receive CQs")
+	}
+	if s := cfg.SRQ; s != nil && (s.dev != dev || s.owner != nil) {
+		return nil, ErrForeignSRQ
 	}
 	if cfg.SendDepth <= 0 {
 		cfg.SendDepth = 128
@@ -80,20 +82,22 @@ func NewQP(dev Device, cfg QPConfig) (*QP, error) {
 		RecvCQ:    cfg.RecvCQ,
 		dev:       dev,
 		sendDepth: cfg.SendDepth,
-		recvDepth: cfg.RecvDepth,
-		srq:       cfg.SRQ,
+		rq:        cfg.SRQ,
+	}
+	qp.own = SRQ{dev: dev, depth: cfg.RecvDepth, owner: qp}
+	if qp.rq == nil {
+		qp.rq = &qp.own
 	}
 	if err := dev.CreateQP(qp); err != nil {
 		return nil, err
 	}
-	if qp.srq != nil {
-		qp.srq.attached++
-	}
+	qp.rq.attached++
 	return qp, nil
 }
 
-// SRQ reports the shared receive queue the QP draws from, if any.
-func (q *QP) SRQ() *SRQ { return q.srq }
+// SRQ reports the receive pool the QP draws from: its own one-member pool
+// (Owner() == q), or the shared SRQ it was created on.
+func (q *QP) SRQ() *SRQ { return q.rq }
 
 // State reports the QP lifecycle state.
 func (q *QP) State() QPState { return q.state }
@@ -101,45 +105,23 @@ func (q *QP) State() QPState { return q.state }
 // Err reports the error that moved the QP to QPError, if any.
 func (q *QP) Err() error { return q.err }
 
-// PostSend posts a send work request and rings the doorbell. "The posting
+// PostSend posts one send work request: a batch of one. "The posting
 // method adds the WR to the appropriate queue and notifies the adapter of
 // a pending operation" (paper §2.1).
 //
 //qpip:hotpath
 func (q *QP) PostSend(p *sim.Proc, wr SendWR) error {
-	if q.state != QPEstablished && !(q.Transport == Unreliable && q.state != QPError && q.state != QPClosed && q.state != QPSQD) {
-		if q.state == QPError {
-			return q.err
-		}
-		if q.state == QPSQD {
-			return ErrSQDraining
-		}
-		return ErrBadState
-	}
-	if q.outSend >= q.sendDepth {
-		return ErrQueueFull
-	}
-	if wr.Payload.Len() > q.dev.MaxMessage() {
-		//lint:qpip-allow hotprop rejected-WR error path, cold by construction
-		return fmt.Errorf("%w: %d > %d", ErrTooBig, wr.Payload.Len(), q.dev.MaxMessage())
-	}
-	// Build the WR in the host-resident queue, then one uncached doorbell
-	// write. Calibrated against paper Table 1 (2.5 us total host overhead
-	// for send+receive of a 1-byte message).
-	p.Use(q.dev.HostCPU().Server, params.US(params.VerbsPostSendUS))
-	q.outSend++
-	q.posts++
-	q.sendQ.Push(wr)
-	q.dev.SendDoorbell(q)
-	return nil
+	_, err := q.PostSendN(p, []SendWR{wr})
+	return err
 }
 
 // PostSendN posts up to len(wrs) send work requests with one batched CPU
-// charge (first WR at full cost, the rest at the marginal batch cost)
-// and a single vectored doorbell. It returns how many WRs were posted;
-// on a partial post (queue full or oversized WR mid-batch) the prefix
-// that fits is posted and the error reported, with nothing charged when
-// the count is zero.
+// charge (first WR at full cost, the rest at the marginal batch cost;
+// calibrated against paper Table 1's 2.5 us host overhead for send+receive
+// of a 1-byte message) and a single doorbell carrying the WR count. It
+// returns how many WRs were posted; on a partial post (queue full or
+// oversized WR mid-batch) the prefix that fits is posted and the error
+// reported, with nothing charged when the count is zero.
 //
 //qpip:hotpath
 func (q *QP) PostSendN(p *sim.Proc, wrs []SendWR) (int, error) {
@@ -176,93 +158,32 @@ func (q *QP) PostSendN(p *sim.Proc, wrs []SendWR) (int, error) {
 		params.US(params.VerbsPostSendUS+float64(n-1)*params.VerbsPostSendBatchUS))
 	for _, wr := range wrs[:n] {
 		q.outSend++
-		q.posts++
 		q.sendQ.Push(wr)
 	}
-	q.dev.SendDoorbellN(q, n)
+	q.dev.SendDoorbell(q, n)
 	return n, err
 }
 
-// PostRecv posts a receive work request identifying buffer capacity for
-// one incoming message. Posting receive space grows the connection's TCP
-// receive window (paper §5.1).
+// PostRecv posts one receive work request to the QP's own pool: a batch
+// of one.
 //
 //qpip:hotpath
 func (q *QP) PostRecv(p *sim.Proc, wr RecvWR) error {
-	if q.srq != nil {
-		return ErrSRQAttached
-	}
-	if q.state == QPError {
-		return q.err
-	}
-	if q.state == QPClosed {
-		return ErrBadState
-	}
-	if q.outRecv >= q.recvDepth {
-		return ErrQueueFull
-	}
-	if wr.Capacity <= 0 {
-		//lint:qpip-allow hotprop rejected-WR error path, cold by construction
-		return fmt.Errorf("verbs: receive WR needs positive capacity")
-	}
-	p.Use(q.dev.HostCPU().Server, params.US(params.VerbsPostRecvUS))
-	q.outRecv++
-	q.recvPosts++
-	q.postedRecv += wr.Capacity
-	q.recvQ.Push(wr)
-	q.dev.RecvPosted(q)
-	return nil
+	_, err := q.PostRecvN(p, []RecvWR{wr})
+	return err
 }
 
-// PostRecvN posts up to len(wrs) receive work requests with one batched
-// CPU charge and a single notification write. Partial-post semantics
-// mirror PostSendN: the accepted prefix is validated first, and
-// the CPU charge covers exactly that prefix — a batch cut short when the
-// recv FIFO fills mid-batch (or by an invalid WR) must not bill the host
-// for descriptors it never built. qp_test pins the exact charges.
+// PostRecvN posts up to len(wrs) receive work requests to the QP's own
+// pool (SRQ.PostRecvN: one batched CPU charge for exactly the accepted
+// prefix, one notification write). A QP attached to a shared pool refuses
+// with ErrSRQAttached; post to the SRQ instead.
 //
 //qpip:hotpath
 func (q *QP) PostRecvN(p *sim.Proc, wrs []RecvWR) (int, error) {
-	if len(wrs) == 0 {
-		return 0, nil
-	}
-	if q.srq != nil {
+	if q.rq != &q.own {
 		return 0, ErrSRQAttached
 	}
-	if q.state == QPError {
-		return 0, q.err
-	}
-	if q.state == QPClosed {
-		return 0, ErrBadState
-	}
-	// Validate before charging: n is the accepted prefix.
-	n := 0
-	var err error
-	for _, wr := range wrs {
-		if q.outRecv+n >= q.recvDepth {
-			err = ErrQueueFull
-			break
-		}
-		if wr.Capacity <= 0 {
-			//lint:qpip-allow hotprop rejected-WR error path, cold by construction
-			err = fmt.Errorf("verbs: receive WR needs positive capacity")
-			break
-		}
-		n++
-	}
-	if n == 0 {
-		return 0, err
-	}
-	p.Use(q.dev.HostCPU().Server,
-		params.US(params.VerbsPostRecvUS+float64(n-1)*params.VerbsPostRecvBatchUS))
-	for _, wr := range wrs[:n] {
-		q.outRecv++
-		q.recvPosts++
-		q.postedRecv += wr.Capacity
-		q.recvQ.Push(wr)
-	}
-	q.dev.RecvPostedN(q, n)
-	return n, err
+	return q.own.PostRecvN(p, wrs)
 }
 
 // Connect initiates the TCP rendezvous to a remote listener and blocks
@@ -324,9 +245,7 @@ func (q *QP) Close() {
 	q.unpark()
 	q.dev.DestroyQP(q)
 	q.state = QPClosed
-	if q.srq != nil {
-		q.srq.attached--
-	}
+	q.rq.attached--
 }
 
 // unpark removes the QP from any listener it idles on.
@@ -345,40 +264,24 @@ func (q *QP) unpark() {
 //qpip:hotpath
 func (q *QP) TakeSendWR() (SendWR, bool) { return q.sendQ.Pop() }
 
-// TakeRecvWR consumes the oldest posted receive WR. For an SRQ-attached
-// QP the claim resolves through the shared pool in device-wide FIFO
-// order; the claimed WR is owned by this QP from here to completion, so
+// TakeRecvWR claims the oldest WR of the QP's pool, in pool-wide FIFO
+// order. The claimed WR is owned by this QP from here to completion, so
 // the claim is what makes it outstanding on the QP.
 //
 //qpip:hotpath
 func (q *QP) TakeRecvWR() (RecvWR, bool) {
-	if q.srq != nil {
-		wr, ok := q.srq.take()
-		if ok {
-			q.outRecv++
-			q.recvPosts++
-		}
-		return wr, ok
+	wr, ok := q.rq.take()
+	if ok {
+		q.outRecv++
 	}
-	wr, ok := q.recvQ.Pop()
-	q.postedRecv -= wr.Capacity
 	return wr, ok
 }
 
-// PendingSendWRs reports posted-but-unconsumed send WRs.
-func (q *QP) PendingSendWRs() int { return q.sendQ.Len() }
-
-// PostedRecvBytes reports unconsumed receive capacity; the firmware
-// advertises it as the TCP receive window. An SRQ-attached QP advertises
-// the shared pool's capacity.
+// PostedRecvBytes reports the unclaimed capacity of the QP's pool; the
+// firmware advertises it as the TCP receive window.
 //
 //qpip:hotpath
-func (q *QP) PostedRecvBytes() int {
-	if q.srq != nil {
-		return q.srq.PostedBytes()
-	}
-	return q.postedRecv
-}
+func (q *QP) PostedRecvBytes() int { return q.rq.postedBytes }
 
 // CompleteSend posts a send completion (adapter context).
 //
@@ -443,17 +346,15 @@ func (q *QP) FlushWith(status Status) {
 		q.SendCQ.Push(Completion{QPN: q.QPN, WRID: wr.ID, Op: OpSend, Status: status})
 	}
 	q.sendQ.Reset()
-	// An SRQ-attached QP owns no posted-but-unclaimed receive buffers:
-	// unclaimed WRs stay in the shared pool for other attached QPs, so
-	// there is nothing to error per-QP here and recvQ is empty by
-	// construction. Claimed-but-uncompleted WRs are flushed by the device
-	// like consumed sends.
-	for wr, ok := q.recvQ.Pop(); ok; wr, ok = q.recvQ.Pop() {
-		q.outRecv--
+	// The QP's own pool flushes with it; a shared pool's unclaimed WRs
+	// stay for its other members (own is empty on an attached QP).
+	// Claimed-but-uncompleted WRs are flushed by the device like consumed
+	// sends.
+	for wr, ok := q.own.q.Pop(); ok; wr, ok = q.own.q.Pop() {
 		q.RecvCQ.Push(Completion{QPN: q.QPN, WRID: wr.ID, Op: OpRecv, Status: status})
 	}
-	q.recvQ.Reset()
-	q.postedRecv = 0
+	q.own.q.Reset()
+	q.own.postedBytes = 0
 	if q.sqdWaiter != nil && q.outSend == 0 {
 		q.wakeSQD()
 	}
@@ -480,5 +381,6 @@ func (q *QP) wakeSQD() {
 // (including in-flight firmware flushes) has been pushed.
 func (q *QP) OutstandingSend() int { return q.outSend }
 
-// OutstandingRecv reports posted receive WRs not yet completed.
-func (q *QP) OutstandingRecv() int { return q.outRecv }
+// OutstandingRecv reports receive WRs not yet completed: those claimed by
+// the adapter plus those still posted to the QP's own pool.
+func (q *QP) OutstandingRecv() int { return q.outRecv + q.own.q.Len() }

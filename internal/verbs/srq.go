@@ -8,23 +8,32 @@ import (
 	"repro/internal/sim"
 )
 
-// SRQ is a shared receive queue: one pool of receive work requests that
-// many QPs on the same device draw from, in place of a private recvQ each.
-// The MPICH2-over-InfiniBand work motivates exactly this structure for
-// connection density — with private queues, receive buffer memory grows as
-// connections × depth even though only a few connections are active at any
-// instant; with an SRQ it grows with the instantaneous message backlog.
+// SRQ is a receive pool: a FIFO of receive work requests the adapter
+// claims from as messages arrive. Every QP draws from exactly one pool.
+// A QP created without QPConfig.SRQ owns an implicit one-member pool,
+// embedded in the QP (its private receive queue); a pool created with
+// NewSRQ is shared by every QP attached to it. The MPICH2-over-InfiniBand
+// work motivates sharing for connection density — with private queues,
+// receive buffer memory grows as connections × depth even though only a
+// few connections are active at any instant; with an SRQ it grows with
+// the instantaneous message backlog.
+//
+// Ownership is the only distinction between the two kinds (DESIGN §16.1):
+// an owned pool follows its QP's state, is bounded by its RecvDepth, and
+// flushes with it; a shared pool outlives the failure of any member.
 //
 // Claim order is deterministic FIFO: the firmware claims the oldest posted
 // WR regardless of which QP the message arrived on, so two runs of the
 // same seed claim identical WR IDs (the chaos and parallel matrices pin
 // this). When the pool runs dry the adapter withholds TCP window instead
-// of dropping — the same RNR backpressure path private queues use — and
-// the IB-style limit event tells the application to repost.
+// of dropping (RNR backpressure), and the IB-style limit event tells the
+// application to repost.
 type SRQ struct {
 	dev   Device
 	q     pool.Ring[RecvWR] // bounded by depth
 	depth int
+	// owner is the QP an owned pool belongs to; nil for a shared pool.
+	owner *QP
 
 	postedBytes int
 
@@ -37,7 +46,7 @@ type SRQ struct {
 
 	attached int // QPs currently attached
 
-	posts, claims, limitEvents uint64
+	claims, limitEvents uint64
 }
 
 // SRQConfig sizes a shared receive queue.
@@ -66,29 +75,19 @@ func NewSRQ(dev Device, cfg SRQConfig) (*SRQ, error) {
 	return s, nil
 }
 
-// PostRecv posts one receive work request to the shared pool. Posting
-// shared receive space grows the TCP receive window of every attached
-// connection (the window advertises pool capacity, not per-QP capacity).
+// PostRecv posts one receive work request: a batch of one.
 //
 //qpip:hotpath
 func (s *SRQ) PostRecv(p *sim.Proc, wr RecvWR) error {
-	if s.q.Len() >= s.depth {
-		return ErrQueueFull
-	}
-	if wr.Capacity <= 0 {
-		//lint:qpip-allow hotprop rejected-WR error path, cold by construction
-		return fmt.Errorf("verbs: receive WR needs positive capacity")
-	}
-	p.Use(s.dev.HostCPU().Server, params.US(params.VerbsPostRecvUS))
-	s.posts++
-	s.postedBytes += wr.Capacity
-	s.q.Push(wr)
-	s.dev.SRQPosted(s, 1)
-	return nil
+	_, err := s.PostRecvN(p, []RecvWR{wr})
+	return err
 }
 
 // PostRecvN posts up to len(wrs) receive WRs with one batched CPU charge
-// and a single notification write. On a partial post (pool fills or an
+// (first WR at full cost, the rest at the marginal batch cost) and a
+// single notification write. Posting receive space grows the TCP receive
+// window (paper §5.1): an owned pool's QP re-advertises, and connections
+// stalled on a shared pool drain. On a partial post (pool fills or an
 // invalid WR mid-batch) the prefix that fits is posted and only that
 // prefix is charged, with nothing charged when the count is zero; the
 // error reports why the batch stopped.
@@ -98,10 +97,24 @@ func (s *SRQ) PostRecvN(p *sim.Proc, wrs []RecvWR) (int, error) {
 	if len(wrs) == 0 {
 		return 0, nil
 	}
+	room := s.depth - s.q.Len()
+	if q := s.owner; q != nil {
+		// An owned pool is its QP's receive queue: it follows the QP's
+		// state, and RecvDepth bounds posted plus claimed-but-uncompleted
+		// WRs.
+		if q.state == QPError {
+			return 0, q.err
+		}
+		if q.state == QPClosed {
+			return 0, ErrBadState
+		}
+		room -= q.outRecv
+	}
+	// Validate before charging: n is the accepted prefix.
 	n := 0
 	var err error
 	for _, wr := range wrs {
-		if s.q.Len()+n >= s.depth {
+		if n >= room {
 			err = ErrQueueFull
 			break
 		}
@@ -118,11 +131,10 @@ func (s *SRQ) PostRecvN(p *sim.Proc, wrs []RecvWR) (int, error) {
 	p.Use(s.dev.HostCPU().Server,
 		params.US(params.VerbsPostRecvUS+float64(n-1)*params.VerbsPostRecvBatchUS))
 	for _, wr := range wrs[:n] {
-		s.posts++
 		s.postedBytes += wr.Capacity
 		s.q.Push(wr)
 	}
-	s.dev.SRQPosted(s, n)
+	s.dev.RecvPosted(s, n)
 	return n, err
 }
 
@@ -164,7 +176,7 @@ func (s *SRQ) fireLimit() {
 }
 
 // take claims the oldest posted WR (device context: the firmware resolved
-// an arriving message to an attached QP and charged the claim stage).
+// an arriving message to a member QP and charged the claim stage).
 //
 //qpip:hotpath
 func (s *SRQ) take() (RecvWR, bool) {
@@ -187,7 +199,11 @@ func (s *SRQ) Posted() int { return s.q.Len() }
 // advertises it as the TCP receive window of every attached connection.
 func (s *SRQ) PostedBytes() int { return s.postedBytes }
 
-// Attached reports the number of QPs currently attached.
+// Owner reports the QP an owned pool belongs to; nil for a shared pool.
+func (s *SRQ) Owner() *QP { return s.owner }
+
+// Attached reports the number of QPs currently attached (1 for a live
+// QP's owned pool).
 func (s *SRQ) Attached() int { return s.attached }
 
 // Depth reports the pool bound.

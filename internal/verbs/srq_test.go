@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/inet"
 	"repro/internal/params"
 	"repro/internal/sim"
 )
@@ -60,8 +61,8 @@ func TestSRQSharedFIFOClaim(t *testing.T) {
 		}
 	})
 	eng.Run()
-	if d.srqPosts != 3 || d.srqVectored != 3 {
-		t.Errorf("device SRQ notifications = %d/%d, want 3/3", d.srqPosts, d.srqVectored)
+	if d.recvPosts != 3 || d.vectoredRecv != 3 {
+		t.Errorf("device SRQ notifications = %d/%d, want 3/3", d.recvPosts, d.vectoredRecv)
 	}
 }
 
@@ -259,5 +260,88 @@ func TestQPExhaustedErrorMatchesBothSentinels(t *testing.T) {
 	}
 	if got := err.Error(); got != "verbs: adapter QP table exhausted (512/512 QPs)" {
 		t.Errorf("message = %q", got)
+	}
+}
+
+// TestNewQPRefusesForeignSRQ: a QP may only join a shared pool created on
+// its own device — the pool's reposts notify the pool's adapter, so a
+// connection stalled on another adapter would never drain — and never
+// another QP's own receive queue.
+func TestNewQPRefusesForeignSRQ(t *testing.T) {
+	eng := sim.NewEngine()
+	d, other := newFake(eng), newFake(eng)
+	foreign, err := NewSRQ(other, SRQConfig{Depth: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, _, _ := mkQP(t, eng, d, Reliable, 8)
+	scq, rcq := NewCQ(d, 16), NewCQ(d, 16)
+	for _, tc := range []struct {
+		name string
+		srq  *SRQ
+	}{{"other device", foreign}, {"owned pool", owner.SRQ()}} {
+		qp, err := NewQP(d, QPConfig{Transport: Reliable, SendCQ: scq, RecvCQ: rcq, SRQ: tc.srq})
+		if !errors.Is(err, ErrForeignSRQ) || qp != nil {
+			t.Errorf("%s: NewQP = %v, %v, want ErrForeignSRQ", tc.name, qp, err)
+		}
+	}
+	if foreign.Attached() != 0 || owner.SRQ().Attached() != 1 {
+		t.Errorf("attached = %d, %d after refusals, want 0, 1", foreign.Attached(), owner.SRQ().Attached())
+	}
+}
+
+// TestOwnedPoolIsPrivateQueue: a QP created without an SRQ draws from its
+// own one-member pool, which keeps the private queue's rules — posts
+// follow the QP's state, RecvDepth bounds posted plus claimed WRs, and
+// unclaimed WRs flush with the QP after its sends.
+func TestOwnedPoolIsPrivateQueue(t *testing.T) {
+	eng := sim.NewEngine()
+	d := newFake(eng)
+	qp, scq, rcq := mkQP(t, eng, d, Reliable, 3)
+	pool := qp.SRQ()
+	if pool.Owner() != qp || pool.Attached() != 1 || pool.Depth() != 3 {
+		t.Fatalf("own pool: owner %v, attached %d, depth %d", pool.Owner(), pool.Attached(), pool.Depth())
+	}
+	eng.Spawn("app", func(p *sim.Proc) {
+		for i := uint64(1); i <= 2; i++ {
+			if err := pool.PostRecv(p, RecvWR{ID: i, Capacity: 64}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		qp.TakeRecvWR() // claimed, not completed: still counts against depth
+		if err := qp.PostRecv(p, RecvWR{ID: 3, Capacity: 64}); err != nil {
+			t.Fatal(err)
+		}
+		if err := pool.PostRecv(p, RecvWR{ID: 4, Capacity: 64}); !errors.Is(err, ErrQueueFull) {
+			t.Errorf("post beyond RecvDepth = %v, want ErrQueueFull", err)
+		}
+		if qp.OutstandingRecv() != 3 || pool.Posted() != 2 {
+			t.Errorf("outstanding %d, posted %d, want 3, 2", qp.OutstandingRecv(), pool.Posted())
+		}
+		qp.SetEstablished(1, 2, inet.NodeAddr6(1))
+		if err := qp.PostSend(p, SendWR{ID: 9}); err != nil {
+			t.Fatal(err)
+		}
+		qp.SetError(errors.New("test: boom"))
+		if err := pool.PostRecv(p, RecvWR{ID: 5, Capacity: 64}); err == nil {
+			t.Error("post to a failed QP's pool accepted")
+		}
+		if c, ok := scq.Poll(p); !ok || c.WRID != 9 || c.Status != StatusFlushed {
+			t.Errorf("send flush = %+v, %v", c, ok)
+		}
+		for _, id := range []uint64{2, 3} {
+			if c, ok := rcq.Poll(p); !ok || c.WRID != id || c.Status != StatusFlushed {
+				t.Errorf("recv flush = %+v, %v, want WR %d flushed", c, ok, id)
+			}
+		}
+		if qp.OutstandingRecv() != 1 || pool.Posted() != 0 || qp.PostedRecvBytes() != 0 {
+			t.Errorf("after flush: outstanding %d (the claimed WR), posted %d, bytes %d",
+				qp.OutstandingRecv(), pool.Posted(), qp.PostedRecvBytes())
+		}
+	})
+	eng.Run()
+	qp.Close()
+	if pool.Attached() != 0 {
+		t.Errorf("attached = %d after Close", pool.Attached())
 	}
 }

@@ -217,6 +217,10 @@ var (
 	// ErrSRQAttached refuses per-QP receive posting on a QP that draws
 	// from a shared receive queue; post to the SRQ instead.
 	ErrSRQAttached = errors.New("verbs: QP attached to an SRQ; post receives to the SRQ")
+	// ErrForeignSRQ refuses QPConfig.SRQ naming a pool the new QP cannot
+	// join: one created on another device (its reposts would notify the
+	// wrong adapter) or another QP's own receive queue.
+	ErrForeignSRQ = errors.New("verbs: SRQ belongs to another device or QP")
 	// ErrSQDraining refuses new send WRs while the QP is in the SQD
 	// (send-queue drain) state.
 	ErrSQDraining = errors.New("verbs: send queue draining (SQD)")
@@ -288,24 +292,16 @@ type Device interface {
 	// Listen instructs the interface to monitor a TCP port for incoming
 	// connections (paper §3).
 	Listen(port uint16) (*Listener, error)
-	// SendDoorbell notifies the adapter of new send WRs (the PIO write
-	// and FIFO are modeled inside).
-	SendDoorbell(qp *QP)
-	// RecvPosted notifies the adapter of new receive WRs, which grows
-	// the TCP receive window (paper §5.1).
-	RecvPosted(qp *QP)
-	// SendDoorbellN notifies the adapter of n new send WRs with a single
-	// vectored doorbell: one PIO write carrying a WR count, so a batch
-	// post crosses the bus once.
-	SendDoorbellN(qp *QP, n int)
-	// RecvPostedN notifies the adapter of n new receive WRs with a
-	// single notification write.
-	RecvPostedN(qp *QP, n int)
-	// SRQPosted notifies the adapter that n receive WRs were posted to a
-	// shared receive queue: the firmware re-derives the TCP receive
-	// window of attached connections from the pool and drains any
-	// connections stalled in RNR waiting for shared buffers.
-	SRQPosted(srq *SRQ, n int)
+	// SendDoorbell notifies the adapter of n new send WRs on qp with one
+	// doorbell: a single PIO write carrying the WR count, so a batch
+	// crosses the bus once. A single post is a count of 1.
+	SendDoorbell(qp *QP, n int)
+	// RecvPosted notifies the adapter that n receive WRs were posted to
+	// pool, with a single notification write. Posting grows the TCP
+	// receive window (paper §5.1): the firmware re-advertises the window
+	// of an owned pool's QP, and drains the connections stalled on a
+	// shared pool.
+	RecvPosted(pool *SRQ, n int)
 	// AttachCQ registers a completion queue with the adapter, letting it
 	// bind an event (interrupt) line for coalesced completion wakeups.
 	// Called by NewCQ.

@@ -2,6 +2,7 @@ package verbs
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/buf"
@@ -19,8 +20,6 @@ type fakeDevice struct {
 	recvPosts    int
 	vectored     int
 	vectoredRecv int
-	srqPosts     int
-	srqVectored  int
 	cqs          int
 	connectErr   error
 	qpn          uint32
@@ -52,19 +51,13 @@ func (d *fakeDevice) Connect(qp *QP, raddr inet.Addr6, rport uint16) error {
 func (d *fakeDevice) Listen(port uint16) (*Listener, error) {
 	return NewListener(port, d), nil
 }
-func (d *fakeDevice) SendDoorbell(*QP) { d.doorbells++ }
-func (d *fakeDevice) RecvPosted(*QP)   { d.recvPosts++ }
-func (d *fakeDevice) SendDoorbellN(_ *QP, n int) {
+func (d *fakeDevice) SendDoorbell(_ *QP, n int) {
 	d.doorbells++
 	d.vectored += n
 }
-func (d *fakeDevice) RecvPostedN(_ *QP, n int) {
+func (d *fakeDevice) RecvPosted(_ *SRQ, n int) {
 	d.recvPosts++
 	d.vectoredRecv += n
-}
-func (d *fakeDevice) SRQPosted(_ *SRQ, n int) {
-	d.srqPosts++
-	d.srqVectored += n
 }
 func (d *fakeDevice) AttachCQ(*CQ) { d.cqs++ }
 
@@ -301,5 +294,23 @@ func TestQPNsUnique(t *testing.T) {
 			t.Fatalf("duplicate QPN %d", qp.QPN)
 		}
 		seen[qp.QPN] = true
+	}
+}
+
+// TestNames pins the printed names of transports, QP states and
+// completion statuses (error messages and traces print them).
+func TestNames(t *testing.T) {
+	for _, tc := range []struct {
+		v    fmt.Stringer
+		want string
+	}{
+		{Reliable, "RC/TCP"}, {Unreliable, "UD/UDP"},
+		{QPReset, "RESET"}, {QPInit, "INIT"}, {QPRTR, "RTR"}, {QPRTS, "RTS"},
+		{QPSQD, "SQD"}, {QPError, "ERR"}, {QPClosed, "CLOSED"}, {QPState(99), "state(99)"},
+		{StatusSuccess, "success"}, {StatusRetryExceeded, "retry-exceeded"}, {Status(99), "status(99)"},
+	} {
+		if got := tc.v.String(); got != tc.want {
+			t.Errorf("%#v prints %q, want %q", tc.v, got, tc.want)
+		}
 	}
 }

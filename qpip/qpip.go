@@ -229,6 +229,9 @@ var (
 	// ErrSRQAttached: the operation is invalid on an SRQ-attached QP
 	// (per-QP PostRecv moves to the SRQ).
 	ErrSRQAttached = verbs.ErrSRQAttached
+	// ErrForeignSRQ: QPConfig.SRQ names a pool on another node's adapter
+	// (or another QP's own receive queue).
+	ErrForeignSRQ = verbs.ErrForeignSRQ
 )
 
 // NewSRQ creates a shared receive queue on node's QPIP adapter. Attach it
