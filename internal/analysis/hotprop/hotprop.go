@@ -17,7 +17,7 @@
 // first report would be:
 //
 //	fabric.go:66: closure in hot-reachable function bindFns allocates
-//	its environment per call: ... (hot call chain: gige.(*dmaJob).done
+//	its environment per call: ... (hot call chain: gige.(*Device).txDone
 //	-> fabric.(*Fabric).Send -> fabric.(*Frame).bindFns)
 //
 // Suppression is per-EDGE, not just per-finding: a

@@ -70,8 +70,8 @@ func collCluster(topoName string, n int) *core.Cluster {
 
 // collNICRun measures the offloaded collective: every rank joins one
 // group, runs a warmup operation, then iters timed operations.
-func collNICRun(topoName string, n, iters, vecWords int, op string) (latUS, cpuUS float64) {
-	c := collCluster(topoName, n)
+func collNICRun(topoName string, n, iters, vecWords int, op string, prep ...func(*core.Cluster)) (latUS, cpuUS float64) {
+	c := prepared(collCluster(topoName, n), prep)
 	addrs := make([]inet.Addr6, n)
 	for i := range addrs {
 		addrs[i] = c.Nodes[i].Addr6

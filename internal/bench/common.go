@@ -164,9 +164,19 @@ func qpipPingPong(cs qpipnic.ChecksumMode, mtu, iters int, tweak func(*core.Node
 	return out
 }
 
+// prepared runs prep hooks against a freshly built cluster before any
+// traffic — the chaos sweep attaches a fault injector this way, and the
+// digest tests capture the engine — and returns it.
+func prepared(c *core.Cluster, prep []func(*core.Cluster)) *core.Cluster {
+	for _, fn := range prep {
+		fn(c)
+	}
+	return c
+}
+
 // qpipUDPPingPong measures the unreliable (UDP) 1-byte RTT.
-func qpipUDPPingPong(cs qpipnic.ChecksumMode, iters int) float64 {
-	c := core.NewCluster(2, core.NodeConfig{QPIP: true, QPIPChecksum: cs})
+func qpipUDPPingPong(cs qpipnic.ChecksumMode, iters int, prep ...func(*core.Cluster)) float64 {
+	c := prepared(core.NewCluster(2, core.NodeConfig{QPIP: true, QPIPChecksum: cs}), prep)
 	var rttUS float64
 	total := iters + 2
 	c.Spawn("server", func(p *sim.Proc) {
@@ -219,13 +229,12 @@ func qpipUDPPingPong(cs qpipnic.ChecksumMode, iters int) float64 {
 }
 
 // sockPingPong measures the host-stack 1-byte RTT over GigE or GM.
-func sockPingPong(kind StackKind, udp bool, iters int) float64 {
-	var c *core.Cluster
+func sockPingPong(kind StackKind, udp bool, iters int, prep ...func(*core.Cluster)) float64 {
+	cfg := core.NodeConfig{GM: true}
 	if kind == IPGigE {
-		c = core.NewCluster(2, core.NodeConfig{GigE: true})
-	} else {
-		c = core.NewCluster(2, core.NodeConfig{GM: true})
+		cfg = core.NodeConfig{GigE: true}
 	}
+	c := prepared(core.NewCluster(2, cfg), prep)
 	var rttUS float64
 	if udp {
 		c.Spawn("server", func(p *sim.Proc) {
@@ -294,8 +303,8 @@ func sockPingPong(kind StackKind, udp bool, iters int) float64 {
 
 // hostLoopbackOverhead measures Table 1's host-based row: per-message
 // host CPU for a 1-byte TCP message through loopback.
-func hostLoopbackOverhead(iters int) float64 {
-	c := core.NewCluster(1, core.NodeConfig{GigE: true})
+func hostLoopbackOverhead(iters int, prep ...func(*core.Cluster)) float64 {
+	c := prepared(core.NewCluster(1, core.NodeConfig{GigE: true}), prep)
 	k := c.Nodes[0].Kernel
 	var perMsgUS float64
 	done := false

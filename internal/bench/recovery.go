@@ -84,8 +84,8 @@ type recoverySpec struct {
 func (s recoverySpec) faultFor() sim.Time { return s.down }
 
 // recoveryRun executes one sweep point on a fresh 2-node QPIP cluster.
-func recoveryRun(s recoverySpec, total int, baselineMBps float64) RecoveryRow {
-	c := core.NewCluster(2, core.NodeConfig{QPIP: true, QPIPMTU: params.MTUJumbo})
+func recoveryRun(s recoverySpec, total int, baselineMBps float64, prep ...func(*core.Cluster)) RecoveryRow {
+	c := prepared(core.NewCluster(2, core.NodeConfig{QPIP: true, QPIPMTU: params.MTUJumbo}), prep)
 	diskSize := int64(total) + (64 << 20)
 	disk := storage.NewDisk(c.Eng, "server.disk", diskSize)
 	maxMsg := c.Nodes[0].QPIP.MaxMessage()

@@ -36,10 +36,7 @@ func qpipTtcp(mtu int, cs qpipnic.ChecksumMode, total int, tweak func(*core.Node
 	if tweak != nil {
 		tweak(&cfg)
 	}
-	c := core.NewCluster(2, cfg)
-	for _, fn := range prep {
-		fn(c)
-	}
+	c := prepared(core.NewCluster(2, cfg), prep)
 	maxMsg := c.Nodes[0].QPIP.MaxMessage()
 	msgSize := TtcpChunk
 	if msgSize > maxMsg {
@@ -155,10 +152,7 @@ func sockTtcp(kind StackKind, total int, tweak func(*core.NodeConfig), prep ...f
 	if tweak != nil {
 		tweak(&cfg)
 	}
-	c := core.NewCluster(2, cfg)
-	for _, fn := range prep {
-		fn(c)
-	}
+	c := prepared(core.NewCluster(2, cfg), prep)
 	var out TtcpMeasure
 	var start, end sim.Time
 	var sndBusy0, rcvBusy0 sim.Time

@@ -496,17 +496,3 @@ func (f *Fabric) deliver(p *port, frame *Frame) {
 		free(frame)
 	}
 }
-
-// Utilization reports the busiest single link direction's utilization.
-func (f *Fabric) Utilization() float64 {
-	max := 0.0
-	for _, p := range f.ports {
-		if u := p.up.Utilization(); u > max {
-			max = u
-		}
-		if u := p.down.Utilization(); u > max {
-			max = u
-		}
-	}
-	return max
-}

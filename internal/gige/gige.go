@@ -9,7 +9,6 @@ import (
 	"repro/internal/hostos"
 	"repro/internal/hw"
 	"repro/internal/params"
-	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -34,54 +33,28 @@ type Device struct {
 	att int
 	rx  *hostos.RxCoalescer
 
-	// DMA event names, built once; jobFree recycles the per-DMA jobs.
+	// DMA event names, built once. txDMA and rxDMA hold each packet while
+	// its transfer crosses the bus.
 	txName, rxName string
-	jobFree        []*dmaJob
+	txDMA          *sim.Jobs[txPkt]
+	rxDMA          *sim.Jobs[*wire.Packet]
 
 	txPkts, rxPkts uint64
 	txBytes        uint64
 }
 
-// dmaJob carries one packet across the PCI bus, in either direction. Its
-// completion is bound once and jobs recycle through the device's free
-// list, so a packet in flight costs no closure.
-type dmaJob struct {
-	d   *Device
+// txPkt is a transmitted packet and its destination attachment.
+type txPkt struct {
 	pkt *wire.Packet
-	tx  bool
-	dst int // tx: destination attachment
-	fn  func()
+	dst int
 }
 
-//qpip:hotpath
-func (d *Device) dma(pkt *wire.Packet, tx bool, dst int) {
-	j := pool.Take(&d.jobFree)
-	if j == nil {
-		j = &dmaJob{d: d}
-		j.fn = j.done
-	}
-	j.pkt, j.tx, j.dst = pkt, tx, dst
-	name := d.rxName
-	if tx {
-		name = d.txName
-	}
-	d.bus.DMA(pkt.Len(), name, j.fn)
-}
-
-// done runs when the transfer completes: a transmitted packet goes onto
-// the wire, a received one into the host ring (the unified rx coalescer
-// raises the paced interrupt and reaps in its ISR).
+// txDone puts a packet whose transfer from host memory completed onto
+// the wire.
 //
 //qpip:hotpath
-func (j *dmaJob) done() {
-	d, pkt, tx, dst := j.d, j.pkt, j.tx, j.dst
-	j.pkt = nil
-	d.jobFree = append(d.jobFree, j)
-	if tx {
-		d.fab.Send(fabric.NewFrame(d.att, dst, pkt.Len()+params.EthernetOverhead, pkt), nil)
-		return
-	}
-	d.rx.Enqueue(pkt)
+func (d *Device) txDone(t txPkt) {
+	d.fab.Send(fabric.NewFrame(d.att, t.dst, t.pkt.Len()+params.EthernetOverhead, t.pkt), nil)
 }
 
 // New attaches an adapter to fab and binds it to kernel k.
@@ -97,17 +70,14 @@ func New(eng *sim.Engine, k *hostos.Kernel, fab *fabric.Fabric, cfg Config) *Dev
 	}
 	d := &Device{cfg: cfg, eng: eng, k: k, bus: k.Bus(), fab: fab,
 		txName: cfg.Name + ".txdma", rxName: cfg.Name + ".rxdma"}
+	d.txDMA = sim.NewJobs(d.txDone)
 	d.att = fab.AttachOn(eng, d.receive)
 	d.rx = hostos.NewRxCoalescer(k, cfg.Name, cfg.CoalescePkts, cfg.CoalesceDelay)
+	// A received packet lands in the host ring, where the unified rx
+	// coalescer raises the paced interrupt and reaps in its ISR.
+	d.rxDMA = sim.NewJobs(d.rx.Enqueue)
 	return d
 }
-
-// IRQ exposes the receive interrupt line (pacing knob, coalescing-factor
-// counters).
-func (d *Device) IRQ() *hw.IRQLine { return d.rx.Line() }
-
-// Name implements hostos.NetDevice.
-func (d *Device) Name() string { return d.cfg.Name }
 
 // MTU implements hostos.NetDevice.
 func (d *Device) MTU() int { return d.cfg.MTU }
@@ -125,7 +95,7 @@ func (d *Device) Stats() (tx, rx, txBytes uint64) { return d.txPkts, d.rxPkts, d
 func (d *Device) Transmit(pkt *wire.Packet, dstAtt int) {
 	d.txPkts++
 	d.txBytes += uint64(pkt.Len())
-	d.dma(pkt, true, dstAtt)
+	d.bus.DMA(pkt.Len(), d.txName, d.txDMA.Add(txPkt{pkt, dstAtt}))
 }
 
 // receive is the fabric delivery handler: DMA into the host ring, then
@@ -138,5 +108,5 @@ func (d *Device) receive(f *fabric.Frame) {
 		return
 	}
 	d.rxPkts++
-	d.dma(pkt, false, 0)
+	d.bus.DMA(pkt.Len(), d.rxName, d.rxDMA.Add(pkt))
 }

@@ -67,7 +67,4 @@ func TestDeviceMTUDefaults(t *testing.T) {
 	if ds[0].MTU() != params.MTUEthernet {
 		t.Errorf("MTU = %d", ds[0].MTU())
 	}
-	if ds[0].Name() != "eth0" {
-		t.Errorf("Name = %q", ds[0].Name())
-	}
 }

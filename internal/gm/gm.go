@@ -47,17 +47,20 @@ type Device struct {
 
 	// txQ serializes outbound packets through the firmware loop: one
 	// packet stages through SRAM and onto the wire before the next
-	// starts, as in GM's event loop. txCur is the packet in the loop, and
-	// the loop's three continuations are bound once in New.
-	txQ    pool.Ring[txItem]
-	txBusy bool
-	txCur  txItem
+	// starts, as in GM's event loop. txFw and txDMA hold the packet in the
+	// loop across its firmware and bus stages.
+	txQ      pool.Ring[txItem]
+	txBusy   bool
+	txFw     *sim.Jobs[txItem]
+	txDMA    *sim.Jobs[txItem]
+	txDoneFn func()
 
-	fwTxFn, txDMAFn, txDoneFn func()
+	// rxFw and rxDMA hold each arriving packet across its firmware and
+	// bus stages; several can be in flight.
+	rxFw, rxDMA *sim.Jobs[*wire.Packet]
 
-	// Event names, built once; rxFree recycles the receive-side jobs.
+	// Event names, built once.
 	fwTxName, fwRxName, txDMAName, rxDMAName string
-	rxFree                                   []*rxJob
 
 	txPkts, rxPkts uint64
 }
@@ -65,28 +68,6 @@ type Device struct {
 type txItem struct {
 	pkt *wire.Packet
 	dst int
-}
-
-// rxJob stages one arriving packet through adapter SRAM. Several can be
-// in flight, so each carries its packet; the continuations are bound once
-// and jobs recycle through the device's free list.
-type rxJob struct {
-	d           *Device
-	pkt         *wire.Packet
-	fwFn, dmaFn func()
-}
-
-//qpip:hotpath
-func (j *rxJob) fwDone() {
-	j.d.bus.BurstAt(j.pkt.Len(), params.GMDMABandwidth, j.d.rxDMAName, j.dmaFn)
-}
-
-//qpip:hotpath
-func (j *rxJob) dmaDone() {
-	d, pkt := j.d, j.pkt
-	j.pkt = nil
-	d.rxFree = append(d.rxFree, j)
-	d.rx.Enqueue(pkt)
 }
 
 // New attaches a GM adapter to the Myrinet fabric.
@@ -113,29 +94,24 @@ func New(eng *sim.Engine, k *hostos.Kernel, fab *fabric.Fabric, cfg Config) *Dev
 		txDMAName: cfg.Name + ".txdma",
 		rxDMAName: cfg.Name + ".rxdma",
 	}
-	d.fwTxFn = func() {
-		d.bus.BurstAt(d.txCur.pkt.Len(), params.GMDMABandwidth, d.txDMAName, d.txDMAFn)
-	}
-	d.txDMAFn = func() {
-		it := d.txCur
-		d.txCur = txItem{}
+	d.txFw = sim.NewJobs(func(it txItem) {
+		d.bus.BurstAt(it.pkt.Len(), params.GMDMABandwidth, d.txDMAName, d.txDMA.Add(it))
+	})
+	d.txDMA = sim.NewJobs(func(it txItem) {
 		d.fab.Send(fabric.NewFrame(d.att, it.dst, it.pkt.Len()+params.MyrinetHeaderBytes, it.pkt), d.txDoneFn)
-	}
+	})
 	d.txDoneFn = func() {
 		d.txBusy = false
 		d.kickTx()
 	}
+	d.rxFw = sim.NewJobs(func(pkt *wire.Packet) {
+		d.bus.BurstAt(pkt.Len(), params.GMDMABandwidth, d.rxDMAName, d.rxDMA.Add(pkt))
+	})
 	d.att = fab.AttachOn(eng, d.receive)
 	d.rx = hostos.NewRxCoalescer(k, cfg.Name, cfg.CoalescePkts, cfg.CoalesceDelay)
+	d.rxDMA = sim.NewJobs(d.rx.Enqueue)
 	return d
 }
-
-// IRQ exposes the receive interrupt line (pacing knob, coalescing-factor
-// counters).
-func (d *Device) IRQ() *hw.IRQLine { return d.rx.Line() }
-
-// Name implements hostos.NetDevice.
-func (d *Device) Name() string { return d.cfg.Name }
 
 // MTU implements hostos.NetDevice.
 func (d *Device) MTU() int { return d.cfg.MTU }
@@ -163,8 +139,8 @@ func (d *Device) kickTx() {
 		return
 	}
 	d.txBusy = true
-	d.txCur, _ = d.txQ.Pop()
-	d.lanai.Do(params.US(FwPerPacketUS), d.fwTxName, d.fwTxFn)
+	it, _ := d.txQ.Pop()
+	d.lanai.Do(params.US(FwPerPacketUS), d.fwTxName, d.txFw.Add(it))
 }
 
 // receive stages an arriving packet through SRAM, then hands it to the
@@ -177,11 +153,5 @@ func (d *Device) receive(f *fabric.Frame) {
 		return
 	}
 	d.rxPkts++
-	j := pool.Take(&d.rxFree)
-	if j == nil {
-		j = &rxJob{d: d}
-		j.fwFn, j.dmaFn = j.fwDone, j.dmaDone
-	}
-	j.pkt = pkt
-	d.lanai.Do(params.US(FwPerPacketUS), d.fwRxName, j.fwFn)
+	d.lanai.Do(params.US(FwPerPacketUS), d.fwRxName, d.rxFw.Add(pkt))
 }

@@ -19,6 +19,7 @@ import (
 // hostCluster is a two-node host-stack testbed over a chosen link type.
 type hostCluster struct {
 	eng     *sim.Engine
+	fab     *fabric.Fabric
 	kernels [2]*hostos.Kernel
 	atts    [2]int // fabric attachments, for fault plans
 }
@@ -43,7 +44,7 @@ func newFaultyGigECluster(t *testing.T, mtu int, inj *fault.Injector) *hostClust
 	if inj != nil {
 		inj.Attach(fab)
 	}
-	c := &hostCluster{eng: eng}
+	c := &hostCluster{eng: eng, fab: fab}
 	var devs [2]*gige.Device
 	for i := 0; i < 2; i++ {
 		bus := hw.NewPCIBus(eng, "pci", params.PCIBandwidth, params.PCIDMASetup, params.PCIWriteLatency)
@@ -412,6 +413,32 @@ func TestTtcpGMShape(t *testing.T) {
 	t.Logf("IP/Myrinet 9000B: %.1f MB/s, sender %.0f%%, receiver %.0f%%", mbps, snd*100, rcv*100)
 	if mbps < 35 || mbps > 110 {
 		t.Errorf("IP/Myrinet throughput %.1f MB/s out of plausible band", mbps)
+	}
+}
+
+// One data segment damaged on the wire fails the receiver's software
+// checksum: the kernel counts it once under both names (Stats and the
+// "rx.corrupt" counter the QPIP adapter shares), drops it, and the
+// sender's retransmission still delivers the stream intact.
+func TestCorruptFrameCountedAndRetransmitted(t *testing.T) {
+	c := newGigECluster(t, params.MTUEthernet)
+	inj := fault.NewInjector(fault.Plan{Seed: 1, CorruptProb: 1})
+	c.fab.Fault = func(fr *fabric.Frame, n uint64, now sim.Time) fabric.FaultDecision {
+		if fr.Src != c.atts[0] || n != 20 {
+			return fabric.FaultDecision{}
+		}
+		return inj.Apply(fr, n, now)
+	}
+	transferTest(t, c, patternPieces(100_000, 16*1024))
+	if got := inj.Stats().Corrupts; got != 1 {
+		t.Fatalf("%d frames corrupted, want 1", got)
+	}
+	k := c.kernels[1]
+	if errs, ctr := k.Stats().ChecksumErrors, k.Net.Get("rx.corrupt"); errs != ctr || errs == 0 {
+		t.Errorf("ChecksumErrors = %d, rx.corrupt = %d, want equal and > 0", errs, ctr)
+	}
+	if c.kernels[0].Stats().Retransmits == 0 {
+		t.Error("stream intact without a retransmission of the damaged segment")
 	}
 }
 

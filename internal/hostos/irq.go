@@ -21,22 +21,20 @@ type RxCoalescer struct {
 	line    *hw.IRQLine
 
 	// rxQ is the host rx ring. An interrupt charges the packets queued
-	// since the previous one and records their count in batches; the CPU
-	// completes ISR charges in order, so the one pre-bound reapFn pops the
-	// oldest count and reaps that many packets from the ring's head. A
-	// count per interrupt (not one swapped buffer) because a second
+	// since the previous one and queues their count on reap; when the
+	// charge completes, reap takes that many packets from the ring's head.
+	// A count per interrupt (not one swapped buffer) because a second
 	// interrupt can be charged before the first batch's completion runs.
 	rxQ     pool.Ring[*wire.Packet]
-	charged int // packets in rxQ already counted into batches
-	batches pool.Ring[int]
-	reapFn  func()
+	charged int // packets in rxQ already counted into a reap
+	reap    *sim.Jobs[int]
 }
 
 // NewRxCoalescer builds a coalescer delivering to k; the ISR charge is
 // the "<name>.isr" event on the kernel's CPU.
 func NewRxCoalescer(k *Kernel, name string, pkts int, delay sim.Time) *RxCoalescer {
 	c := &RxCoalescer{k: k, isrName: name + ".isr"}
-	c.reapFn = c.reap
+	c.reap = sim.NewJobs(c.deliver)
 	c.line = hw.NewIRQLine(k.Engine(), c.isr)
 	c.line.SetCoalesce(pkts, delay)
 	return c
@@ -63,17 +61,15 @@ func (c *RxCoalescer) Line() *hw.IRQLine { return c.line }
 func (c *RxCoalescer) isr(events int) {
 	n := c.rxQ.Len() - c.charged
 	c.charged += n
-	c.batches.Push(n)
 	cost := params.US(params.HostIRQUS + params.HostDriverRxReapUS*float64(n))
-	c.k.CPU().Do(cost, c.isrName, c.reapFn)
+	c.k.CPU().Do(cost, c.isrName, c.reap.Add(n))
 }
 
-// reap hands the oldest charged batch to protocol processing via
+// deliver hands a reaped batch of n packets to protocol processing via
 // DeliverPacket.
 //
 //qpip:hotpath
-func (c *RxCoalescer) reap() {
-	n, _ := c.batches.Pop()
+func (c *RxCoalescer) deliver(n int) {
 	c.charged -= n
 	for ; n > 0; n-- {
 		pkt, _ := c.rxQ.Pop()

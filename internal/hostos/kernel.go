@@ -15,7 +15,6 @@ import (
 	"repro/internal/hw"
 	"repro/internal/inet"
 	"repro/internal/params"
-	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/tcp"
 	"repro/internal/trace"
@@ -27,7 +26,6 @@ import (
 // with an MTU. Devices deliver received packets back through
 // Kernel.DeliverPacket after their interrupt-side costs.
 type NetDevice interface {
-	Name() string
 	MTU() int
 	// Transmit queues one packet for the wire; the driver-side CPU cost
 	// has already been charged by the kernel.
@@ -73,9 +71,12 @@ type Kernel struct {
 	ipID     uint16
 	lo       loopback
 
-	// Recycled per-packet jobs (see txJob, rxJob).
-	txFree []*txJob
-	rxFree []*rxJob
+	// Packets waiting out their CPU charges, in charge order: tx across
+	// tcp_output/udp_output, softirq across the softirq charge, input
+	// across tcp_input/udp_input.
+	tx      *sim.Jobs[txOp]
+	softirq *sim.Jobs[*wire.Packet]
+	input   *sim.Jobs[rxOp]
 
 	// Net counts fault-visible events (rx.corrupt, tx.retransmit,
 	// conn.retry-exceeded, ...) with the same names the QPIP NIC uses,
@@ -101,8 +102,10 @@ func NewKernel(eng *sim.Engine, name string, addr inet.Addr4, cpu *sim.CPU, bus 
 		Net:      trace.NewCounters(),
 	}
 	k.tcp = tcp.NewEndpoints[inet.Addr4, *Socket, *Socket](k.Net.Handle)
-	k.lo = loopback{k: k}
-	k.lo.deliverFn = k.lo.deliver
+	k.lo = loopback{k: k, deliver: sim.NewJobs(k.DeliverPacket)}
+	k.tx = sim.NewJobs(k.transmit)
+	k.softirq = sim.NewJobs(k.inputPacket)
+	k.input = sim.NewJobs(k.transportInput)
 	return k
 }
 
@@ -176,15 +179,11 @@ func perByte(cyclesPerByte float64, n int) sim.Time {
 
 // ---- Transmit path. ----
 
-// txJob carries one outgoing segment or datagram across its tcp_output /
-// udp_output charge. The continuation is bound once and jobs recycle
-// through the kernel's free list, so emitting costs no closure.
-type txJob struct {
-	k  *Kernel
-	fn func()
-
-	dst inet.Addr4
+// txOp is one outgoing segment or datagram waiting out its tcp_output /
+// udp_output charge.
+type txOp struct {
 	r   route
+	dst inet.Addr4
 
 	seg *tcp.Segment // TCP; nil for a datagram
 
@@ -193,44 +192,31 @@ type txJob struct {
 	srcPort, dstPort uint16
 }
 
-func (k *Kernel) getTx(r route, dst inet.Addr4) *txJob {
-	j := pool.Take(&k.txFree)
-	if j == nil {
-		j = &txJob{k: k}
-		j.fn = j.run
-	}
-	j.r, j.dst = r, dst
-	return j
-}
-
-// run builds the packet once the protocol cost is paid and hands it to
-// the device.
+// transmit builds the packet once the protocol cost is paid and hands it
+// to the device.
 //
 //qpip:hotpath
-func (j *txJob) run() {
-	k, r := j.k, j.r
+func (k *Kernel) transmit(op txOp) {
 	pkt := wire.Get()
 	pkt.IsV4 = true
-	hdr := inet.Header4{TTL: 64, Src: k.addr, Dst: j.dst}
-	if seg := j.seg; seg != nil {
+	hdr := inet.Header4{TTL: 64, Src: k.addr, Dst: op.dst}
+	if seg := op.seg; seg != nil {
 		l4 := seg.MarshalHeaderInto(pkt.L4Scratch())
-		tcp.SetChecksum(l4, inet.TransportChecksum4(k.addr, j.dst, inet.ProtoTCP, l4, seg.Payload))
+		tcp.SetChecksum(l4, inet.TransportChecksum4(k.addr, op.dst, inet.ProtoTCP, l4, seg.Payload))
 		hdr.DontFrag, hdr.Protocol = true, inet.ProtoTCP
 		pkt.L4Hdr = l4
 		pkt.Payload = seg.Payload
 		seg.Release()
 	} else {
-		pkt.L4Hdr = udp.Marshal4Into(k.addr, j.dst, j.srcPort, j.dstPort, j.payload, pkt.L4Scratch())
+		pkt.L4Hdr = udp.Marshal4Into(k.addr, op.dst, op.srcPort, op.dstPort, op.payload, pkt.L4Scratch())
 		hdr.Protocol = inet.ProtoUDP
-		pkt.Payload = j.payload
+		pkt.Payload = op.payload
 	}
 	k.ipID++
 	hdr.ID = k.ipID
 	hdr.TotalLen = uint16(inet.IPv4HeaderLen + len(pkt.L4Hdr) + pkt.Payload.Len())
 	pkt.IPHdr = inet.Marshal4Into(&hdr, pkt.IPScratch())
-	j.seg, j.payload, j.r = nil, buf.Empty, route{}
-	k.txFree = append(k.txFree, j)
-	r.dev.Transmit(pkt, r.att)
+	op.r.dev.Transmit(pkt, op.r.att)
 }
 
 // emitSegment runs tcp_output for one segment to dst over r: protocol
@@ -242,9 +228,7 @@ func (k *Kernel) emitSegment(r route, dst inet.Addr4, seg *tcp.Segment) {
 	k.stats.SegsOut++
 	cost := params.US(params.HostTCPOutputUS+params.HostSkbUS+params.HostDriverTxUS) +
 		perByte(params.HostChecksumCyclesPerByte, seg.Payload.Len())
-	j := k.getTx(r, dst)
-	j.seg = seg
-	k.charge(cost, "tcp_output", j.fn)
+	k.charge(cost, "tcp_output", k.tx.Add(txOp{r: r, dst: dst, seg: seg}))
 }
 
 // emitUDP transmits one datagram.
@@ -258,55 +242,31 @@ func (k *Kernel) emitUDP(s *Socket, payload buf.Buf, dst inet.Addr4, dstPort uin
 	}
 	cost := params.US(params.HostUDPOutputUS+params.HostSkbUS+params.HostDriverTxUS) +
 		perByte(params.HostChecksumCyclesPerByte, payload.Len())
-	j := k.getTx(r, dst)
-	j.payload, j.srcPort, j.dstPort = payload, s.localPort, dstPort
-	k.charge(cost, "udp_output", j.fn)
+	k.charge(cost, "udp_output", k.tx.Add(txOp{r: r, dst: dst, payload: payload, srcPort: s.localPort, dstPort: dstPort}))
 	return nil
 }
 
 // ---- Receive path. ----
 
-// rxJob carries one received packet through softirq and transport input.
-// The parsed headers live here rather than in closure environments, both
-// continuations are bound once, and jobs recycle through the kernel's free
-// list. Whoever ends the packet's processing calls finish exactly once.
-type rxJob struct {
-	k   *Kernel
+// rxOp is one received packet waiting out its tcp_input / udp_input
+// charge, with the headers parsed before the charge.
+type rxOp struct {
 	pkt *wire.Packet
 	ip4 inet.Header4
-	seg tcp.Segment
-	udp udp.Header
-
-	softirqFn func() // after the softirq charge: parse and demultiplex
-	inputFn   func() // after the tcp_input / udp_input charge
-}
-
-// finish releases the packet (delivered data holds its own Buf values;
-// headers and scratch die here) and recycles the job.
-func (j *rxJob) finish() {
-	k := j.k
-	j.pkt.Release()
-	j.pkt, j.seg = nil, tcp.Segment{}
-	k.rxFree = append(k.rxFree, j)
+	seg tcp.Segment // TCP
+	udp udp.Header  // UDP
 }
 
 // DeliverPacket is the device->kernel handoff: the device has charged its
 // interrupt-side costs; the kernel charges softirq protocol processing.
+// Whoever ends a packet's processing releases it exactly once (delivered
+// data holds its own Buf values; headers and scratch die with it).
 //
 //qpip:hotpath
 func (k *Kernel) DeliverPacket(pkt *wire.Packet) {
 	k.stats.SoftIRQs++
-	j := pool.Take(&k.rxFree)
-	if j == nil {
-		j = &rxJob{k: k}
-		j.softirqFn, j.inputFn = j.softirq, j.input
-	}
-	j.pkt = pkt
-	k.chargeUS(params.HostSoftirqPerPktUS, "softirq", j.softirqFn)
+	k.chargeUS(params.HostSoftirqPerPktUS, "softirq", k.softirq.Add(pkt))
 }
-
-//qpip:hotpath
-func (j *rxJob) softirq() { j.k.inputPacket(j) }
 
 // rxCorrupt counts a packet that failed parsing or verification.
 func (k *Kernel) rxCorrupt() {
@@ -314,37 +274,37 @@ func (k *Kernel) rxCorrupt() {
 	k.Net.Add("rx.corrupt", 1)
 }
 
+// inputPacket parses and demultiplexes a packet once its softirq charge
+// completes.
+//
 //qpip:hotpath
-func (k *Kernel) inputPacket(j *rxJob) {
-	ip4, err := inet.Parse4(j.pkt.IPHdr)
+func (k *Kernel) inputPacket(pkt *wire.Packet) {
+	ip4, err := inet.Parse4(pkt.IPHdr)
 	if err != nil {
 		k.rxCorrupt()
-		j.finish()
+		pkt.Release()
 		return
 	}
-	j.ip4 = ip4
 	switch ip4.Protocol {
 	case inet.ProtoTCP:
-		k.inputTCP(j)
+		k.inputTCP(pkt, ip4)
 	case inet.ProtoUDP:
-		k.inputUDP(j)
+		k.inputUDP(pkt, ip4)
 	default:
 		k.stats.DroppedNoPort++
-		j.finish()
+		pkt.Release()
 	}
 }
 
 //qpip:hotpath
-func (k *Kernel) inputTCP(j *rxJob) {
-	pkt := j.pkt
+func (k *Kernel) inputTCP(pkt *wire.Packet, ip4 inet.Header4) {
 	seg, _, err := tcp.ParseHeader(pkt.L4Hdr)
 	if err != nil {
 		k.rxCorrupt()
-		j.finish()
+		pkt.Release()
 		return
 	}
 	seg.Payload = pkt.Payload
-	j.seg = seg
 	// Software checksum verification over the segment.
 	verify := perByte(params.HostChecksumCyclesPerByte, len(pkt.L4Hdr)+pkt.Payload.Len())
 	procCost := params.US(params.HostTCPAckProcUS + params.HostSkbUS)
@@ -354,36 +314,34 @@ func (k *Kernel) inputTCP(j *rxJob) {
 	} else {
 		k.stats.AcksProcessed++
 	}
-	k.charge(verify+procCost, "tcp_input", j.inputFn)
+	k.charge(verify+procCost, "tcp_input", k.input.Add(rxOp{pkt: pkt, ip4: ip4, seg: seg}))
 }
 
-func (k *Kernel) inputUDP(j *rxJob) {
-	pkt := j.pkt
+func (k *Kernel) inputUDP(pkt *wire.Packet, ip4 inet.Header4) {
 	h, plen, err := udp.Parse(pkt.L4Hdr)
 	if err != nil || plen != pkt.Payload.Len() {
 		k.rxCorrupt()
-		j.finish()
+		pkt.Release()
 		return
 	}
-	j.udp = h
 	verify := perByte(params.HostChecksumCyclesPerByte, len(pkt.L4Hdr)+pkt.Payload.Len())
-	k.charge(verify+params.US(params.HostUDPInputUS+params.HostSkbUS), "udp_input", j.inputFn)
+	k.charge(verify+params.US(params.HostUDPInputUS+params.HostSkbUS), "udp_input", k.input.Add(rxOp{pkt: pkt, ip4: ip4, udp: h}))
 }
 
-// input runs transport input once its charge completes.
+// transportInput runs transport input once its charge completes.
 //
 //qpip:hotpath
-func (j *rxJob) input() {
-	if j.ip4.Protocol == inet.ProtoTCP {
-		j.k.tcpInput(j)
+func (k *Kernel) transportInput(op rxOp) {
+	if op.ip4.Protocol == inet.ProtoTCP {
+		k.tcpInput(&op)
 	} else {
-		j.k.udpInput(j)
+		k.udpInput(&op)
 	}
-	j.finish()
+	op.pkt.Release()
 }
 
-func (k *Kernel) tcpInput(j *rxJob) {
-	pkt, ip4, seg := j.pkt, &j.ip4, &j.seg
+func (k *Kernel) tcpInput(op *rxOp) {
+	pkt, ip4, seg := op.pkt, &op.ip4, &op.seg
 	if !inet.TransportValid4(ip4.Src, ip4.Dst, inet.ProtoTCP, pkt.L4Hdr, pkt.Payload) {
 		k.rxCorrupt()
 		return
@@ -402,18 +360,18 @@ func (k *Kernel) tcpInput(j *rxJob) {
 	}
 }
 
-func (k *Kernel) udpInput(j *rxJob) {
-	pkt, ip4 := j.pkt, &j.ip4
+func (k *Kernel) udpInput(op *rxOp) {
+	pkt, ip4 := op.pkt, &op.ip4
 	if udp.Verify4(ip4.Src, ip4.Dst, pkt.L4Hdr, pkt.Payload) != nil {
 		k.rxCorrupt()
 		return
 	}
-	s, ok := k.udpPorts.Lookup(j.udp.DstPort)
+	s, ok := k.udpPorts.Lookup(op.udp.DstPort)
 	if !ok {
 		k.stats.DroppedNoPort++
 		return
 	}
-	s.enqueueDatagram(pkt.Payload, ip4.Src, j.udp.SrcPort)
+	s.enqueueDatagram(pkt.Payload, ip4.Src, op.udp.SrcPort)
 }
 
 // acceptSYN creates a child socket on lst's port.

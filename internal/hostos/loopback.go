@@ -1,7 +1,7 @@
 package hostos
 
 import (
-	"repro/internal/pool"
+	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
@@ -13,18 +13,13 @@ import (
 // through the loopback interface on an individual host" (§4.2.2).
 type loopback struct {
 	k *Kernel
-	// pending holds packets between Transmit and their same-tick delivery
-	// event. Same-tick events fire in schedule order, so the one pre-bound
-	// deliverFn pops the head; no closure per packet.
-	pending   pool.Ring[*wire.Packet]
-	deliverFn func()
+	// deliver holds packets between Transmit and their same-tick delivery
+	// event; same-tick events fire in schedule order.
+	deliver *sim.Jobs[*wire.Packet]
 }
 
 // LoopbackMTU matches the Linux lo default of the era.
 const LoopbackMTU = 16436
-
-// Name implements NetDevice.
-func (l *loopback) Name() string { return "lo" }
 
 // MTU implements NetDevice.
 func (l *loopback) MTU() int { return LoopbackMTU }
@@ -32,12 +27,6 @@ func (l *loopback) MTU() int { return LoopbackMTU }
 // Transmit implements NetDevice: immediate software delivery back into
 // the local stack.
 func (l *loopback) Transmit(pkt *wire.Packet, _ int) {
-	l.pending.Push(pkt)
 	//lint:qpip-allow shardsafe the loopback device shares its owning kernel's engine; delivery never leaves the shard
-	l.k.eng.After(0, "lo.deliver", l.deliverFn)
-}
-
-func (l *loopback) deliver() {
-	pkt, _ := l.pending.Pop()
-	l.k.DeliverPacket(pkt)
+	l.k.eng.After(0, "lo.deliver", l.deliver.Add(pkt))
 }

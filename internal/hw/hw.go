@@ -77,9 +77,6 @@ func (p *PCIBus) PIOWrite(what string, done func()) {
 	p.bus.Do(p.pioWrite, what, done)
 }
 
-// Utilization reports the bus busy fraction since time zero.
-func (p *PCIBus) Utilization() float64 { return p.bus.Utilization() }
-
 // Stats reports (transfers, bytes) moved by DMA.
 func (p *PCIBus) Stats() (transfers, bytes uint64) { return p.transfers, p.bytes }
 

@@ -3,18 +3,19 @@
 // queue is built on (Ring).
 //
 // The hot-path packages (tcp, wire, fabric) draw their per-packet objects —
-// segments, packets, frames — from sync.Pools; the per-owner runners and
-// jobs (NIC stage chains, collective messages, host-stack and device jobs)
-// use Take on a free list that belongs to one engine.
+// segments, packets, frames — from sync.Pools. The two per-owner objects
+// whose life spans several resources — NIC stage chains and collective
+// messages — use Take on a free list that belongs to one engine. A stage
+// operand that waits on one first-come-first-served resource needs no
+// object at all: it rides a Ring slot beside the resource (sim.Jobs).
 package pool
 
 // Take pops the most recently freed object off a per-owner free list, or
 // returns nil when the list is empty and the caller must construct one.
-// The lists it serves (NIC stage runners, collective messages, host-stack
-// and device jobs) belong to one adapter or kernel, hence one engine, so
-// they need no locking; their objects carry continuations bound once at
-// construction, which is what makes recycling them worth more than the
-// allocation alone.
+// The lists it serves (NIC stage runners, collective messages) belong to
+// one adapter, hence one engine, so they need no locking; their objects
+// keep continuations bound once at construction or a word buffer, which
+// is what makes recycling them worth more than the allocation alone.
 func Take[T any](free *[]*T) *T {
 	k := len(*free) - 1
 	if k < 0 {

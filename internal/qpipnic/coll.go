@@ -137,37 +137,22 @@ func (m *collMsg) Release() {
 	n.collFree = append(n.collFree, m)
 }
 
-// collRx carries one delivered message across its firmware FSM stage. A
-// duplicated frame delivers one message twice, so the per-delivery state
-// (the group as it was on arrival) lives here, not on the message; fn is
-// bound once and runners recycle through the adapter's free list.
-type collRx struct {
-	n  *NIC
-	g  *collGroup
-	m  *collMsg
-	fn func()
+// collDelivery is one delivered message waiting out its firmware FSM
+// stage. A duplicated frame delivers one message twice, so the
+// per-delivery state (the group as it was on arrival) lives here, not on
+// the message.
+type collDelivery struct {
+	g *collGroup
+	m *collMsg
 }
 
-//qpip:hotpath
-func (n *NIC) getCollRx(g *collGroup, m *collMsg) *collRx {
-	rx := pool.Take(&n.collRxFree)
-	if rx == nil {
-		rx = &collRx{n: n}
-		rx.fn = rx.run
-	}
-	rx.g, rx.m = g, m
-	return rx
-}
-
-// run is the stage completion: recycle the runner, then step the FSM —
-// unless the adapter crashed or the group was re-joined while the stage
-// was queued, in which case the message dies here.
+// collStep is the stage completion: step the FSM — unless the adapter
+// crashed or the group was re-joined while the stage was queued, in which
+// case the message dies here.
 //
 //qpip:hotpath
-func (rx *collRx) run() {
-	n, g, m := rx.n, rx.g, rx.m
-	rx.g, rx.m = nil, nil
-	n.collRxFree = append(n.collRxFree, rx)
+func (n *NIC) collStep(d collDelivery) {
+	g, m := d.g, d.m
 	if n.down || n.collGroups[m.group] != g {
 		m.Release()
 		return
@@ -454,7 +439,7 @@ func (n *NIC) collPost(g *collGroup, seq uint32, wr verbs.CollWR) {
 // receiveColl handles a collective frame (called from receiveFrame; the
 // adapter is known to be up). One FSM step is charged per message; ring
 // combines add the per-word reduce cost. The delivery's reference passes
-// to the stage runner.
+// to the stage's collDelivery.
 //
 //qpip:hotpath
 func (n *NIC) receiveColl(m *collMsg) {
@@ -468,7 +453,7 @@ func (n *NIC) receiveColl(m *collMsg) {
 	if m.kind == collRing {
 		d += params.NICCycles(params.CollReduceCyclesPerWord * float64(len(m.vec)))
 	}
-	n.collStage("coll.step", n.collStepCtr, d, n.getCollRx(g, m).fn)
+	n.collStage("coll.step", n.collStepCtr, d, n.collRecv.Add(collDelivery{g, m}))
 }
 
 // collDispatch steps the FSM on one delivered message. A ring message's

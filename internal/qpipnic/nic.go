@@ -187,14 +187,13 @@ type NIC struct {
 	fab *fabric.Fabric
 	att int
 
-	// dbTokens and recvPosts queue doorbell tokens and posted-to pools
-	// between the PIO write call and its arrival at the adapter; the bus
-	// server is FIFO, so entries pop in write order. ringTokFn and
-	// recvPostFn are bound once here so posting needs no per-call closure.
-	dbTokens   pool.Ring[uint64]
-	ringTokFn  func()
-	recvPosts  pool.Ring[*verbs.SRQ]
-	recvPostFn func()
+	// dbTokens and recvPosts hold doorbell tokens and posted-to pools
+	// between the PIO write and its arrival at the adapter.
+	dbTokens  *sim.Jobs[uint64]
+	recvPosts *sim.Jobs[*verbs.SRQ]
+	// notifyDMA and notifyISR hold a host notification across its event
+	// DMA and then the host's ISR charge (notifyHost).
+	notifyDMA, notifyISR *sim.Jobs[func()]
 
 	qpnNext uint32
 	// qpnFree recycles destroyed QPNs LIFO (deterministic). It is wiped
@@ -246,14 +245,14 @@ type NIC struct {
 	Net   *trace.Counters
 	stats Stats
 
-	// The collective engine's recyclers (coll.go): collFree and collRxFree
-	// hold ring messages and receive-stage runners; collLive counts
-	// messages handed out here minus messages recycled here, so the sum
-	// over a cluster's adapters is the number outstanding. The counter and
-	// stage cells are resolved once so the per-message path skips the name
-	// maps.
+	// The collective engine's state (coll.go): collFree recycles ring
+	// messages and collRecv holds each delivery across its FSM stage;
+	// collLive counts messages handed out here minus messages recycled
+	// here, so the sum over a cluster's adapters is the number
+	// outstanding. The counter and stage cells are resolved once so the
+	// per-message path skips the name maps.
 	collFree    []*collMsg
-	collRxFree  []*collRx
+	collRecv    *sim.Jobs[collDelivery]
 	collLive    int
 	collMsgs    *uint64
 	collDupDrop *uint64
@@ -294,14 +293,13 @@ func New(eng *sim.Engine, fab *fabric.Fabric, cfg Config) *NIC {
 		n.txBusy = false
 		n.kickTx()
 	}
-	n.ringTokFn = func() {
-		tok, _ := n.dbTokens.Pop()
-		n.db.Ring(tok)
-	}
-	n.recvPostFn = func() {
-		pool, _ := n.recvPosts.Pop()
-		n.onRecvPosted(pool)
-	}
+	n.dbTokens = sim.NewJobs(func(tok uint64) { n.db.Ring(tok) })
+	n.recvPosts = sim.NewJobs(n.onRecvPosted)
+	n.notifyDMA = sim.NewJobs(func(fn func()) {
+		n.cfg.HostCPU.Do(params.US(params.HostIRQUS), "qpip.isr", n.notifyISR.Add(fn))
+	})
+	n.notifyISR = sim.NewJobs(func(fn func()) { fn() })
+	n.collRecv = sim.NewJobs(n.collStep)
 	n.att = fab.AttachOn(eng, n.receiveFrame)
 	n.db.OnRing = n.onDoorbell
 	n.db.OnDrop = func() { n.Net.Add("db.drop", 1) }
@@ -629,8 +627,7 @@ func dbToken(qpn uint32, count int) uint64 {
 // a single PIO write across the bus into the FIFO, whatever the batch
 // size.
 func (n *NIC) SendDoorbell(qp *verbs.QP, count int) {
-	n.dbTokens.Push(dbToken(qp.QPN, count))
-	n.cfg.Bus.PIOWrite("doorbell", n.ringTokFn)
+	n.cfg.Bus.PIOWrite("doorbell", n.dbTokens.Add(dbToken(qp.QPN, count)))
 }
 
 // RecvPosted implements verbs.Device: new receive buffer space arrived in
@@ -638,8 +635,7 @@ func (n *NIC) SendDoorbell(qp *verbs.QP, count int) {
 // the batch size; on arrival the firmware grows the TCP receive window
 // (onRecvPosted).
 func (n *NIC) RecvPosted(pool *verbs.SRQ, count int) {
-	n.recvPosts.Push(pool)
-	n.cfg.Bus.PIOWrite("recv-doorbell", n.recvPostFn)
+	n.cfg.Bus.PIOWrite("recv-doorbell", n.recvPosts.Add(pool))
 }
 
 // AttachCQ implements verbs.Device: bind the CQ's completion wakeups to
@@ -683,10 +679,7 @@ func (n *NIC) mgmtCost() {
 // notifyHost schedules a host-visible event (connection established,
 // errors) through the lightweight interrupt path.
 func (n *NIC) notifyHost(fn func()) {
-	//lint:qpip-allow hotprop host notifications are connection-lifecycle events (establish, reset, flush), not per-packet datapath work
-	n.cfg.Bus.DMA(32, "event", func() {
-		n.cfg.HostCPU.Do(params.US(params.HostIRQUS), "qpip.isr", fn)
-	})
+	n.cfg.Bus.DMA(32, "event", n.notifyDMA.Add(fn))
 }
 
 // failQP tears down a QP after a terminal connection failure: the TCB is

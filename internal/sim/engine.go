@@ -16,7 +16,10 @@
 // sliced into RunUntil calls.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Time is a simulated timestamp in nanoseconds since the start of the run.
 type Time int64
@@ -151,6 +154,7 @@ type Engine struct {
 	fired   uint64
 	live    int // scheduled, not yet fired or cancelled
 	stopped bool
+	digest  uint64 // running hash over fired (at, name); see Digest
 
 	wheel wheel
 	free  *Event // event free list, linked through next
@@ -178,6 +182,52 @@ func (e *Engine) Pending() int { return e.live }
 // the final event) and an epoch-barrier parallel run (where RunUntil pushes
 // every shard clock to the barrier horizon).
 func (e *Engine) LastEventAt() Time { return e.lastAt }
+
+// Digest reports a running 64-bit hash over every fired event's time and
+// name, in firing order. Two runs that fire the same event sequence report
+// the same digest, in every build: the name's bytes are hashed, never a
+// pointer. Tests pin it to prove a refactor event-identical.
+func (e *Engine) Digest() uint64 { return e.digest }
+
+// digestEvent folds one fired event into h: its time and name length,
+// then the name eight bytes at a time. The last one to eight bytes are
+// read as overlapping loads, which with the length pin every byte.
+//
+//qpip:hotpath
+func digestEvent(h uint64, at Time, name string) uint64 {
+	h = digestMix(h, uint64(at)^uint64(len(name))<<56)
+	for ; len(name) > 8; name = name[8:] {
+		h = digestMix(h, le64(name))
+	}
+	var w uint64
+	switch n := len(name); {
+	case n == 8:
+		w = le64(name)
+	case n >= 4:
+		w = le32(name) | le32(name[n-4:])<<32
+	case n > 0:
+		w = uint64(name[0]) | uint64(name[n/2])<<8 | uint64(name[n-1])<<16
+	}
+	return digestMix(h, w)
+}
+
+// le64 and le32 read the first eight and four bytes of s little-endian.
+func le64(s string) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+func le32(s string) uint64 {
+	_ = s[3]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24
+}
+
+// digestMix is an FNV-style xor-multiply step with a rotate, so high input
+// bits reach the low ones.
+func digestMix(h, w uint64) uint64 {
+	return bits.RotateLeft64((h^w)*0x100000001b3, 29)
+}
 
 // NextAt reports the timestamp of the next live event without firing it.
 // It reports false when the queue is empty, and it never moves the wheel
@@ -265,6 +315,7 @@ func (e *Engine) stepUntil(limit uint64) bool {
 	e.lastAt = ev.at
 	e.fired++
 	e.live--
+	e.digest = digestEvent(e.digest, ev.at, ev.name)
 	if ev.srv != nil {
 		ev.srv.inQueue--
 	}

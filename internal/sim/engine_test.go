@@ -388,14 +388,16 @@ func TestCPUBadRatePanics(t *testing.T) {
 }
 
 // Stress: random interleaving of server jobs and plain events stays
-// consistent: total busy time equals sum of durations, completions in order.
+// consistent: total busy time equals sum of durations, and jobs complete
+// in the order their submit events fired — zero durations and same-tick
+// submissions included. Jobs (jobs.go) rests on this FIFO property.
 func TestServerRandomizedConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
 		e := NewEngine()
 		s := NewServer(e, "cpu")
 		var sum Time
-		var order []int
+		var submitted, order []int
 		n := 50
 		for i := 0; i < n; i++ {
 			i := i
@@ -403,6 +405,7 @@ func TestServerRandomizedConsistency(t *testing.T) {
 			d := Time(rng.Intn(100))
 			sum += d
 			e.At(at, "submit", func() {
+				submitted = append(submitted, i)
 				s.Do(d, "job", func() { order = append(order, i) })
 			})
 		}
@@ -412,6 +415,43 @@ func TestServerRandomizedConsistency(t *testing.T) {
 		}
 		if len(order) != n {
 			t.Fatalf("trial %d: %d completions, want %d", trial, len(order), n)
+		}
+		for k := range order {
+			if order[k] != submitted[k] {
+				t.Fatalf("trial %d: completion %d is job %d, submitted %d-th was job %d",
+					trial, k, order[k], k, submitted[k])
+			}
+		}
+	}
+}
+
+// Digest hashes each fired event's time and name bytes, in firing order:
+// a name built at run time (another address) digests like the literal, a
+// cancelled event leaves no trace, and a swapped pair, a shifted time or
+// one changed byte all show.
+func TestDigest(t *testing.T) {
+	digest := func(evs ...any) uint64 {
+		e := NewEngine()
+		for i := 0; i < len(evs); i += 2 {
+			e.At(evs[i].(Time), evs[i+1].(string), nil)
+		}
+		e.After(5, "cancelled", nil).Cancel()
+		e.Run()
+		return e.Digest()
+	}
+	built := string(append([]byte("fabric."), "deliver"...))
+	base := digest(Time(1), "tcp_output", Time(1), "fabric.deliver", Time(2), "node1.eth0.rxdma")
+	if got := digest(Time(1), "tcp_output", Time(1), built, Time(2), "node1.eth0.rxdma"); got != base {
+		t.Errorf("run-time name digests %#x, literal %#x", got, base)
+	}
+	for _, other := range []uint64{
+		digest(Time(1), "fabric.deliver", Time(1), "tcp_output", Time(2), "node1.eth0.rxdma"),
+		digest(Time(1), "tcp_output", Time(1), "fabric.deliver", Time(3), "node1.eth0.rxdma"),
+		digest(Time(1), "tcp_output", Time(1), "fabric.deliver", Time(2), "node1.eth0.rxdmb"),
+		digest(Time(1), "tcp_output", Time(1), "fabric.deliver"),
+	} {
+		if other == base {
+			t.Errorf("a different event sequence digests like the base, %#x", base)
 		}
 	}
 }

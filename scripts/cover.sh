@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Coverage gate for the protocol packages: runs the whole suite with
 # cross-package coverage (go test -coverpkg=./...), lists every function
-# in tcp, qpipnic, verbs, hostos, fabric, nbd and sim that no test
-# executes, and fails when one is missing from scripts/cover-allow.txt —
-# or when the allow file names a function that is now reached or gone, so
-# the file only shrinks. Profiles land in bin/ (git-ignored).
+# in tcp, qpipnic, verbs, hostos, fabric, nbd, sim, gige, gm, hw and pool
+# that no test executes, and fails when one is missing from
+# scripts/cover-allow.txt — or when the allow file names a function that
+# is now reached or gone, so the file only shrinks. Profiles land in bin/ (git-ignored).
 #
 # Usage: scripts/cover.sh   (or: make cover)
 set -euo pipefail
@@ -22,7 +22,7 @@ fi
 "$GO" tool cover -func=bin/cover.out >bin/cover.func
 
 # "repro/internal/tcp/conn.go:178:  merge  0.0%" -> "internal/tcp/conn.go merge"
-awk '$NF == "0.0%" && $1 ~ /^repro\/internal\/(tcp|qpipnic|verbs|hostos|fabric|nbd|sim)\/[^\/]+\.go:/ {
+awk '$NF == "0.0%" && $1 ~ /^repro\/internal\/(tcp|qpipnic|verbs|hostos|fabric|nbd|sim|gige|gm|hw|pool)\/[^\/]+\.go:/ {
 	split($1, loc, ":"); sub(/^repro\//, "", loc[1]); print loc[1], $2
 }' bin/cover.func | sort -u >bin/cover.zero
 grep -v -e '^#' -e '^[[:space:]]*$' "$allow" | sort -u >bin/cover.allow
