@@ -28,8 +28,8 @@ func AblationChecksum(totalBytes int) AblationRow {
 		Name:          "receive checksum placement",
 		BaselineLabel: "emulated hardware",
 		VariantLabel:  "firmware loop",
-		Baseline:      qpipTtcp(params.MTUQPIP, qpipnic.ChecksumEmulatedHW, totalBytes, nil),
-		Variant:       qpipTtcp(params.MTUQPIP, qpipnic.ChecksumFirmware, totalBytes, nil),
+		Baseline:      qpipTtcp(params.MTUQPIP, qpipnic.ChecksumEmulatedHW, TtcpChunk, totalBytes, nil),
+		Variant:       qpipTtcp(params.MTUQPIP, qpipnic.ChecksumFirmware, TtcpChunk, totalBytes, nil),
 	}
 }
 
@@ -44,8 +44,8 @@ func AblationPipelinedTX(totalBytes int) AblationRow {
 		Name:          "transmit FSM / send engine overlap",
 		BaselineLabel: "serialized (prototype)",
 		VariantLabel:  "pipelined",
-		Baseline:      qpipTtcp(params.MTUQPIP, qpipnic.ChecksumEmulatedHW, totalBytes, nil),
-		Variant: qpipTtcp(params.MTUQPIP, qpipnic.ChecksumEmulatedHW, totalBytes,
+		Baseline:      qpipTtcp(params.MTUQPIP, qpipnic.ChecksumEmulatedHW, TtcpChunk, totalBytes, nil),
+		Variant: qpipTtcp(params.MTUQPIP, qpipnic.ChecksumEmulatedHW, TtcpChunk, totalBytes,
 			func(cfg *core.NodeConfig) { cfg.QPIPPipelinedTX = true }),
 	}
 }
@@ -62,8 +62,8 @@ func AblationDelAck(totalBytes int) AblationRow {
 		Name:          "firmware ack policy",
 		BaselineLabel: "delayed acks (BSD default)",
 		VariantLabel:  "ack every segment",
-		Baseline:      qpipTtcp(params.MTUEthernet, qpipnic.ChecksumEmulatedHW, totalBytes, nil),
-		Variant: qpipTtcp(params.MTUEthernet, qpipnic.ChecksumEmulatedHW, totalBytes,
+		Baseline:      qpipTtcp(params.MTUEthernet, qpipnic.ChecksumEmulatedHW, TtcpChunk, totalBytes, nil),
+		Variant: qpipTtcp(params.MTUEthernet, qpipnic.ChecksumEmulatedHW, TtcpChunk, totalBytes,
 			func(cfg *core.NodeConfig) { cfg.QPIPNoDelAck = true }),
 	}
 }
@@ -78,7 +78,7 @@ func AblationMTU(totalBytes int) []TtcpRow {
 	mtus := []int{1500, 4096, 9000, 16 * 1024, 32 * 1024}
 	rows := make([]TtcpRow, len(mtus))
 	sweep(len(mtus), func(i int) {
-		m := qpipTtcp(mtus[i], qpipnic.ChecksumEmulatedHW, totalBytes, nil)
+		m := qpipTtcp(mtus[i], qpipnic.ChecksumEmulatedHW, TtcpChunk, totalBytes, nil)
 		rows[i] = TtcpRow{
 			Stack: "QPIP", MTU: mtus[i],
 			MBps: m.MBps, HostCPU: m.effectiveHostCPU(), NICCPU: m.NICCPU,

@@ -74,7 +74,7 @@ func Chaos(totalBytes int) []ChaosRow {
 		}
 
 		if i%2 == 0 {
-			q := qpipTtcp(params.MTUQPIP, qpipnic.ChecksumEmulatedHW, totalBytes, nil, attach)
+			q := qpipTtcp(params.MTUQPIP, qpipnic.ChecksumEmulatedHW, TtcpChunk, totalBytes, nil, attach)
 			net := clusterNet(cl)
 			rows[i] = ChaosRow{
 				Stack: QPIP, DropPct: pct, MBps: q.MBps,

@@ -186,10 +186,7 @@ func collHostBarrierSetup(p *sim.Proc, c *core.Cluster, i, n, total int) func(*s
 		if ch >= n {
 			continue
 		}
-		qp, _, rcq, err := newRC(c.Nodes[i], depth)
-		if err != nil {
-			panic(err)
-		}
+		qp, _, rcq := newQP(c.Nodes[i], verbs.Reliable, depth)
 		lst, err := c.Nodes[i].QPIP.Listen(uint16(7100 + ch))
 		if err != nil {
 			panic(err)
@@ -198,10 +195,7 @@ func collHostBarrierSetup(p *sim.Proc, c *core.Cluster, i, n, total int) func(*s
 		children = append(children, edge{qp, rcq})
 	}
 	if i > 0 {
-		qp, _, rcq, err := newRC(c.Nodes[i], depth)
-		if err != nil {
-			panic(err)
-		}
+		qp, _, rcq := newQP(c.Nodes[i], verbs.Reliable, depth)
 		if err := qp.Connect(p, c.Nodes[(i-1)/2].Addr6, uint16(7100+i)); err != nil {
 			panic(err)
 		}
@@ -259,15 +253,9 @@ func collHostAllreduceSetup(p *sim.Proc, c *core.Cluster, i, n, total, vecWords 
 	steps := 2 * (n - 1)
 	depth := 2 * (total*steps + 2)
 	// Successor edge: this rank is the client.
-	sqp, _, _, err := newRC(c.Nodes[i], depth)
-	if err != nil {
-		panic(err)
-	}
+	sqp, _, _ := newQP(c.Nodes[i], verbs.Reliable, depth)
 	// Predecessor edge: this rank is the server.
-	pqp, _, prcq, err := newRC(c.Nodes[i], depth)
-	if err != nil {
-		panic(err)
-	}
+	pqp, _, prcq := newQP(c.Nodes[i], verbs.Reliable, depth)
 	lst, err := c.Nodes[i].QPIP.Listen(uint16(7200 + i))
 	if err != nil {
 		panic(err)

@@ -38,10 +38,20 @@ func (s StackKind) String() string {
 	}
 }
 
+// hostConfig is the node configuration of a host-based stack: the
+// kernel over GigE or over GM.
+func (s StackKind) hostConfig() core.NodeConfig {
+	if s == IPGigE {
+		return core.NodeConfig{GigE: true}
+	}
+	return core.NodeConfig{GM: true}
+}
+
 // pollWait spin-polls a CQ (the latency-measurement discipline; the
 // paper's overheads were measured "by directly timing the associated
-// communication methods from user-space").
-func pollWait(p *sim.Proc, cq *verbs.CQ) verbs.Completion {
+// communication methods from user-space"). It reaps like (*verbs.CQ).Wait,
+// which blocks on the CQ event line instead.
+func pollWait(cq *verbs.CQ, p *sim.Proc) verbs.Completion {
 	for {
 		if comp, ok := cq.Poll(p); ok {
 			return comp
@@ -49,26 +59,19 @@ func pollWait(p *sim.Proc, cq *verbs.CQ) verbs.Completion {
 	}
 }
 
-// newRC builds a reliable QP with CQs on a node.
-func newRC(node *core.Node, depth int) (*verbs.QP, *verbs.CQ, *verbs.CQ, error) {
-	scq := verbs.NewCQ(node.QPIP, depth*2)
-	rcq := verbs.NewCQ(node.QPIP, depth*2)
+// newQP builds a QP of transport t on a node, send and receive queues
+// depth deep, with its own send and receive CQs of twice that.
+func newQP(node *core.Node, t verbs.TransportType, depth int) (qp *verbs.QP, scq, rcq *verbs.CQ) {
+	scq = verbs.NewCQ(node.QPIP, depth*2)
+	rcq = verbs.NewCQ(node.QPIP, depth*2)
 	qp, err := verbs.NewQP(node.QPIP, verbs.QPConfig{
-		Transport: verbs.Reliable, SendCQ: scq, RecvCQ: rcq,
+		Transport: t, SendCQ: scq, RecvCQ: rcq,
 		SendDepth: depth, RecvDepth: depth,
 	})
-	return qp, scq, rcq, err
-}
-
-// newUD builds an unreliable QP with CQs on a node.
-func newUD(node *core.Node, depth int) (*verbs.QP, *verbs.CQ, *verbs.CQ, error) {
-	scq := verbs.NewCQ(node.QPIP, depth*2)
-	rcq := verbs.NewCQ(node.QPIP, depth*2)
-	qp, err := verbs.NewQP(node.QPIP, verbs.QPConfig{
-		Transport: verbs.Unreliable, SendCQ: scq, RecvCQ: rcq,
-		SendDepth: depth, RecvDepth: depth,
-	})
-	return qp, scq, rcq, err
+	if err != nil {
+		panic(err)
+	}
+	return qp, scq, rcq
 }
 
 // qpipPingPongStats carries everything the RTT and Table 1/2/3
@@ -83,13 +86,17 @@ type qpipPingPongStats struct {
 }
 
 // qpipPingPong runs a reliable 1-byte ping-pong (iters round trips after
-// warmup) on a QPIP cluster with the given checksum mode.
-func qpipPingPong(cs qpipnic.ChecksumMode, mtu, iters int, tweak func(*core.NodeConfig)) qpipPingPongStats {
-	cfg := core.NodeConfig{QPIP: true, QPIPMTU: mtu, QPIPChecksum: cs}
+// warmup) on a QPIP cluster with the given checksum mode. Both sides reap
+// completions with reap: pollWait for the latency and overhead
+// measurements, (*verbs.CQ).Wait for the IRQ ablation, where every
+// message pays the CQ event coalescing delay that tweak sets.
+func qpipPingPong(cs qpipnic.ChecksumMode, iters int, reap func(*verbs.CQ, *sim.Proc) verbs.Completion,
+	tweak func(*core.NodeConfig), prep ...func(*core.Cluster)) qpipPingPongStats {
+	cfg := core.NodeConfig{QPIP: true, QPIPChecksum: cs}
 	if tweak != nil {
 		tweak(&cfg)
 	}
-	c := core.NewCluster(2, cfg)
+	c := prepared(core.NewCluster(2, cfg), prep)
 	var out qpipPingPongStats
 	out.cluster = c
 	const port = 7000
@@ -97,10 +104,7 @@ func qpipPingPong(cs qpipnic.ChecksumMode, mtu, iters int, tweak func(*core.Node
 
 	serverReady := false
 	c.Spawn("server", func(p *sim.Proc) {
-		qp, _, rcq, err := newRC(c.Nodes[1], 2*total)
-		if err != nil {
-			panic(err)
-		}
+		qp, _, rcq := newQP(c.Nodes[1], verbs.Reliable, 2*total)
 		lst, err := c.Nodes[1].QPIP.Listen(port)
 		if err != nil {
 			panic(err)
@@ -114,15 +118,12 @@ func qpipPingPong(cs qpipnic.ChecksumMode, mtu, iters int, tweak func(*core.Node
 		}
 		serverReady = true
 		for i := 0; i < total-1; i++ {
-			pollWait(p, rcq)
+			reap(rcq, p)
 			qp.PostSend(p, verbs.SendWR{ID: uint64(i), Payload: buf.Virtual(1)})
 		}
 	})
 	c.Spawn("client", func(p *sim.Proc) {
-		qp, scq, rcq, err := newRC(c.Nodes[0], 2*total)
-		if err != nil {
-			panic(err)
-		}
+		qp, scq, rcq := newQP(c.Nodes[0], verbs.Reliable, 2*total)
 		if err := qp.Connect(p, c.Nodes[1].Addr6, port); err != nil {
 			panic(err)
 		}
@@ -135,8 +136,8 @@ func qpipPingPong(cs qpipnic.ChecksumMode, mtu, iters int, tweak func(*core.Node
 		cpu := c.Nodes[0].CPU
 		// Warmup round trip.
 		qp.PostSend(p, verbs.SendWR{ID: 0, Payload: buf.Virtual(1)})
-		pollWait(p, rcq)
-		pollWait(p, scq)
+		reap(rcq, p)
+		reap(scq, p)
 		c.Nodes[0].QPIP.ResetStages()
 		c.Nodes[1].QPIP.ResetStages()
 
@@ -146,8 +147,8 @@ func qpipPingPong(cs qpipnic.ChecksumMode, mtu, iters int, tweak func(*core.Node
 			b0 := cpu.BusyTotal()
 			qp.PostSend(p, verbs.SendWR{ID: uint64(i), Payload: buf.Virtual(1)})
 			postSendBusy += cpu.BusyTotal() - b0
-			pollWait(p, rcq) // wait for the echo
-			pollWait(p, scq) // reap the send completion
+			reap(rcq, p) // wait for the echo
+			reap(scq, p) // reap the send completion
 		}
 		rtt := p.Now() - start
 		out.rttUS = rtt.Micros() / float64(iters)
@@ -180,10 +181,7 @@ func qpipUDPPingPong(cs qpipnic.ChecksumMode, iters int, prep ...func(*core.Clus
 	var rttUS float64
 	total := iters + 2
 	c.Spawn("server", func(p *sim.Proc) {
-		qp, _, rcq, err := newUD(c.Nodes[1], 2*total)
-		if err != nil {
-			panic(err)
-		}
+		qp, _, rcq := newQP(c.Nodes[1], verbs.Unreliable, 2*total)
 		if _, err := qp.BindUDP(7001); err != nil {
 			panic(err)
 		}
@@ -191,7 +189,7 @@ func qpipUDPPingPong(cs qpipnic.ChecksumMode, iters int, prep ...func(*core.Clus
 			qp.PostRecv(p, verbs.RecvWR{ID: uint64(i), Capacity: 64})
 		}
 		for i := 0; i < total-1; i++ {
-			comp := pollWait(p, rcq)
+			comp := pollWait(rcq, p)
 			qp.PostSend(p, verbs.SendWR{
 				ID: uint64(i), Payload: buf.Virtual(1),
 				RemoteAddr: comp.RemoteAddr, RemotePort: comp.RemotePort,
@@ -199,10 +197,7 @@ func qpipUDPPingPong(cs qpipnic.ChecksumMode, iters int, prep ...func(*core.Clus
 		}
 	})
 	c.Spawn("client", func(p *sim.Proc) {
-		qp, _, rcq, err := newUD(c.Nodes[0], 2*total)
-		if err != nil {
-			panic(err)
-		}
+		qp, _, rcq := newQP(c.Nodes[0], verbs.Unreliable, 2*total)
 		if _, err := qp.BindUDP(7002); err != nil {
 			panic(err)
 		}
@@ -216,11 +211,11 @@ func qpipUDPPingPong(cs qpipnic.ChecksumMode, iters int, prep ...func(*core.Clus
 			})
 		}
 		send(0) // warmup
-		pollWait(p, rcq)
+		pollWait(rcq, p)
 		start := p.Now()
 		for i := 1; i <= iters; i++ {
 			send(i)
-			pollWait(p, rcq)
+			pollWait(rcq, p)
 		}
 		rttUS = (p.Now() - start).Micros() / float64(iters)
 	})
@@ -230,11 +225,7 @@ func qpipUDPPingPong(cs qpipnic.ChecksumMode, iters int, prep ...func(*core.Clus
 
 // sockPingPong measures the host-stack 1-byte RTT over GigE or GM.
 func sockPingPong(kind StackKind, udp bool, iters int, prep ...func(*core.Cluster)) float64 {
-	cfg := core.NodeConfig{GM: true}
-	if kind == IPGigE {
-		cfg = core.NodeConfig{GigE: true}
-	}
-	c := prepared(core.NewCluster(2, cfg), prep)
+	c := prepared(core.NewCluster(2, kind.hostConfig()), prep)
 	var rttUS float64
 	if udp {
 		c.Spawn("server", func(p *sim.Proc) {

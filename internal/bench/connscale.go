@@ -9,6 +9,7 @@ import (
 	"repro/internal/hostos"
 	"repro/internal/nbd"
 	"repro/internal/params"
+	"repro/internal/qpipnic"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/verbs"
@@ -88,72 +89,70 @@ type ConnReport struct {
 
 // ---- QPIP incast. ----
 
+// connServer parks row.Conns server QPs on one listener at connPort, all
+// completing into one receive CQ, and fills every receive pool with
+// bufCap-byte buffers. With useSRQ the QPs share one pool of
+// connPoolWRs(conns, perConn) WRs; without it each QP owns a perConn-deep
+// pool. It records the provisioned memory in row: the adapter's SRAM,
+// and on the host the pools' HostMemBytes plus one QP struct per
+// connection.
+func connServer(p *sim.Proc, nic *qpipnic.NIC, row *ConnRow, useSRQ bool, perConn, bufCap int) (qps []*verbs.QP, rcq, scq *verbs.CQ) {
+	conns := row.Conns
+	rcq = verbs.NewCQ(nic, row.Requests+8)
+	scq = verbs.NewCQ(nic, 2*conns+8)
+	qpCfg := verbs.QPConfig{Transport: verbs.Reliable, SendCQ: scq, RecvCQ: rcq, SendDepth: 4, RecvDepth: perConn}
+	if useSRQ {
+		srq, err := verbs.NewSRQ(nic, verbs.SRQConfig{Depth: connPoolWRs(conns, perConn)})
+		if err != nil {
+			panic(err)
+		}
+		qpCfg.SRQ = srq
+	}
+	lst, err := nic.Listen(connPort)
+	if err != nil {
+		panic(err)
+	}
+	qps = make([]*verbs.QP, conns)
+	for i := range qps {
+		qp, err := verbs.NewQP(nic, qpCfg)
+		if err != nil {
+			panic(err)
+		}
+		if err := lst.Post(qp); err != nil {
+			panic(err)
+		}
+		qps[i] = qp
+	}
+	row.HostMemBytes = conns * params.HostQPBytes
+	for i, qp := range qps {
+		pool := qp.SRQ()
+		if pool.Owner() == nil && i > 0 {
+			continue // the shared pool, filled through the first QP
+		}
+		for k := 0; k < pool.Depth(); k++ {
+			if err := pool.PostRecv(p, verbs.RecvWR{ID: uint64(k), Capacity: bufCap}); err != nil {
+				panic(err)
+			}
+		}
+		row.HostMemBytes += pool.HostMemBytes()
+	}
+	row.SRAMBytes = nic.SRAMFootprint()
+	return qps, rcq, scq
+}
+
 // incastQPIP drives conns clients into one server adapter, each sending
 // msgs messages of connMsgBytes. With useSRQ the server's receive
 // buffers come from one shared pool reposted per completion; without it
 // each QP pre-posts msgs private buffers.
-func incastQPIP(conns, msgs int, useSRQ bool) ConnRow {
-	c := core.NewCluster(2, core.NodeConfig{QPIP: true, QPIPMaxQPs: conns + 64})
+func incastQPIP(conns, msgs int, useSRQ bool, prep ...func(*core.Cluster)) ConnRow {
+	c := prepared(core.NewCluster(2, core.NodeConfig{QPIP: true, QPIPMaxQPs: conns + 64}), prep)
 	nicC, nicS := c.Nodes[0].QPIP, c.Nodes[1].QPIP
-	row := ConnRow{Workload: "incast", Conns: conns, Requests: conns * msgs,
-		Variant: map[bool]string{true: "qpip-srq", false: "qpip-priv"}[useSRQ]}
+	row := ConnRow{Conns: conns, Requests: conns * msgs}
 
 	c.Spawn("incast-server", func(p *sim.Proc) {
-		rcq := verbs.NewCQ(nicS, conns*msgs+8)
-		scq := verbs.NewCQ(nicS, 8)
-		var srq *verbs.SRQ
-		pool := 0
-		if useSRQ {
-			pool = connPoolWRs(conns, msgs)
-			var err error
-			srq, err = verbs.NewSRQ(nicS, verbs.SRQConfig{Depth: pool})
-			if err != nil {
-				panic(err)
-			}
-		}
-		lst, err := nicS.Listen(connPort)
-		if err != nil {
-			panic(err)
-		}
-		qps := make([]*verbs.QP, conns)
-		for i := range qps {
-			qpCfg := verbs.QPConfig{Transport: verbs.Reliable, SendCQ: scq, RecvCQ: rcq, SendDepth: 2}
-			if useSRQ {
-				qpCfg.SRQ = srq
-			} else {
-				qpCfg.RecvDepth = msgs
-			}
-			qp, err := verbs.NewQP(nicS, qpCfg)
-			if err != nil {
-				panic(err)
-			}
-			if err := lst.Post(qp); err != nil {
-				panic(err)
-			}
-			qps[i] = qp
-		}
-		// Provision receive buffers, then snapshot the committed memory.
-		if useSRQ {
-			for i := 0; i < pool; i++ {
-				if err := srq.PostRecv(p, verbs.RecvWR{ID: uint64(i), Capacity: connMsgBytes}); err != nil {
-					panic(err)
-				}
-			}
-			row.HostMemBytes = srq.HostMemBytes() + conns*params.HostQPBytes
-		} else {
-			host := conns * params.HostQPBytes
-			for _, qp := range qps {
-				for m := 0; m < msgs; m++ {
-					if err := qp.PostRecv(p, verbs.RecvWR{ID: uint64(m), Capacity: connMsgBytes}); err != nil {
-						panic(err)
-					}
-				}
-				host += qp.PostedRecvBytes() + msgs*params.HostWRBytes
-			}
-			row.HostMemBytes = host
-		}
-		row.SRAMBytes = nicS.SRAMFootprint()
-		// Pool reposts are batched through PostRecvN: one doorbell per 16
+		qps, rcq, _ := connServer(p, nicS, &row, useSRQ, msgs, connMsgBytes)
+		// Private pools already hold every message's buffer. Shared-pool
+		// reposts are batched through PostRecvN: one doorbell per 16
 		// claims. Late arrivals ride the RNR stash until the batch posts.
 		repost := make([]verbs.RecvWR, 0, 16)
 		for got := 0; got < conns*msgs; got++ {
@@ -164,7 +163,7 @@ func incastQPIP(conns, msgs int, useSRQ bool) ConnRow {
 			if useSRQ {
 				repost = append(repost, verbs.RecvWR{ID: 0, Capacity: connMsgBytes})
 				if len(repost) == cap(repost) {
-					if _, err := srq.PostRecvN(p, repost); err != nil {
+					if _, err := qps[0].SRQ().PostRecvN(p, repost); err != nil {
 						panic(err)
 					}
 					repost = repost[:0]
@@ -208,11 +207,9 @@ func incastQPIP(conns, msgs int, useSRQ bool) ConnRow {
 
 // incastSock is the host-stack incast: conns sockets into one kernel.
 func incastSock(kind StackKind, conns, msgs int) ConnRow {
-	cfg := core.NodeConfig{GigE: kind == IPGigE, GM: kind == IPMyrinet}
-	c := core.NewCluster(2, cfg)
+	c := core.NewCluster(2, kind.hostConfig())
 	k := c.Nodes[1].Kernel
-	row := ConnRow{Workload: "incast", Conns: conns, Requests: conns * msgs,
-		Variant: map[StackKind]string{IPGigE: "ip-gige", IPMyrinet: "ip-myrinet"}[kind]}
+	row := ConnRow{Conns: conns, Requests: conns * msgs}
 
 	c.Spawn("incast-server", func(p *sim.Proc) {
 		lst := k.NewSocket(hostos.TCPSock)
@@ -272,8 +269,7 @@ func churnQPIP(conns int, useSRQ bool) ConnRow {
 	}
 	c := core.NewCluster(2, core.NodeConfig{QPIP: true, QPIPMaxQPs: 4*w + 64})
 	nicC, nicS := c.Nodes[0].QPIP, c.Nodes[1].QPIP
-	row := ConnRow{Workload: "churn", Conns: conns, Requests: conns,
-		Variant: map[bool]string{true: "qpip-srq", false: "qpip-priv"}[useSRQ]}
+	row := ConnRow{Conns: conns, Requests: conns}
 
 	var srq *verbs.SRQ
 	if useSRQ {
@@ -412,11 +408,9 @@ func churnSock(kind StackKind, conns int) ConnRow {
 	if conns < w {
 		w = conns
 	}
-	cfg := core.NodeConfig{GigE: kind == IPGigE, GM: kind == IPMyrinet}
-	c := core.NewCluster(2, cfg)
+	c := core.NewCluster(2, kind.hostConfig())
 	k := c.Nodes[1].Kernel
-	row := ConnRow{Workload: "churn", Conns: conns, Requests: conns,
-		Variant: map[StackKind]string{IPGigE: "ip-gige", IPMyrinet: "ip-myrinet"}[kind]}
+	row := ConnRow{Conns: conns, Requests: conns}
 
 	workerRounds := func(i int) int {
 		r := conns / w
@@ -475,70 +469,19 @@ func churnSock(kind StackKind, conns int) ConnRow {
 // one shared receive CQ; they differ only in where request buffers live:
 // a shared pool (SRQ) or 2 private buffers per QP, each sized for the
 // largest request a client may send.
-func nbdConnQPIP(conns, msgs int, useSRQ bool) ConnRow {
-	c := core.NewCluster(2, core.NodeConfig{QPIP: true, QPIPMaxQPs: conns + 64})
+func nbdConnQPIP(conns, msgs int, useSRQ bool, prep ...func(*core.Cluster)) ConnRow {
+	c := prepared(core.NewCluster(2, core.NodeConfig{QPIP: true, QPIPMaxQPs: conns + 64}), prep)
 	nicC, nicS := c.Nodes[0].QPIP, c.Nodes[1].QPIP
 	disk := storage.NewDisk(c.Eng, "connscale.disk", int64(conns)*int64(msgs)*connNBDRead+(64<<20))
 	dev := &storage.LocalDev{D: disk}
-	row := ConnRow{Workload: "nbd", Conns: conns, Requests: conns * msgs,
-		Variant: map[bool]string{true: "qpip-srq", false: "qpip-priv"}[useSRQ]}
+	row := ConnRow{Conns: conns, Requests: conns * msgs}
 
 	c.Spawn("nbd-server", func(p *sim.Proc) {
-		rcq := verbs.NewCQ(nicS, conns*msgs+8)
-		scq := verbs.NewCQ(nicS, 2*conns+8)
-		var srq *verbs.SRQ
-		pool := 0
-		if useSRQ {
-			pool = connPoolWRs(conns, 2)
-			var err error
-			srq, err = verbs.NewSRQ(nicS, verbs.SRQConfig{Depth: pool})
-			if err != nil {
-				panic(err)
-			}
-		}
-		lst, err := nicS.Listen(connPort)
-		if err != nil {
-			panic(err)
-		}
-		qps := make([]*verbs.QP, conns)
+		qps, rcq, scq := connServer(p, nicS, &row, useSRQ, 2, connNBDBufCap)
 		byQPN := make(map[uint32]*verbs.QP, conns)
-		for i := range qps {
-			qpCfg := verbs.QPConfig{Transport: verbs.Reliable, SendCQ: scq, RecvCQ: rcq, SendDepth: 4}
-			if useSRQ {
-				qpCfg.SRQ = srq
-			} else {
-				qpCfg.RecvDepth = 2
-			}
-			qp, err := verbs.NewQP(nicS, qpCfg)
-			if err != nil {
-				panic(err)
-			}
-			if err := lst.Post(qp); err != nil {
-				panic(err)
-			}
-			qps[i] = qp
+		for _, qp := range qps {
 			byQPN[qp.QPN] = qp
 		}
-		if useSRQ {
-			for i := 0; i < pool; i++ {
-				if err := srq.PostRecv(p, verbs.RecvWR{ID: uint64(i), Capacity: connNBDBufCap}); err != nil {
-					panic(err)
-				}
-			}
-			row.HostMemBytes = srq.HostMemBytes() + conns*params.HostQPBytes
-		} else {
-			host := conns * params.HostQPBytes
-			for _, qp := range qps {
-				for m := 0; m < 2; m++ {
-					if err := qp.PostRecv(p, verbs.RecvWR{ID: uint64(m), Capacity: connNBDBufCap}); err != nil {
-						panic(err)
-					}
-				}
-				host += qp.PostedRecvBytes() + 2*params.HostWRBytes
-			}
-			row.HostMemBytes = host
-		}
-		row.SRAMBytes = nicS.SRAMFootprint()
 		for served := 0; served < conns*msgs; served++ {
 			comp := rcq.Wait(p)
 			if comp.Status != verbs.StatusSuccess {
@@ -557,13 +500,7 @@ func nbdConnQPIP(conns, msgs int, useSRQ bool) ConnRow {
 			if err := qp.PostSend(p, verbs.SendWR{ID: req.Handle, Payload: reply}); err != nil {
 				panic(err)
 			}
-			wr := verbs.RecvWR{ID: 0, Capacity: connNBDBufCap}
-			if useSRQ {
-				err = srq.PostRecv(p, wr)
-			} else {
-				err = qp.PostRecv(p, wr)
-			}
-			if err != nil {
+			if err := qp.SRQ().PostRecv(p, verbs.RecvWR{ID: 0, Capacity: connNBDBufCap}); err != nil {
 				panic(err)
 			}
 			// Reap send completions lazily; depth 4 rides out the lag.
@@ -621,13 +558,11 @@ func nbdConnQPIP(conns, msgs int, useSRQ bool) ConnRow {
 
 // nbdConnSock is the host-stack NBD block service at conns clients.
 func nbdConnSock(kind StackKind, conns, msgs int) ConnRow {
-	cfg := core.NodeConfig{GigE: kind == IPGigE, GM: kind == IPMyrinet}
-	c := core.NewCluster(2, cfg)
+	c := core.NewCluster(2, kind.hostConfig())
 	k := c.Nodes[1].Kernel
 	disk := storage.NewDisk(c.Eng, "connscale.disk", int64(conns)*int64(msgs)*connNBDRead+(64<<20))
 	dev := &storage.LocalDev{D: disk}
-	row := ConnRow{Workload: "nbd", Conns: conns, Requests: conns * msgs,
-		Variant: map[StackKind]string{IPGigE: "ip-gige", IPMyrinet: "ip-myrinet"}[kind]}
+	row := ConnRow{Conns: conns, Requests: conns * msgs}
 
 	served := 0
 	c.Spawn("nbd-server", func(p *sim.Proc) {
@@ -701,35 +636,42 @@ func nbdConnSock(kind StackKind, conns, msgs int) ConnRow {
 
 // ---- Sweep and report. ----
 
-// connPoint dispatches one sweep point.
-func connPoint(workload, variant string, conns, msgs int) ConnRow {
-	switch workload + "/" + variant {
-	case "incast/qpip-srq":
-		return incastQPIP(conns, msgs, true)
-	case "incast/qpip-priv":
-		return incastQPIP(conns, msgs, false)
-	case "incast/ip-gige":
-		return incastSock(IPGigE, conns, msgs)
-	case "incast/ip-myrinet":
-		return incastSock(IPMyrinet, conns, msgs)
-	case "churn/qpip-srq":
-		return churnQPIP(conns, true)
-	case "churn/qpip-priv":
-		return churnQPIP(conns, false)
-	case "churn/ip-gige":
-		return churnSock(IPGigE, conns)
-	case "churn/ip-myrinet":
-		return churnSock(IPMyrinet, conns)
-	case "nbd/qpip-srq":
-		return nbdConnQPIP(conns, msgs, true)
-	case "nbd/qpip-priv":
-		return nbdConnQPIP(conns, msgs, false)
-	case "nbd/ip-gige":
-		return nbdConnSock(IPGigE, conns, msgs)
-	case "nbd/ip-myrinet":
-		return nbdConnSock(IPMyrinet, conns, msgs)
+// connWorkloads are the sweep's workloads, in report order.
+var connWorkloads = []string{"incast", "churn", "nbd"}
+
+// connVariant is one stack of the sweep.
+type connVariant struct {
+	name   string
+	kind   StackKind
+	useSRQ bool // QPIP receive buffers in one shared pool
+}
+
+// connVariants are the sweep's stacks, in report order.
+var connVariants = []connVariant{
+	{"qpip-srq", QPIP, true}, {"qpip-priv", QPIP, false},
+	{"ip-gige", IPGigE, false}, {"ip-myrinet", IPMyrinet, false},
+}
+
+// connPoint runs one sweep point.
+func connPoint(workload string, v connVariant, conns, msgs int) ConnRow {
+	var row ConnRow
+	qpip := v.kind == QPIP
+	switch {
+	case workload == "incast" && qpip:
+		row = incastQPIP(conns, msgs, v.useSRQ)
+	case workload == "incast":
+		row = incastSock(v.kind, conns, msgs)
+	case workload == "churn" && qpip:
+		row = churnQPIP(conns, v.useSRQ)
+	case workload == "churn":
+		row = churnSock(v.kind, conns)
+	case qpip:
+		row = nbdConnQPIP(conns, msgs, v.useSRQ)
+	default:
+		row = nbdConnSock(v.kind, conns, msgs)
 	}
-	panic("unknown connscale point " + workload + "/" + variant)
+	row.Workload, row.Variant = workload, v.name
+	return row
 }
 
 // Connscale runs the full connection-density sweep. counts is the
@@ -742,15 +684,14 @@ func Connscale(counts []int, msgs int) ConnReport {
 	if msgs <= 0 {
 		msgs = 4
 	}
-	workloads := []string{"incast", "churn", "nbd"}
-	variants := []string{"qpip-srq", "qpip-priv", "ip-gige", "ip-myrinet"}
 	type point struct {
-		w, v  string
+		w     string
+		v     connVariant
 		conns int
 	}
 	var pts []point
-	for _, w := range workloads {
-		for _, v := range variants {
+	for _, w := range connWorkloads {
+		for _, v := range connVariants {
 			for _, n := range counts {
 				pts = append(pts, point{w, v, n})
 			}
@@ -769,7 +710,7 @@ func RenderConnscale(r ConnReport) string {
 	fmt.Fprintf(&b, "Connection density: per-connection memory and host CPU per request\n")
 	fmt.Fprintf(&b, "(%d msgs/conn; incast %d B messages, nbd %d B reads; churn is 1 rpc/conn)\n",
 		r.MsgsPerConn, connMsgBytes, connNBDRead)
-	for _, w := range []string{"incast", "churn", "nbd"} {
+	for _, w := range connWorkloads {
 		fmt.Fprintf(&b, "\n-- %s --\n", w)
 		fmt.Fprintf(&b, "%-11s %6s %9s %12s %12s %12s %11s %8s %9s\n",
 			"variant", "conns", "requests", "mem/conn (B)", "sram (B)", "host (B)", "cpu/req(us)", "live@end", "t (ms)")

@@ -7,6 +7,7 @@ import (
 	"repro/internal/params"
 	"repro/internal/qpipnic"
 	"repro/internal/sim"
+	"repro/internal/verbs"
 )
 
 // TestEventDigests pins sim.Engine.Digest — a hash over every fired
@@ -17,6 +18,8 @@ import (
 // and gm DMA and firmware stages, the host stack's tcp_output/udp_output,
 // softirq and transport-input charges, the rx coalescer's ISR reap and
 // the loopback delivery, plus an adapter crash and restart mid-transfer.
+// It also pins the shared drivers behind the IRQ ablation (CQ event
+// coalescing), connscale (private and shared receive pools) and Figure 7.
 // A change to the mechanism behind those stages must leave every line
 // here unchanged; a change to the modelled behaviour moves them, and the
 // new values are recorded with the reason.
@@ -33,7 +36,7 @@ func TestEventDigests(t *testing.T) {
 		digest uint64
 	}{
 		{"qpip-tcp-ttcp", func(grab func(*core.Cluster)) {
-			qpipTtcp(params.MTUQPIP, qpipnic.ChecksumEmulatedHW, 256<<10, nil, grab)
+			qpipTtcp(params.MTUQPIP, qpipnic.ChecksumEmulatedHW, TtcpChunk, 256<<10, nil, grab)
 		}, 644, 0xaad09de930677c11},
 		{"qpip-udp-exchange", func(grab func(*core.Cluster)) {
 			qpipUDPPingPong(qpipnic.ChecksumEmulatedHW, 8, grab)
@@ -63,6 +66,27 @@ func TestEventDigests(t *testing.T) {
 					row.Crashes, row.Verified, row.Sessions)
 			}
 		}, 18040, 0xa4f72c27541dc3d3},
+		{"irq-stream", func(grab func(*core.Cluster)) {
+			qpipTtcp(params.MTUQPIP, qpipnic.ChecksumEmulatedHW, irqStreamMsg, 256<<10, irqCoalesce(150), grab)
+		}, 2150, 0xab2279c54fd8aab8},
+		{"incast-priv", func(grab func(*core.Cluster)) {
+			incastQPIP(64, 2, false, grab)
+		}, 7358, 0x0a893a0f702a99ed},
+		{"incast-srq", func(grab func(*core.Cluster)) {
+			incastQPIP(64, 2, true, grab)
+		}, 8078, 0x5f7e5823e9edf695},
+		{"nbd-conns-priv", func(grab func(*core.Cluster)) {
+			nbdConnQPIP(64, 2, false, grab)
+		}, 13424, 0x76e439730fbbf862},
+		{"nbd-fig7", func(grab func(*core.Cluster)) {
+			nbdQPIPRun(1<<20, grab)
+		}, 16994, 0x8ec21657c4814a3a},
+		// The IRQ ablation's blocking ping-pong runs the Figure 3 driver,
+		// whose Table 1 PostRecv cost probe after the timed loop adds two
+		// events to the 670 (digest 0x5f7958ab98c596fc) of a run without it.
+		{"irq-blocking-pingpong", func(grab func(*core.Cluster)) {
+			qpipPingPong(qpipnic.ChecksumEmulatedHW, 8, (*verbs.CQ).Wait, irqCoalesce(150), grab)
+		}, 672, 0x3cbf9e76cc035dc8},
 	}
 	for _, tc := range cases {
 		var eng *sim.Engine

@@ -41,13 +41,13 @@ func Figure3(iters int) []RTTRow {
 			rows[i] = RTTRow{
 				Stack: "QPIP (emulated hw csum)",
 				UDPus: qpipUDPPingPong(qpipnic.ChecksumEmulatedHW, iters),
-				TCPus: qpipPingPong(qpipnic.ChecksumEmulatedHW, params.MTUQPIP, iters, nil).rttUS,
+				TCPus: qpipPingPong(qpipnic.ChecksumEmulatedHW, iters, pollWait, nil).rttUS,
 			}
 		case 3:
 			rows[i] = RTTRow{
 				Stack:      "QPIP (firmware csum)",
 				UDPus:      qpipUDPPingPong(qpipnic.ChecksumFirmware, iters),
-				TCPus:      qpipPingPong(qpipnic.ChecksumFirmware, params.MTUQPIP, iters, nil).rttUS,
+				TCPus:      qpipPingPong(qpipnic.ChecksumFirmware, iters, pollWait, nil).rttUS,
 				PaperUDPus: 73, PaperTCPus: 113,
 			}
 		}
@@ -94,7 +94,7 @@ func Figure4(totalBytes int) []TtcpRow {
 			}
 		case i < 2+len(qpipMTUs):
 			mtu := qpipMTUs[i-2]
-			q := qpipTtcp(mtu, qpipnic.ChecksumEmulatedHW, totalBytes, nil)
+			q := qpipTtcp(mtu, qpipnic.ChecksumEmulatedHW, TtcpChunk, totalBytes, nil)
 			paper := 0.0
 			switch mtu {
 			case params.MTUEthernet:
@@ -110,7 +110,7 @@ func Figure4(totalBytes int) []TtcpRow {
 				PaperMBps: paper,
 			}
 		default:
-			fw := qpipTtcp(params.MTUQPIP, qpipnic.ChecksumFirmware, totalBytes, nil)
+			fw := qpipTtcp(params.MTUQPIP, qpipnic.ChecksumFirmware, TtcpChunk, totalBytes, nil)
 			rows[i] = TtcpRow{
 				Stack: "QPIP (fw csum)", MTU: params.MTUQPIP,
 				MBps: fw.MBps, HostCPU: fw.effectiveHostCPU(), NICCPU: fw.NICCPU,
@@ -141,7 +141,7 @@ func Table1(iters int) []OverheadRow {
 		iters = 50
 	}
 	host := hostLoopbackOverhead(iters)
-	q := qpipPingPong(qpipnic.ChecksumEmulatedHW, params.MTUQPIP, iters, nil)
+	q := qpipPingPong(qpipnic.ChecksumEmulatedHW, iters, pollWait, nil)
 	return []OverheadRow{
 		{Stack: "Host-based IP", Micros: host, Cycles: cyclesAt(host), PaperMicros: 29.9, PaperCycles: 16445},
 		{Stack: "QPIP", Micros: q.hostPerMsgUS, Cycles: cyclesAt(q.hostPerMsgUS), PaperMicros: 2.5, PaperCycles: 1386},
@@ -189,7 +189,7 @@ var table3Stages = []struct {
 
 // occupancyRun runs a 1-byte ping-pong and returns the instrumented NICs.
 func occupancyRun(iters int) (*qpipnic.NIC, *qpipnic.NIC) {
-	st := qpipPingPong(qpipnic.ChecksumEmulatedHW, params.MTUQPIP, iters, nil)
+	st := qpipPingPong(qpipnic.ChecksumEmulatedHW, iters, pollWait, nil)
 	return st.cluster.Nodes[0].QPIP, st.cluster.Nodes[1].QPIP
 }
 

@@ -64,13 +64,7 @@ func nbdPhases(p *sim.Proc, fs *storage.FS, cpu *sim.CPU, total int, row *NBDRow
 
 // nbdSockRun measures one sockets-based stack.
 func nbdSockRun(kind StackKind, total int) NBDRow {
-	var cfg core.NodeConfig
-	if kind == IPGigE {
-		cfg = core.NodeConfig{GigE: true}
-	} else {
-		cfg = core.NodeConfig{GM: true}
-	}
-	c := core.NewCluster(2, cfg)
+	c := core.NewCluster(2, kind.hostConfig())
 	diskSize := int64(total) + (64 << 20)
 	disk := storage.NewDisk(c.Eng, "server.disk", diskSize)
 	row := NBDRow{Stack: kind.String()}
@@ -101,22 +95,14 @@ func nbdSockRun(kind StackKind, total int) NBDRow {
 
 // nbdQPIPRun measures the QPIP stack at the 9000 B MTU the paper used
 // for its NBD runs.
-func nbdQPIPRun(total int) NBDRow {
-	c := core.NewCluster(2, core.NodeConfig{QPIP: true, QPIPMTU: params.MTUJumbo})
+func nbdQPIPRun(total int, prep ...func(*core.Cluster)) NBDRow {
+	c := prepared(core.NewCluster(2, core.NodeConfig{QPIP: true, QPIPMTU: params.MTUJumbo}), prep)
 	diskSize := int64(total) + (64 << 20)
 	disk := storage.NewDisk(c.Eng, "server.disk", diskSize)
 	maxMsg := c.Nodes[0].QPIP.MaxMessage()
 	row := NBDRow{Stack: "QPIP"}
 	c.Spawn("nbd-server", func(p *sim.Proc) {
-		scq := verbs.NewCQ(c.Nodes[1].QPIP, 1024)
-		rcq := verbs.NewCQ(c.Nodes[1].QPIP, 1024)
-		qp, err := verbs.NewQP(c.Nodes[1].QPIP, verbs.QPConfig{
-			Transport: verbs.Reliable, SendCQ: scq, RecvCQ: rcq,
-			SendDepth: 512, RecvDepth: 512,
-		})
-		if err != nil {
-			panic(err)
-		}
+		qp, scq, rcq := newQP(c.Nodes[1], verbs.Reliable, 512)
 		lst, err := c.Nodes[1].QPIP.Listen(10809)
 		if err != nil {
 			panic(err)
@@ -128,15 +114,7 @@ func nbdQPIPRun(total int) NBDRow {
 		nbd.ServeQP(p, c.Nodes[1].CPU, qp, scq, rcq, maxMsg, disk)
 	})
 	c.Spawn("nbd-client", func(p *sim.Proc) {
-		scq := verbs.NewCQ(c.Nodes[0].QPIP, 1024)
-		rcq := verbs.NewCQ(c.Nodes[0].QPIP, 1024)
-		qp, err := verbs.NewQP(c.Nodes[0].QPIP, verbs.QPConfig{
-			Transport: verbs.Reliable, SendCQ: scq, RecvCQ: rcq,
-			SendDepth: 512, RecvDepth: 512,
-		})
-		if err != nil {
-			panic(err)
-		}
+		qp, scq, rcq := newQP(c.Nodes[0], verbs.Reliable, 512)
 		if err := qp.Connect(p, c.Nodes[1].Addr6, 10809); err != nil {
 			panic(err)
 		}
@@ -166,15 +144,4 @@ func Figure7(totalBytes int) []NBDRow {
 		}
 	})
 	return rows
-}
-
-// Figure7Single runs the NBD benchmark on one stack.
-func Figure7Single(kind StackKind, totalBytes int) []NBDRow {
-	if totalBytes <= 0 {
-		totalBytes = 409 << 20
-	}
-	if kind == QPIP {
-		return []NBDRow{nbdQPIPRun(totalBytes)}
-	}
-	return []NBDRow{nbdSockRun(kind, totalBytes)}
 }

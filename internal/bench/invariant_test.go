@@ -12,7 +12,7 @@ import (
 // number of events the engine fired.
 func ttcpEvents(totalBytes int) uint64 {
 	var cl *core.Cluster
-	qpipTtcp(params.MTUQPIP, qpipnic.ChecksumEmulatedHW, totalBytes, nil,
+	qpipTtcp(params.MTUQPIP, qpipnic.ChecksumEmulatedHW, TtcpChunk, totalBytes, nil,
 		func(c *core.Cluster) { cl = c })
 	return cl.Eng.Fired()
 }

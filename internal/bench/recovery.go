@@ -11,7 +11,6 @@ import (
 	"repro/internal/params"
 	"repro/internal/sim"
 	"repro/internal/storage"
-	"repro/internal/trace"
 	"repro/internal/verbs"
 )
 
@@ -126,30 +125,14 @@ func recoveryRun(s recoverySpec, total int, baselineMBps float64, prep ...func(*
 	}
 
 	c.Spawn("nbd-server", func(p *sim.Proc) {
-		scq := verbs.NewCQ(c.Nodes[1].QPIP, 1024)
-		rcq := verbs.NewCQ(c.Nodes[1].QPIP, 1024)
-		qp, err := verbs.NewQP(c.Nodes[1].QPIP, verbs.QPConfig{
-			Transport: verbs.Reliable, SendCQ: scq, RecvCQ: rcq,
-			SendDepth: 512, RecvDepth: 512,
-		})
-		if err != nil {
-			panic(err)
-		}
+		qp, scq, rcq := newQP(c.Nodes[1], verbs.Reliable, 512)
 		nbd.ServeQPResilient(p, c.Nodes[1].CPU, c.Nodes[1].QPIP, 10809,
 			qp, scq, rcq, maxMsg, disk, s.pol)
 	})
 
 	var cli *nbd.QPClient
 	c.Spawn("nbd-client", func(p *sim.Proc) {
-		scq := verbs.NewCQ(c.Nodes[0].QPIP, 1024)
-		rcq := verbs.NewCQ(c.Nodes[0].QPIP, 1024)
-		qp, err := verbs.NewQP(c.Nodes[0].QPIP, verbs.QPConfig{
-			Transport: verbs.Reliable, SendCQ: scq, RecvCQ: rcq,
-			SendDepth: 512, RecvDepth: 512,
-		})
-		if err != nil {
-			panic(err)
-		}
+		qp, scq, rcq := newQP(c.Nodes[0], verbs.Reliable, 512)
 		// The initial rendezvous goes through the same backoff machinery as
 		// recovery: an early-scheduled fault may land mid-handshake.
 		if err := qp.Reconnect(p, c.Nodes[1].Addr6, 10809, s.pol); err != nil {
@@ -209,10 +192,7 @@ func recoveryRun(s recoverySpec, total int, baselineMBps float64, prep ...func(*
 
 	c.Run()
 
-	net := trace.NewCounters()
-	for _, n := range c.Nodes {
-		n.QPIP.AddConnCounters(net)
-	}
+	net := clusterNet(c)
 	row.Sessions = cli.Sessions()
 	row.Replays = cli.Replays()
 	row.Retransmits = net.Get("tx.retransmit")

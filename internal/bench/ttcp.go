@@ -4,7 +4,6 @@ import (
 	"repro/internal/buf"
 	"repro/internal/core"
 	"repro/internal/hostos"
-	"repro/internal/params"
 	"repro/internal/qpipnic"
 	"repro/internal/sim"
 	"repro/internal/verbs"
@@ -17,6 +16,9 @@ type TtcpMeasure struct {
 	SendCPU, RecvCPU float64
 	// NICCPU is the sender-side adapter processor utilization (QPIP only).
 	NICCPU float64
+	// wakesPerMsg is receiver CQ event-line firings per message (QPIP
+	// only): below 1.0, one interrupt serviced a train of completions.
+	wakesPerMsg float64
 }
 
 // ttcp parameters: "a 10MB transfer in 16KB chunks with the TCP_NODELAY
@@ -26,20 +28,19 @@ const (
 )
 
 // qpipTtcp runs the ttcp-equivalent over a QPIP cluster: messages of
-// min(chunk, maxMessage), pipelined with a bounded number outstanding,
+// min(msgSize, maxMessage), pipelined with a bounded number outstanding,
 // completions reaped with Wait (the utilization-measurement discipline —
-// a blocked ttcp burns no cycles).
+// a blocked ttcp burns no cycles). Figure 4 sends TtcpChunk messages; the
+// IRQ ablation sends smaller ones to outpace its coalescing delays.
 // prep hooks run against the built cluster before any traffic; the chaos
 // sweep uses one to attach a fault injector.
-func qpipTtcp(mtu int, cs qpipnic.ChecksumMode, total int, tweak func(*core.NodeConfig), prep ...func(*core.Cluster)) TtcpMeasure {
+func qpipTtcp(mtu int, cs qpipnic.ChecksumMode, msgSize, total int, tweak func(*core.NodeConfig), prep ...func(*core.Cluster)) TtcpMeasure {
 	cfg := core.NodeConfig{QPIP: true, QPIPMTU: mtu, QPIPChecksum: cs}
 	if tweak != nil {
 		tweak(&cfg)
 	}
 	c := prepared(core.NewCluster(2, cfg), prep)
-	maxMsg := c.Nodes[0].QPIP.MaxMessage()
-	msgSize := TtcpChunk
-	if msgSize > maxMsg {
+	if maxMsg := c.Nodes[0].QPIP.MaxMessage(); msgSize > maxMsg {
 		msgSize = maxMsg
 	}
 	nMsgs := (total + msgSize - 1) / msgSize
@@ -49,13 +50,11 @@ func qpipTtcp(mtu int, cs qpipnic.ChecksumMode, total int, tweak func(*core.Node
 	var out TtcpMeasure
 	var start, end sim.Time
 	var sndBusy0, rcvBusy0, nicBusy0 sim.Time
+	var wakes uint64
 
 	const batch = 16 // WRs per batch verb call
 	c.Spawn("server", func(p *sim.Proc) {
-		qp, _, rcq, err := newRC(c.Nodes[1], 2*window)
-		if err != nil {
-			panic(err)
-		}
+		qp, _, rcq := newQP(c.Nodes[1], verbs.Reliable, 2*window)
 		lst, err := c.Nodes[1].QPIP.Listen(port)
 		if err != nil {
 			panic(err)
@@ -64,6 +63,8 @@ func qpipTtcp(mtu int, cs qpipnic.ChecksumMode, total int, tweak func(*core.Node
 		if err := qp.WaitEstablished(p); err != nil {
 			panic(err)
 		}
+		line := rcq.EventLine()
+		fired0 := line.Fired()
 		var rwrs [batch]verbs.RecvWR
 		var comps [window]verbs.Completion
 		posted, got := 0, 0
@@ -91,12 +92,10 @@ func qpipTtcp(mtu int, cs qpipnic.ChecksumMode, total int, tweak func(*core.Node
 			postMore()
 		}
 		end = p.Now()
+		wakes = line.Fired() - fired0
 	})
 	c.Spawn("client", func(p *sim.Proc) {
-		qp, scq, _, err := newRC(c.Nodes[0], 2*window)
-		if err != nil {
-			panic(err)
-		}
+		qp, scq, _ := newQP(c.Nodes[0], verbs.Reliable, 2*window)
 		if err := qp.Connect(p, c.Nodes[1].Addr6, port); err != nil {
 			panic(err)
 		}
@@ -138,17 +137,13 @@ func qpipTtcp(mtu int, cs qpipnic.ChecksumMode, total int, tweak func(*core.Node
 	out.SendCPU = float64(c.Nodes[0].CPU.BusyTotal()-sndBusy0) / float64(dur)
 	out.RecvCPU = float64(c.Nodes[1].CPU.BusyTotal()-rcvBusy0) / float64(dur)
 	out.NICCPU = float64(c.Nodes[0].QPIP.CPU().BusyTotal()-nicBusy0) / float64(dur)
+	out.wakesPerMsg = float64(wakes) / float64(nMsgs)
 	return out
 }
 
 // sockTtcp runs ttcp over a host-stack cluster.
 func sockTtcp(kind StackKind, total int, tweak func(*core.NodeConfig), prep ...func(*core.Cluster)) TtcpMeasure {
-	var cfg core.NodeConfig
-	if kind == IPGigE {
-		cfg = core.NodeConfig{GigE: true}
-	} else {
-		cfg = core.NodeConfig{GM: true}
-	}
+	cfg := kind.hostConfig()
 	if tweak != nil {
 		tweak(&cfg)
 	}
@@ -200,5 +195,3 @@ func (m TtcpMeasure) effectiveHostCPU() float64 {
 	}
 	return m.RecvCPU
 }
-
-var _ = params.MTUQPIP // keep params imported for tuning constants

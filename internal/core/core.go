@@ -259,9 +259,6 @@ func (c *Cluster) EngineOf(node int) *sim.Engine {
 	return c.Engines[c.shardOf[node]]
 }
 
-// Shards reports the number of shard engines.
-func (c *Cluster) Shards() int { return len(c.Engines) }
-
 // Spawn starts an application process on the cluster (on shard 0 — fine
 // sequentially; sharded workloads use SpawnOn so a process shares its
 // node's engine).

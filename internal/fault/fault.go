@@ -153,9 +153,6 @@ func NewInjector(plan Plan) *Injector {
 	return &Injector{plan: plan}
 }
 
-// Plan returns the injector's plan.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // frameLane returns src's lane, growing the table as needed. Growth only
 // happens single-threaded (harness use, or Attach presizing before the
 // run); during a sharded run every lane already exists.

@@ -356,27 +356,10 @@ func (n *NIC) DebugConnStats() []ConnStats {
 	return out
 }
 
-// AddConnCounters folds the adapter's fault-visible counters plus the
-// per-connection retry/RNR/fence tallies into dst under stable names, in
-// sorted connection order, so summing a cluster of adapters into one
-// recovery report is deterministic (trace.Counters.AddAll composes these
-// across nodes).
-func (n *NIC) AddConnCounters(dst *trace.Counters) {
-	dst.AddAll(n.Net)
-	for _, cs := range n.DebugConnStats() {
-		dst.Add("conn.retransmits", cs.TCP.Retransmits)
-		dst.Add("conn.timeouts", cs.TCP.Timeouts)
-		dst.Add("conn.rnr", cs.RNR)
-		dst.Add("conn.stale-epoch", cs.StaleEpoch)
-		dst.Add("conn.sram-bytes", uint64(cs.SRAMBytes))
-	}
-}
-
 // SRAMFootprint reports the adapter SRAM pinned by connection state right
 // now: the state-table index, one TCB+QP context per live entry, and
 // stashed records. This is the per-connection-memory quantity the
-// connscale experiment sweeps; trace counters surface it per connection
-// via AddConnCounters ("conn.sram-bytes").
+// connscale experiment sweeps; DebugConnStats reports it per connection.
 func (n *NIC) SRAMFootprint() int {
 	total := n.qps.slots() * params.SRAMQPSlotBytes
 	for _, e := range n.qps.entries {

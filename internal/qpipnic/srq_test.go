@@ -8,7 +8,6 @@ import (
 	"repro/internal/buf"
 	"repro/internal/inet"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/verbs"
 )
 
@@ -458,11 +457,13 @@ func TestRNR(t *testing.T) {
 				post(p, 1, sizes[0]+sizes[1]+sizes[2])
 				expect(p, 1, 1)
 				p.Sleep(sim.Millisecond)
-				conns := trace.NewCounters()
-				nic.AddConnCounters(conns)
-				if nic.Net.Get("rx.rnr") == 0 || conns.Get("conn.rnr") == 0 {
+				var connRNR uint64
+				for _, cs := range nic.DebugConnStats() {
+					connRNR += cs.RNR
+				}
+				if nic.Net.Get("rx.rnr") == 0 || connRNR == 0 {
 					t.Errorf("rx.rnr = %d, conn.rnr = %d, want both > 0",
-						nic.Net.Get("rx.rnr"), conns.Get("conn.rnr"))
+						nic.Net.Get("rx.rnr"), connRNR)
 				}
 				post(p, 2, sizes[1])
 				expect(p, 2, 2)

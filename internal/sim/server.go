@@ -56,9 +56,6 @@ func (s *Server) Do(d Time, what string, done func()) Time {
 // Idle reports whether the server has no queued or running work.
 func (s *Server) Idle() bool { return s.busyUntil <= s.eng.Now() }
 
-// BusyUntil reports the time at which all currently queued work completes.
-func (s *Server) BusyUntil() Time { return s.busyUntil }
-
 // BusyTotal reports the cumulative busy time across all jobs ever submitted
 // (including queued jobs not yet finished).
 func (s *Server) BusyTotal() Time { return s.busyTotal }
@@ -126,9 +123,6 @@ func NewCPU(eng *Engine, name string, hz float64) *CPU {
 	}
 	return &CPU{Server: NewServer(eng, name), hz: hz}
 }
-
-// Hz reports the CPU clock rate.
-func (c *CPU) Hz() float64 { return c.hz }
 
 // CycleTime converts a cycle count to simulated time.
 func (c *CPU) CycleTime(cycles float64) Time {

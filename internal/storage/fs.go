@@ -84,9 +84,6 @@ func NewFS(dev BlockDev, cpu *sim.CPU, cacheBytes int) *FS {
 	}
 }
 
-// BlockSize reports the filesystem block size.
-func (f *FS) BlockSize() int { return f.bsize }
-
 // CacheStats reports (hits, misses, writebacks).
 func (f *FS) CacheStats() (hits, misses, writebacks uint64) {
 	return f.hits, f.misses, f.writebacks

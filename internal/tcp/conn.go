@@ -175,18 +175,6 @@ type Actions struct {
 	RetryExceeded bool
 }
 
-func (a *Actions) merge(b Actions) {
-	a.Segments = append(a.Segments, b.Segments...)
-	a.Delivered = append(a.Delivered, b.Delivered...)
-	a.AckedBytes += b.AckedBytes
-	a.AckedRecords += b.AckedRecords
-	a.Established = a.Established || b.Established
-	a.PeerClosed = a.PeerClosed || b.PeerClosed
-	a.Closed = a.Closed || b.Closed
-	a.Reset = a.Reset || b.Reset
-	a.RetryExceeded = a.RetryExceeded || b.RetryExceeded
-}
-
 // flightSeg is a transmitted, unacknowledged segment retained for
 // retransmission.
 type flightSeg struct {
@@ -324,9 +312,6 @@ func (c *Conn) Cwnd() int { return c.cwnd }
 // SndWnd reports the peer's last advertised (scaled) window in bytes.
 func (c *Conn) SndWnd() int { return c.sndWnd }
 
-// RTT returns the smoothed round-trip estimator.
-func (c *Conn) RTT() *RTTEstimator { return &c.rtt }
-
 // InFlight reports unacknowledged sequence space in bytes.
 func (c *Conn) InFlight() int { return c.sndNxt.Diff(c.sndUna) }
 
@@ -335,9 +320,6 @@ func (c *Conn) PendingSend() int { return c.pendingLen }
 
 // LocalPort reports the connection's local port.
 func (c *Conn) LocalPort() uint16 { return c.cfg.LocalPort }
-
-// RemotePort reports the connection's remote port.
-func (c *Conn) RemotePort() uint16 { return c.cfg.RemotePort }
 
 // Connect initiates an active open, returning the SYN to transmit.
 func (c *Conn) Connect(now int64) (Actions, error) {

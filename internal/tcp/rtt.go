@@ -44,9 +44,6 @@ func (r *RTTEstimator) Sample(rtt int64) {
 // SRTT reports the smoothed RTT in nanoseconds (0 before the first sample).
 func (r *RTTEstimator) SRTT() int64 { return r.srtt }
 
-// RTTVar reports the smoothed mean deviation in nanoseconds.
-func (r *RTTEstimator) RTTVar() int64 { return r.rttvar }
-
 // Samples reports how many measurements have been folded in.
 func (r *RTTEstimator) Samples() int { return r.samples }
 

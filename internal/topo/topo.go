@@ -119,9 +119,6 @@ type Graph struct {
 	routes [][]Hop
 }
 
-// Spec reports the building spec (with defaults resolved).
-func (g *Graph) Spec() Spec { return g.spec }
-
 // Endpoints reports the number of endpoint attachments.
 func (g *Graph) Endpoints() int { return g.n }
 
@@ -133,9 +130,6 @@ func (g *Graph) Ports(s int) int { return len(g.switches[s]) }
 
 // PortAt reports what switch s's port p connects to.
 func (g *Graph) PortAt(s, p int) Port { return g.switches[s][p] }
-
-// Home reports endpoint e's attachment switch and the port on it.
-func (g *Graph) Home(e int) (sw, port int) { return g.home[e], g.homePort[e] }
 
 // Route reports the precomputed hop vector from src to dst. The returned
 // slice is shared and read-only.
