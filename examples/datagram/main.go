@@ -81,6 +81,6 @@ func main() {
 		fmt.Printf("  from %-22s %4d received\n", addr, n)
 		total += n
 	}
-	drops := collector.QPIP.Stats().NoWRDrops
+	drops := collector.QPIP.Net.Get("rx.drop.no-wr")
 	fmt.Printf("received %d, dropped for lack of receive WRs: %d\n", total, drops)
 }

@@ -83,12 +83,6 @@ type ShardPlan struct {
 	// NodeShard maps a node index to its shard. Nil means round-robin
 	// (node i on shard i%Shards).
 	NodeShard func(node int) int
-	// Isolate declares that no traffic will cross shard boundaries (the
-	// workload keeps communicating nodes co-sharded). All cross-shard
-	// fabric links are severed — a stray cross-shard frame panics — and
-	// the runner skips epoch barriers entirely: shards run free to
-	// quiescence, embarrassingly parallel.
-	Isolate bool
 }
 
 // Cluster is a set of nodes on shared fabrics.
@@ -176,14 +170,6 @@ func newCluster(n int, cfg NodeConfig, plan ShardPlan, sharded bool) *Cluster {
 			HopLatency:   params.GigESwitchLatency,
 			PropDelay:    params.CableLatency,
 		})
-	}
-	if plan.Isolate {
-		if c.Myrinet != nil {
-			c.Myrinet.SeverCrossShard()
-		}
-		if c.Eth != nil {
-			c.Eth.SeverCrossShard()
-		}
 	}
 	for i := 0; i < n; i++ {
 		c.Nodes = append(c.Nodes, c.addNode(i, cfg))
@@ -275,7 +261,7 @@ func (c *Cluster) SpawnOn(node int, name string, fn func(*sim.Proc)) *sim.Proc {
 
 // lookahead computes the parallel runner's epoch window: the minimum
 // cross-shard latency over the cluster's fabrics. ok=false means no
-// unsevered cross-shard link exists (shards run free, no barriers).
+// cross-shard link exists (shards run free, no barriers).
 func (c *Cluster) lookahead() (sim.Time, bool) {
 	la, ok := sim.Time(0), false
 	for _, f := range []*fabric.Fabric{c.Myrinet, c.Eth} {

@@ -74,9 +74,6 @@ func (fr *Frame) bindFns() {
 			// last byte arrives one hop latency + propagation after it left
 			// the source.
 			d := f.cfg.HopLatency + f.cfg.PropDelay + fr.delay
-			if fr.dup {
-				sp.duplicated++
-			}
 			if dp.eng != sp.eng {
 				// Cross-shard: buffer the delivery in the source port's
 				// mailbox; the barrier injects it into the destination
@@ -97,9 +94,6 @@ func (fr *Frame) bindFns() {
 		// Store-and-forward: the switch re-serializes onto the destination
 		// link (modeled with contention).
 		d := f.cfg.HopLatency + fr.delay
-		if fr.dup {
-			sp.duplicated++
-		}
 		if dp.eng != sp.eng {
 			now := sp.eng.Now()
 			sp.outbox = append(sp.outbox, mail{eng: dp.eng, at: now + d, name: "fabric.switch", fn: fr.swFn})
@@ -219,10 +213,7 @@ type port struct {
 	// Source-side counters (incremented from the attachment's engine) and
 	// the destination-side delivered counter. Per-port so concurrent shards
 	// never share a counter word; Stats sums them.
-	sent, dropped         uint64
-	corrupted, duplicated uint64
-	bytesSent             uint64
-	delivered             uint64
+	sent, dropped, delivered uint64
 
 	// outbox buffers this source's cross-shard handoffs for the current
 	// epoch, in transmit-completion order (time-ordered per source).
@@ -262,11 +253,6 @@ type Fabric struct {
 	// deterministic implementation).
 	Fault FaultHook
 
-	// severCross, when set, declares that no frame may cross between
-	// engines: cross-shard sends panic, and CrossShardLookahead reports no
-	// cross links so the parallel runner skips epoch barriers entirely.
-	severCross bool
-
 	// sws is the per-switch arbitration state for the multi-hop path,
 	// built lazily once all attachments exist (topofab.go).
 	sws []*swState
@@ -305,21 +291,13 @@ func (f *Fabric) AttachOn(eng *sim.Engine, h Handler) int {
 	return id
 }
 
-// SeverCrossShard declares that no traffic will cross between shard
-// engines (isolated placement): cross-engine sends become a panic and the
-// parallel runner needs no lookahead barrier on this fabric.
-func (f *Fabric) SeverCrossShard() { f.severCross = true }
-
 // CrossShardLookahead reports the minimum latency a frame needs before it
-// can affect another shard, and whether any unsevered cross-engine
-// attachment pair exists. With cut-through forwarding a frame reaches the
-// destination handler after HopLatency+PropDelay; store-and-forward frames
-// first touch the destination shard at the switch-forward event, HopLatency
-// after transmit.
+// can affect another shard, and whether any cross-engine attachment pair
+// exists. With cut-through forwarding a frame reaches the destination
+// handler after HopLatency+PropDelay; store-and-forward frames first touch
+// the destination shard at the switch-forward event, HopLatency after
+// transmit.
 func (f *Fabric) CrossShardLookahead() (sim.Time, bool) {
-	if f.severCross {
-		return 0, false
-	}
 	if f.cfg.Topo != nil {
 		// The graph may cross engines through switch homes even when all
 		// endpoints share one (a spine homed elsewhere), so the edge scan
@@ -400,16 +378,6 @@ func (f *Fabric) Stats() (sent, delivered, dropped uint64) {
 	return sent, delivered, dropped
 }
 
-// FaultStats reports (corrupted, duplicated) frame counts from the fault
-// hook's decisions, summed over ports.
-func (f *Fabric) FaultStats() (corrupted, duplicated uint64) {
-	for _, p := range f.ports {
-		corrupted += p.corrupted
-		duplicated += p.duplicated
-	}
-	return corrupted, duplicated
-}
-
 // Send injects a frame. onTxDone (may be nil) runs when the sender's link
 // transmitter finishes serializing — the moment a NIC's transmit engine is
 // free for the next frame. Delivery to the destination handler happens
@@ -425,13 +393,8 @@ func (f *Fabric) Send(frame *Frame, onTxDone func()) {
 	}
 	src := f.ports[frame.Src]
 	dst := f.ports[frame.Dst]
-	if f.severCross && src.eng != dst.eng {
-		panic(fmt.Sprintf("fabric %s: frame %d->%d crosses severed shard boundary",
-			f.cfg.Name, frame.Src, frame.Dst))
-	}
 	n := src.sent
 	src.sent++
-	src.bytesSent += uint64(netSize)
 	var fd FaultDecision
 	if f.Fault != nil {
 		fd = f.Fault(frame, n, src.eng.Now())
@@ -449,7 +412,6 @@ func (f *Fabric) Send(frame *Frame, onTxDone func()) {
 	if fd.Replace != nil {
 		// The corrupted clone (deep-copied headers) travels instead; the
 		// original frame and its payload are consumed here.
-		src.corrupted++
 		releasePayload(frame.Payload)
 		free(frame)
 		frame = fd.Replace

@@ -61,7 +61,8 @@ func TestInjectorDuplication(t *testing.T) {
 	a := f.Attach(nil)
 	var arrivals []sim.Time
 	b := f.Attach(func(fr *fabric.Frame) { arrivals = append(arrivals, eng.Now()) })
-	fault.NewInjector(fault.Plan{Seed: 3, DupProb: 1}).Attach(f)
+	inj := fault.NewInjector(fault.Plan{Seed: 3, DupProb: 1})
+	inj.Attach(f)
 	f.Send(&fabric.Frame{Src: a, Dst: b, WireSize: 1000}, nil)
 	eng.Run()
 	if len(arrivals) != 2 {
@@ -72,8 +73,11 @@ func TestInjectorDuplication(t *testing.T) {
 	if arrivals[1]-arrivals[0] != ser {
 		t.Errorf("duplicate trails by %v, want %v", arrivals[1]-arrivals[0], ser)
 	}
-	if _, dup := f.FaultStats(); dup != 1 {
-		t.Errorf("duplicated = %d, want 1", dup)
+	if sent, delivered, _ := f.Stats(); sent != 1 || delivered != 2 {
+		t.Errorf("sent %d, delivered %d, want 1 and 2", sent, delivered)
+	}
+	if got := inj.Stats().Dups; got != 1 {
+		t.Errorf("injector Dups = %d, want 1", got)
 	}
 }
 
@@ -105,7 +109,8 @@ func TestInjectorCorruptionReplacesClone(t *testing.T) {
 	a := f.Attach(nil)
 	var got *wire.Packet
 	b := f.Attach(func(fr *fabric.Frame) { got = fr.Payload.(*wire.Packet) })
-	fault.NewInjector(fault.Plan{Seed: 5, CorruptProb: 1, CorruptBits: 1}).Attach(f)
+	inj := fault.NewInjector(fault.Plan{Seed: 5, CorruptProb: 1, CorruptBits: 1})
+	inj.Attach(f)
 
 	ip := make([]byte, 40)
 	l4 := make([]byte, 20)
@@ -130,8 +135,8 @@ func TestInjectorCorruptionReplacesClone(t *testing.T) {
 	if !bytes.Equal(pkt.IPHdr, origIP) || !bytes.Equal(pkt.Payload.Data(), origPay) {
 		t.Fatal("corruption mutated the sender's packet")
 	}
-	if corr, _ := f.FaultStats(); corr == 0 {
-		t.Error("fabric corrupted counter not incremented")
+	if got := inj.Stats().Corrupts; got != 1 {
+		t.Errorf("injector Corrupts = %d, want 1", got)
 	}
 }
 

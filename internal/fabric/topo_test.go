@@ -150,8 +150,8 @@ func TestTopoDuplicateDelivery(t *testing.T) {
 	if at[1]-at[0] != ser {
 		t.Errorf("copies delivered %v apart, want one serialization %v", at[1]-at[0], ser)
 	}
-	if _, dups := f.FaultStats(); dups != 1 {
-		t.Errorf("duplicated count = %d, want 1", dups)
+	if sent, delivered, _ := f.Stats(); sent != 1 || delivered != 2 {
+		t.Errorf("sent %d, delivered %d, want 1 and 2", sent, delivered)
 	}
 }
 

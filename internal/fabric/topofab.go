@@ -115,14 +115,6 @@ func (f *Fabric) sendTopo(frame *Frame, src *port) {
 	frame.deliveries = 1
 	frame.hops = f.cfg.Topo.Route(frame.Src, frame.Dst)
 	frame.hop = 0
-	if f.severCross {
-		for _, h := range frame.hops {
-			if f.sws[h.Sw].eng != src.eng {
-				panic(fmt.Sprintf("fabric %s: frame %d->%d crosses severed shard boundary at switch %d",
-					f.cfg.Name, frame.Src, frame.Dst, h.Sw))
-			}
-		}
-	}
 	if frame.ttxFn == nil || frame.dlvrFn == nil {
 		//lint:qpip-allow hotprop topology continuations are bound once per pooled frame and survive recycling
 		frame.bindTopoFns()
@@ -140,7 +132,6 @@ func (fr *Frame) bindTopoFns() {
 		f := fr.fab
 		f.topoLaunch(fr, 0)
 		if fr.dup {
-			fr.sport.duplicated++
 			clone := NewFrame(fr.Src, fr.Dst, fr.WireSize, fr.Payload)
 			clone.deliveries = 1
 			clone.fab, clone.sport, clone.dport = f, fr.sport, fr.dport

@@ -112,7 +112,6 @@ func (in *Injector) ScheduleCrashesOn(engs []*sim.Engine, targets ...Rebootable)
 		down := c.Down
 		eng.At(c.At, "fault.crash", func() {
 			ln := &in.crashLanes[node]
-			ln.stats.Crashes++
 			ln.log = append(ln.log, Event{At: eng.Now(), Src: node, Dst: node, Kind: "crash"})
 			t.Crash()
 			eng.After(down, "fault.restart", func() {

@@ -106,7 +106,7 @@ type Event struct {
 	N        uint64
 	At       sim.Time
 	Src, Dst int
-	Kind     string // "drop", "flap", "corrupt", "dup", "delay"
+	Kind     string // "drop", "flap", "partition", "corrupt", "dup", "delay", "crash", "restart"
 	Arg      int64  // bit offset (corrupt) or ns (delay)
 }
 
@@ -114,7 +114,7 @@ func (e Event) String() string {
 	return fmt.Sprintf("n=%d t=%d %d->%d %s(%d)", e.N, int64(e.At), e.Src, e.Dst, e.Kind, e.Arg)
 }
 
-// Stats counts applied faults by kind.
+// Stats counts applied faults by kind: the logged Events, tallied.
 type Stats struct {
 	Drops, FlapDrops, Corrupts, Dups, Delays uint64
 	PartitionDrops, Crashes                  uint64
@@ -124,15 +124,14 @@ type Stats struct {
 // source attachment, crash lanes by node — each written only from that
 // source's (or node's) shard engine, so sharded runs never share a lane.
 type lane struct {
-	stats Stats
-	log   []Event
+	log []Event
 }
 
 // Injector applies a Plan to frames. It is attached to a fabric with
 // Attach, or driven directly through Decide by pure-protocol harnesses.
 //
 // All mutable state is partitioned into per-source lanes: frame ordinals,
-// the decision RNG stream, statistics, and the event log are all keyed by
+// the decision RNG stream and the event log are all keyed by
 // the sending attachment. That makes every decision a pure function of
 // (Plan, src, per-src ordinal, send time) — independent of how frames from
 // different sources interleave — which is what lets a sharded run (sources
@@ -170,19 +169,29 @@ func (in *Injector) crashLane(node int) *lane {
 	return &in.crashLanes[node]
 }
 
-// Stats reports applied-fault counts, summed over lanes.
+// Stats reports applied-fault counts, tallied from the lane logs.
 func (in *Injector) Stats() Stats {
 	var s Stats
 	for _, set := range [][]lane{in.frameLanes, in.crashLanes} {
 		for i := range set {
-			l := &set[i].stats
-			s.Drops += l.Drops
-			s.FlapDrops += l.FlapDrops
-			s.Corrupts += l.Corrupts
-			s.Dups += l.Dups
-			s.Delays += l.Delays
-			s.PartitionDrops += l.PartitionDrops
-			s.Crashes += l.Crashes
+			for _, e := range set[i].log {
+				switch e.Kind {
+				case "drop":
+					s.Drops++
+				case "flap":
+					s.FlapDrops++
+				case "partition":
+					s.PartitionDrops++
+				case "corrupt":
+					s.Corrupts++
+				case "dup":
+					s.Dups++
+				case "delay":
+					s.Delays++
+				case "crash":
+					s.Crashes++
+				}
+			}
 		}
 	}
 	return s
@@ -300,26 +309,22 @@ func (in *Injector) Decide(n uint64, now sim.Time, src, dst int, corruptible int
 	// Scheduled and patterned faults fire regardless of SkipFirst.
 	if p.flapped(now, src, dst) {
 		d.Drop, d.Flapped = true, true
-		ln.stats.FlapDrops++
 		note("flap", 0)
 		return d
 	}
 	if p.partitioned(now, src, dst) {
 		d.Drop, d.Flapped = true, true
-		ln.stats.PartitionDrops++
 		note("partition", 0)
 		return d
 	}
 	if p.DropEvery > 0 && (n+1)%p.DropEvery == 0 {
 		d.Drop = true
-		ln.stats.Drops++
 		note("drop", 0)
 		return d
 	}
 	for _, fn := range p.DropFrames {
 		if fn == n {
 			d.Drop = true
-			ln.stats.Drops++
 			note("drop", 0)
 			return d
 		}
@@ -330,7 +335,6 @@ func (in *Injector) Decide(n uint64, now sim.Time, src, dst int, corruptible int
 	rng := frameRNG(laneSeed(p.Seed, src), n)
 	if p.DropProb > 0 && roll(&rng) < p.DropProb {
 		d.Drop = true
-		ln.stats.Drops++
 		note("drop", 0)
 		return d
 	}
@@ -338,18 +342,15 @@ func (in *Injector) Decide(n uint64, now sim.Time, src, dst int, corruptible int
 		for i := 0; i < p.CorruptBits; i++ {
 			bit := intn(&rng, corruptible*8)
 			d.CorruptBits = append(d.CorruptBits, bit)
-			ln.stats.Corrupts++
 			note("corrupt", int64(bit))
 		}
 	}
 	if p.DupProb > 0 && roll(&rng) < p.DupProb {
 		d.Duplicate = true
-		ln.stats.Dups++
 		note("dup", 0)
 	}
 	if p.DelayProb > 0 && p.MaxExtraDelay > 0 && roll(&rng) < p.DelayProb {
 		d.ExtraDelay = sim.Time(intn(&rng, int(p.MaxExtraDelay))) + 1
-		ln.stats.Delays++
 		note("delay", int64(d.ExtraDelay))
 	}
 	return d

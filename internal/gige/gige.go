@@ -18,9 +18,6 @@ type Config struct {
 	Name string
 	// MTU of the interface (1500 standard, 9000 jumbo).
 	MTU int
-	// CoalescePkts / CoalesceDelay configure interrupt moderation.
-	CoalescePkts  int
-	CoalesceDelay sim.Time
 }
 
 // Device is one Ethernet adapter bound to a kernel and a fabric.
@@ -38,9 +35,6 @@ type Device struct {
 	txName, rxName string
 	txDMA          *sim.Jobs[txPkt]
 	rxDMA          *sim.Jobs[*wire.Packet]
-
-	txPkts, rxPkts uint64
-	txBytes        uint64
 }
 
 // txPkt is a transmitted packet and its destination attachment.
@@ -62,17 +56,11 @@ func New(eng *sim.Engine, k *hostos.Kernel, fab *fabric.Fabric, cfg Config) *Dev
 	if cfg.MTU <= 0 {
 		cfg.MTU = params.MTUEthernet
 	}
-	if cfg.CoalescePkts == 0 {
-		cfg.CoalescePkts = params.GigEIntCoalescePkts
-	}
-	if cfg.CoalesceDelay == 0 {
-		cfg.CoalesceDelay = params.GigEIntCoalesceDelay
-	}
 	d := &Device{cfg: cfg, eng: eng, k: k, bus: k.Bus(), fab: fab,
 		txName: cfg.Name + ".txdma", rxName: cfg.Name + ".rxdma"}
 	d.txDMA = sim.NewJobs(d.txDone)
 	d.att = fab.AttachOn(eng, d.receive)
-	d.rx = hostos.NewRxCoalescer(k, cfg.Name, cfg.CoalescePkts, cfg.CoalesceDelay)
+	d.rx = hostos.NewRxCoalescer(k, cfg.Name, params.GigEIntCoalescePkts, params.GigEIntCoalesceDelay)
 	// A received packet lands in the host ring, where the unified rx
 	// coalescer raises the paced interrupt and reaps in its ISR.
 	d.rxDMA = sim.NewJobs(d.rx.Enqueue)
@@ -85,16 +73,11 @@ func (d *Device) MTU() int { return d.cfg.MTU }
 // Attachment reports the device's fabric attachment id.
 func (d *Device) Attachment() int { return d.att }
 
-// Stats reports (txPkts, rxPkts, txBytes).
-func (d *Device) Stats() (tx, rx, txBytes uint64) { return d.txPkts, d.rxPkts, d.txBytes }
-
 // Transmit implements hostos.NetDevice: DMA the frame from host memory,
 // then serialize onto the wire.
 //
 //qpip:hotpath
 func (d *Device) Transmit(pkt *wire.Packet, dstAtt int) {
-	d.txPkts++
-	d.txBytes += uint64(pkt.Len())
 	d.bus.DMA(pkt.Len(), d.txName, d.txDMA.Add(txPkt{pkt, dstAtt}))
 }
 
@@ -107,6 +90,5 @@ func (d *Device) receive(f *fabric.Frame) {
 	if !ok {
 		return
 	}
-	d.rxPkts++
 	d.bus.DMA(pkt.Len(), d.rxName, d.rxDMA.Add(pkt))
 }

@@ -13,7 +13,7 @@ import (
 	"repro/internal/wire"
 )
 
-func pair(t *testing.T) (*sim.Engine, [2]*hostos.Kernel, [2]*gige.Device) {
+func pair(t *testing.T) (*sim.Engine, *fabric.Fabric, [2]*hostos.Kernel, [2]*gige.Device) {
 	t.Helper()
 	eng := sim.NewEngine()
 	fab := fabric.New(eng, fabric.Config{
@@ -31,11 +31,11 @@ func pair(t *testing.T) (*sim.Engine, [2]*hostos.Kernel, [2]*gige.Device) {
 		ks[i] = hostos.NewKernel(eng, "host", inet.NodeAddr4(i), nil, bus)
 		ds[i] = gige.New(eng, ks[i], fab, gige.Config{Name: "eth0"})
 	}
-	return eng, ks, ds
+	return eng, fab, ks, ds
 }
 
 func TestDeviceCountsAndDelivers(t *testing.T) {
-	eng, ks, ds := pair(t)
+	eng, fab, ks, ds := pair(t)
 	pkt := &wire.Packet{
 		IsV4: true,
 		IPHdr: inet.Marshal4(&inet.Header4{
@@ -48,22 +48,17 @@ func TestDeviceCountsAndDelivers(t *testing.T) {
 	}
 	ds[0].Transmit(pkt, ds[1].Attachment())
 	eng.Run()
-	tx, _, _ := ds[0].Stats()
-	_, rx, _ := ds[1].Stats()
-	if tx != 1 || rx != 1 {
-		t.Fatalf("tx=%d rx=%d", tx, rx)
+	if sent, delivered, _ := fab.Stats(); sent != 1 || delivered != 1 {
+		t.Fatalf("sent=%d delivered=%d", sent, delivered)
 	}
-	// The kernel saw it as a softirq even though the protocol is unknown.
-	if ks[1].Stats().SoftIRQs != 1 {
-		t.Fatalf("receiver softirqs = %d", ks[1].Stats().SoftIRQs)
-	}
-	if ks[1].Stats().DroppedNoPort != 1 {
-		t.Fatalf("unknown protocol not counted as drop")
+	// The kernel took it through softirq and dropped the unknown protocol.
+	if got := ks[1].Net.Get("rx.drop.no-port"); got != 1 {
+		t.Fatalf("rx.drop.no-port = %d, want 1", got)
 	}
 }
 
 func TestDeviceMTUDefaults(t *testing.T) {
-	_, _, ds := pair(t)
+	_, _, _, ds := pair(t)
 	if ds[0].MTU() != params.MTUEthernet {
 		t.Errorf("MTU = %d", ds[0].MTU())
 	}

@@ -27,9 +27,6 @@ type Config struct {
 	Name string
 	// MTU of the IP interface (9000 in the paper's runs).
 	MTU int
-	// CoalescePkts / CoalesceDelay configure interrupt moderation.
-	CoalescePkts  int
-	CoalesceDelay sim.Time
 }
 
 // Device is one GM adapter.
@@ -61,8 +58,6 @@ type Device struct {
 
 	// Event names, built once.
 	fwTxName, fwRxName, txDMAName, rxDMAName string
-
-	txPkts, rxPkts uint64
 }
 
 type txItem struct {
@@ -74,12 +69,6 @@ type txItem struct {
 func New(eng *sim.Engine, k *hostos.Kernel, fab *fabric.Fabric, cfg Config) *Device {
 	if cfg.MTU <= 0 {
 		cfg.MTU = params.MTUJumbo
-	}
-	if cfg.CoalescePkts == 0 {
-		cfg.CoalescePkts = 4
-	}
-	if cfg.CoalesceDelay == 0 {
-		cfg.CoalesceDelay = 50 * sim.Microsecond
 	}
 	d := &Device{
 		cfg:   cfg,
@@ -108,7 +97,7 @@ func New(eng *sim.Engine, k *hostos.Kernel, fab *fabric.Fabric, cfg Config) *Dev
 		d.bus.BurstAt(pkt.Len(), params.GMDMABandwidth, d.rxDMAName, d.rxDMA.Add(pkt))
 	})
 	d.att = fab.AttachOn(eng, d.receive)
-	d.rx = hostos.NewRxCoalescer(k, cfg.Name, cfg.CoalescePkts, cfg.CoalesceDelay)
+	d.rx = hostos.NewRxCoalescer(k, cfg.Name, params.GMIntCoalescePkts, params.GMIntCoalesceDelay)
 	d.rxDMA = sim.NewJobs(d.rx.Enqueue)
 	return d
 }
@@ -119,16 +108,12 @@ func (d *Device) MTU() int { return d.cfg.MTU }
 // Attachment reports the fabric attachment id.
 func (d *Device) Attachment() int { return d.att }
 
-// Stats reports (txPkts, rxPkts).
-func (d *Device) Stats() (tx, rx uint64) { return d.txPkts, d.rxPkts }
-
 // Transmit implements hostos.NetDevice: firmware stages the packet
 // through SRAM (DMA at the GM IP-mode rate), then injects it. The loop
 // handles one outbound packet at a time.
 //
 //qpip:hotpath
 func (d *Device) Transmit(pkt *wire.Packet, dstAtt int) {
-	d.txPkts++
 	d.txQ.Push(txItem{pkt: pkt, dst: dstAtt})
 	d.kickTx()
 }
@@ -152,6 +137,5 @@ func (d *Device) receive(f *fabric.Frame) {
 	if !ok {
 		return
 	}
-	d.rxPkts++
 	d.lanai.Do(params.US(FwPerPacketUS), d.fwRxName, d.rxFw.Add(pkt))
 }

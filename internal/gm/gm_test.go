@@ -13,7 +13,7 @@ import (
 	"repro/internal/wire"
 )
 
-func pair(t *testing.T) (*sim.Engine, [2]*hostos.Kernel, [2]*gm.Device) {
+func pair(t *testing.T) (*sim.Engine, *fabric.Fabric, [2]*hostos.Kernel, [2]*gm.Device) {
 	t.Helper()
 	eng := sim.NewEngine()
 	fab := fabric.New(eng, fabric.Config{
@@ -31,11 +31,11 @@ func pair(t *testing.T) (*sim.Engine, [2]*hostos.Kernel, [2]*gm.Device) {
 		ks[i] = hostos.NewKernel(eng, "host", inet.NodeAddr4(i), nil, bus)
 		ds[i] = gm.New(eng, ks[i], fab, gm.Config{Name: "myri0"})
 	}
-	return eng, ks, ds
+	return eng, fab, ks, ds
 }
 
 func TestGMStagesThroughFirmware(t *testing.T) {
-	eng, ks, ds := pair(t)
+	eng, fab, ks, ds := pair(t)
 	pkt := &wire.Packet{
 		IsV4: true,
 		IPHdr: inet.Marshal4(&inet.Header4{
@@ -50,13 +50,12 @@ func TestGMStagesThroughFirmware(t *testing.T) {
 	ds[0].Transmit(pkt, ds[1].Attachment())
 	eng.Run()
 	delivered = eng.Now()
-	tx, _ := ds[0].Stats()
-	_, rx := ds[1].Stats()
-	if tx != 1 || rx != 1 {
-		t.Fatalf("tx=%d rx=%d", tx, rx)
+	if sent, delivered, _ := fab.Stats(); sent != 1 || delivered != 1 {
+		t.Fatalf("sent=%d delivered=%d", sent, delivered)
 	}
-	if ks[1].Stats().SoftIRQs != 1 {
-		t.Fatalf("receiver softirqs = %d", ks[1].Stats().SoftIRQs)
+	// The kernel took it through softirq and dropped the unknown protocol.
+	if got := ks[1].Net.Get("rx.drop.no-port"); got != 1 {
+		t.Fatalf("rx.drop.no-port = %d, want 1", got)
 	}
 	// The firmware staging must add at least two FwPerPacketUS crossings.
 	if delivered < 2*params.US(gm.FwPerPacketUS) {
@@ -67,7 +66,7 @@ func TestGMStagesThroughFirmware(t *testing.T) {
 func TestGMTransmitSerializes(t *testing.T) {
 	// Two back-to-back large packets: the second must wait for the first
 	// to fully stage and inject (the GM event-loop behaviour).
-	eng, _, ds := pair(t)
+	eng, _, _, ds := pair(t)
 	mk := func() *wire.Packet {
 		return &wire.Packet{
 			IsV4: true,
@@ -92,7 +91,7 @@ func TestGMTransmitSerializes(t *testing.T) {
 }
 
 func TestGMDefaults(t *testing.T) {
-	_, _, ds := pair(t)
+	_, _, _, ds := pair(t)
 	if ds[0].MTU() != params.MTUJumbo {
 		t.Errorf("MTU = %d", ds[0].MTU())
 	}

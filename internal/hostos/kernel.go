@@ -38,17 +38,10 @@ type route struct {
 	att int
 }
 
-// Stats aggregates kernel-level counters.
+// Stats is a read-only view of the kernel's Net counters.
 type Stats struct {
-	SegsOut, SegsIn uint64
-	AcksProcessed   uint64
-	Syscalls        uint64
-	SoftIRQs        uint64
-	BytesCopiedIn   uint64
-	BytesCopiedOut  uint64
-	ChecksumErrors  uint64
-	DroppedNoPort   uint64
-	Retransmits     uint64
+	SegsOut     uint64 // "tx.segs": TCP segments emitted
+	Retransmits uint64 // "tx.retransmit": RTO retransmissions
 }
 
 // Kernel is one host's operating system instance.
@@ -78,11 +71,11 @@ type Kernel struct {
 	softirq *sim.Jobs[*wire.Packet]
 	input   *sim.Jobs[rxOp]
 
-	// Net counts fault-visible events (rx.corrupt, tx.retransmit,
-	// conn.retry-exceeded, ...) with the same names the QPIP NIC uses,
-	// so the chaos benches report both stacks uniformly.
-	Net   *trace.Counters
-	stats Stats
+	// Net counts the kernel's events, one cell per event, under the
+	// names the QPIP NIC shares (DESIGN §16.6). The per-packet cells are
+	// resolved once.
+	Net                         *trace.Counters
+	txSegs, rxCorrupt, rxNoPort *uint64
 }
 
 // NewKernel builds a host kernel running on cpu. Pass nil to create a
@@ -102,6 +95,9 @@ func NewKernel(eng *sim.Engine, name string, addr inet.Addr4, cpu *sim.CPU, bus 
 		Net:      trace.NewCounters(),
 	}
 	k.tcp = tcp.NewEndpoints[inet.Addr4, *Socket, *Socket](k.Net.Handle)
+	k.txSegs = k.Net.Handle("tx.segs")
+	k.rxCorrupt = k.Net.Handle("rx.corrupt")
+	k.rxNoPort = k.Net.Handle("rx.drop.no-port")
 	k.lo = loopback{k: k, deliver: sim.NewJobs(k.DeliverPacket)}
 	k.tx = sim.NewJobs(k.transmit)
 	k.softirq = sim.NewJobs(k.inputPacket)
@@ -121,12 +117,9 @@ func (k *Kernel) Engine() *sim.Engine { return k.eng }
 // Addr reports the host's IPv4 address.
 func (k *Kernel) Addr() inet.Addr4 { return k.addr }
 
-// Stats returns kernel counters. Retransmits is the endpoint table's RTO
-// retransmission count ("tx.retransmit").
+// Stats returns the kernel counters read as a struct.
 func (k *Kernel) Stats() Stats {
-	st := k.stats
-	st.Retransmits = k.Net.Get("tx.retransmit")
-	return st
+	return Stats{SegsOut: *k.txSegs, Retransmits: k.Net.Get("tx.retransmit")}
 }
 
 // AddRoute binds a destination address to a device and attachment — the
@@ -225,7 +218,7 @@ func (k *Kernel) transmit(op txOp) {
 //
 //qpip:hotpath
 func (k *Kernel) emitSegment(r route, dst inet.Addr4, seg *tcp.Segment) {
-	k.stats.SegsOut++
+	*k.txSegs++
 	cost := params.US(params.HostTCPOutputUS+params.HostSkbUS+params.HostDriverTxUS) +
 		perByte(params.HostChecksumCyclesPerByte, seg.Payload.Len())
 	k.charge(cost, "tcp_output", k.tx.Add(txOp{r: r, dst: dst, seg: seg}))
@@ -264,14 +257,7 @@ type rxOp struct {
 //
 //qpip:hotpath
 func (k *Kernel) DeliverPacket(pkt *wire.Packet) {
-	k.stats.SoftIRQs++
 	k.chargeUS(params.HostSoftirqPerPktUS, "softirq", k.softirq.Add(pkt))
-}
-
-// rxCorrupt counts a packet that failed parsing or verification.
-func (k *Kernel) rxCorrupt() {
-	k.stats.ChecksumErrors++
-	k.Net.Add("rx.corrupt", 1)
 }
 
 // inputPacket parses and demultiplexes a packet once its softirq charge
@@ -281,7 +267,7 @@ func (k *Kernel) rxCorrupt() {
 func (k *Kernel) inputPacket(pkt *wire.Packet) {
 	ip4, err := inet.Parse4(pkt.IPHdr)
 	if err != nil {
-		k.rxCorrupt()
+		*k.rxCorrupt++
 		pkt.Release()
 		return
 	}
@@ -291,7 +277,7 @@ func (k *Kernel) inputPacket(pkt *wire.Packet) {
 	case inet.ProtoUDP:
 		k.inputUDP(pkt, ip4)
 	default:
-		k.stats.DroppedNoPort++
+		*k.rxNoPort++
 		pkt.Release()
 	}
 }
@@ -300,7 +286,7 @@ func (k *Kernel) inputPacket(pkt *wire.Packet) {
 func (k *Kernel) inputTCP(pkt *wire.Packet, ip4 inet.Header4) {
 	seg, _, err := tcp.ParseHeader(pkt.L4Hdr)
 	if err != nil {
-		k.rxCorrupt()
+		*k.rxCorrupt++
 		pkt.Release()
 		return
 	}
@@ -310,9 +296,6 @@ func (k *Kernel) inputTCP(pkt *wire.Packet, ip4 inet.Header4) {
 	procCost := params.US(params.HostTCPAckProcUS + params.HostSkbUS)
 	if pkt.Payload.Len() > 0 {
 		procCost = params.US(params.HostTCPInputUS + params.HostSkbUS)
-		k.stats.SegsIn++
-	} else {
-		k.stats.AcksProcessed++
 	}
 	k.charge(verify+procCost, "tcp_input", k.input.Add(rxOp{pkt: pkt, ip4: ip4, seg: seg}))
 }
@@ -320,7 +303,7 @@ func (k *Kernel) inputTCP(pkt *wire.Packet, ip4 inet.Header4) {
 func (k *Kernel) inputUDP(pkt *wire.Packet, ip4 inet.Header4) {
 	h, plen, err := udp.Parse(pkt.L4Hdr)
 	if err != nil || plen != pkt.Payload.Len() {
-		k.rxCorrupt()
+		*k.rxCorrupt++
 		pkt.Release()
 		return
 	}
@@ -343,7 +326,7 @@ func (k *Kernel) transportInput(op rxOp) {
 func (k *Kernel) tcpInput(op *rxOp) {
 	pkt, ip4, seg := op.pkt, &op.ip4, &op.seg
 	if !inet.TransportValid4(ip4.Src, ip4.Dst, inet.ProtoTCP, pkt.L4Hdr, pkt.Payload) {
-		k.rxCorrupt()
+		*k.rxCorrupt++
 		return
 	}
 	s, lst, v := k.tcp.Demux(seg, ip4.Src)
@@ -363,12 +346,12 @@ func (k *Kernel) tcpInput(op *rxOp) {
 func (k *Kernel) udpInput(op *rxOp) {
 	pkt, ip4 := op.pkt, &op.ip4
 	if udp.Verify4(ip4.Src, ip4.Dst, pkt.L4Hdr, pkt.Payload) != nil {
-		k.rxCorrupt()
+		*k.rxCorrupt++
 		return
 	}
 	s, ok := k.udpPorts.Lookup(op.udp.DstPort)
 	if !ok {
-		k.stats.DroppedNoPort++
+		*k.rxNoPort++
 		return
 	}
 	s.enqueueDatagram(pkt.Payload, ip4.Src, op.udp.SrcPort)
@@ -378,11 +361,13 @@ func (k *Kernel) udpInput(op *rxOp) {
 func (k *Kernel) acceptSYN(lst *Socket, seg *tcp.Segment, ip4 *inet.Header4) {
 	r, ok := k.lookupRoute(ip4.Src)
 	if !ok {
-		k.stats.DroppedNoPort++
+		k.Net.Add("rx.drop.no-route", 1)
 		return
 	}
 	if lst.acceptQ.Len() >= lst.backlog {
-		return // full backlog: drop, client retries
+		// Full backlog: drop; the client's SYN retransmit retries.
+		k.Net.Add("accept.backlog-full", 1)
+		return
 	}
 	child := newSocket(k, TCPSock)
 	child.localPort = seg.DstPort

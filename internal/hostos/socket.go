@@ -140,7 +140,6 @@ func (s *Socket) RemoteAddr() (inet.Addr4, uint16) { return s.raddr, s.rport }
 
 // syscall charges syscall entry/exit to the calling process.
 func (s *Socket) syscall(p *sim.Proc) {
-	s.k.stats.Syscalls++
 	p.Use(s.k.cpu.Server, params.US(params.HostSyscallUS))
 }
 
@@ -216,7 +215,6 @@ func (s *Socket) Send(p *sim.Proc, b buf.Buf) error {
 	}
 	s.syscall(p)
 	p.Use(s.k.cpu.Server, params.US(params.HostSockSendUS)+perByte(params.HostCopyCyclesPerByte, b.Len()))
-	s.k.stats.BytesCopiedIn += uint64(b.Len())
 	// Block while the socket buffer (unacked + unsent) is full.
 	for s.conn.PendingSend()+s.conn.InFlight()+b.Len() > s.sndBufCap {
 		if s.reset || s.timedOut || s.closed {
@@ -271,7 +269,6 @@ func (s *Socket) Recv(p *sim.Proc, max int) (buf.Buf, error) {
 	}
 	s.recvQBytes -= got
 	p.Use(s.k.cpu.Server, perByte(params.HostCopyCyclesPerByte, got))
-	s.k.stats.BytesCopiedOut += uint64(got)
 	// Reading frees receive buffer: the window may reopen.
 	now := int64(s.k.eng.Now())
 	acts := s.conn.AppRead(got, now)
@@ -360,7 +357,6 @@ func (s *Socket) SendTo(p *sim.Proc, b buf.Buf, dst inet.Addr4, dstPort uint16) 
 	}
 	s.syscall(p)
 	p.Use(s.k.cpu.Server, params.US(params.HostSockSendUS)+perByte(params.HostCopyCyclesPerByte, b.Len()))
-	s.k.stats.BytesCopiedIn += uint64(b.Len())
 	return s.k.emitUDP(s, b, dst, dstPort)
 }
 
@@ -379,7 +375,6 @@ func (s *Socket) RecvFrom(p *sim.Proc) (buf.Buf, inet.Addr4, uint16, error) {
 	}
 	d, _ := s.dgramQ.Pop()
 	p.Use(s.k.cpu.Server, perByte(params.HostCopyCyclesPerByte, d.payload.Len()))
-	s.k.stats.BytesCopiedOut += uint64(d.payload.Len())
 	return d.payload, d.addr, d.port, nil
 }
 

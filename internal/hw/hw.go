@@ -20,9 +20,6 @@ type PCIBus struct {
 	bandwidth float64 // bytes/sec
 	setup     sim.Time
 	pioWrite  sim.Time
-
-	transfers uint64
-	bytes     uint64
 }
 
 // NewPCIBus returns a bus with the given burst bandwidth, per-transfer DMA
@@ -45,8 +42,6 @@ func (p *PCIBus) DMA(n int, what string, done func()) {
 	if n < 0 {
 		panic(fmt.Sprintf("hw: negative DMA length %d", n))
 	}
-	p.transfers++
-	p.bytes += uint64(n)
 	d := p.setup + sim.Time(float64(n)*1e9/p.bandwidth)
 	p.bus.Do(d, what, done)
 }
@@ -67,8 +62,6 @@ func (p *PCIBus) BurstAt(n int, rate float64, what string, done func()) {
 	if rate <= 0 || rate > p.bandwidth {
 		rate = p.bandwidth
 	}
-	p.transfers++
-	p.bytes += uint64(n)
 	p.bus.Do(sim.Time(float64(n)*1e9/rate), what, done)
 }
 
@@ -77,13 +70,10 @@ func (p *PCIBus) PIOWrite(what string, done func()) {
 	p.bus.Do(p.pioWrite, what, done)
 }
 
-// Stats reports (transfers, bytes) moved by DMA.
-func (p *PCIBus) Stats() (transfers, bytes uint64) { return p.transfers, p.bytes }
-
 // Doorbell is the adapter's hardware doorbell FIFO. Host-side PIO writes
 // enqueue tokens; the firmware's doorbell FSM drains them. A full FIFO
 // drops the ring — the driver layer must size queues to prevent that, and
-// the counter makes such bugs visible.
+// OnDrop lets the owner count such bugs.
 type Doorbell struct {
 	fifo     pool.Ring[uint64] // bounded by capacity
 	capacity int
@@ -93,8 +83,6 @@ type Doorbell struct {
 	// OnDrop, when set, is invoked for every ring lost to a full FIFO,
 	// letting the owning adapter surface backpressure in its counters.
 	OnDrop func()
-
-	rings, drops uint64
 }
 
 // NewDoorbell returns a FIFO of the given capacity.
@@ -106,16 +94,14 @@ func NewDoorbell(capacity int) *Doorbell {
 }
 
 // Ring enqueues a token (already across the bus). It reports false and
-// counts a drop when the FIFO is full.
+// calls OnDrop when the FIFO is full.
 func (d *Doorbell) Ring(token uint64) bool {
 	if d.Len() >= d.capacity {
-		d.drops++
 		if d.OnDrop != nil {
 			d.OnDrop()
 		}
 		return false
 	}
-	d.rings++
 	wasEmpty := d.Len() == 0
 	d.fifo.Push(token)
 	if wasEmpty && d.OnRing != nil {
@@ -130,9 +116,6 @@ func (d *Doorbell) PopN(dst []uint64) int { return d.fifo.PopN(dst) }
 
 // Len reports queued tokens.
 func (d *Doorbell) Len() int { return d.fifo.Len() }
-
-// Drops reports rings lost to a full FIFO.
-func (d *Doorbell) Drops() uint64 { return d.drops }
 
 // IRQLine delivers interrupts to a host CPU with interrupt throttling.
 // It is adapter-agnostic: the conventional NICs (Pro1000, Myrinet) pace

@@ -22,10 +22,6 @@ func TestDMATiming(t *testing.T) {
 	if done != want {
 		t.Errorf("DMA finished at %v, want %v", done, want)
 	}
-	tr, by := p.Stats()
-	if tr != 1 || by != 16384 {
-		t.Errorf("stats = %d transfers, %d bytes", tr, by)
-	}
 }
 
 func TestDMAContention(t *testing.T) {
@@ -99,9 +95,6 @@ func TestDoorbellOverflowDrops(t *testing.T) {
 	if d.Ring(3) {
 		t.Error("overflow ring accepted")
 	}
-	if d.Drops() != 1 {
-		t.Errorf("drops = %d", d.Drops())
-	}
 	if d.Len() != 2 {
 		t.Errorf("len = %d", d.Len())
 	}
@@ -155,8 +148,8 @@ func TestDoorbellOnDropHook(t *testing.T) {
 	d.Ring(1)
 	d.Ring(2)
 	d.Ring(3)
-	if drops != 2 || d.Drops() != 2 {
-		t.Errorf("OnDrop ran %d times, Drops = %d; want 2, 2", drops, d.Drops())
+	if drops != 2 {
+		t.Errorf("OnDrop ran %d times, want 2", drops)
 	}
 }
 

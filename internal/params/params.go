@@ -219,6 +219,15 @@ const (
 	GigEIntCoalesceDelay = 70 * sim.Microsecond
 )
 
+// GM adapter (Myrinet under GM in IP mode) interrupt moderation.
+const (
+	// GMIntCoalescePkts delivers one interrupt per this many packets
+	// under load.
+	GMIntCoalescePkts = 4
+	// GMIntCoalesceDelay is the coalescing timer.
+	GMIntCoalesceDelay = 50 * sim.Microsecond
+)
+
 // NBD / storage model (Figure 7's workload).
 const (
 	// DiskBandwidth approximates the PowerEdge's striped SCSI storage

@@ -292,9 +292,8 @@ func (cr *chainRun) run() {
 				// closed TCP window is the backoff). A connection on a
 				// shared pool additionally parks on it so the next repost
 				// drains it.
-				cr.n.stats.StashedRecords++
+				*cr.n.rxRNR++
 				cr.qs.rnr++
-				cr.n.Net.Add("rx.rnr", 1)
 				cr.n.enqueueSRQWaiter(cr.qs)
 			}
 			continue
@@ -331,8 +330,7 @@ func (cr *chainRun) rxDispatch() bool {
 	case inet.ProtoTCP:
 		seg, _, err := tcp.ParseHeader(pkt.L4Hdr)
 		if err != nil {
-			n.stats.ChecksumErrors++
-			n.Net.Add("rx.corrupt", 1)
+			*n.rxCorrupt++
 			pkt.Release()
 			cr.pkt = nil
 			return true
@@ -341,10 +339,8 @@ func (cr *chainRun) rxDispatch() bool {
 		cr.seg = seg
 		var parse stage
 		if pkt.Payload.Len() > 0 {
-			n.stats.DataRecvs++
 			parse = n.tplTCPParseData
 		} else {
-			n.stats.AckRecvs++
 			parse = n.tplTCPParseAck
 		}
 		cr.stages[cr.i] = parse
@@ -354,21 +350,18 @@ func (cr *chainRun) rxDispatch() bool {
 	case inet.ProtoUDP:
 		h, plen, err := udp.Parse(pkt.L4Hdr)
 		if err != nil || plen != pkt.Payload.Len() {
-			n.stats.ChecksumErrors++
-			n.Net.Add("rx.corrupt", 1)
+			*n.rxCorrupt++
 			pkt.Release()
 			cr.pkt = nil
 			return true
 		}
-		n.stats.UDPRecvs++
 		cr.lport, cr.rport = h.DstPort, h.SrcPort
 		cr.stages[cr.i] = n.tplUDPParse
 		cr.stages[cr.i+1] = stage{kind: stRxUDPBody}
 		cr.nStages = cr.i + 2
 		return true
 	default:
-		n.stats.NoPortDrops++
-		n.Net.Add("rx.drop.no-port", 1)
+		*n.rxNoPort++
 		pkt.Release()
 		cr.pkt = nil
 		return true
@@ -385,8 +378,7 @@ func (cr *chainRun) rxTCPBody() {
 	seg := cr.seg
 	defer pkt.Release()
 	if !inet.TransportValid6(cr.ip6.Src, cr.ip6.Dst, cr.ip6.NextHeader, pkt.L4Hdr, pkt.Payload) {
-		n.stats.ChecksumErrors++
-		n.Net.Add("rx.corrupt", 1)
+		*n.rxCorrupt++
 		return
 	}
 	ip6 := cr.ip6
@@ -399,7 +391,6 @@ func (cr *chainRun) rxTCPBody() {
 		if qs.peerEpoch == 0 {
 			qs.peerEpoch = cr.epoch
 		} else if cr.epoch < qs.peerEpoch {
-			qs.staleEpoch++
 			n.Net.Add("rx.stale-epoch", 1)
 			return
 		} else if cr.epoch > qs.peerEpoch {
@@ -442,20 +433,17 @@ func (cr *chainRun) rxUDPBody() {
 	cr.pkt = nil
 	defer pkt.Release()
 	if udp.Verify6(cr.ip6.Src, cr.ip6.Dst, pkt.L4Hdr, pkt.Payload) != nil {
-		n.stats.ChecksumErrors++
-		n.Net.Add("rx.corrupt", 1)
+		*n.rxCorrupt++
 		return
 	}
 	qs, ok := n.udpPorts.Lookup(cr.lport)
 	if !ok {
-		n.stats.NoPortDrops++
-		n.Net.Add("rx.drop.no-port", 1)
+		*n.rxNoPort++
 		return
 	}
 	wr, ok := qs.qp.TakeRecvWR()
 	if !ok {
-		n.stats.NoWRDrops++
-		n.Net.Add("rx.drop.no-wr", 1)
+		*n.rxNoWR++
 		return
 	}
 	n.placeRecord(qs, wr, pkt.Payload, cr.ip6.Src, cr.rport, nil)

@@ -128,9 +128,6 @@ type qpState struct {
 	// adapter SRAM (the QPIP analog of an Infiniband RNR NAK; the TCP
 	// window closes instead of NAKing).
 	rnr uint64
-	// staleEpoch counts frames fenced off this connection as pre-crash
-	// stragglers.
-	staleEpoch uint64
 
 	// timerFn is pre-bound at QP creation so the timer path never
 	// allocates a closure.
@@ -166,16 +163,11 @@ func (qs *qpState) clearSendState() pool.Ring[uint64] {
 	return ids
 }
 
-// Stats counts adapter-level events.
+// Stats is a read-only view of the adapter's Net counters.
 type Stats struct {
-	DataSends, AckSends uint64
-	DataRecvs, AckRecvs uint64
-	UDPSends, UDPRecvs  uint64
-	ChecksumErrors      uint64
-	NoRouteDrops        uint64
-	NoPortDrops         uint64
-	NoWRDrops           uint64
-	StashedRecords      uint64
+	// StashedRecords reads "rx.rnr": receive drains that left in-order
+	// records waiting in SRAM for a receive WR.
+	StashedRecords uint64
 }
 
 // NIC is one QPIP adapter.
@@ -240,10 +232,11 @@ type NIC struct {
 	// Per-stage occupancy, split by the four table columns, plus the
 	// collective engine's stages.
 	TxData, TxAck, RxData, RxAck, Coll *trace.Stages
-	// Net counts fault-visible events (rx.corrupt, tx.retransmit,
-	// conn.retry-exceeded, ...) for the chaos benches.
-	Net   *trace.Counters
-	stats Stats
+	// Net counts the adapter's events, one cell per event, under the
+	// names the host kernel shares (DESIGN §16.6). The per-packet cells
+	// are resolved once.
+	Net                                           *trace.Counters
+	rxCorrupt, rxNoPort, rxNoWR, rxRNR, txNoRoute *uint64
 
 	// The collective engine's state (coll.go): collFree recycles ring
 	// messages and collRecv holds each delivery across its FSM stage;
@@ -284,6 +277,11 @@ func New(eng *sim.Engine, fab *fabric.Fabric, cfg Config) *NIC {
 		Net:        trace.NewCounters(),
 	}
 	n.tcp = tcp.NewEndpoints[inet.Addr6, *qpState, *verbs.Listener](n.Net.Handle)
+	n.rxCorrupt = n.Net.Handle("rx.corrupt")
+	n.rxNoPort = n.Net.Handle("rx.drop.no-port")
+	n.rxNoWR = n.Net.Handle("rx.drop.no-wr")
+	n.rxRNR = n.Net.Handle("rx.rnr")
+	n.txNoRoute = n.Net.Handle("tx.drop.no-route")
 	n.collMsgs = n.Net.Handle("coll.msgs")
 	n.collDupDrop = n.Net.Handle("coll.dup-drop")
 	n.collPostCtr = n.Coll.Counter("coll.post")
@@ -315,12 +313,11 @@ func (n *NIC) Attachment() int { return n.att }
 // CPU exposes the firmware processor (occupancy measurements).
 func (n *NIC) CPU() *sim.CPU { return n.cpu }
 
-// Stats returns adapter counters.
-func (n *NIC) Stats() Stats { return n.stats }
+// Stats returns the adapter counters read as a struct.
+func (n *NIC) Stats() Stats { return Stats{StashedRecords: *n.rxRNR} }
 
 // ConnStats is one connection's diagnostic record: its identity, the TCB
-// counters, and the adapter-side error counters that do not live in the
-// TCB (RNR stalls, epoch fencing).
+// counters, and its share of the adapter's "rx.rnr" count.
 type ConnStats struct {
 	LocalPort  uint16
 	RemoteAddr inet.Addr6
@@ -329,12 +326,6 @@ type ConnStats struct {
 	// RNR counts receiver-not-ready stalls (records parked in SRAM for
 	// want of a posted receive WR).
 	RNR uint64
-	// StaleEpoch counts pre-crash straggler frames fenced off this
-	// connection.
-	StaleEpoch uint64
-	// SRAMBytes is the connection's accounted adapter-SRAM footprint:
-	// TCB + QP context, its state-table slot, and any stashed records.
-	SRAMBytes int
 }
 
 // DebugConnStats exposes per-connection diagnostics with stable sorted
@@ -349,8 +340,6 @@ func (n *NIC) DebugConnStats() []ConnStats {
 			RemotePort: qs.remotePort,
 			TCP:        qs.conn.Stats(),
 			RNR:        qs.rnr,
-			StaleEpoch: qs.staleEpoch,
-			SRAMBytes:  params.SRAMConnBytes + params.SRAMQPSlotBytes + qs.stashBytes,
 		})
 	}
 	return out
@@ -359,7 +348,7 @@ func (n *NIC) DebugConnStats() []ConnStats {
 // SRAMFootprint reports the adapter SRAM pinned by connection state right
 // now: the state-table index, one TCB+QP context per live entry, and
 // stashed records. This is the per-connection-memory quantity the
-// connscale experiment sweeps; DebugConnStats reports it per connection.
+// connscale experiment sweeps.
 func (n *NIC) SRAMFootprint() int {
 	total := n.qps.slots() * params.SRAMQPSlotBytes
 	for _, e := range n.qps.entries {
@@ -406,7 +395,6 @@ func (n *NIC) maxQPs() int {
 // exhaustion (shared by CreateQP and post-crash ResetQP re-admission).
 func (n *NIC) admitQP(qp *verbs.QP) error {
 	if n.qps.len() >= n.maxQPs() {
-		n.Net.Add("mgmt.qp-refused", 1)
 		n.Net.Add("qp.exhausted", 1)
 		return &verbs.QPExhaustedError{Current: n.qps.len(), Capacity: n.maxQPs()}
 	}
@@ -485,7 +473,7 @@ func (n *NIC) ResetQP(qp *verbs.QP) error {
 	qs.pendingWRs = 0
 	qs.peerClosed = false
 	qs.peerEpoch = 0
-	qs.rnr, qs.staleEpoch = 0, 0
+	qs.rnr = 0
 	qs.localPort, qs.remotePort, qs.remoteAtt = 0, 0, 0
 	qs.remoteAddr = inet.Addr6{}
 	return nil

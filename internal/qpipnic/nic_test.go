@@ -248,8 +248,8 @@ func TestUDPNoWRDrops(t *testing.T) {
 		cqs.Wait(p) // UDP send completes regardless
 	})
 	c.eng.Run()
-	if c.nics[1].Stats().NoWRDrops != 1 {
-		t.Errorf("NoWRDrops = %d, want 1", c.nics[1].Stats().NoWRDrops)
+	if got := c.nics[1].Net.Get("rx.drop.no-wr"); got != 1 {
+		t.Errorf("rx.drop.no-wr = %d, want 1", got)
 	}
 	if cqr.Len() != 0 {
 		t.Error("completion appeared without a posted WR")
@@ -431,12 +431,13 @@ func TestBulkThroughputAndHostUtilization(t *testing.T) {
 	if mbps < 50 || mbps > 110 {
 		t.Errorf("bulk throughput %.1f MB/s, expected ~60-90", mbps)
 	}
-	util := c.hosts[0].Utilization()
+	now := float64(c.eng.Now())
+	util := float64(c.hosts[0].BusyTotal()) / now
 	if util > 0.05 {
 		t.Errorf("sender host CPU utilization %.2f%%, expected ~<1%%", util*100)
 	}
 	t.Logf("bulk: %.1f MB/s, host util %.2f%%, nic util %.1f%%",
-		mbps, util*100, c.nics[0].CPU().Utilization()*100)
+		mbps, util*100, float64(c.nics[0].CPU().BusyTotal())/now*100)
 }
 
 // Windowed traffic keeps every FIFO on the path non-empty: the client

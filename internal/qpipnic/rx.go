@@ -47,8 +47,7 @@ func (n *NIC) receiveFrame(f *fabric.Frame) {
 	}
 	ip6, err := inet.Parse6(pkt.IPHdr)
 	if err != nil {
-		n.stats.ChecksumErrors++
-		n.Net.Add("rx.corrupt", 1)
+		*n.rxCorrupt++
 		pkt.Release()
 		return
 	}
@@ -71,7 +70,6 @@ func (n *NIC) receiveFrame(f *fabric.Frame) {
 func (n *NIC) acceptSYN(l *verbs.Listener, seg *tcp.Segment, ip6 *inet.Header6, epoch uint32) {
 	att, err := n.cfg.Routes.Lookup(ip6.Src)
 	if err != nil {
-		n.stats.NoRouteDrops++
 		n.Net.Add("rx.drop.no-route", 1)
 		return
 	}
@@ -79,7 +77,6 @@ func (n *NIC) acceptSYN(l *verbs.Listener, seg *tcp.Segment, ip6 *inet.Header6, 
 	if !ok {
 		// No idle QP parked: drop; the client's SYN retransmit retries —
 		// a later Listener.Post may still mate the connection.
-		n.stats.NoPortDrops++
 		n.Net.Add("accept.no-idle-qp", 1)
 		return
 	}

@@ -182,9 +182,6 @@ func TestCreateQPExhaustionTyped(t *testing.T) {
 	if got := c.nics[0].Net.Get("qp.exhausted"); got != 1 {
 		t.Errorf("qp.exhausted = %d, want 1", got)
 	}
-	if got := c.nics[0].Net.Get("mgmt.qp-refused"); got != 1 {
-		t.Errorf("mgmt.qp-refused = %d, want 1", got)
-	}
 }
 
 // TestQPNRecyclingUnderChurn creates and destroys QPs in a loop: the

@@ -147,12 +147,11 @@ func (n *NIC) sendTCPMessage(qs *qpState, wr verbs.SendWR, done func()) {
 func (n *NIC) sendUDPMessage(qs *qpState, wr verbs.SendWR, done func()) {
 	att, err := n.cfg.Routes.Lookup(wr.RemoteAddr)
 	if err != nil {
-		n.stats.NoRouteDrops++
+		*n.txNoRoute++
 		qs.qp.CompleteSend(wr.ID, verbs.StatusRemoteError, 0)
 		done()
 		return
 	}
-	n.stats.UDPSends++
 	pkt := wire.Get()
 	l4 := udp.Marshal6Into(n.cfg.Addr, wr.RemoteAddr, qs.localPort, wr.RemotePort, wr.Payload, pkt.L4Scratch())
 	pkt.IPHdr = inet.Marshal6Into(&inet.Header6{
@@ -180,13 +179,6 @@ func (n *NIC) sendUDPMessage(qs *qpState, wr verbs.SendWR, done func()) {
 //
 //qpip:hotpath
 func (n *NIC) sendSegment(qs *qpState, seg *tcp.Segment, done func()) {
-	isData := seg.Payload.Len() > 0
-	if isData {
-		n.stats.DataSends++
-	} else {
-		n.stats.AckSends++
-	}
-
 	// Build the real headers. The transmit-side transport checksum is
 	// computed by the DMA engine hardware (paper §4.1), so it costs the
 	// firmware nothing here.
@@ -205,7 +197,7 @@ func (n *NIC) sendSegment(qs *qpState, seg *tcp.Segment, done func()) {
 	pkt.Epoch = n.bootEpoch
 
 	cr := n.getChain(done)
-	if isData {
+	if seg.Payload.Len() > 0 {
 		cr.use(n.segData[:])
 	} else {
 		cr.use(n.segAck[:])

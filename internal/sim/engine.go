@@ -83,12 +83,6 @@ type Event struct {
 	eng   *Engine
 	state uint8
 
-	// srv, when non-nil, is the Server whose job this event completes; the
-	// engine decrements the server's queue depth before running fn. Keeping
-	// the pointer in the event (rather than wrapping fn) makes Server.Do
-	// allocation-free.
-	srv *Server
-
 	// Timer-wheel intrusive list links. next doubles as the free-list link.
 	next, prev *Event
 	level      int8
@@ -262,7 +256,6 @@ func (e *Engine) alloc(t Time, name string, fn func()) *Event {
 func (e *Engine) recycle(ev *Event) {
 	ev.fn = nil
 	ev.name = ""
-	ev.srv = nil
 	ev.prev = nil
 	ev.next = e.free
 	e.free = ev
@@ -316,9 +309,6 @@ func (e *Engine) stepUntil(limit uint64) bool {
 	e.fired++
 	e.live--
 	e.digest = digestEvent(e.digest, ev.at, ev.name)
-	if ev.srv != nil {
-		ev.srv.inQueue--
-	}
 	if ev.fn != nil {
 		ev.fn()
 	}

@@ -279,9 +279,6 @@ func TestServerFCFS(t *testing.T) {
 	if s.BusyTotal() != 15 {
 		t.Errorf("BusyTotal = %v, want 15", s.BusyTotal())
 	}
-	if s.Jobs() != 2 {
-		t.Errorf("Jobs = %d, want 2", s.Jobs())
-	}
 }
 
 func TestServerIdleGapNotCountedBusy(t *testing.T) {
@@ -295,33 +292,8 @@ func TestServerIdleGapNotCountedBusy(t *testing.T) {
 	if e.Now() != 100 {
 		t.Fatalf("Now = %v, want 100", e.Now())
 	}
-	if got := s.Utilization(); got != 0.2 {
-		t.Errorf("Utilization = %v, want 0.2", got)
-	}
-}
-
-func TestServerUtilizationExcludesFutureBusy(t *testing.T) {
-	e := NewEngine()
-	s := NewServer(e, "cpu")
-	e.At(0, "submit", func() { s.Do(100, "long", nil) })
-	e.RunUntil(50)
-	if got := s.Utilization(); got != 1.0 {
-		t.Errorf("Utilization mid-job = %v, want 1.0", got)
-	}
-}
-
-func TestServerUtilizationSince(t *testing.T) {
-	e := NewEngine()
-	s := NewServer(e, "cpu")
-	s.Do(10, "warmup", nil)
-	e.Run()
-	since, busyAt := e.Now(), s.BusyTotal()
-	e.At(20, "work", func() { s.Do(40, "measured", nil) })
-	e.Run()
-	e.RunUntil(110)
-	// Window [10,110]: 40 busy out of 100.
-	if got := s.UtilizationSince(since, busyAt); got != 0.4 {
-		t.Errorf("UtilizationSince = %v, want 0.4", got)
+	if got := s.BusyTotal(); got != 20 {
+		t.Errorf("BusyTotal = %v, want 20 (the idle gap is not busy)", got)
 	}
 }
 
@@ -334,18 +306,6 @@ func TestServerNegativeDurationPanics(t *testing.T) {
 		}
 	}()
 	s.Do(-1, "bad", nil)
-}
-
-func TestServerMaxQueue(t *testing.T) {
-	e := NewEngine()
-	s := NewServer(e, "cpu")
-	for i := 0; i < 5; i++ {
-		s.Do(10, "j", nil)
-	}
-	if s.MaxQueue() != 5 {
-		t.Errorf("MaxQueue = %d, want 5", s.MaxQueue())
-	}
-	e.Run()
 }
 
 func TestCPUCycleConversion(t *testing.T) {

@@ -28,7 +28,7 @@ import (
 )
 
 // runFree is the command telling a worker to drain its engine to quiescence
-// (no horizon). Used when no unsevered cross-shard link exists, so every
+// (no horizon). Used when no cross-shard link exists, so every
 // shard's schedule is already closed under its own events.
 const runFree sim.Time = -1
 
@@ -37,7 +37,7 @@ type Config struct {
 	// Engines are the shard engines, indexed by shard.
 	Engines []*sim.Engine
 	// Lookahead is the minimum cross-shard frame latency. Zero means no
-	// unsevered cross-shard links exist: shards run free, one epoch.
+	// cross-shard links exist: shards run free, one epoch.
 	Lookahead sim.Time
 	// Exchange injects all buffered cross-shard handoffs into their
 	// destination engines and returns how many were injected. It is called

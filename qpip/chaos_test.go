@@ -145,7 +145,7 @@ func runChaosTransferOn(t *testing.T, c *qpip.Cluster, seed uint64, msgs, msgLen
 		}
 	}
 	// Corruption was caught by real checksums, not delivered.
-	if crpt := c.Nodes[0].QPIP.Stats().ChecksumErrors + c.Nodes[1].QPIP.Stats().ChecksumErrors; crpt == 0 {
+	if crpt := c.Nodes[0].QPIP.Net.Get("rx.corrupt") + c.Nodes[1].QPIP.Net.Get("rx.corrupt"); crpt == 0 {
 		t.Error("frames were corrupted but no checksum error was counted")
 	}
 	return res
@@ -377,7 +377,7 @@ func TestCreateQPRefusedOnStateTableExhaustion(t *testing.T) {
 	if _, _, _, err := qpip.NewReliableQP(c.Nodes[0], 4); !errors.Is(err, qpip.ErrNoResources) {
 		t.Fatalf("QP beyond MaxQPs = %v, want ErrNoResources", err)
 	}
-	if n := c.Nodes[0].QPIP.Net.Get("mgmt.qp-refused"); n != 1 {
-		t.Errorf("mgmt.qp-refused = %d, want 1", n)
+	if n := c.Nodes[0].QPIP.Net.Get("qp.exhausted"); n != 1 {
+		t.Errorf("qp.exhausted = %d, want 1", n)
 	}
 }

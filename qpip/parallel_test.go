@@ -58,12 +58,11 @@ func matrixCluster(mode string) *qpip.Cluster {
 	case "2-shard":
 		return qpip.NewShardedQPIPCluster(4, 2)
 	case "isolated":
-		// Pair (2k, 2k+1) co-sharded: both flows stay shard-local, the
-		// fabrics are severed, and the shards free-run in a single epoch.
+		// Pair (2k, 2k+1) co-sharded: both flows stay shard-local, so no
+		// frame rides a barrier mailbox.
 		return qpip.NewShardedCluster(4, qpip.NodeConfig{QPIP: true}, qpip.ShardPlan{
 			Shards:    2,
 			NodeShard: func(i int) int { return i / 2 },
-			Isolate:   true,
 		})
 	default:
 		panic("unknown mode " + mode)
@@ -264,9 +263,9 @@ func TestParallelMatrixEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelIsolatedPlacement covers the severed-fabric fast path: pairs
-// co-sharded (Isolate), no cross-shard traffic, shards free-running in one
-// epoch — still bit-identical to sequential.
+// TestParallelIsolatedPlacement covers co-sharded placement: pairs on one
+// shard, no cross-shard traffic, epochs with empty mailboxes — still
+// bit-identical to sequential.
 func TestParallelIsolatedPlacement(t *testing.T) {
 	seq := runMatrix(t, "sequential", qpip.FaultPlan{}, true)
 	if t.Failed() {
@@ -346,8 +345,7 @@ func TestParallelRunFor(t *testing.T) {
 // tests pin the same bit-identity contract as the 4-node matrix on the
 // two shapes that stress it most: a 4x4 mesh whose XY routes cross the
 // shard cut mid-path, and a ring-topology NIC-offloaded allreduce whose
-// firmware messages are the only traffic. Topology plans never use
-// Isolate: severed shards refuse multi-hop routes by design.
+// firmware messages are the only traffic.
 
 // topoResult is everything a topology run produces that must be
 // identical across shard placements.
