@@ -26,7 +26,7 @@ func main() {
 	const port = 5353
 
 	received := map[string]int{}
-	c.Spawn("collector", func(p *qpip.Proc) {
+	c.SpawnOn(0, "collector", func(p *qpip.Proc) {
 		qp, _, rcq, err := qpip.NewUnreliableQP(collector, 4096)
 		if err != nil {
 			log.Fatal(err)
@@ -50,7 +50,7 @@ func main() {
 
 	for s := 1; s <= *senders; s++ {
 		s := s
-		c.Spawn(fmt.Sprintf("sender%d", s), func(p *qpip.Proc) {
+		c.SpawnOn(s, fmt.Sprintf("sender%d", s), func(p *qpip.Proc) {
 			qp, scq, _, err := qpip.NewUnreliableQP(c.Nodes[s], 256)
 			if err != nil {
 				log.Fatal(err)

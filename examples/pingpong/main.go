@@ -39,7 +39,7 @@ func measure(cs qpipnic.ChecksumMode, udp bool, iters int) float64 {
 	total := iters + 1
 
 	if udp {
-		c.Spawn("server", func(p *qpip.Proc) {
+		c.SpawnOn(1, "server", func(p *qpip.Proc) {
 			qp, _, rcq, err := qpip.NewUnreliableQP(c.Nodes[1], 2*total)
 			if err != nil {
 				log.Fatal(err)
@@ -58,7 +58,7 @@ func measure(cs qpipnic.ChecksumMode, udp bool, iters int) float64 {
 				})
 			}
 		})
-		c.Spawn("client", func(p *qpip.Proc) {
+		c.SpawnOn(0, "client", func(p *qpip.Proc) {
 			qp, _, rcq, err := qpip.NewUnreliableQP(c.Nodes[0], 2*total)
 			if err != nil {
 				log.Fatal(err)
@@ -87,7 +87,7 @@ func measure(cs qpipnic.ChecksumMode, udp bool, iters int) float64 {
 		return rttUS
 	}
 
-	c.Spawn("server", func(p *qpip.Proc) {
+	c.SpawnOn(1, "server", func(p *qpip.Proc) {
 		qp, _, rcq, err := qpip.NewReliableQP(c.Nodes[1], 2*total)
 		if err != nil {
 			log.Fatal(err)
@@ -108,7 +108,7 @@ func measure(cs qpipnic.ChecksumMode, udp bool, iters int) float64 {
 			qp.PostSend(p, qpip.SendWR{ID: uint64(i), Payload: qpip.VirtualMessage(1)})
 		}
 	})
-	c.Spawn("client", func(p *qpip.Proc) {
+	c.SpawnOn(0, "client", func(p *qpip.Proc) {
 		qp, scq, rcq, err := qpip.NewReliableQP(c.Nodes[0], 2*total)
 		if err != nil {
 			log.Fatal(err)

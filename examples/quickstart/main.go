@@ -16,7 +16,7 @@ func main() {
 
 	// Server: create a QP, park it on a monitored TCP port, post a
 	// receive buffer, and wait for the message.
-	c.Spawn("server", func(p *qpip.Proc) {
+	c.SpawnOn(1, "server", func(p *qpip.Proc) {
 		qp, _, rcq, err := qpip.NewReliableQP(c.Nodes[1], 64)
 		if err != nil {
 			log.Fatal(err)
@@ -44,7 +44,7 @@ func main() {
 	// Client: connect (the SYN/ACK rendezvous runs entirely inside the
 	// adapters), send, and wait for the send completion — which fires
 	// when the peer's TCP acknowledged the whole message.
-	c.Spawn("client", func(p *qpip.Proc) {
+	c.SpawnOn(0, "client", func(p *qpip.Proc) {
 		qp, scq, _, err := qpip.NewReliableQP(c.Nodes[0], 64)
 		if err != nil {
 			log.Fatal(err)
@@ -62,5 +62,5 @@ func main() {
 	})
 
 	c.Run()
-	fmt.Printf("simulation finished at %v\n", c.Eng.Now())
+	fmt.Printf("simulation finished at %v\n", c.EndTime())
 }

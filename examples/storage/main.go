@@ -24,10 +24,10 @@ func main() {
 
 	c := qpip.NewCluster(2, core.NodeConfig{QPIP: true, QPIPMTU: params.MTUJumbo})
 	diskSize := int64(total) + (64 << 20)
-	disk := storage.NewDisk(c.Eng, "server.disk", diskSize)
+	disk := storage.NewDisk(c.EngineOf(1), "server.disk", diskSize)
 	maxMsg := c.Nodes[0].QPIP.MaxMessage()
 
-	c.Spawn("nbd-server", func(p *qpip.Proc) {
+	c.SpawnOn(1, "nbd-server", func(p *qpip.Proc) {
 		qp, scq, rcq, err := qpip.NewReliableQP(c.Nodes[1], 512)
 		if err != nil {
 			log.Fatal(err)
@@ -43,7 +43,7 @@ func main() {
 		nbd.ServeQP(p, c.Nodes[1].CPU, qp, scq, rcq, maxMsg, disk)
 	})
 
-	c.Spawn("client", func(p *qpip.Proc) {
+	c.SpawnOn(0, "client", func(p *qpip.Proc) {
 		qp, scq, rcq, err := qpip.NewReliableQP(c.Nodes[0], 512)
 		if err != nil {
 			log.Fatal(err)
@@ -51,7 +51,7 @@ func main() {
 		if err := qp.Connect(p, c.Nodes[1].Addr6, 10809); err != nil {
 			log.Fatal(err)
 		}
-		cli := nbd.NewQPClient(c.Eng, c.Nodes[0].CPU, qp, scq, rcq, maxMsg, diskSize, params.NBDQueueDepth)
+		cli := nbd.NewQPClient(p, c.Nodes[0].CPU, qp, scq, rcq, maxMsg, diskSize, params.NBDQueueDepth, nil)
 		fs := storage.NewFS(cli, c.Nodes[0].CPU, 8<<20)
 
 		const chunk = 256 * 1024

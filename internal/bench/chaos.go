@@ -65,12 +65,7 @@ func Chaos(totalBytes int) []ChaosRow {
 		var cl *core.Cluster
 		attach := func(c *core.Cluster) {
 			cl = c
-			inj = fault.NewInjector(plan)
-			if c.Myrinet != nil {
-				inj.Attach(c.Myrinet)
-			} else {
-				inj.Attach(c.Eth)
-			}
+			inj = c.InjectFaults(plan)
 		}
 
 		if i%2 == 0 {

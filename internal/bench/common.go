@@ -103,7 +103,7 @@ func qpipPingPong(cs qpipnic.ChecksumMode, iters int, reap func(*verbs.CQ, *sim.
 	total := iters + 2 // one warmup RTT
 
 	serverReady := false
-	c.Spawn("server", func(p *sim.Proc) {
+	c.SpawnOn(1, "server", func(p *sim.Proc) {
 		qp, _, rcq := newQP(c.Nodes[1], verbs.Reliable, 2*total)
 		lst, err := c.Nodes[1].QPIP.Listen(port)
 		if err != nil {
@@ -122,7 +122,7 @@ func qpipPingPong(cs qpipnic.ChecksumMode, iters int, reap func(*verbs.CQ, *sim.
 			qp.PostSend(p, verbs.SendWR{ID: uint64(i), Payload: buf.Virtual(1)})
 		}
 	})
-	c.Spawn("client", func(p *sim.Proc) {
+	c.SpawnOn(0, "client", func(p *sim.Proc) {
 		qp, scq, rcq := newQP(c.Nodes[0], verbs.Reliable, 2*total)
 		if err := qp.Connect(p, c.Nodes[1].Addr6, port); err != nil {
 			panic(err)
@@ -180,7 +180,7 @@ func qpipUDPPingPong(cs qpipnic.ChecksumMode, iters int, prep ...func(*core.Clus
 	c := prepared(core.NewCluster(2, core.NodeConfig{QPIP: true, QPIPChecksum: cs}), prep)
 	var rttUS float64
 	total := iters + 2
-	c.Spawn("server", func(p *sim.Proc) {
+	c.SpawnOn(1, "server", func(p *sim.Proc) {
 		qp, _, rcq := newQP(c.Nodes[1], verbs.Unreliable, 2*total)
 		if _, err := qp.BindUDP(7001); err != nil {
 			panic(err)
@@ -196,7 +196,7 @@ func qpipUDPPingPong(cs qpipnic.ChecksumMode, iters int, prep ...func(*core.Clus
 			})
 		}
 	})
-	c.Spawn("client", func(p *sim.Proc) {
+	c.SpawnOn(0, "client", func(p *sim.Proc) {
 		qp, _, rcq := newQP(c.Nodes[0], verbs.Unreliable, 2*total)
 		if _, err := qp.BindUDP(7002); err != nil {
 			panic(err)
@@ -228,7 +228,7 @@ func sockPingPong(kind StackKind, udp bool, iters int, prep ...func(*core.Cluste
 	c := prepared(core.NewCluster(2, kind.hostConfig()), prep)
 	var rttUS float64
 	if udp {
-		c.Spawn("server", func(p *sim.Proc) {
+		c.SpawnOn(1, "server", func(p *sim.Proc) {
 			s := c.Nodes[1].Kernel.NewSocket(hostos.UDPSock)
 			s.BindUDP(7001)
 			for {
@@ -242,7 +242,7 @@ func sockPingPong(kind StackKind, udp bool, iters int, prep ...func(*core.Cluste
 				}
 			}
 		})
-		c.Spawn("client", func(p *sim.Proc) {
+		c.SpawnOn(0, "client", func(p *sim.Proc) {
 			s := c.Nodes[0].Kernel.NewSocket(hostos.UDPSock)
 			s.BindUDP(7002)
 			s.SendTo(p, buf.Virtual(1), c.Nodes[1].Addr4, 7001) // warmup
@@ -258,7 +258,7 @@ func sockPingPong(kind StackKind, udp bool, iters int, prep ...func(*core.Cluste
 		c.RunFor(30 * sim.Second)
 		return rttUS
 	}
-	c.Spawn("server", func(p *sim.Proc) {
+	c.SpawnOn(1, "server", func(p *sim.Proc) {
 		lst := c.Nodes[1].Kernel.NewSocket(hostos.TCPSock)
 		lst.Listen(7000, 4)
 		s := lst.Accept(p)
@@ -272,7 +272,7 @@ func sockPingPong(kind StackKind, udp bool, iters int, prep ...func(*core.Cluste
 			}
 		}
 	})
-	c.Spawn("client", func(p *sim.Proc) {
+	c.SpawnOn(0, "client", func(p *sim.Proc) {
 		s := c.Nodes[0].Kernel.NewSocket(hostos.TCPSock)
 		s.SetNoDelay(true)
 		if err := s.Connect(p, c.Nodes[1].Addr4, 7000); err != nil {
@@ -299,7 +299,7 @@ func hostLoopbackOverhead(iters int, prep ...func(*core.Cluster)) float64 {
 	k := c.Nodes[0].Kernel
 	var perMsgUS float64
 	done := false
-	c.Spawn("server", func(p *sim.Proc) {
+	c.SpawnOn(0, "server", func(p *sim.Proc) {
 		lst := k.NewSocket(hostos.TCPSock)
 		lst.Listen(7000, 4)
 		s := lst.Accept(p)
@@ -312,7 +312,7 @@ func hostLoopbackOverhead(iters int, prep ...func(*core.Cluster)) float64 {
 			}
 		}
 	})
-	c.Spawn("client", func(p *sim.Proc) {
+	c.SpawnOn(0, "client", func(p *sim.Proc) {
 		s := k.NewSocket(hostos.TCPSock)
 		s.SetNoDelay(true)
 		if err := s.Connect(p, c.Nodes[0].Addr4, 7000); err != nil {

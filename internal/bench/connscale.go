@@ -149,7 +149,7 @@ func incastQPIP(conns, msgs int, useSRQ bool, prep ...func(*core.Cluster)) ConnR
 	nicC, nicS := c.Nodes[0].QPIP, c.Nodes[1].QPIP
 	row := ConnRow{Conns: conns, Requests: conns * msgs}
 
-	c.Spawn("incast-server", func(p *sim.Proc) {
+	c.SpawnOn(1, "incast-server", func(p *sim.Proc) {
 		qps, rcq, _ := connServer(p, nicS, &row, useSRQ, msgs, connMsgBytes)
 		// Private pools already hold every message's buffer. Shared-pool
 		// reposts are batched through PostRecvN: one doorbell per 16
@@ -173,10 +173,10 @@ func incastQPIP(conns, msgs int, useSRQ bool, prep ...func(*core.Cluster)) ConnR
 		// Snapshot at the last served request: engine spin-down (timer
 		// horizons, close handshakes) must not pollute the metrics.
 		row.HostCPUPerReqUS = c.Nodes[1].CPU.BusyTotal().Micros() / float64(row.Requests)
-		row.ElapsedMS = c.Eng.Now().Micros() / 1000
+		row.ElapsedMS = p.Now().Micros() / 1000
 	})
 	for ci := 0; ci < conns; ci++ {
-		c.Spawn(fmt.Sprintf("incast-cli%d", ci), func(p *sim.Proc) {
+		c.SpawnOn(0, fmt.Sprintf("incast-cli%d", ci), func(p *sim.Proc) {
 			scq := verbs.NewCQ(nicC, 2*msgs)
 			rcq := verbs.NewCQ(nicC, 2)
 			qp, err := verbs.NewQP(nicC, verbs.QPConfig{
@@ -211,7 +211,7 @@ func incastSock(kind StackKind, conns, msgs int) ConnRow {
 	k := c.Nodes[1].Kernel
 	row := ConnRow{Conns: conns, Requests: conns * msgs}
 
-	c.Spawn("incast-server", func(p *sim.Proc) {
+	c.SpawnOn(1, "incast-server", func(p *sim.Proc) {
 		lst := k.NewSocket(hostos.TCPSock)
 		if err := lst.Listen(connPort, conns); err != nil {
 			panic(err)
@@ -230,13 +230,13 @@ func incastSock(kind StackKind, conns, msgs int) ConnRow {
 		}
 		row.LiveEnd = k.LiveConns()
 		row.HostCPUPerReqUS = k.CPU().BusyTotal().Micros() / float64(row.Requests)
-		row.ElapsedMS = c.Eng.Now().Micros() / 1000
+		row.ElapsedMS = p.Now().Micros() / 1000
 		for _, s := range children {
 			s.Close(p)
 		}
 	})
 	for ci := 0; ci < conns; ci++ {
-		c.Spawn(fmt.Sprintf("incast-cli%d", ci), func(p *sim.Proc) {
+		c.SpawnOn(0, fmt.Sprintf("incast-cli%d", ci), func(p *sim.Proc) {
 			s := c.Nodes[0].Kernel.NewSocket(hostos.TCPSock)
 			s.SetNoDelay(true)
 			if err := s.Connect(p, c.Nodes[1].Addr4, connPort); err != nil {
@@ -291,7 +291,7 @@ func churnQPIP(conns int, useSRQ bool) ConnRow {
 		i := i
 		rounds := workerRounds(i)
 		port := uint16(connPort + i)
-		c.Spawn(fmt.Sprintf("churn-srv%d", i), func(p *sim.Proc) {
+		c.SpawnOn(1, fmt.Sprintf("churn-srv%d", i), func(p *sim.Proc) {
 			scq := verbs.NewCQ(nicS, 8)
 			rcq := verbs.NewCQ(nicS, 8)
 			lst, err := nicS.Listen(port)
@@ -357,7 +357,7 @@ func churnQPIP(conns int, useSRQ bool) ConnRow {
 					// Last request in: snapshot before the reaped-peer
 					// retransmit tails stretch the engine's spin-down.
 					row.HostCPUPerReqUS = c.Nodes[1].CPU.BusyTotal().Micros() / float64(conns)
-					row.ElapsedMS = c.Eng.Now().Micros() / 1000
+					row.ElapsedMS = p.Now().Micros() / 1000
 				}
 				qp.Close()
 			}
@@ -367,7 +367,7 @@ func churnQPIP(conns int, useSRQ bool) ConnRow {
 		i := i
 		rounds := workerRounds(i)
 		port := uint16(connPort + i)
-		c.Spawn(fmt.Sprintf("churn-cli%d", i), func(p *sim.Proc) {
+		c.SpawnOn(0, fmt.Sprintf("churn-cli%d", i), func(p *sim.Proc) {
 			scq := verbs.NewCQ(nicC, 8)
 			rcq := verbs.NewCQ(nicC, 8)
 			for r := 0; r < rounds; r++ {
@@ -424,7 +424,7 @@ func churnSock(kind StackKind, conns int) ConnRow {
 		i := i
 		rounds := workerRounds(i)
 		port := uint16(connPort + i)
-		c.Spawn(fmt.Sprintf("churn-srv%d", i), func(p *sim.Proc) {
+		c.SpawnOn(1, fmt.Sprintf("churn-srv%d", i), func(p *sim.Proc) {
 			lst := k.NewSocket(hostos.TCPSock)
 			if err := lst.Listen(port, 8); err != nil {
 				panic(err)
@@ -436,12 +436,12 @@ func churnSock(kind StackKind, conns int) ConnRow {
 				}
 				if served++; served == conns {
 					row.HostCPUPerReqUS = k.CPU().BusyTotal().Micros() / float64(conns)
-					row.ElapsedMS = c.Eng.Now().Micros() / 1000
+					row.ElapsedMS = p.Now().Micros() / 1000
 				}
 				s.Close(p)
 			}
 		})
-		c.Spawn(fmt.Sprintf("churn-cli%d", i), func(p *sim.Proc) {
+		c.SpawnOn(0, fmt.Sprintf("churn-cli%d", i), func(p *sim.Proc) {
 			for r := 0; r < rounds; r++ {
 				s := c.Nodes[0].Kernel.NewSocket(hostos.TCPSock)
 				s.SetNoDelay(true)
@@ -472,11 +472,11 @@ func churnSock(kind StackKind, conns int) ConnRow {
 func nbdConnQPIP(conns, msgs int, useSRQ bool, prep ...func(*core.Cluster)) ConnRow {
 	c := prepared(core.NewCluster(2, core.NodeConfig{QPIP: true, QPIPMaxQPs: conns + 64}), prep)
 	nicC, nicS := c.Nodes[0].QPIP, c.Nodes[1].QPIP
-	disk := storage.NewDisk(c.Eng, "connscale.disk", int64(conns)*int64(msgs)*connNBDRead+(64<<20))
+	disk := storage.NewDisk(c.EngineOf(1), "connscale.disk", int64(conns)*int64(msgs)*connNBDRead+(64<<20))
 	dev := &storage.LocalDev{D: disk}
 	row := ConnRow{Conns: conns, Requests: conns * msgs}
 
-	c.Spawn("nbd-server", func(p *sim.Proc) {
+	c.SpawnOn(1, "nbd-server", func(p *sim.Proc) {
 		qps, rcq, scq := connServer(p, nicS, &row, useSRQ, 2, connNBDBufCap)
 		byQPN := make(map[uint32]*verbs.QP, conns)
 		for _, qp := range qps {
@@ -511,11 +511,11 @@ func nbdConnQPIP(conns, msgs int, useSRQ bool, prep ...func(*core.Cluster)) Conn
 			}
 		}
 		row.HostCPUPerReqUS = c.Nodes[1].CPU.BusyTotal().Micros() / float64(row.Requests)
-		row.ElapsedMS = c.Eng.Now().Micros() / 1000
+		row.ElapsedMS = p.Now().Micros() / 1000
 	})
 	for ci := 0; ci < conns; ci++ {
 		ci := ci
-		c.Spawn(fmt.Sprintf("nbd-cli%d", ci), func(p *sim.Proc) {
+		c.SpawnOn(0, fmt.Sprintf("nbd-cli%d", ci), func(p *sim.Proc) {
 			scq := verbs.NewCQ(nicC, 8)
 			rcq := verbs.NewCQ(nicC, 8)
 			qp, err := verbs.NewQP(nicC, verbs.QPConfig{
@@ -560,12 +560,12 @@ func nbdConnQPIP(conns, msgs int, useSRQ bool, prep ...func(*core.Cluster)) Conn
 func nbdConnSock(kind StackKind, conns, msgs int) ConnRow {
 	c := core.NewCluster(2, kind.hostConfig())
 	k := c.Nodes[1].Kernel
-	disk := storage.NewDisk(c.Eng, "connscale.disk", int64(conns)*int64(msgs)*connNBDRead+(64<<20))
+	disk := storage.NewDisk(c.EngineOf(1), "connscale.disk", int64(conns)*int64(msgs)*connNBDRead+(64<<20))
 	dev := &storage.LocalDev{D: disk}
 	row := ConnRow{Conns: conns, Requests: conns * msgs}
 
 	served := 0
-	c.Spawn("nbd-server", func(p *sim.Proc) {
+	c.SpawnOn(1, "nbd-server", func(p *sim.Proc) {
 		lst := k.NewSocket(hostos.TCPSock)
 		if err := lst.Listen(connPort, conns); err != nil {
 			panic(err)
@@ -573,7 +573,7 @@ func nbdConnSock(kind StackKind, conns, msgs int) ConnRow {
 		for i := 0; i < conns; i++ {
 			s := lst.Accept(p)
 			s.SetNoDelay(true)
-			c.Spawn(fmt.Sprintf("nbd-srv-conn%d", i), func(hp *sim.Proc) {
+			c.SpawnOn(1, fmt.Sprintf("nbd-srv-conn%d", i), func(hp *sim.Proc) {
 				for {
 					hdr, err := s.RecvFull(hp, nbd.RequestLen)
 					if err != nil {
@@ -595,7 +595,7 @@ func nbdConnSock(kind StackKind, conns, msgs int) ConnRow {
 					}
 					if served++; served == row.Requests {
 						row.HostCPUPerReqUS = k.CPU().BusyTotal().Micros() / float64(row.Requests)
-						row.ElapsedMS = c.Eng.Now().Micros() / 1000
+						row.ElapsedMS = hp.Now().Micros() / 1000
 					}
 				}
 			})
@@ -607,7 +607,7 @@ func nbdConnSock(kind StackKind, conns, msgs int) ConnRow {
 	})
 	for ci := 0; ci < conns; ci++ {
 		ci := ci
-		c.Spawn(fmt.Sprintf("nbd-cli%d", ci), func(p *sim.Proc) {
+		c.SpawnOn(0, fmt.Sprintf("nbd-cli%d", ci), func(p *sim.Proc) {
 			s := c.Nodes[0].Kernel.NewSocket(hostos.TCPSock)
 			s.SetNoDelay(true)
 			if err := s.Connect(p, c.Nodes[1].Addr4, connPort); err != nil {

@@ -90,7 +90,7 @@ func TestEventDigests(t *testing.T) {
 	}
 	for _, tc := range cases {
 		var eng *sim.Engine
-		tc.run(func(c *core.Cluster) { eng = c.Eng })
+		tc.run(func(c *core.Cluster) { eng = c.Engines[0] })
 		if got, gotDigest := eng.Fired(), eng.Digest(); got != tc.events || gotDigest != tc.digest {
 			t.Errorf("%s: events=%d digest=%#016x, want events=%d digest=%#016x",
 				tc.name, got, gotDigest, tc.events, tc.digest)

@@ -66,9 +66,9 @@ func nbdPhases(p *sim.Proc, fs *storage.FS, cpu *sim.CPU, total int, row *NBDRow
 func nbdSockRun(kind StackKind, total int) NBDRow {
 	c := core.NewCluster(2, kind.hostConfig())
 	diskSize := int64(total) + (64 << 20)
-	disk := storage.NewDisk(c.Eng, "server.disk", diskSize)
+	disk := storage.NewDisk(c.EngineOf(1), "server.disk", diskSize)
 	row := NBDRow{Stack: kind.String()}
-	c.Spawn("nbd-server", func(p *sim.Proc) {
+	c.SpawnOn(1, "nbd-server", func(p *sim.Proc) {
 		lst := c.Nodes[1].Kernel.NewSocket(hostos.TCPSock)
 		if err := lst.Listen(10809, 4); err != nil {
 			panic(err)
@@ -78,14 +78,14 @@ func nbdSockRun(kind StackKind, total int) NBDRow {
 		s.SetSndBuf(512 * 1024)
 		nbd.ServeSock(p, c.Nodes[1].CPU, s, disk)
 	})
-	c.Spawn("nbd-client", func(p *sim.Proc) {
+	c.SpawnOn(0, "nbd-client", func(p *sim.Proc) {
 		s := c.Nodes[0].Kernel.NewSocket(hostos.TCPSock)
 		s.SetNoDelay(true)
 		s.SetSndBuf(512 * 1024)
 		if err := s.Connect(p, c.Nodes[1].Addr4, 10809); err != nil {
 			panic(err)
 		}
-		cli := nbd.NewSockClient(c.Eng, c.Nodes[0].CPU, s, diskSize, params.NBDQueueDepth)
+		cli := nbd.NewSockClient(p, c.Nodes[0].CPU, s, diskSize, params.NBDQueueDepth)
 		fs := storage.NewFS(cli, c.Nodes[0].CPU, 8<<20)
 		nbdPhases(p, fs, c.Nodes[0].CPU, total, &row)
 	})
@@ -98,10 +98,10 @@ func nbdSockRun(kind StackKind, total int) NBDRow {
 func nbdQPIPRun(total int, prep ...func(*core.Cluster)) NBDRow {
 	c := prepared(core.NewCluster(2, core.NodeConfig{QPIP: true, QPIPMTU: params.MTUJumbo}), prep)
 	diskSize := int64(total) + (64 << 20)
-	disk := storage.NewDisk(c.Eng, "server.disk", diskSize)
+	disk := storage.NewDisk(c.EngineOf(1), "server.disk", diskSize)
 	maxMsg := c.Nodes[0].QPIP.MaxMessage()
 	row := NBDRow{Stack: "QPIP"}
-	c.Spawn("nbd-server", func(p *sim.Proc) {
+	c.SpawnOn(1, "nbd-server", func(p *sim.Proc) {
 		qp, scq, rcq := newQP(c.Nodes[1], verbs.Reliable, 512)
 		lst, err := c.Nodes[1].QPIP.Listen(10809)
 		if err != nil {
@@ -113,12 +113,12 @@ func nbdQPIPRun(total int, prep ...func(*core.Cluster)) NBDRow {
 		}
 		nbd.ServeQP(p, c.Nodes[1].CPU, qp, scq, rcq, maxMsg, disk)
 	})
-	c.Spawn("nbd-client", func(p *sim.Proc) {
+	c.SpawnOn(0, "nbd-client", func(p *sim.Proc) {
 		qp, scq, rcq := newQP(c.Nodes[0], verbs.Reliable, 512)
 		if err := qp.Connect(p, c.Nodes[1].Addr6, 10809); err != nil {
 			panic(err)
 		}
-		cli := nbd.NewQPClient(c.Eng, c.Nodes[0].CPU, qp, scq, rcq, maxMsg, diskSize, params.NBDQueueDepth)
+		cli := nbd.NewQPClient(p, c.Nodes[0].CPU, qp, scq, rcq, maxMsg, diskSize, params.NBDQueueDepth, nil)
 		fs := storage.NewFS(cli, c.Nodes[0].CPU, 8<<20)
 		nbdPhases(p, fs, c.Nodes[0].CPU, total, &row)
 	})

@@ -14,7 +14,7 @@ func ttcpEvents(totalBytes int) uint64 {
 	var cl *core.Cluster
 	qpipTtcp(params.MTUQPIP, qpipnic.ChecksumEmulatedHW, TtcpChunk, totalBytes, nil,
 		func(c *core.Cluster) { cl = c })
-	return cl.Eng.Fired()
+	return cl.FiredTotal()
 }
 
 // TestTtcpEventCountInvariant pins the exact number of events a ttcp

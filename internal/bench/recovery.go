@@ -86,7 +86,7 @@ func (s recoverySpec) faultFor() sim.Time { return s.down }
 func recoveryRun(s recoverySpec, total int, baselineMBps float64, prep ...func(*core.Cluster)) RecoveryRow {
 	c := prepared(core.NewCluster(2, core.NodeConfig{QPIP: true, QPIPMTU: params.MTUJumbo}), prep)
 	diskSize := int64(total) + (64 << 20)
-	disk := storage.NewDisk(c.Eng, "server.disk", diskSize)
+	disk := storage.NewDisk(c.EngineOf(1), "server.disk", diskSize)
 	maxMsg := c.Nodes[0].QPIP.MaxMessage()
 
 	plan := fault.Plan{Seed: RecoverySeed}
@@ -113,9 +113,7 @@ func recoveryRun(s recoverySpec, total int, baselineMBps float64, prep ...func(*
 		}}
 		faultEnd = s.at + s.down
 	}
-	inj := fault.NewInjector(plan)
-	inj.Attach(c.Myrinet)
-	inj.ScheduleCrashes(c.Eng, c.Nodes[0].QPIP, c.Nodes[1].QPIP)
+	inj := c.InjectFaults(plan)
 
 	row := RecoveryRow{
 		Scenario:   s.scenario,
@@ -124,22 +122,22 @@ func recoveryRun(s recoverySpec, total int, baselineMBps float64, prep ...func(*
 		FaultForMS: float64(s.faultFor()) / 1e6,
 	}
 
-	c.Spawn("nbd-server", func(p *sim.Proc) {
+	c.SpawnOn(1, "nbd-server", func(p *sim.Proc) {
 		qp, scq, rcq := newQP(c.Nodes[1], verbs.Reliable, 512)
 		nbd.ServeQPResilient(p, c.Nodes[1].CPU, c.Nodes[1].QPIP, 10809,
 			qp, scq, rcq, maxMsg, disk, s.pol)
 	})
 
 	var cli *nbd.QPClient
-	c.Spawn("nbd-client", func(p *sim.Proc) {
+	c.SpawnOn(0, "nbd-client", func(p *sim.Proc) {
 		qp, scq, rcq := newQP(c.Nodes[0], verbs.Reliable, 512)
 		// The initial rendezvous goes through the same backoff machinery as
 		// recovery: an early-scheduled fault may land mid-handshake.
 		if err := qp.Reconnect(p, c.Nodes[1].Addr6, 10809, s.pol); err != nil {
 			panic(err)
 		}
-		cli = nbd.NewResilientQPClient(c.Eng, c.Nodes[0].CPU, qp, scq, rcq,
-			maxMsg, diskSize, params.NBDQueueDepth, nbd.RecoverySpec{
+		cli = nbd.NewQPClient(p, c.Nodes[0].CPU, qp, scq, rcq,
+			maxMsg, diskSize, params.NBDQueueDepth, &nbd.RecoverySpec{
 				Raddr: c.Nodes[1].Addr6, Rport: 10809, Backoff: s.pol, Timeout: s.timeout,
 			})
 

@@ -53,7 +53,7 @@ func qpipTtcp(mtu int, cs qpipnic.ChecksumMode, msgSize, total int, tweak func(*
 	var wakes uint64
 
 	const batch = 16 // WRs per batch verb call
-	c.Spawn("server", func(p *sim.Proc) {
+	c.SpawnOn(1, "server", func(p *sim.Proc) {
 		qp, _, rcq := newQP(c.Nodes[1], verbs.Reliable, 2*window)
 		lst, err := c.Nodes[1].QPIP.Listen(port)
 		if err != nil {
@@ -94,7 +94,7 @@ func qpipTtcp(mtu int, cs qpipnic.ChecksumMode, msgSize, total int, tweak func(*
 		end = p.Now()
 		wakes = line.Fired() - fired0
 	})
-	c.Spawn("client", func(p *sim.Proc) {
+	c.SpawnOn(0, "client", func(p *sim.Proc) {
 		qp, scq, _ := newQP(c.Nodes[0], verbs.Reliable, 2*window)
 		if err := qp.Connect(p, c.Nodes[1].Addr6, port); err != nil {
 			panic(err)
@@ -151,7 +151,7 @@ func sockTtcp(kind StackKind, total int, tweak func(*core.NodeConfig), prep ...f
 	var out TtcpMeasure
 	var start, end sim.Time
 	var sndBusy0, rcvBusy0 sim.Time
-	c.Spawn("server", func(p *sim.Proc) {
+	c.SpawnOn(1, "server", func(p *sim.Proc) {
 		lst := c.Nodes[1].Kernel.NewSocket(hostos.TCPSock)
 		lst.Listen(7000, 4)
 		s := lst.Accept(p)
@@ -160,7 +160,7 @@ func sockTtcp(kind StackKind, total int, tweak func(*core.NodeConfig), prep ...f
 		}
 		end = p.Now()
 	})
-	c.Spawn("client", func(p *sim.Proc) {
+	c.SpawnOn(0, "client", func(p *sim.Proc) {
 		s := c.Nodes[0].Kernel.NewSocket(hostos.TCPSock)
 		s.SetNoDelay(true) // ttcp sets TCP_NODELAY (paper §4.2.1)
 		if err := s.Connect(p, c.Nodes[1].Addr4, 7000); err != nil {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"repro/internal/fabric"
+	"repro/internal/fault"
 	"repro/internal/gige"
 	"repro/internal/gm"
 	"repro/internal/hostos"
@@ -87,10 +88,9 @@ type ShardPlan struct {
 
 // Cluster is a set of nodes on shared fabrics.
 type Cluster struct {
-	// Eng is the first (and, unsharded, only) engine — the scheduling home
-	// of Spawn and of cluster-wide timers.
-	Eng *sim.Engine
-	// Engines holds one engine per shard; len 1 when unsharded.
+	// Engines holds one engine per shard; len 1 when unsharded. Work is
+	// placed per node: SpawnOn for processes, EngineOf for node-owned
+	// objects such as disks.
 	Engines []*sim.Engine
 	Myrinet *fabric.Fabric
 	Eth     *fabric.Fabric
@@ -124,7 +124,6 @@ func newCluster(n int, cfg NodeConfig, plan ShardPlan, sharded bool) *Cluster {
 		engines[i] = sim.NewEngine()
 	}
 	c := &Cluster{
-		Eng:     engines[0],
 		Engines: engines,
 		Routes6: inet.NewTable6(),
 		sharded: sharded,
@@ -140,7 +139,7 @@ func newCluster(n int, cfg NodeConfig, plan ShardPlan, sharded bool) *Cluster {
 		}
 		c.shardOf[i] = s
 	}
-	eng := c.Eng
+	eng := engines[0]
 	needMyri := cfg.QPIP || cfg.GM
 	if needMyri {
 		var g *topo.Graph
@@ -245,11 +244,14 @@ func (c *Cluster) EngineOf(node int) *sim.Engine {
 	return c.Engines[c.shardOf[node]]
 }
 
-// Spawn starts an application process on the cluster (on shard 0 — fine
-// sequentially; sharded workloads use SpawnOn so a process shares its
-// node's engine).
+// Spawn is SpawnOn(0, …) for a one-engine cluster, kept for callers that
+// predate per-node placement. It panics on a cluster with more than one
+// engine, where naming no node would name the wrong shard.
 func (c *Cluster) Spawn(name string, fn func(*sim.Proc)) *sim.Proc {
-	return c.Eng.Spawn(name, fn)
+	if len(c.Engines) > 1 {
+		panic("core: Cluster.Spawn on a sharded cluster; place the process with SpawnOn(node, …)")
+	}
+	return c.SpawnOn(0, name, fn)
 }
 
 // SpawnOn starts an application process on node's shard engine. Processes
@@ -257,6 +259,27 @@ func (c *Cluster) Spawn(name string, fn func(*sim.Proc)) *sim.Proc {
 // the current engine, and CQ wakes arrive from the node's NIC.
 func (c *Cluster) SpawnOn(node int, name string, fn func(*sim.Proc)) *sim.Proc {
 	return c.EngineOf(node).Spawn(name, fn)
+}
+
+// InjectFaults attaches a seeded fault plan to the cluster's primary
+// fabric (Myrinet when present, Ethernet otherwise) and schedules the
+// plan's crashes against the nodes' QPIP adapters, Crash.Node indexing
+// c.Nodes; each crash and restart runs on its node's engine. It returns
+// the injector for stats and trace inspection.
+func (c *Cluster) InjectFaults(plan fault.Plan) *fault.Injector {
+	in := fault.NewInjector(plan)
+	if c.Myrinet != nil {
+		in.Attach(c.Myrinet)
+	} else if c.Eth != nil {
+		in.Attach(c.Eth)
+	}
+	targets := make([]fault.Rebootable, len(c.Nodes))
+	engs := make([]*sim.Engine, len(c.Nodes))
+	for i, n := range c.Nodes {
+		targets[i], engs[i] = n.QPIP, c.EngineOf(i)
+	}
+	in.ScheduleCrashesOn(engs, targets...)
+	return in
 }
 
 // lookahead computes the parallel runner's epoch window: the minimum
@@ -307,7 +330,7 @@ func (c *Cluster) parConfig() par.Config {
 // epochs, barrier frame exchange) for a sharded one.
 func (c *Cluster) Run() {
 	if !c.sharded {
-		c.Eng.Run()
+		c.Engines[0].Run()
 		return
 	}
 	par.Run(c.parConfig())
@@ -316,7 +339,7 @@ func (c *Cluster) Run() {
 // RunFor drives the simulation for d of simulated time.
 func (c *Cluster) RunFor(d sim.Time) {
 	if !c.sharded {
-		c.Eng.RunFor(d)
+		c.Engines[0].RunFor(d)
 		return
 	}
 	var now sim.Time
@@ -330,7 +353,7 @@ func (c *Cluster) RunFor(d sim.Time) {
 
 // EndTime reports when the simulation last did work: the maximum
 // LastEventAt over shard engines. For a drained sequential cluster this
-// equals Eng.Now(); for a sharded run it is the mode-independent end
+// equals the engine's Now(); for a sharded run it is the mode-independent end
 // timestamp (shard clocks are forced past the last event by the epoch
 // horizon, so Now is not comparable).
 func (c *Cluster) EndTime() sim.Time {

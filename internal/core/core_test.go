@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/buf"
@@ -71,7 +72,7 @@ func TestThreeNodeConcurrentConnections(t *testing.T) {
 			t.Fatal(err)
 		}
 		idx := i
-		c.Spawn("server", func(p *sim.Proc) {
+		c.SpawnOn(0, "server", func(p *sim.Proc) {
 			if err := qp.WaitEstablished(p); err != nil {
 				t.Errorf("server establish: %v", err)
 				return
@@ -84,7 +85,7 @@ func TestThreeNodeConcurrentConnections(t *testing.T) {
 	for i := 1; i <= 2; i++ {
 		node := c.Nodes[i]
 		seed := byte(i)
-		c.Spawn("client", func(p *sim.Proc) {
+		c.SpawnOn(i, "client", func(p *sim.Proc) {
 			scq := verbs.NewCQ(node.QPIP, 64)
 			rcq := verbs.NewCQ(node.QPIP, 64)
 			qp, err := verbs.NewQP(node.QPIP, verbs.QPConfig{
@@ -132,7 +133,7 @@ func TestThreeNodeConcurrentConnections(t *testing.T) {
 func TestMixedStackNodes(t *testing.T) {
 	c := core.NewCluster(2, core.NodeConfig{QPIP: true, GigE: true})
 	doneSock, doneQP := false, false
-	c.Spawn("sock-server", func(p *sim.Proc) {
+	c.SpawnOn(1, "sock-server", func(p *sim.Proc) {
 		lst := c.Nodes[1].Kernel.NewSocket(hostos.TCPSock)
 		lst.Listen(5001, 4)
 		s := lst.Accept(p)
@@ -140,7 +141,7 @@ func TestMixedStackNodes(t *testing.T) {
 			doneSock = true
 		}
 	})
-	c.Spawn("sock-client", func(p *sim.Proc) {
+	c.SpawnOn(0, "sock-client", func(p *sim.Proc) {
 		s := c.Nodes[0].Kernel.NewSocket(hostos.TCPSock)
 		if err := s.Connect(p, c.Nodes[1].Addr4, 5001); err != nil {
 			t.Errorf("sock connect: %v", err)
@@ -148,7 +149,7 @@ func TestMixedStackNodes(t *testing.T) {
 		}
 		s.Send(p, buf.Virtual(100))
 	})
-	c.Spawn("qp-server", func(p *sim.Proc) {
+	c.SpawnOn(1, "qp-server", func(p *sim.Proc) {
 		scq := verbs.NewCQ(c.Nodes[1].QPIP, 16)
 		rcq := verbs.NewCQ(c.Nodes[1].QPIP, 16)
 		qp, _ := verbs.NewQP(c.Nodes[1].QPIP, verbs.QPConfig{Transport: verbs.Reliable, SendCQ: scq, RecvCQ: rcq})
@@ -162,7 +163,7 @@ func TestMixedStackNodes(t *testing.T) {
 		rcq.Wait(p)
 		doneQP = true
 	})
-	c.Spawn("qp-client", func(p *sim.Proc) {
+	c.SpawnOn(0, "qp-client", func(p *sim.Proc) {
 		scq := verbs.NewCQ(c.Nodes[0].QPIP, 16)
 		rcq := verbs.NewCQ(c.Nodes[0].QPIP, 16)
 		qp, _ := verbs.NewQP(c.Nodes[0].QPIP, verbs.QPConfig{Transport: verbs.Reliable, SendCQ: scq, RecvCQ: rcq})
@@ -178,4 +179,29 @@ func TestMixedStackNodes(t *testing.T) {
 		t.Fatalf("sock=%v qp=%v", doneSock, doneQP)
 	}
 	_ = params.MTUQPIP
+}
+
+// Spawn is kept only for callers that predate per-node placement: on a
+// one-engine cluster it runs the process on node 0's engine, and on a
+// sharded cluster it refuses, naming SpawnOn.
+func TestSpawnIsShardZeroOnlyWhenUnsharded(t *testing.T) {
+	c := core.NewCluster(2, core.NodeConfig{QPIP: true})
+	var at sim.Time
+	p := c.Spawn("app", func(p *sim.Proc) {
+		p.Sleep(5 * sim.Microsecond)
+		at = p.Now()
+	})
+	c.Run()
+	if p.Engine() != c.EngineOf(0) || !p.Done() || at != 5*sim.Microsecond {
+		t.Fatalf("Spawn on one engine: engine ok=%v done=%v at=%v", p.Engine() == c.EngineOf(0), p.Done(), at)
+	}
+
+	sharded := core.NewShardedCluster(2, core.NodeConfig{QPIP: true}, core.ShardPlan{Shards: 2})
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "SpawnOn") {
+			t.Fatalf("Spawn on 2 shards: recovered %q, want a panic naming SpawnOn", msg)
+		}
+	}()
+	sharded.Spawn("app", func(*sim.Proc) {})
 }

@@ -18,8 +18,8 @@ import (
 // after Down. A zero Down restarts the adapter at the next instant —
 // "power blink" — while a Down of forever (1<<62) models a dead node.
 type Crash struct {
-	// Node indexes Plan-level crash targets (ScheduleCrashes maps it onto
-	// the Rebootable passed at the same position).
+	// Node indexes Plan-level crash targets (ScheduleCrashesOn maps it
+	// onto the Rebootable passed at the same position).
 	Node int
 	At   sim.Time
 	Down sim.Time
@@ -70,24 +70,14 @@ func (p *Plan) partitioned(now sim.Time, src, dst int) bool {
 	return false
 }
 
-// ScheduleCrashes installs the plan's crash windows on eng: each Crash
-// entry's Node indexes into targets. Crash/restart instants are logged as
-// fault events (kinds "crash" and "restart") so two runs of the same plan
-// produce identical trace strings. Entries are scheduled in (At, Node)
-// order so coincident crashes fire deterministically.
-func (in *Injector) ScheduleCrashes(eng *sim.Engine, targets ...Rebootable) {
-	engs := make([]*sim.Engine, len(targets))
-	for i := range engs {
-		engs[i] = eng
-	}
-	in.ScheduleCrashesOn(engs, targets...)
-}
-
-// ScheduleCrashesOn is ScheduleCrashes with one engine per target: each
-// node's crash and restart events run on that node's shard engine, and the
-// log entries land in that node's private crash lane — so a sharded run
-// reboots adapters at the same instants, in the same canonical trace order,
-// as the sequential run.
+// ScheduleCrashesOn installs the plan's crash windows, one engine per
+// target: each Crash entry's Node indexes into targets, and that node's
+// crash and restart events run on engs[Node], so a sharded run reboots
+// adapters on their own shard. Crash/restart instants are logged as fault
+// events (kinds "crash" and "restart") in the node's private crash lane,
+// so two runs of the same plan — sequential or sharded — produce
+// identical trace strings. Entries are scheduled in (At, Node) order so
+// coincident crashes fire deterministically.
 func (in *Injector) ScheduleCrashesOn(engs []*sim.Engine, targets ...Rebootable) {
 	if len(engs) != len(targets) {
 		panic("fault: ScheduleCrashesOn needs one engine per target")

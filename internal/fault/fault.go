@@ -84,7 +84,7 @@ type Plan struct {
 	Partitions []Partition
 
 	// Crashes are scheduled adapter reboots, applied with
-	// Injector.ScheduleCrashes (crash.go). They are time-driven, not
+	// Injector.ScheduleCrashesOn (crash.go). They are time-driven, not
 	// frame-driven, so they do not consume frame ordinals.
 	Crashes []Crash
 }

@@ -34,11 +34,11 @@ func TestHostStackSegmentAllocBudget(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := core.NewCluster(2, tc.cfg)
-			eng, ks := c.Eng, [2]*hostos.Kernel{c.Nodes[0].Kernel, c.Nodes[1].Kernel}
+			eng, ks := c.EngineOf(0), [2]*hostos.Kernel{c.Nodes[0].Kernel, c.Nodes[1].Kernel}
 			const port, burst = 7000, 64
 			mss := tc.mtu - inet.IPv4HeaderLen - tcp.BaseHeaderLen - tcp.TimestampOptLen
 			received := 0
-			eng.Spawn("server", func(p *sim.Proc) {
+			c.SpawnOn(1, "server", func(p *sim.Proc) {
 				lst := ks[1].NewSocket(hostos.TCPSock)
 				if err := lst.Listen(port, 1); err != nil {
 					t.Error(err)
@@ -54,7 +54,7 @@ func TestHostStackSegmentAllocBudget(t *testing.T) {
 				}
 			})
 			var sender *sim.Proc
-			sender = eng.Spawn("client", func(p *sim.Proc) {
+			sender = c.SpawnOn(0, "client", func(p *sim.Proc) {
 				s := ks[0].NewSocket(hostos.TCPSock)
 				s.SetNoDelay(true)
 				if err := s.Connect(p, inet.NodeAddr4(1), port); err != nil {

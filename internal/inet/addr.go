@@ -65,9 +65,6 @@ func (a Addr6) String() string {
 // IsZero reports whether the address is all zeros (the unspecified address).
 func (a Addr6) IsZero() bool { return a == Addr6{} }
 
-// IsZero reports whether the address is 0.0.0.0.
-func (a Addr4) IsZero() bool { return a == Addr4{} }
-
 // Compare orders addresses bytewise: -1, 0 or +1.
 func (a Addr4) Compare(b Addr4) int { return bytes.Compare(a[:], b[:]) }
 

@@ -87,6 +87,11 @@ func TestAddr6Construction(t *testing.T) {
 	if !(Addr6{}).IsZero() {
 		t.Error("zero Addr6 not IsZero")
 	}
+	// Compare orders bytewise: the last group decides here.
+	b := V6(0xfec0, 0, 0, 0, 0, 0, 0, 2)
+	if a.Compare(b) != -1 || b.Compare(a) != 1 || a.Compare(a) != 0 {
+		t.Errorf("Compare(%v, %v) does not order bytewise", a, b)
+	}
 }
 
 func TestV6WrongGroupCountPanics(t *testing.T) {

@@ -77,9 +77,6 @@ func newCore(cpu *sim.CPU, size int64, qd int) *core {
 	}
 }
 
-// Size implements storage.BlockDev.
-func (c *core) Size() int64 { return c.size }
-
 // driverCost charges the client block-layer cost for one request.
 func (c *core) driverCost(p *sim.Proc) {
 	p.Use(c.cpu.Server, params.US(ClientPerReqUS))

@@ -1,10 +1,12 @@
 package nbd_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/buf"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/hostos"
 	"repro/internal/nbd"
 	"repro/internal/params"
@@ -50,8 +52,8 @@ func TestProtoRoundTrip(t *testing.T) {
 // application with a mounted filesystem.
 func sockSetup(t *testing.T, c *core.Cluster, fn func(p *sim.Proc, fs *storage.FS)) {
 	t.Helper()
-	disk := storage.NewDisk(c.Eng, "server.disk", diskSize)
-	c.Spawn("nbd-server", func(p *sim.Proc) {
+	disk := storage.NewDisk(c.EngineOf(1), "server.disk", diskSize)
+	c.SpawnOn(1, "nbd-server", func(p *sim.Proc) {
 		lst := c.Nodes[1].Kernel.NewSocket(hostos.TCPSock)
 		if err := lst.Listen(nbdPort, 4); err != nil {
 			t.Errorf("Listen: %v", err)
@@ -62,7 +64,7 @@ func sockSetup(t *testing.T, c *core.Cluster, fn func(p *sim.Proc, fs *storage.F
 		s.SetSndBuf(256 * 1024)
 		nbd.ServeSock(p, c.Nodes[1].CPU, s, disk)
 	})
-	c.Spawn("nbd-client", func(p *sim.Proc) {
+	c.SpawnOn(0, "nbd-client", func(p *sim.Proc) {
 		s := c.Nodes[0].Kernel.NewSocket(hostos.TCPSock)
 		s.SetNoDelay(true)
 		s.SetSndBuf(256 * 1024)
@@ -70,7 +72,7 @@ func sockSetup(t *testing.T, c *core.Cluster, fn func(p *sim.Proc, fs *storage.F
 			t.Errorf("Connect: %v", err)
 			return
 		}
-		cli := nbd.NewSockClient(c.Eng, c.Nodes[0].CPU, s, diskSize, params.NBDQueueDepth)
+		cli := nbd.NewSockClient(p, c.Nodes[0].CPU, s, diskSize, params.NBDQueueDepth)
 		fs := storage.NewFS(cli, c.Nodes[0].CPU, 4<<20)
 		fn(p, fs)
 	})
@@ -81,10 +83,10 @@ func sockSetup(t *testing.T, c *core.Cluster, fn func(p *sim.Proc, fs *storage.F
 func qpSetup(t *testing.T, fn func(p *sim.Proc, fs *storage.FS)) *core.Cluster {
 	t.Helper()
 	c := core.NewCluster(2, core.NodeConfig{QPIP: true, QPIPMTU: params.MTUJumbo})
-	disk := storage.NewDisk(c.Eng, "server.disk", diskSize)
+	disk := storage.NewDisk(c.EngineOf(1), "server.disk", diskSize)
 	maxMsg := c.Nodes[0].QPIP.MaxMessage()
 
-	c.Spawn("nbd-server", func(p *sim.Proc) {
+	c.SpawnOn(1, "nbd-server", func(p *sim.Proc) {
 		scq := verbs.NewCQ(c.Nodes[1].QPIP, 512)
 		rcq := verbs.NewCQ(c.Nodes[1].QPIP, 512)
 		qp, err := verbs.NewQP(c.Nodes[1].QPIP, verbs.QPConfig{
@@ -110,7 +112,7 @@ func qpSetup(t *testing.T, fn func(p *sim.Proc, fs *storage.FS)) *core.Cluster {
 		}
 		nbd.ServeQP(p, c.Nodes[1].CPU, qp, scq, rcq, maxMsg, disk)
 	})
-	c.Spawn("nbd-client", func(p *sim.Proc) {
+	c.SpawnOn(0, "nbd-client", func(p *sim.Proc) {
 		scq := verbs.NewCQ(c.Nodes[0].QPIP, 512)
 		rcq := verbs.NewCQ(c.Nodes[0].QPIP, 512)
 		qp, err := verbs.NewQP(c.Nodes[0].QPIP, verbs.QPConfig{
@@ -125,7 +127,7 @@ func qpSetup(t *testing.T, fn func(p *sim.Proc, fs *storage.FS)) *core.Cluster {
 			t.Errorf("Connect: %v", err)
 			return
 		}
-		cli := nbd.NewQPClient(c.Eng, c.Nodes[0].CPU, qp, scq, rcq, maxMsg, diskSize, params.NBDQueueDepth)
+		cli := nbd.NewQPClient(p, c.Nodes[0].CPU, qp, scq, rcq, maxMsg, diskSize, params.NBDQueueDepth, nil)
 		fs := storage.NewFS(cli, c.Nodes[0].CPU, 4<<20)
 		fn(p, fs)
 	})
@@ -212,23 +214,23 @@ func TestNBDQPFasterThanSockets(t *testing.T) {
 
 func TestNBDReadaheadEngages(t *testing.T) {
 	c := core.NewCluster(2, core.NodeConfig{GigE: true})
-	disk := storage.NewDisk(c.Eng, "server.disk", diskSize)
+	disk := storage.NewDisk(c.EngineOf(1), "server.disk", diskSize)
 	var cli *nbd.SockClient
-	c.Spawn("nbd-server", func(p *sim.Proc) {
+	c.SpawnOn(1, "nbd-server", func(p *sim.Proc) {
 		lst := c.Nodes[1].Kernel.NewSocket(hostos.TCPSock)
 		lst.Listen(nbdPort, 4)
 		s := lst.Accept(p)
 		s.SetSndBuf(256 * 1024)
 		nbd.ServeSock(p, c.Nodes[1].CPU, s, disk)
 	})
-	c.Spawn("nbd-client", func(p *sim.Proc) {
+	c.SpawnOn(0, "nbd-client", func(p *sim.Proc) {
 		s := c.Nodes[0].Kernel.NewSocket(hostos.TCPSock)
 		s.SetNoDelay(true)
 		if err := s.Connect(p, c.Nodes[1].Addr4, nbdPort); err != nil {
 			t.Errorf("Connect: %v", err)
 			return
 		}
-		cli = nbd.NewSockClient(c.Eng, c.Nodes[0].CPU, s, diskSize, 8)
+		cli = nbd.NewSockClient(p, c.Nodes[0].CPU, s, diskSize, 8)
 		fs := storage.NewFS(cli, c.Nodes[0].CPU, 4<<20)
 		fs.ReadAt(p, 0, 1<<20)
 	})
@@ -244,9 +246,9 @@ func TestQPChecksumModeStillCorrect(t *testing.T) {
 	c := core.NewCluster(2, core.NodeConfig{
 		QPIP: true, QPIPMTU: params.MTUJumbo, QPIPChecksum: qpipnic.ChecksumFirmware,
 	})
-	disk := storage.NewDisk(c.Eng, "server.disk", diskSize)
+	disk := storage.NewDisk(c.EngineOf(1), "server.disk", diskSize)
 	maxMsg := c.Nodes[0].QPIP.MaxMessage()
-	c.Spawn("nbd-server", func(p *sim.Proc) {
+	c.SpawnOn(1, "nbd-server", func(p *sim.Proc) {
 		scq := verbs.NewCQ(c.Nodes[1].QPIP, 512)
 		rcq := verbs.NewCQ(c.Nodes[1].QPIP, 512)
 		qp, _ := verbs.NewQP(c.Nodes[1].QPIP, verbs.QPConfig{
@@ -260,7 +262,7 @@ func TestQPChecksumModeStillCorrect(t *testing.T) {
 		}
 		nbd.ServeQP(p, c.Nodes[1].CPU, qp, scq, rcq, maxMsg, disk)
 	})
-	c.Spawn("nbd-client", func(p *sim.Proc) {
+	c.SpawnOn(0, "nbd-client", func(p *sim.Proc) {
 		scq := verbs.NewCQ(c.Nodes[0].QPIP, 512)
 		rcq := verbs.NewCQ(c.Nodes[0].QPIP, 512)
 		qp, _ := verbs.NewQP(c.Nodes[0].QPIP, verbs.QPConfig{
@@ -270,9 +272,117 @@ func TestQPChecksumModeStillCorrect(t *testing.T) {
 			t.Errorf("Connect: %v", err)
 			return
 		}
-		cli := nbd.NewQPClient(c.Eng, c.Nodes[0].CPU, qp, scq, rcq, maxMsg, diskSize, 4)
+		cli := nbd.NewQPClient(p, c.Nodes[0].CPU, qp, scq, rcq, maxMsg, diskSize, 4, nil)
 		fs := storage.NewFS(cli, c.Nodes[0].CPU, 1<<20)
 		writeReadCheck(t)(p, fs)
 	})
 	c.Run()
+}
+
+// TestQPClientFailsWhenServerLost drives the plain (non-recovering) QP
+// client into its terminal state: the server's adapter crashes for good
+// after the session is up, the client's TCP gives up on its retry
+// budget, and the device is poisoned. Every request outstanding at that
+// point returns an error, a later call fails at once without blocking,
+// and the run drains.
+func TestQPClientFailsWhenServerLost(t *testing.T) {
+	const crashAt, block = 10 * sim.Millisecond, 4096
+	c := core.NewCluster(2, core.NodeConfig{QPIP: true, QPIPMTU: params.MTUJumbo})
+	disk := storage.NewDisk(c.EngineOf(1), "server.disk", diskSize)
+	maxMsg := c.Nodes[0].QPIP.MaxMessage()
+	c.InjectFaults(fault.Plan{Crashes: []fault.Crash{{Node: 1, At: crashAt, Down: 1 << 62}}})
+
+	c.SpawnOn(1, "nbd-server", func(p *sim.Proc) {
+		scq := verbs.NewCQ(c.Nodes[1].QPIP, 512)
+		rcq := verbs.NewCQ(c.Nodes[1].QPIP, 512)
+		qp, _ := verbs.NewQP(c.Nodes[1].QPIP, verbs.QPConfig{
+			Transport: verbs.Reliable, SendCQ: scq, RecvCQ: rcq, SendDepth: 256, RecvDepth: 256,
+		})
+		lst, _ := c.Nodes[1].QPIP.Listen(nbdPort)
+		lst.Post(qp)
+		if err := qp.WaitEstablished(p); err != nil {
+			t.Errorf("establish: %v", err)
+			return
+		}
+		nbd.ServeQP(p, c.Nodes[1].CPU, qp, scq, rcq, maxMsg, disk)
+	})
+
+	// Each outstanding call records when it returned and with what.
+	type result struct {
+		call string
+		at   sim.Time
+		err  error
+	}
+	var results []result
+	record := func(p *sim.Proc, call string, err error) {
+		results = append(results, result{call, p.Now(), err})
+	}
+	var later []result
+	c.SpawnOn(0, "nbd-client", func(p *sim.Proc) {
+		scq := verbs.NewCQ(c.Nodes[0].QPIP, 512)
+		rcq := verbs.NewCQ(c.Nodes[0].QPIP, 512)
+		qp, _ := verbs.NewQP(c.Nodes[0].QPIP, verbs.QPConfig{
+			Transport: verbs.Reliable, SendCQ: scq, RecvCQ: rcq, SendDepth: 256, RecvDepth: 256,
+		})
+		if err := qp.Connect(p, c.Nodes[1].Addr6, nbdPort); err != nil {
+			t.Errorf("Connect: %v", err)
+			return
+		}
+		cli := nbd.NewQPClient(p, c.Nodes[0].CPU, qp, scq, rcq, maxMsg, diskSize, 2, nil)
+		p.Sleep(crashAt + sim.Millisecond - p.Now())
+
+		// Two readers, a writer past the queue depth of 2 (its third
+		// Write blocks on the queue) and a flusher, all outstanding when
+		// the session dies.
+		for i := 0; i < 2; i++ {
+			off := int64(i) * (1 << 20)
+			c.SpawnOn(0, fmt.Sprintf("reader%d", i), func(p *sim.Proc) {
+				_, err := cli.Read(p, off, block)
+				record(p, "Read", err)
+			})
+		}
+		c.SpawnOn(0, "writer", func(p *sim.Proc) {
+			for i := 0; i < 3; i++ {
+				if err := cli.Write(p, int64(4<<20+i*block), buf.Virtual(block)); err != nil {
+					record(p, "Write", err)
+					return
+				}
+			}
+			t.Error("third Write returned without blocking on the queue depth")
+		})
+		c.SpawnOn(0, "flusher", func(p *sim.Proc) {
+			p.Sleep(sim.Millisecond) // after the writer has queued its writes
+			record(p, "Flush", cli.Flush(p))
+		})
+
+		for len(results) < 4 {
+			p.Sleep(sim.Second)
+		}
+		now := p.Now()
+		_, err := cli.Read(p, 0, block)
+		later = append(later, result{"Read", p.Now() - now, err})
+		err = cli.Write(p, 0, buf.Virtual(block))
+		later = append(later, result{"Write", p.Now() - now, err})
+	})
+	c.Run() // must drain: a poisoned device leaves no process spinning
+
+	if len(results) != 4 {
+		t.Fatalf("%d of 4 outstanding calls returned: %+v", len(results), results)
+	}
+	for _, r := range results {
+		if r.err == nil {
+			t.Errorf("outstanding %s succeeded against a dead server", r.call)
+		}
+		if r.at != results[0].at || r.at <= crashAt {
+			t.Errorf("outstanding %s failed at %v; want all at one instant after the crash (%v)", r.call, r.at, crashAt)
+		}
+	}
+	if len(later) != 2 {
+		t.Fatalf("later calls: %+v", later)
+	}
+	for _, r := range later {
+		if r.err == nil || r.at != 0 {
+			t.Errorf("%s after the failure: err %v after %v; want an error at once", r.call, r.err, r.at)
+		}
+	}
 }

@@ -125,16 +125,29 @@ func (c *QPClient) Sessions() uint64 { return c.sess }
 
 // NewQPClient wires a driver to an established reliable QP. sendCQ and
 // recvCQ must be the CQs the QP was created with. The reader process is
-// spawned here; initial receive WRs are posted by it.
-func NewQPClient(eng *sim.Engine, cpu *sim.CPU, qp *verbs.QP, sendCQ, recvCQ *verbs.CQ,
-	maxMsg int, size int64, qd int) *QPClient {
+// spawned on p's engine; initial receive WRs are posted by it. A non-nil
+// rec enables session recovery (recovery.go): on connection failure the
+// reader reconnects under rec.Backoff and replays in-flight requests
+// instead of poisoning the device, and a watchdog enforces rec.Timeout.
+// Only reconnect exhaustion (verbs.ErrRemoteDown) is then terminal.
+func NewQPClient(p *sim.Proc, cpu *sim.CPU, qp *verbs.QP, sendCQ, recvCQ *verbs.CQ,
+	maxMsg int, size int64, qd int, rec *RecoverySpec) *QPClient {
 	c := &QPClient{
 		core: newCore(cpu, size, qd),
 		ep:   newEndpoint(qp, sendCQ, recvCQ, maxMsg, 128),
 		sess: 1,
 	}
 	c.core.t = c
-	eng.Spawn("nbd.qp.reader", func(p *sim.Proc) { c.run(p) })
+	eng := p.Engine()
+	eng.Spawn("nbd.qp.reader", c.run)
+	if rec != nil {
+		spec := *rec
+		if spec.Timeout <= 0 {
+			spec.Timeout = 500 * sim.Millisecond
+		}
+		c.rec = &spec
+		eng.Spawn("nbd.qp.watchdog", c.watchdog)
+	}
 	return c
 }
 

@@ -25,8 +25,8 @@ import (
 // most once" (core.complete drops stale handles) yields exactly-once
 // semantics observable by the application.
 
-// RecoverySpec configures session-level recovery for a QP NBD client:
-// where to reconnect, and how patiently.
+// RecoverySpec configures session-level recovery for a QP NBD client
+// (NewQPClient): where to reconnect, and how patiently.
 type RecoverySpec struct {
 	Raddr   inet.Addr6
 	Rport   uint16
@@ -40,27 +40,6 @@ type RecoverySpec struct {
 	// the transport's retransmission timeout or a single lost frame
 	// would look like a dead peer (default 500ms vs tcp.MinRTO 200ms).
 	Timeout sim.Time
-}
-
-// NewResilientQPClient is NewQPClient plus recovery: on connection
-// failure the reader reconnects under spec.Backoff and replays in-flight
-// requests instead of poisoning the device. Only reconnect exhaustion
-// (verbs.ErrRemoteDown) is terminal.
-func NewResilientQPClient(eng *sim.Engine, cpu *sim.CPU, qp *verbs.QP, sendCQ, recvCQ *verbs.CQ,
-	maxMsg int, size int64, qd int, spec RecoverySpec) *QPClient {
-	if spec.Timeout <= 0 {
-		spec.Timeout = 500 * sim.Millisecond
-	}
-	c := &QPClient{
-		core: newCore(cpu, size, qd),
-		ep:   newEndpoint(qp, sendCQ, recvCQ, maxMsg, 128),
-		rec:  &spec,
-		sess: 1,
-	}
-	c.core.t = c
-	eng.Spawn("nbd.qp.reader", func(p *sim.Proc) { c.run(p) })
-	eng.Spawn("nbd.qp.watchdog", func(p *sim.Proc) { c.watchdog(p) })
-	return c
 }
 
 // errSessionStalled is the watchdog's verdict on a silent session.

@@ -33,22 +33,26 @@ type chaosOutcome struct {
 // runRecoveryChaos drives a patterned write/flush/readback NBD workload
 // over the resilient QP transport while the plan injects faults, and
 // asserts bytes-exactly-once: every chunk reads back exactly as written,
-// no matter how many sessions and replays it took.
-func runRecoveryChaos(t *testing.T, plan fault.Plan, total int) chaosOutcome {
+// no matter how many sessions and replays it took. shards 0 runs the
+// plain sequential cluster; shards > 0 places the two nodes round-robin
+// on that many engines, so at 2 client and server run on different ones.
+func runRecoveryChaos(t *testing.T, plan fault.Plan, total, shards int) chaosOutcome {
 	t.Helper()
-	c := core.NewCluster(2, core.NodeConfig{QPIP: true, QPIPMTU: params.MTUJumbo})
-	disk := storage.NewDisk(c.Eng, "server.disk", int64(total)+diskSize)
+	cfg := core.NodeConfig{QPIP: true, QPIPMTU: params.MTUJumbo}
+	c := core.NewCluster(2, cfg)
+	if shards > 0 {
+		c = core.NewShardedCluster(2, cfg, core.ShardPlan{Shards: shards})
+	}
+	disk := storage.NewDisk(c.EngineOf(1), "server.disk", int64(total)+diskSize)
 	maxMsg := c.Nodes[0].QPIP.MaxMessage()
 	pol := verbs.BackoffPolicy{
 		Base: 200 * sim.Microsecond, Max: 5 * sim.Millisecond,
 		Attempts: 60, Seed: chaosSeed,
 	}
 
-	inj := fault.NewInjector(plan)
-	inj.Attach(c.Myrinet)
-	inj.ScheduleCrashes(c.Eng, c.Nodes[0].QPIP, c.Nodes[1].QPIP)
+	inj := c.InjectFaults(plan)
 
-	c.Spawn("server", func(p *sim.Proc) {
+	c.SpawnOn(1, "server", func(p *sim.Proc) {
 		scq := verbs.NewCQ(c.Nodes[1].QPIP, 1024)
 		rcq := verbs.NewCQ(c.Nodes[1].QPIP, 1024)
 		qp, err := verbs.NewQP(c.Nodes[1].QPIP, verbs.QPConfig{
@@ -65,7 +69,7 @@ func runRecoveryChaos(t *testing.T, plan fault.Plan, total int) chaosOutcome {
 
 	var out chaosOutcome
 	var cli *nbd.QPClient
-	c.Spawn("client", func(p *sim.Proc) {
+	c.SpawnOn(0, "client", func(p *sim.Proc) {
 		scq := verbs.NewCQ(c.Nodes[0].QPIP, 1024)
 		rcq := verbs.NewCQ(c.Nodes[0].QPIP, 1024)
 		qp, err := verbs.NewQP(c.Nodes[0].QPIP, verbs.QPConfig{
@@ -80,8 +84,8 @@ func runRecoveryChaos(t *testing.T, plan fault.Plan, total int) chaosOutcome {
 			t.Errorf("rendezvous: %v", err)
 			return
 		}
-		cli = nbd.NewResilientQPClient(c.Eng, c.Nodes[0].CPU, qp, scq, rcq,
-			maxMsg, int64(total)+diskSize, params.NBDQueueDepth, nbd.RecoverySpec{
+		cli = nbd.NewQPClient(p, c.Nodes[0].CPU, qp, scq, rcq,
+			maxMsg, int64(total)+diskSize, params.NBDQueueDepth, &nbd.RecoverySpec{
 				Raddr: c.Nodes[1].Addr6, Rport: nbdPort, Backoff: pol,
 				Timeout: 250 * sim.Millisecond,
 			})
@@ -113,7 +117,7 @@ func runRecoveryChaos(t *testing.T, plan fault.Plan, total int) chaosOutcome {
 	c.Run()
 
 	out.trace = inj.TraceString()
-	out.endTime = c.Eng.Now()
+	out.endTime = c.EndTime()
 	out.sessions = cli.Sessions()
 	out.replays = cli.Replays()
 	out.crashes = inj.Stats().Crashes
@@ -165,7 +169,7 @@ func chaosPlans() map[string]fault.Plan {
 func TestRecoveryChaosExactlyOnce(t *testing.T) {
 	for name, plan := range chaosPlans() {
 		t.Run(name, func(t *testing.T) {
-			out := runRecoveryChaos(t, plan, 1<<20)
+			out := runRecoveryChaos(t, plan, 1<<20, 0)
 			if len(plan.Crashes) > 0 {
 				if out.crashes == 0 {
 					t.Error("plan scheduled crashes but none fired")
@@ -178,6 +182,20 @@ func TestRecoveryChaosExactlyOnce(t *testing.T) {
 	}
 }
 
+// sameOutcome fails t unless two runs of one plan agree on everything a
+// chaos run produces: fault trace, drain instant, recovery work (sessions,
+// replays), crash count and readback content.
+func sameOutcome(t *testing.T, a, b chaosOutcome, labelA, labelB string) {
+	t.Helper()
+	if a.trace != b.trace {
+		t.Errorf("fault traces diverge:\n--- %s ---\n%s\n--- %s ---\n%s", labelA, a.trace, labelB, b.trace)
+	}
+	a.trace, b.trace = "", ""
+	if a != b {
+		t.Errorf("outcomes diverge:\n%s %+v\n%s %+v", labelA, a, labelB, b)
+	}
+}
+
 // TestRecoveryChaosDeterministic pins the replay property: two runs of
 // the same crash seed produce identical fault traces, identical recovery
 // work (sessions, replays), identical content, and drain at the identical
@@ -186,24 +204,23 @@ func TestRecoveryChaosDeterministic(t *testing.T) {
 	for _, name := range []string{"crash-server", "crash-both", "crash-plus-drops"} {
 		t.Run(name, func(t *testing.T) {
 			plan := chaosPlans()[name]
-			a := runRecoveryChaos(t, plan, 1<<20)
-			b := runRecoveryChaos(t, plan, 1<<20)
-			if a.trace != b.trace {
-				t.Errorf("fault traces diverge:\n--- run A ---\n%s\n--- run B ---\n%s", a.trace, b.trace)
-			}
-			if a.endTime != b.endTime {
-				t.Errorf("end times diverge: %v vs %v", a.endTime, b.endTime)
-			}
-			if a.sessions != b.sessions || a.replays != b.replays {
-				t.Errorf("recovery work diverges: sessions %d/%d replays %d/%d",
-					a.sessions, b.sessions, a.replays, b.replays)
-			}
-			if a.content != b.content {
-				t.Error("readback content fingerprints diverge")
-			}
-			if a.crashes != b.crashes {
-				t.Errorf("crash counts diverge: %d vs %d", a.crashes, b.crashes)
-			}
+			a := runRecoveryChaos(t, plan, 1<<20, 0)
+			b := runRecoveryChaos(t, plan, 1<<20, 0)
+			sameOutcome(t, a, b, "run A", "run B")
+		})
+	}
+}
+
+// TestRecoveryChaosSharded runs the whole crash/flap/partition matrix with
+// client and server on different engines: crashes fire on their node's
+// engine, the reader and watchdog start on the client's, the disk lives
+// on the server's, and every outcome is identical to the sequential run.
+func TestRecoveryChaosSharded(t *testing.T) {
+	for name, plan := range chaosPlans() {
+		t.Run(name, func(t *testing.T) {
+			seq := runRecoveryChaos(t, plan, 1<<20, 0)
+			two := runRecoveryChaos(t, plan, 1<<20, 2)
+			sameOutcome(t, seq, two, "sequential", "2-shard")
 		})
 	}
 }
@@ -212,7 +229,7 @@ func TestRecoveryChaosDeterministic(t *testing.T) {
 // with no faults injected, the resilient client completes the same
 // workload with one session, zero replays, and no watchdog interference.
 func TestRecoveryFaultFreeMatchesPlainClient(t *testing.T) {
-	out := runRecoveryChaos(t, fault.Plan{Seed: chaosSeed}, 1<<20)
+	out := runRecoveryChaos(t, fault.Plan{Seed: chaosSeed}, 1<<20, 0)
 	if out.sessions != 1 || out.replays != 0 {
 		t.Errorf("fault-free run used sessions=%d replays=%d, want 1/0",
 			out.sessions, out.replays)

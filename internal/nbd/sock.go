@@ -17,11 +17,12 @@ type SockClient struct {
 }
 
 // NewSockClient wires a client driver to a connected socket and starts
-// its reply reader. size is the exported device size.
-func NewSockClient(eng *sim.Engine, cpu *sim.CPU, sock *hostos.Socket, size int64, qd int) *SockClient {
+// its reply reader on p's engine. size is the exported device size.
+func NewSockClient(p *sim.Proc, cpu *sim.CPU, sock *hostos.Socket, size int64, qd int) *SockClient {
 	c := &SockClient{core: newCore(cpu, size, qd), sock: sock}
 	c.core.t = c
-	eng.Spawn("nbd.sock.reader", func(p *sim.Proc) { c.readerLoop(p) })
+	eng := p.Engine()
+	eng.Spawn("nbd.sock.reader", c.readerLoop)
 	return c
 }
 

@@ -27,8 +27,7 @@ func TestCollPooledMessagesUnderChaosSharded(t *testing.T) {
 		for _, shards := range []int{1, 2} {
 			name := fmt.Sprintf("%v/%d-shard", spec.Kind, shards)
 			c := core.NewShardedCluster(n, core.NodeConfig{QPIP: true, Topology: spec}, core.ShardPlan{Shards: shards})
-			inj := fault.NewInjector(plan)
-			inj.Attach(c.Myrinet)
+			inj := c.InjectFaults(plan)
 			addrs := make([]inet.Addr6, n)
 			for i := range addrs {
 				addrs[i] = c.Nodes[i].Addr6

@@ -46,9 +46,6 @@ func NewDisk(eng *sim.Engine, name string, size int64) *Disk {
 	}
 }
 
-// Size reports the device capacity in bytes.
-func (d *Disk) Size() int64 { return d.size }
-
 // Stats reports (reads, writes, seeks).
 func (d *Disk) Stats() (reads, writes, seeks uint64) { return d.reads, d.writes, d.seeks }
 

@@ -11,8 +11,6 @@ import (
 // BlockDev is what the filesystem mounts: a local disk or an NBD client.
 // Calls block the calling process until the I/O completes.
 type BlockDev interface {
-	// Size reports the device capacity.
-	Size() int64
 	// Read fetches n bytes at off.
 	Read(p *sim.Proc, off int64, n int) (buf.Buf, error)
 	// Write stores b at off.
@@ -25,9 +23,6 @@ type BlockDev interface {
 type LocalDev struct {
 	D *Disk
 }
-
-// Size implements BlockDev.
-func (l *LocalDev) Size() int64 { return l.D.Size() }
 
 // Read implements BlockDev.
 func (l *LocalDev) Read(p *sim.Proc, off int64, n int) (buf.Buf, error) {

@@ -22,12 +22,12 @@ func coalescedTransfer(t *testing.T, seed uint64, chaos bool, delay qpip.Time) (
 	})
 	var inj *qpip.FaultInjector
 	if chaos {
-		inj = qpip.InjectFaults(c, qpip.FaultPlan{
+		inj = c.InjectFaults(qpip.FaultPlan{
 			Seed: seed, DropProb: 0.03, CorruptProb: 0.02, DupProb: 0.03,
 			DelayProb: 0.05, MaxExtraDelay: 20_000, SkipFirst: 8,
 		})
 	}
-	c.Spawn("server", func(p *qpip.Proc) {
+	c.SpawnOn(1, "server", func(p *qpip.Proc) {
 		qp, _, rcq, err := qpip.NewReliableQP(c.Nodes[1], 64)
 		if err != nil {
 			t.Errorf("server QP: %v", err)
@@ -60,7 +60,7 @@ func coalescedTransfer(t *testing.T, seed uint64, chaos bool, delay qpip.Time) (
 		}
 		lastRecv = p.Now()
 	})
-	c.Spawn("client", func(p *qpip.Proc) {
+	c.SpawnOn(0, "client", func(p *qpip.Proc) {
 		qp, scq, _, err := qpip.NewReliableQP(c.Nodes[0], 64)
 		if err != nil {
 			t.Errorf("client QP: %v", err)
@@ -91,7 +91,7 @@ func coalescedTransfer(t *testing.T, seed uint64, chaos bool, delay qpip.Time) (
 	if inj != nil {
 		res.trace = inj.TraceString()
 	}
-	res.endTime = c.Eng.Now()
+	res.endTime = c.EndTime()
 	return res, lastRecv
 }
 
@@ -133,7 +133,7 @@ func TestVectoredDoorbellBackpressure(t *testing.T) {
 	c := qpip.NewQPIPCluster(2)
 	const msgs = 256
 	done := 0
-	c.Spawn("server", func(p *qpip.Proc) {
+	c.SpawnOn(1, "server", func(p *qpip.Proc) {
 		qp, _, rcq, err := qpip.NewReliableQP(c.Nodes[1], msgs)
 		if err != nil {
 			t.Errorf("server QP: %v", err)
@@ -162,7 +162,7 @@ func TestVectoredDoorbellBackpressure(t *testing.T) {
 			done++
 		}
 	})
-	c.Spawn("client", func(p *qpip.Proc) {
+	c.SpawnOn(0, "client", func(p *qpip.Proc) {
 		qp, scq, _, err := qpip.NewReliableQP(c.Nodes[0], msgs)
 		if err != nil {
 			t.Errorf("client QP: %v", err)

@@ -32,7 +32,7 @@ func runChaosTransfer(t *testing.T, seed uint64, msgs, msgLen int) chaosResult {
 // cluster, for runs that vary the node configuration.
 func runChaosTransferOn(t *testing.T, c *qpip.Cluster, seed uint64, msgs, msgLen int) chaosResult {
 	t.Helper()
-	inj := qpip.InjectFaults(c, qpip.FaultPlan{
+	inj := c.InjectFaults(qpip.FaultPlan{
 		Seed:          seed,
 		DropProb:      0.03,
 		CorruptProb:   0.02,
@@ -46,7 +46,7 @@ func runChaosTransferOn(t *testing.T, c *qpip.Cluster, seed uint64, msgs, msgLen
 	sendCount := make(map[uint64]int)
 	recvCount := make(map[uint64]int)
 
-	c.Spawn("server", func(p *qpip.Proc) {
+	c.SpawnOn(1, "server", func(p *qpip.Proc) {
 		qp, _, rcq, err := qpip.NewReliableQP(c.Nodes[1], 64)
 		if err != nil {
 			t.Errorf("server QP: %v", err)
@@ -79,7 +79,7 @@ func runChaosTransferOn(t *testing.T, c *qpip.Cluster, seed uint64, msgs, msgLen
 			res.received = append(res.received, comp.Payload.Data()...)
 		}
 	})
-	c.Spawn("client", func(p *qpip.Proc) {
+	c.SpawnOn(0, "client", func(p *qpip.Proc) {
 		qp, scq, _, err := qpip.NewReliableQP(c.Nodes[0], 64)
 		if err != nil {
 			t.Errorf("client QP: %v", err)
@@ -120,7 +120,7 @@ func runChaosTransferOn(t *testing.T, c *qpip.Cluster, seed uint64, msgs, msgLen
 	})
 	c.Run() // must drain: a hang here is a deadline-less deadlock
 	res.trace = inj.TraceString()
-	res.endTime = c.Eng.Now()
+	res.endTime = c.EndTime()
 
 	// The plan must actually have bitten.
 	st := inj.Stats()
@@ -185,10 +185,10 @@ func TestChaosTransferInvariants(t *testing.T) {
 // within the SYN retry budget — bounded, no hang, QP in error state.
 func TestConnectToBlackhole(t *testing.T) {
 	c := qpip.NewQPIPCluster(2)
-	qpip.InjectFaults(c, qpip.FaultPlan{DropProb: 1})
+	c.InjectFaults(qpip.FaultPlan{DropProb: 1})
 	var connErr error
 	var failedAt qpip.Time
-	c.Spawn("client", func(p *qpip.Proc) {
+	c.SpawnOn(0, "client", func(p *qpip.Proc) {
 		qp, _, _, err := qpip.NewReliableQP(c.Nodes[0], 16)
 		if err != nil {
 			t.Errorf("NewReliableQP: %v", err)
@@ -216,7 +216,7 @@ func TestConnectRefusedByRST(t *testing.T) {
 	c := qpip.NewQPIPCluster(2)
 	var connErr error
 	var failedAt qpip.Time
-	c.Spawn("client", func(p *qpip.Proc) {
+	c.SpawnOn(0, "client", func(p *qpip.Proc) {
 		qp, _, _, err := qpip.NewReliableQP(c.Nodes[0], 16)
 		if err != nil {
 			t.Errorf("NewReliableQP: %v", err)
@@ -242,7 +242,7 @@ func TestRetryExceededFlushesOutstandingWRs(t *testing.T) {
 	c := qpip.NewCluster(3, qpip.NodeConfig{QPIP: true})
 	// Node 2's link goes down at t=50ms and stays down.
 	deadPort := c.Nodes[2].QPIP.Attachment()
-	qpip.InjectFaults(c, qpip.FaultPlan{
+	c.InjectFaults(qpip.FaultPlan{
 		Flaps: []qpip.Flap{{Port: deadPort, From: 50_000_000, To: 1 << 62}},
 	})
 
@@ -261,7 +261,7 @@ func TestRetryExceededFlushesOutstandingWRs(t *testing.T) {
 	qpA, qpB := mk(), mk() // A -> node1 (healthy), B -> node2 (doomed)
 
 	serve := func(node int, port uint16, nmsg int) {
-		c.Spawn(fmt.Sprintf("server%d", node), func(p *qpip.Proc) {
+		c.SpawnOn(node, fmt.Sprintf("server%d", node), func(p *qpip.Proc) {
 			qp, _, rcq, err := qpip.NewReliableQP(c.Nodes[node], 32)
 			if err != nil {
 				t.Errorf("server %d: %v", node, err)
@@ -297,7 +297,7 @@ func TestRetryExceededFlushesOutstandingWRs(t *testing.T) {
 	compB := make(map[uint64]int)
 	var statusB []string
 
-	c.Spawn("client", func(p *qpip.Proc) {
+	c.SpawnOn(0, "client", func(p *qpip.Proc) {
 		if err := qpA.Connect(p, c.Nodes[1].Addr6, 7001); err != nil {
 			t.Errorf("connect A: %v", err)
 			return

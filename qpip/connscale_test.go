@@ -72,7 +72,7 @@ func connscaleCluster(mode string) *qpip.Cluster {
 func runConnscale(t *testing.T, mode string, plan qpip.FaultPlan, strict bool) connscaleResult {
 	t.Helper()
 	c := connscaleCluster(mode)
-	inj := qpip.InjectFaults(c, plan)
+	inj := c.InjectFaults(plan)
 
 	var res connscaleResult
 	seen := make([]int, csConns*csMsgs)

@@ -54,9 +54,9 @@ func matrixCluster(mode string) *qpip.Cluster {
 	case "sequential":
 		return qpip.NewQPIPCluster(4)
 	case "1-shard":
-		return qpip.NewShardedQPIPCluster(4, 1)
+		return qpip.NewShardedCluster(4, qpip.NodeConfig{QPIP: true}, qpip.ShardPlan{Shards: 1})
 	case "2-shard":
-		return qpip.NewShardedQPIPCluster(4, 2)
+		return qpip.NewShardedCluster(4, qpip.NodeConfig{QPIP: true}, qpip.ShardPlan{Shards: 2})
 	case "isolated":
 		// Pair (2k, 2k+1) co-sharded: both flows stay shard-local, so no
 		// frame rides a barrier mailbox.
@@ -75,7 +75,7 @@ func matrixCluster(mode string) *qpip.Cluster {
 func runMatrix(t *testing.T, mode string, plan qpip.FaultPlan, strict bool) matrixResult {
 	t.Helper()
 	c := matrixCluster(mode)
-	inj := qpip.InjectFaults(c, plan)
+	inj := c.InjectFaults(plan)
 
 	var res matrixResult
 	flows := [2][2]int{{0, 1}, {2, 3}}
@@ -279,7 +279,7 @@ func TestParallelIsolatedPlacement(t *testing.T) {
 // in bounded time slices must visit the same schedule as one Run.
 func TestParallelRunFor(t *testing.T) {
 	run := func(slices bool) (uint64, qpip.Time) {
-		c := qpip.NewShardedQPIPCluster(4, 2)
+		c := qpip.NewShardedCluster(4, qpip.NodeConfig{QPIP: true}, qpip.ShardPlan{Shards: 2})
 		for fi := 0; fi < 2; fi++ {
 			client, server := fi*2, fi*2+1
 			port := uint16(7100 + fi)
@@ -413,7 +413,7 @@ func runTopoMesh(t *testing.T, shards int, plan qpip.FaultPlan) topoResult {
 	t.Helper()
 	const n, msgs, msgLen = 16, 16, 2048
 	c := topoCluster(n, shards, qpip.TopoSpec{Kind: qpip.TopoMesh, W: 4, H: 4})
-	inj := qpip.InjectFaults(c, plan)
+	inj := c.InjectFaults(plan)
 	var res topoResult
 	flows := [4][2]int{{0, 5}, {2, 7}, {8, 13}, {10, 15}}
 	for fi, f := range flows {
@@ -513,7 +513,7 @@ func runTopoAllreduce(t *testing.T, shards int, plan qpip.FaultPlan) topoResult 
 	t.Helper()
 	const n, ops, words = 8, 3, 16
 	c := topoCluster(n, shards, qpip.TopoSpec{Kind: qpip.TopoRing})
-	inj := qpip.InjectFaults(c, plan)
+	inj := c.InjectFaults(plan)
 	addrs := make([]qpip.Addr6, n)
 	for i := range addrs {
 		addrs[i] = c.Nodes[i].Addr6
@@ -539,6 +539,16 @@ func runTopoAllreduce(t *testing.T, shards int, plan qpip.FaultPlan) topoResult 
 				}
 				comp := cq.Wait(p)
 				res.statuses[i] += fmt.Sprintf("c%d=%v:%x ", comp.WRID, comp.Status, comp.Payload.Data())
+				// Word j sums i*100+op*10+j over the n ranks.
+				got := qpip.UnmarshalVec(comp.Payload)
+				if len(got) != words {
+					t.Errorf("rank %d op %d: %d result words, want %d", i, op, len(got), words)
+				}
+				for j, w := range got {
+					if want := uint64(100*n*(n-1)/2 + n*(op*10+j)); w != want {
+						t.Errorf("rank %d op %d word %d = %d, want %d", i, op, j, w, want)
+					}
+				}
 			}
 		})
 	}

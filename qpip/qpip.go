@@ -21,9 +21,9 @@
 // A minimal reliable round trip:
 //
 //	c := qpip.NewQPIPCluster(2)
-//	c.Spawn("server", func(p *qpip.Proc) {
-//		qp, scq, rcq, _ := qpip.NewReliableQP(c.Node(1), 64)
-//		lst, _ := c.Node(1).QPIP.Listen(7000)
+//	c.SpawnOn(1, "server", func(p *qpip.Proc) {
+//		qp, scq, rcq, _ := qpip.NewReliableQP(c.Nodes[1], 64)
+//		lst, _ := c.Nodes[1].QPIP.Listen(7000)
 //		lst.Post(qp)
 //		qp.WaitEstablished(p)
 //		qp.PostRecv(p, qpip.RecvWR{ID: 1, Capacity: 4096})
@@ -31,9 +31,9 @@
 //		_ = comp.Payload // the message
 //		_ = scq
 //	})
-//	c.Spawn("client", func(p *qpip.Proc) {
-//		qp, scq, _, _ := qpip.NewReliableQP(c.Node(0), 64)
-//		qp.Connect(p, c.Node(1).Addr6, 7000)
+//	c.SpawnOn(0, "client", func(p *qpip.Proc) {
+//		qp, scq, _, _ := qpip.NewReliableQP(c.Nodes[0], 64)
+//		qp.Connect(p, c.Nodes[1].Addr6, 7000)
 //		qp.PostSend(p, qpip.SendWR{ID: 1, Payload: qpip.Message([]byte("hi"))})
 //		scq.Wait(p)
 //	})
@@ -131,10 +131,6 @@ const (
 	TopoFatTree = topo.FatTree
 )
 
-// ParseTopoKind parses a topology family name ("star", "ring", "mesh",
-// "fattree").
-func ParseTopoKind(s string) (TopoKind, error) { return topo.ParseKind(s) }
-
 // NIC-offloaded collectives (DESIGN §15): barrier, broadcast and ring
 // reductions executed entirely by the adapters after one initiating post.
 type (
@@ -160,9 +156,8 @@ func NewCollQ(node *Node, group uint16, rank int, members []Addr6, cq *CQ) (*Col
 	return verbs.NewCollQ(node.QPIP, group, rank, members, cq)
 }
 
-// MarshalVec / UnmarshalVec convert between result vectors and completion
-// payloads (8 bytes per word).
-func MarshalVec(vec []uint64) Payload { return verbs.MarshalVec(vec) }
+// UnmarshalVec decodes a collective completion's payload into its result
+// vector (8 bytes per word).
 func UnmarshalVec(b Payload) []uint64 { return verbs.UnmarshalVec(b) }
 
 // QP lifecycle states (QP.State), following the Infiniband modify-QP
@@ -239,7 +234,8 @@ var (
 func NewSRQ(node *Node, cfg SRQConfig) (*SRQ, error) { return verbs.NewSRQ(node.QPIP, cfg) }
 
 // Fault injection (chaos testing): a seeded deterministic plan of drops,
-// corruption, duplication, delay and link flaps applied to the fabric.
+// corruption, duplication, delay and link flaps applied to the fabric,
+// installed with Cluster.InjectFaults.
 type (
 	// FaultPlan describes the faults to inject.
 	FaultPlan = fault.Plan
@@ -261,29 +257,6 @@ type (
 // starting at start, each down for downDur then up for upDur.
 func FlapTrain(port int, start Time, downDur, upDur Time, n int) []Flap {
 	return fault.FlapTrain(port, start, downDur, upDur, n)
-}
-
-// InjectFaults attaches a seeded fault plan to the cluster's primary
-// fabric (Myrinet when present, Ethernet otherwise) and returns the
-// injector for stats and trace inspection. Crash entries in the plan are
-// scheduled against the nodes' QPIP adapters, indexed by Crash.Node.
-func InjectFaults(c *Cluster, plan FaultPlan) *FaultInjector {
-	in := fault.NewInjector(plan)
-	if c.Myrinet != nil {
-		in.Attach(c.Myrinet)
-	} else if c.Eth != nil {
-		in.Attach(c.Eth)
-	}
-	if len(plan.Crashes) > 0 {
-		targets := make([]fault.Rebootable, len(c.Nodes))
-		engs := make([]*sim.Engine, len(c.Nodes))
-		for i, n := range c.Nodes {
-			targets[i] = n.QPIP
-			engs[i] = c.EngineOf(i)
-		}
-		in.ScheduleCrashesOn(engs, targets...)
-	}
-	return in
 }
 
 // Checksum placement modes for the adapter's receive path.
@@ -311,12 +284,6 @@ type ShardPlan = core.ShardPlan
 // processes with Cluster.SpawnOn so each runs on its node's shard.
 func NewShardedCluster(n int, cfg NodeConfig, plan ShardPlan) *Cluster {
 	return core.NewShardedCluster(n, cfg, plan)
-}
-
-// NewShardedQPIPCluster is NewQPIPCluster across shards engines, nodes
-// assigned round-robin (node i on shard i%shards).
-func NewShardedQPIPCluster(n, shards int) *Cluster {
-	return core.NewShardedCluster(n, core.NodeConfig{QPIP: true}, core.ShardPlan{Shards: shards})
 }
 
 // NewReliableQP creates a reliable (TCP) QP on node with fresh send and

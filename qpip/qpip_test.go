@@ -13,7 +13,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	var got []byte
 	var sendStatus qpip.Completion
 
-	c.Spawn("server", func(p *qpip.Proc) {
+	c.SpawnOn(1, "server", func(p *qpip.Proc) {
 		qp, _, rcq, err := qpip.NewReliableQP(c.Nodes[1], 64)
 		if err != nil {
 			t.Errorf("NewReliableQP: %v", err)
@@ -39,7 +39,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		comp := rcq.Wait(p)
 		got = comp.Payload.Data()
 	})
-	c.Spawn("client", func(p *qpip.Proc) {
+	c.SpawnOn(0, "client", func(p *qpip.Proc) {
 		qp, scq, _, err := qpip.NewReliableQP(c.Nodes[0], 64)
 		if err != nil {
 			t.Errorf("NewReliableQP: %v", err)
@@ -79,7 +79,7 @@ func TestVirtualMessageAndAddrs(t *testing.T) {
 func TestUnreliableQPOnFacade(t *testing.T) {
 	c := qpip.NewQPIPCluster(2)
 	var got qpip.Completion
-	c.Spawn("recv", func(p *qpip.Proc) {
+	c.SpawnOn(1, "recv", func(p *qpip.Proc) {
 		qp, _, rcq, err := qpip.NewUnreliableQP(c.Nodes[1], 16)
 		if err != nil {
 			t.Errorf("NewUnreliableQP: %v", err)
@@ -92,7 +92,7 @@ func TestUnreliableQPOnFacade(t *testing.T) {
 		qp.PostRecv(p, qpip.RecvWR{ID: 1, Capacity: 128})
 		got = rcq.Wait(p)
 	})
-	c.Spawn("send", func(p *qpip.Proc) {
+	c.SpawnOn(0, "send", func(p *qpip.Proc) {
 		qp, scq, _, err := qpip.NewUnreliableQP(c.Nodes[0], 16)
 		if err != nil {
 			t.Errorf("NewUnreliableQP: %v", err)

@@ -2,8 +2,9 @@
 # Coverage gate for the protocol packages and the bench harness: runs the
 # whole suite with cross-package coverage (go test -coverpkg=./...), lists
 # every function in tcp, qpipnic, verbs, hostos, fabric, nbd, sim, gige,
-# gm, hw, pool, bench, fault, trace, core, topo, udp, wire and buf that no
-# test executes, and fails when one is
+# gm, hw, pool, bench, fault, trace, core, topo, udp, wire, buf, inet,
+# storage and the public qpip package that no test executes, and fails
+# when one is
 # missing from scripts/cover-allow.txt — or when the allow file names a
 # function that is now reached or gone, so the file only shrinks. Profiles
 # land in bin/ (git-ignored).
@@ -24,7 +25,7 @@ fi
 "$GO" tool cover -func=bin/cover.out >bin/cover.func
 
 # "repro/internal/tcp/conn.go:178:  merge  0.0%" -> "internal/tcp/conn.go merge"
-awk '$NF == "0.0%" && $1 ~ /^repro\/internal\/(tcp|qpipnic|verbs|hostos|fabric|nbd|sim|gige|gm|hw|pool|bench|fault|trace|core|topo|udp|wire|buf)\/[^\/]+\.go:/ {
+awk '$NF == "0.0%" && $1 ~ /^repro\/(internal\/(tcp|qpipnic|verbs|hostos|fabric|nbd|sim|gige|gm|hw|pool|bench|fault|trace|core|topo|udp|wire|buf|inet|storage)|qpip)\/[^\/]+\.go:/ {
 	split($1, loc, ":"); sub(/^repro\//, "", loc[1]); print loc[1], $2
 }' bin/cover.func | sort -u >bin/cover.zero
 grep -v -e '^#' -e '^[[:space:]]*$' "$allow" | sort -u >bin/cover.allow
