@@ -97,8 +97,9 @@ type Cluster struct {
 	Routes6 *inet.Table6
 	Nodes   []*Node
 
-	shardOf []int // node index -> shard
-	sharded bool  // built by NewShardedCluster: Run uses the parallel runner
+	shardOf []int  // node index -> shard
+	sharded bool   // built by NewShardedCluster: Run uses the parallel runner
+	epochs  uint64 // parallel-runner epochs run so far
 }
 
 // NewCluster builds n identically configured nodes on one engine.
@@ -312,6 +313,26 @@ func (c *Cluster) exchange() int {
 	return n
 }
 
+// mailFloor is the parallel runner's MailFloor hook: the earliest arrival
+// of any cross-shard handoff the coming epoch can post, over the
+// cluster's fabrics, given each engine's next event time. Each fabric
+// publishes its ports' shares for its own guard. With no fabric able to
+// post it reports 0, leaving the runner's minNext+Lookahead window.
+//
+//qpip:barrier
+func (c *Cluster) mailFloor(next []sim.Time) sim.Time {
+	floor, ok := sim.Time(0), false
+	for _, f := range []*fabric.Fabric{c.Myrinet, c.Eth} {
+		if f == nil {
+			continue
+		}
+		if t, live := f.MailFloor(c.Engines, next); live && (!ok || t < floor) {
+			floor, ok = t, true
+		}
+	}
+	return floor
+}
+
 // parConfig assembles the conservative runner's configuration.
 func (c *Cluster) parConfig() par.Config {
 	la, cross := c.lookahead()
@@ -321,6 +342,7 @@ func (c *Cluster) parConfig() par.Config {
 	cfg := par.Config{Engines: c.Engines, Exchange: c.exchange}
 	if cross {
 		cfg.Lookahead = la
+		cfg.MailFloor = c.mailFloor
 	}
 	return cfg
 }
@@ -333,7 +355,7 @@ func (c *Cluster) Run() {
 		c.Engines[0].Run()
 		return
 	}
-	par.Run(c.parConfig())
+	c.epochs += uint64(par.Run(c.parConfig()))
 }
 
 // RunFor drives the simulation for d of simulated time.
@@ -348,8 +370,13 @@ func (c *Cluster) RunFor(d sim.Time) {
 			now = e.Now()
 		}
 	}
-	par.RunUntil(c.parConfig(), now+d)
+	c.epochs += uint64(par.RunUntil(c.parConfig(), now+d))
 }
+
+// Epochs reports how many parallel-runner epochs the cluster has run, each
+// one barrier; 0 for a sequential cluster. FiredTotal over Epochs is the
+// work an epoch carries.
+func (c *Cluster) Epochs() uint64 { return c.epochs }
 
 // EndTime reports when the simulation last did work: the maximum
 // LastEventAt over shard engines. For a drained sequential cluster this

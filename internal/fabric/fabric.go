@@ -15,6 +15,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/sim"
@@ -72,19 +73,9 @@ func (fr *Frame) bindFns() {
 		if f.cfg.CutThrough {
 			// Cut-through: the destination link streamed concurrently; the
 			// last byte arrives one hop latency + propagation after it left
-			// the source.
+			// the source. (A cross-shard frame never gets here: Send posted
+			// its delivery already.)
 			d := f.cfg.HopLatency + f.cfg.PropDelay + fr.delay
-			if dp.eng != sp.eng {
-				// Cross-shard: buffer the delivery in the source port's
-				// mailbox; the barrier injects it into the destination
-				// engine in canonical order (DrainMailboxes).
-				now := sp.eng.Now()
-				sp.outbox = append(sp.outbox, mail{eng: dp.eng, at: now + d, name: "fabric.deliver", fn: fr.dlvrFn})
-				if fr.dup {
-					sp.outbox = append(sp.outbox, mail{eng: dp.eng, at: now + d + fr.ser, name: "fabric.deliver", fn: fr.dlvrFn})
-				}
-				return
-			}
 			sp.eng.After(d, "fabric.deliver", fr.dlvrFn)
 			if fr.dup {
 				sp.eng.After(d+fr.ser, "fabric.deliver", fr.dlvrFn)
@@ -95,10 +86,13 @@ func (fr *Frame) bindFns() {
 		// link (modeled with contention).
 		d := f.cfg.HopLatency + fr.delay
 		if dp.eng != sp.eng {
-			now := sp.eng.Now()
-			sp.outbox = append(sp.outbox, mail{eng: dp.eng, at: now + d, name: "fabric.switch", fn: fr.swFn})
+			// Cross-shard: buffer the switch hop in the source port's
+			// mailbox; the barrier injects it into the destination engine
+			// in canonical order (DrainMailboxes).
+			m := mail{eng: dp.eng, at: sp.eng.Now() + d, name: "fabric.switch", fn: fr.swFn}
+			f.post(sp, m)
 			if fr.dup {
-				sp.outbox = append(sp.outbox, mail{eng: dp.eng, at: now + d, name: "fabric.switch", fn: fr.swFn})
+				f.post(sp, m)
 			}
 			return
 		}
@@ -205,10 +199,18 @@ type mail struct {
 }
 
 type port struct {
+	id      int         // attachment id
 	eng     *sim.Engine // the engine this attachment lives on
 	up      *sim.Server // attachment -> switch
 	down    *sim.Server // switch -> attachment
 	handler Handler
+	// floor, when set, bounds from below the time of the attachment's
+	// next Send, given its engine's next event time (SetFloor).
+	floor func(next sim.Time) sim.Time
+	// mailFloor is the earliest arrival this port's cross-shard handoffs
+	// may have in the current epoch, published at the barrier
+	// (MailFloor); post panics on a handoff timed before it.
+	mailFloor sim.Time
 
 	// Source-side counters (incremented from the attachment's engine) and
 	// the destination-side delivered counter. Per-port so concurrent shards
@@ -283,6 +285,7 @@ func (f *Fabric) AttachOn(eng *sim.Engine, h Handler) int {
 	}
 	id := len(f.ports)
 	f.ports = append(f.ports, &port{
+		id:      id,
 		eng:     eng,
 		up:      sim.NewServer(eng, fmt.Sprintf("%s.port%d.up", f.cfg.Name, id)),
 		down:    sim.NewServer(eng, fmt.Sprintf("%s.port%d.down", f.cfg.Name, id)),
@@ -360,8 +363,74 @@ func (f *Fabric) DrainMailboxes() int {
 // Ports reports the number of attachments.
 func (f *Fabric) Ports() int { return len(f.ports) }
 
-// MTU reports the fabric's network-layer MTU (0 = unlimited).
-func (f *Fabric) MTU() int { return f.cfg.MTU }
+// SetFloor gives attachment att an emission floor: floor(next) must be a
+// lower bound on the time of the attachment's next Send, given that its
+// engine fires nothing before next. It is called only at epoch barriers,
+// with every shard parked. An attachment without a floor is bounded by
+// next itself.
+func (f *Fabric) SetFloor(att int, floor func(next sim.Time) sim.Time) {
+	f.ports[att].floor = floor
+}
+
+// MailFloor publishes, for the epoch about to run, each port's mail
+// floor: the earliest arrival time any cross-shard handoff it posts can
+// have. next[i] is engines[i]'s next event time, negative when it has
+// none; a port on such an engine fires nothing and so posts nothing. It
+// reports the minimum over ports, or false when no port can post.
+//
+// A cut-through star port posts at Send, so its floor is the attachment's
+// emission floor, held back by its busy up link, plus the smallest
+// frame's serialization and the hop. A store-and-forward port posts when
+// its transmitter finishes, an event no earlier than next. A multi-hop
+// fabric's switch egress publishes no floor: it reports 0, leaving the
+// runner's minNext+Lookahead window.
+//
+//qpip:barrier
+func (f *Fabric) MailFloor(engines []*sim.Engine, next []sim.Time) (sim.Time, bool) {
+	if f.cfg.Topo != nil {
+		return 0, true
+	}
+	minFrame := f.serTime(f.cfg.LinkOverhead)
+	floor, ok := sim.Time(0), false
+	for _, p := range f.ports {
+		t := sim.Time(-1)
+		for i, e := range engines {
+			if e == p.eng {
+				t = next[i]
+				break
+			}
+		}
+		if t < 0 {
+			p.mailFloor = math.MaxInt64 // nothing fires: no handoff at all
+			continue
+		}
+		if f.cfg.CutThrough {
+			if p.floor != nil {
+				t = p.floor(t)
+			}
+			p.mailFloor = max(t, p.up.BusyUntil()) + minFrame + f.cfg.HopLatency + f.cfg.PropDelay
+		} else {
+			p.mailFloor = t + f.cfg.HopLatency
+		}
+		if !ok || p.mailFloor < floor {
+			floor, ok = p.mailFloor, true
+		}
+	}
+	return floor, ok
+}
+
+// post buffers one cross-shard handoff in p's outbox. A handoff timed
+// before the port's published mail floor means the floor was not a lower
+// bound, so the epoch it ran in was unsound: post panics.
+//
+//qpip:hotpath
+func (f *Fabric) post(p *port, m mail) {
+	if m.at < p.mailFloor {
+		panic(fmt.Sprintf("fabric %s: port %d posted a cross-shard handoff arriving at %v, before its published mail floor %v",
+			f.cfg.Name, p.id, m.at, p.mailFloor))
+	}
+	p.outbox = append(p.outbox, m)
+}
 
 // serTime is the serialization time of size bytes at link rate.
 func (f *Fabric) serTime(size int) sim.Time {
@@ -442,6 +511,20 @@ func (f *Fabric) Send(frame *Frame, onTxDone func()) {
 	if frame.txFn == nil {
 		//lint:qpip-allow hotprop continuations are bound once per pooled frame and survive recycling; steady-state sends reuse them
 		frame.bindFns()
+	}
+	if f.cfg.CutThrough && dst.eng != src.eng {
+		// Cross-shard cut-through: the up link's FIFO already fixes when
+		// the last byte leaves, so the delivery is posted now, into the
+		// source port's mailbox; the barrier injects it into the
+		// destination engine in canonical order (DrainMailboxes). From
+		// here the frame belongs to the destination shard: the transmit
+		// event carries only onTxDone.
+		at := src.up.Do(frame.ser, "fabric.tx", onTxDone) + f.cfg.HopLatency + f.cfg.PropDelay + frame.delay
+		f.post(src, mail{eng: dst.eng, at: at, name: "fabric.deliver", fn: frame.dlvrFn})
+		if frame.dup {
+			f.post(src, mail{eng: dst.eng, at: at + frame.ser, name: "fabric.deliver", fn: frame.dlvrFn})
+		}
+		return
 	}
 	src.up.Do(frame.ser, "fabric.tx", frame.txFn)
 }

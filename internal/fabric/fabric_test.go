@@ -1,10 +1,13 @@
 package fabric
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/params"
 	"repro/internal/sim"
+	"repro/internal/sim/par"
 )
 
 func myrinet(eng *sim.Engine) *Fabric {
@@ -217,5 +220,56 @@ func TestThroughputMatchesLineRate(t *testing.T) {
 	rate := float64(bytes) / eng.Now().Seconds() // bytes/sec
 	if rate < 0.97*params.MyrinetBandwidth || rate > 1.01*params.MyrinetBandwidth {
 		t.Errorf("saturated rate %.1f MB/s, want ~%.1f MB/s", rate/1e6, params.MyrinetBandwidth/1e6)
+	}
+}
+
+// TestMailFloorGuard checks the sharded handoff against the mail floor
+// its port published. Port 0's first event sends a minimum-size frame
+// across the shard cut. An honest emission floor publishes exactly that
+// frame's arrival, and the run delivers it. A floor that lies by 1 ns
+// publishes an arrival 1 ns late, and the handoff panics, naming the
+// fabric, the port, the floor and the arrival.
+func TestMailFloorGuard(t *testing.T) {
+	const sendAt = 5 * sim.Microsecond
+	run := func(lie sim.Time) (delivered sim.Time, panicked string) {
+		engs := []*sim.Engine{sim.NewEngine(), sim.NewEngine()}
+		f := myrinet(engs[0])
+		a := f.AttachOn(engs[0], nil)
+		b := f.AttachOn(engs[1], func(*Frame) { delivered = engs[1].Now() })
+		f.SetFloor(a, func(next sim.Time) sim.Time { return next + lie })
+		engs[0].At(sendAt, "send", func() {
+			f.Send(&Frame{Src: a, Dst: b, WireSize: params.MyrinetHeaderBytes}, nil)
+		})
+		la, cross := f.CrossShardLookahead()
+		if !cross {
+			t.Fatal("ports on two engines report no cross-shard link")
+		}
+		defer func() {
+			if r := recover(); r != nil {
+				panicked = fmt.Sprint(r)
+			}
+		}()
+		par.Run(par.Config{
+			Engines:   engs,
+			Lookahead: la,
+			Exchange:  f.DrainMailboxes,
+			MailFloor: func(next []sim.Time) sim.Time {
+				floor, _ := f.MailFloor(engs, next)
+				return floor
+			},
+		})
+		return delivered, ""
+	}
+
+	ser := sim.Time(float64(params.MyrinetHeaderBytes) * 1e9 / params.MyrinetBandwidth)
+	arrival := sendAt + ser + params.MyrinetHopLatency + params.CableLatency
+	if got, msg := run(0); msg != "" || got != arrival {
+		t.Fatalf("honest floor: delivered at %v (panic %q), want %v", got, msg, arrival)
+	}
+	_, msg := run(1)
+	for _, want := range []string{"fabric myri", "port 0", (arrival + 1).String(), arrival.String()} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("lying floor: panic %q does not name %q", msg, want)
+		}
 	}
 }

@@ -53,16 +53,17 @@ func (p *PCIBus) Burst(n int, what string, done func()) {
 }
 
 // BurstAt moves n bytes at the initiating DMA engine's effective rate
-// (capped by the bus). The bus is held for the whole burst: a slow master
-// occupies the bus at its own pace, as PCI works.
-func (p *PCIBus) BurstAt(n int, rate float64, what string, done func()) {
+// (capped by the bus) and returns the burst's completion time. The bus is
+// held for the whole burst: a slow master occupies the bus at its own
+// pace, as PCI works.
+func (p *PCIBus) BurstAt(n int, rate float64, what string, done func()) sim.Time {
 	if n < 0 {
 		panic(fmt.Sprintf("hw: negative DMA length %d", n))
 	}
 	if rate <= 0 || rate > p.bandwidth {
 		rate = p.bandwidth
 	}
-	p.bus.Do(sim.Time(float64(n)*1e9/rate), what, done)
+	return p.bus.Do(sim.Time(float64(n)*1e9/rate), what, done)
 }
 
 // PIOWrite performs one posted programmed-I/O write (a doorbell ring).

@@ -88,6 +88,11 @@ type chainRun struct {
 	lport       uint16
 	rport       uint16
 	status      verbs.Status
+	// at is the completion time of the job the runner waits on, where
+	// the emission floor needs it: a queued Send stage or a Get Data
+	// burst. -1 while a DMA stage's setup is queued or after the frame
+	// left.
+	at sim.Time
 
 	// Continuations, bound once.
 	advanceFn       func() // re-enter run after an event
@@ -103,10 +108,11 @@ func newChainRun(n *NIC) *chainRun {
 	cr.advanceFn = cr.run
 	cr.dmaFn = func() {
 		st := &cr.stages[cr.i-1]
-		cr.n.cfg.Bus.BurstAt(cr.bytes, params.LANaiDMABandwidth, st.dmaName, cr.advanceFn)
+		cr.at = cr.n.cfg.Bus.BurstAt(cr.bytes, params.LANaiDMABandwidth, st.dmaName, cr.advanceFn)
 	}
 	cr.mediaFn = func() {
 		n := cr.n
+		cr.at = -1
 		frame := fabric.NewFrame(n.att, cr.att, cr.pkt.Len()+params.MyrinetHeaderBytes, cr.pkt)
 		if n.cfg.PipelinedTX {
 			n.fab.Send(frame, nil)
@@ -163,12 +169,25 @@ func (n *NIC) getChain(done func()) *chainRun {
 	return cr
 }
 
+// getTxChain is getChain for the transmit FSM's work item: the runner
+// that will reach the item's Send stage, which the emission floor tracks
+// until it is freed.
+//
+//qpip:hotpath
+func (n *NIC) getTxChain(done func()) *chainRun {
+	n.txRun = n.getChain(done)
+	return n.txRun
+}
+
 // putChain clears pointer-holding state and returns the runner to the free
 // list. Stage entries past nStages are stale but only reachable through
 // nStages, which every get resets.
 //
 //qpip:hotpath
 func (n *NIC) putChain(cr *chainRun) {
+	if cr == n.txRun {
+		n.txRun = nil
+	}
 	for j := 0; j < cr.nStages; j++ {
 		cr.stages[j].fn = nil
 	}
@@ -222,8 +241,8 @@ func (cr *chainRun) run() {
 			cr.n.cpu.Do(d, st.name, cr.advanceFn)
 			return
 		case stDMA:
-			dma := sim.Time(float64(cr.bytes) * 1e9 / params.LANaiDMABandwidth)
-			st.ctr.Observe(params.US(st.us) + dma)
+			st.ctr.Observe(params.US(st.us) + lanaiDMA(cr.bytes))
+			cr.at = -1
 			cr.n.cpu.Do(params.US(st.us), st.name, cr.dmaFn)
 			return
 		case stChecksum:
@@ -235,9 +254,9 @@ func (cr *chainRun) run() {
 			cr.n.cpu.Do(d, "fw-checksum", cr.advanceFn)
 			return
 		case stMedia:
-			d := params.US(params.TxSendUS)
+			d := params.US(st.us)
 			st.ctr.Observe(d)
-			cr.n.cpu.Do(d, st.name, cr.mediaFn)
+			cr.at = cr.n.cpu.Do(d, st.name, cr.mediaFn)
 			return
 		case stTxWR:
 			// Hand off to the per-transport message path; the runner's job
@@ -494,7 +513,7 @@ func (n *NIC) initTemplates() {
 		dmaSt(n.TxData, "Get Data", params.TxGetDataUS),
 		cpuSt(n.TxData, "Build UDP Hdr", params.TxBuildUDPHdrUS),
 		cpuSt(n.TxData, "Build IP Hdr", params.TxBuildIPHdrUS),
-		{kind: stMedia, name: "Send", ctr: n.TxData.Counter("Send")},
+		{kind: stMedia, name: "Send", ctr: n.TxData.Counter("Send"), us: params.TxSendUS},
 		cpuSt(n.TxData, "Update", params.TxUpdateUS),
 		{kind: stUDPDone},
 	}
@@ -504,7 +523,7 @@ func (n *NIC) initTemplates() {
 		dmaSt(n.TxData, "Get Data", params.TxGetDataUS),
 		cpuSt(n.TxData, "Build TCP Hdr", params.TxBuildTCPHdrUS),
 		cpuSt(n.TxData, "Build IP Hdr", params.TxBuildIPHdrUS),
-		{kind: stMedia, name: "Send", ctr: n.TxData.Counter("Send")},
+		{kind: stMedia, name: "Send", ctr: n.TxData.Counter("Send"), us: params.TxSendUS},
 		cpuSt(n.TxData, "Update", params.TxUpdateUS),
 	}
 	n.segAck = [6]stage{
@@ -512,7 +531,7 @@ func (n *NIC) initTemplates() {
 		cpuSt(n.TxAck, "Schedule", params.TxScheduleUS),
 		cpuSt(n.TxAck, "Build TCP Hdr", params.TxBuildTCPHdrUS),
 		cpuSt(n.TxAck, "Build IP Hdr", params.TxBuildIPHdrUS),
-		{kind: stMedia, name: "Send", ctr: n.TxAck.Counter("Send")},
+		{kind: stMedia, name: "Send", ctr: n.TxAck.Counter("Send"), us: params.TxSendUS},
 		cpuSt(n.TxAck, "Update", params.TxUpdateUS),
 	}
 	n.rxData = [4]stage{
@@ -537,4 +556,41 @@ func (n *NIC) initTemplates() {
 	n.tplTCPParseAck = cpuSt(n.RxAck, "TCP Parse", params.RxTCPParseAckUS)
 	n.tplUDPParse = cpuSt(n.RxData, "UDP Parse", params.RxUDPParseUS)
 	n.ctrRxAckUpdate = n.RxAck.Counter("Update")
+
+	// The emission floor's minStart. A send starts as a new work item
+	// (a segment template, or a WR template and then the datagram tail;
+	// a TCP hand-off leads to a later item) or from a collective group
+	// joined since the barrier (the join's management stage, then the
+	// cheaper of a post and a receive stage queued behind it).
+	ack, _ := sendCost(n.segAck[:], 0)
+	data, _ := sendCost(n.segData[:], 0)
+	wr, _ := sendCost(n.txWR[:], 0)
+	batch, _ := sendCost(n.txWRBatch[:], 0)
+	udpTail, _ := sendCost(n.udpSend[:], 0)
+	join := params.US(mgmtUS) + min(params.US(params.CollPostUS), params.US(params.CollStepUS))
+	n.minStart = min(ack, data, wr+udpTail, batch+udpTail, join)
+}
+
+// lanaiDMA is the time the adapter's DMA engine needs to move bytes
+// across the bus, at its own rate; a slower bus only adds to it.
+func lanaiDMA(bytes int) sim.Time {
+	return sim.Time(float64(bytes) * 1e9 / params.LANaiDMABandwidth)
+}
+
+// sendCost is a lower bound on the firmware time from the start of the
+// stage sequence tpl to the completion of its Send stage, with DMA stages
+// moving bytes. When tpl has no Send, ok is false and d covers all of tpl.
+func sendCost(tpl []stage, bytes int) (d sim.Time, ok bool) {
+	for i := range tpl {
+		st := &tpl[i]
+		switch st.kind {
+		case stCPU:
+			d += params.US(st.us)
+		case stDMA:
+			d += params.US(st.us) + lanaiDMA(bytes)
+		case stMedia:
+			return d + params.US(st.us), true
+		}
+	}
+	return d, false
 }

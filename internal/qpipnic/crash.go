@@ -73,7 +73,10 @@ func (n *NIC) Crash() {
 	n.udpPorts.Reset()
 
 	// Drop the transmit scheduler queue (segments return to their pool)
-	// and drain the doorbell FIFO.
+	// and drain the doorbell FIFO. The work item in flight is not queued:
+	// it runs on, like every scheduled firmware event, and still reaches
+	// its Send, so the emission floor keeps tracking its runner (txRun)
+	// until the runner is freed.
 	for w, ok := n.txQ.Pop(); ok; w, ok = n.txQ.Pop() {
 		if w.seg != nil {
 			w.seg.Release()

@@ -221,6 +221,13 @@ type NIC struct {
 	txQ      pool.Ring[txWork]
 	txBusy   bool
 	txDoneFn func()
+	// txRun is the runner of the work item in flight, from its first
+	// stage until the runner is freed; nil when the FSM is idle or
+	// between a take-WR hand-off and the next item. The emission floor
+	// (emissionFloor) reads it, with minStart: the least firmware time
+	// from a trigger to a send none of whose stages has begun.
+	txRun    *chainRun
+	minStart sim.Time
 
 	// Pooled FSM stage runners and their pre-resolved stage templates.
 	chainTemplates
@@ -299,6 +306,7 @@ func New(eng *sim.Engine, fab *fabric.Fabric, cfg Config) *NIC {
 	n.notifyISR = sim.NewJobs(func(fn func()) { fn() })
 	n.collRecv = sim.NewJobs(n.collStep)
 	n.att = fab.AttachOn(eng, n.receiveFrame)
+	fab.SetFloor(n.att, n.emissionFloor)
 	n.db.OnRing = n.onDoorbell
 	n.db.OnDrop = func() { n.Net.Add("db.drop", 1) }
 	return n
@@ -642,9 +650,12 @@ func (n *NIC) updateWindow(qs *qpState) {
 // table — the churn benches assert it returns to baseline.
 func (n *NIC) LiveConns() int { return n.tcp.Len() }
 
+// mgmtUS is the management FSM's firmware cost per privileged command.
+const mgmtUS = 5.0
+
 // mgmtCost charges the management FSM for one privileged command.
 func (n *NIC) mgmtCost() {
-	n.cpu.Do(params.US(5), "mgmt", nil)
+	n.cpu.Do(params.US(mgmtUS), "mgmt", nil)
 }
 
 // notifyHost schedules a host-visible event (connection established,

@@ -111,7 +111,7 @@ func (n *NIC) consumeSendWR(qs *qpState, amortized bool, done func()) {
 		return
 	}
 	qs.pendingWRs--
-	cr := n.getChain(done)
+	cr := n.getTxChain(done)
 	if amortized {
 		cr.use(n.txWRBatch[:])
 	} else {
@@ -164,7 +164,7 @@ func (n *NIC) sendUDPMessage(qs *qpState, wr verbs.SendWR, done func()) {
 	pkt.L4Hdr = l4
 	pkt.Payload = wr.Payload
 	pkt.Epoch = n.bootEpoch
-	cr := n.getChain(done)
+	cr := n.getTxChain(done)
 	cr.use(n.udpSend[:])
 	cr.qs = qs
 	cr.pkt = pkt
@@ -196,7 +196,7 @@ func (n *NIC) sendSegment(qs *qpState, seg *tcp.Segment, done func()) {
 	pkt.Payload = seg.Payload
 	pkt.Epoch = n.bootEpoch
 
-	cr := n.getChain(done)
+	cr := n.getTxChain(done)
 	if seg.Payload.Len() > 0 {
 		cr.use(n.segData[:])
 	} else {
@@ -209,6 +209,53 @@ func (n *NIC) sendSegment(qs *qpState, seg *tcp.Segment, done func()) {
 	// itself is dead and can go back to its pool before the chain runs.
 	seg.Release()
 	cr.run()
+}
+
+// emissionFloor is the adapter's fabric floor (fabric.SetFloor): a lower
+// bound on the time of its next Fabric.Send, given that its engine fires
+// nothing before next. With b = max(next, CPU busy-until), a send none of
+// whose stages has begun is at least b + minStart away. Every frame but a
+// collective one leaves through the Send stage of the transmit FSM's one
+// work item in flight, on the FIFO, non-preemptive firmware CPU, so a
+// Send already ahead of that item bounds the floor sooner:
+//
+//   - its Send job queued: the job's completion time;
+//   - otherwise b plus the firmware time of its stages through Send;
+//     waiting on its Get Data burst, b starts at the burst's completion;
+//     with the burst's DMA setup still queued, no earlier than next plus
+//     the burst's duration.
+//
+// The collective engine sends beside the FSM: an adapter with a live
+// group can send at next.
+//
+//qpip:barrier
+func (n *NIC) emissionFloor(next sim.Time) sim.Time {
+	if len(n.collGroups) > 0 {
+		return next
+	}
+	busy := n.cpu.BusyUntil()
+	b := max(next, busy)
+	floor := b + n.minStart
+	cr := n.txRun
+	if cr == nil {
+		return floor
+	}
+	switch cr.stages[cr.i-1].kind {
+	case stMedia:
+		if cr.at >= 0 {
+			return cr.at // queued behind busy-until, so below floor
+		}
+	case stDMA:
+		if cr.at >= 0 {
+			b = max(cr.at, busy)
+		} else {
+			b = max(next+lanaiDMA(cr.bytes), busy)
+		}
+	}
+	if d, ok := sendCost(cr.stages[cr.i:cr.nStages], cr.bytes); ok {
+		floor = min(floor, b+d)
+	}
+	return floor
 }
 
 // ---- TCB action plumbing. ----

@@ -6,7 +6,10 @@
 // shards (the lookahead), and minNext the earliest pending event across all
 // engines, every event fired in the epoch window [minNext, minNext+L-1]
 // that hands work to another shard produces an arrival no earlier than
-// minNext+L — strictly beyond the window. Shards therefore run the window
+// minNext+L — strictly beyond the window. A model that can prove a later
+// bound (Config.MailFloor: the earliest arrival any handoff posted in the
+// coming epoch can have) widens the window to end just before it; the
+// window never shrinks below minNext+L-1. Shards therefore run the window
 // concurrently without ever needing input from each other, and the
 // cross-shard handoffs buffered during the window are injected at the
 // barrier, before the next window is computed. Injection order is fixed by
@@ -44,6 +47,12 @@ type Config struct {
 	// only between epochs, on the coordinating goroutine, with every worker
 	// parked at the barrier. Nil means there is nothing to exchange.
 	Exchange func() int
+	// MailFloor, when set, bounds from below the arrival time of every
+	// cross-shard handoff the coming epoch can post. next[i] is
+	// Engines[i]'s next event time, negative when it has none. It is
+	// called at each barrier, after Exchange, with every worker parked; the
+	// epoch then ends at max(minNext+Lookahead, MailFloor(next)) - 1.
+	MailFloor func(next []sim.Time) sim.Time
 }
 
 // worker owns one engine for the duration of a run. Commands carry the
@@ -77,20 +86,21 @@ func runEpoch(eng *sim.Engine, horizon sim.Time) (err any) {
 	return nil
 }
 
-// Run advances all engines to global quiescence using lockstep epochs.
-// A model panic on any shard is re-raised on the caller's goroutine with
-// the shard identified.
-func Run(cfg Config) { RunUntil(cfg, -1) }
+// Run advances all engines to global quiescence using lockstep epochs and
+// reports how many epochs it ran. A model panic on any shard is re-raised
+// on the caller's goroutine with the shard identified.
+func Run(cfg Config) int { return RunUntil(cfg, -1) }
 
 // RunUntil is Run with an inclusive time limit: events with timestamps
 // <= limit execute, then every shard clock is forced to limit (mirroring
-// sim.Engine.RunUntil). A negative limit means no limit.
+// sim.Engine.RunUntil). A negative limit means no limit. It reports how
+// many epochs it ran, the clock-forcing one included.
 //
 // The calling goroutine coordinates and runs shard 0's epochs itself;
 // shards 1..n-1 each get a worker goroutine for the duration of the call.
-func RunUntil(cfg Config, limit sim.Time) {
+func RunUntil(cfg Config, limit sim.Time) (epochs int) {
 	if len(cfg.Engines) == 0 {
-		return
+		return 0
 	}
 	workers := make([]*worker, len(cfg.Engines)-1)
 	for i, eng := range cfg.Engines[1:] {
@@ -110,6 +120,7 @@ func RunUntil(cfg Config, limit sim.Time) {
 	// A panic is re-raised only once every worker has answered, so every
 	// worker is idle on cmd when the deferred shutdown runs.
 	epoch := func(horizon sim.Time) {
+		epochs++
 		for _, w := range workers {
 			w.cmd <- horizon
 		}
@@ -127,8 +138,9 @@ func RunUntil(cfg Config, limit sim.Time) {
 
 	// Invariant at the top of each iteration: all cross-shard mailboxes are
 	// empty (Exchange ran after the previous epoch; they start empty).
+	next := make([]sim.Time, len(cfg.Engines))
 	for {
-		minNext, any := nextAcross(cfg.Engines)
+		minNext, any := nextAcross(cfg.Engines, next)
 		if !any || (limit >= 0 && minNext > limit) {
 			break
 		}
@@ -141,6 +153,9 @@ func RunUntil(cfg Config, limit sim.Time) {
 			}
 		} else {
 			horizon := minNext + cfg.Lookahead - 1
+			if cfg.MailFloor != nil {
+				horizon = max(horizon, cfg.MailFloor(next)-1)
+			}
 			if limit >= 0 && horizon > limit {
 				horizon = limit
 			}
@@ -156,14 +171,22 @@ func RunUntil(cfg Config, limit sim.Time) {
 		// Mirror sequential RunUntil: force every clock to the limit.
 		epoch(limit)
 	}
+	return epochs
 }
 
-// nextAcross reports the earliest pending event timestamp across engines.
-func nextAcross(engines []*sim.Engine) (sim.Time, bool) {
+// nextAcross reports the earliest pending event timestamp across engines,
+// reading each engine's NextAt once into next (negative: none pending).
+func nextAcross(engines []*sim.Engine, next []sim.Time) (sim.Time, bool) {
 	var minNext sim.Time
 	any := false
-	for _, e := range engines {
-		if t, ok := e.NextAt(); ok && (!any || t < minNext) {
+	for i, e := range engines {
+		t, ok := e.NextAt()
+		if !ok {
+			next[i] = -1
+			continue
+		}
+		next[i] = t
+		if !any || t < minNext {
 			minNext, any = t, true
 		}
 	}

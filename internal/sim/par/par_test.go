@@ -206,3 +206,36 @@ func TestEmptyConfig(t *testing.T) {
 		t.Errorf("fired %d events on an empty engine", e.Fired())
 	}
 }
+
+// TestMailFloorWidensEpochs: a MailFloor past minNext+Lookahead ends each
+// epoch just before it, and one below that never narrows the window. Two
+// engines tick locally every nanosecond with no cross-shard traffic.
+func TestMailFloorWidensEpochs(t *testing.T) {
+	run := func(floor func(next []sim.Time) sim.Time) int {
+		engs := []*sim.Engine{sim.NewEngine(), sim.NewEngine()}
+		for _, e := range engs {
+			left := 100
+			var tick func()
+			tick = func() {
+				if left--; left > 0 {
+					e.After(1, "tick", tick)
+				}
+			}
+			e.At(0, "tick", tick)
+		}
+		epochs := par.Run(par.Config{Engines: engs, Lookahead: 5, Exchange: func() int { return 0 }, MailFloor: floor})
+		if fired := engs[0].Fired() + engs[1].Fired(); fired != 200 {
+			t.Errorf("fired %d events, want 200", fired)
+		}
+		return epochs
+	}
+	if got := run(nil); got != 20 {
+		t.Errorf("wire-latency windows: %d epochs, want 20", got)
+	}
+	if got := run(func([]sim.Time) sim.Time { return 0 }); got != 20 {
+		t.Errorf("a floor below minNext+Lookahead: %d epochs, want 20", got)
+	}
+	if got := run(func(next []sim.Time) sim.Time { return next[0] + 50 }); got != 2 {
+		t.Errorf("a floor 50 ns out: %d epochs, want 2", got)
+	}
+}

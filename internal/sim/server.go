@@ -38,6 +38,10 @@ func (s *Server) Do(d Time, what string, done func()) Time {
 	return finish
 }
 
+// BusyUntil reports when the last job submitted so far completes: no job
+// submitted from now on can finish before BusyUntil plus its duration.
+func (s *Server) BusyUntil() Time { return s.busyUntil }
+
 // BusyTotal reports the cumulative busy time across all jobs ever submitted
 // (including queued jobs not yet finished).
 func (s *Server) BusyTotal() Time { return s.busyTotal }

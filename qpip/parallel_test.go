@@ -49,18 +49,18 @@ const (
 	matrixMsgLen = 4096
 )
 
-func matrixCluster(mode string) *qpip.Cluster {
+func matrixCluster(mode string, cfg qpip.NodeConfig) *qpip.Cluster {
 	switch mode {
 	case "sequential":
-		return qpip.NewQPIPCluster(4)
+		return qpip.NewCluster(4, cfg)
 	case "1-shard":
-		return qpip.NewShardedCluster(4, qpip.NodeConfig{QPIP: true}, qpip.ShardPlan{Shards: 1})
+		return qpip.NewShardedCluster(4, cfg, qpip.ShardPlan{Shards: 1})
 	case "2-shard":
-		return qpip.NewShardedCluster(4, qpip.NodeConfig{QPIP: true}, qpip.ShardPlan{Shards: 2})
+		return qpip.NewShardedCluster(4, cfg, qpip.ShardPlan{Shards: 2})
 	case "isolated":
 		// Pair (2k, 2k+1) co-sharded: both flows stay shard-local, so no
 		// frame rides a barrier mailbox.
-		return qpip.NewShardedCluster(4, qpip.NodeConfig{QPIP: true}, qpip.ShardPlan{
+		return qpip.NewShardedCluster(4, cfg, qpip.ShardPlan{
 			Shards:    2,
 			NodeShard: func(i int) int { return i / 2 },
 		})
@@ -69,17 +69,19 @@ func matrixCluster(mode string) *qpip.Cluster {
 	}
 }
 
+// matrixFlows are the two flows' (client, server) nodes.
+var matrixFlows = [2][2]int{{0, 1}, {2, 3}}
+
 // runMatrix executes the two-flow workload under plan in the given mode.
 // strict asserts full success (the plan kills no WRs); non-strict plans
 // (crashes) only require the run to drain and match across modes.
-func runMatrix(t *testing.T, mode string, plan qpip.FaultPlan, strict bool) matrixResult {
+func runMatrix(t *testing.T, mode string, cfg qpip.NodeConfig, plan qpip.FaultPlan, strict bool) matrixResult {
 	t.Helper()
-	c := matrixCluster(mode)
+	c := matrixCluster(mode, cfg)
 	inj := c.InjectFaults(plan)
 
 	var res matrixResult
-	flows := [2][2]int{{0, 1}, {2, 3}}
-	for fi, f := range flows {
+	for fi, f := range matrixFlows {
 		fi, client, server := fi, f[0], f[1]
 		port := uint16(7000 + fi)
 		c.SpawnOn(server, fmt.Sprintf("server%d", server), func(p *qpip.Proc) {
@@ -151,16 +153,10 @@ func runMatrix(t *testing.T, mode string, plan qpip.FaultPlan, strict bool) matr
 		})
 	}
 	c.Run() // must drain in every mode: a hang is a barrier deadlock
-	res.trace = inj.TraceString()
-	res.stats = inj.Stats()
-	res.endTime = c.EndTime()
-	res.fired = c.FiredTotal()
-	for i, n := range c.Nodes {
-		res.counters[i] = n.QPIP.Net.String()
-	}
+	res.capture(c, inj)
 
 	if strict {
-		for fi := range flows {
+		for fi := range matrixFlows {
 			var want []byte
 			for i := 0; i < matrixMsgs; i++ {
 				want = append(want, buf.Pattern(matrixMsgLen, byte(fi<<4|i&0xf)).Data()...)
@@ -169,6 +165,92 @@ func runMatrix(t *testing.T, mode string, plan qpip.FaultPlan, strict bool) matr
 				t.Errorf("mode %s flow %d: delivered %d bytes, want %d",
 					mode, fi, len(res.received[fi]), len(want))
 			}
+		}
+	}
+	return res
+}
+
+// capture records the drained cluster's run-wide observables.
+func (res *matrixResult) capture(c *qpip.Cluster, inj *qpip.FaultInjector) {
+	res.trace = inj.TraceString()
+	res.stats = inj.Stats()
+	res.endTime = c.EndTime()
+	res.fired = c.FiredTotal()
+	for i, n := range c.Nodes {
+		res.counters[i] = n.QPIP.Net.String()
+	}
+}
+
+// runDatagramMatrix is the matrix's unreliable-QP workload on the same
+// two flows: each client sends matrixMsgs datagrams to its server, which
+// echoes every one back. Every frame is a datagram, so both adapters'
+// transmit FSMs run the take-WR hand-off into the datagram tail.
+func runDatagramMatrix(t *testing.T, mode string, cfg qpip.NodeConfig) matrixResult {
+	t.Helper()
+	c := matrixCluster(mode, cfg)
+	inj := c.InjectFaults(qpip.FaultPlan{})
+	var res matrixResult
+	for fi, f := range matrixFlows {
+		fi, client, server := fi, f[0], f[1]
+		port := uint16(5300 + fi)
+		c.SpawnOn(server, fmt.Sprintf("dgram-server%d", server), func(p *qpip.Proc) {
+			qp, _, rcq, err := qpip.NewUnreliableQP(c.Nodes[server], 64)
+			if err == nil {
+				_, err = qp.BindUDP(port)
+			}
+			for i := 0; err == nil && i < matrixMsgs; i++ {
+				err = qp.PostRecv(p, qpip.RecvWR{ID: uint64(i), Capacity: matrixMsgLen})
+			}
+			if err != nil {
+				t.Errorf("server %d: %v", server, err)
+				return
+			}
+			for i := 0; i < matrixMsgs; i++ {
+				comp := rcq.Wait(p)
+				res.statuses[server] += fmt.Sprintf("r%d=%v ", comp.WRID, comp.Status)
+				res.received[fi] = append(res.received[fi], comp.Payload.Data()...)
+				if err := qp.PostSend(p, qpip.SendWR{ID: comp.WRID, Payload: comp.Payload,
+					RemoteAddr: comp.RemoteAddr, RemotePort: comp.RemotePort}); err != nil {
+					t.Errorf("server %d echo %d: %v", server, i, err)
+					return
+				}
+			}
+		})
+		c.SpawnOn(client, fmt.Sprintf("dgram-client%d", client), func(p *qpip.Proc) {
+			qp, scq, rcq, err := qpip.NewUnreliableQP(c.Nodes[client], 64)
+			if err == nil {
+				_, err = qp.BindUDP(0)
+			}
+			for i := 0; err == nil && i < matrixMsgs; i++ {
+				err = qp.PostRecv(p, qpip.RecvWR{ID: uint64(i), Capacity: matrixMsgLen})
+			}
+			if err != nil {
+				t.Errorf("client %d: %v", client, err)
+				return
+			}
+			p.Sleep(sim.Millisecond) // the server's receive WRs are posted
+			for i := 0; i < matrixMsgs; i++ {
+				if err := qp.PostSend(p, qpip.SendWR{ID: uint64(i), Payload: buf.Pattern(matrixMsgLen, byte(fi<<4|i&0xf)),
+					RemoteAddr: c.Nodes[server].Addr6, RemotePort: port}); err != nil {
+					t.Errorf("client %d send %d: %v", client, i, err)
+					return
+				}
+			}
+			for i := 0; i < matrixMsgs; i++ {
+				comp := scq.Wait(p)
+				res.statuses[client] += fmt.Sprintf("s%d=%v ", comp.WRID, comp.Status)
+			}
+			for i := 0; i < matrixMsgs; i++ {
+				comp := rcq.Wait(p)
+				res.statuses[client] += fmt.Sprintf("e%d=%v:%d ", comp.WRID, comp.Status, comp.ByteLen)
+			}
+		})
+	}
+	c.Run()
+	res.capture(c, inj)
+	for fi := range matrixFlows {
+		if got, want := len(res.received[fi]), matrixMsgs*matrixMsgLen; got != want {
+			t.Errorf("mode %s flow %d: %d datagram bytes delivered, want %d", mode, fi, got, want)
 		}
 	}
 	return res
@@ -210,21 +292,37 @@ func assertIdentical(t *testing.T, name string, ref, got matrixResult, refMode, 
 	}
 }
 
+// matrixRow is one row of the equivalence matrix: an adapter
+// configuration, a fault plan and the workload (reliable flows, or the
+// datagram exchange).
+type matrixRow struct {
+	name     string
+	cfg      qpip.NodeConfig
+	plan     qpip.FaultPlan
+	strict   bool
+	datagram bool
+}
+
+// run executes the row in one mode.
+func (r matrixRow) run(t *testing.T, mode string) matrixResult {
+	t.Helper()
+	if r.datagram {
+		return runDatagramMatrix(t, mode, r.cfg)
+	}
+	return runMatrix(t, mode, r.cfg, r.plan, r.strict)
+}
+
 // matrixPlans is the chaos matrix: fault-free, link chaos (drops +
 // corruption + duplication + jitter), a mid-transfer flap window, and an
-// adapter crash/restart — each run in all three modes.
-func matrixPlans() []struct {
-	name   string
-	plan   qpip.FaultPlan
-	strict bool
-} {
-	return []struct {
-		name   string
-		plan   qpip.FaultPlan
-		strict bool
-	}{
-		{name: "fault-free", plan: qpip.FaultPlan{}, strict: true},
-		{name: "chaos", plan: qpip.FaultPlan{
+// adapter crash/restart — each run in all three modes — plus the two
+// transmit-FSM shapes the fault-free flows leave out: a pipelined
+// transmit FSM, whose Send stage completes without waiting for the wire,
+// and the datagram exchange.
+func matrixPlans() []matrixRow {
+	qp := qpip.NodeConfig{QPIP: true}
+	return []matrixRow{
+		{name: "fault-free", cfg: qp, plan: qpip.FaultPlan{}, strict: true},
+		{name: "chaos", cfg: qp, plan: qpip.FaultPlan{
 			Seed:          0xC0FFEE,
 			DropProb:      0.02,
 			CorruptProb:   0.01,
@@ -233,15 +331,17 @@ func matrixPlans() []struct {
 			MaxExtraDelay: 20_000,
 			SkipFirst:     8,
 		}, strict: true},
-		{name: "flap", plan: qpip.FaultPlan{
+		{name: "flap", cfg: qp, plan: qpip.FaultPlan{
 			Seed:  7,
 			Flaps: qpip.FlapTrain(1, 2*sim.Millisecond, 300*sim.Microsecond, 500*sim.Microsecond, 3),
 		}, strict: true},
-		{name: "crash", plan: qpip.FaultPlan{
+		{name: "crash", cfg: qp, plan: qpip.FaultPlan{
 			Seed:     11,
 			DropProb: 0.005,
 			Crashes:  []qpip.Crash{{Node: 3, At: 2 * sim.Millisecond, Down: 5 * sim.Millisecond}},
 		}, strict: false},
+		{name: "pipelined-tx", cfg: qpip.NodeConfig{QPIP: true, QPIPPipelinedTX: true}, strict: true},
+		{name: "datagram", cfg: qp, strict: true, datagram: true},
 	}
 }
 
@@ -251,12 +351,12 @@ func matrixPlans() []struct {
 func TestParallelMatrixEquivalence(t *testing.T) {
 	for _, tc := range matrixPlans() {
 		t.Run(tc.name, func(t *testing.T) {
-			seq := runMatrix(t, "sequential", tc.plan, tc.strict)
+			seq := tc.run(t, "sequential")
 			if t.Failed() {
 				return
 			}
-			one := runMatrix(t, "1-shard", tc.plan, tc.strict)
-			two := runMatrix(t, "2-shard", tc.plan, tc.strict)
+			one := tc.run(t, "1-shard")
+			two := tc.run(t, "2-shard")
 			assertIdentical(t, tc.name, seq, one, "sequential", "1-shard")
 			assertIdentical(t, tc.name, seq, two, "sequential", "2-shard")
 		})
@@ -267,11 +367,12 @@ func TestParallelMatrixEquivalence(t *testing.T) {
 // shard, no cross-shard traffic, epochs with empty mailboxes — still
 // bit-identical to sequential.
 func TestParallelIsolatedPlacement(t *testing.T) {
-	seq := runMatrix(t, "sequential", qpip.FaultPlan{}, true)
+	qp := qpip.NodeConfig{QPIP: true}
+	seq := runMatrix(t, "sequential", qp, qpip.FaultPlan{}, true)
 	if t.Failed() {
 		return
 	}
-	iso := runMatrix(t, "isolated", qpip.FaultPlan{}, true)
+	iso := runMatrix(t, "isolated", qp, qpip.FaultPlan{}, true)
 	assertIdentical(t, "isolated", seq, iso, "sequential", "isolated-2-shard")
 }
 
@@ -506,13 +607,13 @@ func TestParallelTopologyMesh(t *testing.T) {
 	}
 }
 
-// runTopoAllreduce runs three NIC-offloaded ring allreduces on a ring
-// topology: the firmware's step messages are the only traffic, so the
-// test isolates the collective engine's determinism under sharding.
-func runTopoAllreduce(t *testing.T, shards int, plan qpip.FaultPlan) topoResult {
+// runTopoAllreduce runs three NIC-offloaded ring allreduces on spec: the
+// firmware's step messages are the only traffic, so the test isolates the
+// collective engine's determinism under sharding.
+func runTopoAllreduce(t *testing.T, spec qpip.TopoSpec, shards int, plan qpip.FaultPlan) topoResult {
 	t.Helper()
 	const n, ops, words = 8, 3, 16
-	c := topoCluster(n, shards, qpip.TopoSpec{Kind: qpip.TopoRing})
+	c := topoCluster(n, shards, spec)
 	inj := c.InjectFaults(plan)
 	addrs := make([]qpip.Addr6, n)
 	for i := range addrs {
@@ -576,14 +677,30 @@ func TestParallelTopologyAllreduce(t *testing.T) {
 	}
 	for _, tc := range plans {
 		t.Run(tc.name, func(t *testing.T) {
-			seq := runTopoAllreduce(t, 0, tc.plan)
+			ring := qpip.TopoSpec{Kind: qpip.TopoRing}
+			seq := runTopoAllreduce(t, ring, 0, tc.plan)
 			if t.Failed() {
 				return
 			}
-			two := runTopoAllreduce(t, 2, tc.plan)
-			four := runTopoAllreduce(t, 4, tc.plan)
+			two := runTopoAllreduce(t, ring, 2, tc.plan)
+			four := runTopoAllreduce(t, ring, 4, tc.plan)
 			assertTopoIdentical(t, tc.name, seq, two, "sequential", "2-shard")
 			assertTopoIdentical(t, tc.name, seq, four, "sequential", "4-shard")
 		})
 	}
+}
+
+// TestParallelStarAllreduce runs the allreduce on the single-star fabric,
+// whose ports publish emission floors. The collective engine sends beside
+// the transmit FSM, so an adapter with a live group publishes its
+// engine's next event time; the sharded runs stay bit-identical.
+func TestParallelStarAllreduce(t *testing.T) {
+	seq := runTopoAllreduce(t, qpip.TopoSpec{}, 0, qpip.FaultPlan{})
+	if t.Failed() {
+		return
+	}
+	two := runTopoAllreduce(t, qpip.TopoSpec{}, 2, qpip.FaultPlan{})
+	four := runTopoAllreduce(t, qpip.TopoSpec{}, 4, qpip.FaultPlan{})
+	assertTopoIdentical(t, "star", seq, two, "sequential", "2-shard")
+	assertTopoIdentical(t, "star", seq, four, "sequential", "4-shard")
 }
