@@ -88,14 +88,13 @@ fuzz:
 # and the sequential/sharded equivalence matrix under -race, beyond the
 # all-package race target above). benchtest runs the nested benchmark
 # module's own suite; wall clock belongs to the benchmark, not this gate.
-# cover fails on protocol code no test executes (scripts/cover-allow.txt).
+# cover fails on protocol code no test executes.
 check: fmt vet shadow lint staticcheck govulncheck race test benchtest chaos cover
 	$(GO) test -race -count=1 -run 'TestParallel|TestRunPingPong|TestRunUntilLimit|TestFreeRun|TestShardPanic' ./qpip/ ./internal/sim/par/
 
 # Coverage gate: the whole suite under -coverpkg=./..., failing
-# on any function in the protocol packages that no test executes unless
-# scripts/cover-allow.txt lists it, and on allow entries that are stale.
-# Stdlib Go tooling plus awk/comm; profiles land in bin/.
+# on any function in the protocol packages that no test executes; there
+# is no allow list. Stdlib Go tooling plus awk; profiles land in bin/.
 cover:
 	GO=$(GO) scripts/cover.sh
 

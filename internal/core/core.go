@@ -283,24 +283,9 @@ func (c *Cluster) InjectFaults(plan fault.Plan) *fault.Injector {
 	return in
 }
 
-// lookahead computes the parallel runner's epoch window: the minimum
-// cross-shard latency over the cluster's fabrics. ok=false means no
-// cross-shard link exists (shards run free, no barriers).
-func (c *Cluster) lookahead() (sim.Time, bool) {
-	la, ok := sim.Time(0), false
-	for _, f := range []*fabric.Fabric{c.Myrinet, c.Eth} {
-		if f == nil {
-			continue
-		}
-		if l, cross := f.CrossShardLookahead(); cross && (!ok || l < la) {
-			la, ok = l, true
-		}
-	}
-	return la, ok
-}
-
 // exchange drains every fabric's cross-shard mailboxes at an epoch
-// barrier, in fixed fabric order; fabrics drain ports in attachment order.
+// barrier, in fixed fabric order; each fabric drains its outboxes in a
+// fixed order.
 //
 //qpip:barrier
 func (c *Cluster) exchange() int {
@@ -316,11 +301,11 @@ func (c *Cluster) exchange() int {
 // mailFloor is the parallel runner's MailFloor hook: the earliest arrival
 // of any cross-shard handoff the coming epoch can post, over the
 // cluster's fabrics, given each engine's next event time. Each fabric
-// publishes its ports' shares for its own guard. With no fabric able to
-// post it reports 0, leaving the runner's minNext+Lookahead window.
+// publishes its outboxes' shares for its own guard. It reports false when
+// no fabric can post: the shards then run free.
 //
 //qpip:barrier
-func (c *Cluster) mailFloor(next []sim.Time) sim.Time {
+func (c *Cluster) mailFloor(next []sim.Time) (sim.Time, bool) {
 	floor, ok := sim.Time(0), false
 	for _, f := range []*fabric.Fabric{c.Myrinet, c.Eth} {
 		if f == nil {
@@ -330,25 +315,16 @@ func (c *Cluster) mailFloor(next []sim.Time) sim.Time {
 			floor, ok = t, true
 		}
 	}
-	return floor
+	return floor, ok
 }
 
 // parConfig assembles the conservative runner's configuration.
 func (c *Cluster) parConfig() par.Config {
-	la, cross := c.lookahead()
-	if cross && la <= 0 {
-		panic("core: sharded cluster with zero cross-shard lookahead cannot advance")
-	}
-	cfg := par.Config{Engines: c.Engines, Exchange: c.exchange}
-	if cross {
-		cfg.Lookahead = la
-		cfg.MailFloor = c.mailFloor
-	}
-	return cfg
+	return par.Config{Engines: c.Engines, Exchange: c.exchange, MailFloor: c.mailFloor}
 }
 
 // Run drives the simulation until quiescent: directly on the engine for a
-// sequential cluster, via the conservative parallel runner (lookahead
+// sequential cluster, via the conservative parallel runner (mail-floor
 // epochs, barrier frame exchange) for a sharded one.
 func (c *Cluster) Run() {
 	if !c.sharded {

@@ -65,40 +65,28 @@ type Frame struct {
 // pooled frames keep them across recycling).
 func (fr *Frame) bindFns() {
 	fr.txFn = func() {
-		f := fr.fab
+		f, sp, dp := fr.fab, fr.sport, fr.dport
 		if fr.onTx != nil {
 			fr.onTx()
 		}
-		sp, dp := fr.sport, fr.dport
 		if f.cfg.CutThrough {
 			// Cut-through: the destination link streamed concurrently; the
 			// last byte arrives one hop latency + propagation after it left
-			// the source. (A cross-shard frame never gets here: Send posted
-			// its delivery already.)
-			d := f.cfg.HopLatency + f.cfg.PropDelay + fr.delay
-			sp.eng.After(d, "fabric.deliver", fr.dlvrFn)
+			// the source. (A crossing frame never gets here: Send handed
+			// its delivery off already.)
+			at := sp.eng.Now() + f.cfg.HopLatency + f.cfg.PropDelay + fr.delay
+			f.handoff(&sp.box, sp.eng, dp.eng, at, "fabric.deliver", fr.dlvrFn)
 			if fr.dup {
-				sp.eng.After(d+fr.ser, "fabric.deliver", fr.dlvrFn)
+				f.handoff(&sp.box, sp.eng, dp.eng, at+fr.ser, "fabric.deliver", fr.dlvrFn)
 			}
 			return
 		}
 		// Store-and-forward: the switch re-serializes onto the destination
 		// link (modeled with contention).
-		d := f.cfg.HopLatency + fr.delay
-		if dp.eng != sp.eng {
-			// Cross-shard: buffer the switch hop in the source port's
-			// mailbox; the barrier injects it into the destination engine
-			// in canonical order (DrainMailboxes).
-			m := mail{eng: dp.eng, at: sp.eng.Now() + d, name: "fabric.switch", fn: fr.swFn}
-			f.post(sp, m)
-			if fr.dup {
-				f.post(sp, m)
-			}
-			return
-		}
-		sp.eng.After(d, "fabric.switch", fr.swFn)
+		at := sp.eng.Now() + f.cfg.HopLatency + fr.delay
+		f.handoff(&sp.box, sp.eng, dp.eng, at, "fabric.switch", fr.swFn)
 		if fr.dup {
-			sp.eng.After(d, "fabric.switch", fr.swFn)
+			f.handoff(&sp.box, sp.eng, dp.eng, at, "fabric.switch", fr.swFn)
 		}
 	}
 	fr.swFn = func() {
@@ -198,6 +186,22 @@ type mail struct {
 	fn   func()
 }
 
+// outbox is one sender's cross-shard handoff buffer: an attachment, or a
+// topofab switch egress. Every frame hop a sender hands to another engine
+// passes through its outbox (handoff).
+type outbox struct {
+	name string // the sender, as the guard's panic names it
+	// cross marks a sender that can reach another engine, fixed when the
+	// fabric is built.
+	cross bool
+	// floor is the earliest arrival a handoff posted here may have in the
+	// current epoch, published at the barrier (MailFloor).
+	floor sim.Time
+	// mail holds this epoch's handoffs in posting order, which is
+	// time-ordered per sender.
+	mail []mail
+}
+
 type port struct {
 	id      int         // attachment id
 	eng     *sim.Engine // the engine this attachment lives on
@@ -207,19 +211,15 @@ type port struct {
 	// floor, when set, bounds from below the time of the attachment's
 	// next Send, given its engine's next event time (SetFloor).
 	floor func(next sim.Time) sim.Time
-	// mailFloor is the earliest arrival this port's cross-shard handoffs
-	// may have in the current epoch, published at the barrier
-	// (MailFloor); post panics on a handoff timed before it.
-	mailFloor sim.Time
+	// box carries the attachment's hops that may cross engines: its
+	// cut-through deliveries, store-and-forward switch hops, or hops onto
+	// its topology switch.
+	box outbox
 
 	// Source-side counters (incremented from the attachment's engine) and
 	// the destination-side delivered counter. Per-port so concurrent shards
 	// never share a counter word; Stats sums them.
 	sent, dropped, delivered uint64
-
-	// outbox buffers this source's cross-shard handoffs for the current
-	// epoch, in transmit-completion order (time-ordered per source).
-	outbox []mail
 }
 
 // Config describes a fabric.
@@ -250,6 +250,9 @@ type Fabric struct {
 	eng   *sim.Engine
 	cfg   Config
 	ports []*port
+	// boxes lists every outbox in canonical drain order: attachments
+	// ascending, then switches ascending, each switch's egresses ascending.
+	boxes []*outbox
 	// Fault, when non-nil, is consulted for every sent frame — the
 	// general fault-injection hook (see internal/fault for the seeded
 	// deterministic implementation).
@@ -284,78 +287,47 @@ func (f *Fabric) AttachOn(eng *sim.Engine, h Handler) int {
 		eng = f.eng
 	}
 	id := len(f.ports)
-	f.ports = append(f.ports, &port{
+	p := &port{
 		id:      id,
 		eng:     eng,
 		up:      sim.NewServer(eng, fmt.Sprintf("%s.port%d.up", f.cfg.Name, id)),
 		down:    sim.NewServer(eng, fmt.Sprintf("%s.port%d.down", f.cfg.Name, id)),
 		handler: h,
-	})
-	return id
-}
-
-// CrossShardLookahead reports the minimum latency a frame needs before it
-// can affect another shard, and whether any cross-engine attachment pair
-// exists. With cut-through forwarding a frame reaches the destination
-// handler after HopLatency+PropDelay; store-and-forward frames first touch
-// the destination shard at the switch-forward event, HopLatency after
-// transmit.
-func (f *Fabric) CrossShardLookahead() (sim.Time, bool) {
-	if f.cfg.Topo != nil {
-		// The graph may cross engines through switch homes even when all
-		// endpoints share one (a spine homed elsewhere), so the edge scan
-		// replaces the port-pair scan entirely.
-		return f.topoLookahead()
+		box:     outbox{name: fmt.Sprintf("port %d", id)},
 	}
-	cross := false
-	for i, pi := range f.ports {
-		for _, pj := range f.ports[i+1:] {
-			if pi.eng != pj.eng {
-				cross = true
-			}
+	// Every star port reaches every other, so all of them cross once two
+	// engines hold attachments. (A topology port's flag is its switch's,
+	// set by initTopo.)
+	if len(f.ports) > 0 && (f.ports[0].box.cross || f.ports[0].eng != eng) {
+		for _, q := range f.ports {
+			q.box.cross = true
 		}
+		p.box.cross = true
 	}
-	if !cross {
-		return 0, false
-	}
-	if f.cfg.CutThrough {
-		return f.cfg.HopLatency + f.cfg.PropDelay, true
-	}
-	return f.cfg.HopLatency, true
+	f.ports = append(f.ports, p)
+	f.boxes = append(f.boxes, &p.box)
+	return id
 }
 
 // DrainMailboxes injects every buffered cross-shard handoff into its
 // destination engine and reports how many were injected. Called only at
 // epoch barriers, single-threaded, with all shard workers parked. The
-// injection order is canonical — ports in ascending attachment order, each
-// port's outbox in transmit order — so destination-engine sequence numbers
-// (the tie-breaker for same-timestamp events) are a deterministic function
-// of the workload, never of OS thread interleaving.
+// injection order is canonical — outboxes in f.boxes order, each in
+// posting order — so destination-engine sequence numbers (the tie-breaker
+// for same-timestamp events) are a deterministic function of the
+// workload, never of OS thread interleaving.
 //
 //qpip:barrier
 func (f *Fabric) DrainMailboxes() int {
 	total := 0
-	for _, p := range f.ports {
-		for i := range p.outbox {
-			m := &p.outbox[i]
+	for _, box := range f.boxes {
+		for i := range box.mail {
+			m := &box.mail[i]
 			m.eng.At(m.at, m.name, m.fn)
 			m.fn = nil
 		}
-		total += len(p.outbox)
-		p.outbox = p.outbox[:0]
-	}
-	// Multi-hop path: switch egress outboxes drain after the endpoint
-	// ports', switches ascending, ports ascending — still canonical.
-	for _, sw := range f.sws {
-		for _, op := range sw.ports {
-			for i := range op.outbox {
-				m := &op.outbox[i]
-				m.eng.At(m.at, m.name, m.fn)
-				m.fn = nil
-			}
-			total += len(op.outbox)
-			op.outbox = op.outbox[:0]
-		}
+		total += len(box.mail)
+		box.mail = box.mail[:0]
 	}
 	return total
 }
@@ -372,64 +344,86 @@ func (f *Fabric) SetFloor(att int, floor func(next sim.Time) sim.Time) {
 	f.ports[att].floor = floor
 }
 
-// MailFloor publishes, for the epoch about to run, each port's mail
+// MailFloor publishes, for the epoch about to run, each outbox's mail
 // floor: the earliest arrival time any cross-shard handoff it posts can
 // have. next[i] is engines[i]'s next event time, negative when it has
-// none; a port on such an engine fires nothing and so posts nothing. It
-// reports the minimum over ports, or false when no port can post.
+// none; a sender on such an engine fires nothing and so posts nothing. It
+// reports the minimum over outboxes, or false when no crossing outbox can
+// post.
 //
 // A cut-through star port posts at Send, so its floor is the attachment's
 // emission floor, held back by its busy up link, plus the smallest
 // frame's serialization and the hop. A store-and-forward port posts when
-// its transmitter finishes, an event no earlier than next. A multi-hop
-// fabric's switch egress publishes no floor: it reports 0, leaving the
-// runner's minNext+Lookahead window.
+// its transmitter finishes, and a topology port when its frame leaves for
+// the first switch: events no earlier than next, one HopLatency short of
+// the arrival. A switch egress posts when it grants, which is no earlier
+// than the port frees, one link latency (lat) short of the arrival.
 //
 //qpip:barrier
 func (f *Fabric) MailFloor(engines []*sim.Engine, next []sim.Time) (sim.Time, bool) {
 	if f.cfg.Topo != nil {
-		return 0, true
+		f.initTopo()
 	}
-	minFrame := f.serTime(f.cfg.LinkOverhead)
 	floor, ok := sim.Time(0), false
-	for _, p := range f.ports {
-		t := sim.Time(-1)
+	// open resets box's floor and reports its engine's next event time,
+	// and whether box can post at all this epoch.
+	open := func(box *outbox, eng *sim.Engine) (sim.Time, bool) {
+		box.floor = math.MaxInt64
 		for i, e := range engines {
-			if e == p.eng {
-				t = next[i]
-				break
+			if e == eng {
+				return next[i], box.cross && next[i] >= 0
 			}
 		}
-		if t < 0 {
-			p.mailFloor = math.MaxInt64 // nothing fires: no handoff at all
-			continue
+		return 0, false
+	}
+	publish := func(box *outbox, at sim.Time) {
+		box.floor = at
+		if !ok || at < floor {
+			floor, ok = at, true
 		}
-		if f.cfg.CutThrough {
+	}
+	minFrame := f.serTime(f.cfg.LinkOverhead)
+	for _, p := range f.ports {
+		t, live := open(&p.box, p.eng)
+		switch {
+		case !live:
+		case f.cfg.Topo == nil && f.cfg.CutThrough:
 			if p.floor != nil {
 				t = p.floor(t)
 			}
-			p.mailFloor = max(t, p.up.BusyUntil()) + minFrame + f.cfg.HopLatency + f.cfg.PropDelay
-		} else {
-			p.mailFloor = t + f.cfg.HopLatency
+			publish(&p.box, max(t, p.up.BusyUntil())+minFrame+f.cfg.HopLatency+f.cfg.PropDelay)
+		default:
+			publish(&p.box, t+f.cfg.HopLatency)
 		}
-		if !ok || p.mailFloor < floor {
-			floor, ok = p.mailFloor, true
+	}
+	for _, sw := range f.sws {
+		for _, op := range sw.ports {
+			if t, live := open(&op.box, op.eng); live {
+				publish(&op.box, max(t, op.busyUntil)+op.lat)
+			}
 		}
 	}
 	return floor, ok
 }
 
-// post buffers one cross-shard handoff in p's outbox. A handoff timed
-// before the port's published mail floor means the floor was not a lower
-// bound, so the epoch it ran in was unsound: post panics.
+// handoff schedules fn at time at on engine to, for a frame hop that box's
+// sender fires on engine from. A hop that stays on its engine is
+// scheduled directly. One that crosses is buffered in box until the
+// barrier injects it (DrainMailboxes); arriving before box's published
+// floor means the floor was not a lower bound, so the epoch it ran in was
+// unsound, and handoff panics.
 //
 //qpip:hotpath
-func (f *Fabric) post(p *port, m mail) {
-	if m.at < p.mailFloor {
-		panic(fmt.Sprintf("fabric %s: port %d posted a cross-shard handoff arriving at %v, before its published mail floor %v",
-			f.cfg.Name, p.id, m.at, p.mailFloor))
+func (f *Fabric) handoff(box *outbox, from, to *sim.Engine, at sim.Time, name string, fn func()) {
+	if to == from {
+		from.At(at, name, fn)
+		return
 	}
-	p.outbox = append(p.outbox, m)
+	if at < box.floor {
+		panic(fmt.Sprintf("fabric %s: %s posted a cross-shard handoff arriving at %dns, before its published mail floor %dns",
+			f.cfg.Name, box.name, int64(at), int64(box.floor)))
+	}
+	box.mail = append(box.mail, mail{eng: to, at: at, name: name, fn: fn})
 }
 
 // serTime is the serialization time of size bytes at link rate.
@@ -513,16 +507,18 @@ func (f *Fabric) Send(frame *Frame, onTxDone func()) {
 		frame.bindFns()
 	}
 	if f.cfg.CutThrough && dst.eng != src.eng {
-		// Cross-shard cut-through: the up link's FIFO already fixes when
-		// the last byte leaves, so the delivery is posted now, into the
-		// source port's mailbox; the barrier injects it into the
-		// destination engine in canonical order (DrainMailboxes). From
-		// here the frame belongs to the destination shard: the transmit
-		// event carries only onTxDone.
+		// A crossing cut-through delivery is handed off now, not at
+		// transmit completion: the up link's FIFO already fixes when the
+		// last byte leaves, so the port's mail floor need not count the
+		// frames on its wire (MailFloor). The transmit event carries only
+		// onTxDone; from here the frame belongs to the destination shard.
+		// A delivery within one engine keeps the transmit-completion
+		// schedule, whose order among same-tick events the sequential
+		// runs are pinned to.
 		at := src.up.Do(frame.ser, "fabric.tx", onTxDone) + f.cfg.HopLatency + f.cfg.PropDelay + frame.delay
-		f.post(src, mail{eng: dst.eng, at: at, name: "fabric.deliver", fn: frame.dlvrFn})
+		f.handoff(&src.box, src.eng, dst.eng, at, "fabric.deliver", frame.dlvrFn)
 		if frame.dup {
-			f.post(src, mail{eng: dst.eng, at: at + frame.ser, name: "fabric.deliver", fn: frame.dlvrFn})
+			f.handoff(&src.box, src.eng, dst.eng, at+frame.ser, "fabric.deliver", frame.dlvrFn)
 		}
 		return
 	}

@@ -2,12 +2,14 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/params"
 	"repro/internal/sim"
 	"repro/internal/sim/par"
+	"repro/internal/topo"
 )
 
 func myrinet(eng *sim.Engine) *Fabric {
@@ -223,53 +225,77 @@ func TestThroughputMatchesLineRate(t *testing.T) {
 	}
 }
 
-// TestMailFloorGuard checks the sharded handoff against the mail floor
-// its port published. Port 0's first event sends a minimum-size frame
-// across the shard cut. An honest emission floor publishes exactly that
-// frame's arrival, and the run delivers it. A floor that lies by 1 ns
-// publishes an arrival 1 ns late, and the handoff panics, naming the
-// fabric, the port, the floor and the arrival.
+// TestMailFloorGuard checks every sharded handoff against the mail floor
+// its outbox published. Port 0's first event sends a minimum-size frame
+// across the shard cut: on the star, port 0 posts it at Send; on a
+// two-switch ring with one switch per engine, switch 0's egress posts it
+// when it grants. An honest floor publishes exactly the posted arrival,
+// and the run delivers. A floor that lies by 1 ns publishes an arrival
+// 1 ns late, and the handoff panics, naming the fabric, the outbox, and
+// the floor and the arrival to the nanosecond.
 func TestMailFloorGuard(t *testing.T) {
-	const sendAt = 5 * sim.Microsecond
-	run := func(lie sim.Time) (delivered sim.Time, panicked string) {
-		engs := []*sim.Engine{sim.NewEngine(), sim.NewEngine()}
-		f := myrinet(engs[0])
-		a := f.AttachOn(engs[0], nil)
-		b := f.AttachOn(engs[1], func(*Frame) { delivered = engs[1].Now() })
-		f.SetFloor(a, func(next sim.Time) sim.Time { return next + lie })
-		engs[0].At(sendAt, "send", func() {
-			f.Send(&Frame{Src: a, Dst: b, WireSize: params.MyrinetHeaderBytes}, nil)
-		})
-		la, cross := f.CrossShardLookahead()
-		if !cross {
-			t.Fatal("ports on two engines report no cross-shard link")
-		}
-		defer func() {
-			if r := recover(); r != nil {
-				panicked = fmt.Sprint(r)
-			}
-		}()
-		par.Run(par.Config{
-			Engines:   engs,
-			Lookahead: la,
-			Exchange:  f.DrainMailboxes,
-			MailFloor: func(next []sim.Time) sim.Time {
-				floor, _ := f.MailFloor(engs, next)
-				return floor
-			},
-		})
-		return delivered, ""
-	}
-
 	ser := sim.Time(float64(params.MyrinetHeaderBytes) * 1e9 / params.MyrinetBandwidth)
-	arrival := sendAt + ser + params.MyrinetHopLatency + params.CableLatency
-	if got, msg := run(0); msg != "" || got != arrival {
-		t.Fatalf("honest floor: delivered at %v (panic %q), want %v", got, msg, arrival)
+	hop, prop := params.MyrinetHopLatency, params.CableLatency
+	ring := topo.Build(topo.Spec{Kind: topo.Ring}, 2)
+	cases := []struct {
+		name   string
+		topo   *topo.Graph
+		sendAt sim.Time
+		box    string   // the outbox that posts the crossing hop
+		post   sim.Time // the crossing hop's arrival, relative to sendAt
+		hops   sim.Time // the delivery, relative to sendAt
+	}{
+		{name: "star", sendAt: 5 * sim.Microsecond, box: "port 0",
+			post: ser + hop + prop, hops: ser + hop + prop},
+		{name: "star-after-1ms", sendAt: 561*sim.Millisecond + 551*sim.Microsecond + 7, box: "port 0",
+			post: ser + hop + prop, hops: ser + hop + prop},
+		{name: "topology", topo: ring, sendAt: 5 * sim.Microsecond,
+			box:  fmt.Sprintf("switch 0 egress %d", ring.Route(0, 1)[0].Out),
+			post: ser + 2*hop, hops: ser + 2*hop + prop},
 	}
-	_, msg := run(1)
-	for _, want := range []string{"fabric myri", "port 0", (arrival + 1).String(), arrival.String()} {
-		if !strings.Contains(msg, want) {
-			t.Errorf("lying floor: panic %q does not name %q", msg, want)
+	for _, tc := range cases {
+		run := func(lie sim.Time) (delivered sim.Time, panicked string) {
+			engs := []*sim.Engine{sim.NewEngine(), sim.NewEngine()}
+			f := myrinet(engs[0])
+			f.cfg.Topo = tc.topo
+			a := f.AttachOn(engs[0], nil)
+			b := f.AttachOn(engs[1], func(*Frame) { delivered = engs[1].Now() })
+			engs[0].At(tc.sendAt, "send", func() {
+				f.Send(&Frame{Src: a, Dst: b, WireSize: params.MyrinetHeaderBytes}, nil)
+			})
+			defer func() {
+				if r := recover(); r != nil {
+					panicked = fmt.Sprint(r)
+				}
+			}()
+			par.Run(par.Config{
+				Engines:  engs,
+				Exchange: f.DrainMailboxes,
+				MailFloor: func(next []sim.Time) (sim.Time, bool) {
+					floor, ok := f.MailFloor(engs, next)
+					if !ok {
+						t.Fatalf("%s: outboxes on two engines report no crossing", tc.name)
+					}
+					for _, box := range f.boxes {
+						if box.floor != math.MaxInt64 {
+							box.floor += lie
+						}
+					}
+					return floor + lie, ok
+				},
+			})
+			return delivered, ""
+		}
+		if got, msg := run(0); msg != "" || got != tc.sendAt+tc.hops {
+			t.Errorf("%s: honest floor: delivered at %dns (panic %q), want %dns", tc.name, got, msg, tc.sendAt+tc.hops)
+			continue
+		}
+		arrival := tc.sendAt + tc.post
+		_, msg := run(1)
+		for _, want := range []string{"fabric myri", tc.box + " ", fmt.Sprintf("%dns", arrival+1), fmt.Sprintf("%dns", arrival)} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("%s: lying floor: panic %q does not name %q", tc.name, msg, want)
+			}
 		}
 	}
 }

@@ -55,9 +55,10 @@ type egress struct {
 	pending   []pendTransit
 	resolveFn func()
 	kickFn    func()
-	// outbox buffers this egress's cross-shard handoffs, drained at
-	// epoch barriers after the endpoint ports' outboxes.
-	outbox []mail
+	// lat is the link latency to the peer: HopLatency to a switch,
+	// PropDelay down to an attachment.
+	lat sim.Time
+	box outbox
 }
 
 // swState is one switch: an engine home and its egress ports.
@@ -67,10 +68,11 @@ type swState struct {
 }
 
 // initTopo lazily builds the per-switch arbitration state once all
-// attachments exist (first Send or CrossShardLookahead). A switch is
-// homed on its lowest attached endpoint's engine so single-shard runs
-// stay single-engine; endpoint-less switches (fat-tree spines) home on
-// the fabric's own engine.
+// attachments exist (first Send or MailFloor). A switch is homed on its
+// lowest attached endpoint's engine so single-shard runs stay
+// single-engine; endpoint-less switches (fat-tree spines) home on the
+// fabric's own engine. An attachment's outbox crosses when its switch is
+// homed elsewhere, an egress's when its peer is.
 func (f *Fabric) initTopo() {
 	if f.sws != nil {
 		return
@@ -89,17 +91,27 @@ func (f *Fabric) initTopo() {
 				break
 			}
 		}
-		sw := &swState{eng: eng, ports: make([]*egress, g.Ports(s))}
+		f.sws[s] = &swState{eng: eng, ports: make([]*egress, g.Ports(s))}
+	}
+	for s, sw := range f.sws {
 		for p := range sw.ports {
-			op := &egress{eng: eng}
+			op := &egress{eng: sw.eng, box: outbox{name: fmt.Sprintf("switch %d egress %d", s, p)}}
+			switch pt := g.PortAt(s, p); {
+			case pt.Endpoint():
+				ep := f.ports[pt.Ep]
+				ep.box.cross = ep.eng != sw.eng
+				op.box.cross, op.lat = ep.box.cross, f.cfg.PropDelay
+			case pt.Sw >= 0:
+				op.box.cross, op.lat = f.sws[pt.Sw].eng != sw.eng, f.cfg.HopLatency
+			}
 			op.resolveFn = func() { f.topoResolve(op) }
 			op.kickFn = func() {
 				op.kickArmed = false
 				op.eng.After(0, "fabric.arb", op.resolveFn)
 			}
 			sw.ports[p] = op
+			f.boxes = append(f.boxes, &op.box)
 		}
-		f.sws[s] = sw
 	}
 }
 
@@ -155,13 +167,8 @@ func (fr *Frame) bindTopoFns() {
 // endpoint-port outbox stays time-ordered.
 func (f *Fabric) topoLaunch(fr *Frame, extra sim.Time) {
 	sp := fr.sport
-	sw := f.sws[fr.hops[0].Sw]
-	d := f.cfg.HopLatency + fr.delay + extra
-	if sw.eng != sp.eng {
-		sp.outbox = append(sp.outbox, mail{eng: sw.eng, at: sp.eng.Now() + d, name: "fabric.hop", fn: fr.tarrFn})
-		return
-	}
-	sp.eng.After(d, "fabric.hop", fr.tarrFn)
+	at := sp.eng.Now() + f.cfg.HopLatency + fr.delay + extra
+	f.handoff(&sp.box, sp.eng, f.sws[fr.hops[0].Sw].eng, at, "fabric.hop", fr.tarrFn)
 }
 
 // topoArrive runs on the switch's engine when a frame reaches switch
@@ -231,53 +238,11 @@ func (f *Fabric) topoResolve(op *egress) {
 //
 //qpip:hotpath
 func (f *Fabric) topoDepart(op *egress, fr *Frame) {
-	now := op.eng.Now()
+	at := op.eng.Now() + op.lat
 	if fr.hop == len(fr.hops)-1 {
-		dp := fr.dport
-		if dp.eng != op.eng {
-			op.outbox = append(op.outbox, mail{eng: dp.eng, at: now + f.cfg.PropDelay, name: "fabric.deliver", fn: fr.dlvrFn})
-			return
-		}
-		op.eng.After(f.cfg.PropDelay, "fabric.deliver", fr.dlvrFn)
+		f.handoff(&op.box, op.eng, fr.dport.eng, at, "fabric.deliver", fr.dlvrFn)
 		return
 	}
 	fr.hop++
-	nsw := f.sws[fr.hops[fr.hop].Sw]
-	if nsw.eng != op.eng {
-		op.outbox = append(op.outbox, mail{eng: nsw.eng, at: now + f.cfg.HopLatency, name: "fabric.hop", fn: fr.tarrFn})
-		return
-	}
-	op.eng.After(f.cfg.HopLatency, "fabric.hop", fr.tarrFn)
-}
-
-// topoLookahead generalizes CrossShardLookahead to the switch graph: the
-// minimum latency over directed edges that cross engines. A transmit or
-// switch-to-switch hop first touches the peer engine one HopLatency out;
-// a final egress grant touches the endpoint's engine PropDelay out.
-func (f *Fabric) topoLookahead() (sim.Time, bool) {
-	f.initTopo()
-	g := f.cfg.Topo
-	la, cross := sim.Time(0), false
-	edge := func(a, b *sim.Engine, d sim.Time) {
-		if a == b {
-			return
-		}
-		if !cross || d < la {
-			la = d
-		}
-		cross = true
-	}
-	for s := range f.sws {
-		for p := 0; p < g.Ports(s); p++ {
-			pt := g.PortAt(s, p)
-			switch {
-			case pt.Endpoint():
-				edge(f.ports[pt.Ep].eng, f.sws[s].eng, f.cfg.HopLatency)
-				edge(f.sws[s].eng, f.ports[pt.Ep].eng, f.cfg.PropDelay)
-			case pt.Sw >= 0:
-				edge(f.sws[s].eng, f.sws[pt.Sw].eng, f.cfg.HopLatency)
-			}
-		}
-	}
-	return la, cross
+	f.handoff(&op.box, op.eng, f.sws[fr.hops[fr.hop].Sw].eng, at, "fabric.hop", fr.tarrFn)
 }

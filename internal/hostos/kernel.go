@@ -114,9 +114,6 @@ func (k *Kernel) Bus() *hw.PCIBus { return k.bus }
 // Engine exposes the simulation engine.
 func (k *Kernel) Engine() *sim.Engine { return k.eng }
 
-// Addr reports the host's IPv4 address.
-func (k *Kernel) Addr() inet.Addr4 { return k.addr }
-
 // Stats returns the kernel counters read as a struct.
 func (k *Kernel) Stats() Stats {
 	return Stats{SegsOut: *k.txSegs, Retransmits: k.Net.Get("tx.retransmit")}

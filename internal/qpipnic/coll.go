@@ -55,8 +55,6 @@ import (
 	"repro/internal/inet"
 	"repro/internal/params"
 	"repro/internal/pool"
-	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/verbs"
 )
 
@@ -371,18 +369,11 @@ func (n *NIC) PostColl(group uint16, wr verbs.CollWR) error {
 		if n.down || n.collGroups[group] != g {
 			return // crashed (or re-joined) while the write was in flight
 		}
-		n.collStage("coll.post", n.collPostCtr, params.US(params.CollPostUS), func() {
+		n.cpu.Do(params.US(params.CollPostUS), "coll.post", func() {
 			n.collPost(g, seq, wr)
 		})
 	})
 	return nil
-}
-
-// collStage charges the firmware processor one collective FSM stage and
-// records it in the Coll occupancy table.
-func (n *NIC) collStage(name string, ctr *trace.Stage, d sim.Time, fn func()) {
-	ctr.Observe(d)
-	n.cpu.Do(d, name, fn)
 }
 
 // collPost consumes a collective WR on the firmware side.
@@ -453,7 +444,7 @@ func (n *NIC) receiveColl(m *collMsg) {
 	if m.kind == collRing {
 		d += params.NICCycles(params.CollReduceCyclesPerWord * float64(len(m.vec)))
 	}
-	n.collStage("coll.step", n.collStepCtr, d, n.collRecv.Add(collDelivery{g, m}))
+	n.cpu.Do(d, "coll.step", n.collRecv.Add(collDelivery{g, m}))
 }
 
 // collDispatch steps the FSM on one delivered message. A ring message's

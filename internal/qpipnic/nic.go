@@ -236,9 +236,8 @@ type NIC struct {
 	// dbScratch is the doorbell FSM's vectored drain buffer (PopN).
 	dbScratch [64]uint64
 
-	// Per-stage occupancy, split by the four table columns, plus the
-	// collective engine's stages.
-	TxData, TxAck, RxData, RxAck, Coll *trace.Stages
+	// Per-stage occupancy, split by the four table columns.
+	TxData, TxAck, RxData, RxAck *trace.Stages
 	// Net counts the adapter's events, one cell per event, under the
 	// names the host kernel shares (DESIGN §16.6). The per-packet cells
 	// are resolved once.
@@ -249,15 +248,13 @@ type NIC struct {
 	// messages and collRecv holds each delivery across its FSM stage;
 	// collLive counts messages handed out here minus messages recycled
 	// here, so the sum over a cluster's adapters is the number
-	// outstanding. The counter and stage cells are resolved once so the
-	// per-message path skips the name maps.
+	// outstanding. The counter cells are resolved once so the per-message
+	// path skips the name map.
 	collFree    []*collMsg
 	collRecv    *sim.Jobs[collDelivery]
 	collLive    int
 	collMsgs    *uint64
 	collDupDrop *uint64
-	collPostCtr *trace.Stage
-	collStepCtr *trace.Stage
 }
 
 // New builds an adapter and attaches it to fab.
@@ -280,7 +277,6 @@ func New(eng *sim.Engine, fab *fabric.Fabric, cfg Config) *NIC {
 		TxAck:      trace.NewStages(),
 		RxData:     trace.NewStages(),
 		RxAck:      trace.NewStages(),
-		Coll:       trace.NewStages(),
 		Net:        trace.NewCounters(),
 	}
 	n.tcp = tcp.NewEndpoints[inet.Addr6, *qpState, *verbs.Listener](n.Net.Handle)
@@ -291,8 +287,6 @@ func New(eng *sim.Engine, fab *fabric.Fabric, cfg Config) *NIC {
 	n.txNoRoute = n.Net.Handle("tx.drop.no-route")
 	n.collMsgs = n.Net.Handle("coll.msgs")
 	n.collDupDrop = n.Net.Handle("coll.dup-drop")
-	n.collPostCtr = n.Coll.Counter("coll.post")
-	n.collStepCtr = n.Coll.Counter("coll.step")
 	n.initTemplates()
 	n.txDoneFn = func() {
 		n.txBusy = false
@@ -376,7 +370,6 @@ func (n *NIC) ResetStages() {
 	n.TxAck.Reset()
 	n.RxData.Reset()
 	n.RxAck.Reset()
-	n.Coll.Reset()
 }
 
 // ---- verbs.Device implementation (management FSM). ----

@@ -2,21 +2,20 @@
 //
 // A sharded cluster assigns every node to one of N shards, each shard
 // owning a private sim.Engine. The runner advances all engines in lockstep
-// epochs: with L the minimum latency any frame needs to cross between
-// shards (the lookahead), and minNext the earliest pending event across all
-// engines, every event fired in the epoch window [minNext, minNext+L-1]
-// that hands work to another shard produces an arrival no earlier than
-// minNext+L — strictly beyond the window. A model that can prove a later
-// bound (Config.MailFloor: the earliest arrival any handoff posted in the
-// coming epoch can have) widens the window to end just before it; the
-// window never shrinks below minNext+L-1. Shards therefore run the window
-// concurrently without ever needing input from each other, and the
-// cross-shard handoffs buffered during the window are injected at the
-// barrier, before the next window is computed. Injection order is fixed by
-// the Exchange hook (fabrics drain per-source mailboxes in attachment
-// order), so the schedule — and every trace and counter derived from it —
-// is a pure function of the workload and seeds, independent of how the OS
-// interleaves the worker threads.
+// epochs. At each barrier the model publishes its mail floor
+// (Config.MailFloor): the earliest arrival any cross-shard handoff posted
+// in the coming epoch can have. The epoch runs every engine up to just
+// before that floor, so every event fired in the window that hands work to
+// another shard produces an arrival strictly beyond it. Shards therefore
+// run the window concurrently without ever needing input from each other,
+// and the cross-shard handoffs buffered during the window are injected at
+// the barrier, before the next window is computed. A config without a
+// MailFloor bounds the window by a fixed Lookahead instead: the minimum
+// latency any handoff needs, so the window is [minNext, minNext+L-1].
+// Injection order is fixed by the Exchange hook (fabrics drain their
+// per-sender outboxes in a fixed order), so the schedule — and every
+// trace and counter derived from it — is a pure function of the workload
+// and seeds, independent of how the OS interleaves the worker threads.
 //
 // This is the ONE simulated package where goroutines and sync primitives
 // are legal (enforced by qpiplint's nogoroutine allowlist): all other model
@@ -31,7 +30,7 @@ import (
 )
 
 // runFree is the command telling a worker to drain its engine to quiescence
-// (no horizon). Used when no cross-shard link exists, so every
+// (no horizon). Used when nothing can cross between shards, so every
 // shard's schedule is already closed under its own events.
 const runFree sim.Time = -1
 
@@ -39,8 +38,9 @@ const runFree sim.Time = -1
 type Config struct {
 	// Engines are the shard engines, indexed by shard.
 	Engines []*sim.Engine
-	// Lookahead is the minimum cross-shard frame latency. Zero means no
-	// cross-shard links exist: shards run free, one epoch.
+	// Lookahead is the minimum cross-shard handoff latency, the window of
+	// a config without MailFloor. Zero means no cross-shard links exist:
+	// shards run free, one epoch.
 	Lookahead sim.Time
 	// Exchange injects all buffered cross-shard handoffs into their
 	// destination engines and returns how many were injected. It is called
@@ -48,11 +48,13 @@ type Config struct {
 	// parked at the barrier. Nil means there is nothing to exchange.
 	Exchange func() int
 	// MailFloor, when set, bounds from below the arrival time of every
-	// cross-shard handoff the coming epoch can post. next[i] is
-	// Engines[i]'s next event time, negative when it has none. It is
-	// called at each barrier, after Exchange, with every worker parked; the
-	// epoch then ends at max(minNext+Lookahead, MailFloor(next)) - 1.
-	MailFloor func(next []sim.Time) sim.Time
+	// cross-shard handoff the coming epoch can post, and replaces
+	// Lookahead. next[i] is Engines[i]'s next event time, negative when it
+	// has none. It is called at each barrier, after Exchange, with every
+	// worker parked; the epoch then ends at the floor minus one. A report
+	// of false means nothing can cross: shards run free. A floor not past
+	// the earliest pending event cannot advance the run, and panics.
+	MailFloor func(next []sim.Time) (sim.Time, bool)
 }
 
 // worker owns one engine for the duration of a run. Commands carry the
@@ -144,26 +146,26 @@ func RunUntil(cfg Config, limit sim.Time) (epochs int) {
 		if !any || (limit >= 0 && minNext > limit) {
 			break
 		}
-		if cfg.Lookahead <= 0 {
-			// No cross-shard links: one free-running epoch drains everything.
-			if limit >= 0 {
-				epoch(limit)
-			} else {
-				epoch(runFree)
+		floor, cross := minNext+cfg.Lookahead, cfg.Lookahead > 0
+		if cfg.MailFloor != nil {
+			floor, cross = cfg.MailFloor(next)
+			if cross && floor <= minNext {
+				panic(fmt.Sprintf("par: mail floor %dns is not past the earliest pending event %dns: the run cannot advance",
+					int64(floor), int64(minNext)))
 			}
-		} else {
-			horizon := minNext + cfg.Lookahead - 1
-			if cfg.MailFloor != nil {
-				horizon = max(horizon, cfg.MailFloor(next)-1)
-			}
-			if limit >= 0 && horizon > limit {
-				horizon = limit
-			}
-			epoch(horizon)
+		}
+		switch {
+		case cross && (limit < 0 || floor <= limit):
+			epoch(floor - 1)
+		case limit >= 0:
+			epoch(limit)
+		default:
+			// Nothing can cross: one free-running epoch drains everything.
+			epoch(runFree)
 		}
 		if cfg.Exchange != nil {
 			cfg.Exchange()
-		} else if cfg.Lookahead <= 0 {
+		} else if !cross {
 			break // free-running with nothing to exchange: done in one epoch
 		}
 	}

@@ -207,11 +207,14 @@ func TestEmptyConfig(t *testing.T) {
 	}
 }
 
-// TestMailFloorWidensEpochs: a MailFloor past minNext+Lookahead ends each
-// epoch just before it, and one below that never narrows the window. Two
-// engines tick locally every nanosecond with no cross-shard traffic.
+// TestMailFloorWidensEpochs: a MailFloor is the whole epoch window. Two
+// engines tick locally every nanosecond with no cross-shard traffic. A
+// floor past minNext ends each epoch just before it; a floor that reports
+// false lets the shards run free, one epoch; and a floor at minNext could
+// never advance, so the runner panics, printing both times to the
+// nanosecond.
 func TestMailFloorWidensEpochs(t *testing.T) {
-	run := func(floor func(next []sim.Time) sim.Time) int {
+	run := func(lookahead sim.Time, floor func(next []sim.Time) (sim.Time, bool)) int {
 		engs := []*sim.Engine{sim.NewEngine(), sim.NewEngine()}
 		for _, e := range engs {
 			left := 100
@@ -221,21 +224,31 @@ func TestMailFloorWidensEpochs(t *testing.T) {
 					e.After(1, "tick", tick)
 				}
 			}
-			e.At(0, "tick", tick)
+			e.At(sim.Millisecond, "tick", tick)
 		}
-		epochs := par.Run(par.Config{Engines: engs, Lookahead: 5, Exchange: func() int { return 0 }, MailFloor: floor})
+		epochs := par.Run(par.Config{Engines: engs, Lookahead: lookahead, Exchange: func() int { return 0 }, MailFloor: floor})
 		if fired := engs[0].Fired() + engs[1].Fired(); fired != 200 {
 			t.Errorf("fired %d events, want 200", fired)
 		}
 		return epochs
 	}
-	if got := run(nil); got != 20 {
+	if got := run(5, nil); got != 20 {
 		t.Errorf("wire-latency windows: %d epochs, want 20", got)
 	}
-	if got := run(func([]sim.Time) sim.Time { return 0 }); got != 20 {
-		t.Errorf("a floor below minNext+Lookahead: %d epochs, want 20", got)
-	}
-	if got := run(func(next []sim.Time) sim.Time { return next[0] + 50 }); got != 2 {
+	if got := run(0, func(next []sim.Time) (sim.Time, bool) { return next[0] + 50, true }); got != 2 {
 		t.Errorf("a floor 50 ns out: %d epochs, want 2", got)
 	}
+	if got := run(0, func([]sim.Time) (sim.Time, bool) { return 0, false }); got != 1 {
+		t.Errorf("a floor that reports no crossing: %d epochs, want 1", got)
+	}
+
+	defer func() {
+		msg, _ := recover().(string)
+		for _, want := range []string{"cannot advance", "1000000ns"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("a floor at minNext: recovered %q, want a panic naming %q", msg, want)
+			}
+		}
+	}()
+	run(5, func(next []sim.Time) (sim.Time, bool) { return min(next[0], next[1]), true })
 }

@@ -10,8 +10,8 @@ func TestProcRunsAndFinishes(t *testing.T) {
 	ran := false
 	p := e.Spawn("worker", func(p *Proc) { ran = true })
 	e.Run()
-	if !ran || !p.Done() {
-		t.Fatalf("ran=%v done=%v", ran, p.Done())
+	if !ran || !p.Done() || p.Name() != "worker" {
+		t.Fatalf("ran=%v done=%v name=%q", ran, p.Done(), p.Name())
 	}
 }
 

@@ -318,9 +318,6 @@ func (c *Conn) InFlight() int { return c.sndNxt.Diff(c.sndUna) }
 // PendingSend reports bytes queued but not yet transmitted.
 func (c *Conn) PendingSend() int { return c.pendingLen }
 
-// LocalPort reports the connection's local port.
-func (c *Conn) LocalPort() uint16 { return c.cfg.LocalPort }
-
 // Connect initiates an active open, returning the SYN to transmit.
 func (c *Conn) Connect(now int64) (Actions, error) {
 	a := c.newActions()

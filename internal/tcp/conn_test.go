@@ -6,6 +6,21 @@ import (
 	"repro/internal/buf"
 )
 
+// TestStateString names every RFC 793 state as the traces print it, and
+// a value outside the table by its number.
+func TestStateString(t *testing.T) {
+	for s, want := range map[State]string{
+		Closed: "CLOSED", Listen: "LISTEN", SynSent: "SYN_SENT", SynRcvd: "SYN_RCVD",
+		Established: "ESTABLISHED", FinWait1: "FIN_WAIT_1", FinWait2: "FIN_WAIT_2",
+		CloseWait: "CLOSE_WAIT", Closing: "CLOSING", LastAck: "LAST_ACK", TimeWait: "TIME_WAIT",
+		TimeWait + 1: "State(11)",
+	} {
+		if got := s.String(); got != want {
+			t.Errorf("State(%d).String() = %q, want %q", int(s), got, want)
+		}
+	}
+}
+
 func TestHandshakeEstablishes(t *testing.T) {
 	n := pair(t, Record, 16384, 64*1024, nil)
 	if n.conns[0].State() != Established || n.conns[1].State() != Established {

@@ -41,17 +41,6 @@ type Stages struct {
 // NewStages returns an empty stage set.
 func NewStages() *Stages { return &Stages{m: make(map[string]*Stage)} }
 
-// Add records one observation of duration d for the named stage.
-func (s *Stages) Add(name string, d sim.Time) {
-	st := s.m[name]
-	if st == nil {
-		st = &Stage{}
-		s.m[name] = st
-	}
-	st.Count++
-	st.Total += d
-}
-
 // Counter returns the named stage accumulator, creating it if needed. The
 // pointer stays valid across Reset (which zeroes accumulators in place), so
 // callers can resolve it once and Observe per event with no map lookup.
@@ -64,9 +53,6 @@ func (s *Stages) Counter(name string) *Stage {
 	return st
 }
 
-// Get returns the named stage (nil if never observed).
-func (s *Stages) Get(name string) *Stage { return s.m[name] }
-
 // Mean reports the mean time in microseconds for the named stage (0 if
 // never observed).
 func (s *Stages) Mean(name string) float64 {
@@ -77,35 +63,12 @@ func (s *Stages) Mean(name string) float64 {
 	return st.MeanMicros()
 }
 
-// Names reports all stage names with at least one observation, sorted.
-// Counters resolved eagerly but never observed stay invisible.
-func (s *Stages) Names() []string {
-	out := make([]string, 0, len(s.m))
-	for k, st := range s.m {
-		if st.Count > 0 {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Reset zeroes all stages in place, preserving pointers handed out by
 // Counter.
 func (s *Stages) Reset() {
 	for _, st := range s.m {
 		st.Count, st.Total = 0, 0
 	}
-}
-
-// String renders the stage table.
-func (s *Stages) String() string {
-	var b strings.Builder
-	for _, n := range s.Names() {
-		st := s.m[n]
-		fmt.Fprintf(&b, "%-24s %8d x %8.2f us\n", n, st.Count, st.MeanMicros())
-	}
-	return b.String()
 }
 
 // Counters is a set of named monotonic event counters — the per-stack
@@ -164,14 +127,6 @@ func (c *Counters) Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Reset zeroes all counters in place, preserving pointers handed out by
-// Handle.
-func (c *Counters) Reset() {
-	for _, v := range c.m {
-		*v = 0
-	}
 }
 
 // String renders the counter table.

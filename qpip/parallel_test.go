@@ -449,7 +449,8 @@ func TestParallelRunFor(t *testing.T) {
 // firmware messages are the only traffic.
 
 // topoResult is everything a topology run produces that must be
-// identical across shard placements.
+// identical across shard placements, and the epochs the parallel runner
+// took (logged, not compared).
 type topoResult struct {
 	trace    string
 	endTime  qpip.Time
@@ -457,6 +458,7 @@ type topoResult struct {
 	stats    fault.Stats
 	statuses [16]string
 	counters [16]string
+	epochs   uint64
 }
 
 func (r *topoResult) capture(c *qpip.Cluster, inj *qpip.FaultInjector) {
@@ -464,6 +466,7 @@ func (r *topoResult) capture(c *qpip.Cluster, inj *qpip.FaultInjector) {
 	r.stats = inj.Stats()
 	r.endTime = c.EndTime()
 	r.fired = c.FiredTotal()
+	r.epochs = c.Epochs()
 	for i, n := range c.Nodes {
 		r.counters[i] = n.QPIP.Net.String()
 	}
@@ -603,6 +606,7 @@ func TestParallelTopologyMesh(t *testing.T) {
 			four := runTopoMesh(t, 4, tc.plan)
 			assertTopoIdentical(t, tc.name, seq, two, "sequential", "2-shard")
 			assertTopoIdentical(t, tc.name, seq, four, "sequential", "4-shard")
+			t.Logf("mesh/%s: %d epochs at 2 shards, %d at 4", tc.name, two.epochs, four.epochs)
 		})
 	}
 }
@@ -659,7 +663,8 @@ func runTopoAllreduce(t *testing.T, spec qpip.TopoSpec, shards int, plan qpip.Fa
 }
 
 // TestParallelTopologyAllreduce: the ring-allreduce plan is bit-identical
-// in sequential, 2-shard, and 4-shard placements, fault-free and under
+// in sequential, 2-shard, and 4-shard placements, on a ring and on a
+// fat-tree whose spines home on shard 0, fault-free and under
 // delay+duplication chaos (the collective engine is dup-safe and
 // reorder-safe but has no retransmit, so drops are out of scope).
 func TestParallelTopologyAllreduce(t *testing.T) {
@@ -677,15 +682,18 @@ func TestParallelTopologyAllreduce(t *testing.T) {
 	}
 	for _, tc := range plans {
 		t.Run(tc.name, func(t *testing.T) {
-			ring := qpip.TopoSpec{Kind: qpip.TopoRing}
-			seq := runTopoAllreduce(t, ring, 0, tc.plan)
-			if t.Failed() {
-				return
+			for _, spec := range []qpip.TopoSpec{{Kind: qpip.TopoRing}, {Kind: qpip.TopoFatTree}} {
+				name := fmt.Sprintf("%v/%s", spec.Kind, tc.name)
+				seq := runTopoAllreduce(t, spec, 0, tc.plan)
+				if t.Failed() {
+					return
+				}
+				two := runTopoAllreduce(t, spec, 2, tc.plan)
+				four := runTopoAllreduce(t, spec, 4, tc.plan)
+				assertTopoIdentical(t, name, seq, two, "sequential", "2-shard")
+				assertTopoIdentical(t, name, seq, four, "sequential", "4-shard")
+				t.Logf("%s: %d epochs at 2 shards, %d at 4", name, two.epochs, four.epochs)
 			}
-			two := runTopoAllreduce(t, ring, 2, tc.plan)
-			four := runTopoAllreduce(t, ring, 4, tc.plan)
-			assertTopoIdentical(t, tc.name, seq, two, "sequential", "2-shard")
-			assertTopoIdentical(t, tc.name, seq, four, "sequential", "4-shard")
 		})
 	}
 }
@@ -703,4 +711,5 @@ func TestParallelStarAllreduce(t *testing.T) {
 	four := runTopoAllreduce(t, qpip.TopoSpec{}, 4, qpip.FaultPlan{})
 	assertTopoIdentical(t, "star", seq, two, "sequential", "2-shard")
 	assertTopoIdentical(t, "star", seq, four, "sequential", "4-shard")
+	t.Logf("star: %d epochs at 2 shards, %d at 4", two.epochs, four.epochs)
 }
