@@ -58,6 +58,21 @@ func BenchmarkParkWake(b *testing.B) {
 	}
 }
 
+// BenchmarkSleepInPlace is a process sleeping with nothing else queued:
+// every wake-up is the engine's next event and fires in place, where
+// BenchmarkParkWake pays a true switch per op.
+func BenchmarkSleepInPlace(b *testing.B) {
+	e := NewEngine()
+	e.Spawn("bench", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(1)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
 // BenchmarkRunUntilEpochs models the sharded shape: a standing 200 ms
 // timer that is cancelled and re-armed while near events fire, driven by
 // RunUntil(now+L) epoch steps that stop short of the far timer, with the
@@ -131,7 +146,8 @@ func TestScheduleFireAllocFree(t *testing.T) {
 
 // TestParkWakeAllocFree locks in the park/wake handshake cost: waking a
 // parked process must not allocate, and neither must one round of each
-// timed park (schedule the wake, switch out, fire, switch back in).
+// timed park (schedule the wake, switch out, fire, switch back in), nor a
+// RunUntil slice of own wake-ups that fire in place.
 func TestParkWakeAllocFree(t *testing.T) {
 	e := NewEngine()
 	p := e.Spawn("proc", func(p *Proc) {
@@ -152,18 +168,41 @@ func TestParkWakeAllocFree(t *testing.T) {
 		{"Use", func(p *Proc, srv *Server, _ *CPU) { p.Use(srv, 10) }},
 		{"UseCycles", func(p *Proc, _ *Server, cpu *CPU) { p.UseCycles(cpu, 10) }},
 	} {
-		// A fresh engine per case: each proc stays parked on its pending
-		// wake, which must not step into the next case.
+		// Forced parks: two processes wake at every tick, so each one's
+		// next wake-up queues behind the other's and must park. A fresh
+		// engine per case keeps the pending wakes out of the next case.
 		e := NewEngine()
 		srv, cpu := NewServer(e, "srv"), NewCPU(e, "cpu", 1e9)
+		var resumes int
+		for i := 0; i < 2; i++ {
+			e.Spawn(tc.name, func(p *Proc) {
+				countResumes(p, &resumes)
+				for {
+					tc.park(p, srv, cpu)
+				}
+			})
+		}
+		e.step() // spawns: each proc runs to its first park
+		e.step()
+		if n := testing.AllocsPerRun(1000, func() { e.step() }); n != 0 || resumes != 1001 {
+			t.Fatalf("%s: forced-park round allocates %v/op with %d parks, want 0 with 1001", tc.name, n, resumes)
+		}
+
+		// In place: alone, the proc's every wake-up is the next event, so
+		// a RunUntil slice fires 10 of them and parks once, at its limit.
+		e = NewEngine()
+		srv, cpu = NewServer(e, "srv"), NewCPU(e, "cpu", 1e9)
+		resumes = 0
 		e.Spawn(tc.name, func(p *Proc) {
+			countResumes(p, &resumes)
 			for {
 				tc.park(p, srv, cpu)
 			}
 		})
-		e.step() // spawn: the proc runs to its first park
-		if n := testing.AllocsPerRun(1000, func() { e.step() }); n != 0 {
-			t.Fatalf("%s round allocates %v/op, want 0", tc.name, n)
+		e.RunUntil(0)
+		if n := testing.AllocsPerRun(1000, func() { e.RunFor(100) }); n != 0 || resumes != 1001 || e.Fired() != 1+10*1001 {
+			t.Fatalf("%s: in-place round allocates %v/op with %d parks in %d events, want 0 with 1001 in %d",
+				tc.name, n, resumes, e.Fired(), 1+10*1001)
 		}
 	}
 }

@@ -76,17 +76,22 @@ const (
 // this repo already follows. Calling Cancel on an event that already fired
 // is a harmless no-op.
 type Event struct {
-	at    Time
-	seq   uint64
-	fn    func()
-	name  string
-	eng   *Engine
-	state uint8
+	at   Time
+	seq  uint64
+	fn   func()
+	name string
+	eng  *Engine
 
 	// Timer-wheel intrusive list links. next doubles as the free-list link.
 	next, prev *Event
-	level      int8
-	slot       uint8
+
+	// wake marks a process's own wake-up (Proc.await, the spawn event):
+	// the event whose only effect is to resume that process.
+	wake *Proc
+
+	state uint8
+	level int8
+	slot  uint8
 }
 
 // At reports the time the event is scheduled to fire.
@@ -149,6 +154,12 @@ type Engine struct {
 	live    int // scheduled, not yet fired or cancelled
 	stopped bool
 	digest  uint64 // running hash over fired (at, name); see Digest
+
+	// self is the process running inside its own wake-up, nil otherwise;
+	// limit is the bound of the running Run/RunUntil/step. Proc.await
+	// reads both to fire the next wake-up in place.
+	self  *Proc
+	limit uint64
 
 	wheel wheel
 	free  *Event // event free list, linked through next
@@ -256,6 +267,7 @@ func (e *Engine) alloc(t Time, name string, fn func()) *Event {
 func (e *Engine) recycle(ev *Event) {
 	ev.fn = nil
 	ev.name = ""
+	ev.wake = nil
 	ev.prev = nil
 	ev.next = e.free
 	e.free = ev
@@ -298,24 +310,34 @@ func (e *Engine) step() bool { return e.stepUntil(^uint64(0)) }
 //
 //qpip:hotpath
 func (e *Engine) stepUntil(limit uint64) bool {
-	if !e.wheel.advance(e, limit) {
+	ev := e.wheel.advance(e, limit)
+	if ev == nil {
 		return false
 	}
-	ev := e.wheel.slots[0][uint8(e.wheel.cur)].head
 	e.wheel.unlink(ev)
 	ev.state = evFired
-	e.now = ev.at
-	e.lastAt = ev.at
-	e.fired++
 	e.live--
-	e.digest = digestEvent(e.digest, ev.at, ev.name)
+	e.fire(ev.at, ev.name)
+	e.self, e.limit = ev.wake, limit
 	if ev.fn != nil {
 		ev.fn()
 	}
+	e.self = nil
 	// Recycled only after fn returns: any holder has nilled its reference by
 	// then (callbacks clear their own handle first), so reuse is safe.
 	e.recycle(ev)
 	return true
+}
+
+// fire is the engine's side of firing an event due at at: the clock, the
+// fired count and the digest. stepUntil and Proc.await's in-place wake-up
+// share it, so both fire the same event the same way.
+//
+//qpip:hotpath
+func (e *Engine) fire(at Time, name string) {
+	e.now, e.lastAt = at, at
+	e.fired++
+	e.digest = digestEvent(e.digest, at, name)
 }
 
 // Run executes events until the queue is empty or Stop is called.

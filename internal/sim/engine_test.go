@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEngineRunsEventsInOrder(t *testing.T) {
@@ -413,5 +414,13 @@ func TestDigest(t *testing.T) {
 		if other == base {
 			t.Errorf("a different event sequence digests like the base, %#x", base)
 		}
+	}
+}
+
+// TestEventSize pins Event at 80 bytes (DESIGN §10.1): every scheduled
+// callback is one, and the free list keeps each one alive for the run.
+func TestEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n != 80 {
+		t.Fatalf("Event is %d bytes, want 80", n)
 	}
 }

@@ -15,9 +15,11 @@ import (
 //
 // Each process runs on a runtime coroutine (iter.Pull): Wake switches
 // straight into the process and a park switches straight back, with no
-// pass through the Go scheduler's run queue (DESIGN §10.1). The runtime
-// resumes the coroutine's stack only through that hand-off, so the engine
-// stays logically single-threaded and this package has no go statement.
+// pass through the Go scheduler's run queue (DESIGN §10.1); a Sleep or
+// Use whose wake-up is the engine's next event anyway skips both (await).
+// The runtime resumes the coroutine's stack only through that hand-off, so
+// the engine stays logically single-threaded and this package has no go
+// statement.
 // A panic inside the process surfaces, with its value unchanged, from the
 // Wake (or spawn event) that resumed it, i.e. from Engine.Run; its
 // traceback then shows the engine's frames, not the process's.
@@ -61,7 +63,7 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 			fn(p)
 		})
 		p.resume()
-	})
+	}).wake = p
 	return p
 }
 
@@ -93,15 +95,30 @@ func (p *Proc) WakeFn() func() { return p.wakeFn }
 func (p *Proc) Suspend() { p.park() }
 
 // Sleep parks for d of simulated time.
-func (p *Proc) Sleep(d Time) {
-	p.eng.After(d, p.sleepName, p.wakeFn)
-	p.park()
-}
+func (p *Proc) Sleep(d Time) { p.await(p.eng.now+d, p.sleepName) }
 
 // Use occupies a server (a CPU, typically) for d and parks until the work
 // completes — modeling synchronous computation by this process.
-func (p *Proc) Use(s *Server, d Time) {
-	s.Do(d, p.useName, p.wakeFn)
+func (p *Proc) Use(s *Server, d Time) { p.await(s.reserve(d, p.useName), p.useName) }
+
+// await parks until p's own wake-up, an event named name due at at. When
+// that wake-up is the very event the running loop would fire next, it fires
+// in place instead, and p simply continues: the engine does the firing's
+// bookkeeping and skips the park and the resume. That holds when p runs
+// inside its previous own wake-up (so nothing runs after p would park), the
+// engine is not stopped, and the wake-up is due by the loop's limit and
+// before every queued event. A wake issued from any other callback, which
+// may have more to do after Wake returns, always parks (DESIGN §10.1).
+//
+//qpip:hotpath
+func (p *Proc) await(at Time, name string) {
+	e := p.eng
+	if e.self == p && !e.stopped && at >= e.now && e.wheel.claim(uint64(at), e.limit) {
+		e.seq++
+		e.fire(at, name)
+		return
+	}
+	e.At(at, name, p.wakeFn).wake = p
 	p.park()
 }
 

@@ -24,18 +24,22 @@ func NewServer(eng *Engine, name string) *Server {
 //
 //qpip:hotpath
 func (s *Server) Do(d Time, what string, done func()) Time {
+	finish := s.reserve(d, what)
+	s.eng.At(finish, what, done)
+	return finish
+}
+
+// reserve books a job of duration d behind the jobs already submitted and
+// returns its completion time; the caller schedules the completion.
+//
+//qpip:hotpath
+func (s *Server) reserve(d Time, what string) Time {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: server %s job %q with negative duration %v", s.name, what, d))
 	}
-	start := s.eng.Now()
-	if s.busyUntil > start {
-		start = s.busyUntil
-	}
-	finish := start + d
-	s.busyUntil = finish
+	s.busyUntil = max(s.eng.Now(), s.busyUntil) + d
 	s.busyTotal += d
-	s.eng.At(finish, what, done)
-	return finish
+	return s.busyUntil
 }
 
 // BusyUntil reports when the last job submitted so far completes: no job

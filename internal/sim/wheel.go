@@ -20,10 +20,19 @@ import "math/bits"
 // before the level-0 scan can reach it. Occupancy bitmaps make the scans a
 // handful of word tests.
 //
+// An event is re-filed only when it has to be (Varghese and Lauck's point).
+// When the first occupied slot above level 0 holds a lone event, that event
+// is the earliest, so advance moves the cursor onto its timestamp and the
+// engine fires it from the slot it is in, with no cascade into level 0. The
+// event then sits, for that moment only, in the cursor's own slot at its
+// level, which is otherwise always empty: advance returns it and the engine
+// unlinks it before anything else reads or changes the wheel, so every other
+// path keeps the invariant as stated.
+//
 // The cursor never passes the engine clock: advance moves it only as far as
-// a caller's limit, so outside a firing cur <= now. Any At(t >= now) then
-// satisfies t >= cur and is a plain insert, whatever horizon the last
-// RunUntil stopped at.
+// a caller's limit, and claim only to the timestamp it fires, so outside a
+// firing cur <= now. Any At(t >= now) then satisfies t >= cur and is a plain
+// insert, whatever horizon the last RunUntil stopped at.
 type wheel struct {
 	cur      uint64
 	slots    [4][256]wslot
@@ -129,27 +138,36 @@ func (w *wheel) window(level int) (slot int, base uint64) {
 	return slot, w.cur>>(shift+8)<<(shift+8) | uint64(slot)<<shift
 }
 
-// advance moves the cursor toward the earliest event, never past limit: it
-// enters (and cascades) a higher-level window only if the window starts at
-// or before limit. It reports whether the level-0 slot at cur now holds the
-// earliest event, due at cur <= limit.
+// advance moves the cursor toward the earliest event, never past limit, and
+// returns that event if it is due at or before limit, else nil. It enters
+// (and cascades) a higher-level window only if the window starts at or
+// before limit. The event is the head of the level-0 slot at cur, or a lone
+// event still in its higher-level slot with cur on its timestamp; either
+// way the caller unlinks it at once.
 //
 //qpip:hotpath
-func (w *wheel) advance(e *Engine, limit uint64) bool {
+func (w *wheel) advance(e *Engine, limit uint64) *Event {
 	for {
 		if s := w.firstFrom(0, int(w.cur&255)); s >= 0 {
 			t := w.cur&^255 | uint64(s)
 			if t > limit {
-				return false
+				return nil
 			}
 			w.cur = t
-			return true
+			return w.slots[0][s].head
 		}
 		level := 1
 		for ; level < 4; level++ {
 			if s, base := w.window(level); s >= 0 {
 				if base > limit {
-					return false
+					return nil
+				}
+				if ev := w.slots[level][s].head; ev == w.slots[level][s].tail {
+					if uint64(ev.at) > limit {
+						return nil
+					}
+					w.cur = uint64(ev.at)
+					return ev
 				}
 				w.cur = base
 				w.cascade(int8(level), uint8(s))
@@ -157,9 +175,48 @@ func (w *wheel) advance(e *Engine, limit uint64) bool {
 			}
 		}
 		if level == 4 && !w.refillFromOverflow(e, limit) {
-			return false
+			return nil
 		}
 	}
+}
+
+// claim reports whether an event due at t, scheduled now, would be the next
+// to fire by limit: t <= limit, and every resident event is due later (a
+// resident due at t was scheduled first, so it would fire first). The
+// caller then fires that event without filing it, and claim has moved the
+// cursor to t where the placement invariant allows. Two answers are a safe
+// no rather than exact, because finding the earliest event would take a
+// scan: t lies past the wheel's horizon, where overflow may hold anything,
+// or t falls inside the first occupied higher-level window and that slot
+// holds more than one event.
+//
+//qpip:hotpath
+func (w *wheel) claim(t, limit uint64) bool {
+	if t > limit || t>>32 != w.cur>>32 {
+		return false
+	}
+	if s := w.firstFrom(0, int(w.cur&255)); s >= 0 {
+		if t >= w.cur&^255|uint64(s) {
+			return false
+		}
+		w.cur = t
+		return true
+	}
+	for level := 1; level < 4; level++ {
+		if s, base := w.window(level); s >= 0 {
+			if t < base {
+				w.cur = t
+				return true
+			}
+			// The cursor stays put: moving it into the slot's window
+			// would leave the slot's event on the wrong level.
+			sl := &w.slots[level][s]
+			return sl.head == sl.tail && t < uint64(sl.head.at)
+		}
+	}
+	// Only overflow is left, and it holds later top-level windows only.
+	w.cur = t
+	return true
 }
 
 // next reports the earliest live timestamp without moving the cursor: the

@@ -132,7 +132,8 @@ type traceEntry struct {
 // deterministic workload: nested scheduling from callbacks, cancellations,
 // timestamp ties, RunUntil clock jumps with scheduling in between,
 // far-future timers that land in the wheel's overflow, and NextAt peeks
-// (recorded in the trace as "next") from callbacks and between jumps. The
+// (recorded in the trace as "next") from callbacks and between jumps, then
+// lone events at each wheel level and in overflow. The
 // rng is consulted in callback execution order, so any ordering difference
 // between queue implementations snowballs into an obviously different trace.
 func runQueueScript(e scriptQueue, seed int64) (trace []traceEntry, fired uint64, pending int) {
@@ -204,6 +205,36 @@ func runQueueScript(e scriptQueue, seed int64) (trace []traceEntry, fired uint64
 		for j, k := 0, rng.Intn(4); j < k; j++ {
 			newEv(randomDelay(), 0)
 		}
+		peek()
+	}
+	// Lone events: on a drained queue, one event alone in a level-1, -2
+	// or -3 window, or in overflow, which the wheel fires from where it
+	// sits. A horizon stops inside its window but short of it, leaving it
+	// in place; then an earlier event and a tie are scheduled around it,
+	// or it is cancelled. Its callback peeks right after it fires.
+	for level := 1; level <= 4; level++ {
+		e.Run()
+		span := Time(1) << (8 * level)
+		d := span + Time(rng.Int63n(int64(span)))
+		at := e.Now() + d
+		nameN++
+		name := fmt.Sprintf("lone%d", nameN)
+		h := e.After(d, name, func() {
+			trace = append(trace, traceEntry{name, e.Now()})
+			peek()
+			newEv(randomDelay(), 2)
+		})
+		peek()
+		e.RunFor(d - 1 - Time(rng.Int63n(min(int64(d)-1, 300))))
+		peek()
+		if rng.Intn(3) == 0 {
+			h.Cancel()
+		} else {
+			newEv(Time(rng.Int63n(int64(at-e.Now()))), 3)
+			newEv(at-e.Now(), 3)
+		}
+		peek()
+		e.RunFor(at - e.Now())
 		peek()
 	}
 	e.Run()
