@@ -13,8 +13,12 @@ test: build
 fmt:
 	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
+# The arm64 pass type-checks the build without the amd64 checksum kernel
+# (internal/inet/sum_other.go), so it keeps compiling; the native pass also
+# checks the kernel's argument layout against its Go declaration (asmdecl).
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # shadow is optional tooling (x/tools vet pass for shadowed variables):
 # run it when installed, note the skip when not.

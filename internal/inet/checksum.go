@@ -16,22 +16,40 @@ import (
 // initial partial sum. Byte slices of odd length are padded with a zero
 // byte, per RFC 1071.
 //
-// It uses RFC 1071 §2's deferred carries on 64-bit words: big-endian
-// 8-byte loads, four to a 32-byte block, chained through bits.Add64. Each
-// block's carry-out is a 2^64 that stands for an end-around +1; it is
-// counted once per block, off the sum's dependency chain, and added back
-// at the end. Then come 8-, 4-, 2- and 1-byte tail steps. Because 2^16 ≡ 1
-// (mod 0xffff), a 64-bit word sums to the same residue as its four 16-bit
-// words, so any 16-bit-aligned placement of the tail is correct. The
-// 64-bit total is folded to 32 bits with end-around carry.
+// It rests on two facts from RFC 1071 §2. The one's-complement sum does not
+// depend on byte order: swapping the bytes of every word multiplies the sum
+// by 2^8 mod 0xffff, so a sum of little-endian words, folded to 16 bits and
+// byte-swapped, is congruent to the big-endian one. And partial sums can be
+// kept in parallel lanes and folded once at the end. So on an amd64 CPU
+// with AVX2 (found once, from CPUID and XGETBV), a vector kernel adds every
+// 64-byte-multiple prefix as little-endian 16-bit words in 32-bit lanes
+// (sum_amd64.s), at most 4 MiB per call so that no lane can wrap, and Sum
+// folds, swaps and adds each call's result. The rest of data, and all of
+// it on other CPUs and architectures, goes to the generic word loop.
 //
 // The result is congruent mod 0xffff to the 16-bit word sum, and only
 // Fold of it is meaningful: Fold(Sum(init, data)) is the RFC 1071 value,
 // while the raw uint32 depends on how the carries happened to fold. The
 // accumulator never wraps, so this holds at any length and for any
 // initial value.
-func Sum(initial uint32, data []byte) uint32 {
-	s, carries := uint64(initial), uint64(0)
+func Sum(initial uint32, data []byte) uint32 { return sum(uint64(initial), data, haveAVX2) }
+
+// sum adds data to the 64-bit running sum s, through the vector kernel
+// first when vector is set, and folds the total to 32 bits. With vector
+// false it is the generic word loop alone, which the tests hold the kernel
+// to. The loop uses RFC 1071 §2's deferred carries on 64-bit words:
+// big-endian 8-byte loads, four to a 32-byte block, chained through
+// bits.Add64. Each block's carry-out is a 2^64 that stands for an
+// end-around +1; it is counted once per block, off the sum's dependency
+// chain, and added back at the end. Then come 8-, 4-, 2- and 1-byte tail
+// steps. Because 2^16 ≡ 1 (mod 0xffff), a 64-bit word sums to the same
+// residue as its four 16-bit words, so any 16-bit-aligned placement of the
+// tail is correct.
+func sum(s uint64, data []byte, vector bool) uint32 {
+	if vector && len(data) >= 64 {
+		s, data = sumVector(s, data)
+	}
+	carries := uint64(0)
 	for ; len(data) >= 32; data = data[32:] {
 		var c uint64
 		s, c = bits.Add64(s, binary.BigEndian.Uint64(data), 0)

@@ -2,6 +2,8 @@ package inet
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/buf"
@@ -41,29 +43,45 @@ func randBytes(n int) []byte {
 	return b
 }
 
-// checkSum fails t when Sum and refSum fold differently on data.
+// checkSum fails t when Sum (the vector kernel's path where the CPU has
+// one), the generic word loop and refSum fold differently on data.
 func checkSum(t *testing.T, initial uint32, data []byte, what string) {
 	t.Helper()
-	if got, want := Fold(Sum(initial, data)), Fold(refSum(initial, data)); got != want {
+	want := Fold(refSum(initial, data))
+	if got := Fold(Sum(initial, data)); got != want {
 		t.Fatalf("%s: Fold(Sum(%#x, %d bytes)) = %#04x, reference %#04x", what, initial, len(data), got, want)
+	}
+	if got := Fold(sum(uint64(initial), data, false)); got != want {
+		t.Fatalf("%s: Fold(sum(%#x, false, %d bytes)) = %#04x, reference %#04x", what, initial, len(data), got, want)
 	}
 }
 
-// TestSumMatchesReference covers every block/tail split the word loop
-// has (lengths 0-300), every load alignment (start offsets 0-7), initial
-// values that force end-around carries, and the all-zero and all-ones
-// patterns next to random bytes.
+// TestSumMatchesReference covers every block/tail split of the vector
+// kernel's 64-byte blocks and the word loop's 32-byte blocks (lengths
+// 0-1024, then an Ethernet MTU, a jumbo frame and a 16 KiB record), every
+// load alignment within a cache line (start offsets 0-63), initial values
+// that force end-around carries plus random ones, and the all-zero and
+// all-ones patterns next to random bytes.
 func TestSumMatchesReference(t *testing.T) {
-	const maxLen, maxOff = 300, 7
-	patterns := map[string][]byte{
-		"random": randBytes(maxLen + maxOff),
-		"zeros":  make([]byte, maxLen+maxOff),
-		"ones":   bytes.Repeat([]byte{0xff}, maxLen+maxOff),
+	const maxLen, maxOff = 1024, 63
+	lengths := []int{1500, 9000, 16384}
+	for n := 0; n <= maxLen; n++ {
+		lengths = append(lengths, n)
 	}
+	patterns := map[string][]byte{
+		"random": randBytes(16384 + maxOff),
+		"zeros":  make([]byte, 16384+maxOff),
+		"ones":   bytes.Repeat([]byte{0xff}, 16384+maxOff),
+	}
+	rng := rand.New(rand.NewSource(1))
 	for name, p := range patterns {
-		for _, initial := range []uint32{0, 0xffff, 0x5ffff, 0xffffffff} {
-			for off := 0; off <= maxOff; off++ {
-				for n := 0; n <= maxLen; n++ {
+		for _, n := range lengths {
+			initials := []uint32{0, 0xffffffff, rng.Uint32()}
+			if n <= 300 {
+				initials = append(initials, 0xffff, 0x5ffff)
+			}
+			for _, initial := range initials {
+				for off := 0; off <= maxOff; off++ {
 					checkSum(t, initial, p[off:off+n], name)
 				}
 			}
@@ -73,14 +91,20 @@ func TestSumMatchesReference(t *testing.T) {
 
 // TestSumNoWrap pins the no-wrap guarantee: the two-byte uint32 loop lost
 // a carry once initial + n·0xffff passed 2^32, so a large all-ones input
-// or an initial sum near 2^32 checksummed wrong.
+// or an initial sum near 2^32 checksummed wrong. The vector kernel's
+// 32-bit lanes would wrap the same way past 65 536 blocks of 0xff without
+// its 4 MiB chunk bound, which the lengths past 4 MiB cross.
 func TestSumNoWrap(t *testing.T) {
 	if got := Fold(Sum(0xffffffff, []byte{0, 1})); got != 0x0001 {
 		t.Errorf("Fold(Sum(0xffffffff, 00 01)) = %#04x, want 0x0001", got)
 	}
-	ones := bytes.Repeat([]byte{0xff}, 1<<20)
-	checkSum(t, 0, ones, "1 MiB of 0xff")
-	checkSum(t, 0xffffffff, ones, "1 MiB of 0xff")
+	const chunk = 4 << 20 // the kernel's bound, maxChunk in sum_amd64.go
+	ones := bytes.Repeat([]byte{0xff}, 2*chunk+128)
+	for _, n := range []int{1 << 20, chunk + 64, 2*chunk + 128} {
+		what := fmt.Sprintf("%d bytes of 0xff", n)
+		checkSum(t, 0, ones[:n], what)
+		checkSum(t, 0xffffffff, ones[:n], what)
+	}
 }
 
 // TestChecksumPathsAllocFree pins the sender and receiver checksum paths

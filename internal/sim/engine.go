@@ -111,9 +111,10 @@ func (ev *Event) Cancel() {
 		ev.eng.wheel.unlink(ev)
 		ev.eng.recycle(ev)
 	case evOverflow:
-		// Sliced storage; reaped (and recycled) at the next overflow refill.
+		// Sliced storage: marked here, reaped (and recycled) in bulk.
 		ev.state = evCanceled
 		ev.eng.live--
+		ev.eng.wheel.cancelOverflow(ev.eng)
 	}
 }
 

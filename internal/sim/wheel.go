@@ -11,6 +11,10 @@ import "math/bits"
 // horizon of 2^32 ns (~4.3 s) past the cursor. The rare timer beyond that
 // (TIME_WAIT, fully backed-off retransmits) parks in an overflow slice in
 // scheduling order and is redistributed when the cursor reaches its window.
+// A cancelled overflow event stays in the slice, marked, until the dead
+// outnumber the live; then the slice is compacted in place, so a timer
+// re-armed past the horizon again and again keeps it at most twice its
+// live size.
 //
 // Invariant: every resident event's timestamp t satisfies t >= cur, and t
 // lives at the lowest level whose window contains both t and cur (events
@@ -38,6 +42,7 @@ type wheel struct {
 	slots    [4][256]wslot
 	occupied [4][4]uint64
 	overflow []*Event
+	dead     int // cancelled events still in overflow
 }
 
 // wslot is a doubly-linked FIFO of events, linked through Event.next/prev.
@@ -257,6 +262,32 @@ func (w *wheel) cascade(level int8, slot uint8) {
 	}
 }
 
+// cancelOverflow counts a cancelled overflow event and reaps the slice
+// once the dead outnumber the live.
+func (w *wheel) cancelOverflow(e *Engine) {
+	w.dead++
+	if w.dead > len(w.overflow)-w.dead {
+		w.reap(e)
+	}
+}
+
+// reap drops the cancelled events from overflow and recycles them. It
+// compacts in place and keeps slice order, which refill relies on for
+// same-tick FIFO order.
+func (w *wheel) reap(e *Engine) {
+	live := w.overflow[:0]
+	for _, ev := range w.overflow {
+		if ev.state == evCanceled {
+			e.recycle(ev)
+		} else {
+			live = append(live, ev)
+		}
+	}
+	clear(w.overflow[len(live):])
+	w.overflow = live
+	w.dead = 0
+}
+
 // refillFromOverflow reaps cancelled overflow events and, if the earliest
 // live one is due by limit, jumps the cursor to its timestamp and moves every
 // overflow event inside the cursor's new top-level window into the wheel.
@@ -264,21 +295,14 @@ func (w *wheel) cascade(level int8, slot uint8) {
 // base) keeps all re-filed events at scannable slot indexes. Slice order
 // (= scheduling order) is preserved for the rest.
 func (w *wheel) refillFromOverflow(e *Engine, limit uint64) bool {
-	live := w.overflow[:0]
+	if w.dead > 0 {
+		w.reap(e)
+	}
 	earliest := ^uint64(0)
 	for _, ev := range w.overflow {
-		if ev.state == evCanceled {
-			e.recycle(ev)
-			continue
-		}
-		live = append(live, ev)
 		earliest = min(earliest, uint64(ev.at))
 	}
-	for i := len(live); i < len(w.overflow); i++ {
-		w.overflow[i] = nil
-	}
-	w.overflow = live
-	if len(live) == 0 || earliest > limit {
+	if len(w.overflow) == 0 || earliest > limit {
 		return false
 	}
 	w.cur = earliest
@@ -290,9 +314,7 @@ func (w *wheel) refillFromOverflow(e *Engine, limit uint64) bool {
 			keep = append(keep, ev)
 		}
 	}
-	for i := len(keep); i < len(w.overflow); i++ {
-		w.overflow[i] = nil
-	}
+	clear(w.overflow[len(keep):])
 	w.overflow = keep
 	return true
 }

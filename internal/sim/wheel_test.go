@@ -207,6 +207,38 @@ func runQueueScript(e scriptQueue, seed int64) (trace []traceEntry, fired uint64
 		}
 		peek()
 	}
+	// Overflow re-arms: a timer moved past the horizon again and again, as
+	// a backed-off retransmit is, beside ties at its deadline and random
+	// cancels, so that the cancelled overflow events outnumber the live
+	// ones and the slice is compacted while ties wait in it.
+	at := e.Now() + 10*Second + Time(rng.Int63n(int64(Second)))
+	var rearm canceler
+	for i := 0; i < 60; i++ {
+		if rearm != nil {
+			rearm.Cancel()
+		}
+		nameN++
+		name := fmt.Sprintf("rearm%d", nameN)
+		rearm = e.After(at+Time(rng.Intn(3))-e.Now(), name, func() {
+			trace = append(trace, traceEntry{name, e.Now()})
+		})
+		switch rng.Intn(6) {
+		case 0:
+			newEv(at-e.Now(), 3)
+		case 1:
+			if h := handles[rng.Intn(len(handles))]; h != nil {
+				h.Cancel()
+				for j, x := range handles {
+					if x == h {
+						handles[j] = nil
+					}
+				}
+			}
+		case 2:
+			e.RunFor(Time(rng.Int63n(1_000_000)))
+			peek()
+		}
+	}
 	// Lone events: on a drained queue, one event alone in a level-1, -2
 	// or -3 window, or in overflow, which the wheel fires from where it
 	// sits. A horizon stops inside its window but short of it, leaving it
@@ -292,6 +324,46 @@ func TestCancelledTimersDoNotGrowQueue(t *testing.T) {
 	e.Run()
 	if e.Fired() != 1 || !anchor {
 		t.Fatalf("fired %d events, want 1 (anchor ran: %v)", e.Fired(), anchor)
+	}
+}
+
+// TestOverflowRearmStaysCompact is the overflow-leak regression: a timer
+// re-armed past the wheel's horizon, beside a few live far timers, used to
+// leave every cancelled copy in the overflow slice until the cursor reached
+// the next 2^32 ns window, and to take a fresh Event for every re-arm.
+func TestOverflowRearmStaysCompact(t *testing.T) {
+	e := NewEngine()
+	for i := 0; i < 3; i++ {
+		e.At(60*Second, "far", func() {})
+	}
+	var timer *Event
+	fn := func() { timer = nil }
+	at := 10 * Second
+	rearm := func() {
+		Disarm(&timer)
+		at++
+		timer = e.At(at, "rexmt", fn)
+	}
+	for i := 0; i < 100_000; i++ {
+		rearm()
+		live := 0
+		for _, ev := range e.wheel.overflow {
+			if ev.state != evCanceled {
+				live++
+			}
+		}
+		if n := len(e.wheel.overflow); n > 2*live+1 || e.wheel.dead != n-live {
+			t.Fatalf("re-arm %d: overflow holds %d events for %d live, %d counted dead", i, n, live, e.wheel.dead)
+		}
+	}
+	if avg := testing.AllocsPerRun(1000, rearm); avg != 0 {
+		t.Errorf("re-arm past the horizon allocates %.2f objects/op, want 0", avg)
+	}
+	fired := 0
+	e.At(at+1, "check", func() { fired = int(e.Fired()) })
+	e.Run()
+	if fired != 2 || e.Fired() != 5 || timer != nil {
+		t.Fatalf("fired %d events, %d by the check: want the last re-arm, the check, then 3 far ones", e.Fired(), fired)
 	}
 }
 
