@@ -16,7 +16,7 @@
 //
 //   - calls an order-sensitive routine — a method or function whose name
 //     is one of the scheduling / queueing / tracing verbs (At, After, Do,
-//     Spawn, Send, Wake, Push, Pop, Enqueue, Raise, Burst, BurstAt,
+//     Spawn, Send, Wake, Take, Push, Pop, Enqueue, Raise, Burst, BurstAt,
 //     Observe, Add, CompleteSend, CompleteRecv, Complete, Schedule), or
 //
 //   - appends to a slice declared outside the loop, unless the enclosing
@@ -48,10 +48,11 @@ var Analyzer = &interproc.Analyzer{
 
 // orderSensitiveCallees are routine names whose invocation inside a map
 // range makes iteration order observable: event scheduling, process
-// wakeups, queue pushes, and trace-counter bumps.
+// wakeups (sim.Waiter's Wake, and Take, which hands a parked process to
+// its waker), queue pushes, and trace-counter bumps.
 var orderSensitiveCallees = map[string]bool{
 	"At": true, "After": true, "Do": true, "DoCycles": true, "Spawn": true,
-	"Send": true, "Wake": true, "Push": true, "Pop": true, "Enqueue": true,
+	"Send": true, "Wake": true, "Take": true, "Push": true, "Pop": true, "Enqueue": true,
 	"Raise": true, "Burst": true, "BurstAt": true, "Observe": true,
 	"Add": true, "AddAll": true, "Complete": true, "CompleteSend": true,
 	"CompleteRecv": true, "Schedule": true,

@@ -20,6 +20,42 @@ func wakeAll(procs map[int]*proc) {
 	}
 }
 
+// Waiter is one parking slot, as in the real engine.
+type Waiter struct{ p *proc }
+
+func (w *Waiter) Wake() {
+	if p := w.p; p != nil {
+		w.p = nil
+		p.Wake()
+	}
+}
+
+func (w *Waiter) Take() *proc {
+	p := w.p
+	w.p = nil
+	return p
+}
+
+// wakeWaiters resumes parked processes in map order: the same bug through
+// the parking slot.
+func wakeWaiters(slots map[string]*Waiter) {
+	for _, w := range slots {
+		w.Wake() // want `calls order-sensitive Wake`
+	}
+}
+
+// takeWaiters hands parked processes out in map order, so whatever the
+// caller schedules for them is ordered by the map too.
+func takeWaiters(slots map[string]*Waiter) []*proc {
+	out := make([]*proc, 0, len(slots))
+	for _, w := range slots {
+		if p := w.Take(); p != nil { // want `calls order-sensitive Take`
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 // keysUnsorted leaks map order into a slice consumed by the caller.
 func keysUnsorted(m map[string]int) []string {
 	var out []string

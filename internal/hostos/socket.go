@@ -65,18 +65,18 @@ type Socket struct {
 	recvQBytes int
 	recvParts  []buf.Buf
 	dgramQ     pool.Ring[datagram]
-	recvWaiter *sim.Proc
+	recvWaiter sim.Waiter
 
 	// Send side: writers block when the send buffer fills.
-	sndWaiter *sim.Proc
+	sndWaiter sim.Waiter
 
 	// Listener state.
 	backlog       int
 	acceptQ       pool.Ring[*Socket]
-	acceptWaiter  *sim.Proc
+	acceptWaiter  sim.Waiter
 	pendingAccept *Socket // set on children until established
 
-	estWaiter *sim.Proc
+	estWaiter sim.Waiter
 	timer     *sim.Event
 	// timerFn fires the TCB timer and charges timerBodyFn, its softirq
 	// body; both are bound once so re-arming allocates nothing.
@@ -170,7 +170,7 @@ func (s *Socket) Connect(p *sim.Proc, raddr inet.Addr4, rport uint16) error {
 	}
 	s.k.applyActions(s, acts)
 	for !s.established && !s.reset && !s.timedOut && !s.closed {
-		s.estWaiter = p
+		s.estWaiter.Park(p)
 		p.Suspend()
 	}
 	if !s.established {
@@ -199,7 +199,7 @@ func (s *Socket) Listen(port uint16, backlog int) error {
 func (s *Socket) Accept(p *sim.Proc) *Socket {
 	s.syscall(p)
 	for s.acceptQ.Len() == 0 {
-		s.acceptWaiter = p
+		s.acceptWaiter.Park(p)
 		p.Suspend()
 	}
 	child, _ := s.acceptQ.Pop()
@@ -220,7 +220,7 @@ func (s *Socket) Send(p *sim.Proc, b buf.Buf) error {
 		if s.reset || s.timedOut || s.closed {
 			return s.connErr()
 		}
-		s.sndWaiter = p
+		s.sndWaiter.Park(p)
 		p.Suspend()
 	}
 	if s.reset || s.timedOut {
@@ -249,7 +249,7 @@ func (s *Socket) Recv(p *sim.Proc, max int) (buf.Buf, error) {
 		if s.peerClosed || s.closed {
 			return buf.Empty, ErrConnClosed // EOF
 		}
-		s.recvWaiter = p
+		s.recvWaiter.Park(p)
 		p.Suspend()
 	}
 	parts := s.recvParts[:0]
@@ -370,7 +370,7 @@ func (s *Socket) RecvFrom(p *sim.Proc) (buf.Buf, inet.Addr4, uint16, error) {
 		if s.closed {
 			return buf.Empty, inet.Addr4{}, 0, ErrConnClosed
 		}
-		s.recvWaiter = p
+		s.recvWaiter.Park(p)
 		p.Suspend()
 	}
 	d, _ := s.dgramQ.Pop()
@@ -393,21 +393,15 @@ func (s *Socket) enqueueDatagram(b buf.Buf, addr inet.Addr4, port uint16) {
 
 // wakeRecv wakes a blocked reader, charging the scheduler.
 func (s *Socket) wakeRecv() {
-	if s.recvWaiter == nil {
-		return
+	if w := s.recvWaiter.Take(); w != nil {
+		s.k.chargeUS(params.HostWakeupUS, "wakeup", w.WakeFn())
 	}
-	w := s.recvWaiter
-	s.recvWaiter = nil
-	s.k.chargeUS(params.HostWakeupUS, "wakeup", w.WakeFn())
 }
 
 func (s *Socket) onAcked() {
-	if s.sndWaiter == nil {
-		return
+	if w := s.sndWaiter.Take(); w != nil {
+		s.k.chargeUS(params.HostWakeupUS, "wakeup", w.WakeFn())
 	}
-	w := s.sndWaiter
-	s.sndWaiter = nil
-	s.k.chargeUS(params.HostWakeupUS, "wakeup", w.WakeFn())
 }
 
 func (s *Socket) onEstablished() {
@@ -416,17 +410,11 @@ func (s *Socket) onEstablished() {
 		lst := s.pendingAccept
 		s.pendingAccept = nil
 		lst.acceptQ.Push(s)
-		if lst.acceptWaiter != nil {
-			w := lst.acceptWaiter
-			lst.acceptWaiter = nil
+		if w := lst.acceptWaiter.Take(); w != nil {
 			s.k.chargeUS(params.HostWakeupUS, "wakeup", w.WakeFn())
 		}
 	}
-	if s.estWaiter != nil {
-		w := s.estWaiter
-		s.estWaiter = nil
-		w.Wake()
-	}
+	s.estWaiter.Wake()
 }
 
 func (s *Socket) onPeerClosed() {
@@ -453,9 +441,5 @@ func (s *Socket) onClosed() {
 func (s *Socket) wakeAll() {
 	s.wakeRecv()
 	s.onAcked()
-	if s.estWaiter != nil {
-		w := s.estWaiter
-		s.estWaiter = nil
-		w.Wake()
-	}
+	s.estWaiter.Wake()
 }

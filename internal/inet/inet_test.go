@@ -299,15 +299,4 @@ func TestRouteTables(t *testing.T) {
 		t.Errorf("Len = %d", t6.Len())
 	}
 
-	t4 := NewTable4()
-	t4.Add(NodeAddr4(1), 3)
-	if got, err := t4.Lookup(NodeAddr4(1)); err != nil || got != 3 {
-		t.Errorf("Lookup4 = %d, %v", got, err)
-	}
-	if _, err := t4.Lookup(NodeAddr4(5)); err == nil {
-		t.Error("missing v4 route resolved")
-	}
-	if t4.Len() != 1 {
-		t.Errorf("Len4 = %d", t4.Len())
-	}
 }

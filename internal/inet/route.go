@@ -3,10 +3,11 @@ package inet
 import "errors"
 
 // The QPIP prototype resolved addresses with "a static table that maps IPv6
-// addresses to switch routes" (paper §4.1). Table6 and Table4 are those
-// static tables: they map inter-network addresses to fabric attachment
-// identifiers. The fabric layer turns an attachment identifier into an
-// actual source route or switch port.
+// addresses to switch routes" (paper §4.1). Table6 is that static table:
+// it maps inter-network addresses to fabric attachment identifiers. The
+// fabric layer turns an attachment identifier into an actual source route
+// or switch port. The host-based baseline routes IPv4 through its kernel's
+// own map (hostos).
 
 // ErrNoRoute reports an address with no table entry. It is a fixed
 // sentinel rather than an address-bearing fmt.Errorf because Lookup sits
@@ -36,28 +37,3 @@ func (t *Table6) Lookup(addr Addr6) (int, error) {
 
 // Len reports the number of entries.
 func (t *Table6) Len() int { return len(t.m) }
-
-// Table4 is a static IPv4 address resolution table used by the host-based
-// baseline stacks (their ARP equivalent, pre-populated as on a quiescent
-// benchmark LAN).
-type Table4 struct {
-	m map[Addr4]int
-}
-
-// NewTable4 returns an empty table.
-func NewTable4() *Table4 { return &Table4{m: make(map[Addr4]int)} }
-
-// Add binds addr to a fabric attachment.
-func (t *Table4) Add(addr Addr4, attachment int) { t.m[addr] = attachment }
-
-// Lookup resolves addr to its attachment.
-func (t *Table4) Lookup(addr Addr4) (int, error) {
-	a, ok := t.m[addr]
-	if !ok {
-		return 0, ErrNoRoute
-	}
-	return a, nil
-}
-
-// Len reports the number of entries.
-func (t *Table4) Len() int { return len(t.m) }

@@ -25,7 +25,7 @@ type op struct {
 	done   bool
 	errno  uint32
 	data   buf.Buf
-	waiter *sim.Proc
+	waiter sim.Waiter
 	// wdata retains a write's payload so a recovering transport can
 	// replay the request idempotently after reconnect (DESIGN §13).
 	wdata buf.Buf
@@ -57,8 +57,8 @@ type core struct {
 	completes uint64
 
 	outWrites   int
-	writeWaiter *sim.Proc
-	flushWaiter *sim.Proc
+	writeWaiter sim.Waiter
+	flushWaiter sim.Waiter
 
 	failed error
 }
@@ -150,7 +150,7 @@ func (c *core) Read(p *sim.Proc, off int64, n int) (buf.Buf, error) {
 		}
 	}
 	for !o.done {
-		o.waiter = p
+		o.waiter.Park(p)
 		p.Suspend()
 	}
 	delete(c.readAt, o.offset)
@@ -168,7 +168,7 @@ func (c *core) Write(p *sim.Proc, off int64, b buf.Buf) error {
 	}
 	c.driverCost(p)
 	for c.outWrites >= c.qd {
-		c.writeWaiter = p
+		c.writeWaiter.Park(p)
 		p.Suspend()
 		if c.failed != nil {
 			return c.failed
@@ -187,7 +187,7 @@ func (c *core) Write(p *sim.Proc, off int64, b buf.Buf) error {
 // Flush implements storage.BlockDev: wait for all outstanding writes.
 func (c *core) Flush(p *sim.Proc) error {
 	for c.outWrites > 0 && c.failed == nil {
-		c.flushWaiter = p
+		c.flushWaiter.Park(p)
 		p.Suspend()
 	}
 	return c.failed
@@ -205,23 +205,13 @@ func (c *core) complete(handle uint64, errno uint32, data buf.Buf) {
 	o.errno = errno
 	o.data = data
 	if o.isRead {
-		if o.waiter != nil {
-			w := o.waiter
-			o.waiter = nil
-			w.Wake()
-		}
+		o.waiter.Wake()
 		return
 	}
 	c.outWrites--
-	if c.writeWaiter != nil {
-		w := c.writeWaiter
-		c.writeWaiter = nil
-		w.Wake()
-	}
-	if c.outWrites == 0 && c.flushWaiter != nil {
-		w := c.flushWaiter
-		c.flushWaiter = nil
-		w.Wake()
+	c.writeWaiter.Wake()
+	if c.outWrites == 0 {
+		c.flushWaiter.Wake()
 	}
 }
 
@@ -243,25 +233,13 @@ func (c *core) fail(err error) {
 		o := c.inflight[h]
 		o.done = true
 		o.errno = 5 // EIO
-		if o.waiter != nil {
-			w := o.waiter
-			o.waiter = nil
-			w.Wake()
-		}
+		o.waiter.Wake()
 	}
 	c.inflight = make(map[uint64]*op)
 	c.readAt = make(map[int64]*op)
 	c.outWrites = 0
-	if c.writeWaiter != nil {
-		w := c.writeWaiter
-		c.writeWaiter = nil
-		w.Wake()
-	}
-	if c.flushWaiter != nil {
-		w := c.flushWaiter
-		c.flushWaiter = nil
-		w.Wake()
-	}
+	c.writeWaiter.Wake()
+	c.flushWaiter.Wake()
 }
 
 // Stats reports (reads, writes, readaheads).

@@ -114,7 +114,7 @@ type QPClient struct {
 	rec      *RecoverySpec
 	sess     uint64
 	replays  uint64
-	wdWaiter *sim.Proc // watchdog parked while nothing is in flight
+	wdWaiter sim.Waiter // watchdog parked while nothing is in flight
 }
 
 // Replays reports how many in-flight requests session recovery resent.
@@ -160,11 +160,7 @@ func (c *QPClient) sendRequest(p *sim.Proc, req Request, data buf.Buf) error {
 	if o := c.inflight[req.Handle]; o != nil {
 		o.sess = c.sess
 	}
-	if c.wdWaiter != nil {
-		w := c.wdWaiter
-		c.wdWaiter = nil
-		w.Wake()
-	}
+	c.wdWaiter.Wake()
 	err := c.sendAll(p, req, data)
 	if err != nil && c.rec != nil {
 		return nil

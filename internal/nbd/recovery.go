@@ -54,7 +54,7 @@ var errSessionStalled = errors.New("nbd: session stalled, no completions within 
 func (c *QPClient) watchdog(p *sim.Proc) {
 	for c.failed == nil {
 		if len(c.inflight) == 0 {
-			c.wdWaiter = p
+			c.wdWaiter.Park(p)
 			p.Suspend()
 			continue
 		}
@@ -140,11 +140,11 @@ func (c *QPClient) replay(p *sim.Proc) error {
 }
 
 // sendMsgPolled posts one message, acquiring a send credit by
-// poll-and-sleep rather than CQ.Wait: the CQ has a single waiter slot,
-// and during replay it may already belong to an application process
-// parked on credits — arming it from the reader would strand that
-// process. A flushed completion (session died again) surfaces as an
-// error from reapSends.
+// poll-and-sleep rather than CQ.Wait: the send CQ's one sim.Waiter slot
+// may already hold an application process parked on credits during
+// replay, and the reader parking there too would panic, since it would
+// strand that process. A flushed completion (session died again)
+// surfaces as an error from reapSends.
 func (e *qpEndpoint) sendMsgPolled(p *sim.Proc, payload buf.Buf) error {
 	for {
 		if err := e.reapSends(p); err != nil {

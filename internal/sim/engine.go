@@ -8,8 +8,9 @@
 //
 // The queue is a four-level hierarchical timer wheel (wheel.go) with a
 // per-engine Event free list, so steady-state scheduling, cancellation, and
-// firing allocate nothing. Events fire in (at, seq) order, a total order;
-// wheel_test.go checks the wheel against a plain (at, seq) priority queue.
+// firing allocate nothing. Events fire in time order, and events due at
+// the same time in the order they were scheduled: a total order, which
+// wheel_test.go checks against a plain priority queue.
 // The wheel's cursor never runs ahead of the clock — RunUntil advances it
 // only up to its horizon — so every schedule is a wheel insert and every
 // cancel inside the wheel's 4.3 s horizon an O(1) unlink, however the run is
@@ -77,7 +78,6 @@ const (
 // is a harmless no-op.
 type Event struct {
 	at   Time
-	seq  uint64
 	fn   func()
 	name string
 	eng  *Engine
@@ -150,7 +150,6 @@ func (e *Engine) Rearm(ev **Event, d Deadline, name string, fn func()) {
 type Engine struct {
 	now     Time
 	lastAt  Time // timestamp of the most recently fired event
-	seq     uint64
 	fired   uint64
 	live    int // scheduled, not yet fired or cancelled
 	stopped bool
@@ -255,8 +254,7 @@ func (e *Engine) alloc(t Time, name string, fn func()) *Event {
 	} else {
 		ev = &Event{eng: e}
 	}
-	e.seq++
-	ev.at, ev.seq, ev.fn, ev.name = t, e.seq, fn, name
+	ev.at, ev.fn, ev.name = t, fn, name
 	return ev
 }
 

@@ -417,10 +417,10 @@ func TestDigest(t *testing.T) {
 	}
 }
 
-// TestEventSize pins Event at 80 bytes (DESIGN §10.1): every scheduled
+// TestEventSize pins Event at 72 bytes (DESIGN §10.1): every scheduled
 // callback is one, and the free list keeps each one alive for the run.
 func TestEventSize(t *testing.T) {
-	if n := unsafe.Sizeof(Event{}); n != 80 {
-		t.Fatalf("Event is %d bytes, want 80", n)
+	if n := unsafe.Sizeof(Event{}); n != 72 {
+		t.Fatalf("Event is %d bytes, want 72", n)
 	}
 }

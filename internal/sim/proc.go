@@ -114,7 +114,6 @@ func (p *Proc) Use(s *Server, d Time) { p.await(s.reserve(d, p.useName), p.useNa
 func (p *Proc) await(at Time, name string) {
 	e := p.eng
 	if e.self == p && !e.stopped && at >= e.now && e.wheel.claim(uint64(at), e.limit) {
-		e.seq++
 		e.fire(at, name)
 		return
 	}
@@ -132,3 +131,52 @@ func (p *Proc) Now() Time { return p.eng.Now() }
 
 // Engine returns the owning engine.
 func (p *Proc) Engine() *Engine { return p.eng }
+
+// Waiter is the one slot a blocking call parks its process in until an
+// event wakes it: a CQ's reaper, a socket's reader or writer, a block
+// request's issuer. The zero value is empty. A slot holds at most one
+// process, and a second process parking there would strand the first,
+// since nothing would wake it again, so Park panics instead. The parker
+// checks its condition in a loop around Park and Suspend, because a wake
+// only says that something changed (DESIGN §10.1).
+type Waiter struct{ p *Proc }
+
+// Park holds p in the slot; p then suspends (Proc.Suspend) until Wake, or
+// whoever Take hands it to, resumes it. It panics when a different
+// process already holds the slot.
+func (w *Waiter) Park(p *Proc) {
+	if w.p != nil && w.p != p {
+		w.doublePark(p)
+	}
+	w.p = p
+}
+
+// doublePark reports a second process parking in a held slot. It is its
+// own function, never inlined, so that Park stays inlinable.
+//
+//go:noinline
+func (w *Waiter) doublePark(p *Proc) {
+	panic(fmt.Sprintf("sim: process %q parks where %q is already parked, at %v",
+		p.name, w.p.name, p.eng.now))
+}
+
+// Wake resumes the parked process, if any. It empties the slot first:
+// Proc.Wake runs the process until it parks again, perhaps in this same
+// slot, and that park must outlast Wake.
+func (w *Waiter) Wake() {
+	if p := w.p; p != nil {
+		w.p = nil
+		p.Wake()
+	}
+}
+
+// Take empties the slot and returns the process it held, or nil, for a
+// waker that resumes it later through an event (Proc.WakeFn).
+func (w *Waiter) Take() *Proc {
+	p := w.p
+	w.p = nil
+	return p
+}
+
+// Parked reports whether a process is parked in the slot.
+func (w *Waiter) Parked() bool { return w.p != nil }

@@ -156,6 +156,83 @@ func TestWakeDeadProcPanics(t *testing.T) {
 	p.Wake()
 }
 
+// TestWaiter covers the one parking slot (DESIGN §10.1): Wake empties it
+// before resuming, so a park made inside the resumed process survives;
+// Take hands the process out; and a second process parking in a held slot
+// panics instead of stranding the first.
+func TestWaiter(t *testing.T) {
+	park := func(w *Waiter) func(*Proc) {
+		return func(p *Proc) {
+			w.Park(p)
+			p.Suspend()
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, e *Engine, w *Waiter)
+	}{
+		{"wake on an empty slot does nothing", func(t *testing.T, e *Engine, w *Waiter) {
+			w.Wake()
+			if w.Parked() || w.Take() != nil {
+				t.Error("an empty slot holds a process after Wake")
+			}
+		}},
+		{"a woken process that parks again stays parked", func(t *testing.T, e *Engine, w *Waiter) {
+			wakes := 0
+			p := e.Spawn("reparker", func(p *Proc) {
+				for range 2 {
+					w.Park(p)
+					p.Suspend()
+					wakes++
+				}
+			})
+			e.At(10, "wake", func() {
+				w.Wake()
+				if wakes != 1 || !w.Parked() {
+					t.Errorf("after Wake: %d wakes, parked %v; want 1 wake and the new park kept", wakes, w.Parked())
+				}
+				w.Wake()
+			})
+			e.Run()
+			if wakes != 2 || !p.Done() || w.Parked() {
+				t.Errorf("end: %d wakes, done %v, parked %v", wakes, p.Done(), w.Parked())
+			}
+		}},
+		{"take empties the slot and hands the process out", func(t *testing.T, e *Engine, w *Waiter) {
+			p := e.Spawn("taken", park(w))
+			e.Run()
+			if got := w.Take(); got != p {
+				t.Fatalf("Take = %v, want the parked process", got)
+			}
+			if w.Parked() || w.Take() != nil {
+				t.Fatal("the slot still holds a process after Take")
+			}
+			e.After(0, "resume", p.WakeFn())
+			e.Run()
+			if !p.Done() {
+				t.Error("the taken process did not resume")
+			}
+		}},
+		{"a second process's park panics and names both", func(t *testing.T, e *Engine, w *Waiter) {
+			e.Spawn("first", park(w))
+			e.At(5, "late", func() { e.Spawn("second", park(w)) })
+			r := func() (r any) {
+				defer func() { r = recover() }()
+				e.Run()
+				return nil
+			}()
+			msg, _ := r.(string)
+			for _, want := range []string{`"first"`, `"second"`, "5ns"} {
+				if !strings.Contains(msg, want) {
+					t.Fatalf("Run recovered %v, want a panic naming %s", r, want)
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { tc.run(t, NewEngine(), &Waiter{}) })
+	}
+}
+
 // TestProcPanicSurfacesFromRun: a panic inside a process reaches the
 // caller of Engine.Run as an ordinary, recoverable panic — whether it
 // fires in the spawn slice or after a park — and leaves the process

@@ -18,15 +18,13 @@ import (
 func benchPair(tb testing.TB) (client, server *Conn) {
 	tb.Helper()
 	mk := func(lp, rp uint16, iss Seq) *Conn {
-		c := NewConn(Config{
+		return NewConn(Config{
 			LocalPort: lp, RemotePort: rp,
 			Mode: Record, MSS: 16384,
 			RecvWindow: 1 << 20, MaxRecvWindow: 1 << 20,
 			WindowScale: true, Timestamps: true,
 			ISS: iss,
 		})
-		c.ReuseActionBuffers(true)
-		return c
 	}
 	client = mk(1000, 2000, 100)
 	server = mk(2000, 1000, 5000)

@@ -148,6 +148,9 @@ type Stats struct {
 // Actions is what a Conn asks its owner to do after an API call: transmit
 // segments, deliver data to the application, complete send requests. The
 // owner (NIC firmware or host kernel) charges simulated CPU time for each.
+// The Conn reuses the backing arrays of Segments and Delivered, which keeps
+// the per-call Actions off the heap, so the owner consumes them (or copies
+// what it keeps) before it calls into the Conn again.
 type Actions struct {
 	// Segments to transmit, in order.
 	Segments []*Segment
@@ -233,11 +236,10 @@ type Conn struct {
 	// list is per-connection so reuse stays deterministic.
 	flightFree []*flightSeg
 
-	// Action-slice reuse (opt-in; see ReuseActionBuffers). actSegs/actBufs
-	// are the retained backing arrays handed out by newActions.
-	reuseActs bool
-	actSegs   []*Segment
-	actBufs   []buf.Buf
+	// actSegs/actBufs are the retained backing arrays of the Actions
+	// slices, handed out again by newActions.
+	actSegs []*Segment
+	actBufs []buf.Buf
 
 	// Receive state.
 	irs        Seq
@@ -561,28 +563,25 @@ func (c *Conn) advertisableWindow() int {
 	return w
 }
 
-// ReuseActionBuffers opts the connection into reusing its Actions slice
-// backing arrays across calls. Owners that fully consume Segments and
-// Delivered before the next call into the connection (the NIC firmware and
-// host kernel both do) enable this to keep the per-call Actions off the
-// heap; owners that retain Actions across calls must leave it off.
-func (c *Conn) ReuseActionBuffers(on bool) { c.reuseActs = on }
-
-// newActions builds the Actions value for one API call, reusing retained
-// backing arrays when the owner opted in.
-func (c *Conn) newActions() Actions {
-	if !c.reuseActs {
-		return Actions{}
+// ReuseActionBuffers(true) does nothing: every Conn reuses its Actions
+// slices (see Actions). It stays only because the benchmark's probes still
+// call it. Asking for no reuse panics, since an owner that keeps Actions
+// across calls would read overwritten slices.
+func (c *Conn) ReuseActionBuffers(on bool) {
+	if !on {
+		panic("tcp: a Conn always reuses its Actions slices")
 	}
+}
+
+// newActions builds the Actions value for one API call on the retained
+// backing arrays.
+func (c *Conn) newActions() Actions {
 	return Actions{Segments: c.actSegs[:0], Delivered: c.actBufs[:0]}
 }
 
 // finishActions recaptures (possibly grown) backing arrays when the call
 // returns; deferred so error paths are covered too.
 func (c *Conn) finishActions(a *Actions) {
-	if !c.reuseActs {
-		return
-	}
 	c.actSegs = a.Segments[:0]
 	c.actBufs = a.Delivered[:0]
 }

@@ -526,3 +526,16 @@ func TestSynRetransmittedWhenLost(t *testing.T) {
 		t.Fatal("SYN never retransmitted")
 	}
 }
+
+// TestReuseActionBuffersOnlyOn: reuse is the one Actions mode, so the old
+// switch accepts on and panics on off.
+func TestReuseActionBuffersOnlyOn(t *testing.T) {
+	c := NewConn(Config{LocalPort: 1, RemotePort: 2})
+	c.ReuseActionBuffers(true)
+	defer func() {
+		if recover() == nil {
+			t.Error("ReuseActionBuffers(false) did not panic")
+		}
+	}()
+	c.ReuseActionBuffers(false)
+}

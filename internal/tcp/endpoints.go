@@ -112,7 +112,6 @@ func (t *Endpoints[A, E, L]) Open(key Key[A], e E, cfg Config) *Conn {
 	t.iss += 64000
 	cfg.LocalPort, cfg.RemotePort, cfg.ISS = key.LocalPort, key.RemotePort, Seq(t.iss)
 	c := NewConn(cfg)
-	c.ReuseActionBuffers(true)
 	t.conns[key] = e
 	t.ports[key.LocalPort]++
 	return c

@@ -15,13 +15,13 @@ type CQ struct {
 	dev      Device
 	depth    int
 	entries  pool.Ring[Completion] // bounded by depth
-	waiter   *sim.Proc
+	waiter   sim.Waiter
 	overflow uint64
-	// irq, when bound, is the CQ's event line: a Push that finds an armed
-	// waiter raises the line instead of waking the waiter directly, and
-	// the device's ISR performs the wake. With a coalescing delay of 0 the
-	// Raise→fire→wake path is synchronous, so it is timing-identical to
-	// the direct wake.
+	// irq is the CQ's event line, which the device binds at AttachCQ: a
+	// Push that finds a parked waiter raises the line, and the device's
+	// ISR performs the wake. With a coalescing delay of 0 the
+	// Raise→fire→wake path is synchronous, so the wake lands at the
+	// instant of the Push.
 	irq *hw.IRQLine
 	// overflowPending arms the synthetic StatusCQOverflow completion the
 	// application reaps after draining what survived — overflow is an
@@ -41,25 +41,19 @@ func NewCQ(dev Device, depth int) *CQ {
 	return c
 }
 
-// BindEvent routes this CQ's completion wakeups through line. The device
-// installs an ISR on line that calls EventWake. Replaces the old ad-hoc
-// direct wake so QPIP completion notification shares the same coalescing
-// model as the conventional adapters' rx interrupts.
+// BindEvent routes this CQ's completion wakeups through line, the one
+// wake path: every Device binds a line in AttachCQ, with an ISR that
+// calls EventWake. QPIP completion notification so shares the coalescing
+// model of the conventional adapters' rx interrupts.
 func (c *CQ) BindEvent(line *hw.IRQLine) { c.irq = line }
 
-// EventLine reports the bound event line (nil if none) — benchmarks read
-// its Fired/Events counters to measure the achieved coalescing factor.
+// EventLine reports the bound event line — benchmarks read its
+// Fired/Events counters to measure the achieved coalescing factor.
 func (c *CQ) EventLine() *hw.IRQLine { return c.irq }
 
 // EventWake wakes a blocked waiter, if armed. Called from the device's
 // event-line ISR in simulation context.
-func (c *CQ) EventWake() {
-	if c.waiter != nil {
-		w := c.waiter
-		c.waiter = nil
-		w.Wake()
-	}
-}
+func (c *CQ) EventWake() { c.waiter.Wake() }
 
 // Depth reports the CQ capacity.
 func (c *CQ) Depth() int { return c.depth }
@@ -93,17 +87,11 @@ func (c *CQ) Push(comp Completion) {
 	if c.Len() > c.maxLen {
 		c.maxLen = c.Len()
 	}
-	if c.waiter != nil {
-		if c.irq != nil {
-			// Armed-waiter semantics (as in Infiniband's req_notify_cq):
-			// the event line is raised only when someone is waiting, so
-			// pure polling workloads never pay interrupt costs.
-			c.irq.Raise()
-		} else {
-			w := c.waiter
-			c.waiter = nil
-			w.Wake()
-		}
+	if c.waiter.Parked() {
+		// Armed-waiter semantics (as in Infiniband's req_notify_cq): the
+		// event line is raised only when someone is waiting, so pure
+		// polling workloads never pay interrupt costs.
+		c.irq.Raise()
 	}
 }
 
@@ -161,7 +149,7 @@ func (c *CQ) Wait(p *sim.Proc) Completion {
 		if comp, ok := c.Poll(p); ok {
 			return comp
 		}
-		c.waiter = p
+		c.waiter.Park(p)
 		p.Suspend()
 		// Interrupt-driven wakeup: the lightweight ISR runs before the
 		// process reaps.

@@ -76,8 +76,8 @@ func (q *QP) ModifyQP(p *sim.Proc, to QPState) error {
 		q.RemotePort = 0
 		q.RemoteAddr = inet.Addr6{}
 		q.state = QPReset
-		q.wakeEst()
-		q.wakeSQD()
+		q.est.Wake()
+		q.sqd.Wake()
 		return nil
 	case QPClosed:
 		// Destruction goes through Close, not ModifyQP.
@@ -110,9 +110,8 @@ func (q *QP) WaitSQDrained(p *sim.Proc) error {
 		case q.state != QPSQD:
 			return ErrBadState
 		}
-		q.sqdWaiter = p
+		q.sqd.Park(p)
 		p.Suspend()
-		q.sqdWaiter = nil
 	}
 }
 

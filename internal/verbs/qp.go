@@ -31,11 +31,11 @@ type QP struct {
 	// rq is the pool arriving messages claim from: &own, or the shared
 	// SRQ named by QPConfig.SRQ. own is embedded so the private receive
 	// queue costs no allocation of its own.
-	rq        *SRQ
-	own       SRQ
-	estWaiter *sim.Proc
-	sqdWaiter *sim.Proc // parked in WaitSQDrained
-	parked    *Listener // listener this QP is idling on, if any
+	rq     *SRQ
+	own    SRQ
+	est    sim.Waiter // parked in WaitEstablished
+	sqd    sim.Waiter // parked in WaitSQDrained
+	parked *Listener  // listener this QP is idling on, if any
 
 	// Connection identity, filled during connect/accept/bind.
 	LocalPort  uint16
@@ -211,7 +211,7 @@ func (q *QP) Connect(p *sim.Proc, raddr inet.Addr6, rport uint16) error {
 // WaitEstablished parks until the QP leaves QPConnecting.
 func (q *QP) WaitEstablished(p *sim.Proc) error {
 	for q.state == QPConnecting {
-		q.estWaiter = p
+		q.est.Park(p)
 		p.Suspend()
 	}
 	if q.state != QPEstablished {
@@ -289,8 +289,8 @@ func (q *QP) PostedRecvBytes() int { return q.rq.postedBytes }
 func (q *QP) CompleteSend(wrID uint64, status Status, n int) {
 	q.outSend--
 	q.SendCQ.Push(Completion{QPN: q.QPN, WRID: wrID, Op: OpSend, Status: status, ByteLen: n})
-	if q.sqdWaiter != nil && q.outSend == 0 {
-		q.wakeSQD()
+	if q.outSend == 0 {
+		q.sqd.Wake()
 	}
 }
 
@@ -308,11 +308,8 @@ func (q *QP) CompleteRecv(comp Completion) {
 func (q *QP) SetEstablished(local, remote uint16, raddr inet.Addr6) {
 	q.LocalPort, q.RemotePort, q.RemoteAddr = local, remote, raddr
 	q.state = QPEstablished
-	q.wakeEst()
+	q.est.Wake()
 }
-
-// SetError fails the QP and flushes outstanding WRs with StatusFlushed.
-func (q *QP) SetError(err error) { q.SetFailed(err, StatusFlushed) }
 
 // SetFailed fails the QP, flushing posted-but-unconsumed WRs with the
 // given terminal status (StatusRetryExceeded for retry exhaustion,
@@ -325,8 +322,8 @@ func (q *QP) SetFailed(err error, status Status) {
 	q.state = QPError
 	q.err = err
 	q.FlushWith(status)
-	q.wakeEst()
-	q.wakeSQD()
+	q.est.Wake()
+	q.sqd.Wake()
 }
 
 // Flush completes all posted-but-unconsumed WRs with StatusFlushed.
@@ -355,24 +352,8 @@ func (q *QP) FlushWith(status Status) {
 	}
 	q.own.q.Reset()
 	q.own.postedBytes = 0
-	if q.sqdWaiter != nil && q.outSend == 0 {
-		q.wakeSQD()
-	}
-}
-
-func (q *QP) wakeEst() {
-	if q.estWaiter != nil {
-		w := q.estWaiter
-		q.estWaiter = nil
-		w.Wake()
-	}
-}
-
-func (q *QP) wakeSQD() {
-	if q.sqdWaiter != nil {
-		w := q.sqdWaiter
-		q.sqdWaiter = nil
-		w.Wake()
+	if q.outSend == 0 {
+		q.sqd.Wake()
 	}
 }
 

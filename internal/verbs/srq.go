@@ -42,7 +42,7 @@ type SRQ struct {
 	limit       int
 	limitArmed  bool
 	limitFired  bool
-	limitWaiter *sim.Proc
+	limitWaiter sim.Waiter
 
 	attached int // QPs currently attached
 
@@ -158,7 +158,7 @@ func (s *SRQ) ArmLimit(limit int) error {
 // leaves the limit unarmed; re-arm with ArmLimit after reposting.
 func (s *SRQ) WaitLimit(p *sim.Proc) {
 	for !s.limitFired {
-		s.limitWaiter = p
+		s.limitWaiter.Park(p)
 		p.Suspend()
 	}
 	s.limitFired = false
@@ -168,11 +168,7 @@ func (s *SRQ) fireLimit() {
 	s.limitArmed = false
 	s.limitFired = true
 	s.limitEvents++
-	if s.limitWaiter != nil {
-		w := s.limitWaiter
-		s.limitWaiter = nil
-		w.Wake()
-	}
+	s.limitWaiter.Wake()
 }
 
 // take claims the oldest posted WR (device context: the firmware resolved

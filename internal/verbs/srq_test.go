@@ -140,7 +140,7 @@ func TestSRQFlushLeavesPoolForOtherQPs(t *testing.T) {
 		}
 		// qp1 fails: unclaimed buffers stay in the pool, no per-QP recv
 		// flush completions are generated.
-		qp1.SetError(errors.New("boom"))
+		qp1.SetFailed(errors.New("boom"), StatusFlushed)
 		if _, ok := rcq1.Poll(p); ok {
 			t.Error("SRQ-attached QP flushed pooled buffers to its own CQ")
 		}
@@ -322,7 +322,7 @@ func TestOwnedPoolIsPrivateQueue(t *testing.T) {
 		if err := qp.PostSend(p, SendWR{ID: 9}); err != nil {
 			t.Fatal(err)
 		}
-		qp.SetError(errors.New("test: boom"))
+		qp.SetFailed(errors.New("test: boom"), StatusFlushed)
 		if err := pool.PostRecv(p, RecvWR{ID: 5, Capacity: 64}); err == nil {
 			t.Error("post to a failed QP's pool accepted")
 		}

@@ -302,8 +302,9 @@ type Device interface {
 	// of an owned pool's QP, and drains the connections stalled on a
 	// shared pool.
 	RecvPosted(pool *SRQ, n int)
-	// AttachCQ registers a completion queue with the adapter, letting it
-	// bind an event (interrupt) line for coalesced completion wakeups.
+	// AttachCQ registers a completion queue with the adapter, which
+	// binds the CQ's event (interrupt) line (CQ.BindEvent) for coalesced
+	// completion wakeups; a CQ wakes its waiter only through that line.
 	// Called by NewCQ.
 	AttachCQ(cq *CQ)
 }

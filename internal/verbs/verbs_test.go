@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/buf"
+	"repro/internal/hw"
 	"repro/internal/inet"
 	"repro/internal/params"
 	"repro/internal/sim"
@@ -59,7 +60,10 @@ func (d *fakeDevice) RecvPosted(_ *SRQ, n int) {
 	d.recvPosts++
 	d.vectoredRecv += n
 }
-func (d *fakeDevice) AttachCQ(*CQ) { d.cqs++ }
+func (d *fakeDevice) AttachCQ(cq *CQ) {
+	d.cqs++
+	cq.BindEvent(hw.NewIRQLine(d.eng, func(int) { cq.EventWake() }))
+}
 
 func mkQP(t *testing.T, eng *sim.Engine, d *fakeDevice, tr TransportType, depth int) (*QP, *CQ, *CQ) {
 	t.Helper()
@@ -215,7 +219,7 @@ func TestFlushCompletesOutstandingWRs(t *testing.T) {
 	eng.Spawn("app", func(p *sim.Proc) {
 		qp.PostSend(p, SendWR{ID: 1, Payload: buf.Virtual(1)})
 		qp.PostRecv(p, RecvWR{ID: 2, Capacity: 64})
-		qp.SetError(errors.New("boom"))
+		qp.SetFailed(errors.New("boom"), StatusFlushed)
 		sc, ok := scq.Poll(p)
 		if !ok || sc.Status != StatusFlushed || sc.WRID != 1 {
 			t.Errorf("send flush = %+v, %v", sc, ok)
