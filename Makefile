@@ -90,21 +90,26 @@ fuzz:
 # seed corpora and the golden files under testdata/golden, which pin every
 # qpipbench report), and the shard-barrier race run (the parallel runner
 # and the sequential/sharded equivalence matrix under -race, beyond the
-# all-package race target above). benchtest runs the nested benchmark
-# module's own suite; wall clock belongs to the benchmark, not this gate.
+# all-package race target above). Only an epoch no mail can cross runs
+# shards concurrently, so the cross-placement rows exercise none; the
+# isolated placement, TestFreeEpochRunsShardsConcurrently and
+# TestPanicsLeakNoWorkers do. benchtest runs the nested benchmark module's
+# own suite; wall clock belongs to the benchmark, not this gate.
 # cover fails on protocol code no test executes.
 check: fmt vet shadow lint staticcheck govulncheck race test benchtest chaos cover
-	$(GO) test -race -count=1 -run 'TestParallel|TestRunPingPong|TestRunUntilLimit|TestFreeRun|TestShardPanic' ./qpip/ ./internal/sim/par/
+	$(GO) test -race -count=1 -run 'TestParallel|TestRunPingPong|TestRunUntilLimit|TestFreeRun|TestFreeEpochRunsShardsConcurrently|TestShardPanic|TestPanicsLeak' ./qpip/ ./internal/sim/par/
 
 # Coverage gate: the whole suite under -coverpkg=./..., failing
-# on any function in the protocol packages that no test executes; there
-# is no allow list. Stdlib Go tooling plus awk; profiles land in bin/.
+# on any function in the protocol packages that no test executes (one
+# with no statements passes once a test enters it); there is no allow
+# list. Stdlib Go tooling plus awk; profiles land in bin/.
 cover:
 	GO=$(GO) scripts/cover.sh
 
-# The microbenchmarks of the simulator's hot paths.
+# The microbenchmarks of the simulator's hot paths, the parallel runner's
+# mail-bounded epoch among them.
 microbench:
-	$(GO) test -bench=. -benchmem ./internal/sim/ ./internal/tcp/ ./internal/fabric/ ./internal/inet/ ./internal/pool/
+	$(GO) test -bench=. -benchmem ./internal/sim/ ./internal/tcp/ ./internal/fabric/ ./internal/inet/ ./internal/pool/ ./internal/sim/par/
 
 # The fixed-seed node-level failure matrix: adapter crash/restart, both
 # ends crashing, sustained flaps, asymmetric partitions — each verified

@@ -149,10 +149,10 @@ func SimulatedPackage(path string) bool {
 
 // ShardRunnerPackage reports whether the import path names the
 // conservative parallel runner (internal/sim/par) — the ONE simulated
-// package where goroutines and sync primitives are legal. Its whole job is
-// to drive shard engines on worker goroutines and park them at epoch
-// barriers; every other simulated package must still model concurrency
-// with sim.Proc/sim.Server, so nogoroutine exempts exactly this path.
+// package where goroutines and sync primitives are legal: its free-running
+// epoch drives shard engines on goroutines of their own and joins them.
+// Every other simulated package must still model concurrency with
+// sim.Proc/sim.Server, so nogoroutine exempts exactly this path.
 // internal/sim is not exempt and needs no allow: sim.Proc hands off
 // through iter.Pull coroutines, not a goroutine of its own.
 func ShardRunnerPackage(path string) bool {

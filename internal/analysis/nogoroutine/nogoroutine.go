@@ -24,9 +24,9 @@
 // _test.go files.
 //
 // One simulated package is allowlisted: internal/sim/par, the conservative
-// parallel shard runner (framework.ShardRunnerPackage). Its entire purpose
-// is to drive shard engines on worker goroutines and park them at epoch
-// barriers, so go statements and sync primitives are legal there — and
+// parallel shard runner (framework.ShardRunnerPackage). Its free-running
+// epoch drives shard engines on goroutines of their own and joins them,
+// so go statements and sync primitives are legal there — and
 // ONLY there. Model code must never reach for the runner's tools; it still
 // expresses concurrency as sim.Proc/sim.Server inside one engine.
 package nogoroutine
@@ -62,8 +62,8 @@ var Analyzer = &interproc.Analyzer{
 
 func run(pass *interproc.Pass) error {
 	for _, u := range pass.Prog.Units {
-		// The shard-runner allowlist: worker goroutines and barrier
-		// synchronization are internal/sim/par's whole job. The other
+		// The shard-runner allowlist: shard goroutines and their join
+		// are internal/sim/par's job. The other
 		// simulated invariants (simclock, maporder, ...) still apply to it.
 		if !framework.SimulatedPackage(u.Path) || framework.ShardRunnerPackage(u.Path) {
 			continue

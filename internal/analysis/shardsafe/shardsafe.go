@@ -6,15 +6,16 @@
 //
 //  1. Barrier confinement. A function whose doc comment carries
 //     //qpip:barrier (fabric's DrainMailboxes, core's exchange) runs with
-//     every shard worker parked; calling one from ordinary simulated code
-//     would inject cross-shard events mid-epoch, racing shard workers.
+//     no shard running; calling one from ordinary simulated code would
+//     inject cross-shard events mid-epoch, into engines still running.
 //     Barrier functions may be called only from the shard runner
 //     (internal/sim/par), from other barrier functions, or from harness
 //     code outside the simulation.
 //
-//  2. Runner discipline. internal/sim/par coordinates engines from worker
-//     goroutines, so every call it makes into simulated code happens on
-//     the wrong side of the determinism fence. The runner may only drive
+//  2. Runner discipline. internal/sim/par coordinates engines, and in a
+//     free-running epoch drives them from goroutines of its own, so every
+//     call it makes into simulated code happens on the wrong side of the
+//     determinism fence. The runner may only drive
 //     engines through the coordination surface (Run, RunUntil, NextAt,
 //     Now) and call barrier functions at barriers; any other call edge
 //     into a simulated package is a finding. (The Exchange hook is a
@@ -83,7 +84,7 @@ func run(pass *interproc.Pass) error {
 					continue
 				}
 				pass.Reportf(e.Pos,
-					"//%s function %s called from %s, which is neither the shard runner nor a barrier function: mailbox drains may only run at epoch barriers with all shard workers parked",
+					"//%s function %s called from %s, which is neither the shard runner nor a barrier function: mailbox drains may only run at epoch barriers with no shard running",
 					BarrierAnnotation, n.Name(), e.Caller.Name())
 			}
 		}

@@ -77,9 +77,9 @@ type Node struct {
 // conservative parallel execution (internal/sim/par). The zero value (or a
 // Shards of 0/1 via NewCluster) is the plain sequential cluster.
 type ShardPlan struct {
-	// Shards is the number of shard engines (shard 0 runs on the goroutine
-	// calling Run, the others on one worker goroutine each; the Go
-	// scheduler spreads them across GOMAXPROCS cores).
+	// Shards is the number of shard engines. Run drives them in lockstep
+	// epochs on the calling goroutine; only an epoch no cross-shard mail
+	// can reach runs shards 1..n-1 on a goroutine each.
 	Shards int
 	// NodeShard maps a node index to its shard. Nil means round-robin
 	// (node i on shard i%Shards).
@@ -97,9 +97,10 @@ type Cluster struct {
 	Routes6 *inet.Table6
 	Nodes   []*Node
 
-	shardOf []int  // node index -> shard
-	sharded bool   // built by NewShardedCluster: Run uses the parallel runner
-	epochs  uint64 // parallel-runner epochs run so far
+	shardOf []int      // node index -> shard
+	sharded bool       // built by NewShardedCluster: Run uses the parallel runner
+	runner  par.Config // the parallel runner's hooks, bound once
+	epochs  uint64     // parallel-runner epochs run so far
 }
 
 // NewCluster builds n identically configured nodes on one engine.
@@ -110,7 +111,7 @@ func NewCluster(n int, cfg NodeConfig) *Cluster {
 // NewShardedCluster builds n identically configured nodes partitioned
 // across plan.Shards engines, and Run drives them with the conservative
 // parallel runner. A plan of 1 shard runs the identical event schedule as
-// NewCluster through the runner's worker machinery — the equivalence
+// NewCluster through the runner's epochs and barriers — the equivalence
 // tests' middle rung.
 func NewShardedCluster(n int, cfg NodeConfig, plan ShardPlan) *Cluster {
 	if plan.Shards < 1 {
@@ -130,6 +131,7 @@ func newCluster(n int, cfg NodeConfig, plan ShardPlan, sharded bool) *Cluster {
 		sharded: sharded,
 		shardOf: make([]int, n),
 	}
+	c.runner = par.Config{Engines: engines, Exchange: c.exchange, MailFloor: c.mailFloor}
 	for i := 0; i < n; i++ {
 		s := i % plan.Shards
 		if plan.NodeShard != nil {
@@ -318,11 +320,6 @@ func (c *Cluster) mailFloor(next []sim.Time) (sim.Time, bool) {
 	return floor, ok
 }
 
-// parConfig assembles the conservative runner's configuration.
-func (c *Cluster) parConfig() par.Config {
-	return par.Config{Engines: c.Engines, Exchange: c.exchange, MailFloor: c.mailFloor}
-}
-
 // Run drives the simulation until quiescent: directly on the engine for a
 // sequential cluster, via the conservative parallel runner (mail-floor
 // epochs, barrier frame exchange) for a sharded one.
@@ -331,7 +328,7 @@ func (c *Cluster) Run() {
 		c.Engines[0].Run()
 		return
 	}
-	c.epochs += uint64(par.Run(c.parConfig()))
+	c.epochs += uint64(par.Run(c.runner))
 }
 
 // RunFor drives the simulation for d of simulated time.
@@ -346,7 +343,7 @@ func (c *Cluster) RunFor(d sim.Time) {
 			now = e.Now()
 		}
 	}
-	c.epochs += uint64(par.RunUntil(c.parConfig(), now+d))
+	c.epochs += uint64(par.RunUntil(c.runner, now+d))
 }
 
 // Epochs reports how many parallel-runner epochs the cluster has run, each

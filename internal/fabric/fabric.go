@@ -311,7 +311,7 @@ func (f *Fabric) AttachOn(eng *sim.Engine, h Handler) int {
 
 // DrainMailboxes injects every buffered cross-shard handoff into its
 // destination engine and reports how many were injected. Called only at
-// epoch barriers, single-threaded, with all shard workers parked. The
+// epoch barriers, single-threaded, with no shard running. The
 // injection order is canonical — outboxes in f.boxes order, each in
 // posting order — so destination-engine sequence numbers (the tie-breaker
 // for same-timestamp events) are a deterministic function of the

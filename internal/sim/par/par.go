@@ -6,16 +6,23 @@
 // (Config.MailFloor): the earliest arrival any cross-shard handoff posted
 // in the coming epoch can have. The epoch runs every engine up to just
 // before that floor, so every event fired in the window that hands work to
-// another shard produces an arrival strictly beyond it. Shards therefore
-// run the window concurrently without ever needing input from each other,
-// and the cross-shard handoffs buffered during the window are injected at
-// the barrier, before the next window is computed. A config without a
-// MailFloor bounds the window by a fixed Lookahead instead: the minimum
-// latency any handoff needs, so the window is [minNext, minNext+L-1].
-// Injection order is fixed by the Exchange hook (fabrics drain their
-// per-sender outboxes in a fixed order), so the schedule — and every
-// trace and counter derived from it — is a pure function of the workload
-// and seeds, independent of how the OS interleaves the worker threads.
+// another shard produces an arrival strictly beyond it. No shard therefore
+// needs input from another within the window, and the cross-shard handoffs
+// buffered during it are injected at the barrier, before the next window
+// is computed. A config without a MailFloor bounds the window by a fixed
+// Lookahead instead: the minimum latency any handoff needs, so the window
+// is [minNext, minNext+L-1].
+//
+// A mail-bounded window carries a few events per shard, less work than a
+// goroutine hand-off costs, so the runner runs its shards one after
+// another on the calling goroutine, in shard order. Only an epoch no mail
+// can cross (no live floor, or a zero Lookahead) fans out: shards 1..n-1
+// each get a goroutine and run free to quiescence or the limit. Injection
+// order is fixed by the Exchange hook (fabrics drain their per-sender
+// outboxes in a fixed order), so the schedule — and every trace and
+// counter derived from it — is a pure function of the workload and seeds,
+// independent of the order shards run in and of how the OS interleaves
+// the free epoch's goroutines.
 //
 // This is the ONE simulated package where goroutines and sync primitives
 // are legal (enforced by qpiplint's nogoroutine allowlist): all other model
@@ -25,12 +32,13 @@ package par
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/sim"
 )
 
-// runFree is the command telling a worker to drain its engine to quiescence
-// (no horizon). Used when nothing can cross between shards, so every
+// runFree is the horizon telling an epoch to drain its engines to
+// quiescence. Used when nothing can cross between shards, so every
 // shard's schedule is already closed under its own events.
 const runFree sim.Time = -1
 
@@ -44,36 +52,17 @@ type Config struct {
 	Lookahead sim.Time
 	// Exchange injects all buffered cross-shard handoffs into their
 	// destination engines and returns how many were injected. It is called
-	// only between epochs, on the coordinating goroutine, with every worker
-	// parked at the barrier. Nil means there is nothing to exchange.
+	// only between epochs, on the calling goroutine, with no shard running.
+	// Nil means there is nothing to exchange.
 	Exchange func() int
 	// MailFloor, when set, bounds from below the arrival time of every
 	// cross-shard handoff the coming epoch can post, and replaces
 	// Lookahead. next[i] is Engines[i]'s next event time, negative when it
-	// has none. It is called at each barrier, after Exchange, with every
-	// worker parked; the epoch then ends at the floor minus one. A report
-	// of false means nothing can cross: shards run free. A floor not past
+	// has none. It is called at each barrier, after Exchange, with no shard
+	// running; the epoch then ends at the floor minus one. A report of
+	// false means nothing can cross: shards run free. A floor not past
 	// the earliest pending event cannot advance the run, and panics.
 	MailFloor func(next []sim.Time) (sim.Time, bool)
-}
-
-// worker owns one engine for the duration of a run. Commands carry the
-// epoch horizon (or runFree); each command is answered on done, which also
-// publishes the worker's memory writes back to the coordinator. Closing cmd
-// ends the worker, which then closes done.
-type worker struct {
-	eng  *sim.Engine
-	cmd  chan sim.Time
-	done chan struct{}
-	err  any // recovered panic, re-raised by the coordinator
-}
-
-func (w *worker) loop() {
-	for horizon := range w.cmd {
-		w.err = runEpoch(w.eng, horizon)
-		w.done <- struct{}{}
-	}
-	close(w.done)
 }
 
 // runEpoch runs one engine to the horizon (or to quiescence for runFree)
@@ -88,9 +77,44 @@ func runEpoch(eng *sim.Engine, horizon sim.Time) (err any) {
 	return nil
 }
 
+// raise re-raises a shard's recovered panic on the calling goroutine.
+func raise(err any) {
+	if err != nil {
+		panic(fmt.Sprintf("par: shard panicked: %v", err))
+	}
+}
+
+// epoch runs every engine to the horizon and re-raises the first shard
+// panic in shard order. A mail-bounded epoch runs the shards one after
+// another on the calling goroutine; a free one runs shards 1..n-1 on a
+// goroutine each and waits for all of them before raising, so none
+// outlives the call.
+func epoch(engines []*sim.Engine, horizon sim.Time, free bool) {
+	if !free {
+		for _, eng := range engines {
+			raise(runEpoch(eng, horizon))
+		}
+		return
+	}
+	errs := make([]any, len(engines))
+	var wg sync.WaitGroup
+	for i := 1; i < len(engines); i++ {
+		wg.Add(1)
+		go func() { // legal: internal/sim/par is nogoroutine's shard-runner allowlist
+			defer wg.Done()
+			errs[i] = runEpoch(engines[i], horizon)
+		}()
+	}
+	errs[0] = runEpoch(engines[0], horizon)
+	wg.Wait()
+	for _, err := range errs {
+		raise(err)
+	}
+}
+
 // Run advances all engines to global quiescence using lockstep epochs and
 // reports how many epochs it ran. A model panic on any shard is re-raised
-// on the caller's goroutine with the shard identified.
+// on the caller's goroutine as "par: shard panicked: <value>".
 func Run(cfg Config) int { return RunUntil(cfg, -1) }
 
 // RunUntil is Run with an inclusive time limit: events with timestamps
@@ -98,46 +122,13 @@ func Run(cfg Config) int { return RunUntil(cfg, -1) }
 // sim.Engine.RunUntil). A negative limit means no limit. It reports how
 // many epochs it ran, the clock-forcing one included.
 //
-// The calling goroutine coordinates and runs shard 0's epochs itself;
-// shards 1..n-1 each get a worker goroutine for the duration of the call.
+// Every epoch bounded by mail (the MailFloor or Lookahead horizon, or the
+// limit while mail could still cross) runs on the calling goroutine; only
+// the free epoch, at most one per call, fans out across goroutines.
 func RunUntil(cfg Config, limit sim.Time) (epochs int) {
 	if len(cfg.Engines) == 0 {
 		return 0
 	}
-	workers := make([]*worker, len(cfg.Engines)-1)
-	for i, eng := range cfg.Engines[1:] {
-		w := &worker{eng: eng, cmd: make(chan sim.Time), done: make(chan struct{})}
-		workers[i] = w
-		go w.loop() // legal: internal/sim/par is nogoroutine's shard-runner allowlist
-	}
-	defer func() {
-		for _, w := range workers {
-			close(w.cmd)
-		}
-		for _, w := range workers {
-			<-w.done
-		}
-	}()
-
-	// A panic is re-raised only once every worker has answered, so every
-	// worker is idle on cmd when the deferred shutdown runs.
-	epoch := func(horizon sim.Time) {
-		epochs++
-		for _, w := range workers {
-			w.cmd <- horizon
-		}
-		err := runEpoch(cfg.Engines[0], horizon)
-		for _, w := range workers {
-			<-w.done
-			if err == nil {
-				err = w.err
-			}
-		}
-		if err != nil {
-			panic(fmt.Sprintf("par: shard panicked: %v", err))
-		}
-	}
-
 	// Invariant at the top of each iteration: all cross-shard mailboxes are
 	// empty (Exchange ran after the previous epoch; they start empty).
 	next := make([]sim.Time, len(cfg.Engines))
@@ -154,14 +145,15 @@ func RunUntil(cfg Config, limit sim.Time) (epochs int) {
 					int64(floor), int64(minNext)))
 			}
 		}
+		epochs++
 		switch {
 		case cross && (limit < 0 || floor <= limit):
-			epoch(floor - 1)
+			epoch(cfg.Engines, floor-1, false)
 		case limit >= 0:
-			epoch(limit)
+			epoch(cfg.Engines, limit, !cross)
 		default:
 			// Nothing can cross: one free-running epoch drains everything.
-			epoch(runFree)
+			epoch(cfg.Engines, runFree, true)
 		}
 		if cfg.Exchange != nil {
 			cfg.Exchange()
@@ -171,7 +163,8 @@ func RunUntil(cfg Config, limit sim.Time) (epochs int) {
 	}
 	if limit >= 0 {
 		// Mirror sequential RunUntil: force every clock to the limit.
-		epoch(limit)
+		epochs++
+		epoch(cfg.Engines, limit, false)
 	}
 	return epochs
 }

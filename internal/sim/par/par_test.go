@@ -111,21 +111,30 @@ func TestFreeRunWithoutLookahead(t *testing.T) {
 	}
 }
 
-// TestShardPanicPropagates: a model panic on a worker thread re-raises on
-// the coordinating goroutine instead of crashing the process.
+// TestShardPanicPropagates: a model panic on shard 1 re-raises on the
+// calling goroutine instead of crashing the process, whether the epoch ran
+// shard 1 inline (mail-bounded) or on a goroutine of its own (free).
 func TestShardPanicPropagates(t *testing.T) {
-	engines := []*sim.Engine{sim.NewEngine(), sim.NewEngine()}
-	engines[1].At(3, "boom", func() { panic("model bug on shard 1") })
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("shard panic was swallowed")
-		}
-		if !strings.Contains(r.(string), "model bug on shard 1") {
-			t.Fatalf("recovered %q, want the shard's panic value", r)
-		}
-	}()
-	par.Run(par.Config{Engines: engines, Lookahead: 1, Exchange: func() int { return 0 }})
+	for _, tc := range []struct {
+		name string
+		cfg  par.Config
+	}{
+		{"lookahead-bounded", par.Config{Lookahead: 1, Exchange: func() int { return 0 }}},
+		{"mail-floor-bounded", par.Config{MailFloor: func(next []sim.Time) (sim.Time, bool) { return max(next[0], next[1]) + 1, true }}},
+		{"free", par.Config{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Engines = []*sim.Engine{sim.NewEngine(), sim.NewEngine()}
+			tc.cfg.Engines[1].At(3, "boom", func() { panic("model bug on shard 1") })
+			defer func() {
+				r, _ := recover().(string)
+				if want := "par: shard panicked: model bug on shard 1"; r != want {
+					t.Fatalf("recovered %q, want %q", r, want)
+				}
+			}()
+			par.Run(tc.cfg)
+		})
+	}
 }
 
 // TestCoordinatorShardPanicPropagates: shard 0 runs on the coordinating
@@ -143,33 +152,37 @@ func TestCoordinatorShardPanicPropagates(t *testing.T) {
 	par.Run(par.Config{Engines: engines, Lookahead: 1, Exchange: func() int { return 0 }})
 }
 
-// TestPanicsLeakNoWorkers: a shard 0 panic mid-epoch is re-raised only after
-// every worker has finished that epoch, so the workers all exit. After 100
-// runs, half of them panicking, the goroutine count is no higher than it
-// began.
+// TestPanicsLeakNoWorkers: a panic in a free-running epoch, on the calling
+// goroutine's shard 0 or on a goroutine's shard 2, is re-raised only after
+// every shard goroutine has finished that epoch, so they all exit. After
+// 100 runs, half of them panicking, the goroutine count is no higher than
+// it began.
 func TestPanicsLeakNoWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 100; i++ {
 		engines := []*sim.Engine{sim.NewEngine(), sim.NewEngine(), sim.NewEngine()}
-		for _, e := range engines[1:] {
+		for _, e := range engines {
 			for k := 0; k < 50; k++ {
 				e.At(sim.Time(k), "tick", func() {})
 			}
 		}
-		if i%2 == 0 {
+		switch i % 4 {
+		case 0:
 			engines[0].At(0, "boom", func() { panic("shard 0") })
+		case 1:
+			engines[2].At(0, "boom", func() { panic("shard 2") })
 		}
 		func() {
 			defer func() {
-				if r := recover(); (r != nil) != (i%2 == 0) {
+				if r := recover(); (r != nil) != (i%4 < 2) {
 					t.Fatalf("run %d: recovered %v", i, r)
 				}
 			}()
-			par.Run(par.Config{Engines: engines, Lookahead: 10, Exchange: func() int { return 0 }})
+			par.Run(par.Config{Engines: engines})
 		}()
 	}
-	// Run waits for its workers to close done; their last instructions
-	// after that may still be running.
+	// A shard goroutine signals the join from a deferred call; its last
+	// instructions after that may still be running.
 	for wait := 0; runtime.NumGoroutine() > before && wait < 100; wait++ {
 		time.Sleep(time.Millisecond)
 	}
@@ -179,8 +192,8 @@ func TestPanicsLeakNoWorkers(t *testing.T) {
 }
 
 // TestShardPanicInProcPropagates: a panic inside a sim.Proc surfaces from
-// the Wake that resumed it, on the shard's worker, so it re-raises on the
-// coordinator like any other model panic.
+// the Wake that resumed it, so it re-raises on the calling goroutine like
+// any other model panic.
 func TestShardPanicInProcPropagates(t *testing.T) {
 	engines := []*sim.Engine{sim.NewEngine(), sim.NewEngine()}
 	engines[1].Spawn("faulty", func(p *sim.Proc) {
@@ -251,4 +264,97 @@ func TestMailFloorWidensEpochs(t *testing.T) {
 		}
 	}()
 	run(5, func(next []sim.Time) (sim.Time, bool) { return min(next[0], next[1]), true })
+}
+
+// TestMailBoundedEpochsStartNoGoroutine: an epoch mail can cross runs every
+// shard on the calling goroutine, so a shard-1 event sees no more
+// goroutines than existed before the run — whether the window comes from a
+// Lookahead, a MailFloor, or a limit below the floor.
+func TestMailBoundedEpochsStartNoGoroutine(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   par.Config
+		limit sim.Time
+	}{
+		{"lookahead", par.Config{Lookahead: 5, Exchange: func() int { return 0 }}, -1},
+		{"mail-floor", par.Config{MailFloor: func(next []sim.Time) (sim.Time, bool) { return max(next[0], next[1]) + 5, true }}, -1},
+		{"limit-below-floor", par.Config{Lookahead: 1000}, 50},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Engines = []*sim.Engine{sim.NewEngine(), sim.NewEngine()}
+			peak := 0
+			for k := 0; k < 10; k++ {
+				tc.cfg.Engines[0].At(sim.Time(k*5), "tick", func() {})
+				tc.cfg.Engines[1].At(sim.Time(k*5), "count", func() { peak = max(peak, runtime.NumGoroutine()) })
+			}
+			before := runtime.NumGoroutine()
+			par.RunUntil(tc.cfg, tc.limit)
+			if peak == 0 {
+				t.Fatal("shard 1 fired no event")
+			}
+			if peak > before {
+				t.Errorf("a shard-1 event saw %d goroutines, %d before the run", peak, before)
+			}
+		})
+	}
+}
+
+// TestFreeEpochRunsShardsConcurrently: an epoch no mail can cross runs its
+// shards side by side. The two shards' t=0 events rendezvous through
+// channels; run one after another, the first would wait in vain, so the
+// wait is bounded and the test fails instead of hanging.
+func TestFreeEpochRunsShardsConcurrently(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   par.Config
+		limit sim.Time
+	}{
+		{"no-lookahead", par.Config{}, -1},
+		{"floor-reports-no-crossing", par.Config{MailFloor: func([]sim.Time) (sim.Time, bool) { return 0, false }}, -1},
+		{"limit-without-crossing", par.Config{Exchange: func() int { return 0 }}, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Engines = []*sim.Engine{sim.NewEngine(), sim.NewEngine()}
+			arrived := []chan struct{}{make(chan struct{}, 1), make(chan struct{}, 1)}
+			var met [2]bool
+			for i, e := range tc.cfg.Engines {
+				e.At(0, "meet", func() {
+					arrived[i] <- struct{}{}
+					select {
+					case <-arrived[1-i]:
+						met[i] = true
+					case <-time.After(10 * time.Second):
+					}
+				})
+			}
+			if epochs := par.RunUntil(tc.cfg, tc.limit); epochs > 2 {
+				t.Errorf("%d epochs, want one free epoch (and a clock-forcing one under a limit)", epochs)
+			}
+			if !met[0] || !met[1] {
+				t.Fatalf("shards met = %v: the free epoch ran them one after another", met)
+			}
+		})
+	}
+}
+
+// BenchmarkMailBoundedEpoch times one Lookahead-bounded epoch of two engines
+// that each fire one event per window: the barrier's own cost.
+func BenchmarkMailBoundedEpoch(b *testing.B) {
+	const lookahead = 400 * sim.Nanosecond
+	engs := []*sim.Engine{sim.NewEngine(), sim.NewEngine()}
+	for _, e := range engs {
+		left := b.N
+		var tick func()
+		tick = func() {
+			if left--; left > 0 {
+				e.After(lookahead, "tick", tick)
+			}
+		}
+		e.After(lookahead, "tick", tick)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if epochs := par.Run(par.Config{Engines: engs, Lookahead: lookahead, Exchange: func() int { return 0 }}); epochs != b.N {
+		b.Fatalf("%d epochs for %d windows", epochs, b.N)
+	}
 }

@@ -18,7 +18,7 @@ import (
 // counters, total event count, and end time — in three execution modes:
 //
 //	sequential: one engine, plain NewQPIPCluster (the reference)
-//	1-shard:    the parallel runner's worker machinery, one engine
+//	1-shard:    the parallel runner's epochs and barriers, one engine
 //	2-shard:    two engines, every flow crossing the shard boundary,
 //	            frames exchanged at lookahead epoch barriers
 //
