@@ -136,27 +136,29 @@ type IRQLine struct {
 	CoalescePkts  int
 	CoalesceDelay sim.Time
 
-	pending   int
-	timer     *sim.Event
-	lastFire  sim.Time
-	everFired bool
-	fired     uint64
-	events    uint64
-	// timerFn is the coalesce-timer callback, bound once at construction
-	// so arming the throttle on the hot receive path does not allocate.
+	pending  int
+	timer    *sim.Event
+	lastFire sim.Time // valid once fired > 0
+	fired    uint64
+	events   uint64
+	// timerFn is the coalesce-timer callback, bound when the throttle is
+	// first armed, so arming it again on the hot receive path does not
+	// allocate and a line that never throttles (every line with zero
+	// CoalesceDelay) never binds it.
 	timerFn func()
 }
 
 // NewIRQLine returns a line bound to eng.
 func NewIRQLine(eng *sim.Engine, isr func(events int)) *IRQLine {
-	l := &IRQLine{eng: eng, ISR: isr}
-	l.timerFn = func() {
-		l.timer = nil
-		if l.pending > 0 {
-			l.fire()
-		}
+	return &IRQLine{eng: eng, ISR: isr}
+}
+
+// onTimer is the coalesce timer's expiry.
+func (l *IRQLine) onTimer() {
+	l.timer = nil
+	if l.pending > 0 {
+		l.fire()
 	}
-	return l
 }
 
 // SetCoalesce reconfigures the pacing knobs. pkts < 1 disables
@@ -183,15 +185,18 @@ func (l *IRQLine) Raise() {
 		return
 	}
 	now := l.eng.Now()
-	if l.everFired && now-l.lastFire >= l.CoalesceDelay {
+	if l.fired > 0 && now-l.lastFire >= l.CoalesceDelay {
 		// Line has been idle past the throttle interval: no added latency.
 		l.fire()
 		return
 	}
 	if l.timer == nil {
 		wait := l.CoalesceDelay
-		if l.everFired {
+		if l.fired > 0 {
 			wait = l.lastFire + l.CoalesceDelay - now
+		}
+		if l.timerFn == nil {
+			l.timerFn = l.onTimer
 		}
 		l.timer = l.eng.After(wait, "irq.coalesce", l.timerFn)
 	}
@@ -206,7 +211,6 @@ func (l *IRQLine) fire() {
 	l.pending = 0
 	l.fired++
 	l.lastFire = l.eng.Now()
-	l.everFired = true
 	if l.ISR != nil {
 		l.ISR(n)
 	}

@@ -10,6 +10,8 @@
 // object at all: it rides a Ring slot beside the resource (sim.Jobs).
 package pool
 
+import "math/bits"
+
 // Take pops the most recently freed object off a per-owner free list, or
 // returns nil when the list is empty and the caller must construct one.
 // The lists it serves (NIC stage runners, collective messages) belong to
@@ -37,15 +39,19 @@ func Take[T any](free *[]*T) *T {
 // alive by the ring. The zero value is an empty ring. Like Take's lists,
 // a ring belongs to one engine and needs no locking; it has no bound of
 // its own, since every bounded queue already enforces its depth with its
-// own counter.
+// own counter. An owner that knows that bound can Reserve it, so the
+// buffer reaches its final size in one step instead of doubling through
+// every smaller one.
 type Ring[T any] struct {
 	buf []T
 	// head and tail count pops and pushes; they run free and index buf
 	// through mask, so Len is their difference even across wraparound.
-	head, tail uint
+	// 32 bits suffice: a buffer never holds 2^31 entries, and both the
+	// difference and the masked index are exact modulo 2^32.
+	head, tail uint32
 }
 
-func (q *Ring[T]) mask() uint { return uint(len(q.buf) - 1) }
+func (q *Ring[T]) mask() uint32 { return uint32(len(q.buf) - 1) }
 
 // Len reports the queued entries.
 func (q *Ring[T]) Len() int { return int(q.tail - q.head) }
@@ -62,13 +68,30 @@ func (q *Ring[T]) Push(x T) {
 	q.tail++
 }
 
-// grow doubles the full buffer, unwrapping the contents to its start.
-func (q *Ring[T]) grow() {
-	buf := make([]T, max(1, 2*len(q.buf)))
-	h := q.head & q.mask()
-	n := copy(buf, q.buf[h:])
-	copy(buf[n:], q.buf[:h])
-	q.buf, q.head, q.tail = buf, 0, uint(len(q.buf))
+// grow doubles the full buffer.
+func (q *Ring[T]) grow() { q.resize(max(1, 2*len(q.buf))) }
+
+// Reserve makes room for n entries without further growth: a buffer
+// smaller than n is replaced by one of the smallest power of two holding
+// n, with the queued entries unwrapped to its start. A buffer already
+// that large is left alone.
+func (q *Ring[T]) Reserve(n int) {
+	if n > len(q.buf) {
+		q.resize(1 << bits.Len(uint(n-1)))
+	}
+}
+
+// resize moves the queued entries to the start of a new buffer of size
+// entries, a power of two no smaller than Len.
+func (q *Ring[T]) resize(size int) {
+	buf := make([]T, size)
+	k := q.Len()
+	if k > 0 {
+		h := q.head & q.mask()
+		n := copy(buf[:k], q.buf[h:])
+		copy(buf[n:k], q.buf[:h])
+	}
+	q.buf, q.head, q.tail = buf, 0, uint32(k)
 }
 
 // Pop removes and returns the front entry; ok is false when empty.
@@ -117,10 +140,10 @@ func (q *Ring[T]) PopN(dst []T) int {
 	}
 	h := q.head & q.mask()
 	k := copy(dst[:n], q.buf[h:])
-	clear(q.buf[h : h+uint(k)])
+	clear(q.buf[h : h+uint32(k)])
 	copy(dst[k:n], q.buf[:n-k])
 	clear(q.buf[:n-k])
-	q.head += uint(n)
+	q.head += uint32(n)
 	return n
 }
 

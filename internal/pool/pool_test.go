@@ -15,18 +15,22 @@ import (
 //	4    Pop
 //	5    PopBack
 //	6    PopN into a dst of arg%8 entries
-//	7    Reset when arg is 0, else overwrite the front entry via Front
+//	7    Reset when arg is 0, overwrite the front entry via Front when
+//	     arg is 1-15, else Reserve(arg-16)
 //
 // After every op the ring must match the reference, keep every slot
 // outside the live window zeroed, and be exactly the smallest power of
-// two holding the most entries live at once since the last Reset. It
-// reports how many pushes grew a buffer whose live window had wrapped
-// (head not at slot 0), the case where grow must unwrap.
-func ringOps(t testing.TB, ops []byte) (wrappedGrows int) {
+// two holding both the most entries live at once and the largest
+// reservation since the last Reset. It
+// reports how many pushes and how many reservations grew a buffer whose
+// live window had wrapped (head not at slot 0), the case where the resize
+// must unwrap.
+func ringOps(t testing.TB, ops []byte) (wrappedGrows, wrappedReserves int) {
 	t.Helper()
 	var q Ring[int]
 	var ref []int
 	next, highWater := 1, 0 // values start at 1 so a zero slot means cleared
+	reserved := 0
 	for step, b := range ops {
 		op, arg := b&7, int(b>>3)
 		switch {
@@ -68,7 +72,13 @@ func ringOps(t testing.TB, ops []byte) (wrappedGrows int) {
 			ref = ref[n:]
 		case arg == 0:
 			q.Reset()
-			ref, highWater = nil, 0
+			ref, highWater, reserved = nil, 0, 0
+		case arg >= 16:
+			if arg-16 > q.Cap() && q.Len() > 0 && q.head&q.mask() != 0 {
+				wrappedReserves++
+			}
+			q.Reserve(arg - 16)
+			reserved = max(reserved, arg-16)
 		default:
 			if f := q.Front(); f != nil {
 				*f = -next
@@ -79,12 +89,14 @@ func ringOps(t testing.TB, ops []byte) (wrappedGrows int) {
 			}
 		}
 		highWater = max(highWater, len(ref))
-		checkRing(t, step, &q, ref, highWater)
+		checkRing(t, step, &q, ref, max(highWater, reserved))
 	}
-	return wrappedGrows
+	return wrappedGrows, wrappedReserves
 }
 
 func checkRing(t testing.TB, step int, q *Ring[int], ref []int, highWater int) {
+	// highWater is the larger of the most entries live at once and the
+	// largest reservation.
 	t.Helper()
 	if q.Len() != len(ref) {
 		t.Fatalf("step %d: Len = %d, want %d", step, q.Len(), len(ref))
@@ -94,13 +106,13 @@ func checkRing(t testing.TB, step int, q *Ring[int], ref []int, highWater int) {
 		wantCap = 1 << bits.Len(uint(highWater-1))
 	}
 	if q.Cap() != wantCap {
-		t.Fatalf("step %d: Cap = %d after a high-water mark of %d, want %d", step, q.Cap(), highWater, wantCap)
+		t.Fatalf("step %d: Cap = %d after a high-water mark or reservation of %d, want %d", step, q.Cap(), highWater, wantCap)
 	}
 	if f := q.Front(); len(ref) > 0 && (f == nil || *f != ref[0]) {
 		t.Fatalf("step %d: Front does not point at %d", step, ref[0])
 	}
 	for i := range q.buf {
-		if off := (uint(i) - q.head) & q.mask(); off < uint(q.Len()) {
+		if off := (uint32(i) - q.head) & q.mask(); off < uint32(q.Len()) {
 			if q.buf[i] != ref[off] {
 				t.Fatalf("step %d: slot %d = %d, want %d", step, i, q.buf[i], ref[off])
 			}
@@ -115,7 +127,7 @@ func checkRing(t testing.TB, step int, q *Ring[int], ref []int, highWater int) {
 // ring grows, wraps, and grows again with its head mid-buffer.
 func TestRingMatchesSliceQueue(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
-	wrapped := 0
+	wrapped, wrappedReserves := 0, 0
 	for seq := 0; seq < 200; seq++ {
 		ops := make([]byte, 2000)
 		pushShare := 0.5
@@ -133,10 +145,14 @@ func TestRingMatchesSliceQueue(t *testing.T) {
 				}
 			}
 		}
-		wrapped += ringOps(t, ops)
+		g, r := ringOps(t, ops)
+		wrapped, wrappedReserves = wrapped+g, wrappedReserves+r
 	}
 	if wrapped == 0 {
 		t.Fatal("no push grew a wrapped ring: the sequences miss the unwrap path")
+	}
+	if wrappedReserves == 0 {
+		t.Fatal("no Reserve grew a wrapped ring: the sequences miss its unwrap path")
 	}
 }
 
@@ -144,6 +160,7 @@ func TestRingMatchesSliceQueue(t *testing.T) {
 func FuzzRing(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 4, 0, 0, 0, 0, 5, 6 | 3<<3, 7 | 1<<3})
 	f.Add([]byte{0, 0, 4, 0, 0, 4, 0, 0, 0, 0, 0, 7})
+	f.Add([]byte{0, 0, 0, 4, 0, 7 | 27<<3, 0, 4, 7 | 16<<3, 7 | 20<<3})
 	f.Fuzz(func(t *testing.T, ops []byte) { ringOps(t, ops) })
 }
 

@@ -17,66 +17,81 @@ import (
 // The firmware FSM stages used to be expressed as chains of closures: every
 // packet allocated a step slice, one closure per stage, one continuation per
 // engine event. This file replaces that with value-typed stage descriptors
-// executed by a pooled runner (chainRun) whose continuation closures are
-// bound once at construction — steady-state firmware processing allocates
-// nothing. The stage sequence, per-stage costs, event names, and completion
-// order are exactly those of the closure chains, so simulated traces are
+// executed by a pooled runner (chainRun) whose one continuation is bound
+// at construction — steady-state firmware processing allocates nothing.
+// The stage sequence, per-stage costs, event names, and completion order
+// are exactly those of the closure chains, so simulated traces are
 // unchanged.
 
 // Stage kinds. Most stages charge the firmware CPU a fixed cost; the
 // special kinds carry the state that used to live in captured closure
 // environments (the packet being built, the record being placed, ...).
 const (
-	stCPU          uint8 = iota // fixed-cost firmware CPU stage
-	stDMA                       // CPU setup then cr.bytes across the PCI bus
-	stChecksum                  // firmware checksum loop over cr.bytes (if enabled)
-	stMedia                     // Send stage, then inject cr.pkt into the fabric
-	stTxWR                      // take one posted send WR and hand to the transport
-	stUDPDone                   // complete the UDP send WR
-	stComplete                  // one acked-record completion; repeats cr.completions times
-	stStash                     // place stashed records into posted receive WRs; repeats
-	stStashTally                // count a remaining backlog after a drain
-	stPlaceDone                 // DMA the receive completion token, post it
-	stRxDispatch                // demux a parsed IP packet to TCP/UDP handling
-	stRxTCPBody                 // TCB input processing for cr.seg
-	stRxUDPBody                 // UDP delivery for cr.pkt
-	stUpdateWindow              // re-advertise the receive window
-	stCustom                    // escape hatch: fn(next), for rare paths
+	stCPU           uint8 = iota // fixed-cost firmware CPU stage
+	stDMA                        // CPU setup then cr.bytes across the PCI bus
+	stChecksum                   // firmware checksum loop over cr.bytes (if enabled)
+	stMedia                      // Send stage, then inject cr.pkt into the fabric
+	stTxWR                       // take one posted send WR and hand to the transport
+	stUDPDone                    // complete the UDP send WR
+	stComplete                   // one acked-record completion; repeats cr.completions times
+	stStash                      // place stashed records into posted receive WRs; repeats
+	stStashTally                 // count a remaining backlog after a drain
+	stPlaceDone                  // DMA the receive completion token, post it
+	stRxDispatch                 // demux a parsed IP packet to TCP/UDP handling
+	stRxTCPBody                  // TCB input processing for cr.seg
+	stRxUDPBody                  // UDP delivery for cr.pkt
+	stUpdateWindow               // re-advertise the receive window
+	stEstablished                // notify the host the connection is up
+	stReset                      // fail the QP: the peer reset the connection
+	stRetryExceeded              // fail the QP: the retry budget is spent
+	stPeerClosed                 // the peer closed: flush the QP's receives
 )
-
-// step is one closure-form stage; it must call next exactly once. Only the
-// rare connection-lifecycle stages still use this form.
-type step func(next func())
 
 // stage is one value-typed FSM stage. CPU/DMA/checksum stages resolve their
 // occupancy accumulator (ctr) once, at adapter construction, so recording a
-// stage does not touch the stage-name map.
+// stage does not touch the stage-name map. A runner refers to stages and
+// never writes them: the adapter's templates or the shared operand-free
+// stages below.
 type stage struct {
 	kind    uint8
 	name    string       // firmware CPU job name (the engine event name)
 	dmaName string       // stDMA: bus transfer event name ("<name>.dma")
 	ctr     *trace.Stage // occupancy accumulator
 	us      float64      // fixed CPU cost in microseconds
-	fn      step         // stCustom only
 }
 
-// chainRun executes a stage sequence. The continuation funcs are bound to
-// the runner once; per-packet state lives in plain fields instead of
-// closure environments. Runners recycle through a per-NIC free list (the
-// engine is single-threaded, so no locking).
+// The operand-free stages, shared by every adapter.
+var (
+	stageComplete     = stage{kind: stComplete}
+	stageStash        = stage{kind: stStash}
+	stageStashTally   = stage{kind: stStashTally}
+	stageUpdateWindow = stage{kind: stUpdateWindow}
+	stageRxTCPBody    = stage{kind: stRxTCPBody}
+	stageRxUDPBody    = stage{kind: stRxUDPBody}
+
+	stageEstablished   = stage{kind: stEstablished}
+	stageReset         = stage{kind: stReset}
+	stageRetryExceeded = stage{kind: stRetryExceeded}
+	stagePeerClosed    = stage{kind: stPeerClosed}
+)
+
+// chainRun executes a stage sequence. Per-packet state lives in plain
+// fields instead of closure environments, and the runner waits on one
+// event at a time, so a single continuation bound at construction serves
+// every wait: cont says what it does when the event fires. Runners
+// recycle through a per-NIC free list (the engine is single-threaded, so
+// no locking).
 type chainRun struct {
-	n       *NIC
-	stages  [8]stage
-	nStages int
-	i       int
-	done    func()
+	n      *NIC
+	stages [8]*stage
+	done   func()
 
 	// Per-chain operand state (union-style: each chain shape uses a few).
 	qs          *qpState
 	pkt         *wire.Packet
 	ip6         inet.Header6
-	seg         tcp.Segment
 	epoch       uint32 // sender boot generation (rx chains)
+	seg         tcp.Segment
 	att         int
 	bytes       int
 	wrID        uint64
@@ -87,6 +102,9 @@ type chainRun struct {
 	raddr       inet.Addr6
 	lport       uint16
 	rport       uint16
+	nStages     uint8 // stages in use
+	i           uint8 // the next stage to run
+	cont        uint8
 	status      verbs.Status
 	// at is the completion time of the job the runner waits on, where
 	// the emission floor needs it: a queued Send stage or a Get Data
@@ -94,39 +112,60 @@ type chainRun struct {
 	// left.
 	at sim.Time
 
-	// Continuations, bound once.
-	advanceFn       func() // re-enter run after an event
-	dmaFn           func() // after DMA setup CPU: burst payload over the bus
-	mediaFn         func() // after the Send stage: inject the frame
-	completeFn      func() // after the Update stage: DMA the CQ token
-	completeBurstFn func() // after the token lands: post the send completion
-	placeBurstFn    func() // after the token lands: post the recv completion
+	// resumeFn is resume, bound once.
+	resumeFn func()
 }
+
+// Continuations: what a runner does when the event it waits on fires.
+const (
+	contRun           uint8 = iota // re-enter run
+	contDMA                        // after DMA setup CPU: burst payload over the bus
+	contMedia                      // after the Send stage: inject the frame
+	contComplete                   // after the Update stage: DMA the CQ token
+	contCompleteBurst              // after the token lands: post the send completions
+	contPlaceBurst                 // after the token lands: post the recv completion
+)
 
 func newChainRun(n *NIC) *chainRun {
 	cr := &chainRun{n: n}
-	cr.advanceFn = cr.run
-	cr.dmaFn = func() {
-		st := &cr.stages[cr.i-1]
-		cr.at = cr.n.cfg.Bus.BurstAt(cr.bytes, params.LANaiDMABandwidth, st.dmaName, cr.advanceFn)
-	}
-	cr.mediaFn = func() {
-		n := cr.n
+	cr.resumeFn = cr.resume
+	return cr
+}
+
+// then arms continuation k and returns the callback to hand the event the
+// runner waits on.
+//
+//qpip:hotpath
+func (cr *chainRun) then(k uint8) func() {
+	cr.cont = k
+	return cr.resumeFn
+}
+
+// resume runs the armed continuation.
+//
+//qpip:hotpath
+func (cr *chainRun) resume() {
+	n := cr.n
+	switch cr.cont {
+	case contRun:
+		cr.run()
+	case contDMA:
+		st := cr.stages[cr.i-1]
+		cr.at = n.cfg.Bus.BurstAt(cr.bytes, params.LANaiDMABandwidth, st.dmaName, cr.then(contRun))
+	case contMedia:
 		cr.at = -1
 		frame := fabric.NewFrame(n.att, cr.att, cr.pkt.Len()+params.MyrinetHeaderBytes, cr.pkt)
 		if n.cfg.PipelinedTX {
 			n.fab.Send(frame, nil)
 			cr.run()
 		} else {
-			n.fab.Send(frame, cr.advanceFn)
+			n.fab.Send(frame, cr.then(contRun))
 		}
-	}
-	cr.completeFn = func() {
+	case contComplete:
 		// One token writeback covers the whole completion train: 32 bytes
 		// per CQ entry, a single bus burst.
-		cr.n.cfg.Bus.Burst(32*cr.train, "cq.token", cr.completeBurstFn)
-	}
-	cr.completeBurstFn = func() {
+		n.cfg.Bus.Burst(32*cr.train, "cq.token", cr.then(contCompleteBurst))
+	case contCompleteBurst:
 		qs := cr.qs
 		for ; cr.train > 0; cr.train-- {
 			if id, ok := qs.sendIDs.Pop(); ok {
@@ -134,8 +173,7 @@ func newChainRun(n *NIC) *chainRun {
 			}
 		}
 		cr.run()
-	}
-	cr.placeBurstFn = func() {
+	case contPlaceBurst:
 		comp := verbs.Completion{
 			WRID:       cr.wr.ID,
 			Status:     cr.status,
@@ -150,10 +188,9 @@ func newChainRun(n *NIC) *chainRun {
 		}
 		qs := cr.qs
 		qs.qp.CompleteRecv(comp)
-		cr.n.updateWindow(qs)
+		n.updateWindow(qs)
 		cr.run()
 	}
-	return cr
 }
 
 // getChain hands out a runner with done set and all operand state cleared.
@@ -180,17 +217,14 @@ func (n *NIC) getTxChain(done func()) *chainRun {
 }
 
 // putChain clears pointer-holding state and returns the runner to the free
-// list. Stage entries past nStages are stale but only reachable through
-// nStages, which every get resets.
+// list.
 //
 //qpip:hotpath
 func (n *NIC) putChain(cr *chainRun) {
 	if cr == n.txRun {
 		n.txRun = nil
 	}
-	for j := 0; j < cr.nStages; j++ {
-		cr.stages[j].fn = nil
-	}
+	clear(cr.stages[:cr.nStages])
 	cr.nStages, cr.i = 0, 0
 	cr.done = nil
 	cr.qs = nil
@@ -206,16 +240,19 @@ func (n *NIC) putChain(cr *chainRun) {
 // push appends one stage.
 //
 //qpip:hotpath
-func (cr *chainRun) push(st stage) {
+func (cr *chainRun) push(st *stage) {
 	cr.stages[cr.nStages] = st
 	cr.nStages++
 }
 
-// use copies a template stage sequence into the runner.
+// use points the runner at a template stage sequence.
 //
 //qpip:hotpath
 func (cr *chainRun) use(tpl []stage) {
-	cr.nStages = copy(cr.stages[:], tpl)
+	for j := range tpl {
+		cr.stages[j] = &tpl[j]
+	}
+	cr.nStages = uint8(len(tpl))
 }
 
 // run executes stages until one schedules an event (each stage's
@@ -232,18 +269,18 @@ func (cr *chainRun) run() {
 			}
 			return
 		}
-		st := &cr.stages[cr.i]
+		st := cr.stages[cr.i]
 		cr.i++
 		switch st.kind {
 		case stCPU:
 			d := params.US(st.us)
 			st.ctr.Observe(d)
-			cr.n.cpu.Do(d, st.name, cr.advanceFn)
+			cr.n.cpu.Do(d, st.name, cr.then(contRun))
 			return
 		case stDMA:
 			st.ctr.Observe(params.US(st.us) + lanaiDMA(cr.bytes))
 			cr.at = -1
-			cr.n.cpu.Do(params.US(st.us), st.name, cr.dmaFn)
+			cr.n.cpu.Do(params.US(st.us), st.name, cr.then(contDMA))
 			return
 		case stChecksum:
 			if cr.n.cfg.Checksum != ChecksumFirmware {
@@ -251,12 +288,12 @@ func (cr *chainRun) run() {
 			}
 			d := params.NICCycles(params.FirmwareChecksumCyclesPerByte * float64(cr.bytes))
 			st.ctr.Observe(d)
-			cr.n.cpu.Do(d, "fw-checksum", cr.advanceFn)
+			cr.n.cpu.Do(d, "fw-checksum", cr.then(contRun))
 			return
 		case stMedia:
 			d := params.US(st.us)
 			st.ctr.Observe(d)
-			cr.at = cr.n.cpu.Do(d, st.name, cr.mediaFn)
+			cr.at = cr.n.cpu.Do(d, st.name, cr.then(contMedia))
 			return
 		case stTxWR:
 			// Hand off to the per-transport message path; the runner's job
@@ -287,9 +324,9 @@ func (cr *chainRun) run() {
 			cr.n.ctrRxAckUpdate.Observe(d)
 			if cr.completions > 0 {
 				cr.i-- // stay on this stage for the next completion
-				cr.n.cpu.Do(d, "Update", cr.advanceFn)
+				cr.n.cpu.Do(d, "Update", cr.then(contRun))
 			} else {
-				cr.n.cpu.Do(d, "Update", cr.completeFn)
+				cr.n.cpu.Do(d, "Update", cr.then(contComplete))
 			}
 			return
 		case stStash:
@@ -302,7 +339,7 @@ func (cr *chainRun) run() {
 				continue
 			}
 			cr.i-- // stay: drain the next record after this one places
-			cr.n.placeRecord(qs, wr, qs.popStash(), qs.remoteAddr, qs.remotePort, cr.advanceFn)
+			cr.n.placeRecord(qs, wr, qs.popStash(), qs.remoteAddr, qs.remotePort, cr.then(contRun))
 			return
 		case stStashTally:
 			if cr.qs.stash.Len() > 0 {
@@ -317,7 +354,7 @@ func (cr *chainRun) run() {
 			}
 			continue
 		case stPlaceDone:
-			cr.n.cfg.Bus.Burst(32, "cq.token", cr.placeBurstFn)
+			cr.n.cfg.Bus.Burst(32, "cq.token", cr.then(contPlaceBurst))
 			return
 		case stRxDispatch:
 			if cr.rxDispatch() {
@@ -333,9 +370,27 @@ func (cr *chainRun) run() {
 		case stUpdateWindow:
 			cr.n.updateWindow(cr.qs)
 			continue
-		case stCustom:
-			st.fn(cr.advanceFn)
-			return
+		case stEstablished:
+			qs := cr.qs
+			//lint:qpip-allow hotprop connection establishment happens once per QP lifetime
+			cr.n.notifyHost(func() {
+				qs.qp.SetEstablished(qs.localPort, qs.remotePort, qs.remoteAddr)
+			})
+			continue
+		case stReset:
+			cr.n.Net.Add("conn.reset", 1)
+			cr.n.failQP(cr.qs, verbs.ErrConnRefused, verbs.StatusRemoteError)
+			continue
+		case stRetryExceeded:
+			cr.n.Net.Add("conn.retry-exceeded", 1)
+			cr.n.failQP(cr.qs, verbs.ErrRetryExceeded, verbs.StatusRetryExceeded)
+			continue
+		case stPeerClosed:
+			qs := cr.qs
+			qs.peerClosed = true
+			//lint:qpip-allow hotprop peer close happens once per connection teardown
+			cr.n.notifyHost(func() { qs.qp.Flush() })
+			continue
 		}
 	}
 }
@@ -356,14 +411,12 @@ func (cr *chainRun) rxDispatch() bool {
 		}
 		seg.Payload = pkt.Payload
 		cr.seg = seg
-		var parse stage
+		parse := &n.tplTCPParseAck
 		if pkt.Payload.Len() > 0 {
-			parse = n.tplTCPParseData
-		} else {
-			parse = n.tplTCPParseAck
+			parse = &n.tplTCPParseData
 		}
 		cr.stages[cr.i] = parse
-		cr.stages[cr.i+1] = stage{kind: stRxTCPBody}
+		cr.stages[cr.i+1] = &stageRxTCPBody
 		cr.nStages = cr.i + 2
 		return true
 	case inet.ProtoUDP:
@@ -375,8 +428,8 @@ func (cr *chainRun) rxDispatch() bool {
 			return true
 		}
 		cr.lport, cr.rport = h.DstPort, h.SrcPort
-		cr.stages[cr.i] = n.tplUDPParse
-		cr.stages[cr.i+1] = stage{kind: stRxUDPBody}
+		cr.stages[cr.i] = &n.tplUDPParse
+		cr.stages[cr.i+1] = &stageRxUDPBody
 		cr.nStages = cr.i + 2
 		return true
 	default:
@@ -562,11 +615,11 @@ func (n *NIC) initTemplates() {
 	// a TCP hand-off leads to a later item) or from a collective group
 	// joined since the barrier (the join's management stage, then the
 	// cheaper of a post and a receive stage queued behind it).
-	ack, _ := sendCost(n.segAck[:], 0)
-	data, _ := sendCost(n.segData[:], 0)
-	wr, _ := sendCost(n.txWR[:], 0)
-	batch, _ := sendCost(n.txWRBatch[:], 0)
-	udpTail, _ := sendCost(n.udpSend[:], 0)
+	ack, _ := sendCost(refs(n.segAck[:]), 0)
+	data, _ := sendCost(refs(n.segData[:]), 0)
+	wr, _ := sendCost(refs(n.txWR[:]), 0)
+	batch, _ := sendCost(refs(n.txWRBatch[:]), 0)
+	udpTail, _ := sendCost(refs(n.udpSend[:]), 0)
 	join := params.US(mgmtUS) + min(params.US(params.CollPostUS), params.US(params.CollStepUS))
 	n.minStart = min(ack, data, wr+udpTail, batch+udpTail, join)
 }
@@ -577,12 +630,20 @@ func lanaiDMA(bytes int) sim.Time {
 	return sim.Time(float64(bytes) * 1e9 / params.LANaiDMABandwidth)
 }
 
+// refs lists pointers to a template's stages, the form a runner holds.
+func refs(tpl []stage) []*stage {
+	out := make([]*stage, len(tpl))
+	for i := range tpl {
+		out[i] = &tpl[i]
+	}
+	return out
+}
+
 // sendCost is a lower bound on the firmware time from the start of the
 // stage sequence tpl to the completion of its Send stage, with DMA stages
 // moving bytes. When tpl has no Send, ok is false and d covers all of tpl.
-func sendCost(tpl []stage, bytes int) (d sim.Time, ok bool) {
-	for i := range tpl {
-		st := &tpl[i]
+func sendCost(tpl []*stage, bytes int) (d sim.Time, ok bool) {
+	for _, st := range tpl {
 		switch st.kind {
 		case stCPU:
 			d += params.US(st.us)

@@ -34,11 +34,13 @@ package qpipnic
 // data/release are first-wins, stale ring steps are dropped. Drops are
 // NOT tolerated — there is no collective retransmit layer — so chaos
 // plans over collectives are restricted to delay and duplication.
-// Op state is keyed by sequence, iterated only to hand buffers back when
-// the group dies (maporder), and never deleted: a late duplicate of a
-// finished op must find the done flag, not a fresh zero-state op. Only the
-// fence stays, though — a finished op's buffers go back to its group's
-// free lists.
+// Op state lives in a window indexed by sequence above a done floor:
+// every op below the floor is finished, so a late duplicate of one is
+// refused (counted in coll.dup-drop, as a done op's duplicate of every
+// kind is) without any state of its own, and the floor rises past the
+// finished ops at the bottom of the window. A finished op inside the
+// window keeps its done flag as the fence; its buffers go back to its
+// group's free lists at once, and its state when the floor passes it.
 //
 // Like the rest of the firmware the steady state allocates nothing per
 // message (DESIGN §10.2): ring messages and the receive-stage runners
@@ -146,7 +148,8 @@ type collDelivery struct {
 
 // collStep is the stage completion: step the FSM — unless the adapter
 // crashed or the group was re-joined while the stage was queued, in which
-// case the message dies here.
+// case the message dies here. A message of an op below the group's floor
+// is a duplicate of a finished op.
 //
 //qpip:hotpath
 func (n *NIC) collStep(d collDelivery) {
@@ -155,7 +158,13 @@ func (n *NIC) collStep(d collDelivery) {
 		m.Release()
 		return
 	}
-	n.collDispatch(g, g.op(m.seq), m)
+	op := g.op(m.seq)
+	if op == nil {
+		*n.collDupDrop++
+		m.Release()
+		return
+	}
+	n.collDispatch(g, op, m)
 }
 
 // collWireBytes is the on-wire size of a collective message: a 16-byte
@@ -172,7 +181,13 @@ type collGroup struct {
 	cq      *verbs.CQ
 	atts    []int // fabric attachment per rank
 	nextSeq uint32
-	ops     map[uint32]*collOp // keyed access only on the datapath
+	// ops is the window of operations from floor up: ops[i] is sequence
+	// floor+i, nil until a post or a message touches it. Every operation
+	// below floor is finished. opFree recycles the state of the
+	// operations the floor passed.
+	floor  uint32
+	ops    []*collOp
+	opFree []*collOp
 
 	// Buffers of finished ring operations, reused by the next ones: the
 	// group holds O(outstanding operations) of buffer, however many it has
@@ -184,8 +199,9 @@ type collGroup struct {
 func (g *collGroup) size() int { return len(g.atts) }
 
 // collOp is one collective operation's FSM state. Created on first touch
-// (local post or first message), retained forever so duplicate frames of
-// a finished op hit the done flag; its buffers are not (collRetire).
+// (local post or first message), retained while in the group's window so
+// duplicate frames of a finished op hit the done flag; its buffers are
+// not (collRetire).
 type collOp struct {
 	seq    uint32
 	posted bool
@@ -211,13 +227,43 @@ type collOp struct {
 	stash []*collMsg
 }
 
+// op returns the state of operation seq, created on first touch, or nil
+// when seq is below the floor: that operation finished.
 func (g *collGroup) op(seq uint32) *collOp {
-	o := g.ops[seq]
+	if seq < g.floor {
+		return nil
+	}
+	i := int(seq - g.floor)
+	for len(g.ops) <= i {
+		g.ops = append(g.ops, nil)
+	}
+	o := g.ops[i]
 	if o == nil {
-		o = &collOp{seq: seq}
-		g.ops[seq] = o
+		if o = pool.Take(&g.opFree); o == nil {
+			o = new(collOp)
+		}
+		o.seq = seq
+		g.ops[i] = o
 	}
 	return o
+}
+
+// advance raises the floor past the finished operations at the bottom of
+// the window and recycles their state, which collRetire already emptied.
+func (g *collGroup) advance() {
+	k := 0
+	for k < len(g.ops) && g.ops[k] != nil && g.ops[k].done {
+		*g.ops[k] = collOp{}
+		g.opFree = append(g.opFree, g.ops[k])
+		k++
+	}
+	if k == 0 {
+		return
+	}
+	rest := copy(g.ops, g.ops[k:])
+	clear(g.ops[rest:])
+	g.ops = g.ops[:rest]
+	g.floor += uint32(k)
 }
 
 // ringVec returns a zeroed working vector of n words. A recycled vector
@@ -272,10 +318,12 @@ func (g *collGroup) collRetire(op *collOp) {
 // retireAll retires every operation of a group that is about to vanish
 // (crash, or a re-join replacing it). Steps can be parked on operations
 // the host never posted, at sequences past nextSeq, so this walks the
-// table itself.
+// whole window.
 func (g *collGroup) retireAll() {
 	for _, op := range g.ops {
-		g.collRetire(op)
+		if op != nil {
+			g.collRetire(op)
+		}
 	}
 }
 
@@ -341,9 +389,16 @@ func (n *NIC) JoinColl(group uint16, rank int, members []inet.Addr6, cq *verbs.C
 		rank: rank,
 		cq:   cq,
 		atts: atts,
-		ops:  make(map[uint32]*collOp),
 	}
 	return nil
+}
+
+// collPostJob is one posted collective WR between its doorbell write and
+// its firmware stage.
+type collPostJob struct {
+	g   *collGroup
+	seq uint32
+	wr  verbs.CollWR
 }
 
 // PostColl implements verbs.CollDevice: one PIO doorbell write carries
@@ -365,19 +420,23 @@ func (n *NIC) PostColl(group uint16, wr verbs.CollWR) error {
 	}
 	seq := g.nextSeq
 	g.nextSeq++
-	n.cfg.Bus.PIOWrite("doorbell", func() {
-		if n.down || n.collGroups[group] != g {
-			return // crashed (or re-joined) while the write was in flight
-		}
-		n.cpu.Do(params.US(params.CollPostUS), "coll.post", func() {
-			n.collPost(g, seq, wr)
-		})
-	})
+	n.cfg.Bus.PIOWrite("doorbell", n.collDoorbells.Add(collPostJob{g, seq, wr}))
 	return nil
 }
 
+// onCollDoorbell is a collective doorbell write's arrival: the WR's
+// firmware stage queues, unless the adapter crashed (or the group was
+// re-joined) while the write was in flight.
+func (n *NIC) onCollDoorbell(j collPostJob) {
+	if n.down || n.collGroups[j.g.id] != j.g {
+		return
+	}
+	n.cpu.Do(params.US(params.CollPostUS), "coll.post", n.collPosts.Add(j))
+}
+
 // collPost consumes a collective WR on the firmware side.
-func (n *NIC) collPost(g *collGroup, seq uint32, wr verbs.CollWR) {
+func (n *NIC) collPost(j collPostJob) {
+	g, seq, wr := j.g, j.seq, j.wr
 	op := g.op(seq)
 	if op.posted || op.done {
 		return
@@ -631,6 +690,7 @@ func (n *NIC) collComplete(g *collGroup, op *collOp, result []uint64) {
 	}
 	// MarshalVec copied the result, which may alias the working vector.
 	g.collRetire(op)
+	g.advance()
 	cq := g.cq
 	//lint:qpip-allow hotprop one completion notification per operation, not per message
 	n.notifyHost(func() { cq.Push(comp) })
@@ -660,8 +720,7 @@ func (n *NIC) crashColl() {
 	sort.Ints(gids)
 	for _, gid := range gids {
 		g := n.collGroups[uint16(gid)]
-		for seq := uint32(0); seq < g.nextSeq; seq++ {
-			op := g.ops[seq]
+		for _, op := range g.ops {
 			if op == nil || !op.posted || op.done {
 				continue
 			}

@@ -33,14 +33,13 @@ func checkCollPools(t *testing.T, nics []*NIC, wantLive int) {
 	}
 	for i, n := range nics {
 		for _, g := range n.collGroups { //lint:qpip-allow maporder assertion only
-			for seq := uint32(0); seq < g.nextSeq+4; seq++ {
-				op := g.ops[seq]
+			for _, op := range g.ops {
 				if op == nil {
 					continue
 				}
 				for _, m := range op.stash {
 					if m != nil && (free[m] || m.refs <= 0) {
-						t.Errorf("nic %d op %d: parked step is free-listed (refs=%d)", i, seq, m.refs)
+						t.Errorf("nic %d op %d: parked step is free-listed (refs=%d)", i, op.seq, m.refs)
 					}
 				}
 			}
@@ -55,8 +54,8 @@ func checkCollPools(t *testing.T, nics []*NIC, wantLive int) {
 // coll.step stage, combine, next send — allocates nothing. Ranks are laid
 // out so that every ring neighbour sits under another leaf switch, making
 // every message take the full leaf-spine-leaf route. What one allreduce
-// does allocate is per operation (the op entry, the post and completion
-// closures, the result payload), amortized here over 126 steps a rank.
+// does allocate is per operation (the completion closure, the result
+// payload), amortized here over 126 steps a rank.
 func TestCollRingStepAllocFree(t *testing.T) {
 	if pool.RaceEnabled {
 		t.Skip("race-mode sync.Pool drops recycles by design")
@@ -225,4 +224,57 @@ func TestCollCrashMidAllreduceKeepsPoolsSound(t *testing.T) {
 			checkCollPools(t, c.nics, 0)
 		}
 	}
+}
+
+// The op table is a window above a done floor: after 1 000 allreduces it
+// holds no finished operation, and a duplicate of op 0 re-delivered then
+// finds no state, yet is still refused, counted and released.
+func TestCollOpTableHoldsOnlyOutstandingOps(t *testing.T) {
+	const n, words, ops = 4, 8, 1000
+	c := newCollCluster(t, n, topo.Spec{Kind: topo.Ring})
+	cqs := make([]*verbs.CQ, n)
+	for r := range n {
+		cqs[r] = verbs.NewCQ(c.nics[r], ops)
+		if err := c.nics[r].JoinColl(1, r, c.addrs, cqs[r]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vec := make([]uint64, words)
+	for op := range ops {
+		for r := range n {
+			if err := c.nics[r].PostColl(1, verbs.CollWR{Op: verbs.OpAllreduce, ID: uint64(op), Vec: vec}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.eng.Run()
+	}
+	for r, nic := range c.nics {
+		if cqs[r].Len() != ops {
+			t.Fatalf("rank %d completed %d of %d allreduces", r, cqs[r].Len(), ops)
+		}
+		g := nic.collGroups[1]
+		if g.floor != ops || len(g.ops) != 0 {
+			t.Errorf("rank %d: floor %d with %d ops in the window after %d finished allreduces, want floor %d and none", r, g.floor, len(g.ops), ops, ops)
+		}
+		if len(g.opFree) > 2 {
+			t.Errorf("rank %d: %d recycled op states for one outstanding op", r, len(g.opFree))
+		}
+	}
+
+	// Re-deliver rank 0's step-0 message of op 0 to rank 1, as a
+	// recycled message the receiving adapter holds.
+	nic := c.nics[1]
+	before := nic.Net.Get("coll.dup-drop")
+	m := nic.getCollMsg()
+	m.group, m.seq, m.kind, m.step, m.from = 1, 0, collRing, 0, 0
+	m.vec = append(m.vec, vec[:2]...)
+	nic.receiveColl(m)
+	c.eng.Run()
+	if got := nic.Net.Get("coll.dup-drop") - before; got != 1 {
+		t.Errorf("duplicate of op 0 counted %d times in coll.dup-drop, want 1", got)
+	}
+	if g := nic.collGroups[1]; len(g.ops) != 0 {
+		t.Errorf("duplicate of op 0 created %d ops in the window", len(g.ops))
+	}
+	checkCollPools(t, c.nics, 0)
 }

@@ -67,6 +67,7 @@ func (n *NIC) Crash() {
 	// survive; every adapter-side waiter list vanishes with the pool
 	// table, so a repost after restart finds no pre-crash waiter.
 	n.qps.reset()
+	n.txBound = 0
 	n.qpnFree = n.qpnFree[:0]
 	clear(n.srqs)
 	n.tcp.Reset()
@@ -78,7 +79,7 @@ func (n *NIC) Crash() {
 	// its Send, so the emission floor keeps tracking its runner (txRun)
 	// until the runner is freed.
 	for w, ok := n.txQ.Pop(); ok; w, ok = n.txQ.Pop() {
-		if w.seg != nil {
+		if w.seg != nil && w.seg != &batchTail {
 			w.seg.Release()
 		}
 	}

@@ -92,46 +92,47 @@ type Config struct {
 // protocol state (the TCB) plus WR bookkeeping. "A common data structure
 // is used to maintain the state of the individual QPs and includes the
 // inter-network protocol specific information, namely the TCP
-// transmission control block" (paper §3.1).
+// transmission control block" (paper §3.1). Its fields are ordered widest
+// first, which keeps it in a 160-byte size class.
 type qpState struct {
 	qp   *verbs.QP
 	conn *tcp.Conn // nil for UDP QPs
 
-	localPort  uint16
-	remoteAddr inet.Addr6
-	remotePort uint16
-	remoteAtt  int
-
 	// sendIDs holds WR IDs of messages accepted by the TCB, in order;
 	// TCP completions pop from the front as records are acknowledged.
 	sendIDs pool.Ring[uint64]
+	// stash holds in-order records that arrived before their receive WR
+	// was posted; they wait in adapter SRAM.
+	stash pool.Ring[buf.Buf]
+	timer *sim.Event
+	// timerFn is pre-bound at QP creation so the timer path never
+	// allocates a closure.
+	timerFn func()
+
+	remoteAtt int
 	// pendingWRs counts doorbell tokens not yet consumed by the
 	// transmit FSM.
 	pendingWRs int
-	// stash holds in-order records that arrived before their receive WR
-	// was posted; they wait in adapter SRAM.
-	stash      pool.Ring[buf.Buf]
-	timer      *sim.Event
-	peerClosed bool
-	// peerEpoch is the sender boot generation this connection is fenced
-	// to: adopted from the first frame, stale frames dropped, a newer
-	// epoch fails the QP (the peer rebooted; see DESIGN §13).
-	peerEpoch uint32
 	// stashBytes tracks the SRAM bytes pinned by stashed records (part of
 	// the connection's accounted SRAM footprint).
 	stashBytes int
-	// srqWait marks a QP of a shared pool parked on the pool's waiter
-	// FIFO (dup-idempotent enqueue).
-	srqWait bool
 	// rnr counts receiver-not-ready events on this connection: in-order
 	// records that arrived with no posted receive WR and had to wait in
 	// adapter SRAM (the QPIP analog of an Infiniband RNR NAK; the TCP
 	// window closes instead of NAKing).
 	rnr uint64
 
-	// timerFn is pre-bound at QP creation so the timer path never
-	// allocates a closure.
-	timerFn func()
+	remoteAddr inet.Addr6
+	localPort  uint16
+	remotePort uint16
+	// peerEpoch is the sender boot generation this connection is fenced
+	// to: adopted from the first frame, stale frames dropped, a newer
+	// epoch fails the QP (the peer rebooted; see DESIGN §13).
+	peerEpoch  uint32
+	peerClosed bool
+	// srqWait marks a QP of a shared pool parked on the pool's waiter
+	// FIFO (dup-idempotent enqueue).
+	srqWait bool
 }
 
 // key is the QP's connection key in the adapter's endpoint table.
@@ -217,8 +218,14 @@ type NIC struct {
 	bootEpoch uint32
 
 	// Transmit FSM scheduler (see kickTx); txDoneFn is the one
-	// per-adapter work-completion callback.
+	// per-adapter work-completion callback. txBound is what the admitted
+	// QPs can have queued at once: each posted send WR, and the data
+	// segment it becomes (twice the QP's send depth). The doorbell FSM
+	// reserves the queue at it, so sending grows it straight to that
+	// bound; only acks and retransmissions beyond it can grow it further,
+	// and an adapter that never sends keeps the queue its acks need.
 	txQ      pool.Ring[txWork]
+	txBound  int
 	txBusy   bool
 	txDoneFn func()
 	// txRun is the runner of the work item in flight, from its first
@@ -235,6 +242,8 @@ type NIC struct {
 
 	// dbScratch is the doorbell FSM's vectored drain buffer (PopN).
 	dbScratch [64]uint64
+	// connStats is DebugConnStats' buffer, reused from call to call.
+	connStats []ConnStats
 
 	// Per-stage occupancy, split by the four table columns.
 	TxData, TxAck, RxData, RxAck *trace.Stages
@@ -250,11 +259,14 @@ type NIC struct {
 	// here, so the sum over a cluster's adapters is the number
 	// outstanding. The counter cells are resolved once so the per-message
 	// path skips the name map.
-	collFree    []*collMsg
-	collRecv    *sim.Jobs[collDelivery]
-	collLive    int
-	collMsgs    *uint64
-	collDupDrop *uint64
+	collFree []*collMsg
+	collRecv *sim.Jobs[collDelivery]
+	// collDoorbells and collPosts hold a posted collective WR across its
+	// doorbell write and then its firmware stage (PostColl).
+	collDoorbells, collPosts *sim.Jobs[collPostJob]
+	collLive                 int
+	collMsgs                 *uint64
+	collDupDrop              *uint64
 }
 
 // New builds an adapter and attaches it to fab.
@@ -299,6 +311,8 @@ func New(eng *sim.Engine, fab *fabric.Fabric, cfg Config) *NIC {
 	})
 	n.notifyISR = sim.NewJobs(func(fn func()) { fn() })
 	n.collRecv = sim.NewJobs(n.collStep)
+	n.collDoorbells = sim.NewJobs(n.onCollDoorbell)
+	n.collPosts = sim.NewJobs(n.collPost)
 	n.att = fab.AttachOn(eng, n.receiveFrame)
 	fab.SetFloor(n.att, n.emissionFloor)
 	n.db.OnRing = n.onDoorbell
@@ -331,10 +345,15 @@ type ConnStats struct {
 }
 
 // DebugConnStats exposes per-connection diagnostics with stable sorted
-// emission (connection-key order).
+// emission (connection-key order). The slice is the adapter's own buffer,
+// valid until the next call, so read it at once; a call allocates nothing
+// once the buffer has reached the connection count.
 func (n *NIC) DebugConnStats() []ConnStats {
 	conns := n.tcp.Conns()
-	out := make([]ConnStats, 0, len(conns))
+	out := n.connStats[:0]
+	if cap(out) < len(conns) {
+		out = make([]ConnStats, 0, len(conns))
+	}
 	for _, qs := range conns {
 		out = append(out, ConnStats{
 			LocalPort:  qs.localPort,
@@ -344,6 +363,7 @@ func (n *NIC) DebugConnStats() []ConnStats {
 			RNR:        qs.rnr,
 		})
 	}
+	n.connStats = out
 	return out
 }
 
@@ -400,6 +420,7 @@ func (n *NIC) admitQP(qp *verbs.QP) error {
 		return &verbs.QPExhaustedError{Current: n.qps.len(), Capacity: n.maxQPs()}
 	}
 	qs := &qpState{qp: qp}
+	n.txBound += 2 * qp.SendDepth()
 	// The TCB timer: the transmit FSM "monitors for timeout/retransmit
 	// events pending on a QP" (paper §3.1).
 	qs.timerFn = func() {
@@ -502,6 +523,7 @@ func (n *NIC) DestroyQP(qp *verbs.QP) {
 	}
 	qp.Flush()
 	n.qps.del(qp.QPN)
+	n.txBound -= 2 * qp.SendDepth()
 	n.qpnFree = append(n.qpnFree, qp.QPN)
 }
 
@@ -564,6 +586,7 @@ func (n *NIC) Connect(qp *verbs.QP, raddr inet.Addr6, rport uint16) error {
 	}
 	qs.localPort, qs.conn = port, conn
 	qs.remoteAddr, qs.remotePort, qs.remoteAtt = raddr, rport, att
+	conn.ReserveRecords(qp.SendDepth())
 	now := int64(n.eng.Now())
 	acts, err := qs.conn.Connect(now)
 	if err != nil {

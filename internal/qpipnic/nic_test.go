@@ -611,3 +611,83 @@ func ringCap(t *testing.T, x any, field string) int {
 	}
 	return int(capFn.Call(nil)[0].Int())
 }
+
+// The benchmark's incast connection in miniature: a one-message warm-up,
+// then windows of SendDepth sends. Each queue on the send path has a
+// bound the first post already knows — the QP's send queue and the
+// TCB's retransmission queue the send depth, the send-ID list likewise,
+// the adapter's transmit queue twice the depth of every admitted QP — so
+// the warm-up leaves each at that bound, no window grows one, and the
+// windows allocate nothing.
+func TestSendWindowsAfterOneMessageWarmupAllocFree(t *testing.T) {
+	if pool.RaceEnabled {
+		t.Skip("race-mode sync.Pool drops recycles by design")
+	}
+	const depth, size, runs = 4, 1024, 50
+	c := newCluster(t, nil)
+	cli, srv, scq, rcq := c.rcPair(t, 7000, depth)
+	c.eng.Spawn("server", func(p *sim.Proc) {
+		for i := range depth {
+			if err := srv.PostRecv(p, verbs.RecvWR{ID: uint64(i), Capacity: size}); err != nil {
+				t.Errorf("PostRecv: %v", err)
+				return
+			}
+		}
+		// One warm-up message, then AllocsPerRun's warm-up call and its
+		// measured runs, one window each.
+		for got := 0; got < 1+(1+runs)*depth; got++ {
+			rcq[1].Wait(p)
+			if err := srv.PostRecv(p, verbs.RecvWR{ID: uint64(got), Capacity: size}); err != nil {
+				t.Errorf("PostRecv: %v", err)
+				return
+			}
+		}
+	})
+	send := func(p *sim.Proc, n int) {
+		for i := range n {
+			if err := cli.PostSend(p, verbs.SendWR{ID: uint64(i), Payload: buf.Virtual(size)}); err != nil {
+				t.Errorf("PostSend: %v", err)
+				return
+			}
+		}
+		for range n {
+			if comp := scq[0].Wait(p); comp.Status != verbs.StatusSuccess {
+				t.Errorf("send completion %v", comp.Status)
+			}
+		}
+	}
+	client := c.eng.Spawn("client", func(p *sim.Proc) {
+		if err := cli.Connect(p, inet.NodeAddr6(1), 7000); err != nil {
+			t.Errorf("Connect: %v", err)
+			return
+		}
+		send(p, 1)
+		for range 1 + runs {
+			p.Suspend()
+			send(p, depth)
+		}
+	})
+	c.eng.Run()
+	if t.Failed() {
+		return
+	}
+	qs := c.nics[0].qps.get(cli.QPN)
+	caps := func() [4]int {
+		return [4]int{ringCap(t, cli, "sendQ"), c.nics[0].txQ.Cap(), qs.sendIDs.Cap(), ringCap(t, qs.conn, "flight")}
+	}
+	warm := caps()
+	// Both QPs of the pair are admitted on their own adapters.
+	if want := [4]int{depth, 2 * depth, depth, depth}; warm != want {
+		t.Errorf("after a one-message warm-up the send queue, transmit queue, send IDs and flight hold %v entries, want their bounds %v", warm, want)
+	}
+	window := func() {
+		c.eng.At(c.eng.Now(), "window", client.WakeFn())
+		c.eng.Run()
+	}
+	if n := testing.AllocsPerRun(runs, window); n != 0 {
+		t.Errorf("a window of %d sends allocates %v objects, want 0", depth, n)
+	}
+	if after := caps(); after != warm {
+		t.Errorf("windows grew the send-path queues from %v to %v entries", warm, after)
+	}
+}

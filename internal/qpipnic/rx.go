@@ -85,6 +85,7 @@ func (n *NIC) acceptSYN(l *verbs.Listener, seg *tcp.Segment, ip6 *inet.Header6, 
 	qs.remoteAddr, qs.remotePort, qs.remoteAtt = ip6.Src, seg.SrcPort, att
 	qs.peerEpoch = epoch
 	qs.conn = n.tcp.Open(qs.key(), qs, n.connConfig())
+	qs.conn.ReserveRecords(qp.SendDepth())
 	// Receive WRs may already be posted on the parked QP. A connection
 	// opened off an empty shared pool parks on it at once, like any other
 	// zero-window advertisement: only a repost can open its window.

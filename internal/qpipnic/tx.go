@@ -18,17 +18,21 @@ import (
 // flips that for the ablation bench. Stage sequences execute on the pooled
 // chain runners in chain.go.
 
-// txWork is one scheduler queue entry.
+// txWork is one scheduler queue entry, two words wide: the queue holds
+// one per posted WR and ready segment of every QP at once.
 type txWork struct {
 	qs *qpState
-	// seg, when non-nil, is a ready TCP segment (ack, window-opened data,
-	// retransmission). Otherwise the work item consumes one posted WR.
+	// seg is a ready TCP segment (ack, window-opened data,
+	// retransmission). Otherwise the work item consumes one posted WR:
+	// seg is nil for the first WR of a doorbell token and batchTail for
+	// the second and later WRs of a vectored token, whose Doorbell Process
+	// stage the first WR already paid, so they run the shorter txWRBatch
+	// template.
 	seg *tcp.Segment
-	// amortized marks the second and later WRs of one vectored doorbell
-	// token: the Doorbell Process stage was already paid by the first WR,
-	// so these run the shorter txWRBatch template.
-	amortized bool
 }
+
+// batchTail is the txWork.seg mark of an amortized WR; it is never sent.
+var batchTail tcp.Segment
 
 // enqueueTx adds work and kicks the scheduler.
 //
@@ -67,6 +71,7 @@ func (n *NIC) onDoorbell() {
 			}
 		}
 	}
+	n.txQ.Reserve(n.txBound)
 	for {
 		k := n.db.PopN(n.dbScratch[:])
 		if k == 0 {
@@ -83,7 +88,7 @@ func (n *NIC) onDoorbell() {
 			// the rest of the train amortizes it.
 			n.enqueueTx(txWork{qs: qs})
 			for j := 1; j < cnt; j++ {
-				n.enqueueTx(txWork{qs: qs, amortized: true})
+				n.enqueueTx(txWork{qs: qs, seg: &batchTail})
 			}
 		}
 	}
@@ -93,11 +98,11 @@ func (n *NIC) onDoorbell() {
 //
 //qpip:hotpath
 func (n *NIC) runTxWork(w txWork, done func()) {
-	if w.seg != nil {
+	if w.seg != nil && w.seg != &batchTail {
 		n.sendSegment(w.qs, w.seg, done)
 		return
 	}
-	n.consumeSendWR(w.qs, w.amortized, done)
+	n.consumeSendWR(w.qs, w.seg == &batchTail, done)
 }
 
 // consumeSendWR processes one posted send WR: Doorbell Process (skipped
@@ -127,6 +132,8 @@ func (n *NIC) consumeSendWR(qs *qpState, amortized bool, done func()) {
 //qpip:hotpath
 func (n *NIC) sendTCPMessage(qs *qpState, wr verbs.SendWR, done func()) {
 	now := int64(n.eng.Now())
+	// The IDs are bounded by the QP's outstanding sends.
+	qs.sendIDs.Reserve(qs.qp.SendDepth())
 	qs.sendIDs.Push(wr.ID)
 	acts, err := qs.conn.Send(wr.Payload, now)
 	if err != nil {
@@ -290,7 +297,7 @@ func (n *NIC) handleActions(qs *qpState, acts tcp.Actions, done func()) {
 	// message is acknowledged by the destination" (paper §3).
 	if acts.AckedRecords > 0 {
 		cr.completions = acts.AckedRecords
-		cr.push(stage{kind: stComplete})
+		cr.push(&stageComplete)
 	}
 	// Delivered records enter the SRAM stash *now*, synchronously, so the
 	// TCB's delivery order is pinned before any chained stage runs —
@@ -300,44 +307,24 @@ func (n *NIC) handleActions(qs *qpState, acts tcp.Actions, done func()) {
 		for _, rec := range acts.Delivered {
 			qs.pushStash(rec)
 		}
-		cr.push(stage{kind: stStash})
-		cr.push(stage{kind: stStashTally})
+		cr.push(&stageStash)
+		cr.push(&stageStashTally)
 	}
+	// Connection lifecycle events, once per connection or rarer.
 	if acts.Established {
-		//lint:qpip-allow hotprop connection establishment happens once per QP lifetime
-		cr.push(stage{kind: stCustom, fn: func(next func()) {
-			n.notifyHost(func() {
-				qs.qp.SetEstablished(qs.localPort, qs.remotePort, qs.remoteAddr)
-			})
-			next()
-		}})
+		cr.push(&stageEstablished)
 	}
 	if acts.Reset {
-		//lint:qpip-allow hotprop connection reset is a rare failure event, not datapath work
-		cr.push(stage{kind: stCustom, fn: func(next func()) {
-			n.Net.Add("conn.reset", 1)
-			n.failQP(qs, verbs.ErrConnRefused, verbs.StatusRemoteError)
-			next()
-		}})
+		cr.push(&stageReset)
 	}
 	if acts.RetryExceeded {
 		// The retry budget is spent: the QP transitions to the error
 		// state and outstanding WRs flush asynchronously with
 		// StatusRetryExceeded (tentpole behaviour, DESIGN §8).
-		//lint:qpip-allow hotprop retry exhaustion is a terminal failure event, not datapath work
-		cr.push(stage{kind: stCustom, fn: func(next func()) {
-			n.Net.Add("conn.retry-exceeded", 1)
-			n.failQP(qs, verbs.ErrRetryExceeded, verbs.StatusRetryExceeded)
-			next()
-		}})
+		cr.push(&stageRetryExceeded)
 	}
 	if acts.PeerClosed {
-		//lint:qpip-allow hotprop peer close happens once per connection teardown
-		cr.push(stage{kind: stCustom, fn: func(next func()) {
-			qs.peerClosed = true
-			n.notifyHost(func() { qs.qp.Flush() })
-			next()
-		}})
+		cr.push(&stagePeerClosed)
 	}
 	cr.run()
 }
@@ -369,7 +356,7 @@ func (n *NIC) placeRecord(qs *qpState, wr verbs.RecvWR, rec buf.Buf, raddr inet.
 func (n *NIC) drainStashAndUpdate(qs *qpState) {
 	cr := n.getChain(nil)
 	cr.qs = qs
-	cr.push(stage{kind: stStash})
-	cr.push(stage{kind: stUpdateWindow})
+	cr.push(&stageStash)
+	cr.push(&stageUpdateWindow)
 	cr.run()
 }

@@ -24,7 +24,7 @@ const (
 )
 
 // State is the RFC 793 connection state.
-type State int
+type State uint8
 
 // Connection states.
 const (
@@ -179,12 +179,12 @@ type Actions struct {
 }
 
 // flightSeg is a transmitted, unacknowledged segment retained for
-// retransmission.
+// retransmission. The retransmission queue holds it by value.
 type flightSeg struct {
-	seq       Seq
 	payload   buf.Buf
-	flags     Flags // SYN/FIN bits that consumed sequence space
 	sentAt    int64
+	seq       Seq
+	flags     Flags // SYN/FIN bits that consumed sequence space
 	rexmitted bool
 	isRecord  bool
 }
@@ -203,74 +203,79 @@ func (f *flightSeg) segLen() int {
 // Conn is a TCP transmission control block plus send/receive machinery.
 // It is pure: no goroutines, no clocks, no I/O. All methods take the
 // current time in nanoseconds and return Actions for the owner to execute.
+//
+// A host keeps one Conn per connection, thousands at once on an adapter,
+// so the fields are laid out to keep a Conn within 512 bytes: the
+// configuration is a shared, immutable profile, small counters are 32
+// bits wide, and the flags sit together at the end.
 type Conn struct {
-	cfg   Config
-	state State
+	// cfg is the connection's profile with defaults resolved; the
+	// connections an Endpoints opens from one template share it. Its
+	// ports and ISS are unused: lport, rport and iss hold them.
+	cfg   *Config
 	stats Stats
 
-	// Send state (RFC 793 names).
-	iss            Seq
-	sndUna, sndNxt Seq
-	sndWnd         int // peer's advertised window, scaled to bytes
-	sndWl1, sndWl2 Seq
-	sndMSS         int // effective send MSS (min of ours and peer's)
-	peerMSS        int
-
-	sndScale, rcvScale uint8
-
-	// Pending application data not yet segmentized; a stream-mode take
-	// trims the head entry in place.
-	pendingRecords pool.Ring[buf.Buf] // record mode
-	pendingBytes   pool.Ring[buf.Buf] // stream mode
-	pendingLen     int
-	// concatParts is takePending's scratch for takes spanning queue
-	// entries; reused so steady-state segmentation does not allocate.
-	concatParts []buf.Buf
-	finQueued   bool
-	finSent     bool
-	finSeq      Seq
-
+	// pending holds application data not yet segmentized: whole records
+	// in record mode, byte runs in stream mode, where a take trims the
+	// head entry in place.
+	pending pool.Ring[buf.Buf]
 	// flight is the retransmission queue, oldest segment first.
-	flight pool.Ring[*flightSeg]
-	// flightFree recycles retired flight entries (see newFlightSeg); the
-	// list is per-connection so reuse stays deterministic.
-	flightFree []*flightSeg
+	flight pool.Ring[flightSeg]
 
 	// actSegs/actBufs are the retained backing arrays of the Actions
 	// slices, handed out again by newActions.
 	actSegs []*Segment
 	actBufs []buf.Buf
 
-	// Receive state.
-	irs        Seq
-	rcvNxt     Seq
-	rcvWnd     int // current window limit (owner-driven in record mode)
-	rcvBufUsed int // stream mode: undelivered-to-app bytes
-	lastAdvWnd int // window advertised in the last segment we sent
-	finRcvd    bool
-
-	// Congestion control (Reno).
-	cwnd, ssthresh int
-	dupAcks        int
-	inFastRecovery bool
-	recoverSeq     Seq
-
 	// RTT machinery.
 	rtt          RTTEstimator
-	rtoBackoff   int
-	tsRecent     uint32
 	tsRecentTime int64
-	tsOK         bool
-	wsOK         bool
 
 	// Timer deadlines in ns; 0 = inactive.
 	rexmtDeadline    int64
 	persistDeadline  int64
-	persistBackoff   int
 	delackDeadline   int64
 	timewaitDeadline int64
-	ackPending       bool
-	delackCount      int
+
+	pendingLen int
+	sndWnd     int // peer's advertised window, scaled to bytes
+	sndMSS     int // effective send MSS (min of ours and peer's)
+	peerMSS    int
+	rcvWnd     int // current window limit (owner-driven in record mode)
+	rcvBufUsed int // stream mode: undelivered-to-app bytes
+	lastAdvWnd int // window advertised in the last segment we sent
+
+	// Congestion control (Reno).
+	cwnd, ssthresh int
+	dupAcks        int32
+
+	rtoBackoff     int32
+	persistBackoff int32
+	delackCount    int32
+	// recordDepth is the most records the owner keeps outstanding at
+	// once (ReserveRecords); 0 means unknown.
+	recordDepth int32
+
+	// Send and receive sequence state (RFC 793 names).
+	iss            Seq
+	sndUna, sndNxt Seq
+	sndWl1, sndWl2 Seq
+	finSeq         Seq
+	recoverSeq     Seq
+	irs            Seq
+	rcvNxt         Seq
+	tsRecent       uint32
+
+	lport, rport       uint16
+	state              State
+	sndScale, rcvScale uint8
+	finQueued          bool
+	finSent            bool
+	finRcvd            bool
+	inFastRecovery     bool
+	tsOK               bool
+	wsOK               bool
+	ackPending         bool
 }
 
 // Errors returned by Conn methods.
@@ -284,8 +289,14 @@ var (
 
 // NewConn returns a connection in CLOSED with the given configuration.
 func NewConn(cfg Config) *Conn {
-	c := &Conn{cfg: cfg.withDefaults(), state: Closed}
-	c.iss = c.cfg.ISS
+	prof := cfg.withDefaults()
+	return newConn(&prof, cfg.LocalPort, cfg.RemotePort, cfg.ISS)
+}
+
+// newConn returns a connection in CLOSED on the resolved profile prof,
+// which it shares and never writes.
+func newConn(prof *Config, lport, rport uint16, iss Seq) *Conn {
+	c := &Conn{cfg: prof, state: Closed, lport: lport, rport: rport, iss: iss}
 	c.rcvWnd = c.cfg.RecvWindow
 	scaleFor := c.cfg.RecvWindow
 	if c.cfg.MaxRecvWindow > scaleFor {
@@ -298,6 +309,13 @@ func NewConn(cfg Config) *Conn {
 	}
 	return c
 }
+
+// ReserveRecords tells a record-mode connection that its owner keeps at
+// most n records outstanding at once (queued or unacknowledged), as a QP's
+// send depth does. The retransmission queue then grows straight to n
+// entries when the first record is sent, rather than doubling while the
+// window opens.
+func (c *Conn) ReserveRecords(n int) { c.recordDepth = int32(n) }
 
 // State reports the connection state.
 func (c *Conn) State() State { return c.state }
@@ -434,14 +452,10 @@ func (c *Conn) Send(p buf.Buf, now int64) (Actions, error) {
 	if c.finQueued {
 		return a, ErrClosed
 	}
-	if c.cfg.Mode == Record {
-		if c.sndMSS > 0 && p.Len() > c.sndMSS {
-			return a, ErrRecordTooBig
-		}
-		c.pendingRecords.Push(p)
-	} else {
-		c.pendingBytes.Push(p)
+	if c.cfg.Mode == Record && c.sndMSS > 0 && p.Len() > c.sndMSS {
+		return a, ErrRecordTooBig
 	}
+	c.pending.Push(p)
 	c.pendingLen += p.Len()
 	c.output(now, &a)
 	return a, nil
@@ -544,8 +558,7 @@ func (c *Conn) toClosed(a *Actions) {
 	}
 	c.cancelTimers()
 	c.flight.Reset()
-	c.pendingRecords.Reset()
-	c.pendingBytes.Reset()
+	c.pending.Reset()
 	c.pendingLen = 0
 }
 
@@ -586,29 +599,12 @@ func (c *Conn) finishActions(a *Actions) {
 	c.actBufs = a.Delivered[:0]
 }
 
-// newFlightSeg pops the per-conn free list, falling back to the heap.
-func (c *Conn) newFlightSeg() *flightSeg {
-	if n := len(c.flightFree); n > 0 {
-		f := c.flightFree[n-1]
-		c.flightFree = c.flightFree[:n-1]
-		return f
-	}
-	return &flightSeg{}
-}
-
-// freeFlightSeg recycles a retired flight entry, dropping its payload
-// reference so acknowledged data is not pinned.
-func (c *Conn) freeFlightSeg(f *flightSeg) {
-	*f = flightSeg{}
-	c.flightFree = append(c.flightFree, f)
-}
-
 // makeSeg builds a segment skeleton with ports, ack, window and timestamp
 // filled from current state.
 func (c *Conn) makeSeg(flags Flags, payload buf.Buf) *Segment {
 	seg := NewSegment()
-	seg.SrcPort = c.cfg.LocalPort
-	seg.DstPort = c.cfg.RemotePort
+	seg.SrcPort = c.lport
+	seg.DstPort = c.rport
 	seg.Flags = flags
 	seg.Payload = payload
 	if flags.Has(ACK) {

@@ -53,9 +53,17 @@ type Endpoints[A Addr[A], E comparable, L any] struct {
 	// ports counts references per local port: one per TCB, one for a
 	// listener, so reaping an accepted child never frees its listener's
 	// port.
-	ports map[uint16]int
+	ports map[uint16]int32
 	next  uint16
 	iss   uint32
+
+	// profiles holds the resolved Config of each distinct template Open
+	// was given (ports and ISS zeroed); every TCB opened from a template
+	// shares its profile instead of carrying a copy.
+	profiles map[Config]*Config
+	// keys and owners are Conns' buffers, reused from call to call.
+	keys   []Key[A]
+	owners []E
 
 	retransmits, refused, unknown, dropped *uint64
 }
@@ -72,7 +80,8 @@ type Endpoints[A Addr[A], E comparable, L any] struct {
 //   - "rx.drop.no-port": RSTs dropped for want of a TCB.
 func NewEndpoints[A Addr[A], E comparable, L any](cell func(name string) *uint64) *Endpoints[A, E, L] {
 	t := &Endpoints[A, E, L]{retransmits: cell("tx.retransmit"), refused: cell("conn.refused"),
-		unknown: cell("rx.unknown-rst"), dropped: cell("rx.drop.no-port")}
+		unknown: cell("rx.unknown-rst"), dropped: cell("rx.drop.no-port"),
+		profiles: make(map[Config]*Config)}
 	t.Reset()
 	return t
 }
@@ -83,7 +92,7 @@ func NewEndpoints[A Addr[A], E comparable, L any](cell func(name string) *uint64
 func (t *Endpoints[A, E, L]) Reset() {
 	t.conns = make(map[Key[A]]E)
 	t.listeners = make(map[uint16]L)
-	t.ports = make(map[uint16]int)
+	t.ports = make(map[uint16]int32)
 	t.next, t.iss = EphemeralMin, 0
 }
 
@@ -105,16 +114,27 @@ func (t *Endpoints[A, E, L]) Listen(port uint16, l L) error {
 
 // Open builds e's TCB from cfg with key's ports and the next ISS, and
 // registers it under key, which no TCB may hold: the callers open after a
-// Demux found none, or on a free ephemeral port. The TCB reuses its action
-// slices, so the owner must consume each Actions before calling into it
-// again.
+// Demux found none, or on a free ephemeral port. cfg's own ports and ISS
+// are ignored. The TCB reuses its action slices, so the owner must consume
+// each Actions before calling into it again.
 func (t *Endpoints[A, E, L]) Open(key Key[A], e E, cfg Config) *Conn {
 	t.iss += 64000
-	cfg.LocalPort, cfg.RemotePort, cfg.ISS = key.LocalPort, key.RemotePort, Seq(t.iss)
-	c := NewConn(cfg)
+	c := newConn(t.profile(cfg), key.LocalPort, key.RemotePort, Seq(t.iss))
 	t.conns[key] = e
 	t.ports[key.LocalPort]++
 	return c
+}
+
+// profile returns the shared resolved profile of template cfg.
+func (t *Endpoints[A, E, L]) profile(cfg Config) *Config {
+	cfg.LocalPort, cfg.RemotePort, cfg.ISS = 0, 0, 0
+	p, ok := t.profiles[cfg]
+	if !ok {
+		resolved := cfg.withDefaults()
+		p = &resolved
+		t.profiles[cfg] = p
+	}
+	return p
 }
 
 // Connect opens e's TCB for an active open to raddr:rport on a free
@@ -199,9 +219,14 @@ func (t *Endpoints[A, E, L]) OnTimer(c *Conn, now int64) Actions {
 }
 
 // Conns returns the registered owners in key order, independent of map
-// iteration order.
+// iteration order. The slice is the table's own buffer, reused by the
+// next call, so read it before calling again; once the buffers have
+// reached the connection count a call allocates nothing.
 func (t *Endpoints[A, E, L]) Conns() []E {
-	keys := make([]Key[A], 0, len(t.conns))
+	keys, out := t.keys[:0], t.owners[:0]
+	if cap(keys) < len(t.conns) {
+		keys, out = make([]Key[A], 0, len(t.conns)), make([]E, 0, len(t.conns))
+	}
 	for k := range t.conns {
 		keys = append(keys, k)
 	}
@@ -209,9 +234,11 @@ func (t *Endpoints[A, E, L]) Conns() []E {
 		return cmp.Or(cmp.Compare(a.LocalPort, b.LocalPort), a.RemoteAddr.Compare(b.RemoteAddr),
 			cmp.Compare(a.RemotePort, b.RemotePort))
 	})
-	out := make([]E, len(keys))
-	for i, k := range keys {
-		out[i] = t.conns[k]
+	for _, k := range keys {
+		out = append(out, t.conns[k])
 	}
+	// Owners beyond this call's count would pin reaped connections.
+	clear(out[len(out):cap(out)])
+	t.keys, t.owners = keys, out
 	return out
 }

@@ -66,11 +66,12 @@ type Segment struct {
 	TSEcr    uint32
 	SACKPerm bool
 
-	Payload buf.Buf
-
 	// pooled marks segments drawn from NewSegment's sync.Pool; Release
 	// recycles only those, so literal and ParseHeader segments need no care.
+	// It sits beside SACKPerm so a Segment fits in 64 bytes.
 	pooled bool
+
+	Payload buf.Buf
 }
 
 // SegLen reports the sequence space the segment occupies (payload plus SYN

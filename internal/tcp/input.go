@@ -275,7 +275,7 @@ func (c *Conn) sampleRTT(seg *Segment, now int64) {
 		return
 	}
 	if c.flight.Len() > 0 {
-		head := *c.flight.Front()
+		head := c.flight.Front()
 		if !head.rexmitted && head.seq.Add(head.segLen()).Leq(seg.Ack) {
 			c.rtt.Sample(now - head.sentAt)
 			c.stats.RTTSamples++
@@ -315,7 +315,7 @@ func (c *Conn) congAvoidOnAck(acked int, ack Seq) bool {
 // retransmission queue, trimming a partially acked head (stream mode).
 func (c *Conn) dropAckedFlight(ack Seq, now int64, a *Actions) {
 	for c.flight.Len() > 0 {
-		f := *c.flight.Front()
+		f := c.flight.Front()
 		end := f.seq.Add(f.segLen())
 		if end.Leq(ack) {
 			a.AckedBytes += f.payload.Len()
@@ -323,7 +323,6 @@ func (c *Conn) dropAckedFlight(ack Seq, now int64, a *Actions) {
 				a.AckedRecords++
 			}
 			c.flight.Pop()
-			c.freeFlightSeg(f)
 			continue
 		}
 		if f.seq.Lt(ack) && f.payload.Len() > 0 {
@@ -360,7 +359,7 @@ func (c *Conn) fastRetransmit(now int64, a *Actions) {
 
 // retransmitHead re-sends the first unacknowledged segment.
 func (c *Conn) retransmitHead(now int64, a *Actions) {
-	f := *c.flight.Front()
+	f := c.flight.Front()
 	f.rexmitted = true
 	f.sentAt = now
 	c.stats.Retransmits++

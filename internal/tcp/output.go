@@ -24,12 +24,10 @@ func (c *Conn) usableWindow() int {
 // pushFlight retains a transmitted segment for retransmission and advances
 // sndNxt over the sequence space it consumes.
 func (c *Conn) pushFlight(seg *Segment, now int64, isRecord bool) {
-	f := c.newFlightSeg()
-	f.seq = seg.Seq
-	f.payload = seg.Payload
-	f.flags = seg.Flags & (SYN | FIN)
-	f.sentAt = now
-	f.isRecord = isRecord
+	if isRecord {
+		c.flight.Reserve(int(c.recordDepth))
+	}
+	f := flightSeg{payload: seg.Payload, sentAt: now, seq: seg.Seq, flags: seg.Flags & (SYN | FIN), isRecord: isRecord}
 	c.flight.Push(f)
 	c.sndNxt = c.sndNxt.Add(f.segLen())
 }
@@ -64,8 +62,8 @@ func (c *Conn) output(now int64, a *Actions) {
 // arbitrary-size segments the window must admit at least one message or
 // the connection would deadlock (mirrors TCP's always-send-one-MSS rule).
 func (c *Conn) outputRecords(now int64, a *Actions) {
-	for c.pendingRecords.Len() > 0 {
-		rec := *c.pendingRecords.Front()
+	for c.pending.Len() > 0 {
+		rec := *c.pending.Front()
 		usable := c.usableWindow()
 		if rec.Len() > usable {
 			if c.sndNxt != c.sndUna {
@@ -82,7 +80,7 @@ func (c *Conn) outputRecords(now int64, a *Actions) {
 				return
 			}
 		}
-		c.pendingRecords.Pop()
+		c.pending.Pop()
 		c.pendingLen -= rec.Len()
 		seg := c.makeSeg(ACK|PSH, rec)
 		seg.Seq = c.sndNxt
@@ -131,9 +129,10 @@ func (c *Conn) outputStream(now int64, a *Actions) {
 // takePending removes n bytes from the head of the stream send queue. The
 // common cases — the head entry covers the request exactly or with bytes to
 // spare — complete without allocating; only a take that spans queue entries
-// builds a parts slice for buf.Concat.
+// builds a parts slice for buf.Concat, on the stack unless it spans more
+// than eight.
 func (c *Conn) takePending(n int) buf.Buf {
-	head := c.pendingBytes.Front()
+	head := c.pending.Front()
 	if n < head.Len() {
 		out := head.Slice(0, n)
 		*head = head.Slice(n, head.Len())
@@ -141,19 +140,20 @@ func (c *Conn) takePending(n int) buf.Buf {
 		return out
 	}
 	if n == head.Len() {
-		b, _ := c.pendingBytes.Pop()
+		b, _ := c.pending.Pop()
 		c.pendingLen -= n
 		return b
 	}
-	parts := c.concatParts[:0]
+	var scratch [8]buf.Buf
+	parts := scratch[:0]
 	got := 0
 	for got < n {
-		head := c.pendingBytes.Front()
+		head := c.pending.Front()
 		take := n - got
 		if take >= head.Len() {
 			parts = append(parts, *head)
 			got += head.Len()
-			c.pendingBytes.Pop()
+			c.pending.Pop()
 		} else {
 			parts = append(parts, head.Slice(0, take))
 			*head = head.Slice(take, head.Len())
@@ -161,12 +161,7 @@ func (c *Conn) takePending(n int) buf.Buf {
 		}
 	}
 	c.pendingLen -= n
-	out := buf.Concat(parts...)
-	for i := range parts {
-		parts[i] = buf.Empty // don't pin consumed buffers in the scratch
-	}
-	c.concatParts = parts[:0]
-	return out
+	return buf.Concat(parts...)
 }
 
 // outputFin transmits the queued FIN once all data is out.
@@ -193,7 +188,7 @@ func (c *Conn) windowBlocked() bool {
 	if c.cfg.Mode == Record {
 		// Mirror outputRecords' nothing-in-flight escape, including the
 		// window-scale truncation credit.
-		rec := c.pendingRecords.Front()
+		rec := c.pending.Front()
 		return rec != nil && rec.Len() > c.sndWnd+(1<<c.sndScale-1)
 	}
 	return c.sndWnd == 0
@@ -205,7 +200,7 @@ func (c *Conn) managePersist(now int64) {
 	blocked := c.windowBlocked()
 	if blocked && c.persistDeadline == 0 {
 		c.persistBackoff = 0
-		c.persistDeadline = now + c.rtt.BackedOffRTO(c.persistBackoff)
+		c.persistDeadline = now + c.rtt.BackedOffRTO(int(c.persistBackoff))
 	}
 	if !blocked {
 		c.persistDeadline = 0

@@ -52,7 +52,7 @@ func (c *Conn) OnTimer(now int64) Actions {
 
 // armRexmt (re)arms the retransmission timer from now.
 func (c *Conn) armRexmt(now int64) {
-	c.rexmtDeadline = now + c.rtt.BackedOffRTO(c.rtoBackoff)
+	c.rexmtDeadline = now + c.rtt.BackedOffRTO(int(c.rtoBackoff))
 }
 
 // onRexmtTimeout retransmits the oldest outstanding segment with
@@ -67,7 +67,7 @@ func (c *Conn) onRexmtTimeout(now int64, a *Actions) {
 	if c.state == SynSent || c.state == SynRcvd {
 		limit = c.cfg.SynMaxRetries
 	}
-	if c.rtoBackoff > limit {
+	if int(c.rtoBackoff) > limit {
 		// Give up: the peer is unreachable within the retry budget.
 		c.stats.RetryExceeded++
 		a.RetryExceeded = true
@@ -118,7 +118,7 @@ func (c *Conn) onPersistTimeout(now int64, a *Actions) {
 		c.stampTS(seg, now)
 		c.emit(a, seg)
 	}
-	c.persistDeadline = now + c.rtt.BackedOffRTO(c.persistBackoff)
+	c.persistDeadline = now + c.rtt.BackedOffRTO(int(c.persistBackoff))
 }
 
 // cancelDataTimers clears retransmit/persist/delack timers.

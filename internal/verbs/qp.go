@@ -15,7 +15,6 @@ import (
 // notifications and posts completions to the bound CQs. The receive queue
 // is a pool (SRQ): the QP's own one-member pool, or a shared one.
 type QP struct {
-	QPN       uint32
 	Transport TransportType
 	SendCQ    *CQ
 	RecvCQ    *CQ
@@ -23,23 +22,25 @@ type QP struct {
 	dev   Device
 	state QPState
 	err   error
-	// The send WR queue, bounded by sendDepth.
+	// The send WR queue, bounded by sendDepth and reserved at it on the
+	// first post.
 	sendQ     pool.Ring[SendWR]
 	sendDepth int
 	outSend   int // posted send WRs not yet completed
 	outRecv   int // receive WRs claimed by the adapter, not yet completed
-	// rq is the pool arriving messages claim from: &own, or the shared
-	// SRQ named by QPConfig.SRQ. own is embedded so the private receive
-	// queue costs no allocation of its own.
+	// rq is the pool arriving messages claim from: the QP's own
+	// one-member pool (rq.owner == the QP), allocated only for a QP
+	// created without QPConfig.SRQ, or that shared SRQ.
 	rq     *SRQ
-	own    SRQ
 	est    sim.Waiter // parked in WaitEstablished
 	sqd    sim.Waiter // parked in WaitSQDrained
 	parked *Listener  // listener this QP is idling on, if any
 
-	// Connection identity, filled during connect/accept/bind.
-	LocalPort  uint16
+	// Connection identity, filled during connect/accept/bind. QPN and
+	// the ports sit together, which keeps a QP in a 176-byte size class.
 	RemoteAddr inet.Addr6
+	QPN        uint32
+	LocalPort  uint16
 	RemotePort uint16
 }
 
@@ -84,9 +85,8 @@ func NewQP(dev Device, cfg QPConfig) (*QP, error) {
 		sendDepth: cfg.SendDepth,
 		rq:        cfg.SRQ,
 	}
-	qp.own = SRQ{dev: dev, depth: cfg.RecvDepth, owner: qp}
 	if qp.rq == nil {
-		qp.rq = &qp.own
+		qp.rq = &SRQ{dev: dev, depth: cfg.RecvDepth, owner: qp}
 	}
 	if err := dev.CreateQP(qp); err != nil {
 		return nil, err
@@ -98,6 +98,9 @@ func NewQP(dev Device, cfg QPConfig) (*QP, error) {
 // SRQ reports the receive pool the QP draws from: its own one-member pool
 // (Owner() == q), or the shared SRQ it was created on.
 func (q *QP) SRQ() *SRQ { return q.rq }
+
+// SendDepth reports the most send WRs the QP lets be outstanding.
+func (q *QP) SendDepth() int { return q.sendDepth }
 
 // State reports the QP lifecycle state.
 func (q *QP) State() QPState { return q.state }
@@ -156,6 +159,7 @@ func (q *QP) PostSendN(p *sim.Proc, wrs []SendWR) (int, error) {
 	}
 	p.Use(q.dev.HostCPU().Server,
 		params.US(params.VerbsPostSendUS+float64(n-1)*params.VerbsPostSendBatchUS))
+	q.sendQ.Reserve(q.sendDepth)
 	for _, wr := range wrs[:n] {
 		q.outSend++
 		q.sendQ.Push(wr)
@@ -180,10 +184,10 @@ func (q *QP) PostRecv(p *sim.Proc, wr RecvWR) error {
 //
 //qpip:hotpath
 func (q *QP) PostRecvN(p *sim.Proc, wrs []RecvWR) (int, error) {
-	if q.rq != &q.own {
+	if q.rq.owner != q {
 		return 0, ErrSRQAttached
 	}
-	return q.own.PostRecvN(p, wrs)
+	return q.rq.PostRecvN(p, wrs)
 }
 
 // Connect initiates the TCP rendezvous to a remote listener and blocks
@@ -344,14 +348,15 @@ func (q *QP) FlushWith(status Status) {
 	}
 	q.sendQ.Reset()
 	// The QP's own pool flushes with it; a shared pool's unclaimed WRs
-	// stay for its other members (own is empty on an attached QP).
-	// Claimed-but-uncompleted WRs are flushed by the device like consumed
-	// sends.
-	for wr, ok := q.own.q.Pop(); ok; wr, ok = q.own.q.Pop() {
-		q.RecvCQ.Push(Completion{QPN: q.QPN, WRID: wr.ID, Op: OpRecv, Status: status})
+	// stay for its other members. Claimed-but-uncompleted WRs are flushed
+	// by the device like consumed sends.
+	if own := q.rq; own.owner == q {
+		for wr, ok := own.q.Pop(); ok; wr, ok = own.q.Pop() {
+			q.RecvCQ.Push(Completion{QPN: q.QPN, WRID: wr.ID, Op: OpRecv, Status: status})
+		}
+		own.q.Reset()
+		own.postedBytes = 0
 	}
-	q.own.q.Reset()
-	q.own.postedBytes = 0
 	if q.outSend == 0 {
 		q.sqd.Wake()
 	}
@@ -364,4 +369,9 @@ func (q *QP) OutstandingSend() int { return q.outSend }
 
 // OutstandingRecv reports receive WRs not yet completed: those claimed by
 // the adapter plus those still posted to the QP's own pool.
-func (q *QP) OutstandingRecv() int { return q.outRecv + q.own.q.Len() }
+func (q *QP) OutstandingRecv() int {
+	if q.rq.owner == q {
+		return q.outRecv + q.rq.q.Len()
+	}
+	return q.outRecv
+}

@@ -130,6 +130,7 @@ func (s *SRQ) PostRecvN(p *sim.Proc, wrs []RecvWR) (int, error) {
 	}
 	p.Use(s.dev.HostCPU().Server,
 		params.US(params.VerbsPostRecvUS+float64(n-1)*params.VerbsPostRecvBatchUS))
+	s.q.Reserve(s.depth)
 	for _, wr := range wrs[:n] {
 		s.postedBytes += wr.Capacity
 		s.q.Push(wr)
