@@ -86,18 +86,14 @@ fuzz:
 # The verification gate: gofmt, go vet, the optional shadow pass, the repo's own
 # qpiplint suite (mandatory — proves the determinism and datapath
 # invariants, DESIGN §12), optional staticcheck and govulncheck, the full
-# suite under the race detector, the plain suite (also exercises the fuzz
-# seed corpora and the golden files under testdata/golden, which pin every
-# qpipbench report), and the shard-barrier race run (the parallel runner
-# and the sequential/sharded equivalence matrix under -race, beyond the
-# all-package race target above). Only an epoch no mail can cross runs
-# shards concurrently, so the cross-placement rows exercise none; the
-# isolated placement, TestFreeEpochRunsShardsConcurrently and
-# TestPanicsLeakNoWorkers do. benchtest runs the nested benchmark module's
-# own suite; wall clock belongs to the benchmark, not this gate.
-# cover fails on protocol code no test executes.
+# suite under the race detector, and the plain suite (also exercises the
+# fuzz seed corpora and the golden files under testdata/golden, which pin
+# every qpipbench report). A sharded world runs on one goroutine, so the
+# race target covers the parallel runner and the sequential/sharded
+# equivalence matrix with no extra run. benchtest runs the nested
+# benchmark module's own suite; wall clock belongs to the benchmark, not
+# this gate. cover fails on protocol code no test executes.
 check: fmt vet shadow lint staticcheck govulncheck race test benchtest chaos cover
-	$(GO) test -race -count=1 -run 'TestParallel|TestRunPingPong|TestRunUntilLimit|TestFreeRun|TestFreeEpochRunsShardsConcurrently|TestShardPanic|TestPanicsLeak' ./qpip/ ./internal/sim/par/
 
 # Coverage gate: the whole suite under -coverpkg=./..., failing
 # on any function in the protocol packages that no test executes (one

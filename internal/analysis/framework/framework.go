@@ -148,13 +148,9 @@ func SimulatedPackage(path string) bool {
 }
 
 // ShardRunnerPackage reports whether the import path names the
-// conservative parallel runner (internal/sim/par) — the ONE simulated
-// package where goroutines and sync primitives are legal: its free-running
-// epoch drives shard engines on goroutines of their own and joins them.
-// Every other simulated package must still model concurrency with
-// sim.Proc/sim.Server, so nogoroutine exempts exactly this path.
-// internal/sim is not exempt and needs no allow: sim.Proc hands off
-// through iter.Pull coroutines, not a goroutine of its own.
+// conservative parallel runner (internal/sim/par): the package that may
+// call //qpip:barrier functions and must drive engines only through their
+// coordination surface (shardsafe).
 func ShardRunnerPackage(path string) bool {
 	return PathHasSuffix(path, "internal/sim/par")
 }

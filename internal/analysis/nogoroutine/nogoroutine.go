@@ -19,16 +19,11 @@
 //     deliberate, so each carries a //lint:qpip-allow nogoroutine comment
 //     explaining why object identity can't leak into event order.
 //
-// The PR 2 parallel sweep harness lives in internal/bench, which is not a
+// The parallel sweep harness lives in internal/bench, which is not a
 // simulated package and therefore exempt, as are cmd/, scripts/ and
-// _test.go files.
-//
-// One simulated package is allowlisted: internal/sim/par, the conservative
-// parallel shard runner (framework.ShardRunnerPackage). Its free-running
-// epoch drives shard engines on goroutines of their own and joins them,
-// so go statements and sync primitives are legal there — and
-// ONLY there. Model code must never reach for the runner's tools; it still
-// expresses concurrency as sim.Proc/sim.Server inside one engine.
+// _test.go files. No simulated package is exempt: the conservative shard
+// runner (internal/sim/par) runs every epoch's shards in turn on the
+// calling goroutine, so it too is held to the rule.
 package nogoroutine
 
 import (
@@ -62,10 +57,7 @@ var Analyzer = &interproc.Analyzer{
 
 func run(pass *interproc.Pass) error {
 	for _, u := range pass.Prog.Units {
-		// The shard-runner allowlist: shard goroutines and their join
-		// are internal/sim/par's job. The other
-		// simulated invariants (simclock, maporder, ...) still apply to it.
-		if !framework.SimulatedPackage(u.Path) || framework.ShardRunnerPackage(u.Path) {
+		if !framework.SimulatedPackage(u.Path) {
 			continue
 		}
 		for _, f := range u.Files {

@@ -12,13 +12,13 @@
 //     (internal/sim/par), from other barrier functions, or from harness
 //     code outside the simulation.
 //
-//  2. Runner discipline. internal/sim/par coordinates engines, and in a
-//     free-running epoch drives them from goroutines of its own, so every
-//     call it makes into simulated code happens on the wrong side of the
-//     determinism fence. The runner may only drive
-//     engines through the coordination surface (Run, RunUntil, NextAt,
-//     Now) and call barrier functions at barriers; any other call edge
-//     into a simulated package is a finding. (The Exchange hook is a
+//  2. Runner discipline. internal/sim/par coordinates engines from
+//     outside all of them: a call it made into simulated code would run
+//     inside no engine's event, on no shard's clock, on the wrong side of
+//     the determinism fence. The runner may only drive engines through
+//     the coordination surface (Run, RunUntil, NextAt, Now) and call
+//     barrier functions at barriers; any other call edge into a
+//     simulated package is a finding. (The Exchange hook is a
 //     func value bound by core — func-value calls don't even form graph
 //     edges, which is the point: par cannot name simulated code.)
 //
@@ -27,11 +27,12 @@
 //     directly (eng) or one field away (n.eng, k.eng). An engine reached
 //     through a deeper chain (l.k.eng, peer.nic.eng) is how code reaches
 //     ACROSS a component boundary, which under sharding can be a foreign
-//     shard's engine: a heap race and a determinism hole. The fabric
-//     (whose mailboxes are exactly this, done safely), the engine's own
-//     package, and core's wiring layer are exempt; everywhere else the
-//     deep chain is flagged and the few legitimate same-shard cases
-//     carry a reasoned //lint:qpip-allow shardsafe.
+//     shard's engine, whose clock may stand anywhere in the epoch: a
+//     determinism hole. The fabric (whose mailboxes are exactly this,
+//     done safely), the engine's own package, and core's wiring layer are
+//     exempt; everywhere else the deep chain is flagged and the few
+//     legitimate same-shard cases carry a reasoned //lint:qpip-allow
+//     shardsafe.
 //
 // The depth heuristic is deliberately syntactic: ownership of an engine
 // is a design property the type system doesn't encode, so the check

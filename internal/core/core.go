@@ -73,13 +73,12 @@ type Node struct {
 	Addr6 inet.Addr6
 }
 
-// ShardPlan partitions a cluster's nodes across parallel shard engines for
-// conservative parallel execution (internal/sim/par). The zero value (or a
+// ShardPlan partitions a cluster's nodes across shard engines for the
+// conservative parallel runner (internal/sim/par). The zero value (or a
 // Shards of 0/1 via NewCluster) is the plain sequential cluster.
 type ShardPlan struct {
 	// Shards is the number of shard engines. Run drives them in lockstep
-	// epochs on the calling goroutine; only an epoch no cross-shard mail
-	// can reach runs shards 1..n-1 on a goroutine each.
+	// epochs, every shard of every epoch in turn on the calling goroutine.
 	Shards int
 	// NodeShard maps a node index to its shard. Nil means round-robin
 	// (node i on shard i%Shards).

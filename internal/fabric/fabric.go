@@ -217,8 +217,7 @@ type port struct {
 	box outbox
 
 	// Source-side counters (incremented from the attachment's engine) and
-	// the destination-side delivered counter. Per-port so concurrent shards
-	// never share a counter word; Stats sums them.
+	// the destination-side delivered counter; Stats sums them.
 	sent, dropped, delivered uint64
 }
 
@@ -281,7 +280,7 @@ func (f *Fabric) Attach(h Handler) int { return f.AttachOn(f.eng, h) }
 // AttachOn adds an endpoint whose link servers and delivery events live on
 // eng — the attaching node's shard engine. Sequential clusters pass the one
 // shared engine; sharded clusters pass the node's shard engine so the
-// port's entire datapath is single-threaded within its shard.
+// port's entire datapath runs on its shard's clock.
 func (f *Fabric) AttachOn(eng *sim.Engine, h Handler) int {
 	if eng == nil {
 		eng = f.eng
@@ -311,11 +310,11 @@ func (f *Fabric) AttachOn(eng *sim.Engine, h Handler) int {
 
 // DrainMailboxes injects every buffered cross-shard handoff into its
 // destination engine and reports how many were injected. Called only at
-// epoch barriers, single-threaded, with no shard running. The
-// injection order is canonical — outboxes in f.boxes order, each in
-// posting order — so destination-engine sequence numbers (the tie-breaker
-// for same-timestamp events) are a deterministic function of the
-// workload, never of OS thread interleaving.
+// epoch barriers, with no shard running. The injection order is
+// canonical — outboxes in f.boxes order, each in posting order — so
+// destination-engine sequence numbers (the tie-breaker for same-timestamp
+// events) are a deterministic function of the workload, never of the
+// order the shards ran in.
 //
 //qpip:barrier
 func (f *Fabric) DrainMailboxes() int {
@@ -331,9 +330,6 @@ func (f *Fabric) DrainMailboxes() int {
 	}
 	return total
 }
-
-// Ports reports the number of attachments.
-func (f *Fabric) Ports() int { return len(f.ports) }
 
 // SetFloor gives attachment att an emission floor: floor(next) must be a
 // lower bound on the time of the attachment's next Send, given that its

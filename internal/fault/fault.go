@@ -134,10 +134,10 @@ type lane struct {
 // the decision RNG stream and the event log are all keyed by
 // the sending attachment. That makes every decision a pure function of
 // (Plan, src, per-src ordinal, send time) — independent of how frames from
-// different sources interleave — which is what lets a sharded run (sources
-// advancing concurrently) reproduce the sequential run's fault sequence
-// exactly. Events and TraceString present the lanes merged into one
-// canonical order.
+// different sources interleave — which is what lets a sharded run (each
+// shard advancing its own sources through an epoch) reproduce the
+// sequential run's fault sequence exactly. Events and TraceString present
+// the lanes merged into one canonical order.
 type Injector struct {
 	plan       Plan
 	frameLanes []lane // indexed by source attachment
@@ -152,9 +152,7 @@ func NewInjector(plan Plan) *Injector {
 	return &Injector{plan: plan}
 }
 
-// frameLane returns src's lane, growing the table as needed. Growth only
-// happens single-threaded (harness use, or Attach presizing before the
-// run); during a sharded run every lane already exists.
+// frameLane returns src's lane, growing the table as needed.
 func (in *Injector) frameLane(src int) *lane {
 	for src >= len(in.frameLanes) {
 		in.frameLanes = append(in.frameLanes, lane{})
@@ -358,13 +356,8 @@ func (in *Injector) Decide(n uint64, now sim.Time, src, dst int, corruptible int
 
 // Attach installs the injector as fab's fault hook. The fabric supplies
 // the frame's per-source ordinal and the sending engine's clock (flap and
-// partition windows are evaluated against the source shard's time). Lanes
-// are presized for every existing attachment so a sharded run never grows
-// the lane table concurrently.
+// partition windows are evaluated against the source shard's time).
 func (in *Injector) Attach(fab *fabric.Fabric) {
-	if fab.Ports() > 0 {
-		in.frameLane(fab.Ports() - 1)
-	}
 	fab.Fault = func(fr *fabric.Frame, n uint64, now sim.Time) fabric.FaultDecision {
 		return in.Apply(fr, n, now)
 	}

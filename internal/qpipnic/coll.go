@@ -45,8 +45,7 @@ package qpipnic
 // Like the rest of the firmware the steady state allocates nothing per
 // message (DESIGN §10.2): ring messages and the receive-stage runners
 // recycle through per-adapter free lists, the working vector and step
-// stash through per-group ones. An adapter lives on one engine, so the
-// lists need no locking in sharded runs.
+// stash through per-group ones.
 
 import (
 	"errors"
@@ -82,11 +81,10 @@ type collMsg struct {
 	// Ring messages are recycled (getCollMsg). refs counts the holders —
 	// fabric deliveries still to come, plus the stash slot a parked step
 	// occupies — and the last Release parks the message, vec's backing
-	// array included, on the free list of nic: the adapter holding it, i.e.
-	// the sender until delivery and the receiver from then on, which is
-	// always the adapter whose engine Release runs on. refs < 0 marks a
-	// message sitting on a free list. Tree messages are plain literals;
-	// their refs == 0 makes Retain and Release no-ops.
+	// array included, back on the free list of nic, the adapter that
+	// allocated it. refs < 0 marks a message sitting on a free list. Tree
+	// messages are plain literals; their refs == 0 makes Retain and
+	// Release no-ops.
 	refs int32
 	nic  *NIC
 }

@@ -255,9 +255,8 @@ type NIC struct {
 
 	// The collective engine's state (coll.go): collFree recycles ring
 	// messages and collRecv holds each delivery across its FSM stage;
-	// collLive counts messages handed out here minus messages recycled
-	// here, so the sum over a cluster's adapters is the number
-	// outstanding. The counter cells are resolved once so the per-message
+	// collLive counts the messages handed out here that are not yet back
+	// on collFree. The counter cells are resolved once so the per-message
 	// path skips the name map.
 	collFree []*collMsg
 	collRecv *sim.Jobs[collDelivery]

@@ -22,9 +22,7 @@ import (
 func (n *NIC) receiveFrame(f *fabric.Frame) {
 	if cm, ok := f.Payload.(*collMsg); ok {
 		// Collective messages bypass the inter-network stack: the
-		// collective engine demultiplexes on (group, seq) directly. From
-		// here on this adapter holds the message (see collMsg.nic).
-		cm.nic = n
+		// collective engine demultiplexes on (group, seq) directly.
 		if n.down {
 			cm.Release()
 			return

@@ -11,28 +11,20 @@
 // buffered during it are injected at the barrier, before the next window
 // is computed. A config without a MailFloor bounds the window by a fixed
 // Lookahead instead: the minimum latency any handoff needs, so the window
-// is [minNext, minNext+L-1].
+// is [minNext, minNext+L-1]. An epoch no mail can cross (no live floor, or
+// a zero Lookahead) runs every shard free, to quiescence or the limit.
 //
-// A mail-bounded window carries a few events per shard, less work than a
-// goroutine hand-off costs, so the runner runs its shards one after
-// another on the calling goroutine, in shard order. Only an epoch no mail
-// can cross (no live floor, or a zero Lookahead) fans out: shards 1..n-1
-// each get a goroutine and run free to quiescence or the limit. Injection
-// order is fixed by the Exchange hook (fabrics drain their per-sender
-// outboxes in a fixed order), so the schedule — and every trace and
-// counter derived from it — is a pure function of the workload and seeds,
-// independent of the order shards run in and of how the OS interleaves
-// the free epoch's goroutines.
-//
-// This is the ONE simulated package where goroutines and sync primitives
-// are legal (enforced by qpiplint's nogoroutine allowlist): all other model
-// code still runs single-threaded inside exactly one engine, and the
-// determinism argument reduces to the barrier algebra above.
+// Every epoch runs its shards one after another on the calling goroutine,
+// in shard order, so a whole sharded world runs on one goroutine, as a
+// sequential one does. Injection order is fixed by the Exchange hook
+// (fabrics drain their per-sender outboxes in a fixed order), so the
+// schedule — and every trace and counter derived from it — is a pure
+// function of the workload and seeds, independent of the order shards run
+// in within an epoch.
 package par
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/sim"
 )
@@ -65,66 +57,28 @@ type Config struct {
 	MailFloor func(next []sim.Time) (sim.Time, bool)
 }
 
-// runEpoch runs one engine to the horizon (or to quiescence for runFree)
-// and returns the panic it raised, if any.
-func runEpoch(eng *sim.Engine, horizon sim.Time) (err any) {
-	defer func() { err = recover() }()
-	if horizon == runFree {
-		eng.Run()
-	} else {
-		eng.RunUntil(horizon)
-	}
-	return nil
-}
-
-// raise re-raises a shard's recovered panic on the calling goroutine.
-func raise(err any) {
-	if err != nil {
-		panic(fmt.Sprintf("par: shard panicked: %v", err))
-	}
-}
-
-// epoch runs every engine to the horizon and re-raises the first shard
-// panic in shard order. A mail-bounded epoch runs the shards one after
-// another on the calling goroutine; a free one runs shards 1..n-1 on a
-// goroutine each and waits for all of them before raising, so none
-// outlives the call.
-func epoch(engines []*sim.Engine, horizon sim.Time, free bool) {
-	if !free {
-		for _, eng := range engines {
-			raise(runEpoch(eng, horizon))
+// epoch runs every engine, in shard order on the calling goroutine, to
+// the horizon or, for runFree, to quiescence. A shard's panic reaches the
+// caller unchanged.
+func epoch(engines []*sim.Engine, horizon sim.Time) {
+	for _, eng := range engines {
+		if horizon == runFree {
+			eng.Run()
+		} else {
+			eng.RunUntil(horizon)
 		}
-		return
-	}
-	errs := make([]any, len(engines))
-	var wg sync.WaitGroup
-	for i := 1; i < len(engines); i++ {
-		wg.Add(1)
-		go func() { // legal: internal/sim/par is nogoroutine's shard-runner allowlist
-			defer wg.Done()
-			errs[i] = runEpoch(engines[i], horizon)
-		}()
-	}
-	errs[0] = runEpoch(engines[0], horizon)
-	wg.Wait()
-	for _, err := range errs {
-		raise(err)
 	}
 }
 
 // Run advances all engines to global quiescence using lockstep epochs and
-// reports how many epochs it ran. A model panic on any shard is re-raised
-// on the caller's goroutine as "par: shard panicked: <value>".
+// reports how many epochs it ran. A model panic on any shard propagates
+// to the caller as it was raised.
 func Run(cfg Config) int { return RunUntil(cfg, -1) }
 
 // RunUntil is Run with an inclusive time limit: events with timestamps
 // <= limit execute, then every shard clock is forced to limit (mirroring
 // sim.Engine.RunUntil). A negative limit means no limit. It reports how
 // many epochs it ran, the clock-forcing one included.
-//
-// Every epoch bounded by mail (the MailFloor or Lookahead horizon, or the
-// limit while mail could still cross) runs on the calling goroutine; only
-// the free epoch, at most one per call, fans out across goroutines.
 func RunUntil(cfg Config, limit sim.Time) (epochs int) {
 	if len(cfg.Engines) == 0 {
 		return 0
@@ -148,12 +102,12 @@ func RunUntil(cfg Config, limit sim.Time) (epochs int) {
 		epochs++
 		switch {
 		case cross && (limit < 0 || floor <= limit):
-			epoch(cfg.Engines, floor-1, false)
+			epoch(cfg.Engines, floor-1)
 		case limit >= 0:
-			epoch(cfg.Engines, limit, !cross)
+			epoch(cfg.Engines, limit)
 		default:
 			// Nothing can cross: one free-running epoch drains everything.
-			epoch(cfg.Engines, runFree, true)
+			epoch(cfg.Engines, runFree)
 		}
 		if cfg.Exchange != nil {
 			cfg.Exchange()
@@ -164,7 +118,7 @@ func RunUntil(cfg Config, limit sim.Time) (epochs int) {
 	if limit >= 0 {
 		// Mirror sequential RunUntil: force every clock to the limit.
 		epochs++
-		epoch(cfg.Engines, limit, false)
+		epoch(cfg.Engines, limit)
 	}
 	return epochs
 }

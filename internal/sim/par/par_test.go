@@ -1,10 +1,10 @@
 package par_test
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/sim"
 	"repro/internal/sim/par"
@@ -111,25 +111,28 @@ func TestFreeRunWithoutLookahead(t *testing.T) {
 	}
 }
 
-// TestShardPanicPropagates: a model panic on shard 1 re-raises on the
-// calling goroutine instead of crashing the process, whether the epoch ran
-// shard 1 inline (mail-bounded) or on a goroutine of its own (free).
+// TestShardPanicPropagates: a model panic on any shard reaches the caller
+// with its own value, whichever shard raised it and whatever bounded the
+// epoch.
 func TestShardPanicPropagates(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		cfg  par.Config
+		name  string
+		shard int
+		cfg   par.Config
 	}{
-		{"lookahead-bounded", par.Config{Lookahead: 1, Exchange: func() int { return 0 }}},
-		{"mail-floor-bounded", par.Config{MailFloor: func(next []sim.Time) (sim.Time, bool) { return max(next[0], next[1]) + 1, true }}},
-		{"free", par.Config{}},
+		{"lookahead-bounded", 1, par.Config{Lookahead: 1, Exchange: func() int { return 0 }}},
+		{"mail-floor-bounded", 1, par.Config{MailFloor: func(next []sim.Time) (sim.Time, bool) { return max(next[0], next[1]) + 1, true }}},
+		{"free", 1, par.Config{}},
+		{"shard-0-lookahead-bounded", 0, par.Config{Lookahead: 1, Exchange: func() int { return 0 }}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.Engines = []*sim.Engine{sim.NewEngine(), sim.NewEngine()}
-			tc.cfg.Engines[1].At(3, "boom", func() { panic("model bug on shard 1") })
+			want := fmt.Sprintf("model bug on shard %d", tc.shard)
+			tc.cfg.Engines[tc.shard].At(3, "boom", func() { panic(want) })
+			tc.cfg.Engines[1-tc.shard].At(3, "tick", func() {})
 			defer func() {
-				r, _ := recover().(string)
-				if want := "par: shard panicked: model bug on shard 1"; r != want {
-					t.Fatalf("recovered %q, want %q", r, want)
+				if r := recover(); r != want {
+					t.Fatalf("recovered %v, want %q", r, want)
 				}
 			}()
 			par.Run(tc.cfg)
@@ -137,63 +140,9 @@ func TestShardPanicPropagates(t *testing.T) {
 	}
 }
 
-// TestCoordinatorShardPanicPropagates: shard 0 runs on the coordinating
-// goroutine itself, and its panic surfaces in the same form as a worker's.
-func TestCoordinatorShardPanicPropagates(t *testing.T) {
-	engines := []*sim.Engine{sim.NewEngine(), sim.NewEngine()}
-	engines[0].At(3, "boom", func() { panic("model bug on shard 0") })
-	engines[1].At(3, "tick", func() {})
-	defer func() {
-		r, _ := recover().(string)
-		if want := "par: shard panicked: model bug on shard 0"; r != want {
-			t.Fatalf("recovered %q, want %q", r, want)
-		}
-	}()
-	par.Run(par.Config{Engines: engines, Lookahead: 1, Exchange: func() int { return 0 }})
-}
-
-// TestPanicsLeakNoWorkers: a panic in a free-running epoch, on the calling
-// goroutine's shard 0 or on a goroutine's shard 2, is re-raised only after
-// every shard goroutine has finished that epoch, so they all exit. After
-// 100 runs, half of them panicking, the goroutine count is no higher than
-// it began.
-func TestPanicsLeakNoWorkers(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for i := 0; i < 100; i++ {
-		engines := []*sim.Engine{sim.NewEngine(), sim.NewEngine(), sim.NewEngine()}
-		for _, e := range engines {
-			for k := 0; k < 50; k++ {
-				e.At(sim.Time(k), "tick", func() {})
-			}
-		}
-		switch i % 4 {
-		case 0:
-			engines[0].At(0, "boom", func() { panic("shard 0") })
-		case 1:
-			engines[2].At(0, "boom", func() { panic("shard 2") })
-		}
-		func() {
-			defer func() {
-				if r := recover(); (r != nil) != (i%4 < 2) {
-					t.Fatalf("run %d: recovered %v", i, r)
-				}
-			}()
-			par.Run(par.Config{Engines: engines})
-		}()
-	}
-	// A shard goroutine signals the join from a deferred call; its last
-	// instructions after that may still be running.
-	for wait := 0; runtime.NumGoroutine() > before && wait < 100; wait++ {
-		time.Sleep(time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("goroutines %d after 100 runs, %d before", after, before)
-	}
-}
-
 // TestShardPanicInProcPropagates: a panic inside a sim.Proc surfaces from
-// the Wake that resumed it, so it re-raises on the calling goroutine like
-// any other model panic.
+// the Wake that resumed it, so it reaches the caller like any other model
+// panic.
 func TestShardPanicInProcPropagates(t *testing.T) {
 	engines := []*sim.Engine{sim.NewEngine(), sim.NewEngine()}
 	engines[1].Spawn("faulty", func(p *sim.Proc) {
@@ -201,9 +150,8 @@ func TestShardPanicInProcPropagates(t *testing.T) {
 		panic("proc bug on shard 1")
 	})
 	defer func() {
-		r, _ := recover().(string)
-		if want := "par: shard panicked: proc bug on shard 1"; r != want {
-			t.Fatalf("recovered %q, want %q", r, want)
+		if r, want := recover(), "proc bug on shard 1"; r != want {
+			t.Fatalf("recovered %v, want %q", r, want)
 		}
 	}()
 	par.Run(par.Config{Engines: engines, Lookahead: 1, Exchange: func() int { return 0 }})
@@ -266,11 +214,12 @@ func TestMailFloorWidensEpochs(t *testing.T) {
 	run(5, func(next []sim.Time) (sim.Time, bool) { return min(next[0], next[1]), true })
 }
 
-// TestMailBoundedEpochsStartNoGoroutine: an epoch mail can cross runs every
-// shard on the calling goroutine, so a shard-1 event sees no more
-// goroutines than existed before the run — whether the window comes from a
-// Lookahead, a MailFloor, or a limit below the floor.
-func TestMailBoundedEpochsStartNoGoroutine(t *testing.T) {
+// TestEpochsStartNoGoroutine: every epoch runs every shard on the calling
+// goroutine, so a shard-1 event sees no more goroutines than existed
+// before the run — whether the window comes from a Lookahead, a MailFloor
+// or a limit below the floor, or no mail can cross and the shards run
+// free.
+func TestEpochsStartNoGoroutine(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		cfg   par.Config
@@ -279,6 +228,9 @@ func TestMailBoundedEpochsStartNoGoroutine(t *testing.T) {
 		{"lookahead", par.Config{Lookahead: 5, Exchange: func() int { return 0 }}, -1},
 		{"mail-floor", par.Config{MailFloor: func(next []sim.Time) (sim.Time, bool) { return max(next[0], next[1]) + 5, true }}, -1},
 		{"limit-below-floor", par.Config{Lookahead: 1000}, 50},
+		{"no-lookahead", par.Config{}, -1},
+		{"floor-reports-no-crossing", par.Config{MailFloor: func([]sim.Time) (sim.Time, bool) { return 0, false }}, -1},
+		{"limit-without-crossing", par.Config{Exchange: func() int { return 0 }}, 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.Engines = []*sim.Engine{sim.NewEngine(), sim.NewEngine()}
@@ -294,44 +246,6 @@ func TestMailBoundedEpochsStartNoGoroutine(t *testing.T) {
 			}
 			if peak > before {
 				t.Errorf("a shard-1 event saw %d goroutines, %d before the run", peak, before)
-			}
-		})
-	}
-}
-
-// TestFreeEpochRunsShardsConcurrently: an epoch no mail can cross runs its
-// shards side by side. The two shards' t=0 events rendezvous through
-// channels; run one after another, the first would wait in vain, so the
-// wait is bounded and the test fails instead of hanging.
-func TestFreeEpochRunsShardsConcurrently(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		cfg   par.Config
-		limit sim.Time
-	}{
-		{"no-lookahead", par.Config{}, -1},
-		{"floor-reports-no-crossing", par.Config{MailFloor: func([]sim.Time) (sim.Time, bool) { return 0, false }}, -1},
-		{"limit-without-crossing", par.Config{Exchange: func() int { return 0 }}, 10},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			tc.cfg.Engines = []*sim.Engine{sim.NewEngine(), sim.NewEngine()}
-			arrived := []chan struct{}{make(chan struct{}, 1), make(chan struct{}, 1)}
-			var met [2]bool
-			for i, e := range tc.cfg.Engines {
-				e.At(0, "meet", func() {
-					arrived[i] <- struct{}{}
-					select {
-					case <-arrived[1-i]:
-						met[i] = true
-					case <-time.After(10 * time.Second):
-					}
-				})
-			}
-			if epochs := par.RunUntil(tc.cfg, tc.limit); epochs > 2 {
-				t.Errorf("%d epochs, want one free epoch (and a clock-forcing one under a limit)", epochs)
-			}
-			if !met[0] || !met[1] {
-				t.Fatalf("shards met = %v: the free epoch ran them one after another", met)
 			}
 		})
 	}

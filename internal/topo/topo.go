@@ -316,8 +316,8 @@ func (g *Graph) homes() {
 	}
 }
 
-// routeAll precomputes every pair's route eagerly; lazy fill would race
-// when shard engines route concurrently.
+// routeAll precomputes every pair's route eagerly, so validate can check
+// every route before the graph is used.
 func (g *Graph) routeAll() {
 	g.routes = make([][]Hop, g.n*g.n)
 	for src := 0; src < g.n; src++ {

@@ -60,9 +60,10 @@ type QPConfig struct {
 }
 
 // NewQP creates a queue pair and registers it with the device. QPNs come
-// from the device (Device.AllocQPN), never from package state: a sharded
-// simulation creates QPs on different shard engines concurrently, and a
-// process-wide counter would make numbering an artifact of thread timing.
+// from the device (Device.AllocQPN), never from package state: a
+// process-wide counter would make one cluster's numbering depend on every
+// other cluster the process built before it, or is building beside it in
+// a parallel sweep.
 func NewQP(dev Device, cfg QPConfig) (*QP, error) {
 	if cfg.SendCQ == nil || cfg.RecvCQ == nil {
 		return nil, fmt.Errorf("verbs: QP requires send and receive CQs")

@@ -274,9 +274,10 @@ func NewQPIPCluster(n int) *Cluster {
 	return core.NewCluster(n, core.NodeConfig{QPIP: true})
 }
 
-// ShardPlan partitions a cluster across parallel shard engines
-// (conservative parallel simulation, DESIGN §14). Runs are bit-identical
-// to the sequential engine for any shard count.
+// ShardPlan partitions a cluster across shard engines, which the
+// conservative parallel runner advances in lockstep epochs on the calling
+// goroutine (DESIGN §14). Runs are bit-identical to the sequential engine
+// for any shard count.
 type ShardPlan = core.ShardPlan
 
 // NewShardedCluster builds n nodes partitioned across plan.Shards engines;
